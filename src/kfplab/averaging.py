@@ -1,17 +1,20 @@
-"""Fractional Sobolev norms by discrete Fourier transform, and the
+"""Fractional Sobolev norms from per-group marginal power spectra, and the
 velocity-averaging estimate audit.
 
 Fields compactly supported in a cylinder are zero-padded (factor 2 per
-axis by default) and transformed; the fractional derivative of order s
-along an axis group is the multiplier |2 pi m / L|^s on integer
+axis by default); the fractional derivative of order s along an axis group
+(t, x or v) is the multiplier |2 pi m / L|^s on that group's integer
 frequencies m, with L the padded box length and the zero mode mapped to
-zero for s > 0.  With this convention Plancherel and the interpolation
-inequality
+zero for s > 0.  By Parseval along the other axes, their padding changes
+nothing: each group is transformed over its own padded axes only, |F|^2 is
+summed over the rest, and each norm is one weighted sum over that small
+marginal.  Plancherel and the interpolation inequality
 
     ||D_v^{1/3} G|| <= ||G||^{2/3} ||D_v G||^{1/3}
 
-are exact identities of the discrete spectrum (Hoelder with exponents
-3/2 and 3 on the spectral weights), not approximations.
+are then exact identities of the discrete spectrum (Hoelder with exponents
+3/2 and 3 on the marginal weights); the L2 norm is summed from the samples,
+so Plancherel is checked against physical space.
 """
 
 from __future__ import annotations
@@ -36,16 +39,18 @@ __all__ = [
 
 @dataclass
 class SpectralField:
-    """FFT of a padded (t, x, v) sample array with axis-group bookkeeping.
+    """Marginal power spectra of a zero-padded (t, x, v) sample array.
 
-    `groups` maps "t" / "x" / "v" to tuples of array axes; `lengths` holds
-    the padded physical box length per axis.  `cell_volume` is the sample
-    cell volume, so norms reproduce the grid L2 norm exactly at s = 0.
+    `marginals` maps "t" / "x" / "v" to (|k|^2, power) over the padded
+    frequencies of that group's axes (the last axis holds the rfft half
+    spectrum, its Hermitian weights folded into power); `fhat` concatenates
+    every group's power.  `l2_sq` is the sum of squared samples and
+    `cell_volume` the sample cell volume, so norms are grid L2 norms.
     """
 
     fhat: np.ndarray
-    groups: dict
-    lengths: tuple
+    marginals: dict
+    l2_sq: float
     cell_volume: float
 
     @classmethod
@@ -53,7 +58,7 @@ class SpectralField:
                     warn_boundary: bool = True) -> "SpectralField":
         """Transform a sample array with given per-axis spacings.
 
-        The array is zero-padded by `pad` per axis (the compact-support
+        Each group's axes are zero-padded by `pad` (the compact-support
         embedding); support touching the unpadded boundary triggers an
         aliasing warning.
         """
@@ -68,68 +73,59 @@ class SpectralField:
                             f"field support touches the box boundary on axis {ax}; "
                             "fractional norms may alias", stacklevel=2)
                         break
-        shape = tuple(pad * n for n in values.shape)
-        padded = np.zeros(shape)
-        padded[tuple(slice(0, n) for n in values.shape)] = values
-        fhat = np.fft.fftn(padded)
-        lengths = tuple(h * n for h, n in zip(spacings, shape))
-        cell = float(np.prod(spacings))
-        return cls(fhat, dict(groups), lengths, cell)
+        marginals = {}
+        for name, axes in groups.items():
+            sizes = [pad * values.shape[ax] for ax in axes]
+            power = np.abs(np.fft.rfftn(values, s=sizes, axes=axes))
+            power *= power
+            power = power.sum(axis=tuple(ax for ax in range(values.ndim)
+                                         if ax not in axes))
+            freqs = [np.arange(m) for m in power.shape]
+            k_sq = sum(k * k for k in np.ix_(*[
+                2.0 * np.pi * np.minimum(j, n - j) / (spacings[ax] * n)
+                for ax, n, j in zip(axes, sizes, freqs)]))
+            # the last axis holds the rfft half spectrum: every mode but the
+            # zero and (even n) Nyquist ones also stands for its negative
+            j, n = freqs[-1], sizes[-1]
+            power *= np.where((j == 0) | (2 * j == n), 1.0, 2.0) / math.prod(sizes)
+            marginals[name] = (k_sq, power)
+        fhat = np.concatenate([power.ravel() for _, power in marginals.values()])
+        return cls(fhat, marginals, float(np.sum(values * values)),
+                   float(np.prod(spacings)))
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, t_lo: float | None = None,
-                        t_hi: float | None = None, pad: int = 2,
+    def from_trajectory(cls, traj: Trajectory, pad: int = 2,
                         warn_boundary: bool = True) -> "SpectralField":
-        """Spectral field of a trajectory window; the time axis is treated
-        like the space axes (restricted, padded, transformed)."""
+        """Spectral field of a trajectory; the time axis is treated like the
+        space axes (padded, transformed)."""
         grid = traj.grid
-        times = traj.times
-        sel = np.ones(len(times), dtype=bool)
-        if t_lo is not None:
-            sel &= times >= t_lo - 1e-12
-        if t_hi is not None:
-            sel &= times <= t_hi + 1e-12
-        vals = traj.values[sel]
-        dt_slice = float(times[1] - times[0])
+        dt_slice = float(traj.times[1] - traj.times[0])
         spacings = (dt_slice,) + (grid.dx,) * grid.dim + (grid.dv,) * grid.dim
         groups = {
             "t": (0,),
             "x": tuple(range(1, 1 + grid.dim)),
             "v": tuple(range(1 + grid.dim, 1 + 2 * grid.dim)),
         }
-        return cls.from_values(vals, spacings, groups, pad=pad,
+        return cls.from_values(traj.values, spacings, groups, pad=pad,
                                warn_boundary=warn_boundary)
 
-    def _wavenumber_sq(self, group: str) -> np.ndarray:
-        axes = self.groups[group]
-        k_sq = np.zeros((1,) * self.fhat.ndim)
-        for ax in axes:
-            n = self.fhat.shape[ax]
-            m = np.fft.fftfreq(n) * n
-            k_ax = 2.0 * np.pi * np.abs(m) / self.lengths[ax]
-            shape = [1] * self.fhat.ndim
-            shape[ax] = n
-            k_sq = k_sq + (k_ax**2).reshape(shape)
-        return k_sq
-
     def l2_norm(self) -> float:
-        total = float(np.sum(np.abs(self.fhat) ** 2))
-        return math.sqrt(total / self.fhat.size * self.cell_volume)
+        """Grid L2 norm summed from the samples in physical space."""
+        return math.sqrt(self.l2_sq * self.cell_volume)
 
     def frac_norm(self, group: str, s: float) -> float:
         """L2 norm of |2 pi k / L|^s applied along the axis group.
 
-        s = 0 reproduces the field's L2 norm exactly (Plancherel); s = 1 is
+        s = 0 reproduces the field's L2 norm (Plancherel, to roundoff); s = 1 is
         the full first derivative along the group.
         """
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"fractional order must lie in [0, 1], got {s}")
-        if group not in self.groups:
+        if group not in self.marginals:
             raise ValueError(f"unknown axis group {group!r}")
-        k_sq = self._wavenumber_sq(group)
+        k_sq, power = self.marginals[group]
         weight = k_sq**s  # 0^0 = 1: the zero mode survives only at s = 0
-        total = float(np.sum(weight * np.abs(self.fhat) ** 2))
-        return math.sqrt(total / self.fhat.size * self.cell_volume)
+        return math.sqrt(float(np.sum(weight * power)) * self.cell_volume)
 
 
 def frac_norm(target, group: str, s: float, **kwargs) -> float:

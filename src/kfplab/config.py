@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .geometry import PhaseGrid, dyadic_time
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
            "config_to_text"]
 
@@ -147,6 +149,8 @@ class RunConfig:
         if self.interp not in ("linear", "cubic"):
             fail("solver.interp", f"must be linear or cubic, got {self.interp!r}")
         dt = self.dt if self.dt is not None else -self.t_min / self.n_t
+        if not dt > 0:
+            fail("solver.dt", f"must be positive, got {dt}")
         cfl = (2.0 * self.x_max / self.n_x) / self.v_max
         if dt > cfl * (1 + 1e-12):
             fail("solver.dt", f"dt = {dt} violates the transport bound "
@@ -170,6 +174,32 @@ class RunConfig:
         for k in self.barrier_levels:
             if k < 1:
                 fail("diagnostics.barrier_levels", f"levels must be >= 1, got {k}")
+        if self.store_every < 1:
+            fail("solver.store_every", f"must be >= 1, got {self.store_every}")
+        # the barrier of level k starts from the stored slice at T_{k-1}
+        step = dt * self.store_every
+        for k in self.barrier_levels:
+            t_start = dyadic_time(k - 1)
+            if t_start < self.t_min - 1e-9:
+                fail("grid.t_min", f"barrier level {k} starts at T_{k - 1} = "
+                                   f"{t_start}, before t_min = {self.t_min}")
+            t_slice = self.t_min + round((t_start - self.t_min) / step) * step
+            if abs(t_slice - t_start) > 1e-9:
+                fail("grid.n_t" if self.dt is None else "solver.dt",
+                     f"barrier level {k} starts at T_{k - 1} = "
+                     f"{t_start}, which is not a stored slice time "
+                     f"(t_min + multiples of dt * store_every = {step})")
+        # the oscillation ladder needs a cell centre in Q[omega/2], both on
+        # the run grid and on the unit-scale grid every zoom samples onto
+        r = self.omega / 2.0
+        run_grid = PhaseGrid(self.dim, (self.t_min, 0.0), self.n_t, self.x_max,
+                             self.n_x, self.v_max, self.n_v)
+        for grid in (run_grid, run_grid.unit_scale()):
+            for path, rho, half in (("grid.n_x", grid.rho_x, grid.x_max),
+                                    ("grid.n_v", grid.rho_v, grid.v_max)):
+                if not rho.min() < r:
+                    fail(path, f"no cell centre of the half-width {half} box "
+                               f"lies in Q[omega/2] = Q[{r}]")
         return self
 
 

@@ -141,6 +141,12 @@ class PhaseGrid:
         return PhaseGrid(self.dim, t_span, n_t, self.x_max, self.n_x,
                          self.v_max, self.n_v)
 
+    def unit_scale(self) -> "PhaseGrid":
+        """The same cell counts over the unit-scale box covering Q[3/2],
+        the grid every kinetic zoom samples onto."""
+        return PhaseGrid(self.dim, (-1.5, 0.0), self.n_t, 1.5, self.n_x,
+                         1.5, self.n_v)
+
     def __repr__(self):
         return (f"PhaseGrid(dim={self.dim}, t_span={self.t_span}, n_t={self.n_t}, "
                 f"x_max={self.x_max}, n_x={self.n_x}, v_max={self.v_max}, n_v={self.n_v})")

@@ -124,8 +124,7 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
     """
     grid = traj.grid
     if zoom_grid is None:
-        zoom_grid = PhaseGrid(grid.dim, (-1.5, 0.0), grid.n_t, 1.5, grid.n_x,
-                              1.5, grid.n_v)
+        zoom_grid = grid.unit_scale()
     dt_slice = float(traj.times[1] - traj.times[0])
 
     n_out = len(zoom_grid.times)
@@ -310,29 +309,33 @@ class ThetaSequenceReport:
     theta: float
     levels: list                        # trajectories f_0 .. f_kmax
     measures: list                      # m_k over the hat cylinder union Q[1]
-    monotone: bool                      # f_k <= f_{k-1} pointwise, exact
+    monotone: bool                      # f_k <= f_{k-1} on the region, exact
     measures_nondecreasing: bool
 
 
 def theta_sequence(traj: Trajectory, theta: float, k_max: int) -> ThetaSequenceReport:
     """The affine rescaling ladder f_k = (f_{k-1} - 1)/theta + 1, f_0 = f.
 
-    Requires theta in (0, 1/2) and f <= 1; the ladder is then pointwise
-    nonincreasing in k (exactly) and the measures m_k = |{f_k <= 0}| over
-    the hat-union region are nondecreasing.
+    Requires theta in (0, 1/2) and f <= 1 on the hat-union region (the
+    bound normalize_pair gives); the ladder is then pointwise nonincreasing
+    in k there (exactly) and the measures m_k = |{f_k <= 0}| over that
+    region are nondecreasing.
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    if float(traj.values.max()) > 1.0 + 1e-12:
-        raise ValueError("theta sequence requires f <= 1 (normalize first)")
     region = hat_union_unit(traj.grid.dim)
+    if cylinder_node_extrema(traj, region)[1] > 1.0 + 1e-12:
+        raise ValueError("theta sequence requires f <= 1 on the hat union "
+                         "(normalize first)")
     levels = [traj]
     measures = [level_set_measure(traj, lambda f: f <= 0.0, region)]
     monotone = True
     for _ in range(k_max):
         prev = levels[-1]
         nxt = prev.map_values(lambda v: (v - 1.0) / theta + 1.0)
-        monotone &= bool(np.all(nxt.values <= prev.values + 1e-12))
+        rise = cylinder_node_extrema(
+            Trajectory(prev.grid, prev.times, nxt.values - prev.values), region)[1]
+        monotone &= bool(rise <= 1e-12)
         levels.append(nxt)
         measures.append(level_set_measure(nxt, lambda f: f <= 0.0, region))
     nondecr = all(b >= a - 1e-12 for a, b in zip(measures, measures[1:]))

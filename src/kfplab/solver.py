@@ -65,7 +65,7 @@ class BoundaryCondition:
     periodic_x: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("whole_space", "kinetic_ibvp", "box"):
+        if self.kind not in ("whole_space", "kinetic_ibvp"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "kinetic_ibvp" and (self.radius is None or self.radius <= 0):
             raise ValueError("kinetic_ibvp requires a positive ball radius")

@@ -48,6 +48,55 @@ def test_plancherel_random_field(grid):
     assert sf.frac_norm("t", 0.0) == pytest.approx(direct, rel=1e-12)
 
 
+def padded_fft_norm(vals, spacings, axes, pad, s):
+    """Reference: the multiplier |k_axes|^s on the full zero-padded fftn."""
+    shape = tuple(pad * n for n in vals.shape)
+    power = np.abs(np.fft.fftn(vals, s=shape, axes=range(vals.ndim))) ** 2
+    k_sq = np.zeros((1,) * vals.ndim)
+    for ax in axes:
+        n = shape[ax]
+        k_ax = 2.0 * np.pi * np.abs(np.fft.fftfreq(n) * n) / (spacings[ax] * n)
+        k_sq = k_sq + np.expand_dims(k_ax**2, [a for a in range(vals.ndim) if a != ax])
+    return math.sqrt(np.sum(k_sq**s * power) / power.size * np.prod(spacings))
+
+
+SHAPES = {"N=1 odd": (7, 9, 11), "N=1 even": (6, 10, 12),
+          "N=2 odd": (5, 5, 7, 7, 5), "N=2 even": (4, 6, 4, 6, 4)}
+
+
+def random_spectral_case(shape, seed=3):
+    rng = np.random.default_rng(seed)
+    dim = (len(shape) - 1) // 2
+    spacings = tuple(rng.uniform(0.05, 0.3, size=len(shape)))
+    groups = {"t": (0,), "x": tuple(range(1, 1 + dim)),
+              "v": tuple(range(1 + dim, 1 + 2 * dim))}
+    return rng.normal(size=shape), spacings, groups
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_marginal_norms_match_full_padded_fft(shape, pad):
+    vals, spacings, groups = random_spectral_case(shape)
+    sf = SpectralField.from_values(vals, spacings, groups, pad=pad,
+                                   warn_boundary=False)
+    for group, axes in groups.items():
+        for s in (0.0, 1.0 / 3.0, 1.0):
+            ref = padded_fft_norm(vals, spacings, axes, pad, s)
+            assert sf.frac_norm(group, s) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_plancherel_against_physical_space(shape, pad):
+    vals, spacings, groups = random_spectral_case(shape, seed=4)
+    sf = SpectralField.from_values(vals, spacings, groups, pad=pad,
+                                   warn_boundary=False)
+    direct = math.sqrt(np.sum(vals**2) * np.prod(spacings))
+    assert sf.l2_norm() == pytest.approx(direct, rel=1e-12)
+    for group in groups:
+        assert sf.frac_norm(group, 0.0) == pytest.approx(direct, rel=1e-12)
+
+
 def test_single_mode_frac_norm_analytic(grid):
     m = 3
     traj = mode_trajectory(grid, m_v=m)

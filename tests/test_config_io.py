@@ -59,6 +59,26 @@ def test_config_range_validation():
         parse_config("solver.dt = 1.0\n")
 
 
+def test_config_rejects_barrier_start_between_slices():
+    # dt = 0.03 on the default grid: T_0 = -1 is no stored slice time
+    with pytest.raises(ConfigError, match="grid.n_t"):
+        parse_config("grid.n_t = 50\n")
+    with pytest.raises(ConfigError, match="grid.t_min"):
+        parse_config("grid.t_min = -0.9\n")
+    with pytest.raises(ConfigError, match="solver.dt"):
+        parse_config("solver.dt = 0\n")
+    with pytest.raises(ConfigError, match="solver.store_every"):
+        parse_config("solver.store_every = 0\n")
+
+
+def test_config_rejects_oscillation_cylinder_between_cells():
+    n2 = "grid.dim = 2\ngrid.n_t = 18\ndiagnostics.omega = 0.25\n"
+    # no cell centre of an even 16-cell axis lies within Q[0.125]
+    with pytest.raises(ConfigError, match="grid.n_x"):
+        parse_config(n2 + "grid.n_x = 16\ngrid.n_v = 16\n")
+    parse_config(n2 + "grid.n_x = 18\ngrid.n_v = 18\n")
+
+
 def test_config_comments_and_lists():
     cfg = parse_config("# a comment\ndiagnostics.barrier_levels = 1, 2, 3\n")
     assert cfg.barrier_levels == (1, 2, 3)
@@ -72,6 +92,29 @@ def test_pipeline_with_finite_q():
     assert res.passed
     assert res.metrics["alpha"] == pytest.approx(1.0 + 1.0 / 9.0 - 0.1, rel=1e-12)
     assert res.metrics["gamma"] > 0.0
+
+
+N2_CONFIG = """
+run.seed = 2
+grid.dim = 2
+grid.n_t = 12
+grid.n_x = 13
+grid.n_v = 13
+diagnostics.omega = 0.25
+diagnostics.bisection = false
+"""
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 2.0])
+def test_cli_run_n2_complete_manifest(tmp_path, amplitude):
+    # at amplitude 2, f > 1 outside the hat union, where normalize_pair
+    # does not bound it
+    cfg_path = tmp_path / "n2.cfg"
+    cfg_path.write_text(N2_CONFIG + f"initial.amplitude = {amplitude}\n")
+    assert cli_main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "manifest.status = complete" in manifest
+    assert "verdict.spectral = true" in manifest
 
 
 # --- snapshots -------------------------------------------------------------------

@@ -261,6 +261,17 @@ def test_theta_sequence_monotone_and_measures(grid):
         assert np.all(b.values <= a.values + 1e-12)
 
 
+def test_theta_sequence_bounds_f_on_the_hat_union_only(grid):
+    # normalize_pair bounds f <= 1 on (-3/2, 0) x B(0,1)^2 and nowhere else
+    traj = Trajectory.from_function(
+        grid, grid.times, lambda t, x, v: 0.5 + 2.0 * (np.abs(x) > 1.2) + 0 * v)
+    rep = theta_sequence(traj, 0.25, 2)
+    assert rep.monotone
+    assert rep.measures_nondecreasing
+    with pytest.raises(ValueError, match="hat union"):
+        theta_sequence(traj.map_values(lambda f: f + 1.0), 0.25, 1)
+
+
 @given(theta=st.floats(0.05, 0.45), shift=st.floats(-0.5, 0.9))
 def test_theta_sequence_monotone_property(theta, shift):
     grid = PhaseGrid(1, (-1.5, 0.0), 8, 1.0, 8, 1.0, 8)

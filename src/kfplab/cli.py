@@ -12,8 +12,8 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, parse_config_file
-from .pipeline import run_pipeline, sweep, worker_count
+from .config import ConfigError, RunConfig, parse_config_file, parse_sweep_config
+from .pipeline import run_pipeline, sweep, worker_count, write_incomplete_manifest
 from .snapshots import import_snapshot
 
 
@@ -27,12 +27,7 @@ def _cmd_run(args) -> int:
         result = run_pipeline(cfg, out_dir=args.output)
     except Exception as exc:  # noqa: BLE001 - flagged incomplete, then surfaced
         if args.output:
-            os.makedirs(args.output, exist_ok=True)
-            with open(os.path.join(args.output, "manifest.txt"), "w",
-                      encoding="ascii") as fh:
-                fh.write("manifest.version = 1\n"
-                         "manifest.status = incomplete\n"
-                         f"manifest.error = {exc!r}\n")
+            write_incomplete_manifest(args.output, exc)
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     for name in sorted(result.verdicts):
@@ -43,10 +38,9 @@ def _cmd_run(args) -> int:
     return 0 if result.passed else 1
 
 
-def _expand_sweep(cfg: RunConfig):
-    """Materialize the ensemble from sweep.* keys stashed by the parser."""
-    extras = getattr(cfg, "_sweep_extras", {})
-    seeds_raw = extras.get("sweep.seeds", "")
+def _expand_sweep(cfg: RunConfig, keys: dict):
+    """Materialize the ensemble from the parsed sweep.* keys."""
+    seeds_raw = keys.get("sweep.seeds", "")
     if not seeds_raw:
         raise ConfigError("sweep requires 'sweep.seeds' (comma list or a..b range)")
     seeds = []
@@ -59,7 +53,7 @@ def _expand_sweep(cfg: RunConfig):
             seeds.append(int(part))
     if not seeds:
         raise ConfigError("sweep.seeds produced an empty ensemble")
-    kinds = [k.strip() for k in extras.get("sweep.kinds", "").split(",") if k.strip()]
+    kinds = [k.strip() for k in keys.get("sweep.kinds", "").split(",") if k.strip()]
     if not kinds:
         kinds = [cfg.coeff_kind]
     configs = []
@@ -77,8 +71,8 @@ def _expand_sweep(cfg: RunConfig):
 
 def _cmd_sweep(args) -> int:
     try:
-        cfg = parse_config_file(args.config)
-        configs = _expand_sweep(cfg)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            configs = _expand_sweep(*parse_sweep_config(fh.read()))
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from .geometry import PhaseGrid, dyadic_time
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
-           "config_to_text"]
+           "parse_sweep_config", "config_to_text"]
 
 
 class ConfigError(ValueError):
@@ -176,6 +176,15 @@ class RunConfig:
                 fail("diagnostics.barrier_levels", f"levels must be >= 1, got {k}")
         if self.store_every < 1:
             fail("solver.store_every", f"must be >= 1, got {self.store_every}")
+        # the same step count and tolerance `solver.solve` enforces
+        span = -self.t_min
+        n_steps = max(1, int(round(span / dt)))
+        if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+            fail("solver.dt", f"dt = {dt} does not divide the time span "
+                              f"{span} into whole steps")
+        if n_steps % self.store_every != 0:
+            fail("solver.store_every", f"store_every = {self.store_every} "
+                                       f"must divide the step count {n_steps}")
         # the barrier of level k starts from the stored slice at T_{k-1}
         step = dt * self.store_every
         for k in self.barrier_levels:
@@ -235,9 +244,18 @@ _ATTRS = {v: k for k, v in _PATHS.items()}
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys are errors."""
+    """Parse `key = value` lines; '#' starts a comment; unknown keys are errors.
+
+    `sweep.*` keys are accepted and ignored; `parse_sweep_config` returns them.
+    """
+    return parse_sweep_config(text, base)[0]
+
+
+def parse_sweep_config(text: str, base: RunConfig | None = None,
+                       ) -> tuple[RunConfig, dict]:
+    """Parse like `parse_config`; also return the `sweep.*` keys, raw."""
     cfg = RunConfig() if base is None else base
-    extra = {}
+    sweep = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -248,7 +266,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key = key.strip()
         value = value.strip()
         if key.startswith("sweep."):
-            extra[key] = value
+            sweep[key] = value
             continue
         if key not in _PATHS:
             raise ConfigError(f"line {lineno}: unknown field '{key}'")
@@ -258,8 +276,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         else:
             setattr(cfg, attr, _parse_scalar(value))
     cfg.validate()
-    cfg._sweep_extras = extra  # stashed for the sweep front end
-    return cfg
+    return cfg, sweep
 
 
 def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:

@@ -553,11 +553,18 @@ def empirical_kappa(run_fn, kappa_log: float, amp_lo: float = 1e-3,
     """Bisect the initial-data amplitude for the largest premise integral
     whose run still satisfies the conclusion of the gate.
 
-    `run_fn(amplitude)` must return the solved trajectory.  Returns a dict
-    with the empirical threshold log10 kappa_emp (the premise integral at
-    the largest passing amplitude), the bracketing amplitudes, and the gate
-    reports at the bracket ends.  The assembled threshold is sufficient, never
-    necessary, so kappa_log <= kappa_emp is the expected outcome.
+    `run_fn(amplitude)` must return the solved trajectory; only its gate
+    report is kept, so the trajectory may live in a buffer the next call
+    overwrites.  The pipeline's `run_fn` (`pipeline.amplitude_runs`) solves
+    nothing: the scheme is affine in the initial data, so each trajectory
+    is the main run plus a multiple of one source-free unit-amplitude run,
+    and the pipeline checks that superposition against one direct solve at
+    the bracket end that sets kappa_emp (`metric.kappa_affine_defect`).
+    Returns a dict with the empirical threshold log10 kappa_emp (the premise
+    integral at the largest passing amplitude), the bracketing amplitudes,
+    and the gate reports at the bracket ends.  The assembled threshold is
+    sufficient, never necessary, so kappa_log <= kappa_emp is the expected
+    outcome.
     """
     def gate_at(amp):
         return linfty_gate(run_fn(amp), kappa_log)

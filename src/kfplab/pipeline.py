@@ -5,7 +5,8 @@ runs write byte-identical artifacts.  The audit verdicts aggregated by
 sweeps are: energy slack, truncation-energy monotonicity, the Chebyshev
 level-set bound, the barrier comparison, Plancherel and the spectral
 interpolation inequality, oscillation contraction mu < 1, a positive
-fitted Hoelder exponent, and the empirical-vs-assembled kappa ordering.
+fitted Hoelder exponent, and the empirical-vs-assembled kappa ordering
+(with the bisection's superposition checked against a direct solve).
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ from .geometry import DyadicLevel, PhaseGrid, dyadic_time
 from .snapshots import export_snapshot
 
 __all__ = ["RunResult", "build_grid", "build_coefficient", "build_source_field",
-           "build_initial", "run_pipeline", "sweep", "worker_count"]
+           "build_initial", "solve_initial", "amplitude_runs", "run_pipeline",
+           "sweep", "worker_count", "write_incomplete_manifest"]
 
 MANIFEST_VERSION = 1
+# bound on max|superposed - direct| / (1 + max|direct|) at the bisection's
+# deciding amplitude; the superposition is exact up to roundoff
+AFFINE_TOLERANCE = 1e-12
 
 CSV_COLUMNS = {
     "energy": ["t", "energy", "dissipation", "source_work", "slack"],
@@ -133,6 +138,38 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid,
     return PhaseField(grid, grid.t_span[0], vals)
 
 
+def solve_initial(cfg: RunConfig, grid: PhaseGrid, diffusion, source,
+                  amplitude: float | None = None) -> Trajectory:
+    """The whole-space run from `build_initial(cfg, grid, amplitude)`."""
+    return solver.solve(build_initial(cfg, grid, amplitude), diffusion, source,
+                        0.0, solver.WHOLE_SPACE, dt=cfg.dt, interp=cfg.interp,
+                        store_every=cfg.store_every)
+
+
+def amplitude_runs(cfg: RunConfig, grid: PhaseGrid, diffusion,
+                   traj: Trajectory):
+    """`run_fn(amplitude)` for `degiorgi.empirical_kappa`, by superposition.
+
+    The step is linear in f (transport is a fixed gather, diffusion one
+    linear solve with f-independent coefficients) and adds g, which does not
+    depend on f; `build_initial` is the amplitude times a fixed profile.  So
+    the run from amplitude a is traj + (a - a0) U, where traj is the run
+    from a0 = cfg.initial_amplitude and U the source-free run from
+    amplitude 1: one extra solve serves every amplitude.  Each call
+    overwrites one shared buffer, so a returned trajectory is valid until
+    the next call.
+    """
+    unit = solve_initial(cfg, grid, diffusion, None, amplitude=1.0).values
+    buf = np.empty_like(traj.values)
+    a0 = cfg.initial_amplitude
+
+    def run_amp(amp):
+        np.multiply(unit, amp - a0, out=buf)
+        np.add(traj.values, buf, out=buf)
+        return Trajectory(grid, traj.times, buf)
+    return run_amp
+
+
 # ---------------------------------------------------------------------------
 # the run
 # ---------------------------------------------------------------------------
@@ -161,15 +198,12 @@ def run_pipeline(cfg: RunConfig, out_dir=None, keep_trajectory: bool = False,
     grid = build_grid(cfg)
     diffusion = build_coefficient(cfg)
     source = build_source_field(cfg)
-    f0 = build_initial(cfg, grid)
     result = RunResult(cfg)
     metrics = result.metrics
     verdicts = result.verdicts
     tables = result.tables
 
-    traj = solver.solve(f0, diffusion, source, 0.0, solver.WHOLE_SPACE,
-                        dt=cfg.dt, interp=cfg.interp,
-                        store_every=cfg.store_every)
+    traj = solve_initial(cfg, grid, diffusion, source)
     if keep_trajectory:
         result.trajectory = traj
 
@@ -292,16 +326,21 @@ def run_pipeline(cfg: RunConfig, out_dir=None, keep_trajectory: bool = False,
     verdicts["gate_implication"] = gate.implication_holds
 
     if cfg.run_bisection:
-        def run_amp(amp):
-            f_amp = build_initial(cfg, grid, amplitude=amp)
-            return solver.solve(f_amp, diffusion, source, 0.0,
-                                solver.WHOLE_SPACE, dt=cfg.dt,
-                                interp=cfg.interp, store_every=cfg.store_every)
+        run_amp = amplitude_runs(cfg, grid, diffusion, traj)
         bis = degiorgi.empirical_kappa(run_amp, kappa_log)
+        # one direct solve at the bracket end that sets kappa_emp checks the
+        # superposition; a future option that breaks affinity shows here
+        amp = bis["amp_fail"] if bis["gate_pass"] is None else bis["amp_pass"]
+        direct = solve_initial(cfg, grid, diffusion, source, amp).values
+        defect = float(np.max(np.abs(run_amp(amp).values - direct))) \
+            / (1.0 + float(np.max(np.abs(direct))))
         metrics["kappa_emp_log10"] = bis["kappa_emp_log10"]
-        verdicts["kappa_order"] = kappa_log <= bis["kappa_emp_log10"]
+        metrics["kappa_affine_defect"] = defect
+        verdicts["kappa_order"] = (kappa_log <= bis["kappa_emp_log10"]
+                                   and defect <= AFFINE_TOLERANCE)
     else:
         metrics["kappa_emp_log10"] = math.nan
+        metrics["kappa_affine_defect"] = math.nan
         verdicts["kappa_order"] = True
 
     # --- oscillation ladder, probe, Hoelder fit ------------------------------
@@ -411,6 +450,15 @@ def manifest_text(cfg: RunConfig, result: RunResult) -> str:
     return out.getvalue()
 
 
+def write_incomplete_manifest(out_dir, exc: Exception):
+    """Flag a run that raised: the manifest names the error, no verdicts."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="ascii") as fh:
+        fh.write(f"manifest.version = {MANIFEST_VERSION}\n"
+                 "manifest.status = incomplete\n"
+                 f"manifest.error = {exc!r}\n")
+
+
 def _write_outputs(cfg: RunConfig, result: RunResult, traj: Trajectory,
                    barrier_finals, out_dir):
     os.makedirs(out_dir, exist_ok=True)
@@ -457,12 +505,7 @@ def sweep(configs, out_root=None, workers: int | None = None):
             return idx, cfg, res, None
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             if sub is not None:
-                os.makedirs(sub, exist_ok=True)
-                with open(os.path.join(sub, "manifest.txt"), "w",
-                          encoding="ascii") as fh:
-                    fh.write(f"manifest.version = {MANIFEST_VERSION}\n"
-                             f"manifest.status = incomplete\n"
-                             f"manifest.error = {exc!r}\n")
+                write_incomplete_manifest(sub, exc)
             return idx, cfg, None, exc
 
     if workers > 1:

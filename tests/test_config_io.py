@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kfplab.cli import main as cli_main
-from kfplab.config import ConfigError, config_to_text, parse_config
+from kfplab.config import ConfigError, config_to_text, parse_config, \
+    parse_sweep_config
 from kfplab.fields import PhaseField
 from kfplab.geometry import PhaseGrid
 from kfplab.snapshots import SnapshotError, export_snapshot, import_snapshot
@@ -69,6 +70,35 @@ def test_config_rejects_barrier_start_between_slices():
         parse_config("solver.dt = 0\n")
     with pytest.raises(ConfigError, match="solver.store_every"):
         parse_config("solver.store_every = 0\n")
+
+
+def test_config_rejects_dt_not_dividing_the_span():
+    # 1.015 / 0.015 is no whole step count; T_0 = -1 is still a slice time
+    with pytest.raises(ConfigError, match="solver.dt"):
+        parse_config("grid.t_min = -1.015\nsolver.dt = 0.015\n"
+                     "diagnostics.barrier_levels = 1\n")
+    parse_config("grid.t_min = -1.02\nsolver.dt = 0.02\n"
+                 "diagnostics.barrier_levels = 1\n")
+
+
+def test_config_rejects_store_every_not_dividing_the_steps(tmp_path, capsys):
+    text = ("grid.t_min = -1.0\nsolver.store_every = {}\n"
+            "diagnostics.barrier_levels = 1\ndiagnostics.bisection = false\n")
+    with pytest.raises(ConfigError, match="solver.store_every"):
+        parse_config(text.format(5))    # 48 steps
+    parse_config(text.format(4))
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text.format(5))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "solver.store_every" in capsys.readouterr().err
+
+
+def test_sweep_keys_returned_by_the_parser():
+    text = "sweep.seeds = 1..3\nsweep.kinds = constant\nrun.seed = 4\n"
+    cfg, keys = parse_sweep_config(text)
+    assert keys == {"sweep.seeds": "1..3", "sweep.kinds": "constant"}
+    assert cfg.seed == 4
+    assert config_to_text(parse_config(text)) == config_to_text(cfg)
 
 
 def test_config_rejects_oscillation_cylinder_between_cells():

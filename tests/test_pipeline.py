@@ -1,0 +1,78 @@
+import numpy as np
+import pytest
+
+from kfplab import averaging
+from kfplab.config import parse_config
+from kfplab.degiorgi import empirical_kappa
+from kfplab.pipeline import (
+    CSV_COLUMNS,
+    amplitude_runs,
+    build_coefficient,
+    build_grid,
+    build_source_field,
+    run_pipeline,
+    solve_initial,
+)
+
+SMALL_CONFIG = """
+run.seed = 2
+grid.n_t = 24
+grid.n_x = 24
+grid.n_v = 24
+coeff.kind = checkerboard
+"""
+
+
+def test_affine_bisection_matches_direct_solves():
+    cfg = parse_config(SMALL_CONFIG + "source.kind = noise\nsource.bound = 0.3\n"
+                                      "initial.amplitude = 0.8\n")
+    res = run_pipeline(cfg)
+    kl = res.metrics["kappa_log10"]
+    grid = build_grid(cfg)
+    diffusion = build_coefficient(cfg)
+    source = build_source_field(cfg)
+    traj = solve_initial(cfg, grid, diffusion, source)
+
+    affine = empirical_kappa(amplitude_runs(cfg, grid, diffusion, traj), kl)
+    direct = empirical_kappa(
+        lambda amp: solve_initial(cfg, grid, diffusion, source, amp), kl)
+    assert affine["amp_pass"] == direct["amp_pass"] > 0
+    assert affine["amp_fail"] == direct["amp_fail"]
+    assert affine["kappa_emp_log10"] == pytest.approx(direct["kappa_emp_log10"],
+                                                      rel=1e-12, abs=1e-12)
+    assert res.metrics["kappa_emp_log10"] == affine["kappa_emp_log10"]
+    assert res.metrics["kappa_affine_defect"] <= 1e-12
+    assert res.verdicts["kappa_order"]
+
+
+def test_bisection_off_reports_no_defect():
+    res = run_pipeline(parse_config(SMALL_CONFIG + "diagnostics.bisection = false\n"))
+    assert np.isnan(res.metrics["kappa_emp_log10"])
+    assert np.isnan(res.metrics["kappa_affine_defect"])
+
+
+def test_barrier_audits_see_nonzero_fields(monkeypatch):
+    # at amplitude 3 the truncations (f - C_k)_+ eta are non-zero, so the
+    # comparison and spectral audits check real barrier data
+    spectra = []
+    from_trajectory = averaging.SpectralField.from_trajectory
+
+    def recording(cls, *args, **kwargs):
+        spectra.append(from_trajectory(*args, **kwargs))
+        return spectra[-1]
+    monkeypatch.setattr(averaging.SpectralField, "from_trajectory",
+                        classmethod(recording))
+    cfg = parse_config(SMALL_CONFIG + "initial.amplitude = 3.0\n"
+                                      "diagnostics.bisection = false\n")
+    res = run_pipeline(cfg)
+
+    col = {name: j for j, name in enumerate(CSV_COLUMNS["barrier"])}
+    row = res.tables["barrier"][0]
+    assert row[col["k"]] == 1
+    assert row[col["f_linf"]] > 0
+    assert row[col["s1_l2"]] > 0
+    l2 = spectra[0].l2_norm()
+    assert l2 > 0
+    assert row[col["plancherel_defect"]] <= 1e-12 * max(1.0, l2)
+    assert res.verdicts["comparison"]
+    assert res.verdicts["spectral"]

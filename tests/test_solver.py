@@ -97,6 +97,29 @@ def test_solve_is_deterministic(grid, rough_a):
     assert np.array_equal(t1.values, t2.values)
 
 
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+@pytest.mark.parametrize("kind", ["modes", "bump", "point"])
+def test_solve_is_affine_in_initial_data(rough_a, interp, kind):
+    # the identity the pipeline's bisection rests on:
+    # solve(a u, g) = solve(0, g) + a solve(u, None)
+    from kfplab.config import RunConfig
+    from kfplab.pipeline import build_initial
+    small = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 24, 1.5, 24)
+    g = build_source(1, "noise", bound=0.3, cell=0.25, seed=5)
+    cfg = RunConfig(seed=3, initial_kind=kind)
+
+    def run(amplitude, source):
+        f0 = build_initial(cfg, small, amplitude=amplitude)
+        return solve(f0, rough_a, source, 0.0, WHOLE_SPACE, interp=interp).values
+
+    forced = run(0.0, g)
+    unit = run(1.0, None)
+    for a in (0.01, 0.7, 3.3):
+        direct = run(a, g)
+        defect = np.max(np.abs(forced + a * unit - direct))
+        assert defect <= 1e-12 * np.max(np.abs(direct))
+
+
 # --- the Kolmogorov moment oracle ---------------------------------------------
 
 def kolmogorov_moment_oracle(t_values):

@@ -330,15 +330,7 @@ class SourceField:
 
     def sample(self, grid: PhaseGrid, t: float) -> np.ndarray:
         """g on all (x, v) cell centers of the grid at time t."""
-        if grid.dim == 1:
-            xs = (grid.x_centers[:, None],)
-            vs = (grid.v_centers[None, :],)
-        else:
-            xs = (grid.x_centers[:, None, None, None],
-                  grid.x_centers[None, :, None, None])
-            vs = (grid.v_centers[None, None, :, None],
-                  grid.v_centers[None, None, None, :])
-        return np.broadcast_to(self.evaluate(t, xs, vs), grid.shape).copy()
+        return np.broadcast_to(self.evaluate(t, *grid.coords()), grid.shape).copy()
 
     def transformed(self, transform, scale: float) -> "SourceField":
         """Pull back through a scaling map and multiply by `scale` (eps^2)."""

@@ -241,24 +241,14 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     n = traj.n_slices
     s1_vals = np.zeros((n,) + grid.shape)
     s2_vals = [np.zeros((n,) + grid.shape) for _ in range(grid.dim)]
-    if grid.dim == 1:
-        coords = ((grid.x_centers[:, None],), (grid.v_centers[None, :],))
-    else:
-        coords = ((grid.x_centers[:, None, None, None],
-                   grid.x_centers[None, :, None, None]),
-                  (grid.v_centers[None, None, :, None],
-                   grid.v_centers[None, None, None, :]))
+    xs, vs = grid.coords()
     for i in range(n):
         t = float(traj.times[i])
         f = traj.values[i]
         fk = np.maximum(f - c, 0.0)
         ind = f > c
-        if grid.dim == 1:
-            a_diag = (np.broadcast_to(
-                diffusion.scalar(t, coords[0][0], coords[1][0]), grid.shape),)
-        else:
-            a_diag = tuple(np.broadcast_to(a, grid.shape)
-                           for a in diffusion.diagonal(t, coords[0], coords[1]))
+        a_diag = tuple(np.broadcast_to(a, grid.shape)
+                       for a in diffusion.diagonal(t, xs, vs))
         g = source.sample(grid, t) if source is not None else 0.0
         cross = np.zeros(grid.shape)
         for ax in range(grid.dim):

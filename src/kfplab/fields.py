@@ -35,14 +35,8 @@ class PhaseField:
     def from_function(cls, grid, t, fn) -> "PhaseField":
         """Sample fn at cell centers. For dim=1 `fn(x, v)` with broadcast arrays;
         for dim=2 `fn(x1, x2, v1, v2)`."""
-        if grid.dim == 1:
-            vals = fn(grid.x_centers[:, None], grid.v_centers[None, :])
-        else:
-            x1 = grid.x_centers[:, None, None, None]
-            x2 = grid.x_centers[None, :, None, None]
-            v1 = grid.v_centers[None, None, :, None]
-            v2 = grid.v_centers[None, None, None, :]
-            vals = fn(x1, x2, v1, v2)
+        xs, vs = grid.coords()
+        vals = fn(*xs, *vs)
         return cls(grid, t, np.broadcast_to(vals, grid.shape).copy())
 
     def l2_norm(self) -> float:
@@ -127,15 +121,9 @@ class Trajectory:
     def from_function(cls, grid, times, fn) -> "Trajectory":
         """Sample fn(t, x..., v...) at slice times and cell centers."""
         times = np.asarray(times, dtype=float)
+        xs, vs = grid.coords()
         slices = []
         for t in times:
-            if grid.dim == 1:
-                vals = fn(t, grid.x_centers[:, None], grid.v_centers[None, :])
-            else:
-                x1 = grid.x_centers[:, None, None, None]
-                x2 = grid.x_centers[None, :, None, None]
-                v1 = grid.v_centers[None, None, :, None]
-                v2 = grid.v_centers[None, None, None, :]
-                vals = fn(t, x1, x2, v1, v2)
+            vals = fn(t, *xs, *vs)
             slices.append(np.broadcast_to(vals, grid.shape).copy())
         return cls(grid, times, np.stack(slices))

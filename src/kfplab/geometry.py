@@ -125,6 +125,20 @@ class PhaseGrid:
             self.x_shape if which == "x" else self.v_shape
         )
 
+    def coords(self):
+        """Cell-center coordinates ((x_1..x_N), (v_1..v_N)), each a 1-d
+        center array shaped to vary along its own axis of the field and
+        broadcast over the others."""
+        n_axes = 2 * self.dim
+
+        def along(centers, axis):
+            shape = [1] * n_axes
+            shape[axis] = len(centers)
+            return centers.reshape(shape)
+
+        return (tuple(along(self.x_centers, i) for i in range(self.dim)),
+                tuple(along(self.v_centers, self.dim + i) for i in range(self.dim)))
+
     def expand_x(self, w: np.ndarray) -> np.ndarray:
         """Reshape an x-box array for broadcasting against full fields."""
         return w.reshape(w.shape + (1,) * self.dim)

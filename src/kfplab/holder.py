@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .degiorgi import IterationConstants, kappa_log10
 from .fields import Trajectory
@@ -39,7 +38,7 @@ from .geometry import (
     level_set_measure,
     make_cylinder,
 )
-from .solver import solve_anchored
+from .solver import ring_mask, solve_anchored
 
 __all__ = [
     "ScalingMap",
@@ -112,10 +111,31 @@ def _snap(coords: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.where(np.abs(coords - rounded) < tol, rounded, coords)
 
 
+def _lerp(values: np.ndarray, axis: int, idx: np.ndarray) -> np.ndarray:
+    """Linear interpolation of `values` along one axis at fractional node
+    indices `idx` (1-d), holding the edge values beyond the end nodes."""
+    n = values.shape[axis]
+    lo = np.floor(idx)
+    shape = [1] * values.ndim
+    shape[axis] = len(idx)
+    w = (idx - lo).reshape(shape)
+    lo = lo.astype(np.int64)
+    a = np.take(values, np.clip(lo, 0, n - 1), axis=axis)
+    b = np.take(values, np.clip(lo + 1, 0, n - 1), axis=axis)
+    return (1.0 - w) * a + w * b
+
+
 def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
          zoom_grid: PhaseGrid | None = None) -> ZoomedTriple:
-    """Sample T_eps F on a unit-scale grid by trilinear interpolation and
+    """Sample T_eps F on a unit-scale grid by linear interpolation and
     compose the coefficient and source through the map (source gains eps^2).
+
+    The interpolation is separable: at a fixed zoom time s the preimage
+    time is one number, x_i depends on y_i alone (the drift eps^2 s v0_i is
+    a constant shift) and v_i on xi_i alone.  So each output slice is a
+    linear interpolation in time between two stored slices followed by one
+    1-d linear interpolation per x and v axis, each holding the edge value
+    beyond the outermost cell centers.
 
     The preimage of every zoom-grid node must lie in the parent domain;
     otherwise the required domain is reported.  Mapped coordinates that
@@ -127,16 +147,8 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
         zoom_grid = grid.unit_scale()
     dt_slice = float(traj.times[1] - traj.times[0])
 
-    n_out = len(zoom_grid.times)
-    out = np.empty((n_out,) + zoom_grid.shape)
-    if grid.dim == 1:
-        ys = (zoom_grid.x_centers[:, None],)
-        xis = (zoom_grid.v_centers[None, :],)
-    else:
-        ys = (zoom_grid.x_centers[:, None, None, None],
-              zoom_grid.x_centers[None, :, None, None])
-        xis = (zoom_grid.v_centers[None, None, :, None],
-              zoom_grid.v_centers[None, None, None, :])
+    out = np.empty((len(zoom_grid.times),) + zoom_grid.shape)
+    ys, xis = zoom_grid.coords()
     for i, s in enumerate(zoom_grid.times):
         t, xs, vs = smap.apply_coords(float(s), ys, xis)
         ti = (t - traj.times[0]) / dt_slice
@@ -144,24 +156,22 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
             raise GeometryError(
                 f"zoom preimage needs t = {t:.6g}, outside the stored span "
                 f"[{traj.times[0]:.6g}, {traj.times[-1]:.6g}]")
-        coords = [np.broadcast_to(np.asarray(ti), zoom_grid.shape)]
-        for c in xs:
-            idx = (np.asarray(c) + grid.x_max) / grid.dx - 0.5
+        slab = _lerp(traj.values, 0, _snap(np.atleast_1d(ti)))[0]
+        for ax, c in enumerate(xs):
+            idx = (np.asarray(c).ravel() + grid.x_max) / grid.dx - 0.5
             if np.min(idx) < -0.5 - 1e-9 or np.max(idx) > grid.n_x - 0.5 + 1e-9:
                 raise GeometryError(
                     f"zoom preimage needs |x| up to {np.max(np.abs(c)):.6g}, "
                     f"outside the box [-{grid.x_max}, {grid.x_max}]")
-            coords.append(np.broadcast_to(idx, zoom_grid.shape))
-        for c in vs:
-            idx = (np.asarray(c) + grid.v_max) / grid.dv - 0.5
+            slab = _lerp(slab, ax, _snap(idx))
+        for ax, c in enumerate(vs):
+            idx = (np.asarray(c).ravel() + grid.v_max) / grid.dv - 0.5
             if np.min(idx) < -0.5 - 1e-9 or np.max(idx) > grid.n_v - 0.5 + 1e-9:
                 raise GeometryError(
                     f"zoom preimage needs |v| up to {np.max(np.abs(c)):.6g}, "
                     f"outside the box [-{grid.v_max}, {grid.v_max}]")
-            coords.append(np.broadcast_to(idx, zoom_grid.shape))
-        stacked = _snap(np.stack([np.full(zoom_grid.shape, ti)] + coords[1:]))
-        out[i] = ndimage.map_coordinates(traj.values, stacked, order=1,
-                                         mode="nearest")
+            slab = _lerp(slab, grid.dim + ax, _snap(idx))
+        out[i] = slab
     zoomed = Trajectory(zoom_grid, zoom_grid.times.copy(), out)
     a_z = diffusion.transformed(smap)
     g_z = source.transformed(smap, smap.eps**2) if source is not None else None
@@ -179,14 +189,7 @@ def zoom_residual(triple: ZoomedTriple, ring: int = 2,
     """
     resolved = solve_anchored(triple.data, triple.diffusion, triple.source,
                               ring=ring, interp=interp)
-    grid = triple.data.grid
-    interior = np.ones(grid.shape, dtype=bool)
-    for ax in range(2 * grid.dim):
-        sl = [slice(None)] * 2 * grid.dim
-        sl[ax] = slice(0, ring)
-        interior[tuple(sl)] = False
-        sl[ax] = slice(-ring, None)
-        interior[tuple(sl)] = False
+    interior = ~ring_mask(triple.data.grid, ring)
     diff = np.abs(resolved.values - triple.data.values)[:, interior]
     osc = float(triple.data.values.max() - triple.data.values.min())
     abs_res = float(diff.max()) if diff.size else 0.0

@@ -1,7 +1,7 @@
 """Time integration of (d_t + v.grad_x) f = div_v(A grad_v f) + g.
 
-The step is a Strang sandwich: half transport, full implicit diffusion,
-half transport, then the source increment dt*g.  Transport is
+The step is a Strang sandwich: half transport, full implicit diffusion
+(which carries the source increment dt*g), half transport.  Transport is
 semi-Lagrangian in x per fixed v with monotone clamped-linear
 interpolation by default; a Lagrange-cubic variant is available where
 moment accuracy matters (linear interpolation adds O(v dx) numerical
@@ -9,6 +9,18 @@ diffusion in x, the cubic kernel none).  Diffusion is a
 divergence-form two-point-flux finite-volume solve along each v axis with
 harmonic face averaging of the coefficient, integrated by backward Euler,
 so the substep is an M-matrix solve and constants are exact fixed points.
+
+Work that depends only on the grid, dt and the coefficient is done once
+per solve, in a step plan (`solve` and `solve_anchored` build one; the
+public `step` builds one per call).  The transport's flat gather indices
+and interpolation weights are fixed for the solve.  The diffusion keeps
+LAPACK tridiagonal factors (`dgttrf`) of its matrix over the flattened
+batch of v columns and refactors only when the sampled coefficient
+arrays change: never for a time-independent coefficient, once per time
+cell for a cellwise-random one, every step for an oscillatory one.  Each
+step then applies the gathers and one `dgttrs` solve per v axis, whose
+residual is checked against 1e-9 (1 + max|rhs|) and recorded in the
+ledger as `diff_residual`, the worst residual over that tolerance.
 
 Boundary conditions:
 
@@ -23,9 +35,11 @@ Boundary conditions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
@@ -40,6 +54,7 @@ __all__ = [
     "step",
     "solve",
     "solve_anchored",
+    "ring_mask",
     "solve_barrier_ibvp",
     "BarrierSource",
     "energy_budget",
@@ -79,96 +94,88 @@ def kinetic_ibvp(radius: float) -> BoundaryCondition:
 
 
 # ---------------------------------------------------------------------------
-# transport: semi-Lagrangian shift along one axis
+# transport: semi-Lagrangian shift along each x axis, as precomputed gathers
 # ---------------------------------------------------------------------------
 
-def _shift_columns(vals, d, periodic, cubic):
-    """Shift column j of vals (2d, shape (n, m)) so out[i, j] = vals[i - d[j], j].
+class _TransportPlan:
+    """Advect in x by v*tau: one shift per spatial axis, exact per-axis split.
 
-    Linear interpolation is a convex combination (monotone, and exactly
-    conservative for uniform shifts).  The cubic variant is the 4-point
-    Lagrange kernel: still exactly conservative and exact on moments up to
-    third order, but not monotone; it exists for the moment oracle, not
-    for comparison-principle runs.  Non-periodic gathers read zero outside.
+    Along x axis i, with the field viewed as columns of fixed (v, other
+    axes), column j moves by d_j = v_i*tau/dx cells: out[k, j] is the
+    interpolation of vals[k - d_j, j].  Linear interpolation is a convex
+    combination (monotone, and exactly conservative for uniform shifts).
+    The cubic variant is the 4-point Lagrange kernel: still exactly
+    conservative and exact on moments up to third order, but not monotone;
+    it exists for the moment oracle, not for comparison-principle runs.
+
+    Source indices and weights depend only on the grid and tau, so they
+    are built once, as field-shaped arrays of indices into the flattened
+    field, and applied with `take`.  Non-periodic reads outside the box
+    point at one zero appended to the flattened field.
     """
-    n, m = vals.shape
-    fi = np.arange(n)[:, None] - d[None, :]
-    base = np.floor(fi).astype(np.int64)
-    w = fi - base
-    cols = np.broadcast_to(np.arange(m)[None, :], (n, m))
-    if cubic:
-        offs = (-1, 0, 1, 2)
-        weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
-                   (w * w - 1.0) * (w - 2.0) / 2.0,
-                   -w * (w + 1.0) * (w - 2.0) / 2.0,
-                   w * (w * w - 1.0) / 6.0)
-    else:
-        offs = (0, 1)
-        weights = (1.0 - w, w)
-    if periodic:
-        gathered = [vals[(base + o) % n, cols] for o in offs]
-    else:
-        pad = 3
-        vp = np.zeros((n + 2 * pad, m))
-        vp[pad:pad + n] = vals
-        top = n + 2 * pad - 1
-        gathered = [vp[np.clip(base + o + pad, 0, top), cols] for o in offs]
-    out = weights[0] * gathered[0]
-    for wk, g in zip(weights[1:], gathered[1:]):
-        out = out + wk * g
-    return out
 
+    def __init__(self, grid: PhaseGrid, tau: float, periodic: bool, cubic: bool):
+        self.periodic = periodic
+        size = int(np.prod(grid.shape))
+        ids = np.arange(size).reshape(grid.shape)
+        n = grid.n_x
+        rows = np.arange(n)[:, None]
+        fi = rows - grid.v_centers[None, :] * tau / grid.dx
+        base = np.floor(fi).astype(np.int64)
+        w = fi - base
+        if cubic:
+            offs = (-1, 0, 1, 2)
+            weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
+                       (w * w - 1.0) * (w - 2.0) / 2.0,
+                       -w * (w + 1.0) * (w - 2.0) / 2.0,
+                       w * (w * w - 1.0) / 6.0)
+        else:
+            offs = (0, 1)
+            weights = (1.0 - w, w)
+        self.passes = []
+        for ax in range(grid.dim):
+            # the (x_i, v_i) plane of the shift, broadcast over the other axes
+            plane = [1] * 2 * grid.dim
+            plane[ax] = n
+            plane[grid.dim + ax] = grid.n_v
+            stride = int(np.prod(grid.shape[ax + 1:]))
+            taps = []
+            for o, wk in zip(offs, weights):
+                src = base + o
+                inside = (src >= 0) & (src < n)
+                if periodic:
+                    src = src % n
+                idx = ids + ((src - rows) * stride).reshape(plane)
+                if not periodic:
+                    idx = np.where(inside.reshape(plane), idx, size)
+                taps.append((idx, np.broadcast_to(wk.reshape(plane), grid.shape).copy()))
+            self.passes.append(taps)
 
-def _transport(values, grid: PhaseGrid, tau, periodic, cubic):
-    """Advect in x by v*tau: one shift per spatial axis, exact per-axis split."""
-    dim = grid.dim
-    d_idx = grid.v_centers * tau / grid.dx
-    out = values
-    for ax in range(dim):
-        v_ax = dim + ax
-        moved = np.moveaxis(out, (ax, v_ax), (0, 1))
-        lead = moved.shape[:2]
-        rest = int(np.prod(moved.shape[2:], dtype=int)) if moved.ndim > 2 else 1
-        flat = moved.reshape(lead[0], lead[1] * rest)
-        d = np.repeat(d_idx, rest)
-        shifted = _shift_columns(flat, d, periodic, cubic)
-        out = np.moveaxis(shifted.reshape(moved.shape), (0, 1), (ax, v_ax))
-    return out
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = values
+        for taps in self.passes:
+            flat = out.ravel()
+            if not self.periodic:
+                flat = np.concatenate((flat, (0.0,)))
+            (idx, w), *rest = taps
+            acc = w * flat.take(idx)
+            for idx, w in rest:
+                acc += w * flat.take(idx)
+            out = acc
+        return out
 
 
 # ---------------------------------------------------------------------------
 # diffusion: implicit divergence-form finite volume along each v axis
 # ---------------------------------------------------------------------------
 
-def _thomas(sub, diag, sup, rhs):
-    """Tridiagonal solve along the last axis, batched over leading axes."""
-    n = rhs.shape[-1]
-    c = np.empty_like(rhs)
-    d = np.empty_like(rhs)
-    c[..., 0] = sup[..., 0] / diag[..., 0]
-    d[..., 0] = rhs[..., 0] / diag[..., 0]
-    for i in range(1, n):
-        denom = diag[..., i] - sub[..., i] * c[..., i - 1]
-        c[..., i] = sup[..., i] / denom
-        d[..., i] = (rhs[..., i] - sub[..., i] * d[..., i - 1]) / denom
-    out = np.empty_like(rhs)
-    out[..., -1] = d[..., -1]
-    for i in range(n - 2, -1, -1):
-        out[..., i] = d[..., i] - c[..., i] * out[..., i + 1]
-    return out
-
-
 def _coefficient_grid(diffusion, grid: PhaseGrid, t):
     """Diagonal coefficient arrays on cell centers, one per v axis."""
-    if grid.dim == 1:
-        a = diffusion.scalar(t, grid.x_centers[:, None], grid.v_centers[None, :])
-        return (np.broadcast_to(a, grid.shape),)
-    xs = (grid.x_centers[:, None, None, None], grid.x_centers[None, :, None, None])
-    vs = (grid.v_centers[None, None, :, None], grid.v_centers[None, None, None, :])
-    return tuple(np.broadcast_to(a, grid.shape) for a in diffusion.diagonal(t, xs, vs))
+    return tuple(np.broadcast_to(a, grid.shape)
+                 for a in diffusion.diagonal(t, *grid.coords()))
 
 
-def _diffuse(values, grid: PhaseGrid, coeffs, dt, active=None, check_residual=True):
+class _ImplicitDiffusion:
     """Backward Euler for div_v(a grad_v .) with harmonic face averages.
 
     `active` is an optional boolean mask; inactive cells hold their incoming
@@ -177,42 +184,76 @@ def _diffuse(values, grid: PhaseGrid, coeffs, dt, active=None, check_residual=Tr
     keeps the M-matrix structure.  For dim = 2 the two v axes are advanced
     sequentially (splitting within the substep; first order, matching the
     backward Euler substep order).
+
+    Each v axis is one tridiagonal system over the flattened batch of
+    columns; the batch decouples because the first sub- and last
+    super-diagonal entry of every column vanish.  The operator keeps the
+    last coefficient arrays it was given with their LAPACK factors
+    (`dgttrf`) and refactors only when the coefficients change, so a
+    time-independent coefficient is factored once per solve.  Every solve
+    (`dgttrs`) is checked against the residual tolerance
+    1e-9 (1 + max|rhs|); the call returns the worst residual over that
+    tolerance.
     """
-    dim = grid.dim
-    r = dt / grid.dv**2
-    out = values
-    for ax in range(dim):
-        v_ax = dim + ax
-        f = np.moveaxis(out, v_ax, -1)
-        a = np.moveaxis(coeffs[ax], v_ax, -1)
+
+    def __init__(self, grid: PhaseGrid, dt: float, active=None):
+        self.grid = grid
+        self.r = dt / grid.dv**2
+        self.active = active
+        self.coeffs = None
+        self.factors = None
+
+    def _factor(self, ax, a):
+        v_ax = self.grid.dim + ax
+        a = np.moveaxis(a, v_ax, -1)
         am = np.zeros_like(a)
         ap = np.zeros_like(a)
         har = 2.0 * a[..., :-1] * a[..., 1:] / (a[..., :-1] + a[..., 1:])
         am[..., 1:] = har
         ap[..., :-1] = har
-        diag = 1.0 + r * (am + ap)
-        sub = -r * am
-        sup = -r * ap
-        rhs = f.copy()
-        if active is not None:
-            act = np.moveaxis(active, v_ax, -1)
-            dead = ~act
+        diag = 1.0 + self.r * (am + ap)
+        sub = -self.r * am
+        sup = -self.r * ap
+        row_scale = np.ones(diag.size)
+        if self.active is not None:
+            dead = ~np.moveaxis(self.active, v_ax, -1)
             diag = np.where(dead, 1.0, diag)
             sub = np.where(dead, 0.0, sub)
             sup = np.where(dead, 0.0, sup)
-        sol = _thomas(sub, diag, sup, rhs)
-        if check_residual:
-            res = diag * sol + sub * np.roll(sol, 1, axis=-1) \
-                + sup * np.roll(sol, -1, axis=-1)
-            res[..., 0] = diag[..., 0] * sol[..., 0] + sup[..., 0] * sol[..., 1]
-            res[..., -1] = diag[..., -1] * sol[..., -1] + sub[..., -1] * sol[..., -2]
-            err = float(np.max(np.abs(res - rhs)))
-            scale = 1.0 + float(np.max(np.abs(rhs)))
-            if not np.isfinite(err) or err > 1e-9 * scale:
+            # a dead row scaled by a power of two no smaller than any
+            # coupling is never a pivot swap, so it returns its data exactly
+            big = 2.0 ** (math.ceil(math.log2(1.0 + self.r * float(np.max(a)))) + 1)
+            row_scale = np.where(dead, big, 1.0).ravel()
+        sub, diag, sup = sub.ravel(), diag.ravel(), sup.ravel()
+        *lu, info = dgttrf(sub[1:], diag * row_scale, sup[:-1])
+        if info != 0:
+            raise SolverError(f"diffusion matrix is singular (dgttrf info = {info})")
+        return sub, diag, sup, row_scale, lu
+
+    def __call__(self, values: np.ndarray, coeffs) -> tuple:
+        if self.coeffs is None or not all(map(np.array_equal, coeffs, self.coeffs)):
+            self.factors = [self._factor(ax, a) for ax, a in enumerate(coeffs)]
+            self.coeffs = coeffs
+        out = values
+        worst = 0.0
+        for ax, (sub, diag, sup, row_scale, lu) in enumerate(self.factors):
+            v_ax = self.grid.dim + ax
+            f = np.moveaxis(out, v_ax, -1)
+            rhs = np.ascontiguousarray(f).ravel()
+            sol, info = dgttrs(*lu, (rhs * row_scale)[:, None], overwrite_b=1)
+            sol = sol[:, 0]
+            res = diag * sol
+            res -= rhs
+            res[1:] += sub[1:] * sol[:-1]
+            res[:-1] += sup[:-1] * sol[1:]
+            err = float(np.maximum(res.max(), -res.min()))
+            tol = 1e-9 * (1.0 + float(np.maximum(rhs.max(), -rhs.min())))
+            if info != 0 or not np.isfinite(err) or err > tol:
                 raise SolverError(f"diffusion solve residual {err:.3e} "
-                                  f"exceeds tolerance {1e-9 * scale:.3e}")
-        out = np.moveaxis(sol, -1, v_ax)
-    return out
+                                  f"exceeds tolerance {tol:.3e}")
+            worst = max(worst, err / tol)
+            out = np.moveaxis(sol.reshape(f.shape), -1, v_ax)
+        return out, worst
 
 
 # ---------------------------------------------------------------------------
@@ -227,53 +268,87 @@ def _bc_mask(grid: PhaseGrid, bc: BoundaryCondition):
     return grid.expand_x(in_x) & grid.expand_v(in_v)
 
 
+def ring_mask(grid: PhaseGrid, ring: int) -> np.ndarray:
+    """Cells within `ring` cells of either end of any x or v axis: the band
+    `solve_anchored` pins to its data."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for ax in range(2 * grid.dim):
+        sl = [slice(None)] * 2 * grid.dim
+        sl[ax] = slice(0, ring)
+        mask[tuple(sl)] = True
+        sl[ax] = slice(-ring, None)
+        mask[tuple(sl)] = True
+    return mask
+
+
 def _check_cfl(grid: PhaseGrid, dt: float):
     limit = grid.dx / grid.v_max
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt} exceeds the transport bound dx/v_max = {limit}")
 
 
+class _StepPlan:
+    """What every Strang step of one solve reuses: the half-step transport
+    gathers and the implicit diffusion operator with its factors.  Cells
+    outside `active` are Dirichlet rows of the diffusion solve."""
+
+    def __init__(self, grid: PhaseGrid, diffusion, dt: float, interp: str,
+                 periodic: bool, active=None):
+        _check_cfl(grid, dt)
+        self.grid = grid
+        self.diffusion = diffusion
+        self.dt = dt
+        self.active = active
+        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic")
+        self.implicit = _ImplicitDiffusion(grid, dt, active)
+
+    def diffuse(self, values, t_mid):
+        return self.implicit(values, _coefficient_grid(self.diffusion, self.grid, t_mid))
+
+    def step(self, values, t, source):
+        """One Strang step of the boundary problem whose domain is `active`;
+        returns the new values and the diffusion residual over its bound."""
+        mask = self.active
+        t_mid = t + 0.5 * self.dt
+        out = values
+        if mask is not None:
+            out = np.where(mask, out, 0.0)
+        out = self.transport(out)
+        if mask is not None:
+            out = np.where(mask, out, 0.0)
+        if source is not None:
+            # the increment dt*g rides inside the implicit solve: barrier sources
+            # carry stiff div_v structure that must see the same implicit damping
+            # as the field itself, or the comparison defect saturates at O(1)
+            src = source.sample(self.grid, t_mid)
+            out = out + self.dt * (np.where(mask, src, 0.0) if mask is not None else src)
+        out, residual = self.diffuse(out, t_mid)
+        out = self.transport(out)
+        if mask is not None:
+            out = np.where(mask, out, 0.0)
+        return out, residual
+
+
+def _bc_plan(grid, diffusion, dt, bc: BoundaryCondition, interp) -> _StepPlan:
+    return _StepPlan(grid, diffusion, dt, interp, bc.periodic_x, _bc_mask(grid, bc))
+
+
 def step(state: PhaseField, diffusion, source, dt: float, bc: BoundaryCondition,
          interp: str = "linear") -> PhaseField:
     """One Strang step from state.t to state.t + dt."""
-    mask = _bc_mask(state.grid, bc)
-    vals = _step_values(state.values, state.grid, state.t, diffusion, source,
-                        dt, bc, mask, interp)
+    plan = _bc_plan(state.grid, diffusion, dt, bc, interp)
+    vals, _ = plan.step(state.values, state.t, source)
     return PhaseField(state.grid, state.t + dt, vals)
 
 
-def _step_values(values, grid, t, diffusion, source, dt, bc, mask, interp):
-    _check_cfl(grid, dt)
-    cubic = interp == "cubic"
-    periodic = bc.periodic_x
-    t_mid = t + 0.5 * dt
-    out = values
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    out = _transport(out, grid, 0.5 * dt, periodic, cubic)
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    if source is not None:
-        # the increment dt*g rides inside the implicit solve: barrier sources
-        # carry stiff div_v structure that must see the same implicit damping
-        # as the field itself, or the comparison defect saturates at O(1)
-        src = source.sample(grid, t_mid)
-        out = out + dt * (np.where(mask, src, 0.0) if mask is not None else src)
-    coeffs = _coefficient_grid(diffusion, grid, t_mid)
-    out = _diffuse(out, grid, coeffs, dt, active=mask)
-    out = _transport(out, grid, 0.5 * dt, periodic, cubic)
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
-
-
-def _ledger_entry(grid, t, vals):
+def _ledger_entry(grid, t, vals, diff_residual):
     return {
         "t": float(t),
         "l2_sq": float(np.sum(vals**2) * grid.cell_volume),
         "mass": float(np.sum(vals) * grid.cell_volume),
         "min": float(vals.min()),
         "max": float(vals.max()),
+        "diff_residual": diff_residual,
     }
 
 
@@ -283,7 +358,9 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     """March from f0.t to t_end, storing every `store_every`-th slice.
 
     The step count is rounded from (t_end - f0.t)/dt; identical inputs give
-    bit-identical trajectories.  Each step appends an energy-ledger entry.
+    bit-identical trajectories.  Each step appends an energy-ledger entry,
+    with `diff_residual` the worst diffusion-solve residual of the step
+    over its tolerance (0 for the initial entry).
     """
     grid = f0.grid
     dt = grid.dt if dt is None else float(dt)
@@ -296,20 +373,22 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     if n_steps % store_every != 0:
         raise ValueError(f"store_every = {store_every} must divide the "
                          f"step count {n_steps} (stored slices stay uniform)")
-    mask = _bc_mask(grid, bc)
+    plan = _bc_plan(grid, diffusion, dt, bc, interp)
+    mask = plan.active
     vals = f0.values if mask is None else np.where(mask, f0.values, 0.0)
     times = [f0.t]
-    slices = [vals.copy()]
-    ledger = [_ledger_entry(grid, f0.t, vals)]
+    slices = np.empty((n_steps // store_every + 1,) + grid.shape)
+    slices[0] = vals
+    ledger = [_ledger_entry(grid, f0.t, vals, 0.0)]
     t = f0.t
     for n in range(n_steps):
-        vals = _step_values(vals, grid, t, diffusion, source, dt, bc, mask, interp)
+        vals, residual = plan.step(vals, t, source)
         t = f0.t + (n + 1) * dt
-        ledger.append(_ledger_entry(grid, t, vals))
-        if (n + 1) % store_every == 0 or n == n_steps - 1:
+        ledger.append(_ledger_entry(grid, t, vals, residual))
+        if (n + 1) % store_every == 0:
+            slices[len(times)] = vals
             times.append(t)
-            slices.append(vals.copy())
-    return Trajectory(grid, np.array(times), np.stack(slices), ledger)
+    return Trajectory(grid, np.array(times), slices, ledger)
 
 
 def solve_anchored(data: Trajectory, diffusion, source, ring: int = 2,
@@ -324,38 +403,31 @@ def solve_anchored(data: Trajectory, diffusion, source, ring: int = 2,
     """
     grid = data.grid
     dt = float(data.times[1] - data.times[0])
-    ring_mask = np.zeros(grid.shape, dtype=bool)
-    for ax in range(2 * grid.dim):
-        sl = [slice(None)] * 2 * grid.dim
-        sl[ax] = slice(0, ring)
-        ring_mask[tuple(sl)] = True
-        sl[ax] = slice(-ring, None)
-        ring_mask[tuple(sl)] = True
-    interior = ~ring_mask
-    vals = data.values[0].copy()
+    pinned = ring_mask(grid, ring)
+    plan = _StepPlan(grid, diffusion, dt, interp, False, ~pinned)
+    vals = data.values[0]
     times = [float(data.times[0])]
-    slices = [vals.copy()]
+    slices = np.empty_like(data.values)
+    slices[0] = vals
     t = times[0]
-    cubic = interp == "cubic"
     for n in range(len(data.times) - 1):
-        _check_cfl(grid, dt)
         t_next = float(data.times[0]) + (n + 1) * dt
         t_mid = t + 0.5 * dt
-        out = _transport(vals, grid, 0.5 * dt, False, cubic)
+        anchor = data.at_time(t_next)
+        out = plan.transport(vals)
         if source is not None:
             out = out + dt * source.sample(grid, t_mid)
         # rings carry the parent data at the implicit time level, so the
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
         # with constant coefficient passes through bit-consistently)
-        out = np.where(ring_mask, data.at_time(t_next), out)
-        coeffs = _coefficient_grid(diffusion, grid, t_mid)
-        out = _diffuse(out, grid, coeffs, dt, active=interior)
-        out = _transport(out, grid, 0.5 * dt, False, cubic)
-        vals = np.where(ring_mask, data.at_time(t_next), out)
+        out = np.where(pinned, anchor, out)
+        out, _ = plan.diffuse(out, t_mid)
+        out = plan.transport(out)
+        vals = np.where(pinned, anchor, out)
         t = t_next
+        slices[len(times)] = vals
         times.append(t)
-        slices.append(vals.copy())
-    return Trajectory(grid, np.array(times), np.stack(slices))
+    return Trajectory(grid, np.array(times), slices)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from kfplab.geometry import PhaseGrid, DyadicLevel
 from kfplab.solver import (
     CFLError,
     WHOLE_SPACE,
-    _diffuse,
+    _ImplicitDiffusion,
+    _TransportPlan,
     _coefficient_grid,
-    _transport,
     comparison_check,
     energy_budget,
     local_energy_check,
@@ -59,7 +59,7 @@ def test_diffusion_substep_maximum_principle(grid, rough_a):
     rng = np.random.default_rng(0)
     vals = rng.uniform(-1.0, 2.0, grid.shape)
     coeffs = _coefficient_grid(rough_a, grid, -0.5)
-    out = _diffuse(vals, grid, coeffs, grid.dt)
+    out, _ = _ImplicitDiffusion(grid, grid.dt)(vals, coeffs)
     assert out.max() <= vals.max() + 1e-13
     assert out.min() >= vals.min() - 1e-13
 
@@ -75,9 +75,9 @@ def test_step_maximum_principle_linear_interp(grid, rough_a, zero_g):
 def test_transport_conserves_mass_periodic(grid):
     rng = np.random.default_rng(2)
     vals = rng.uniform(0.0, 1.0, grid.shape)
-    out = _transport(vals, grid, 0.5 * grid.dt, periodic=True, cubic=False)
+    out = _TransportPlan(grid, 0.5 * grid.dt, periodic=True, cubic=False)(vals)
     assert np.sum(out) == pytest.approx(np.sum(vals), rel=1e-13)
-    out_c = _transport(vals, grid, 0.5 * grid.dt, periodic=True, cubic=True)
+    out_c = _TransportPlan(grid, 0.5 * grid.dt, periodic=True, cubic=True)(vals)
     assert np.sum(out_c) == pytest.approx(np.sum(vals), rel=1e-13)
 
 
@@ -272,7 +272,7 @@ def test_solve_records_energy_ledger(grid, rough_a, zero_g):
     traj = solve(f0, rough_a, zero_g, 0.0, WHOLE_SPACE)
     assert len(traj.ledger) == 49
     entry = traj.ledger[10]
-    assert set(entry) == {"t", "l2_sq", "mass", "min", "max"}
+    assert set(entry) == {"t", "l2_sq", "mass", "min", "max", "diff_residual"}
     assert entry["mass"] == pytest.approx(0.2 * 9.0, rel=1e-12)
 
 
@@ -296,7 +296,7 @@ def test_dim2_constants_and_mass():
 
     rng = np.random.default_rng(4)
     vals = rng.uniform(0, 1, g2.shape)
-    out = _transport(vals, g2, 0.5 * g2.dt, periodic=True, cubic=False)
+    out = _TransportPlan(g2, 0.5 * g2.dt, periodic=True, cubic=False)(vals)
     assert np.sum(out) == pytest.approx(np.sum(vals), rel=1e-13)
 
 

@@ -1,9 +1,9 @@
 """Command line front end: run, sweep, inspect, report.
 
-Exit code 0 iff every selected audit passed.  The sweep worker count comes
-from the KFPLAB_WORKERS environment variable (default 1); runs own their
-output subdirectories exclusively, and aggregation order is fixed, so the
-worker count never changes an output byte.
+Exit code 0 iff every selected audit passed.  The sweep runs its ensemble
+on KFPLAB_WORKERS forked worker processes (default 1, in-process); runs own
+their output subdirectories exclusively, and aggregation order is fixed, so
+the outputs are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -71,13 +71,14 @@ def _expand_sweep(cfg: RunConfig, keys: dict):
 
 def _cmd_sweep(args) -> int:
     try:
+        workers = worker_count()
         with open(args.config, "r", encoding="utf-8") as fh:
             configs = _expand_sweep(*parse_sweep_config(fh.read()))
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     results, rows, pass_rates = sweep(configs, out_root=args.output,
-                                      workers=worker_count())
+                                      workers=workers)
     print(f"{len(rows)} runs")
     for name, rate in pass_rates.items():
         print(f"pass_rate {name:20s} {rate:.0%}")
@@ -146,7 +147,9 @@ def main(argv=None) -> int:
                        help="output directory for CSVs, manifest, snapshots")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run an ensemble (sweep.* keys)")
+    p_sweep = sub.add_parser(
+        "sweep", help="run an ensemble (sweep.* keys) on KFPLAB_WORKERS forked "
+        "processes; outputs are byte-identical at any worker count")
     p_sweep.add_argument("config")
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.set_defaults(fn=_cmd_sweep)

@@ -224,16 +224,9 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     c = level.truncation
     eta_x = grid.expand_x(level.eta(grid.rho_x))
     eta_v = grid.expand_v(level.eta(grid.rho_v))
-    slope_x = level.eta_slope(grid.rho_x)
-    rho_x_safe = np.where(grid.rho_x > 0, grid.rho_x, 1.0)
     rho_v_safe = np.where(grid.rho_v > 0, grid.rho_v, 1.0)
     slope_v = level.eta_slope(grid.rho_v)
-
-    vdot = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        xa = grid.axis_coord("x", ax)
-        va = grid.axis_coord("v", ax)
-        vdot += grid.expand_x(slope_x * xa / rho_x_safe) * grid.expand_v(va)
+    vdot = level.v_dot_grad_eta_x(grid)
 
     grad_eta_v = [grid.expand_v(slope_v * grid.axis_coord("v", ax) / rho_v_safe)
                   for ax in range(grid.dim)]

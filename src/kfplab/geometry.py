@@ -360,6 +360,18 @@ class DyadicLevel:
     def eta_slope(self, rho):
         return cutoff_slope(rho, self.radius, self.outer_radius)
 
+    def v_dot_grad_eta_x(self, grid: PhaseGrid) -> np.ndarray:
+        """v . grad eta_k(x) on the grid's (x, v) box, from the analytic
+        radial slope along x/|x| (0 at x = 0)."""
+        slope_x = self.eta_slope(grid.rho_x)
+        rho_safe = np.where(grid.rho_x > 0, grid.rho_x, 1.0)
+        vdot = np.zeros(grid.shape)
+        for ax in range(grid.dim):
+            xa = grid.axis_coord("x", ax)
+            va = grid.axis_coord("v", ax)
+            vdot += grid.expand_x(slope_x * xa / rho_safe) * grid.expand_v(va)
+        return vdot
+
 
 def cutoff_eval(level: DyadicLevel, point) -> float:
     """Evaluate eta_k at a point of R^N (scalar or coordinate tuple)."""

@@ -15,14 +15,13 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import averaging, degiorgi, holder, solver
 from .coefficients import DiffusionField, SourceField, source_lq_norm
-from .config import RunConfig, config_to_text
+from .config import ConfigError, RunConfig, config_to_text
 from .fields import PhaseField, Trajectory
 from .geometry import DyadicLevel, PhaseGrid, dyadic_time
 from .snapshots import export_snapshot
@@ -53,11 +52,15 @@ CSV_COLUMNS = {
 
 
 def worker_count() -> int:
+    """Sweep worker processes from KFPLAB_WORKERS (default 1)."""
     raw = os.environ.get("KFPLAB_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"KFPLAB_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -478,64 +481,75 @@ def _write_outputs(cfg: RunConfig, result: RunResult, traj: Trajectory,
 # ensemble sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ["run", "seed", "coeff_kind", "source_kind",
-                 "energy_slack", "u_monotone", "chebyshev", "comparison",
-                 "spectral", "recursion", "gate_implication", "kappa_order",
-                 "mu_contraction", "sigma_positive", "theta_monotone",
-                 "mu_emp", "sigma_emp", "kappa_emp_log10", "all_passed"]
+SWEEP_AUDITS = ["energy_slack", "u_monotone", "chebyshev", "local_energy",
+                "comparison", "spectral", "recursion", "gate_implication",
+                "kappa_order", "mu_contraction", "sigma_positive",
+                "theta_monotone"]
+SWEEP_COLUMNS = (["run", "seed", "coeff_kind", "source_kind"] + SWEEP_AUDITS
+                 + ["mu_emp", "sigma_emp", "kappa_emp_log10", "all_passed"])
+
+
+def _sweep_one(job):
+    """Run one ensemble member; returns (index, RunResult or None).
+
+    A run that raises gets an incomplete manifest naming the error, and
+    the error itself stays in the process that ran it, so a pool worker
+    never has to pickle an arbitrary exception.
+    """
+    idx, cfg, out_root = job
+    sub = None if out_root is None else os.path.join(out_root, f"run_{idx:04d}")
+    try:
+        return idx, run_pipeline(cfg, out_dir=sub)
+    except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+        if sub is not None:
+            write_incomplete_manifest(sub, exc)
+        return idx, None
 
 
 def sweep(configs, out_root=None, workers: int | None = None):
     """Run an ensemble of configurations independently and aggregate.
 
     Individual failures are recorded (status incomplete) and the sweep
-    continues.  The aggregate CSV is ordered by run index, so concurrent
-    execution (KFPLAB_WORKERS) does not change any output byte.
+    continues.  With more than one worker (KFPLAB_WORKERS) the runs go to
+    a pool of forked processes, at most one per run.  Each run writes only
+    its own run_XXXX directory and the aggregate is ordered by run index,
+    so the outputs are byte-identical at any worker count.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("empty ensemble")
     workers = worker_count() if workers is None else workers
-
-    def one(idx_cfg):
-        idx, cfg = idx_cfg
-        sub = None if out_root is None else os.path.join(out_root, f"run_{idx:04d}")
-        try:
-            res = run_pipeline(cfg, out_dir=sub)
-            return idx, cfg, res, None
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-            if sub is not None:
-                write_incomplete_manifest(sub, exc)
-            return idx, cfg, None, exc
-
+    workers = min(workers, len(configs))
+    jobs = [(idx, cfg, out_root) for idx, cfg in enumerate(configs)]
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, enumerate(configs)))
+        # imported here so that runs and one-worker sweeps never pay for it;
+        # fork, not spawn, because a spawned worker re-imports numpy and
+        # scipy, and the pool forks all its workers before it starts a thread
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(_sweep_one, jobs))
     else:
-        outcomes = [one(ic) for ic in enumerate(configs)]
+        outcomes = [_sweep_one(job) for job in jobs]
     outcomes.sort(key=lambda o: o[0])
 
     rows = []
     results = []
-    for idx, cfg, res, err in outcomes:
+    for (idx, res), cfg in zip(outcomes, configs):
         results.append(res)
         if res is None:
             rows.append([idx, cfg.seed, cfg.coeff_kind, cfg.source_kind]
                         + ["error"] * (len(SWEEP_COLUMNS) - 5) + [False])
             continue
-        v = res.verdicts
         m = res.metrics
-        rows.append([idx, cfg.seed, cfg.coeff_kind, cfg.source_kind,
-                     v["energy_slack"], v["u_monotone"], v["chebyshev"],
-                     v["comparison"], v["spectral"], v["recursion"],
-                     v["gate_implication"], v["kappa_order"],
-                     v["mu_contraction"], v["sigma_positive"],
-                     v["theta_monotone"], m["mu_emp"], m["sigma_emp"],
-                     m["kappa_emp_log10"], res.passed])
+        rows.append([idx, cfg.seed, cfg.coeff_kind, cfg.source_kind]
+                    + [res.verdicts[name] for name in SWEEP_AUDITS]
+                    + [m["mu_emp"], m["sigma_emp"], m["kappa_emp_log10"],
+                       res.passed])
     pass_rates = {}
-    audit_cols = SWEEP_COLUMNS[4:15]
     complete = [r for r in rows if r[4] != "error"]
-    for j, name in enumerate(audit_cols, start=4):
+    for j, name in enumerate(SWEEP_AUDITS, start=4):
         if complete:
             pass_rates[name] = sum(1 for r in complete if r[j]) / len(complete)
         else:
@@ -548,6 +562,6 @@ def sweep(configs, out_root=None, workers: int | None = None):
                   encoding="ascii") as fh:
             fh.write(f"runs = {len(rows)}\n")
             fh.write(f"complete = {len(complete)}\n")
-            for name in audit_cols:
+            for name in SWEEP_AUDITS:
                 fh.write(f"pass_rate.{name} = {_fmt(pass_rates[name])}\n")
     return results, rows, pass_rates

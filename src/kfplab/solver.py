@@ -566,14 +566,7 @@ def local_energy_check(traj: Trajectory, k: int, c: float, lam: float,
     wv = grid.expand_v(eta_v)
     cv = grid.cell_volume
 
-    # v . grad eta_k(x) summed over axes, with the radial direction x/|x|
-    vdot = np.zeros(grid.shape)
-    slope_x = level.eta_slope(grid.rho_x)
-    rho_safe = np.where(grid.rho_x > 0, grid.rho_x, 1.0)
-    for ax in range(grid.dim):
-        xa = grid.axis_coord("x", ax)
-        va = grid.axis_coord("v", ax)
-        vdot += grid.expand_x(slope_x * xa / rho_safe) * grid.expand_v(va)
+    vdot = level.v_dot_grad_eta_x(grid)
 
     def positive_part(i):
         return np.maximum(traj.values[i] - c, 0.0)

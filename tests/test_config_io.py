@@ -1,15 +1,20 @@
+import dataclasses
 import filecmp
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from kfplab import pipeline
 from kfplab.cli import main as cli_main
 from kfplab.config import ConfigError, config_to_text, parse_config, \
     parse_sweep_config
 from kfplab.fields import PhaseField
 from kfplab.geometry import PhaseGrid
+from kfplab.pipeline import SWEEP_AUDITS, worker_count
 from kfplab.snapshots import SnapshotError, export_snapshot, import_snapshot
+from kfplab.solver import SolverError
 
 FAST_CONFIG = """
 run.seed = 2
@@ -260,8 +265,17 @@ def test_cli_sweep(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "2 runs" in captured.out
-    assert (out_dir / "sweep.csv").exists()
     assert (out_dir / "run_0000" / "manifest.txt").exists()
+    # every verdict that all_passed includes has its own column and pass rate
+    header = (out_dir / "sweep.csv").read_text().splitlines()[0].split(",")
+    assert set(SWEEP_AUDITS) <= set(header)
+    summary = (out_dir / "sweep_summary.txt").read_text()
+    for name in SWEEP_AUDITS:
+        assert f"pass_rate.{name} = 1.0" in summary
+    manifest = (out_dir / "run_0000" / "manifest.txt").read_text()
+    verdicts = {line.split(" = ")[0][len("verdict."):]
+                for line in manifest.splitlines() if line.startswith("verdict.")}
+    assert verdicts - {"all"} == set(SWEEP_AUDITS)
 
 
 def test_cli_sweep_empty_rejected(tmp_path, capsys):
@@ -269,6 +283,13 @@ def test_cli_sweep_empty_rejected(tmp_path, capsys):
     cfg_path.write_text(FAST_CONFIG)   # no sweep.seeds
     code = cli_main(["sweep", str(cfg_path)])
     assert code == 2
+
+
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), root):
+            pathlib.Path(d, f).read_bytes()
+            for d, _, files in os.walk(root) for f in files}
 
 
 def test_cli_sweep_respects_worker_env(tmp_path, monkeypatch):
@@ -280,4 +301,91 @@ def test_cli_sweep_respects_worker_env(tmp_path, monkeypatch):
     monkeypatch.setenv("KFPLAB_WORKERS", "1")
     b = tmp_path / "wb"
     assert cli_main(["sweep", str(cfg_path), "-o", str(b)]) == 0
-    assert filecmp.cmp(a / "sweep.csv", b / "sweep.csv", shallow=False)
+    tree_a = _tree(a)
+    assert "sweep.csv" in tree_a and "run_0001/field_final.snap" in tree_a
+    assert tree_a == _tree(b)
+
+
+@pytest.mark.parametrize("raw, workers", [(None, 1), ("1", 1), ("2", 2), (" 3 ", 3)])
+def test_worker_count_parses_env(monkeypatch, raw, workers):
+    if raw is None:
+        monkeypatch.delenv("KFPLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("KFPLAB_WORKERS", raw)
+    assert worker_count() == workers
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
+def test_worker_count_rejects_bad_env(monkeypatch, raw):
+    monkeypatch.setenv("KFPLAB_WORKERS", raw)
+    with pytest.raises(ConfigError, match="KFPLAB_WORKERS"):
+        worker_count()
+
+
+def test_cli_sweep_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(FAST_CONFIG + "\nsweep.seeds = 1\n")
+    monkeypatch.setenv("KFPLAB_WORKERS", "0")
+    assert cli_main(["sweep", str(cfg_path), "-o", str(tmp_path / "sw")]) == 2
+    assert "KFPLAB_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_pool_capped_at_run_count(monkeypatch):
+    created = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, mp_context):
+            created.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def stub_run(cfg, out_dir=None):
+        return pipeline.RunResult(
+            cfg, verdicts={name: True for name in SWEEP_AUDITS},
+            metrics={"mu_emp": 0.5, "sigma_emp": 0.1, "kappa_emp_log10": -3.0})
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(pipeline, "run_pipeline", stub_run)
+    cfg = parse_config(FAST_CONFIG)
+    for n_runs, workers in ((2, 5), (3, 2), (1, 3), (4, 1)):
+        results, _, _ = pipeline.sweep([cfg] * n_runs, workers=workers)
+        assert len(results) == n_runs and all(r.passed for r in results)
+    # one-run and one-worker sweeps run in-process without a pool
+    assert created == [(2, "fork"), (2, "fork")]
+
+
+def test_sweep_records_worker_failure(tmp_path, monkeypatch):
+    failing_seed = 2   # run index 1 of seeds 1, 2, 3
+    real_run = pipeline.run_pipeline
+
+    def flaky_run(cfg, out_dir=None):
+        if cfg.seed == failing_seed:
+            raise SolverError("injected failure")
+        return real_run(cfg, out_dir=out_dir)
+
+    # forked pool workers inherit the patched module attribute
+    monkeypatch.setattr(pipeline, "run_pipeline", flaky_run)
+    base = parse_config(FAST_CONFIG)
+    configs = [dataclasses.replace(base, seed=seed) for seed in (1, 2, 3)]
+    trees = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        results, rows, _ = pipeline.sweep(configs, out_root=out, workers=workers)
+        assert results[1] is None
+        assert results[0] is not None and results[2] is not None
+        manifest = (out / "run_0001" / "manifest.txt").read_text()
+        assert "manifest.status = incomplete" in manifest
+        assert "SolverError('injected failure')" in manifest
+        csv_rows = (out / "sweep.csv").read_text().splitlines()
+        assert csv_rows[2].startswith("1,2,")
+        assert ",error," in csv_rows[2] and ",error," not in csv_rows[1] + csv_rows[3]
+        trees[workers] = _tree(out)
+    assert trees[1] == trees[2]

@@ -123,6 +123,25 @@ def test_cutoff_slope_matches_finite_difference():
     assert np.max(np.abs(fd - lev.eta_slope(rho))) < 1e-6
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_v_dot_grad_eta_x_matches_finite_difference(dim):
+    grid = PhaseGrid(dim, (-1.0, 0.0), 4, 1.5, 15, 1.5, 8)
+    lev = DyadicLevel(1)
+    xs, vs = grid.coords()
+    h = 1e-6
+
+    def eta_shifted(axis, step):
+        return lev.eta(np.sqrt(sum((x + (step if b == axis else 0.0)) ** 2
+                                   for b, x in enumerate(xs))))
+
+    ref = sum(vs[a] * (eta_shifted(a, h) - eta_shifted(a, -h)) / (2 * h)
+              for a in range(dim))
+    got = lev.v_dot_grad_eta_x(grid)
+    assert got.shape == grid.shape
+    assert np.max(np.abs(got)) > 1.0          # the annulus is resolved
+    assert np.max(np.abs(got - ref)) < 1e-5
+
+
 def test_cutoff_sandwich_on_grid_nodes(grid64):
     for k in (1, 2, 3):
         lev = DyadicLevel(k)

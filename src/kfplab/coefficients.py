@@ -59,6 +59,20 @@ def _cell_index(coord, cell: float, offset: float):
     return np.floor((np.asarray(coord, dtype=float) - offset) / cell).astype(np.int64)
 
 
+def _drifts(transform) -> bool:
+    """Whether a zoom moves x with s (base velocity v0 != 0), so that a field
+    varying in x has samples that vary in s."""
+    return transform is not None and any(transform.v0)
+
+
+def _time_cell(transform, t, cell: float, offset: float) -> int:
+    """Index of the time cell holding t pulled back through `transform`."""
+    if transform is not None:
+        zeros = (0.0,) * transform.dim
+        t = transform.apply_coords(t, zeros, zeros)[0]
+    return int(_cell_index(t, cell, offset))
+
+
 # --- diffusion fields -------------------------------------------------------
 
 @dataclass
@@ -158,6 +172,22 @@ class DiffusionField:
                 wave = wave * np.cos(2.0 * np.pi * freq * np.asarray(c, dtype=float))
             return p["mid"] + p["amplitude"] * wave
         raise CoefficientError(f"kind {self.kind!r} has no scalar rule")
+
+    def time_key(self, t):
+        """A key with equal values only at times whose samples are bit-equal:
+        None for kinds constant in t (constant, and checkerboard without t
+        in its axes), the time-cell index of the pulled-back time for
+        cellwise_random, clamped_symmetric and checkerboard with t, and t
+        itself for oscillatory, and for any kind but constant under a zoom
+        with v0 != 0, whose x drifts with s."""
+        p = self.params
+        if self.kind == "constant":
+            return None
+        if self.kind == "oscillatory" or _drifts(self.transform):
+            return t
+        if self.kind == "checkerboard" and "t" not in p.get("axes", "xv"):
+            return None
+        return _time_cell(self.transform, t, p["cell"], p.get("offset", 0.5 * p["cell"]))
 
     def scalar(self, t, x, v):
         """a(t, x, v) for dim = 1, broadcasting over array arguments."""
@@ -327,6 +357,20 @@ class SourceField:
             u = hash_uniform(self.seed, *idx)
             out = self.bound * (2.0 * u - 1.0)
         return self.scale * out
+
+    def time_key(self, t):
+        """A key with equal values only at times whose samples are bit-equal:
+        None for the zero and constant kinds and for bump, the time-cell
+        index of the pulled-back time for noise, and t itself for bump or
+        noise under a zoom with v0 != 0, whose x drifts with s."""
+        if self.kind in ("zero", "constant"):
+            return None
+        if _drifts(self.transform):
+            return t
+        if self.kind == "bump":
+            return None
+        cell = self.params.get("cell", 0.25)
+        return _time_cell(self.transform, t, cell, self.params.get("offset", 0.5 * cell))
 
     def sample(self, grid: PhaseGrid, t: float) -> np.ndarray:
         """g on all (x, v) cell centers of the grid at time t."""

@@ -481,23 +481,10 @@ def holder_fit(traj: Trajectory, base=None, radii=None) -> dict:
     v0 = tuple(grid.v_centers[i] for i in iv)
 
     speed = 1.0 + float(np.linalg.norm(np.atleast_1d(v0)))
-    d_t = speed * np.abs(traj.times - t0)
-    dx_arr = np.zeros(grid.x_shape)
-    dv_arr = np.zeros(grid.v_shape)
-    if grid.dim == 1:
-        dx_arr = np.abs(grid.x_centers - np.atleast_1d(x0)[0])
-        dv_arr = np.abs(grid.v_centers - np.atleast_1d(v0)[0])
-    else:
-        xs = np.atleast_1d(x0)
-        vs = np.atleast_1d(v0)
-        g1, g2 = np.meshgrid(grid.x_centers - xs[0], grid.x_centers - xs[1],
-                             indexing="ij")
-        dx_arr = np.sqrt(g1**2 + g2**2)
-        g1, g2 = np.meshgrid(grid.v_centers - vs[0], grid.v_centers - vs[1],
-                             indexing="ij")
-        dv_arr = np.sqrt(g1**2 + g2**2)
-    dist = (d_t.reshape((-1,) + (1,) * 2 * grid.dim)
-            + grid.expand_x(dx_arr)[None] + grid.expand_v(dv_arr)[None])
+    xs, vs = grid.coords()
+    dist = (speed * np.abs(traj.times - t0)).reshape((-1,) + (1,) * 2 * grid.dim)
+    dist = (dist + np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(xs, x0)))
+            + np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(vs, v0))))
     dev = np.abs(traj.values - f0)
 
     sups = []

@@ -524,7 +524,7 @@ def sweep(configs, out_root=None, workers: int | None = None):
     if workers > 1:
         # imported here so that runs and one-worker sweeps never pay for it;
         # fork, not spawn, because a spawned worker re-imports numpy and
-        # scipy, and the pool forks all its workers before it starts a thread
+        # kfplab, and the pool forks all its workers before it starts a thread
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,

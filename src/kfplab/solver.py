@@ -13,14 +13,17 @@ so the substep is an M-matrix solve and constants are exact fixed points.
 Work that depends only on the grid, dt and the coefficient is done once
 per solve, in a step plan (`solve` and `solve_anchored` build one; the
 public `step` builds one per call).  The transport's flat gather indices
-and interpolation weights are fixed for the solve.  The diffusion keeps
-LAPACK tridiagonal factors (`dgttrf`) of its matrix over the flattened
-batch of v columns and refactors only when the sampled coefficient
-arrays change: never for a time-independent coefficient, once per time
-cell for a cellwise-random one, every step for an oscillatory one.  Each
-step then applies the gathers and one `dgttrs` solve per v axis, whose
-residual is checked against 1e-9 (1 + max|rhs|) and recorded in the
-ledger as `diff_residual`, the worst residual over that tolerance.
+and interpolation weights are fixed for the solve.  The coefficient arrays
+and the source increment dt*g are resampled only when the field's
+`time_key` changes: never for a time-independent field, once per time cell
+for a cellwise-random one, every step for an oscillatory one or under a
+drifting zoom.  The diffusion factors its tridiagonal systems in numpy
+(cyclic-reduction stages, then a strided Thomas sweep) and refactors only
+when the sampled coefficient arrays change.  Each step then applies the
+gathers and one factored solve per v axis, whose residual is checked
+against 1e-9 (1 + max|rhs|) and recorded in the ledger as `diff_residual`,
+the worst residual over that tolerance.  `solve_anchored` runs the same
+step with its Dirichlet ring filled from the data trajectory.
 
 Boundary conditions:
 
@@ -35,11 +38,9 @@ Boundary conditions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
@@ -175,6 +176,12 @@ def _coefficient_grid(diffusion, grid: PhaseGrid, t):
                  for a in diffusion.diagonal(t, *grid.coords()))
 
 
+# a Thomas sweep step processes one block of 2^k rows of the v-first layout;
+# cyclic reduction runs until a block holds this many cells or every row
+# has decoupled (2^k >= n_v)
+_BLOCK_CELLS = 1024
+
+
 class _ImplicitDiffusion:
     """Backward Euler for div_v(a grad_v .) with harmonic face averages.
 
@@ -185,15 +192,23 @@ class _ImplicitDiffusion:
     sequentially (splitting within the substep; first order, matching the
     backward Euler substep order).
 
-    Each v axis is one tridiagonal system over the flattened batch of
-    columns; the batch decouples because the first sub- and last
-    super-diagonal entry of every column vanish.  The operator keeps the
-    last coefficient arrays it was given with their LAPACK factors
-    (`dgttrf`) and refactors only when the coefficients change, so a
-    time-independent coefficient is factored once per solve.  Every solve
-    (`dgttrs`) is checked against the residual tolerance
-    1e-9 (1 + max|rhs|); the call returns the worst residual over that
-    tolerance.
+    Each v axis is a batch of independent tridiagonal systems, one per
+    column of fixed (x, other v).  They are solved on the v-first layout,
+    an (n_v, cells per v slice) array, so every row operation is one
+    vectorised call over a contiguous slab of columns.  The factorization
+    runs k parallel cyclic-reduction stages with coupling distances 1, 2,
+    ..., 2^(k-1), which split every column into 2^k interleaved systems of
+    coupling distance 2^k, then the Thomas elimination of those with
+    stride 2^k.  k is the smallest depth at which a stride block holds
+    `_BLOCK_CELLS` cells or every row has decoupled.  The matrices are
+    strictly diagonally dominant M-matrices, so nothing pivots; a Dirichlet
+    row (unit diagonal, no coupling) has zero multipliers at every stage
+    and returns its data exactly.  The operator keeps the last coefficient
+    arrays it was given with their factors and refactors only when the
+    coefficients change, so a time-independent coefficient is factored once
+    per solve.  Every solve is checked against the residual tolerance
+    1e-9 (1 + max|rhs|) of the original tridiagonal system; the call
+    returns the worst residual over that tolerance.
     """
 
     def __init__(self, grid: PhaseGrid, dt: float, active=None):
@@ -202,57 +217,97 @@ class _ImplicitDiffusion:
         self.active = active
         self.coeffs = None
         self.factors = None
+        slice_cells = grid.n_x**grid.dim * grid.n_v**(grid.dim - 1)
+        self.depth = 0
+        while slice_cells << self.depth < _BLOCK_CELLS and 1 << self.depth < grid.n_v:
+            self.depth += 1
+
+    def _v_first(self, arr, ax):
+        """`arr` as (n_v, cells per v slice) with v axis `ax` first."""
+        return np.ascontiguousarray(
+            np.moveaxis(arr, self.grid.dim + ax, 0)).reshape(self.grid.n_v, -1)
 
     def _factor(self, ax, a):
-        v_ax = self.grid.dim + ax
-        a = np.moveaxis(a, v_ax, -1)
+        a = self._v_first(a, ax)
         am = np.zeros_like(a)
         ap = np.zeros_like(a)
-        har = 2.0 * a[..., :-1] * a[..., 1:] / (a[..., :-1] + a[..., 1:])
-        am[..., 1:] = har
-        ap[..., :-1] = har
+        har = 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
+        am[1:] = har
+        ap[:-1] = har
         diag = 1.0 + self.r * (am + ap)
         sub = -self.r * am
         sup = -self.r * ap
-        row_scale = np.ones(diag.size)
         if self.active is not None:
-            dead = ~np.moveaxis(self.active, v_ax, -1)
+            dead = ~self._v_first(self.active, ax)
             diag = np.where(dead, 1.0, diag)
             sub = np.where(dead, 0.0, sub)
             sup = np.where(dead, 0.0, sup)
-            # a dead row scaled by a power of two no smaller than any
-            # coupling is never a pivot swap, so it returns its data exactly
-            big = 2.0 ** (math.ceil(math.log2(1.0 + self.r * float(np.max(a)))) + 1)
-            row_scale = np.where(dead, big, 1.0).ravel()
-        sub, diag, sup = sub.ravel(), diag.ravel(), sup.ravel()
-        *lu, info = dgttrf(sub[1:], diag * row_scale, sup[:-1])
-        if info != 0:
-            raise SolverError(f"diffusion matrix is singular (dgttrf info = {info})")
-        return sub, diag, sup, row_scale, lu
+        # row i reads lo[i] x[i - d] + di[i] x[i] + up[i] x[i + d]; the first
+        # d entries of lo and the last d of up are zero at every stage
+        lo, di, up = sub.copy(), diag.copy(), sup.copy()
+        stages = []
+        d = 1
+        for _ in range(self.depth):
+            alpha = -lo[d:] / di[:-d]
+            gamma = -up[:-d] / di[d:]
+            di[d:] += alpha * up[:-d]
+            di[:-d] += gamma * lo[d:]
+            lo[d:] = alpha * lo[:-d]
+            up[:-d] = gamma * up[d:]
+            stages.append((d, alpha, gamma))
+            d *= 2
+        n = len(di)
+        mult = np.empty_like(di[d:])
+        for j in range(d, n, d):
+            e = min(j + d, n)
+            mult[j - d:e - d] = lo[j:e] / di[j - d:e - d]
+            di[j:e] -= mult[j - d:e - d] * up[j - d:e - d]
+        return sub, diag, sup, stages, mult, 1.0 / di, up[:n - d]
+
+    @staticmethod
+    def _solve(rhs, stages, mult, inv_diag, up):
+        """Apply the factors to a v-first right-hand side."""
+        x = rhs.copy()
+        for d, alpha, gamma in stages:
+            y = x.copy()
+            y[d:] += alpha * x[:-d]
+            y[:-d] += gamma * x[d:]
+            x = y
+        n, s = len(x), 1 << len(stages)
+        for j in range(s, n, s):
+            e = min(j + s, n)
+            x[j:e] -= mult[j - s:e - s] * x[j - s:e - s]
+        last = (n - 1) // s * s
+        x[last:] *= inv_diag[last:]
+        for j in range(last - s, -1, -s):
+            e = min(j + s, n - s)
+            x[j:e] -= up[j:e] * x[j + s:e + s]
+            x[j:j + s] *= inv_diag[j:j + s]
+        return x
 
     def __call__(self, values: np.ndarray, coeffs) -> tuple:
-        if self.coeffs is None or not all(map(np.array_equal, coeffs, self.coeffs)):
+        if coeffs is not self.coeffs and (
+                self.coeffs is None or not all(map(np.array_equal, coeffs, self.coeffs))):
             self.factors = [self._factor(ax, a) for ax, a in enumerate(coeffs)]
             self.coeffs = coeffs
         out = values
         worst = 0.0
-        for ax, (sub, diag, sup, row_scale, lu) in enumerate(self.factors):
+        for ax, (sub, diag, sup, *factors) in enumerate(self.factors):
             v_ax = self.grid.dim + ax
-            f = np.moveaxis(out, v_ax, -1)
-            rhs = np.ascontiguousarray(f).ravel()
-            sol, info = dgttrs(*lu, (rhs * row_scale)[:, None], overwrite_b=1)
-            sol = sol[:, 0]
+            rhs = self._v_first(out, ax)
+            sol = self._solve(rhs, *factors)
             res = diag * sol
             res -= rhs
             res[1:] += sub[1:] * sol[:-1]
             res[:-1] += sup[:-1] * sol[1:]
             err = float(np.maximum(res.max(), -res.min()))
             tol = 1e-9 * (1.0 + float(np.maximum(rhs.max(), -rhs.min())))
-            if info != 0 or not np.isfinite(err) or err > tol:
+            if not np.isfinite(err) or err > tol:
                 raise SolverError(f"diffusion solve residual {err:.3e} "
                                   f"exceeds tolerance {tol:.3e}")
             worst = max(worst, err / tol)
-            out = np.moveaxis(sol.reshape(f.shape), -1, v_ax)
+            moved = np.moveaxis(out, v_ax, 0).shape
+            out = np.moveaxis(sol.reshape(moved), 0, v_ax)
         return out, worst
 
 
@@ -287,57 +342,79 @@ def _check_cfl(grid: PhaseGrid, dt: float):
         raise CFLError(f"dt = {dt} exceeds the transport bound dx/v_max = {limit}")
 
 
+class _Keyed:
+    """Samples of a coefficient or source at step midpoints, drawn again only
+    when the field's `time_key` changes (equal keys give bit-equal
+    samples)."""
+
+    def __init__(self, field, draw):
+        self.field = field
+        self.draw = draw
+        self.key = object()  # equal to no key: the first call draws
+        self.value = None
+
+    def __call__(self, t):
+        key = self.field.time_key(t)
+        if key != self.key:
+            self.key, self.value = key, self.draw(t)
+        return self.value
+
+
 class _StepPlan:
     """What every Strang step of one solve reuses: the half-step transport
-    gathers and the implicit diffusion operator with its factors.  Cells
-    outside `active` are Dirichlet rows of the diffusion solve."""
+    gathers, the implicit diffusion operator with its factors, and the
+    coefficient arrays and source increment dt*g, resampled only when their
+    time keys change.  Cells outside `active` are Dirichlet rows of the
+    diffusion solve."""
 
-    def __init__(self, grid: PhaseGrid, diffusion, dt: float, interp: str,
+    def __init__(self, grid: PhaseGrid, diffusion, source, dt: float, interp: str,
                  periodic: bool, active=None):
         _check_cfl(grid, dt)
-        self.grid = grid
-        self.diffusion = diffusion
         self.dt = dt
         self.active = active
         self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic")
         self.implicit = _ImplicitDiffusion(grid, dt, active)
+        self.coefficients = _Keyed(diffusion,
+                                   lambda t: _coefficient_grid(diffusion, grid, t))
+        self.increment = None if source is None else _Keyed(
+            source, lambda t: dt * source.sample(grid, t))
 
-    def diffuse(self, values, t_mid):
-        return self.implicit(values, _coefficient_grid(self.diffusion, self.grid, t_mid))
+    def restrict(self, values):
+        """`values` with zero outside the domain."""
+        return values if self.active is None else np.where(self.active, values, 0.0)
 
-    def step(self, values, t, source):
+    def step(self, values, t, fill=0.0):
         """One Strang step of the boundary problem whose domain is `active`;
-        returns the new values and the diffusion residual over its bound."""
-        mask = self.active
+        returns the new values and the diffusion residual over its bound.
+
+        Cells outside `active` take `fill`, the Dirichlet data at t + dt
+        (zero for the kinetic IBVP), and must hold the data at t on entry,
+        so that transport reads it at feet outside the domain."""
         t_mid = t + 0.5 * self.dt
-        out = values
-        if mask is not None:
-            out = np.where(mask, out, 0.0)
-        out = self.transport(out)
-        if mask is not None:
-            out = np.where(mask, out, 0.0)
-        if source is not None:
+        out = self.transport(values)
+        if self.increment is not None:
             # the increment dt*g rides inside the implicit solve: barrier sources
             # carry stiff div_v structure that must see the same implicit damping
             # as the field itself, or the comparison defect saturates at O(1)
-            src = source.sample(self.grid, t_mid)
-            out = out + self.dt * (np.where(mask, src, 0.0) if mask is not None else src)
-        out, residual = self.diffuse(out, t_mid)
+            out = out + self.increment(t_mid)
+        if self.active is not None:
+            out = np.where(self.active, out, fill)
+        out, residual = self.implicit(out, self.coefficients(t_mid))
         out = self.transport(out)
-        if mask is not None:
-            out = np.where(mask, out, 0.0)
+        if self.active is not None:
+            out = np.where(self.active, out, fill)
         return out, residual
 
 
-def _bc_plan(grid, diffusion, dt, bc: BoundaryCondition, interp) -> _StepPlan:
-    return _StepPlan(grid, diffusion, dt, interp, bc.periodic_x, _bc_mask(grid, bc))
+def _bc_plan(grid, diffusion, source, dt, bc: BoundaryCondition, interp) -> _StepPlan:
+    return _StepPlan(grid, diffusion, source, dt, interp, bc.periodic_x, _bc_mask(grid, bc))
 
 
 def step(state: PhaseField, diffusion, source, dt: float, bc: BoundaryCondition,
          interp: str = "linear") -> PhaseField:
     """One Strang step from state.t to state.t + dt."""
-    plan = _bc_plan(state.grid, diffusion, dt, bc, interp)
-    vals, _ = plan.step(state.values, state.t, source)
+    plan = _bc_plan(state.grid, diffusion, source, dt, bc, interp)
+    vals, _ = plan.step(plan.restrict(state.values), state.t)
     return PhaseField(state.grid, state.t + dt, vals)
 
 
@@ -373,16 +450,15 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     if n_steps % store_every != 0:
         raise ValueError(f"store_every = {store_every} must divide the "
                          f"step count {n_steps} (stored slices stay uniform)")
-    plan = _bc_plan(grid, diffusion, dt, bc, interp)
-    mask = plan.active
-    vals = f0.values if mask is None else np.where(mask, f0.values, 0.0)
+    plan = _bc_plan(grid, diffusion, source, dt, bc, interp)
+    vals = plan.restrict(f0.values)
     times = [f0.t]
     slices = np.empty((n_steps // store_every + 1,) + grid.shape)
     slices[0] = vals
     ledger = [_ledger_entry(grid, f0.t, vals, 0.0)]
     t = f0.t
     for n in range(n_steps):
-        vals, residual = plan.step(vals, t, source)
+        vals, residual = plan.step(vals, t)
         t = f0.t + (n + 1) * dt
         ledger.append(_ledger_entry(grid, t, vals, residual))
         if (n + 1) % store_every == 0:
@@ -395,38 +471,27 @@ def solve_anchored(data: Trajectory, diffusion, source, ring: int = 2,
                    interp: str = "linear") -> Trajectory:
     """Re-solve the equation with initial and boundary data taken from `data`.
 
-    Starts from the first stored slice and, after every step, overwrites the
-    outermost `ring` cells of each x and v axis with the data trajectory
-    (time-interpolated).  Used by the zoom machinery, where `data` is an
-    interpolated field and the re-solve imposes the equation at the new
-    scale with boundary values anchored to the parent field.
+    Starts from the first stored slice and steps the boundary problem whose
+    Dirichlet cells are the outermost `ring` cells of each x and v axis,
+    filled with the data trajectory (time-interpolated) at every new time
+    level.  Used by the zoom machinery, where `data` is an interpolated
+    field and the re-solve imposes the equation at the new scale with
+    boundary values anchored to the parent field.
     """
     grid = data.grid
+    t0 = float(data.times[0])
     dt = float(data.times[1] - data.times[0])
-    pinned = ring_mask(grid, ring)
-    plan = _StepPlan(grid, diffusion, dt, interp, False, ~pinned)
-    vals = data.values[0]
-    times = [float(data.times[0])]
+    plan = _StepPlan(grid, diffusion, source, dt, interp, False, ~ring_mask(grid, ring))
+    times = [t0]
     slices = np.empty_like(data.values)
-    slices[0] = vals
-    t = times[0]
+    slices[0] = data.values[0]
     for n in range(len(data.times) - 1):
-        t_next = float(data.times[0]) + (n + 1) * dt
-        t_mid = t + 0.5 * dt
-        anchor = data.at_time(t_next)
-        out = plan.transport(vals)
-        if source is not None:
-            out = out + dt * source.sample(grid, t_mid)
+        t_next = t0 + (n + 1) * dt
         # rings carry the parent data at the implicit time level, so the
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
         # with constant coefficient passes through bit-consistently)
-        out = np.where(pinned, anchor, out)
-        out, _ = plan.diffuse(out, t_mid)
-        out = plan.transport(out)
-        vals = np.where(pinned, anchor, out)
-        t = t_next
-        slices[len(times)] = vals
-        times.append(t)
+        slices[n + 1], _ = plan.step(slices[n], times[-1], data.at_time(t_next))
+        times.append(t_next)
     return Trajectory(grid, np.array(times), slices)
 
 
@@ -448,6 +513,9 @@ class BarrierSource:
         self.s2 = tuple(s2) if isinstance(s2, (tuple, list)) else (s2,)
         if len(self.s2) != s1.grid.dim:
             raise ValueError(f"need {s1.grid.dim} components for S2, got {len(self.s2)}")
+
+    def time_key(self, t: float) -> float:
+        return t
 
     def sample(self, grid: PhaseGrid, t: float) -> np.ndarray:
         out = self.s1.at_time(t).copy()

@@ -10,6 +10,7 @@ from kfplab.coefficients import (
     validate_ellipticity,
 )
 from kfplab.geometry import PhaseGrid, make_cylinder
+from kfplab.holder import ScalingMap
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +155,74 @@ def test_unknown_kinds_rejected():
         build_diffusion(1, 2.0, "wavelet")
     with pytest.raises(CoefficientError):
         build_source(1, "spike")
+
+
+# --- time keys ---------------------------------------------------------------
+
+# untransformed, a zoom with v0 = 0 (x fixed in s), a zoom with v0 != 0
+# (x drifts with s)
+_TRANSFORMS = {
+    "none": None,
+    "zoom_v0_zero": ScalingMap(0.5, -0.2, (0.1,), (0.0,)),
+    "zoom_v0_drift": ScalingMap(0.5, -0.2, (0.1,), (0.3,)),
+}
+
+
+def _key_form(key, t):
+    if key is None:
+        return "none"
+    if isinstance(key, int):
+        return "cell"
+    assert key == t
+    return "t"
+
+
+def _assert_keys_match_samples(field, sample, expected_form):
+    times = list(np.linspace(-1.5, 0.0, 61)) + list(-1.5 + (np.arange(24) + 0.5) / 16)
+    by_key = {}
+    for t in times:
+        key = field.time_key(t)
+        assert _key_form(key, t) == expected_form
+        by_key.setdefault(key, []).append(sample(t))
+    for samples in by_key.values():
+        for other in samples[1:]:
+            assert other == samples[0]  # bit-equal bytes
+    if expected_form == "cell":
+        assert len(by_key) > 1
+
+
+@pytest.mark.parametrize("transform", list(_TRANSFORMS))
+@pytest.mark.parametrize("kind,params,forms", [
+    ("constant", dict(value=1.2), ("none", "none", "none")),
+    ("checkerboard", dict(values=(0.6, 1.5), cell=0.25), ("none", "none", "t")),
+    ("checkerboard", dict(values=(0.6, 1.5), cell=0.25, axes="txv"), ("cell", "cell", "t")),
+    ("cellwise_random", dict(low=0.6, high=1.6, cell=0.25), ("cell", "cell", "t")),
+    ("oscillatory", dict(mid=1.0, amplitude=0.4, frequency=1.3), ("t", "t", "t")),
+])
+def test_diffusion_time_key_repeats_only_with_its_samples(grid, kind, params, forms,
+                                                           transform):
+    a = build_diffusion(1, 2.0, kind, seed=2, **params)
+    if _TRANSFORMS[transform] is not None:
+        a = a.transformed(_TRANSFORMS[transform])
+
+    def sample(t):
+        return b"".join(np.broadcast_to(c, grid.shape).tobytes()
+                        for c in a.diagonal(t, *grid.coords()))
+
+    _assert_keys_match_samples(a, sample, dict(zip(_TRANSFORMS, forms))[transform])
+
+
+@pytest.mark.parametrize("transform", list(_TRANSFORMS))
+@pytest.mark.parametrize("kind,params,forms", [
+    ("zero", dict(), ("none", "none", "none")),
+    ("constant", dict(value=0.2), ("none", "none", "none")),
+    ("bump", dict(amplitude=0.3, x_radius=1.0, v_radius=1.0), ("none", "none", "t")),
+    ("noise", dict(cell=0.25), ("cell", "cell", "t")),
+])
+def test_source_time_key_repeats_only_with_its_samples(grid, kind, params, forms,
+                                                        transform):
+    g = build_source(1, kind, bound=0.3, seed=5, **params)
+    if _TRANSFORMS[transform] is not None:
+        g = g.transformed(_TRANSFORMS[transform], 0.25)
+    _assert_keys_match_samples(g, lambda t: g.sample(grid, t).tobytes(),
+                               dict(zip(_TRANSFORMS, forms))[transform])

@@ -1,13 +1,20 @@
 """The stepping and zoom kernels against straightforward references: the
-transport gathers against the column-shift gather they replaced, the LAPACK
-diffusion against a dense solve, and the separable zoom against
-`scipy.ndimage.map_coordinates`."""
+transport gathers against the column-shift gather they replaced, the
+cyclic-reduction/Thomas diffusion against a dense solve, keyed coefficient
+and source sampling against resampling every step, and the separable zoom
+against `scipy.ndimage.map_coordinates`."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from kfplab.coefficients import build_diffusion, build_source
+import kfplab
+from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import PhaseGrid
 from kfplab.holder import ScalingMap, zoom
@@ -20,6 +27,7 @@ from kfplab.solver import (
     _coefficient_grid,
     kinetic_ibvp,
     solve,
+    solve_anchored,
     solve_barrier_ibvp,
 )
 
@@ -88,7 +96,7 @@ def test_transport_plan_equals_column_shift_gather(dim, n_x, n_v, periodic, cubi
 # --- diffusion ---------------------------------------------------------------
 
 def _dense_diffusion(values, grid, coeffs, dt, active):
-    """Backward Euler along each v axis by a dense solve per column."""
+    """Backward Euler along each v axis by one dense solve per column."""
     r = dt / grid.dv**2
     out = values
     for ax in range(grid.dim):
@@ -97,20 +105,20 @@ def _dense_diffusion(values, grid, coeffs, dt, active):
         a = np.moveaxis(coeffs[ax], v_ax, -1)
         live = (np.ones(f.shape, dtype=bool) if active is None
                 else np.moveaxis(active, v_ax, -1))
-        sol = np.empty_like(f)
         n = f.shape[-1]
-        for col in np.ndindex(f.shape[:-1]):
-            mat = np.eye(n)
-            for j in range(n):
-                if not live[col + (j,)]:
-                    continue
-                for k in (j - 1, j + 1):
-                    if 0 <= k < n:
-                        aj, ak = a[col + (j,)], a[col + (k,)]
-                        face = r * 2.0 * aj * ak / (aj + ak)
-                        mat[j, j] += face
-                        mat[j, k] -= face
-            sol[col] = np.linalg.solve(mat, f[col])
+        face = r * 2.0 * a[..., :-1] * a[..., 1:] / (a[..., :-1] + a[..., 1:])
+        mat = np.zeros(f.shape + (n,))
+        rows = np.arange(n)
+        mat[..., rows, rows] = 1.0
+        # row j couples to j + 1 (and j + 1 to j) through face j, if live
+        for j in range(n - 1):
+            up = np.where(live[..., j], face[..., j], 0.0)
+            down = np.where(live[..., j + 1], face[..., j], 0.0)
+            mat[..., j, j] += up
+            mat[..., j, j + 1] -= up
+            mat[..., j + 1, j + 1] += down
+            mat[..., j + 1, j] -= down
+        sol = np.linalg.solve(mat, f[..., None])[..., 0]
         out = np.moveaxis(sol, -1, v_ax)
     return out
 
@@ -131,6 +139,39 @@ def test_lapack_diffusion_matches_dense_solve(dim, n, masked):
     assert 0.0 <= residual <= 1.0
     if masked:
         assert np.array_equal(out[~active], vals[~active])
+
+
+# one grid per cyclic-reduction depth: k stages until a Thomas block of 2^k
+# v-rows holds 1024 cells or 2^k >= n_v
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dim,n,depth", [(1, 24, 5), (1, 64, 4), (2, 13, 0), (2, 18, 0)])
+def test_tridiagonal_plan_matches_dense_solve_at_each_depth(dim, n, depth, masked):
+    grid = PhaseGrid(dim, (-1.5, 0.0), 12, 1.5, n, 1.5, n)
+    a = build_diffusion(dim, 2.0, "cellwise_random", low=0.6, high=1.8,
+                        cell=0.3, seed=4)
+    coeffs = _coefficient_grid(a, grid, -0.7)
+    active = _bc_mask(grid, kinetic_ibvp(1.0)) if masked else None
+    vals = np.random.default_rng(n).uniform(-1.0, 2.0, grid.shape)
+    dt = 4.0 * grid.dt
+    plan = _ImplicitDiffusion(grid, dt, active)
+    assert plan.depth == depth
+    out, residual = plan(vals, coeffs)
+    expected = _dense_diffusion(vals, grid, coeffs, dt, active)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert 0.0 <= residual <= 1.0
+    if masked:
+        assert np.array_equal(out[~active], vals[~active])
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(kfplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, kfplab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _always_refactor(monkeypatch):
@@ -192,6 +233,46 @@ def test_factorizations_follow_coefficient_changes(monkeypatch, kind, params, ex
     assert len(calls) == expected
 
 
+_KINDS = [
+    ("constant", dict(value=1.2)),
+    ("checkerboard", dict(values=(0.6, 1.5), cell=0.25)),
+    ("checkerboard", dict(values=(0.6, 1.5), cell=0.25, axes="txv")),
+    ("cellwise_random", dict(low=0.6, high=1.6, cell=0.25)),
+    ("oscillatory", dict(mid=1.0, amplitude=0.4, frequency=1.3)),
+]
+
+
+@pytest.mark.parametrize("source_kind,source_params", [
+    ("bump", dict(amplitude=0.3, x_radius=1.0, v_radius=1.0)),
+    ("noise", dict(cell=0.25)),
+])
+@pytest.mark.parametrize("kind,params", _KINDS)
+def test_keyed_sampling_is_bit_identical_to_resampling(monkeypatch, kind, params,
+                                                       source_kind, source_params):
+    grid = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 24, 1.5, 24)
+    a = build_diffusion(1, 2.0, kind, seed=2, **params)
+    g = build_source(1, source_kind, bound=0.3, seed=5, **source_params)
+    f0 = PhaseField.from_function(
+        grid, -1.5, lambda x, v: np.sin(2 * np.pi * x / 3) * np.exp(-4 * v**2))
+    zeros = Trajectory.from_constant(grid, grid.times, 0.0)
+    s1 = Trajectory.from_function(grid, grid.times,
+                                  lambda t, x, v: np.exp(-4 * (x**2 + v**2)))
+    traj = solve(f0, a, g, 0.0, WHOLE_SPACE)
+    # zooms with v0 = 0 (x fixed in s) and v0 != 0 (x drifts with s)
+    zooms = [zoom(traj, ScalingMap(0.5, -0.2, (0.1,), (v0,)), a, g) for v0 in (0.0, 0.3)]
+
+    def solves():
+        return ([solve(f0, a, g, 0.0, WHOLE_SPACE),
+                 solve_barrier_ibvp(s1, (zeros,), a, 1)]
+                + [solve_anchored(z.data, z.diffusion, z.source) for z in zooms])
+
+    keyed = solves()
+    monkeypatch.setattr(DiffusionField, "time_key", lambda self, t: t)
+    monkeypatch.setattr(SourceField, "time_key", lambda self, t: t)
+    for got, expected in zip(keyed, solves()):
+        assert np.array_equal(got.values, expected.values)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 24), (2, 8)])
 def test_ledger_records_diffusion_residual_within_tolerance(dim, n):
     grid = PhaseGrid(dim, (-1.5, 0.0), 24, 1.5, n, 1.5, n)
@@ -214,13 +295,14 @@ def test_diffusion_residual_failure_raises(monkeypatch):
     rng = np.random.default_rng(0)
     f0 = PhaseField(grid, -1.5, rng.normal(size=grid.shape))
 
-    exact_solve = solver.dgttrs
+    exact_factor = _ImplicitDiffusion._factor
 
-    def wrong_solve(*args, **kwargs):
-        x, info = exact_solve(*args, **kwargs)
-        return 1.01 * x, info
+    def wrong_factor(self, ax, coeff):
+        *factors, inv_diag, up = exact_factor(self, ax, coeff)
+        inv_diag[0, 0] *= 1.01  # one wrong pivot: row 0 of column 0 is off
+        return (*factors, inv_diag, up)
 
-    monkeypatch.setattr(solver, "dgttrs", wrong_solve)
+    monkeypatch.setattr(_ImplicitDiffusion, "_factor", wrong_factor)
     with pytest.raises(solver.SolverError):
         solve(f0, a, None, 0.0, WHOLE_SPACE)
 

@@ -23,6 +23,7 @@ __all__ = [
     "DiffusionField",
     "SourceField",
     "EllipticityCertificate",
+    "KeyedSampler",
     "build_diffusion",
     "build_source",
     "validate_ellipticity",
@@ -71,6 +72,24 @@ def _time_cell(transform, t, cell: float, offset: float) -> int:
         zeros = (0.0,) * transform.dim
         t = transform.apply_coords(t, zeros, zeros)[0]
     return int(_cell_index(t, cell, offset))
+
+
+class KeyedSampler:
+    """`draw(t)` for a coefficient or source field, drawn again only when
+    the field's `time_key` changes; equal keys give bit-equal samples, so
+    the last draw is returned unchanged in between."""
+
+    def __init__(self, owner, draw):
+        self.owner = owner
+        self.draw = draw
+        self.key = object()  # equal to no key: the first call draws
+        self.value = None
+
+    def __call__(self, t):
+        key = self.owner.time_key(t)
+        if key != self.key:
+            self.key, self.value = key, self.draw(t)
+        return self.value
 
 
 # --- diffusion fields -------------------------------------------------------
@@ -407,16 +426,17 @@ def source_lq_norm(source: SourceField, grid: PhaseGrid, q: float | None = None,
     t_hi = min(region.t_hi, grid.t_span[1])
     mids = t_lo + (np.arange(n_t) + 0.5) * (t_hi - t_lo) / n_t
     mask = region.space_mask(grid)
+    sample = KeyedSampler(source, lambda t: source.sample(grid, t))
     if np.isinf(q):
         worst = 0.0
         for t in mids:
-            g = source.sample(grid, float(t))
+            g = sample(float(t))
             if mask.any():
                 worst = max(worst, float(np.max(np.abs(g)[mask])))
         return worst
     total = 0.0
     dt_cell = (t_hi - t_lo) / n_t
     for t in mids:
-        g = source.sample(grid, float(t))
+        g = sample(float(t))
         total += float(np.sum(np.abs(g)[mask] ** q)) * dt_cell * grid.cell_volume
     return total ** (1.0 / q)

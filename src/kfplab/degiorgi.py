@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coefficients import KeyedSampler
 from .fields import Trajectory
 from .geometry import (
     DyadicLevel,
@@ -30,6 +31,7 @@ from .geometry import (
     ball_volume,
     cylinder_integral,
     cylinder_node_extrema,
+    dyadic_time,
     dyadic_truncation,
     level_set_measure,
     make_cylinder,
@@ -87,12 +89,17 @@ class TruncationReport:
 def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
     """Compute U_k from stored slices: discrete sup over the slices in
     [T_k, 0] plus trapezoid time-quadrature of the weighted dissipation,
-    with grad_v applied to the product eta_k(v) f_k by centered differences."""
-    grid = traj.grid
+    with grad_v applied to the product eta_k(v) f_k by centered differences.
+
+    Every term vanishes outside Q_{k-1}, so the report is computed on the
+    trajectory's window from T_{k-1} over B(R_{k-1})^2 with two extra v
+    cells, on which the centered differences equal the whole grid's."""
     level = DyadicLevel(k)
     if traj.times[0] > level.t_start + 1e-9:
         raise GeometryError(
             f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
+    traj = traj.window(dyadic_time(k - 1), level.outer_radius, 2)
+    grid = traj.grid
     eta_x = grid.expand_x(level.eta(grid.rho_x))
     eta_v = grid.expand_v(level.eta(grid.rho_v))
     c = level.truncation
@@ -216,41 +223,55 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     are analytic; grad_v f_k is by centered differences of the truncated
     field.  The report carries the L2(Q_{k-1}) norms and the ladder bounds
     they must satisfy.
+
+    S1 and S2 are returned at every stored slice on the whole grid, zero
+    outside the cell box of B(R_{k-1})^2.  They and the norms are computed on
+    the trajectory's window over that box with one extra v cell, on which the
+    centered differences equal the whole grid's wherever a cutoff factor is
+    non-zero; the coefficient and the source are sampled there only when
+    their time keys change.
     """
     if k < 1:
         raise ValueError(f"barrier sources require k >= 1, got {k}")
     grid = traj.grid
     level = DyadicLevel(k)
     c = level.truncation
-    eta_x = grid.expand_x(level.eta(grid.rho_x))
-    eta_v = grid.expand_v(level.eta(grid.rho_v))
-    rho_v_safe = np.where(grid.rho_v > 0, grid.rho_v, 1.0)
-    slope_v = level.eta_slope(grid.rho_v)
-    vdot = level.v_dot_grad_eta_x(grid)
+    win = traj.window(traj.t_start, level.outer_radius, 1)
+    cells = win.grid
+    eta_x = cells.expand_x(level.eta(cells.rho_x))
+    eta_v = cells.expand_v(level.eta(cells.rho_v))
+    rho_v_safe = np.where(cells.rho_v > 0, cells.rho_v, 1.0)
+    slope_v = level.eta_slope(cells.rho_v)
+    vdot = level.v_dot_grad_eta_x(cells)
 
-    grad_eta_v = [grid.expand_v(slope_v * grid.axis_coord("v", ax) / rho_v_safe)
+    grad_eta_v = [cells.expand_v(slope_v * cells.axis_coord("v", ax) / rho_v_safe)
                   for ax in range(grid.dim)]
+    coefficients = KeyedSampler(diffusion, lambda t: tuple(
+        np.broadcast_to(a, cells.shape) for a in diffusion.diagonal(t, *cells.coords())))
+    sample = None if source is None else KeyedSampler(
+        source, lambda t: source.sample(cells, t))
 
     n = traj.n_slices
     s1_vals = np.zeros((n,) + grid.shape)
     s2_vals = [np.zeros((n,) + grid.shape) for _ in range(grid.dim)]
-    xs, vs = grid.coords()
+    on_box = (slice(None),) + cells.box
+    s1_box = s1_vals[on_box]
+    s2_box = [sv[on_box] for sv in s2_vals]
     for i in range(n):
-        t = float(traj.times[i])
-        f = traj.values[i]
+        t = float(win.times[i])
+        f = win.values[i]
         fk = np.maximum(f - c, 0.0)
         ind = f > c
-        a_diag = tuple(np.broadcast_to(a, grid.shape)
-                       for a in diffusion.diagonal(t, xs, vs))
-        g = source.sample(grid, t) if source is not None else 0.0
-        cross = np.zeros(grid.shape)
+        a_diag = coefficients(t)
+        g = sample(t) if source is not None else 0.0
+        cross = np.zeros(cells.shape)
         for ax in range(grid.dim):
             dfk = np.gradient(fk, grid.dv, axis=grid.dim + ax)
             cross += a_diag[ax] * dfk * grad_eta_v[ax]
-            s2_vals[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
-        s1_vals[i] = (g * ind * eta_x * eta_v**2
-                      + fk * eta_v**2 * vdot
-                      - 2.0 * eta_x * eta_v * cross)
+            s2_box[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
+        s1_box[i] = (g * ind * eta_x * eta_v**2
+                     + fk * eta_v**2 * vdot
+                     - 2.0 * eta_x * eta_v * cross)
 
     s1 = Trajectory(grid, traj.times.copy(), s1_vals)
     s2 = tuple(Trajectory(grid, traj.times.copy(), sv) for sv in s2_vals)
@@ -259,13 +280,12 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     sq = lambda v: v**2
     s1_l2 = math.sqrt(cylinder_integral(s1, sq, q_out))
     s2_l2 = math.sqrt(sum(cylinder_integral(comp, sq, q_out) for comp in s2))
-    fk_traj = truncate(traj, k)
+    fk_traj = truncate(win, k)
     fk_l2 = math.sqrt(cylinder_integral(fk_traj, sq, q_out))
     grad_l2 = math.sqrt(cylinder_integral(
         grad_v_sq_trajectory(fk_traj), lambda v: v, q_out))
-    g_ind = math.sqrt(cylinder_integral(
-        traj, lambda f: np.zeros_like(f), q_out)) if source is None else math.sqrt(
-        _gind_integral(traj, source, c, q_out))
+    g_ind = 0.0 if source is None else math.sqrt(
+        _gind_integral(win, source, c, q_out))
     lam = diffusion.lam
     s2_budget = 2.0 ** (k + 3) * lam * fk_l2
     s2_actual = 2.0 * lam * level.max_slope * fk_l2
@@ -283,9 +303,10 @@ def _gind_integral(traj, source, c, region):
     mask = region.space_mask(grid)
     inside = region.contains_time(mids)
     dt_cell = float(times[1] - times[0])
+    sample = KeyedSampler(source, lambda t: source.sample(grid, t))
     for i in np.nonzero(inside)[0]:
         f_mid = 0.5 * (traj.values[i] + traj.values[i + 1])
-        g = source.sample(grid, float(mids[i]))
+        g = sample(float(mids[i]))
         total += float(np.sum((g**2) * (f_mid > c) * mask)) * dt_cell * grid.cell_volume
     return total
 

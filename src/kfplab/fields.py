@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryError, PhaseGrid
+from .geometry import GeometryError, GridWindow, PhaseGrid
 
 __all__ = ["PhaseField", "Trajectory"]
 
@@ -106,6 +106,19 @@ class Trajectory:
         j = int(np.searchsorted(times, t)) - 1
         w = (t - times[j]) / (times[j + 1] - times[j])
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
+
+    def window(self, t_start: float, radius: float, v_margin: int) -> "Trajectory":
+        """A read-only view of the stored slices from the last one at or
+        before t_start, on the cells of `GridWindow(grid, radius, v_margin)`.
+
+        Every level-k audit vanishes outside Q_{k-1} = (T_{k-1}, 0] x
+        B(R_{k-1})^2, so it reads only this window of the trajectory.
+        """
+        cells = GridWindow(self.grid, radius, v_margin)
+        i0 = max(int(np.searchsorted(self.times, t_start, side="right")) - 1, 0)
+        values = self.values[i0:][(slice(None),) + cells.box]
+        values.flags.writeable = False
+        return Trajectory(cells, self.times[i0:], values)
 
     def map_values(self, fn) -> "Trajectory":
         """A new trajectory with fn applied slice-wise to the values."""

@@ -9,7 +9,17 @@ kinetic cylinder of radius r is
 an anisotropic neighborhood adapted to the transport-diffusion scaling.
 Set measures are computed with a midpoint cell rule: a spacetime cell
 counts iff its center satisfies the predicate, so the error is at most
-one cell layer and the rule is monotone in the threshold.
+one cell layer and the rule is monotone in the threshold.  The rule is
+evaluated on the region's bounding box only: the contiguous range of time
+cells it holds and the bounding cell box of its (x, v) mask, both read as
+views of the stored slices.
+
+A `GridWindow` is the cell box of one dyadic level: the cells with
+|x_a| < R and |v_a| < R on every axis, with a few extra v cells for the
+centered v differences of the level audits.  Its centers and radius arrays
+are slices of the parent grid's arrays, so every mask, cutoff and sample
+on it is bit-equal to the parent's on the same cell.  It is for audits
+only and is not a `PhaseGrid`: the solver's periodic x has no meaning on it.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "PhaseGrid",
+    "GridWindow",
     "Cylinder",
     "DyadicLevel",
     "ball_volume",
@@ -59,7 +70,48 @@ def ball_volume(dim: int, r: float) -> float:
 # phase grid
 # ---------------------------------------------------------------------------
 
-class PhaseGrid:
+class _CellBox:
+    """Broadcasting helpers over a box of (x, v) cells, given its `dim`,
+    center arrays `x_centers`/`v_centers` (one per axis, the same on every
+    axis) and shapes `x_shape`, `v_shape`."""
+
+    def axis_coord(self, which: str, axis: int) -> np.ndarray:
+        """Coordinate array of one x or v axis broadcast to its box shape."""
+        centers = self.x_centers if which == "x" else self.v_centers
+        shape = [1] * self.dim
+        shape[axis] = len(centers)
+        return centers.reshape(shape) * np.ones(
+            self.x_shape if which == "x" else self.v_shape
+        )
+
+    def coords(self):
+        """Cell-center coordinates ((x_1..x_N), (v_1..v_N)), each a 1-d
+        center array shaped to vary along its own axis of the field and
+        broadcast over the others."""
+        n_axes = 2 * self.dim
+
+        def along(centers, axis):
+            shape = [1] * n_axes
+            shape[axis] = len(centers)
+            return centers.reshape(shape)
+
+        return (tuple(along(self.x_centers, i) for i in range(self.dim)),
+                tuple(along(self.v_centers, self.dim + i) for i in range(self.dim)))
+
+    def expand_x(self, w: np.ndarray) -> np.ndarray:
+        """Reshape an x-box array for broadcasting against full fields."""
+        return w.reshape(w.shape + (1,) * self.dim)
+
+    def expand_v(self, w: np.ndarray) -> np.ndarray:
+        """Reshape a v-box array for broadcasting against full fields."""
+        return w.reshape((1,) * self.dim + w.shape)
+
+    def space_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum over all (x, v) axes, keeping any leading axes."""
+        return values.sum(axis=tuple(range(-2 * self.dim, 0)))
+
+
+class PhaseGrid(_CellBox):
     """Uniform cell-centered grid over (t, x, v).
 
     Parameters
@@ -116,41 +168,6 @@ class PhaseGrid:
         xx, yy = np.meshgrid(centers, centers, indexing="ij")
         return np.sqrt(xx * xx + yy * yy)
 
-    def axis_coord(self, which: str, axis: int) -> np.ndarray:
-        """Coordinate array of one x or v axis broadcast to its box shape."""
-        centers = self.x_centers if which == "x" else self.v_centers
-        shape = [1] * self.dim
-        shape[axis] = len(centers)
-        return centers.reshape(shape) * np.ones(
-            self.x_shape if which == "x" else self.v_shape
-        )
-
-    def coords(self):
-        """Cell-center coordinates ((x_1..x_N), (v_1..v_N)), each a 1-d
-        center array shaped to vary along its own axis of the field and
-        broadcast over the others."""
-        n_axes = 2 * self.dim
-
-        def along(centers, axis):
-            shape = [1] * n_axes
-            shape[axis] = len(centers)
-            return centers.reshape(shape)
-
-        return (tuple(along(self.x_centers, i) for i in range(self.dim)),
-                tuple(along(self.v_centers, self.dim + i) for i in range(self.dim)))
-
-    def expand_x(self, w: np.ndarray) -> np.ndarray:
-        """Reshape an x-box array for broadcasting against full fields."""
-        return w.reshape(w.shape + (1,) * self.dim)
-
-    def expand_v(self, w: np.ndarray) -> np.ndarray:
-        """Reshape a v-box array for broadcasting against full fields."""
-        return w.reshape((1,) * self.dim + w.shape)
-
-    def space_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum over all (x, v) axes, keeping any leading axes."""
-        return values.sum(axis=tuple(range(-2 * self.dim, 0)))
-
     def with_time(self, t_span, n_t) -> "PhaseGrid":
         return PhaseGrid(self.dim, t_span, n_t, self.x_max, self.n_x,
                          self.v_max, self.n_v)
@@ -164,6 +181,39 @@ class PhaseGrid:
     def __repr__(self):
         return (f"PhaseGrid(dim={self.dim}, t_span={self.t_span}, n_t={self.n_t}, "
                 f"x_max={self.x_max}, n_x={self.n_x}, v_max={self.v_max}, n_v={self.n_v})")
+
+
+def _centered_cells(centers, radius: float, margin: int) -> slice:
+    """The contiguous cells with |c| < radius of one sorted axis, widened by
+    `margin` cells on each side and clipped at the ends of the axis."""
+    lo = int(np.searchsorted(centers, -radius, side="right")) - margin
+    hi = int(np.searchsorted(centers, radius, side="left")) + margin
+    return slice(max(lo, 0), min(hi, len(centers)))
+
+
+class GridWindow(_CellBox):
+    """The cells of `grid` with |x_a| < radius on every x axis and
+    |v_a| < radius, widened by `v_margin` cells and clipped at the grid
+    edge, on every v axis.
+
+    Every array is a slice of the parent's, so masks, cutoffs and samples
+    are bit-equal to the parent's cell by cell.  `box` indexes the window
+    in a parent (x, v) array.  Audits only: there is no periodic x here.
+    """
+
+    def __init__(self, grid: PhaseGrid, radius: float, v_margin: int):
+        self.dim = grid.dim
+        self.dv, self.cell_volume = grid.dv, grid.cell_volume
+        xs = _centered_cells(grid.x_centers, radius, 0)
+        vs = _centered_cells(grid.v_centers, radius, v_margin)
+        self.box = (xs,) * self.dim + (vs,) * self.dim
+        self.x_centers = grid.x_centers[xs]
+        self.v_centers = grid.v_centers[vs]
+        self.rho_x = grid.rho_x[self.box[:self.dim]]
+        self.rho_v = grid.rho_v[self.box[self.dim:]]
+        self.x_shape = self.rho_x.shape
+        self.v_shape = self.rho_v.shape
+        self.shape = self.x_shape + self.v_shape
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +270,33 @@ class Cylinder:
         in_v = self._dist(grid, "v") < self.v_radius
         return grid.expand_x(in_x) & grid.expand_v(in_v)
 
+    def space_box(self, grid: PhaseGrid):
+        """(box, mask): index slices of the bounding cell box of
+        `space_mask` in an (x, v) array, and the mask on that box."""
+        in_x = self._dist(grid, "x") < self.x_radius
+        in_v = self._dist(grid, "v") < self.v_radius
+        bx, bv = _bounding_box(in_x), _bounding_box(in_v)
+        return bx + bv, grid.expand_x(in_x[bx]) & grid.expand_v(in_v[bv])
+
     def intersects_grid(self, grid: PhaseGrid, times) -> bool:
         t = np.asarray(times)
         if not ((t.max() > self.t_lo) and (t.min() <= self.t_hi)):
             return False
-        return bool(self.space_mask(grid).any())
+        return bool((self._dist(grid, "x") < self.x_radius).any()
+                    and (self._dist(grid, "v") < self.v_radius).any())
 
     def __str__(self):
         return self.label or (f"({self.t_lo},{self.t_hi}]xB{self.x_radius}xB{self.v_radius}")
+
+
+def _bounding_box(mask: np.ndarray) -> tuple:
+    """Slices of the smallest index box holding every True entry of `mask`."""
+    box = []
+    for ax in range(mask.ndim):
+        others = tuple(a for a in range(mask.ndim) if a != ax)
+        hit = np.nonzero(mask.any(axis=others))[0]
+        box.append(slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0))
+    return tuple(box)
 
 
 def make_cylinder(r: float, dim: int = 1) -> Cylinder:
@@ -383,13 +452,15 @@ def cutoff_eval(level: DyadicLevel, point) -> float:
 # set measures and integrals over cylinders (midpoint cell rule)
 # ---------------------------------------------------------------------------
 
-def _time_cells(traj, region: Cylinder):
-    """Indices i of time cells (t_i, t_{i+1}) whose centers lie in the region."""
+def _time_cells(traj, region: Cylinder) -> slice:
+    """The range of time cells (t_i, t_{i+1}) whose centers lie in the
+    region (contiguous, since the region's time set is an interval)."""
     times = traj.times
     if len(times) < 2:
         raise GeometryError("trajectory must hold at least two time slices")
     mid = 0.5 * (times[:-1] + times[1:])
-    return np.nonzero(region.contains_time(mid))[0]
+    idx = np.nonzero(region.contains_time(mid))[0]
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 def _check_region(traj, region: Cylinder):
@@ -397,37 +468,47 @@ def _check_region(traj, region: Cylinder):
         raise GeometryError(f"region {region} does not intersect the grid domain")
 
 
+def _cell_values(traj, region: Cylinder):
+    """(values, mask): the midpoint-in-time values of the region's time
+    cells on the bounding box of its (x, v) mask, and the mask on that box;
+    values is None when no time cell lies in the region."""
+    _check_region(traj, region)
+    cells = _time_cells(traj, region)
+    box, mask = region.space_box(traj.grid)
+    if cells.start == cells.stop:
+        return None, mask
+    stored = traj.values[cells.start:cells.stop + 1][(slice(None),) + box]
+    return 0.5 * (stored[:-1] + stored[1:]), mask
+
+
 def level_set_measure(traj, predicate, region: Cylinder) -> float:
     """Lebesgue measure of {(t,x,v) in region : predicate(f)} by the cell rule.
 
     `traj` is a time-indexed field (attributes grid, times, values); the
     cell value is the midpoint-in-time average of the two adjacent slices.
+    `predicate` acts cell by cell and sees only the region's bounding box.
     Monotone in the threshold by construction; error at most one cell layer.
     """
-    _check_region(traj, region)
-    grid = traj.grid
-    idx = _time_cells(traj, region)
-    if idx.size == 0:
+    vals, mask = _cell_values(traj, region)
+    if vals is None:
         return 0.0
-    mask = region.space_mask(grid)
-    vals = 0.5 * (traj.values[idx] + traj.values[idx + 1])
     count = int(np.count_nonzero(predicate(vals) & mask))
     dt_cell = float(traj.times[1] - traj.times[0])
-    return count * dt_cell * grid.cell_volume
+    return count * dt_cell * traj.grid.cell_volume
 
 
 def cylinder_integral(traj, func, region: Cylinder) -> float:
     """Integral of func(f) over the region with the same cell rule as
-    `level_set_measure`, so Chebyshev comparisons are exact discretely."""
-    _check_region(traj, region)
-    grid = traj.grid
-    idx = _time_cells(traj, region)
-    if idx.size == 0:
+    `level_set_measure`, so Chebyshev comparisons are exact discretely.
+
+    `func` acts cell by cell and is evaluated on the region's bounding box
+    only: its time cells and the bounding cell box of its (x, v) mask.
+    """
+    vals, mask = _cell_values(traj, region)
+    if vals is None:
         return 0.0
-    mask = region.space_mask(grid)
-    vals = 0.5 * (traj.values[idx] + traj.values[idx + 1])
     dt_cell = float(traj.times[1] - traj.times[0])
-    return float(np.sum(func(vals) * mask)) * dt_cell * grid.cell_volume
+    return float(np.sum(func(vals) * mask)) * dt_cell * traj.grid.cell_volume
 
 
 def cylinder_node_extrema(traj, region: Cylinder):
@@ -438,12 +519,12 @@ def cylinder_node_extrema(traj, region: Cylinder):
     A region that captures no nodes returns count 0 and (nan, nan).
     """
     _check_region(traj, region)
-    grid = traj.grid
     t_idx = np.nonzero(region.contains_time(traj.times))[0]
-    mask = region.space_mask(grid)
+    box, mask = region.space_box(traj.grid)
     if t_idx.size == 0 or not mask.any():
         return np.nan, np.nan, 0
-    vals = traj.values[t_idx][:, mask]
+    stored = traj.values[t_idx[0]:t_idx[-1] + 1][(slice(None),) + box]
+    vals = stored[:, mask]
     return float(vals.min()), float(vals.max()), int(vals.size)
 
 

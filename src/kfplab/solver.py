@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import KeyedSampler
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
     time_quadrature_weights
@@ -342,24 +343,6 @@ def _check_cfl(grid: PhaseGrid, dt: float):
         raise CFLError(f"dt = {dt} exceeds the transport bound dx/v_max = {limit}")
 
 
-class _Keyed:
-    """Samples of a coefficient or source at step midpoints, drawn again only
-    when the field's `time_key` changes (equal keys give bit-equal
-    samples)."""
-
-    def __init__(self, field, draw):
-        self.field = field
-        self.draw = draw
-        self.key = object()  # equal to no key: the first call draws
-        self.value = None
-
-    def __call__(self, t):
-        key = self.field.time_key(t)
-        if key != self.key:
-            self.key, self.value = key, self.draw(t)
-        return self.value
-
-
 class _StepPlan:
     """What every Strang step of one solve reuses: the half-step transport
     gathers, the implicit diffusion operator with its factors, and the
@@ -374,9 +357,9 @@ class _StepPlan:
         self.active = active
         self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic")
         self.implicit = _ImplicitDiffusion(grid, dt, active)
-        self.coefficients = _Keyed(diffusion,
-                                   lambda t: _coefficient_grid(diffusion, grid, t))
-        self.increment = None if source is None else _Keyed(
+        self.coefficients = KeyedSampler(
+            diffusion, lambda t: _coefficient_grid(diffusion, grid, t))
+        self.increment = None if source is None else KeyedSampler(
             source, lambda t: dt * source.sample(grid, t))
 
     def restrict(self, values):
@@ -591,6 +574,8 @@ def energy_budget(traj: Trajectory, source, lam: float):
     """
     grid = traj.grid
     e0 = 0.5 * float(np.sum(traj.values[0]**2)) * grid.cell_volume
+    sample = None if source is None else KeyedSampler(
+        source, lambda t: source.sample(grid, t))
     records = []
     dissip = 0.0
     work = 0.0
@@ -603,7 +588,7 @@ def energy_budget(traj: Trajectory, source, lam: float):
             h = float(traj.times[i] - traj.times[i - 1])
             dissip += h * grad_v_sq_sum(grid, vals) / lam
             if source is not None:
-                g = source.sample(grid, t - 0.5 * h)
+                g = sample(t - 0.5 * h)
                 g_l2 = float(np.sqrt(np.sum(g**2) * grid.cell_volume))
                 f_l2 = float(np.sqrt(np.sum(vals**2) * grid.cell_volume))
                 work += h * g_l2 * f_l2
@@ -621,12 +606,16 @@ def local_energy_check(traj: Trajectory, k: int, c: float, lam: float,
     All six integrals are evaluated by quadrature with the level-k cutoffs:
     lhs is the weighted energy at t plus the (1/lam)-weighted dissipation of
     eta(v) (f-c)_+, rhs is the energy at s, the lam |grad eta(v)|^2 term,
-    the transport term with v . grad eta(x), and the source work.
+    the transport term with v . grad eta(x), and the source work.  Each
+    integrand vanishes outside B(R_{k-1})^2, so all of them are evaluated on
+    the trajectory's window from s with two extra v cells, on which the
+    centered v differences of eta(v) (f-c)_+ equal the whole grid's.
     """
     if not s < t + 1e-15:
         raise ValueError(f"need s < t, got s = {s}, t = {t}")
-    grid = traj.grid
     level = DyadicLevel(k)
+    traj = traj.window(s, level.outer_radius, 2)
+    grid = traj.grid
     eta_x = level.eta(grid.rho_x)
     eta_v = level.eta(grid.rho_v)
     eta_v_slope = level.eta_slope(grid.rho_v)
@@ -635,6 +624,8 @@ def local_energy_check(traj: Trajectory, k: int, c: float, lam: float,
     cv = grid.cell_volume
 
     vdot = level.v_dot_grad_eta_x(grid)
+    sample = None if source is None else KeyedSampler(
+        source, lambda when: source.sample(grid, when))
 
     def positive_part(i):
         return np.maximum(traj.values[i] - c, 0.0)
@@ -660,7 +651,7 @@ def local_energy_check(traj: Trajectory, k: int, c: float, lam: float,
         grad_pen += w * float(np.sum(wx * fk**2 * grid.expand_v(eta_v_slope) ** 2)) * cv
         transport += w * 0.5 * float(np.sum(wv**2 * fk**2 * vdot)) * cv
         if source is not None:
-            g = source.sample(grid, float(traj.times[i]))
+            g = sample(float(traj.times[i]))
             source_term += w * float(np.sum(g * fk * wx * wv**2)) * cv
 
     lhs = energy_t + dissip / lam

@@ -1,7 +1,12 @@
+import csv
+import filecmp
+import os
+
 import numpy as np
 import pytest
 
 from kfplab import averaging
+from kfplab.cli import main as cli_main
 from kfplab.config import parse_config
 from kfplab.degiorgi import empirical_kappa
 from kfplab.pipeline import (
@@ -21,6 +26,9 @@ grid.n_x = 24
 grid.n_v = 24
 coeff.kind = checkerboard
 """
+# the amplitude-3 run of test_barrier_audits_see_nonzero_fields: its
+# truncations (f - C_k)_+ eta, and so its barrier fields, are non-zero
+BARRIER_CONFIG = SMALL_CONFIG + "initial.amplitude = 3.0\ndiagnostics.bisection = false\n"
 
 
 def test_affine_bisection_matches_direct_solves():
@@ -76,3 +84,21 @@ def test_barrier_audits_see_nonzero_fields(monkeypatch):
     assert row[col["plancherel_defect"]] <= 1e-12 * max(1.0, l2)
     assert res.verdicts["comparison"]
     assert res.verdicts["spectral"]
+
+
+def test_barrier_artifacts_byte_identical_across_cli_runs(tmp_path):
+    # the only tier-1 run in which the barrier path meets non-zero data twice
+    cfg_path = tmp_path / "barrier.cfg"
+    cfg_path.write_text(BARRIER_CONFIG)
+    assert cli_main(["run", str(cfg_path), "-o", str(tmp_path / "a")]) == 0
+    assert cli_main(["run", str(cfg_path), "-o", str(tmp_path / "b")]) == 0
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    assert "barrier_k1_final.snap" in names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
+                           shallow=False), name
+    with open(tmp_path / "a" / "barrier.csv", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[0]["f_linf"]) > 0.0
+    assert float(rows[0]["s1_l2"]) > 0.0

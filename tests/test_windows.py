@@ -1,0 +1,392 @@
+"""Level-window audits against the whole-grid versions they replaced.
+
+The references below are the full-grid forms of `cylinder_integral`,
+`truncation_energy`, `build_barrier_sources` and `local_energy_check`:
+they sweep every stored slice and every cell of the phase box.  The
+windowed audits must agree with them to 1e-12 relative, and the barrier
+sources cell for cell, on N = 1 and N = 2 grids of odd and even size, at
+an amplitude whose truncations (and so the barrier fields) are non-zero.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kfplab import solver
+from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
+from kfplab.degiorgi import (
+    build_barrier_sources,
+    grad_v_sq_trajectory,
+    truncate,
+    truncation_energy,
+)
+from kfplab.fields import PhaseField, Trajectory
+from kfplab.geometry import (
+    Cylinder,
+    DyadicLevel,
+    GridWindow,
+    PhaseGrid,
+    cylinder_integral,
+    cylinder_node_extrema,
+    dyadic_time,
+    hat_cylinder,
+    level_set_measure,
+    make_cylinder,
+    time_quadrature_weights,
+)
+from kfplab.solver import WHOLE_SPACE, local_energy_check, solve
+
+REL = 1e-12
+
+
+# --- whole-grid references ------------------------------------------------------
+
+def _cells_reference(traj, region):
+    mid = 0.5 * (traj.times[:-1] + traj.times[1:])
+    idx = np.nonzero(region.contains_time(mid))[0]
+    vals = 0.5 * (traj.values[idx] + traj.values[idx + 1])
+    return vals, region.space_mask(traj.grid), idx.size
+
+
+def _cylinder_integral_reference(traj, func, region):
+    vals, mask, n_cells = _cells_reference(traj, region)
+    if n_cells == 0:
+        return 0.0
+    dt_cell = float(traj.times[1] - traj.times[0])
+    return float(np.sum(func(vals) * mask)) * dt_cell * traj.grid.cell_volume
+
+
+def _level_set_measure_reference(traj, predicate, region):
+    vals, mask, n_cells = _cells_reference(traj, region)
+    if n_cells == 0:
+        return 0.0
+    dt_cell = float(traj.times[1] - traj.times[0])
+    return int(np.count_nonzero(predicate(vals) & mask)) * dt_cell * traj.grid.cell_volume
+
+
+def _truncation_energy_reference(traj, k, lam):
+    grid = traj.grid
+    level = DyadicLevel(k)
+    eta_x = grid.expand_x(level.eta(grid.rho_x))
+    eta_v = grid.expand_v(level.eta(grid.rho_v))
+    c = level.truncation
+    cv = grid.cell_volume
+    w = time_quadrature_weights(traj.times, level.t_start, 0.0)
+    sup_term = 0.0
+    dissipation = 0.0
+    for i in np.nonzero((traj.times >= level.t_start - 1e-12))[0]:
+        fk = np.maximum(traj.values[i] - c, 0.0)
+        sup_term = max(sup_term, 0.5 * float(np.sum(eta_x * eta_v**2 * fk**2)) * cv)
+        if w[i] > 0.0:
+            prod = eta_v * fk
+            gsq = np.zeros(grid.shape)
+            for ax in range(grid.dim):
+                gsq += np.gradient(prod, grid.dv, axis=grid.dim + ax) ** 2
+            dissipation += float(w[i]) * float(np.sum(eta_x * gsq)) * cv
+    fk_traj = truncate(traj, k)
+    gk_traj = grad_v_sq_trajectory(fk_traj)
+    q_in = level.cylinder(grid.dim)
+    q_out = level.outer_cylinder(grid.dim)
+    sq = lambda v: v**2
+    ident = lambda v: v
+    return {
+        "energy": sup_term + dissipation / lam,
+        "sup_term": sup_term,
+        "dissipation_term": dissipation / lam,
+        "level_set": _level_set_measure_reference(traj, lambda f: f > c, q_out),
+        "fk_l2_inner": math.sqrt(_cylinder_integral_reference(fk_traj, sq, q_in)),
+        "fk_l2_outer": math.sqrt(_cylinder_integral_reference(fk_traj, sq, q_out)),
+        "grad_l2_inner": math.sqrt(_cylinder_integral_reference(gk_traj, ident, q_in)),
+        "grad_l2_outer": math.sqrt(_cylinder_integral_reference(gk_traj, ident, q_out)),
+    }
+
+
+def _build_barrier_sources_reference(traj, k, diffusion, source):
+    grid = traj.grid
+    level = DyadicLevel(k)
+    c = level.truncation
+    eta_x = grid.expand_x(level.eta(grid.rho_x))
+    eta_v = grid.expand_v(level.eta(grid.rho_v))
+    rho_v_safe = np.where(grid.rho_v > 0, grid.rho_v, 1.0)
+    slope_v = level.eta_slope(grid.rho_v)
+    vdot = level.v_dot_grad_eta_x(grid)
+    grad_eta_v = [grid.expand_v(slope_v * grid.axis_coord("v", ax) / rho_v_safe)
+                  for ax in range(grid.dim)]
+    n = traj.n_slices
+    s1_vals = np.zeros((n,) + grid.shape)
+    s2_vals = [np.zeros((n,) + grid.shape) for _ in range(grid.dim)]
+    xs, vs = grid.coords()
+    for i in range(n):
+        t = float(traj.times[i])
+        f = traj.values[i]
+        fk = np.maximum(f - c, 0.0)
+        ind = f > c
+        a_diag = tuple(np.broadcast_to(a, grid.shape)
+                       for a in diffusion.diagonal(t, xs, vs))
+        g = source.sample(grid, t) if source is not None else 0.0
+        cross = np.zeros(grid.shape)
+        for ax in range(grid.dim):
+            dfk = np.gradient(fk, grid.dv, axis=grid.dim + ax)
+            cross += a_diag[ax] * dfk * grad_eta_v[ax]
+            s2_vals[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
+        s1_vals[i] = (g * ind * eta_x * eta_v**2
+                      + fk * eta_v**2 * vdot
+                      - 2.0 * eta_x * eta_v * cross)
+    s1 = Trajectory(grid, traj.times.copy(), s1_vals)
+    s2 = tuple(Trajectory(grid, traj.times.copy(), sv) for sv in s2_vals)
+    q_out = level.outer_cylinder(grid.dim)
+    sq = lambda v: v**2
+    fk_traj = truncate(traj, k)
+    g_ind = 0.0
+    if source is not None:
+        mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+        mask = q_out.space_mask(grid)
+        dt_cell = float(traj.times[1] - traj.times[0])
+        for i in np.nonzero(q_out.contains_time(mids))[0]:
+            f_mid = 0.5 * (traj.values[i] + traj.values[i + 1])
+            g = source.sample(grid, float(mids[i]))
+            g_ind += float(np.sum((g**2) * (f_mid > c) * mask)) * dt_cell * grid.cell_volume
+    return {
+        "s1": s1,
+        "s2": s2,
+        "s1_l2": math.sqrt(_cylinder_integral_reference(s1, sq, q_out)),
+        "s2_l2": math.sqrt(sum(_cylinder_integral_reference(comp, sq, q_out)
+                               for comp in s2)),
+        "fk_l2": math.sqrt(_cylinder_integral_reference(fk_traj, sq, q_out)),
+        "grad_fk_l2": math.sqrt(_cylinder_integral_reference(
+            grad_v_sq_trajectory(fk_traj), lambda v: v, q_out)),
+        "g_ind_l2": math.sqrt(g_ind),
+    }
+
+
+def _local_energy_check_reference(traj, k, c, lam, s, t, source=None):
+    """(residual, scale): the residual rhs - lhs and the largest of its
+    six terms, the scale its roundoff is relative to."""
+    grid = traj.grid
+    level = DyadicLevel(k)
+    eta_x = level.eta(grid.rho_x)
+    eta_v = level.eta(grid.rho_v)
+    eta_v_slope = level.eta_slope(grid.rho_v)
+    wx = grid.expand_x(eta_x)
+    wv = grid.expand_v(eta_v)
+    cv = grid.cell_volume
+    vdot = level.v_dot_grad_eta_x(grid)
+
+    def positive_part(i):
+        return np.maximum(traj.values[i] - c, 0.0)
+
+    i_s = traj.slice_index(s)
+    i_t = traj.slice_index(t)
+    energy_t = 0.5 * float(np.sum(wx * wv**2 * positive_part(i_t) ** 2)) * cv
+    energy_s = 0.5 * float(np.sum(wx * wv**2 * positive_part(i_s) ** 2)) * cv
+    w_time = time_quadrature_weights(traj.times, s, t)
+    dissip = grad_pen = transport = source_term = 0.0
+    for i in np.nonzero(w_time)[0]:
+        w = float(w_time[i])
+        fk = positive_part(i)
+        prod = grid.expand_v(eta_v) * fk
+        gsq = np.zeros(grid.shape)
+        for ax in range(grid.dim):
+            gsq += np.gradient(prod, grid.dv, axis=grid.dim + ax) ** 2
+        dissip += w * float(np.sum(wx * gsq)) * cv
+        grad_pen += w * float(np.sum(wx * fk**2 * grid.expand_v(eta_v_slope) ** 2)) * cv
+        transport += w * 0.5 * float(np.sum(wv**2 * fk**2 * vdot)) * cv
+        if source is not None:
+            g = source.sample(grid, float(traj.times[i]))
+            source_term += w * float(np.sum(g * fk * wx * wv**2)) * cv
+    terms = (energy_t, dissip / lam, energy_s, lam * grad_pen, transport, source_term)
+    residual = energy_s + lam * grad_pen + transport + source_term - (energy_t + dissip / lam)
+    return residual, max(abs(x) for x in terms)
+
+
+# --- runs with non-zero truncations ---------------------------------------------
+
+# (dim, n_t, n_x, v_max, n_v): N = 1 at 24^2 and 64^2, N = 2 at 13^4 and 18^4,
+# and an N = 1 grid whose v box ends just past |v| = R_0 = 1, so that the
+# level-1 window's two extra v cells are clipped at the grid edge
+GRIDS = {
+    "24": (1, 24, 24, 1.5, 24),
+    "64": (1, 48, 64, 1.5, 64),
+    "13x4": (2, 12, 13, 1.5, 13),
+    "18x4": (2, 18, 18, 1.5, 18),
+    "clip": (1, 24, 23, 1.05, 21),
+}
+
+
+def _initial(grid, amplitude):
+    def fn(*coords):
+        xs, vs = coords[:grid.dim], coords[grid.dim:]
+        out = amplitude * np.ones(())
+        for x in xs:
+            out = out * (0.6 + 0.4 * np.cos(np.pi * x / 1.5))
+        for v in vs:
+            out = out * np.exp(-v * v / 0.5)
+        return out
+    return PhaseField.from_function(grid, grid.t_span[0], fn)
+
+
+@pytest.fixture(scope="module", params=sorted(GRIDS))
+def run(request):
+    dim, n_t, n_x, v_max, n_v = GRIDS[request.param]
+    grid = PhaseGrid(dim, (-1.5, 0.0), n_t, 1.5, n_x, v_max, n_v)
+    diffusion = build_diffusion(dim, 2.0, "cellwise_random", seed=3,
+                                low=0.6, high=1.6, cell=0.25)
+    source = build_source(dim, "noise", bound=0.3, seed=5, cell=0.25)
+    traj = solve(_initial(grid, 3.0), diffusion, source, 0.0, WHOLE_SPACE)
+    return {"name": request.param, "traj": traj, "diffusion": diffusion,
+            "source": source, "lam": 2.0}
+
+
+def _close(got, expected, scale=None):
+    scale = max(abs(expected), abs(got)) if scale is None else scale
+    return abs(got - expected) <= REL * scale
+
+
+# --- the window itself ----------------------------------------------------------------
+
+def test_window_is_a_read_only_view_with_sliced_arrays(run):
+    traj = run["traj"]
+    grid = traj.grid
+    for k in range(4):
+        level = DyadicLevel(k)
+        win = traj.window(dyadic_time(k - 1), level.outer_radius, 2)
+        cells = win.grid
+        assert isinstance(cells, GridWindow)
+        assert np.shares_memory(win.values, traj.values)
+        assert not win.values.flags.writeable
+        with pytest.raises(ValueError):
+            win.values[0] = 0.0
+        assert traj.values.flags.writeable
+        # first slice: the last stored one at or before T_{k-1}
+        i0 = np.nonzero(traj.times <= dyadic_time(k - 1))[0]
+        i0 = i0[-1] if i0.size else 0
+        assert np.array_equal(win.times, traj.times[i0:])
+        assert np.array_equal(win.values, traj.values[(slice(i0, None),) + cells.box])
+        assert np.array_equal(cells.rho_x, grid.rho_x[cells.box[:grid.dim]])
+        assert np.array_equal(cells.rho_v, grid.rho_v[cells.box[grid.dim:]])
+        assert np.array_equal(cells.x_centers, grid.x_centers[cells.box[0]])
+        assert np.array_equal(cells.v_centers, grid.v_centers[cells.box[-1]])
+        # every cell of the level's outer ball is inside the window
+        in_ball = level.outer_cylinder(grid.dim).space_mask(grid)
+        outside = in_ball.copy()
+        outside[cells.box] = False
+        assert in_ball.any() and not outside.any()
+
+
+def test_window_margin_clips_at_grid_edge():
+    grid = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 23, 1.05, 21)
+    cells = GridWindow(grid, DyadicLevel(1).outer_radius, 2)
+    xs, vs = cells.box
+    assert (xs.start, xs.stop) == (4, 19)          # |x| < 1 on 23 cells of 3/23
+    assert (vs.start, vs.stop) == (0, grid.n_v)    # |v| < 1, +2 cells, clipped
+    # at k = 0 on the default box the window is the whole grid
+    whole = GridWindow(PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 13, 1.5, 13),
+                       DyadicLevel(0).outer_radius, 2)
+    assert whole.box == (slice(0, 13),) * 4
+
+
+# --- the audits against their references --------------------------------------------
+
+def test_cylinder_integral_matches_reference(run):
+    traj = run["traj"]
+    dim = traj.grid.dim
+    regions = [make_cylinder(DyadicLevel(k).outer_radius, dim) for k in range(4)]
+    regions += [make_cylinder(0.125, dim), hat_cylinder(dim),
+                Cylinder(dim, -0.9, -0.2, 0.7, 0.6, (0.3,) * dim, (-0.2,) * dim)]
+    funcs = [lambda f: f**2, lambda f: np.maximum(f - 0.25, 0.0) ** 2, np.abs]
+    for region in regions:
+        for func in funcs:
+            expected = _cylinder_integral_reference(traj, func, region)
+            assert _close(cylinder_integral(traj, func, region), expected), region
+        for level in (0.25, 0.5, 1.0):
+            pred = lambda f: f > level
+            assert level_set_measure(traj, pred, region) \
+                == _level_set_measure_reference(traj, pred, region)
+        times = region.contains_time(traj.times)
+        mask = region.space_mask(traj.grid)
+        if times.any() and mask.any():
+            vals = traj.values[times][:, mask]
+            assert cylinder_node_extrema(traj, region) == (
+                float(vals.min()), float(vals.max()), int(vals.size))
+
+
+def test_truncation_energy_matches_reference(run):
+    traj, lam = run["traj"], run["lam"]
+    for k in range(4):
+        got = truncation_energy(traj, k, lam)
+        expected = _truncation_energy_reference(traj, k, lam)
+        assert got.level_set == expected["level_set"]
+        for name, value in expected.items():
+            assert _close(getattr(got, name), value), (k, name)
+    assert truncation_energy(traj, 1, lam).energy > 0.0
+
+
+@pytest.mark.parametrize("with_source", [True, False])
+def test_barrier_sources_match_reference(run, with_source):
+    traj, diffusion = run["traj"], run["diffusion"]
+    source = run["source"] if with_source else None
+    for k in (1, 2):
+        got = build_barrier_sources(traj, k, diffusion, source)
+        expected = _build_barrier_sources_reference(traj, k, diffusion, source)
+        assert got.s1.values.shape == traj.values.shape
+        for i in range(traj.n_slices):
+            assert np.array_equal(got.s1.values[i], expected["s1"].values[i]), (k, i)
+            for comp, ref in zip(got.s2, expected["s2"]):
+                assert np.array_equal(comp.values[i], ref.values[i]), (k, i)
+        for name in ("s1_l2", "s2_l2", "fk_l2", "grad_fk_l2", "g_ind_l2"):
+            assert _close(getattr(got, name), expected[name]), (k, name)
+        if not with_source:
+            assert got.g_ind_l2 == 0.0
+    assert build_barrier_sources(traj, 1, diffusion, source).s1_l2 > 0.0
+
+
+@pytest.mark.parametrize("with_source", [True, False])
+def test_local_energy_check_matches_reference(run, with_source):
+    traj, lam = run["traj"], run["lam"]
+    source = run["source"] if with_source else None
+    scales = []
+    for k in (1, 2, 3):
+        c = DyadicLevel(k).truncation
+        t_k = dyadic_time(k)
+        for s, t in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
+            got = local_energy_check(traj, k, c, lam, s, t, source)
+            expected, scale = _local_energy_check_reference(traj, k, c, lam, s, t, source)
+            assert _close(got, expected, scale), (k, s, t)
+            scales.append(scale)
+    assert max(scales) > 0.0
+
+
+# --- keyed diagnostic sampling ----------------------------------------------------------
+
+def test_diagnostics_sample_once_per_time_key(monkeypatch):
+    grid = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 24, 1.5, 24)
+    diffusion = build_diffusion(1, 2.0, "cellwise_random", seed=3,
+                                low=0.6, high=1.6, cell=0.25)
+    source = build_source(1, "noise", bound=0.3, seed=5, cell=0.25)
+    traj = solve(_initial(grid, 3.0), diffusion, source, 0.0, WHOLE_SPACE)
+    calls = {"sample": [], "diagonal": []}
+    # the time is sample(grid, t)'s second argument and diagonal(t, xs, vs)'s first
+    for cls, name, t_arg in ((SourceField, "sample", 1), (DiffusionField, "diagonal", 0)):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, _name=name, _t=t_arg):
+            calls[_name].append(self.time_key(args[_t]))
+            return _original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    def distinct(keys):
+        return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+
+    for audit in (lambda: solver.energy_budget(traj, source, 2.0),
+                  lambda: local_energy_check(traj, 1, 0.25, 2.0, -0.75, 0.0, source),
+                  lambda: build_barrier_sources(traj, 1, diffusion, source)):
+        calls["sample"].clear()
+        calls["diagonal"].clear()
+        audit()
+        for keys in calls.values():
+            # one draw per run of equal keys, and fewer draws than slices
+            assert len(keys) == distinct(keys)
+        assert 0 < len(calls["sample"]) < traj.n_slices
+    # build_barrier_sources: diagonal per slice key, source per slice and per cell mid
+    assert 0 < len(calls["diagonal"]) < traj.n_slices

@@ -154,12 +154,10 @@ class AveragingEstimate:
     rhs_unit: float          # right-hand side evaluated with C_N = 1
     ratio: float             # lhs / rhs_unit; the fitted C_N for this field
     degenerate: bool
-    pieces: dict
 
 
 def averaging_estimate_audit(spectral: SpectralField, s1_l2: float, s2_l2: float,
-                             lam: float, radius: float,
-                             c_n: float = 1.0) -> AveragingEstimate:
+                             lam: float, radius: float) -> AveragingEstimate:
     """Audit the hypoelliptic smoothing bound for a barrier field G:
 
         ||D_t^{1/3} G|| + ||D_x^{1/3} G||
@@ -183,10 +181,7 @@ def averaging_estimate_audit(spectral: SpectralField, s1_l2: float, s2_l2: float
     rhs_unit = g_l2 + term_a + term_b
     degenerate = rhs_unit <= 0.0
     ratio = math.nan if degenerate else lhs / rhs_unit
-    return AveragingEstimate(
-        lhs=lhs, rhs_unit=c_n * rhs_unit, ratio=ratio, degenerate=degenerate,
-        pieces={"g_l2": g_l2, "dvg": dvg, "s1_l2": s1_l2, "s2_l2": s2_l2,
-                "term_a": term_a, "term_b": term_b})
+    return AveragingEstimate(lhs, rhs_unit, ratio, degenerate)
 
 
 def velocity_average(traj: Trajectory, phi, pad: int = 2):
@@ -200,12 +195,8 @@ def velocity_average(traj: Trajectory, phi, pad: int = 2):
     """
     grid = traj.grid
     if callable(phi):
-        if grid.dim == 1:
-            phi_vals = np.asarray(phi(grid.v_centers), dtype=float)
-        else:
-            v1 = grid.v_centers[:, None]
-            v2 = grid.v_centers[None, :]
-            phi_vals = np.asarray(phi(v1, v2), dtype=float)
+        phi_vals = np.asarray(
+            phi(*(grid.axis_coord("v", ax) for ax in range(grid.dim))), dtype=float)
     else:
         phi_vals = np.asarray(phi, dtype=float)
     if phi_vals.shape != grid.v_shape:

@@ -9,6 +9,7 @@ the outputs are byte-identical at any worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -59,13 +60,9 @@ def _expand_sweep(cfg: RunConfig, keys: dict):
     configs = []
     for seed in seeds:
         for kind in kinds:
-            import copy
-            sub = copy.deepcopy(cfg)
-            sub.seed = seed
-            sub.coeff_kind = kind
-            sub.label = f"{cfg.label}-s{seed}-{kind}"
-            sub.validate()
-            configs.append(sub)
+            sub = dataclasses.replace(cfg, seed=seed, coeff_kind=kind,
+                                      label=f"{cfg.label}-s{seed}-{kind}")
+            configs.append(sub.validate())
     return configs
 
 

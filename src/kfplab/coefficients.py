@@ -327,15 +327,13 @@ class SourceField:
     """The scalar source g(t, x, v) with a declared amplitude budget.
 
     `bound` is a pointwise budget: every kind satisfies |g| <= bound by
-    construction (noise is clamped).  `q` is the integrability exponent the
-    budget is declared in (inf by default); the L^q norm over Q[3/2] is
-    checked against gamma by `source_lq_norm`.
+    construction (noise is clamped).  Its L^q norm over Q[3/2], for the
+    exponent q of the iteration constants, is `source_lq_norm`.
     """
 
     dim: int
     kind: str
     bound: float = 0.0
-    q: float = np.inf
     params: dict = field(default_factory=dict)
     seed: int = 0
     transform: object = None
@@ -397,7 +395,7 @@ class SourceField:
 
     def transformed(self, transform, scale: float) -> "SourceField":
         """Pull back through a scaling map and multiply by `scale` (eps^2)."""
-        new = SourceField(self.dim, self.kind, self.bound, self.q,
+        new = SourceField(self.dim, self.kind, self.bound,
                           dict(self.params), self.seed,
                           transform=None, scale=self.scale * scale)
         if self.transform is None:
@@ -407,21 +405,21 @@ class SourceField:
         return new
 
     def scaled(self, factor: float) -> "SourceField":
-        return SourceField(self.dim, self.kind, self.bound, self.q,
+        return SourceField(self.dim, self.kind, self.bound,
                            dict(self.params), self.seed, self.transform,
                            self.scale * factor)
 
 
-def build_source(dim: int, kind: str, bound: float = 0.0, q: float = np.inf,
-                 seed: int = 0, **params) -> SourceField:
-    return SourceField(dim=dim, kind=kind, bound=bound, q=q, params=params, seed=seed)
+def build_source(dim: int, kind: str, bound: float = 0.0, seed: int = 0,
+                 **params) -> SourceField:
+    return SourceField(dim=dim, kind=kind, bound=bound, params=params, seed=seed)
 
 
-def source_lq_norm(source: SourceField, grid: PhaseGrid, q: float | None = None,
-                   region=None, n_t: int = 32) -> float:
-    """Quadrature L^q norm of g over a cylinder (default Q[3/2], cell rule)."""
-    q = source.q if q is None else q
-    region = make_cylinder(1.5, grid.dim) if region is None else region
+def source_lq_norm(source: SourceField, grid: PhaseGrid, q: float) -> float:
+    """Quadrature L^q norm of g over Q[3/2] (cell rule in space, midpoint
+    rule on 32 time cells)."""
+    region = make_cylinder(1.5, grid.dim)
+    n_t = 32
     t_lo = max(region.t_lo, grid.t_span[0])
     t_hi = min(region.t_hi, grid.t_span[1])
     mids = t_lo + (np.arange(n_t) + 0.5) * (t_hi - t_lo) / n_t

@@ -71,7 +71,6 @@ class RunConfig:
     # source
     source_kind: str = "zero"
     source_bound: float = 0.0
-    source_q: float = math.inf
     source_cell: float = 0.25
 
     # initial data
@@ -223,7 +222,7 @@ _PATHS = {
     "coeff.mid": "coeff_mid", "coeff.amplitude": "coeff_amplitude",
     "coeff.frequency": "coeff_frequency",
     "source.kind": "source_kind", "source.bound": "source_bound",
-    "source.q": "source_q", "source.cell": "source_cell",
+    "source.cell": "source_cell",
     "initial.kind": "initial_kind", "initial.amplitude": "initial_amplitude",
     "initial.modes": "initial_modes", "initial.v_width": "initial_v_width",
     "solver.dt": "dt", "solver.interp": "interp",

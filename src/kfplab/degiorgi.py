@@ -64,13 +64,65 @@ def truncate(traj: Trajectory, k: int) -> Trajectory:
     return traj.map_values(lambda v: np.maximum(v - c, 0.0))
 
 
+def _centered_grad_v(grid, values):
+    """Centered differences of `values` along each of its last `grid.dim`
+    axes (the v axes), one array per axis, made as they are consumed."""
+    for ax in range(grid.dim):
+        yield np.gradient(values, grid.dv, axis=values.ndim - grid.dim + ax)
+
+
+def _grad_v_sq(grid, values):
+    """|grad_v values|^2 by centered differences."""
+    out = np.zeros(values.shape)
+    for d in _centered_grad_v(grid, values):
+        out += d**2
+    return out
+
+
 def grad_v_sq_trajectory(traj: Trajectory) -> Trajectory:
     """|grad_v f|^2 slice-wise by centered differences."""
-    grid = traj.grid
-    out = np.zeros_like(traj.values)
-    for ax in range(grid.dim):
-        out += np.gradient(traj.values, grid.dv, axis=1 + grid.dim + ax) ** 2
-    return Trajectory(grid, traj.times.copy(), out)
+    return Trajectory(traj.grid, traj.times.copy(), _grad_v_sq(traj.grid, traj.values))
+
+
+# v cells a level window carries past B(R_{k-1}) on each side, so that the
+# centered v differences of eta_k(v) f_k there equal the whole grid's
+_V_MARGIN = 2
+
+
+def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None) -> dict:
+    """{slice index: raw cell sums} of the five level-k cutoff-energy
+    integrands of f_k = (f - C_k)_+ on the listed slices of a window with
+    v margin `_V_MARGIN`:
+
+        eta_x eta_v^2 f_k^2,   eta_x |grad_v(eta_v f_k)|^2,
+        eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
+        g f_k eta_x eta_v^2  (0.0 without a source).
+
+    U_k and the local energy inequality are reductions of these sums.
+    """
+    cells = win.grid
+    c = level.truncation
+    eta_x = cells.expand_x(level.eta(cells.rho_x))
+    eta_v = cells.expand_v(level.eta(cells.rho_v))
+    eta_v_sq = eta_v**2
+    weight = eta_x * eta_v_sq
+    slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
+    vdot = level.v_dot_grad_eta_x(cells)
+    sample = None if source is None else KeyedSampler(
+        source, lambda t: source.sample(cells, t))
+    sums = {}
+    for i in slices:
+        fk = np.maximum(win.values[i] - c, 0.0)
+        fk_sq = fk**2
+        work = 0.0
+        if source is not None:
+            work = float(np.sum(sample(float(win.times[i])) * fk * eta_x * eta_v_sq))
+        sums[int(i)] = (float(np.sum(weight * fk_sq)),
+                        float(np.sum(eta_x * _grad_v_sq(cells, eta_v * fk))),
+                        float(np.sum(eta_x * fk_sq * slope_sq)),
+                        float(np.sum(eta_v_sq * fk_sq * vdot)),
+                        work)
+    return sums
 
 
 @dataclass
@@ -98,25 +150,19 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
     if traj.times[0] > level.t_start + 1e-9:
         raise GeometryError(
             f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
-    traj = traj.window(dyadic_time(k - 1), level.outer_radius, 2)
+    traj = traj.window(dyadic_time(k - 1), level.outer_radius, _V_MARGIN)
     grid = traj.grid
-    eta_x = grid.expand_x(level.eta(grid.rho_x))
-    eta_v = grid.expand_v(level.eta(grid.rho_v))
     c = level.truncation
     cv = grid.cell_volume
 
     w = time_quadrature_weights(traj.times, level.t_start, 0.0)
+    slices = np.nonzero(traj.times >= level.t_start - 1e-12)[0]
     sup_term = 0.0
     dissipation = 0.0
-    for i in np.nonzero((traj.times >= level.t_start - 1e-12))[0]:
-        fk = np.maximum(traj.values[i] - c, 0.0)
-        sup_term = max(sup_term, 0.5 * float(np.sum(eta_x * eta_v**2 * fk**2)) * cv)
+    for i, (energy, grad_sq, *_) in _cutoff_sums(traj, level, slices).items():
+        sup_term = max(sup_term, 0.5 * energy * cv)
         if w[i] > 0.0:
-            prod = eta_v * fk
-            gsq = np.zeros(grid.shape)
-            for ax in range(grid.dim):
-                gsq += np.gradient(prod, grid.dv, axis=grid.dim + ax) ** 2
-            dissipation += float(w[i]) * float(np.sum(eta_x * gsq)) * cv
+            dissipation += float(w[i]) * grad_sq * cv
 
     fk_traj = truncate(traj, k)
     gk_traj = grad_v_sq_trajectory(fk_traj)
@@ -265,8 +311,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
         a_diag = coefficients(t)
         g = sample(t) if source is not None else 0.0
         cross = np.zeros(cells.shape)
-        for ax in range(grid.dim):
-            dfk = np.gradient(fk, grid.dv, axis=grid.dim + ax)
+        for ax, dfk in enumerate(_centered_grad_v(cells, fk)):
             cross += a_diag[ax] * dfk * grad_eta_v[ax]
             s2_box[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
         s1_box[i] = (g * ind * eta_x * eta_v**2
@@ -505,8 +550,6 @@ class GateReport:
     conclusion_sup: float
     conclusion_holds: bool
     resolution_limited: bool
-    premise_region: str
-    conclusion_region: str
 
     @property
     def implication_holds(self) -> bool:
@@ -548,12 +591,10 @@ def linfty_gate(traj: Trajectory, kappa_log: float, zoomed: bool = False,
     _, sup, count = cylinder_node_extrema(traj, region)
     conclusion_holds = bool(count > 0 and sup <= 0.5 + 1e-12)
     return GateReport(premise_log, kappa_log, premise_holds, sup,
-                      conclusion_holds, resolution_limited,
-                      str(premise_region), f"Q[{r}]")
+                      conclusion_holds, resolution_limited)
 
 
-def empirical_kappa(run_fn, kappa_log: float, amp_lo: float = 1e-3,
-                    amp_hi: float = 4.0, rounds: int = 12):
+def empirical_kappa(run_fn, kappa_log: float, rounds: int = 12):
     """Bisect the initial-data amplitude for the largest premise integral
     whose run still satisfies the conclusion of the gate.
 
@@ -573,6 +614,8 @@ def empirical_kappa(run_fn, kappa_log: float, amp_lo: float = 1e-3,
     def gate_at(amp):
         return linfty_gate(run_fn(amp), kappa_log)
 
+    # the first bracket; its upper end grows while the gate passes there
+    amp_lo, amp_hi = 1e-3, 4.0
     g_lo = gate_at(amp_lo)
     if not g_lo.conclusion_holds:
         return {"kappa_emp_log10": -math.inf, "amp_pass": 0.0, "amp_fail": amp_lo,

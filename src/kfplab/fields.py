@@ -42,9 +42,6 @@ class PhaseField:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(self.values**2) * self.grid.cell_volume))
 
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.cell_volume)
 
@@ -81,10 +78,6 @@ class Trajectory:
     @property
     def t_start(self) -> float:
         return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
     def slice_index(self, t: float) -> int:
         """Index of the stored slice nearest to t (t must be inside the span)."""

@@ -106,10 +106,6 @@ class _CellBox:
         """Reshape a v-box array for broadcasting against full fields."""
         return w.reshape((1,) * self.dim + w.shape)
 
-    def space_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum over all (x, v) axes, keeping any leading axes."""
-        return values.sum(axis=tuple(range(-2 * self.dim, 0)))
-
 
 class PhaseGrid(_CellBox):
     """Uniform cell-centered grid over (t, x, v).
@@ -167,10 +163,6 @@ class PhaseGrid(_CellBox):
             return np.abs(centers)
         xx, yy = np.meshgrid(centers, centers, indexing="ij")
         return np.sqrt(xx * xx + yy * yy)
-
-    def with_time(self, t_span, n_t) -> "PhaseGrid":
-        return PhaseGrid(self.dim, t_span, n_t, self.x_max, self.n_x,
-                         self.v_max, self.n_v)
 
     def unit_scale(self) -> "PhaseGrid":
         """The same cell counts over the unit-scale box covering Q[3/2],

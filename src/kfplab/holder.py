@@ -31,6 +31,7 @@ from .geometry import (
     Cylinder,
     GeometryError,
     PhaseGrid,
+    _centered_cells,
     ball_volume,
     cylinder_node_extrema,
     hat_cylinder,
@@ -106,9 +107,9 @@ class ZoomedTriple:
     map: ScalingMap
 
 
-def _snap(coords: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _snap(coords: np.ndarray) -> np.ndarray:
     rounded = np.round(coords)
-    return np.where(np.abs(coords - rounded) < tol, rounded, coords)
+    return np.where(np.abs(coords - rounded) < 1e-9, rounded, coords)
 
 
 def _lerp(values: np.ndarray, axis: int, idx: np.ndarray) -> np.ndarray:
@@ -178,18 +179,16 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
     return ZoomedTriple(zoomed, a_z, g_z, smap)
 
 
-def zoom_residual(triple: ZoomedTriple, ring: int = 2,
-                  interp: str = "linear") -> dict:
+def zoom_residual(triple: ZoomedTriple) -> dict:
     """Discrete equation residual of a zoomed triple, measured by re-solving.
 
     The equation with the transformed (a, g) is solved on the zoom grid
-    from the zoomed initial slice, with the outermost `ring` cells anchored
-    to the zoomed data; the interior mismatch against the data is the
-    residual (interpolation error plus scheme error of both solves).
+    from the zoomed initial slice, with the outermost cells (`ring_mask`)
+    anchored to the zoomed data; the interior mismatch against the data is
+    the residual (interpolation error plus scheme error of both solves).
     """
-    resolved = solve_anchored(triple.data, triple.diffusion, triple.source,
-                              ring=ring, interp=interp)
-    interior = ~ring_mask(triple.data.grid, ring)
+    resolved = solve_anchored(triple.data, triple.diffusion, triple.source)
+    interior = ~ring_mask(triple.data.grid)
     diff = np.abs(resolved.values - triple.data.values)[:, interior]
     osc = float(triple.data.values.max() - triple.data.values.min())
     abs_res = float(diff.max()) if diff.size else 0.0
@@ -220,22 +219,14 @@ class OscillationReport:
     eps_step: float                      # omega^2 / 27
     ladder: list = field(default_factory=list)   # osc over Q[omega/2] per level
     ladder_inner: list = field(default_factory=list)  # osc over Q[omega^3/54]
-    inner_resolved: bool = False
     mu_emp: float = math.nan
     fit_r2: float = math.nan
     degenerate: bool = True
-    theta: float = math.nan
-    beta: float = math.nan
-    k_star: int = -1
-    mu_guaranteed: float = math.nan
     sigma_emp: float = math.nan
-    residuals: list = field(default_factory=list)
 
 
 def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
-                       n_levels: int = 3, interp: str = "linear",
-                       dim: int | None = None,
-                       collect_residuals: bool = False) -> OscillationReport:
+                       n_levels: int = 3, interp: str = "linear") -> OscillationReport:
     """Iterate the zoom T_{omega^2/27} at base 0, re-solving at every level,
     and fit the oscillation contraction factor mu.
 
@@ -246,32 +237,27 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     subgrid; its oscillation is recorded too whenever it resolves).
     A field bounded by 1 with |g| <= beta is expected (see normalize_pair).
     """
-    dim = traj.grid.dim if dim is None else dim
+    dim = traj.grid.dim
     _check_omega(omega, dim)
     eps_step = omega * omega / 27.0
     report = OscillationReport(omega=omega, eps_step=eps_step)
-    region = make_cylinder(omega / 2.0, traj.grid.dim)
-    inner_region = make_cylinder(omega**3 / 54.0, traj.grid.dim)
+    region = make_cylinder(omega / 2.0, dim)
+    inner_region = make_cylinder(omega**3 / 54.0, dim)
 
     current = traj
     a_cur, g_cur = diffusion, source
     for level in range(n_levels + 1):
         report.ladder.append(oscillation(current, region))
+        inner = math.nan
         if inner_region.intersects_grid(current.grid, current.times):
             lo, hi, count = cylinder_node_extrema(current, inner_region)
-        else:
-            lo = hi = math.nan
-            count = 0
-        report.ladder_inner.append(hi - lo if count > 0 else math.nan)
-        if level == 0:
-            report.inner_resolved = count > 0
+            if count > 0:
+                inner = hi - lo
+        report.ladder_inner.append(inner)
         if level == n_levels:
             break
-        smap = ScalingMap(eps_step, 0.0, (0.0,) * current.grid.dim,
-                          (0.0,) * current.grid.dim)
+        smap = ScalingMap(eps_step, 0.0, (0.0,) * dim, (0.0,) * dim)
         triple = zoom(current, smap, a_cur, g_cur)
-        if collect_residuals:
-            report.residuals.append(zoom_residual(triple, interp=interp)["rel_residual"])
         resolved = solve_anchored(triple.data, triple.diffusion, triple.source,
                                   interp=interp)
         current, a_cur, g_cur = resolved, triple.diffusion, triple.source
@@ -461,6 +447,9 @@ def holder_fit(traj: Trajectory, base=None, radii=None) -> dict:
     listed radii.  Returns sigma, C, the regression R^2, and the per-radius
     sups; fewer than 3 radii is an error, and an identically flat field is
     reported degenerate.
+
+    The sups are taken on the box of slices and cells that the largest
+    radius reaches along each axis: it holds every node with d <= max(radii).
     """
     grid = traj.grid
     if base is None:
@@ -481,11 +470,22 @@ def holder_fit(traj: Trajectory, base=None, radii=None) -> dict:
     v0 = tuple(grid.v_centers[i] for i in iv)
 
     speed = 1.0 + float(np.linalg.norm(np.atleast_1d(v0)))
+    # d is at least each of its terms, and a Euclidean norm at least each
+    # coordinate's distance (to roundoff, hence the relative slack)
+    reach = max(radii) * (1.0 + 1e-9)
+    box = ((_centered_cells(traj.times - t0, reach / speed, 0),)
+           + tuple(_centered_cells(grid.x_centers - c0, reach, 0) for c0 in x0)
+           + tuple(_centered_cells(grid.v_centers - c0, reach, 0) for c0 in v0))
     xs, vs = grid.coords()
-    dist = (speed * np.abs(traj.times - t0)).reshape((-1,) + (1,) * 2 * grid.dim)
+    # each coordinate array varies along its own axis only: cut it there
+    cut = lambda c, ax: c[(slice(None),) * ax + (box[1 + ax],)]
+    xs = tuple(cut(c, ax) for ax, c in enumerate(xs))
+    vs = tuple(cut(c, grid.dim + ax) for ax, c in enumerate(vs))
+    dist = speed * np.abs(traj.times[box[0]] - t0)
+    dist = dist.reshape((-1,) + (1,) * 2 * grid.dim)
     dist = (dist + np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(xs, x0)))
             + np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(vs, v0))))
-    dev = np.abs(traj.values - f0)
+    dev = np.abs(traj.values[box] - f0)
 
     sups = []
     for r in radii:

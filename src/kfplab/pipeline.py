@@ -102,7 +102,7 @@ def build_source_field(cfg: RunConfig) -> SourceField:
     elif cfg.source_kind == "noise":
         params["cell"] = cfg.source_cell
     return SourceField(cfg.dim, cfg.source_kind, bound=cfg.source_bound,
-                       q=cfg.source_q, params=params, seed=cfg.seed * 13 + 5)
+                       params=params, seed=cfg.seed * 13 + 5)
 
 
 def build_initial(cfg: RunConfig, grid: PhaseGrid,
@@ -183,7 +183,6 @@ class RunResult:
     verdicts: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
-    trajectory: Trajectory | None = None
 
     @property
     def passed(self) -> bool:
@@ -232,8 +231,7 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
     return row, g_traj.field(g_traj.n_slices - 1).copy(), comparison_ok, spectral_ok
 
 
-def run_pipeline(cfg: RunConfig, out_dir=None, keep_trajectory: bool = False,
-                 ) -> RunResult:
+def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     cfg.validate()
     grid = build_grid(cfg)
     diffusion = build_coefficient(cfg)
@@ -244,8 +242,6 @@ def run_pipeline(cfg: RunConfig, out_dir=None, keep_trajectory: bool = False,
     tables = result.tables
 
     traj = solve_initial(cfg, grid, diffusion, source)
-    if keep_trajectory:
-        result.trajectory = traj
 
     # --- global energy inequality ------------------------------------------
     records, min_slack = solver.energy_budget(traj, source, cfg.lam)
@@ -265,8 +261,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None, keep_trajectory: bool = False,
     for k in (1, 2, 3):
         t_k = dyadic_time(k)
         for (s, t) in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
-            res = solver.local_energy_check(traj, k, DyadicLevel(k).truncation,
-                                            cfg.lam, s, t, source)
+            res = solver.local_energy_check(traj, k, cfg.lam, s, t, source)
             local_rows.append([k, s, t, res])
             local_ok &= res >= -tol_local
     tables["local_energy"] = local_rows
@@ -380,11 +375,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None, keep_trajectory: bool = False,
     metrics["ladder_r2"] = ladder.fit_r2
     verdicts["mu_contraction"] = bool(ladder.degenerate
                                       or (0.0 < ladder.mu_emp < 1.0))
-    if not ladder.degenerate and 0.0 < ladder.mu_emp < 1.0:
-        metrics["sigma_from_mu"] = holder.modulus_from_constants(
-            ladder.mu_emp, cfg.omega, dim=cfg.dim)
-    else:
-        metrics["sigma_from_mu"] = math.nan
+    metrics["sigma_from_mu"] = ladder.sigma_emp
 
     probe = holder.isoperimetric_probe(norm_traj, cfg.theta, cfg.omega,
                                        lemma["eta_iso_log10"], cfg.alpha_iso)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import KeyedSampler
+from .degiorgi import _V_MARGIN, _cutoff_sums
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
     time_quadrature_weights
@@ -79,7 +80,6 @@ class CFLError(ValueError):
 class BoundaryCondition:
     kind: str
     radius: float | None = None
-    periodic_x: bool = True
 
     def __post_init__(self):
         if self.kind not in ("whole_space", "kinetic_ibvp"):
@@ -87,12 +87,16 @@ class BoundaryCondition:
         if self.kind == "kinetic_ibvp" and (self.radius is None or self.radius <= 0):
             raise ValueError("kinetic_ibvp requires a positive ball radius")
 
+    @property
+    def periodic_x(self) -> bool:
+        return self.kind == "whole_space"
+
 
 WHOLE_SPACE = BoundaryCondition("whole_space")
 
 
 def kinetic_ibvp(radius: float) -> BoundaryCondition:
-    return BoundaryCondition("kinetic_ibvp", radius=radius, periodic_x=False)
+    return BoundaryCondition("kinetic_ibvp", radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +328,19 @@ def _bc_mask(grid: PhaseGrid, bc: BoundaryCondition):
     return grid.expand_x(in_x) & grid.expand_v(in_v)
 
 
-def ring_mask(grid: PhaseGrid, ring: int) -> np.ndarray:
-    """Cells within `ring` cells of either end of any x or v axis: the band
-    `solve_anchored` pins to its data."""
+# width in cells of the Dirichlet band `solve_anchored` pins to its data
+_ANCHOR_RING = 2
+
+
+def ring_mask(grid: PhaseGrid) -> np.ndarray:
+    """Cells within `_ANCHOR_RING` cells of either end of any x or v axis:
+    the band `solve_anchored` pins to its data."""
     mask = np.zeros(grid.shape, dtype=bool)
     for ax in range(2 * grid.dim):
         sl = [slice(None)] * 2 * grid.dim
-        sl[ax] = slice(0, ring)
+        sl[ax] = slice(0, _ANCHOR_RING)
         mask[tuple(sl)] = True
-        sl[ax] = slice(-ring, None)
+        sl[ax] = slice(-_ANCHOR_RING, None)
         mask[tuple(sl)] = True
     return mask
 
@@ -450,12 +458,12 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     return Trajectory(grid, np.array(times), slices, ledger)
 
 
-def solve_anchored(data: Trajectory, diffusion, source, ring: int = 2,
+def solve_anchored(data: Trajectory, diffusion, source,
                    interp: str = "linear") -> Trajectory:
     """Re-solve the equation with initial and boundary data taken from `data`.
 
     Starts from the first stored slice and steps the boundary problem whose
-    Dirichlet cells are the outermost `ring` cells of each x and v axis,
+    Dirichlet cells are the outermost cells of each x and v axis (`ring_mask`),
     filled with the data trajectory (time-interpolated) at every new time
     level.  Used by the zoom machinery, where `data` is an interpolated
     field and the re-solve imposes the equation at the new scale with
@@ -464,7 +472,7 @@ def solve_anchored(data: Trajectory, diffusion, source, ring: int = 2,
     grid = data.grid
     t0 = float(data.times[0])
     dt = float(data.times[1] - data.times[0])
-    plan = _StepPlan(grid, diffusion, source, dt, interp, False, ~ring_mask(grid, ring))
+    plan = _StepPlan(grid, diffusion, source, dt, interp, False, ~ring_mask(grid))
     times = [t0]
     slices = np.empty_like(data.values)
     slices[0] = data.values[0]
@@ -599,60 +607,42 @@ def energy_budget(traj: Trajectory, source, lam: float):
     return records, float(min_slack)
 
 
-def local_energy_check(traj: Trajectory, k: int, c: float, lam: float,
-                       s: float, t: float, source=None) -> float:
-    """Residual (rhs - lhs) of the cutoff energy inequality between times s < t.
+def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
+                       source=None) -> float:
+    """Residual (rhs - lhs) of the level-k cutoff energy inequality for
+    (f - C_k)_+ between times s < t.
 
     All six integrals are evaluated by quadrature with the level-k cutoffs:
     lhs is the weighted energy at t plus the (1/lam)-weighted dissipation of
-    eta(v) (f-c)_+, rhs is the energy at s, the lam |grad eta(v)|^2 term,
-    the transport term with v . grad eta(x), and the source work.  Each
-    integrand vanishes outside B(R_{k-1})^2, so all of them are evaluated on
-    the trajectory's window from s with two extra v cells, on which the
-    centered v differences of eta(v) (f-c)_+ equal the whole grid's.
+    eta(v) (f - C_k)_+, rhs is the energy at s, the lam |grad eta(v)|^2
+    term, the transport term with v . grad eta(x), and the source work.
+    They are reductions of the same per-slice cutoff sums as U_k
+    (`degiorgi.truncation_energy`), taken on the level window from s.
     """
     if not s < t + 1e-15:
         raise ValueError(f"need s < t, got s = {s}, t = {t}")
     level = DyadicLevel(k)
-    traj = traj.window(s, level.outer_radius, 2)
-    grid = traj.grid
-    eta_x = level.eta(grid.rho_x)
-    eta_v = level.eta(grid.rho_v)
-    eta_v_slope = level.eta_slope(grid.rho_v)
-    wx = grid.expand_x(eta_x)
-    wv = grid.expand_v(eta_v)
-    cv = grid.cell_volume
-
-    vdot = level.v_dot_grad_eta_x(grid)
-    sample = None if source is None else KeyedSampler(
-        source, lambda when: source.sample(grid, when))
-
-    def positive_part(i):
-        return np.maximum(traj.values[i] - c, 0.0)
-
+    traj = traj.window(s, level.outer_radius, _V_MARGIN)
+    cv = traj.grid.cell_volume
     i_s = traj.slice_index(s)
     i_t = traj.slice_index(t)
-    energy_t = 0.5 * float(np.sum(wx * wv**2 * positive_part(i_t) ** 2)) * cv
-    energy_s = 0.5 * float(np.sum(wx * wv**2 * positive_part(i_s) ** 2)) * cv
-
     w_time = time_quadrature_weights(traj.times, s, t)
+    weighted = np.nonzero(w_time)[0]
+    sums = _cutoff_sums(traj, level, sorted({i_s, i_t, *weighted.tolist()}), source)
+
+    energy_t = 0.5 * sums[i_t][0] * cv
+    energy_s = 0.5 * sums[i_s][0] * cv
     dissip = 0.0
     grad_pen = 0.0
     transport = 0.0
     source_term = 0.0
-    for i in np.nonzero(w_time)[0]:
+    for i in weighted:
         w = float(w_time[i])
-        fk = positive_part(i)
-        prod = grid.expand_v(eta_v) * fk
-        gsq = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            gsq += np.gradient(prod, grid.dv, axis=grid.dim + ax) ** 2
-        dissip += w * float(np.sum(wx * gsq)) * cv
-        grad_pen += w * float(np.sum(wx * fk**2 * grid.expand_v(eta_v_slope) ** 2)) * cv
-        transport += w * 0.5 * float(np.sum(wv**2 * fk**2 * vdot)) * cv
-        if source is not None:
-            g = sample(float(traj.times[i]))
-            source_term += w * float(np.sum(g * fk * wx * wv**2)) * cv
+        _, grad_sq, slope_sq, drift, work = sums[i]
+        dissip += w * grad_sq * cv
+        grad_pen += w * slope_sq * cv
+        transport += w * 0.5 * drift * cv
+        source_term += w * work * cv
 
     lhs = energy_t + dissip / lam
     rhs = energy_s + lam * grad_pen + transport + source_term

@@ -49,6 +49,13 @@ def test_config_rejects_unknown_key():
         parse_config("grid.n_y = 12\n")
 
 
+def test_config_rejects_source_q():
+    # the iteration constants read diagnostics.q; source.q is not a field
+    with pytest.raises(ConfigError, match="unknown field 'source.q'"):
+        parse_config("source.q = 2\n")
+    assert "source.q" not in config_to_text(parse_config(FAST_CONFIG))
+
+
 def test_config_rejects_bad_line():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("just some words\n")

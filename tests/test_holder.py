@@ -394,6 +394,64 @@ def test_holder_fit_degenerate_and_validation(grid):
         holder_fit(flat, radii=[0.1, 0.2])
 
 
+def _holder_sups_reference(traj, base, radii):
+    """The per-radius sups of `holder_fit` over the whole trajectory, with
+    full-size distance and deviation arrays (the form the boxed fit
+    replaced)."""
+    grid = traj.grid
+    t0, x0, v0 = base
+    it = traj.slice_index(t0)
+    ix = [int(np.argmin(np.abs(grid.x_centers - c))) for c in np.atleast_1d(x0)]
+    iv = [int(np.argmin(np.abs(grid.v_centers - c))) for c in np.atleast_1d(v0)]
+    f0 = traj.values[(it,) + tuple(ix) + tuple(iv)]
+    t0 = float(traj.times[it])
+    x0 = tuple(grid.x_centers[i] for i in ix)
+    v0 = tuple(grid.v_centers[i] for i in iv)
+    speed = 1.0 + float(np.linalg.norm(np.atleast_1d(v0)))
+    xs, vs = grid.coords()
+    dist = (speed * np.abs(traj.times - t0)).reshape((-1,) + (1,) * 2 * grid.dim)
+    dist = (dist + np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(xs, x0)))
+            + np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(vs, v0))))
+    dev = np.abs(traj.values - f0)
+    sups = []
+    for r in radii:
+        sel = dist <= r
+        sups.append(float(dev[sel].max()) if sel.any() else math.nan)
+    return sups
+
+
+@pytest.mark.parametrize("dim,n_t,n", [(1, 24, 24), (1, 48, 48), (2, 12, 13)])
+def test_holder_fit_box_matches_whole_trajectory_reference(dim, n_t, n):
+    grid = PhaseGrid(dim, (-1.5, 0.0), n_t, 1.5, n, 1.5, n)
+    diffusion = build_diffusion(dim, 2.0, "cellwise_random", seed=3,
+                                low=0.6, high=1.6, cell=0.25)
+    source = build_source(dim, "noise", bound=0.3, seed=5, cell=0.25)
+    rng = np.random.default_rng(dim * 100 + n)
+    f0 = PhaseField(grid, -1.5, rng.uniform(-1.0, 1.0, grid.shape))
+    traj = solve(f0, diffusion, source, 0.0, WHOLE_SPACE)
+    c = grid.x_centers
+    radii_sets = [
+        [0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05],     # the pipeline's default
+        [0.5, 0.375, 0.25, 0.125, 0.0625],
+        [5.0, 1.0, 0.3, 0.01],                            # past the box, below a cell
+    ]
+    bases = [
+        (0.0, (0.0,) * dim, (0.0,) * dim),
+        (0.0, (c[n // 3],) * dim, (c[2 * n // 5],) * dim),
+        (0.0, (c[5 * n // 8],) * dim, (c[3 * n // 4],) * dim),
+        (-0.75, (c[0],) * dim, (c[-1],) * dim),           # at the box corner
+        (-1.5, (c[1], c[-2])[:dim], (c[-1], c[2])[:dim]),  # per-axis, first slice
+    ]
+    for radii in radii_sets:
+        for base in bases:
+            fit = holder_fit(traj, base=base, radii=radii)
+            expected = _holder_sups_reference(traj, base, radii)
+            assert len(fit["sups"]) == len(expected)
+            for got, want in zip(fit["sups"], expected):
+                assert got == want or (math.isnan(got) and math.isnan(want)), \
+                    (radii, base)
+
+
 def test_zoom_dim2_identity_and_constant():
     grid2 = PhaseGrid(2, (-1.0, 0.0), 8, 1.0, 8, 1.0, 8)
     rng = np.random.default_rng(9)

@@ -7,6 +7,8 @@ from kfplab.geometry import PhaseGrid, DyadicLevel
 from kfplab.solver import (
     CFLError,
     WHOLE_SPACE,
+    BoundaryCondition,
+    kinetic_ibvp,
     _ImplicitDiffusion,
     _TransportPlan,
     _coefficient_grid,
@@ -231,14 +233,25 @@ def test_energy_constant_field_zero_dissipation(grid, rough_a, zero_g):
     assert records[-1]["dissipation"] < 1e-24
 
 
+def test_boundary_periodicity_follows_kind():
+    assert WHOLE_SPACE.periodic_x
+    assert not kinetic_ibvp(1.0).periodic_x
+    with pytest.raises(TypeError):
+        BoundaryCondition("kinetic_ibvp", radius=1.0, periodic_x=True)
+
+
 def test_local_energy_trivial_cases(grid, rough_a, zero_g):
     f0 = PhaseField.constant(grid, -1.5, 0.1)
     traj = solve(f0, rough_a, zero_g, 0.0, WHOLE_SPACE)
-    # f below the truncation level: every term vanishes
-    res = local_energy_check(traj, 2, 0.375, 2.0, -0.625, 0.0, zero_g)
+    # f below the truncation level C_2 = 0.375: every term vanishes
+    res = local_energy_check(traj, 2, 2.0, -0.625, 0.0, zero_g)
     assert res == 0.0
-    # degenerate interval s = t: both sides equal
-    res = local_energy_check(traj, 1, 0.0, 2.0, -0.25, -0.25, zero_g)
+    # degenerate interval s = t: both sides equal, on data above C_1 = 0.25
+    # so that the energies compared are non-zero
+    above = solve(PhaseField.constant(grid, -1.5, 0.5), rough_a, zero_g, 0.0,
+                  WHOLE_SPACE)
+    assert above.values.min() > DyadicLevel(1).truncation
+    res = local_energy_check(above, 1, 2.0, -0.25, -0.25, zero_g)
     assert abs(res) < 1e-14
 
 

@@ -350,7 +350,7 @@ def test_local_energy_check_matches_reference(run, with_source):
         c = DyadicLevel(k).truncation
         t_k = dyadic_time(k)
         for s, t in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
-            got = local_energy_check(traj, k, c, lam, s, t, source)
+            got = local_energy_check(traj, k, lam, s, t, source)
             expected, scale = _local_energy_check_reference(traj, k, c, lam, s, t, source)
             assert _close(got, expected, scale), (k, s, t)
             scales.append(scale)
@@ -379,7 +379,7 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
         return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
 
     for audit in (lambda: solver.energy_budget(traj, source, 2.0),
-                  lambda: local_energy_check(traj, 1, 0.25, 2.0, -0.75, 0.0, source),
+                  lambda: local_energy_check(traj, 1, 2.0, -0.75, 0.0, source),
                   lambda: build_barrier_sources(traj, 1, diffusion, source)):
         calls["sample"].clear()
         calls["diagonal"].clear()

@@ -202,8 +202,9 @@ def velocity_average(traj: Trajectory, phi, pad: int = 2):
     if phi_vals.shape != grid.v_shape:
         raise ValueError(f"phi shape {phi_vals.shape} does not match the v box "
                          f"{grid.v_shape}")
-    edge = np.take(phi_vals, [0, phi_vals.shape[0] - 1], axis=0)
-    if np.max(np.abs(edge)) > 1e-10 * max(1e-300, float(np.max(np.abs(phi_vals)))):
+    edge = max(float(np.max(np.abs(np.take(phi_vals, [0, -1], axis=ax))))
+               for ax in range(grid.dim))
+    if edge > 1e-10 * max(1e-300, float(np.max(np.abs(phi_vals)))):
         raise ValueError("phi must be compactly supported inside the v range")
 
     v_axes = tuple(range(1 + grid.dim, 1 + 2 * grid.dim))

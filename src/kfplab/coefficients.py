@@ -271,8 +271,6 @@ class EllipticityCertificate:
     passed: bool
     margin: float
     symmetry_defect: float
-    worst_point: tuple
-    n_samples: int
     violations: list
 
     def __bool__(self):
@@ -303,7 +301,6 @@ def validate_ellipticity(A: DiffusionField, grid: PhaseGrid, times=None,
     lo, hi = 1.0 / A.lam, A.lam
     margin = np.inf
     sym_defect = 0.0
-    worst = pts[0]
     violations = []
     for (t, x, v) in pts:
         m = A.matrix(t, x, v)
@@ -311,13 +308,12 @@ def validate_ellipticity(A: DiffusionField, grid: PhaseGrid, times=None,
         sym_defect = max(sym_defect, sym)
         eig = np.linalg.eigvalsh(0.5 * (m + m.T))
         pt_margin = min(float(eig.min() - lo), float(hi - eig.max()))
-        if pt_margin < margin:
-            margin, worst = pt_margin, (t, x, v)
+        margin = min(margin, pt_margin)
         if pt_margin < -1e-12 or sym > 1e-12:
             violations.append((t, x, v, pt_margin, sym))
     return EllipticityCertificate(
         passed=not violations, margin=margin, symmetry_defect=sym_defect,
-        worst_point=worst, n_samples=len(pts), violations=violations[:16])
+        violations=violations[:16])
 
 
 # --- source terms ------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .geometry import PhaseGrid, dyadic_time
+from .holder import lemma_constants
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
            "parse_sweep_config", "config_to_text"]
@@ -116,8 +117,9 @@ class RunConfig:
                 fail(path, f"resolution must be >= 4, got {val}")
         if not self.t_min < 0.0:
             fail("grid.t_min", f"must be negative (runs end at 0), got {self.t_min}")
-        if self.x_max <= 0 or self.v_max <= 0:
-            fail("grid.x_max", "box half-widths must be positive")
+        for path, val in (("grid.x_max", self.x_max), ("grid.v_max", self.v_max)):
+            if not val > 0:
+                fail(path, f"box half-widths must be positive, got {val}")
         if self.lam <= 1.0:
             fail("coeff.lambda", f"ellipticity constant must exceed 1, got {self.lam}")
         band = (1.0 / self.lam, self.lam)
@@ -166,8 +168,23 @@ class RunConfig:
             fail("diagnostics.theta", f"must lie in (0, 1/2), got {self.theta}")
         if self.alpha_iso <= 0:
             fail("diagnostics.alpha_iso", "must be positive")
-        if self.levels < 1:
-            fail("diagnostics.levels", "need at least one truncation level")
+        if self.beta is None:
+            if lemma_constants(self.omega, self.lam, self.dim, self.theta,
+                               self.alpha_iso)["beta"] == 0.0:
+                fail("diagnostics.alpha_iso", f"alpha_iso = {self.alpha_iso} makes "
+                                              "the derived source budget beta 0.0")
+        elif not self.beta > 0:
+            fail("diagnostics.beta", f"must be positive, got {self.beta}")
+        if self.gamma is not None and not self.gamma >= 0:
+            fail("diagnostics.gamma", f"must be nonnegative, got {self.gamma}")
+        if not self.c_n >= 0:
+            fail("diagnostics.c_n", f"must be nonnegative, got {self.c_n}")
+        for path, val in (("diagnostics.k_s", self.k_s), ("diagnostics.a", self.a_const)):
+            if not val > 0:
+                fail(path, f"must be positive, got {val}")
+        if self.levels < 2:
+            fail("diagnostics.levels", "the recursion audit needs truncation "
+                                       f"levels 0..K with K >= 2, got K = {self.levels}")
         if len(self.holder_radii) < 3:
             fail("diagnostics.holder_radii", "need at least 3 radii")
         for k in self.barrier_levels:

@@ -31,6 +31,7 @@ from .geometry import (
     ball_volume,
     cylinder_integral,
     cylinder_node_extrema,
+    cylinder_nodes,
     dyadic_time,
     dyadic_truncation,
     level_set_measure,
@@ -433,7 +434,7 @@ class IterationConstants:
         audit: a^2 = max(sublinear coefficient, linear coefficient)."""
         lam = self.lam
         g_bar = self.gamma * math.sqrt(self.q_measure)
-        coef_sublinear = 2.0 * (60.0 + 9.0 * lam) * g_bar**2
+        coef_sublinear = 2.0 * (60.0 + 9.0 * lam) * g_bar * g_bar
         coef_linear = (144.0 * (27.0 + 24.0 * lam**3)
                        + 24.0 * (27.0 * lam + 24.0 * lam**4)
                        + 16.0 * (27.0 + 16.0 * lam**3)
@@ -556,6 +557,27 @@ class GateReport:
         return (not self.premise_holds) or self.conclusion_holds
 
 
+# the gate's conclusion bound 1/2, with its roundoff slack
+_CONCLUSION_BOUND = 0.5 + 1e-12
+
+
+def _premise_log10(traj: Trajectory, region) -> float:
+    """log10 int_region f_+^2 (-inf when the integral is 0)."""
+    integral = cylinder_integral(traj, lambda f: np.maximum(f, 0.0) ** 2, region)
+    return math.log10(integral) if integral > 0 else -math.inf
+
+
+def _conclusion_cylinder(traj: Trajectory, r: float):
+    """(Q[r], False), or (the smallest node-resolving cylinder, True) when
+    Q[r] is below grid resolution."""
+    grid = traj.grid
+    dt_slice = float(traj.times[1] - traj.times[0])
+    min_r = max(1.5 * grid.dx, 1.5 * grid.dv, 1.5 * dt_slice)
+    if r < min_r:
+        return make_cylinder(min_r, grid.dim), True
+    return make_cylinder(r, grid.dim), False
+
+
 def linfty_gate(traj: Trajectory, kappa_log: float, zoomed: bool = False,
                 omega: float | None = None) -> GateReport:
     """Check the smallness gate: int f_+^2 over the premise cylinder below
@@ -566,76 +588,50 @@ def linfty_gate(traj: Trajectory, kappa_log: float, zoomed: bool = False,
     below grid resolution the smallest node-resolving cylinder is used and
     flagged.
     """
-    grid = traj.grid
+    dim = traj.grid.dim
     if zoomed:
         if omega is None:
             raise ValueError("zoomed gate requires omega")
-        premise_region = make_cylinder(omega / 2.0, grid.dim)
+        premise_region = make_cylinder(omega / 2.0, dim)
         conclusion_r = omega**3 / 54.0
     else:
-        premise_region = make_cylinder(1.5, grid.dim)
+        premise_region = make_cylinder(1.5, dim)
         conclusion_r = 0.5
-    integral = cylinder_integral(traj, lambda f: np.maximum(f, 0.0) ** 2,
-                                 premise_region)
-    premise_log = math.log10(integral) if integral > 0 else -math.inf
-    premise_holds = premise_log < kappa_log
-
-    resolution_limited = False
-    r = conclusion_r
-    dt_slice = float(traj.times[1] - traj.times[0])
-    min_r = max(1.5 * grid.dx, 1.5 * grid.dv, 1.5 * dt_slice)
-    if r < min_r:
-        r = min_r
-        resolution_limited = True
-    region = make_cylinder(r, grid.dim)
+    premise_log = _premise_log10(traj, premise_region)
+    region, resolution_limited = _conclusion_cylinder(traj, conclusion_r)
     _, sup, count = cylinder_node_extrema(traj, region)
-    conclusion_holds = bool(count > 0 and sup <= 0.5 + 1e-12)
-    return GateReport(premise_log, kappa_log, premise_holds, sup,
+    conclusion_holds = bool(count > 0 and sup <= _CONCLUSION_BOUND)
+    return GateReport(premise_log, kappa_log, premise_log < kappa_log, sup,
                       conclusion_holds, resolution_limited)
 
 
-def empirical_kappa(run_fn, kappa_log: float, rounds: int = 12):
-    """Bisect the initial-data amplitude for the largest premise integral
-    whose run still satisfies the conclusion of the gate.
+def empirical_kappa(traj: Trajectory, unit: Trajectory, a0: float):
+    """The empirical threshold of the plain gate over the initial amplitude:
+    (log10 kappa_emp, a*), with a* the largest amplitude whose run still
+    satisfies the gate's conclusion and kappa_emp the premise integral of
+    that run.
 
-    `run_fn(amplitude)` must return the solved trajectory; only its gate
-    report is kept, so the trajectory may live in a buffer the next call
-    overwrites.  The pipeline's `run_fn` (`pipeline.amplitude_runs`) solves
-    nothing: the scheme is affine in the initial data, so each trajectory
-    is the main run plus a multiple of one source-free unit-amplitude run,
-    and the pipeline checks that superposition against one direct solve at
-    the bracket end that sets kappa_emp (`metric.kappa_affine_defect`).
-    Returns a dict with the empirical threshold log10 kappa_emp (the premise
-    integral at the largest passing amplitude), the bracketing amplitudes,
-    and the gate reports at the bracket ends.  The assembled threshold is
-    sufficient, never necessary, so kappa_log <= kappa_emp is the expected
-    outcome.
+    The scheme is affine in the initial data, so the run from amplitude a
+    is traj + (a - a0) unit, where `traj` is the run from a0 and `unit` the
+    source-free run from amplitude 1.  On each conclusion node n the
+    conclusion T_n + (a - a0) U_n <= 1/2 is affine in a, so the passing
+    amplitudes form an interval, and its upper end is
+
+        a* = a0 + min over U_n > 0 of (1/2 - T_n) / U_n.
+
+    (-inf, -inf) when the conclusion fails already at amplitude 1e-3;
+    (inf, inf) when no conclusion node has U_n > 0.  The assembled
+    threshold is sufficient, never necessary, so kappa_log10 <= kappa_emp
+    is the expected outcome.
     """
-    def gate_at(amp):
-        return linfty_gate(run_fn(amp), kappa_log)
-
-    # the first bracket; its upper end grows while the gate passes there
-    amp_lo, amp_hi = 1e-3, 4.0
-    g_lo = gate_at(amp_lo)
-    if not g_lo.conclusion_holds:
-        return {"kappa_emp_log10": -math.inf, "amp_pass": 0.0, "amp_fail": amp_lo,
-                "gate_pass": None, "gate_fail": g_lo}
-    g_hi = gate_at(amp_hi)
-    grow = 0
-    while g_hi.conclusion_holds and grow < 8:
-        amp_lo, g_lo = amp_hi, g_hi
-        amp_hi *= 4.0
-        g_hi = gate_at(amp_hi)
-        grow += 1
-    if g_hi.conclusion_holds:
-        return {"kappa_emp_log10": g_hi.premise_log10, "amp_pass": amp_hi,
-                "amp_fail": math.inf, "gate_pass": g_hi, "gate_fail": None}
-    for _ in range(rounds):
-        mid = math.sqrt(amp_lo * amp_hi)
-        g_mid = gate_at(mid)
-        if g_mid.conclusion_holds:
-            amp_lo, g_lo = mid, g_mid
-        else:
-            amp_hi, g_hi = mid, g_mid
-    return {"kappa_emp_log10": g_lo.premise_log10, "amp_pass": amp_lo,
-            "amp_fail": amp_hi, "gate_pass": g_lo, "gate_fail": g_hi}
+    region, _ = _conclusion_cylinder(traj, 0.5)
+    t_n = cylinder_nodes(traj, region)
+    u_n = cylinder_nodes(unit, region)
+    if t_n.size == 0 or np.max(t_n + (1e-3 - a0) * u_n) > _CONCLUSION_BOUND:
+        return -math.inf, -math.inf
+    rising = u_n > 0
+    if not rising.any():
+        return math.inf, math.inf
+    amp = a0 + float(np.min((_CONCLUSION_BOUND - t_n[rising]) / u_n[rising]))
+    at_amp = Trajectory(traj.grid, traj.times, traj.values + (amp - a0) * unit.values)
+    return _premise_log10(at_amp, make_cylinder(1.5, traj.grid.dim)), amp

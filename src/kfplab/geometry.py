@@ -49,6 +49,7 @@ __all__ = [
     "level_set_measure",
     "cylinder_integral",
     "cylinder_node_extrema",
+    "cylinder_nodes",
     "time_quadrature_weights",
 ]
 
@@ -503,20 +504,26 @@ def cylinder_integral(traj, func, region: Cylinder) -> float:
     return float(np.sum(func(vals) * mask)) * dt_cell * traj.grid.cell_volume
 
 
-def cylinder_node_extrema(traj, region: Cylinder):
-    """(min, max, node count) of stored slice values inside the region.
-
-    Node-based (slice times in the interval, cell centers in the balls),
-    the discrete essential range used by oscillation and sup queries.
-    A region that captures no nodes returns count 0 and (nan, nan).
-    """
+def cylinder_nodes(traj, region: Cylinder) -> np.ndarray:
+    """The stored slice values at the nodes inside the region (slice times
+    in the interval, cell centers in the balls), one row per slice; empty
+    when the region captures no nodes."""
     _check_region(traj, region)
     t_idx = np.nonzero(region.contains_time(traj.times))[0]
+    if t_idx.size == 0:
+        return np.empty((0, 0))
     box, mask = region.space_box(traj.grid)
-    if t_idx.size == 0 or not mask.any():
+    return traj.values[t_idx[0]:t_idx[-1] + 1][(slice(None),) + box][:, mask]
+
+
+def cylinder_node_extrema(traj, region: Cylinder):
+    """(min, max, node count) of `cylinder_nodes`: the discrete essential
+    range used by oscillation and sup queries.  A region that captures no
+    nodes returns count 0 and (nan, nan).
+    """
+    vals = cylinder_nodes(traj, region)
+    if vals.size == 0:
         return np.nan, np.nan, 0
-    stored = traj.values[t_idx[0]:t_idx[-1] + 1][(slice(None),) + box]
-    vals = stored[:, mask]
     return float(vals.min()), float(vals.max()), int(vals.size)
 
 

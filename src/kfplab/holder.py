@@ -216,7 +216,6 @@ def oscillation(traj: Trajectory, region: Cylinder) -> float:
 @dataclass
 class OscillationReport:
     omega: float
-    eps_step: float                      # omega^2 / 27
     ladder: list = field(default_factory=list)   # osc over Q[omega/2] per level
     ladder_inner: list = field(default_factory=list)  # osc over Q[omega^3/54]
     mu_emp: float = math.nan
@@ -240,7 +239,7 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     dim = traj.grid.dim
     _check_omega(omega, dim)
     eps_step = omega * omega / 27.0
-    report = OscillationReport(omega=omega, eps_step=eps_step)
+    report = OscillationReport(omega=omega)
     region = make_cylinder(omega / 2.0, dim)
     inner_region = make_cylinder(omega**3 / 54.0, dim)
 
@@ -339,7 +338,6 @@ class IsoperimetricReport:
     flipped: bool
     hat_measure: float
     first_alternative: bool            # m_top below the eta threshold
-    second_alternative: bool           # m_middle >= alpha_iso
     verdict: str
 
 
@@ -390,7 +388,7 @@ def isoperimetric_probe(traj: Trajectory, theta: float, omega: float,
                "top_small" if first else
                "middle_large" if second else "neither")
     return IsoperimetricReport(m_below, m_top, m_middle, flipped, hat_total,
-                               first, second, verdict)
+                               first, verdict)
 
 
 def lemma_constants(omega: float, lam: float, dim: int, theta: float,
@@ -413,7 +411,7 @@ def lemma_constants(omega: float, lam: float, dim: int, theta: float,
     beta = theta ** (load + 2.0)
     mu = 1.0 - theta ** (k_star + 3)
     return {"eta_iso_log10": eta_log, "k_star": k_star, "beta": beta,
-            "mu_guaranteed": mu, "kappa_zoom_log10": kappa_log10(consts)}
+            "mu_guaranteed": mu}
 
 
 def normalize_pair(traj: Trajectory, source, beta: float):

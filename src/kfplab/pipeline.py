@@ -6,7 +6,8 @@ sweeps are: energy slack, truncation-energy monotonicity, the Chebyshev
 level-set bound, the barrier comparison, Plancherel and the spectral
 interpolation inequality, oscillation contraction mu < 1, a positive
 fitted Hoelder exponent, and the empirical-vs-assembled kappa ordering
-(with the bisection's superposition checked against a direct solve).
+(kappa_emp in closed form from the main run and one unit-amplitude run,
+its superposition checked against a direct solve).
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from .geometry import DyadicLevel, PhaseGrid, dyadic_time
 from .snapshots import export_snapshot
 
 __all__ = ["RunResult", "build_grid", "build_coefficient", "build_source_field",
-           "build_initial", "solve_initial", "amplitude_runs", "run_pipeline",
+           "build_initial", "solve_initial", "run_pipeline",
            "sweep", "worker_count", "write_incomplete_manifest"]
 
 MANIFEST_VERSION = 1
-# bound on max|superposed - direct| / (1 + max|direct|) at the bisection's
-# deciding amplitude; the superposition is exact up to roundoff
+# bound on max|superposed - direct| / (1 + max|direct|) at the amplitude
+# that sets kappa_emp; the superposition is exact up to roundoff
 AFFINE_TOLERANCE = 1e-12
 
 CSV_COLUMNS = {
@@ -147,30 +148,6 @@ def solve_initial(cfg: RunConfig, grid: PhaseGrid, diffusion, source,
     return solver.solve(build_initial(cfg, grid, amplitude), diffusion, source,
                         0.0, solver.WHOLE_SPACE, dt=cfg.dt, interp=cfg.interp,
                         store_every=cfg.store_every)
-
-
-def amplitude_runs(cfg: RunConfig, grid: PhaseGrid, diffusion,
-                   traj: Trajectory):
-    """`run_fn(amplitude)` for `degiorgi.empirical_kappa`, by superposition.
-
-    The step is linear in f (transport is a fixed gather, diffusion one
-    linear solve with f-independent coefficients) and adds g, which does not
-    depend on f; `build_initial` is the amplitude times a fixed profile.  So
-    the run from amplitude a is traj + (a - a0) U, where traj is the run
-    from a0 = cfg.initial_amplitude and U the source-free run from
-    amplitude 1: one extra solve serves every amplitude.  Each call
-    overwrites one shared buffer, so a returned trajectory is valid until
-    the next call.
-    """
-    unit = solve_initial(cfg, grid, diffusion, None, amplitude=1.0).values
-    buf = np.empty_like(traj.values)
-    a0 = cfg.initial_amplitude
-
-    def run_amp(amp):
-        np.multiply(unit, amp - a0, out=buf)
-        np.add(traj.values, buf, out=buf)
-        return Trajectory(grid, traj.times, buf)
-    return run_amp
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +316,22 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     verdicts["gate_implication"] = gate.implication_holds
 
     if cfg.run_bisection:
-        run_amp = amplitude_runs(cfg, grid, diffusion, traj)
-        bis = degiorgi.empirical_kappa(run_amp, kappa_log)
-        # one direct solve at the bracket end that sets kappa_emp checks the
-        # superposition; a future option that breaks affinity shows here
-        amp = bis["amp_fail"] if bis["gate_pass"] is None else bis["amp_pass"]
+        # the step is linear in f (transport is a fixed gather, diffusion one
+        # linear solve with f-independent coefficients) plus g, and the
+        # initial data is the amplitude times a fixed profile, so the run
+        # from amplitude a is traj + (a - a0) unit; one direct solve at a*
+        # (at 1e-3 when a* is infinite) checks that superposition
+        a0 = cfg.initial_amplitude
+        unit = solve_initial(cfg, grid, diffusion, None, amplitude=1.0)
+        kappa_emp, amp = degiorgi.empirical_kappa(traj, unit, a0)
+        amp = amp if math.isfinite(amp) else 1e-3
         direct = solve_initial(cfg, grid, diffusion, source, amp).values
-        defect = float(np.max(np.abs(run_amp(amp).values - direct))) \
+        superposed = traj.values + (amp - a0) * unit.values
+        defect = float(np.max(np.abs(superposed - direct))) \
             / (1.0 + float(np.max(np.abs(direct))))
-        metrics["kappa_emp_log10"] = bis["kappa_emp_log10"]
+        metrics["kappa_emp_log10"] = kappa_emp
         metrics["kappa_affine_defect"] = defect
-        verdicts["kappa_order"] = (kappa_log <= bis["kappa_emp_log10"]
+        verdicts["kappa_order"] = (kappa_log <= kappa_emp
                                    and defect <= AFFINE_TOLERANCE)
     else:
         metrics["kappa_emp_log10"] = math.nan

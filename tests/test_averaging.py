@@ -238,3 +238,13 @@ def test_velocity_average_dim2_smoke():
     out = velocity_average(traj, phi)
     profile = np.sin(np.pi * g2.x_centers)[:, None] * np.ones((1, 8))
     assert np.max(np.abs(out["average"][0] - profile)) < 1e-12
+
+
+def test_velocity_average_dim2_checks_every_v_edge():
+    g2 = PhaseGrid(2, (-1.0, 0.0), 8, 1.0, 8, 1.0, 8)
+    traj = Trajectory.from_constant(g2, g2.times, 1.0)
+    inner = np.maximum(1 - (g2.v_centers / 0.7) ** 2, 0.0)
+    phi = inner[:, None] * np.ones((1, 8))     # non-zero on the v_2 edges
+    for candidate in (phi, phi.T):
+        with pytest.raises(ValueError, match="compactly supported"):
+            velocity_average(traj, candidate)

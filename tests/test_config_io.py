@@ -72,6 +72,23 @@ def test_config_range_validation():
         parse_config("solver.dt = 1.0\n")
 
 
+@pytest.mark.parametrize("line, path", [
+    ("diagnostics.beta = 0", "diagnostics.beta"),
+    ("diagnostics.beta = -1", "diagnostics.beta"),
+    ("diagnostics.gamma = -100", "diagnostics.gamma"),
+    ("diagnostics.c_n = -5", "diagnostics.c_n"),
+    ("diagnostics.k_s = 0", "diagnostics.k_s"),
+    ("diagnostics.a = 0", "diagnostics.a"),
+    # the derived source budget beta = theta^(load + 2) underflows to 0.0
+    ("diagnostics.alpha_iso = 1e-9", "diagnostics.alpha_iso"),
+    ("diagnostics.levels = 1", "diagnostics.levels"),
+    ("grid.v_max = -1", "grid.v_max"),
+])
+def test_config_rejects_values_the_pipeline_cannot_run(line, path):
+    with pytest.raises(ConfigError, match=f"field '{path}'"):
+        parse_config(FAST_CONFIG + line + "\n")
+
+
 def test_config_rejects_barrier_start_between_slices():
     # dt = 0.03 on the default grid: T_0 = -1 is no stored slice time
     with pytest.raises(ConfigError, match="grid.n_t"):

@@ -19,7 +19,7 @@ from kfplab.degiorgi import (
     truncation_energy,
 )
 from kfplab.fields import PhaseField, Trajectory
-from kfplab.geometry import DyadicLevel, PhaseGrid, make_cylinder
+from kfplab.geometry import DyadicLevel, PhaseGrid, level_set_measure, make_cylinder
 from kfplab.solver import WHOLE_SPACE, solve
 
 
@@ -384,6 +384,31 @@ def test_empirical_kappa_dominates_assembled_kappa(grid):
         return solve(PhaseField(grid, -1.5, amp * profile), a, gz, 0.0,
                      WHOLE_SPACE)
 
-    out = empirical_kappa(run_fn, kl, rounds=8)
-    assert out["kappa_emp_log10"] > kl
-    assert out["amp_pass"] > 0
+    kappa_emp, amp = empirical_kappa(run_fn(0.4), run_fn(1.0), 0.4)
+    assert kappa_emp > kl
+    assert amp > 0
+
+
+def test_empirical_kappa_closed_form_on_constants(grid):
+    # T = 0.1, U = 1 and a0 = 0: the run at a is the constant 0.1 + a, so
+    # a* = 1/2 - 0.1 (+ the gate's 1e-12 slack) and the premise is
+    # int_{Q[3/2]} (1/2)^2 on the cell rule
+    const = lambda value: Trajectory.from_constant(grid, grid.times, value)
+    kappa_emp, amp = empirical_kappa(const(0.1), const(1.0), 0.0)
+    assert amp == pytest.approx(0.4, abs=1e-11)
+    premise = 0.25 * level_set_measure(const(1.0), lambda f: f > 0,
+                                       make_cylinder(1.5))
+    assert kappa_emp == pytest.approx(math.log10(premise), rel=1e-10)
+
+
+def test_empirical_kappa_infinite_branches(grid):
+    const = lambda value: Trajectory.from_constant(grid, grid.times, value)
+    # the conclusion fails already at amplitude 1e-3
+    assert empirical_kappa(const(1.0), const(0.0), 0.4) == (-math.inf, -math.inf)
+    # no conclusion node rises with the amplitude: every amplitude passes
+    assert empirical_kappa(const(0.0), const(-1.0), 0.4) == (math.inf, math.inf)
+
+
+def test_assembled_a_saturates_for_huge_gamma():
+    # g_bar^2 overflows: the front factor is inf, not an OverflowError
+    assert IterationConstants(1, 2.0, 1e300).assembled_a()["a"] == math.inf

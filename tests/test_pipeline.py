@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import math
 import os
 
 import numpy as np
@@ -8,10 +9,9 @@ import pytest
 from kfplab import averaging
 from kfplab.cli import main as cli_main
 from kfplab.config import parse_config
-from kfplab.degiorgi import empirical_kappa
+from kfplab.degiorgi import empirical_kappa, linfty_gate
 from kfplab.pipeline import (
     CSV_COLUMNS,
-    amplitude_runs,
     build_coefficient,
     build_grid,
     build_source_field,
@@ -40,15 +40,19 @@ def test_affine_bisection_matches_direct_solves():
     diffusion = build_coefficient(cfg)
     source = build_source_field(cfg)
     traj = solve_initial(cfg, grid, diffusion, source)
+    unit = solve_initial(cfg, grid, diffusion, None, amplitude=1.0)
+    kappa_emp, amp = empirical_kappa(traj, unit, cfg.initial_amplitude)
+    assert 1e-3 < amp < math.inf
 
-    affine = empirical_kappa(amplitude_runs(cfg, grid, diffusion, traj), kl)
-    direct = empirical_kappa(
-        lambda amp: solve_initial(cfg, grid, diffusion, source, amp), kl)
-    assert affine["amp_pass"] == direct["amp_pass"] > 0
-    assert affine["amp_fail"] == direct["amp_fail"]
-    assert affine["kappa_emp_log10"] == pytest.approx(direct["kappa_emp_log10"],
-                                                      rel=1e-12, abs=1e-12)
-    assert res.metrics["kappa_emp_log10"] == affine["kappa_emp_log10"]
+    def gate_at(a):
+        return linfty_gate(solve_initial(cfg, grid, diffusion, source, a), kl)
+
+    # a* is the largest passing amplitude, to the direct solves' roundoff
+    assert gate_at(amp * (1 - 1e-6)).conclusion_holds
+    assert not gate_at(amp * (1 + 1e-6)).conclusion_holds
+    assert kappa_emp == pytest.approx(gate_at(amp).premise_log10,
+                                      rel=1e-12, abs=1e-12)
+    assert res.metrics["kappa_emp_log10"] == kappa_emp
     assert res.metrics["kappa_affine_defect"] <= 1e-12
     assert res.verdicts["kappa_order"]
 

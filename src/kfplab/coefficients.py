@@ -66,6 +66,16 @@ def _drifts(transform) -> bool:
     return transform is not None and any(transform.v0)
 
 
+def _pullback(transform, t, xs, vs):
+    """(t, xs, vs) pulled back through a zoom, unchanged without one."""
+    return (t, xs, vs) if transform is None else transform.apply_coords(t, xs, vs)
+
+
+def _composed(outer, inner):
+    """The zoom `outer` after `inner`; `inner` alone without an outer one."""
+    return inner if outer is None else outer.compose(inner)
+
+
 def _time_cell(transform, t, cell: float, offset: float) -> int:
     """Index of the time cell holding t pulled back through `transform`."""
     if transform is not None:
@@ -148,11 +158,6 @@ class DiffusionField:
                 f"[{1.0 / self.lam}, {self.lam}]")
 
     # -- evaluation ----------------------------------------------------------
-    def _pullback(self, t, xs, vs):
-        if self.transform is None:
-            return t, xs, vs
-        return self.transform.apply_coords(t, xs, vs)
-
     def _scalar_rule(self, component, t, xs, vs):
         p = self.params
         seed = self.seed + 101 * component
@@ -212,7 +217,7 @@ class DiffusionField:
         """a(t, x, v) for dim = 1, broadcasting over array arguments."""
         if self.dim != 1:
             raise CoefficientError("scalar evaluation requires dim = 1")
-        t, xs, vs = self._pullback(t, (x,), (v,))
+        t, xs, vs = _pullback(self.transform, t, (x,), (v,))
         return self._scalar_rule(0, t, xs, vs)
 
     def diagonal(self, t, xs, vs):
@@ -220,15 +225,20 @@ class DiffusionField:
         if self.kind == "clamped_symmetric":
             raise CoefficientError("clamped_symmetric has no diagonal form; "
                                    "the solver is restricted to diagonal fields")
-        t, xs, vs = self._pullback(t, tuple(xs), tuple(vs))
+        t, xs, vs = _pullback(self.transform, t, tuple(xs), tuple(vs))
         return tuple(self._scalar_rule(i, t, xs, vs) for i in range(self.dim))
+
+    def sample(self, grid: PhaseGrid, t: float) -> tuple:
+        """The diagonal entries on all (x, v) cell centers of the grid at t."""
+        return tuple(np.broadcast_to(a, grid.shape)
+                     for a in self.diagonal(t, *grid.coords()))
 
     def matrix(self, t, x, v) -> np.ndarray:
         """The full N x N symmetric matrix at one point (validator path)."""
         xs = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
         vs = tuple(np.atleast_1d(np.asarray(v, dtype=float)))
         if self.kind == "clamped_symmetric":
-            tt, xs, vs = self._pullback(t, xs, vs)
+            tt, xs, vs = _pullback(self.transform, t, xs, vs)
             p = self.params
             lo = p.get("low", 1.0 / self.lam)
             hi = p.get("high", self.lam)
@@ -249,13 +259,8 @@ class DiffusionField:
 
     def transformed(self, transform) -> "DiffusionField":
         """Compose the coordinate transform (zoom pullback); lam is unchanged."""
-        new = DiffusionField(self.dim, self.lam, self.kind, dict(self.params),
-                             self.seed, transform=None)
-        if self.transform is None:
-            new.transform = transform
-        else:
-            new.transform = self.transform.compose(transform)
-        return new
+        return DiffusionField(self.dim, self.lam, self.kind, dict(self.params),
+                              self.seed, _composed(self.transform, transform))
 
 
 def build_diffusion(dim: int, lam: float, kind: str, seed: int = 0,
@@ -341,14 +346,9 @@ class SourceField:
         if self.bound < 0:
             raise CoefficientError("source bound must be nonnegative")
 
-    def _pullback(self, t, xs, vs):
-        if self.transform is None:
-            return t, xs, vs
-        return self.transform.apply_coords(t, xs, vs)
-
     def evaluate(self, t, xs, vs):
         """g at broadcast coordinates (tuple of x arrays, tuple of v arrays)."""
-        t, xs, vs = self._pullback(t, tuple(xs), tuple(vs))
+        t, xs, vs = _pullback(self.transform, t, tuple(xs), tuple(vs))
         p = self.params
         if self.kind == "zero":
             out = np.zeros(np.broadcast(*map(np.asarray, xs + vs)).shape)
@@ -391,14 +391,9 @@ class SourceField:
 
     def transformed(self, transform, scale: float) -> "SourceField":
         """Pull back through a scaling map and multiply by `scale` (eps^2)."""
-        new = SourceField(self.dim, self.kind, self.bound,
-                          dict(self.params), self.seed,
-                          transform=None, scale=self.scale * scale)
-        if self.transform is None:
-            new.transform = transform
-        else:
-            new.transform = self.transform.compose(transform)
-        return new
+        return SourceField(self.dim, self.kind, self.bound, dict(self.params),
+                           self.seed, _composed(self.transform, transform),
+                           self.scale * scale)
 
     def scaled(self, factor: float) -> "SourceField":
         return SourceField(self.dim, self.kind, self.bound,

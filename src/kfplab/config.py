@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .geometry import PhaseGrid, dyadic_time
+from .geometry import PhaseGrid, dyadic_radius, dyadic_time
 from .holder import lemma_constants
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
@@ -143,6 +143,8 @@ class RunConfig:
             fail("source.bound", "must be nonnegative")
         if self.initial_kind not in ("modes", "bump", "point"):
             fail("initial.kind", f"unknown kind {self.initial_kind!r}")
+        if not math.isfinite(self.initial_amplitude):
+            fail("initial.amplitude", f"must be finite, got {self.initial_amplitude}")
         if self.initial_v_width <= 0:
             fail("initial.v_width", "must be positive")
         if self.initial_modes < 1:
@@ -190,6 +192,13 @@ class RunConfig:
         for k in self.barrier_levels:
             if k < 1:
                 fail("diagnostics.barrier_levels", f"levels must be >= 1, got {k}")
+        # the level-k cutoff falls from 1 to 0 on R_k < |.| < R_{k-1}, an
+        # annulus that is empty once R_{k-1} rounds to R_k in float64
+        for path, ks in (("diagnostics.levels", [self.levels]),
+                         ("diagnostics.barrier_levels", self.barrier_levels)):
+            for k in ks:
+                if not dyadic_radius(k - 1) > dyadic_radius(k):
+                    fail(path, f"level {k} has an empty cutoff annulus")
         if self.store_every < 1:
             fail("solver.store_every", f"must be >= 1, got {self.store_every}")
         # the same step count and tolerance `solver.solve` enforces

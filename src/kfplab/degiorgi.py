@@ -29,11 +29,13 @@ from .geometry import (
     DyadicLevel,
     GeometryError,
     ball_volume,
+    cell_grad_v,
     cylinder_integral,
     cylinder_node_extrema,
     cylinder_nodes,
     dyadic_time,
     dyadic_truncation,
+    grad_v_sq_density,
     level_set_measure,
     make_cylinder,
     time_quadrature_weights,
@@ -65,41 +67,21 @@ def truncate(traj: Trajectory, k: int) -> Trajectory:
     return traj.map_values(lambda v: np.maximum(v - c, 0.0))
 
 
-def _centered_grad_v(grid, values):
-    """Centered differences of `values` along each of its last `grid.dim`
-    axes (the v axes), one array per axis, made as they are consumed."""
-    for ax in range(grid.dim):
-        yield np.gradient(values, grid.dv, axis=values.ndim - grid.dim + ax)
-
-
-def _grad_v_sq(grid, values):
-    """|grad_v values|^2 by centered differences."""
-    out = np.zeros(values.shape)
-    for d in _centered_grad_v(grid, values):
-        out += d**2
-    return out
-
-
 def grad_v_sq_trajectory(traj: Trajectory) -> Trajectory:
-    """|grad_v f|^2 slice-wise by centered differences."""
-    return Trajectory(traj.grid, traj.times.copy(), _grad_v_sq(traj.grid, traj.values))
-
-
-# v cells a level window carries past B(R_{k-1}) on each side, so that the
-# centered v differences of eta_k(v) f_k there equal the whole grid's
-_V_MARGIN = 2
+    """|grad_v f|^2 slice-wise, the face-difference cell density."""
+    return traj.map_values(lambda values: grad_v_sq_density(traj.grid, values))
 
 
 def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None) -> dict:
     """{slice index: raw cell sums} of the five level-k cutoff-energy
-    integrands of f_k = (f - C_k)_+ on the listed slices of a window with
-    v margin `_V_MARGIN`:
+    integrands of f_k = (f - C_k)_+ on the listed slices of a level window:
 
         eta_x eta_v^2 f_k^2,   eta_x |grad_v(eta_v f_k)|^2,
         eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
-        g f_k eta_x eta_v^2  (0.0 without a source).
+        g f_k eta_x eta_v^2  (0.0 without a source),
 
-    U_k and the local energy inequality are reductions of these sums.
+    with |grad_v|^2 the face-difference cell density.  U_k and the local
+    energy inequality are reductions of these sums.
     """
     cells = win.grid
     c = level.truncation
@@ -119,7 +101,7 @@ def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None) -> di
         if source is not None:
             work = float(np.sum(sample(float(win.times[i])) * fk * eta_x * eta_v_sq))
         sums[int(i)] = (float(np.sum(weight * fk_sq)),
-                        float(np.sum(eta_x * _grad_v_sq(cells, eta_v * fk))),
+                        float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * fk))),
                         float(np.sum(eta_x * fk_sq * slope_sq)),
                         float(np.sum(eta_v_sq * fk_sq * vdot)),
                         work)
@@ -142,16 +124,16 @@ class TruncationReport:
 def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
     """Compute U_k from stored slices: discrete sup over the slices in
     [T_k, 0] plus trapezoid time-quadrature of the weighted dissipation,
-    with grad_v applied to the product eta_k(v) f_k by centered differences.
+    with |grad_v (eta_k(v) f_k)|^2 the face-difference cell density.
 
     Every term vanishes outside Q_{k-1}, so the report is computed on the
-    trajectory's window from T_{k-1} over B(R_{k-1})^2 with two extra v
-    cells, on which the centered differences equal the whole grid's."""
+    trajectory's window from T_{k-1} over B(R_{k-1})^2 with one extra v
+    cell, on which the face differences equal the whole grid's."""
     level = DyadicLevel(k)
     if traj.times[0] > level.t_start + 1e-9:
         raise GeometryError(
             f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
-    traj = traj.window(dyadic_time(k - 1), level.outer_radius, _V_MARGIN)
+    traj = traj.window(dyadic_time(k - 1), level.outer_radius)
     grid = traj.grid
     c = level.truncation
     cv = grid.cell_volume
@@ -165,23 +147,22 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
         if w[i] > 0.0:
             dissipation += float(w[i]) * grad_sq * cv
 
-    fk_traj = truncate(traj, k)
-    gk_traj = grad_v_sq_trajectory(fk_traj)
-    q_in = level.cylinder(grid.dim)
     q_out = level.outer_cylinder(grid.dim)
-    sq = lambda v: v**2
-    ident = lambda v: v
-    return TruncationReport(
-        k=k,
-        energy=sup_term + dissipation / lam,
-        sup_term=sup_term,
-        dissipation_term=dissipation / lam,
-        level_set=level_set_measure(traj, lambda f: f > c, q_out),
-        fk_l2_inner=math.sqrt(cylinder_integral(fk_traj, sq, q_in)),
-        fk_l2_outer=math.sqrt(cylinder_integral(fk_traj, sq, q_out)),
-        grad_l2_inner=math.sqrt(cylinder_integral(gk_traj, ident, q_in)),
-        grad_l2_outer=math.sqrt(cylinder_integral(gk_traj, ident, q_out)),
-    )
+    (fk_in, grad_in), (fk_out, grad_out) = _fk_norms(
+        traj, k, level.cylinder(grid.dim), q_out)
+    return TruncationReport(k, sup_term + dissipation / lam, sup_term,
+                            dissipation / lam,
+                            level_set_measure(traj, lambda f: f > c, q_out),
+                            fk_in, fk_out, grad_in, grad_out)
+
+
+def _fk_norms(traj: Trajectory, k: int, *regions) -> list:
+    """(||f_k||, ||grad_v f_k||) in L2 of each region, by the cell rule."""
+    fk = truncate(traj, k)
+    gk = grad_v_sq_trajectory(fk)
+    return [(math.sqrt(cylinder_integral(fk, lambda v: v**2, region)),
+             math.sqrt(cylinder_integral(gk, lambda v: v, region)))
+            for region in regions]
 
 
 @dataclass
@@ -267,14 +248,14 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
         S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v),
 
     both supported in Q_{k-1} through the cutoff factors.  Cutoff gradients
-    are analytic; grad_v f_k is by centered differences of the truncated
-    field.  The report carries the L2(Q_{k-1}) norms and the ladder bounds
-    they must satisfy.
+    are analytic; grad_v f_k is the cell gradient of the truncated field
+    (`geometry.cell_grad_v`).  The report carries the L2(Q_{k-1}) norms and
+    the ladder bounds they must satisfy.
 
     S1 and S2 are returned at every stored slice on the whole grid, zero
     outside the cell box of B(R_{k-1})^2.  They and the norms are computed on
     the trajectory's window over that box with one extra v cell, on which the
-    centered differences equal the whole grid's wherever a cutoff factor is
+    face differences equal the whole grid's wherever a cutoff factor is
     non-zero; the coefficient and the source are sampled there only when
     their time keys change.
     """
@@ -283,18 +264,13 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     grid = traj.grid
     level = DyadicLevel(k)
     c = level.truncation
-    win = traj.window(traj.t_start, level.outer_radius, 1)
+    win = traj.window(traj.t_start, level.outer_radius)
     cells = win.grid
     eta_x = cells.expand_x(level.eta(cells.rho_x))
     eta_v = cells.expand_v(level.eta(cells.rho_v))
-    rho_v_safe = np.where(cells.rho_v > 0, cells.rho_v, 1.0)
-    slope_v = level.eta_slope(cells.rho_v)
     vdot = level.v_dot_grad_eta_x(cells)
-
-    grad_eta_v = [cells.expand_v(slope_v * cells.axis_coord("v", ax) / rho_v_safe)
-                  for ax in range(grid.dim)]
-    coefficients = KeyedSampler(diffusion, lambda t: tuple(
-        np.broadcast_to(a, cells.shape) for a in diffusion.diagonal(t, *cells.coords())))
+    grad_eta_v = [cells.expand_v(g) for g in level.grad_eta(cells, "v")]
+    coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(cells, t))
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(cells, t))
 
@@ -312,8 +288,8 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
         a_diag = coefficients(t)
         g = sample(t) if source is not None else 0.0
         cross = np.zeros(cells.shape)
-        for ax, dfk in enumerate(_centered_grad_v(cells, fk)):
-            cross += a_diag[ax] * dfk * grad_eta_v[ax]
+        for ax in range(grid.dim):
+            cross += a_diag[ax] * cell_grad_v(cells, fk, ax) * grad_eta_v[ax]
             s2_box[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
         s1_box[i] = (g * ind * eta_x * eta_v**2
                      + fk * eta_v**2 * vdot
@@ -326,10 +302,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     sq = lambda v: v**2
     s1_l2 = math.sqrt(cylinder_integral(s1, sq, q_out))
     s2_l2 = math.sqrt(sum(cylinder_integral(comp, sq, q_out) for comp in s2))
-    fk_traj = truncate(win, k)
-    fk_l2 = math.sqrt(cylinder_integral(fk_traj, sq, q_out))
-    grad_l2 = math.sqrt(cylinder_integral(
-        grad_v_sq_trajectory(fk_traj), lambda v: v, q_out))
+    [(fk_l2, grad_l2)] = _fk_norms(win, k, q_out)
     g_ind = 0.0 if source is None else math.sqrt(
         _gind_integral(win, source, c, q_out))
     lam = diffusion.lam
@@ -413,13 +386,13 @@ class IterationConstants:
 
     @property
     def b_sq(self) -> float:
-        return self.a_const**2 * (1.0 + (6.0 + 5.0 * self.lam) * self.C_N)
+        return self.a_const * self.a_const * (1.0 + (6.0 + 5.0 * self.lam) * self.C_N)
 
     @property
     def big_c(self) -> float:
         c = self.c_const
         c2q = 1.0 if np.isinf(self.q) else c ** (2.0 / self.q)
-        return (12.0 * self.K_S**2 * (1.0 + 2.0 * self.lam)
+        return (12.0 * self.K_S * self.K_S * (1.0 + 2.0 * self.lam)
                 * c ** (1.0 / (6 * self.N + 3)) * (1.0 + c2q) * self.b_sq
                 + 3.0 * self.K_S * math.sqrt(1.0 + c2q)
                 * math.sqrt(self.b_sq) * self.gamma)
@@ -431,14 +404,15 @@ class IterationConstants:
     def assembled_a(self) -> dict:
         """Explicit assembly of the front factor `a` from the coefficient
         bounds of the barrier-source / barrier-energy chain, recorded for
-        audit: a^2 = max(sublinear coefficient, linear coefficient)."""
+        audit: a^2 = max(sublinear coefficient, linear coefficient).  The
+        powers are products, so a huge lam saturates them to inf."""
         lam = self.lam
         g_bar = self.gamma * math.sqrt(self.q_measure)
         coef_sublinear = 2.0 * (60.0 + 9.0 * lam) * g_bar * g_bar
-        coef_linear = (144.0 * (27.0 + 24.0 * lam**3)
-                       + 24.0 * (27.0 * lam + 24.0 * lam**4)
-                       + 16.0 * (27.0 + 16.0 * lam**3)
-                       + 192.0 * lam**2)
+        coef_linear = (144.0 * (27.0 + 24.0 * lam * lam * lam)
+                       + 24.0 * (27.0 * lam + 24.0 * lam * lam * lam * lam)
+                       + 16.0 * (27.0 + 16.0 * lam * lam * lam)
+                       + 192.0 * lam * lam)
         return {
             "g_bar": g_bar,
             "coef_sublinear": coef_sublinear,

@@ -100,14 +100,14 @@ class Trajectory:
         w = (t - times[j]) / (times[j + 1] - times[j])
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
-    def window(self, t_start: float, radius: float, v_margin: int) -> "Trajectory":
+    def window(self, t_start: float, radius: float) -> "Trajectory":
         """A read-only view of the stored slices from the last one at or
-        before t_start, on the cells of `GridWindow(grid, radius, v_margin)`.
+        before t_start, on the cells of `GridWindow(grid, radius)`.
 
         Every level-k audit vanishes outside Q_{k-1} = (T_{k-1}, 0] x
         B(R_{k-1})^2, so it reads only this window of the trajectory.
         """
-        cells = GridWindow(self.grid, radius, v_margin)
+        cells = GridWindow(self.grid, radius)
         i0 = max(int(np.searchsorted(self.times, t_start, side="right")) - 1, 0)
         values = self.values[i0:][(slice(None),) + cells.box]
         values.flags.writeable = False

@@ -14,12 +14,14 @@ evaluated on the region's bounding box only: the contiguous range of time
 cells it holds and the bounding cell box of its (x, v) mask, both read as
 views of the stored slices.
 
-A `GridWindow` is the cell box of one dyadic level: the cells with
-|x_a| < R and |v_a| < R on every axis, with a few extra v cells for the
-centered v differences of the level audits.  Its centers and radius arrays
-are slices of the parent grid's arrays, so every mask, cutoff and sample
-on it is bit-equal to the parent's on the same cell.  It is for audits
-only and is not a `PhaseGrid`: the solver's periodic x has no meaning on it.
+The v-calculus is the scheme's face difference D = np.diff/dv, its adjoint
+the face divergence, and one rule splitting each interior face value evenly
+onto its two cells.  A `GridWindow` is the cell box of one dyadic level:
+the cells with |x_a| < R and |v_a| < R on every axis, plus one v cell for
+the face differences.  Its centers and radius arrays are slices of the
+parent grid's arrays, so every mask, cutoff, sample and face difference on
+it is bit-equal to the parent's.  It is for audits only and is not a
+`PhaseGrid`: the solver's periodic x has no meaning on it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ __all__ = [
     "cylinder_node_extrema",
     "cylinder_nodes",
     "time_quadrature_weights",
+    "faces_to_cells",
+    "grad_v_sq_density",
+    "cell_grad_v",
+    "face_divergence",
 ]
 
 
@@ -108,6 +114,14 @@ class _CellBox:
         return w.reshape((1,) * self.dim + w.shape)
 
 
+def _distance(centers, point, dim: int) -> np.ndarray:
+    """|c - point| over the dim-axis box with these centers on every axis."""
+    if dim == 1:
+        return np.abs(centers - point[0])
+    xx, yy = np.meshgrid(centers - point[0], centers - point[1], indexing="ij")
+    return np.sqrt(xx * xx + yy * yy)
+
+
 class PhaseGrid(_CellBox):
     """Uniform cell-centered grid over (t, x, v).
 
@@ -155,15 +169,8 @@ class PhaseGrid(_CellBox):
         self.cell_volume = self.dx**self.dim * self.dv**self.dim
 
         # radius arrays over the x box and the v box
-        self.rho_x = self._radius(self.x_centers, self.x_shape)
-        self.rho_v = self._radius(self.v_centers, self.v_shape)
-
-    @staticmethod
-    def _radius(centers, shape):
-        if len(shape) == 1:
-            return np.abs(centers)
-        xx, yy = np.meshgrid(centers, centers, indexing="ij")
-        return np.sqrt(xx * xx + yy * yy)
+        self.rho_x = _distance(self.x_centers, (0.0, 0.0), self.dim)
+        self.rho_v = _distance(self.v_centers, (0.0, 0.0), self.dim)
 
     def unit_scale(self) -> "PhaseGrid":
         """The same cell counts over the unit-scale box covering Q[3/2],
@@ -176,6 +183,11 @@ class PhaseGrid(_CellBox):
                 f"x_max={self.x_max}, n_x={self.n_x}, v_max={self.v_max}, n_v={self.n_v})")
 
 
+# v cells a `GridWindow` carries past its radius on each side: the face
+# differences of the cells inside reach one cell further
+_V_MARGIN = 1
+
+
 def _centered_cells(centers, radius: float, margin: int) -> slice:
     """The contiguous cells with |c| < radius of one sorted axis, widened by
     `margin` cells on each side and clipped at the ends of the axis."""
@@ -186,19 +198,20 @@ def _centered_cells(centers, radius: float, margin: int) -> slice:
 
 class GridWindow(_CellBox):
     """The cells of `grid` with |x_a| < radius on every x axis and
-    |v_a| < radius, widened by `v_margin` cells and clipped at the grid
+    |v_a| < radius, widened by `_V_MARGIN` cells and clipped at the grid
     edge, on every v axis.
 
     Every array is a slice of the parent's, so masks, cutoffs and samples
-    are bit-equal to the parent's cell by cell.  `box` indexes the window
+    are bit-equal to the parent's cell by cell, and so are the face
+    differences of the cells with |v_a| < radius.  `box` indexes the window
     in a parent (x, v) array.  Audits only: there is no periodic x here.
     """
 
-    def __init__(self, grid: PhaseGrid, radius: float, v_margin: int):
+    def __init__(self, grid: PhaseGrid, radius: float):
         self.dim = grid.dim
         self.dv, self.cell_volume = grid.dv, grid.cell_volume
         xs = _centered_cells(grid.x_centers, radius, 0)
-        vs = _centered_cells(grid.v_centers, radius, v_margin)
+        vs = _centered_cells(grid.v_centers, radius, _V_MARGIN)
         self.box = (xs,) * self.dim + (vs,) * self.dim
         self.x_centers = grid.x_centers[xs]
         self.v_centers = grid.v_centers[vs]
@@ -251,11 +264,8 @@ class Cylinder:
         center = self.x_center if which == "x" else self.v_center
         if all(c == 0.0 for c in center):
             return grid.rho_x if which == "x" else grid.rho_v
-        centers = grid.x_centers if which == "x" else grid.v_centers
-        if grid.dim == 1:
-            return np.abs(centers - center[0])
-        xx, yy = np.meshgrid(centers - center[0], centers - center[1], indexing="ij")
-        return np.sqrt(xx * xx + yy * yy)
+        return _distance(grid.x_centers if which == "x" else grid.v_centers,
+                         center, grid.dim)
 
     def space_mask(self, grid: PhaseGrid) -> np.ndarray:
         """Boolean mask over (x, v) cells whose centers lie in both balls."""
@@ -422,17 +432,16 @@ class DyadicLevel:
     def eta_slope(self, rho):
         return cutoff_slope(rho, self.radius, self.outer_radius)
 
+    def grad_eta(self, grid, which: str) -> list:
+        """grad eta_k on the x or v box, one array per axis (0 at the origin)."""
+        rho = grid.rho_x if which == "x" else grid.rho_v
+        slope, rho_safe = self.eta_slope(rho), np.where(rho > 0, rho, 1.0)
+        return [slope * grid.axis_coord(which, ax) / rho_safe for ax in range(grid.dim)]
+
     def v_dot_grad_eta_x(self, grid: PhaseGrid) -> np.ndarray:
-        """v . grad eta_k(x) on the grid's (x, v) box, from the analytic
-        radial slope along x/|x| (0 at x = 0)."""
-        slope_x = self.eta_slope(grid.rho_x)
-        rho_safe = np.where(grid.rho_x > 0, grid.rho_x, 1.0)
-        vdot = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            xa = grid.axis_coord("x", ax)
-            va = grid.axis_coord("v", ax)
-            vdot += grid.expand_x(slope_x * xa / rho_safe) * grid.expand_v(va)
-        return vdot
+        """v . grad eta_k(x) on the grid's (x, v) box."""
+        return sum(grid.expand_x(g) * grid.expand_v(grid.axis_coord("v", ax))
+                   for ax, g in enumerate(self.grad_eta(grid, "x")))
 
 
 def cutoff_eval(level: DyadicLevel, point) -> float:
@@ -544,3 +553,46 @@ def time_quadrature_weights(times, t_lo: float, t_hi: float) -> np.ndarray:
     w[idx[:-1]] += 0.5 * h
     w[idx[1:]] += 0.5 * h
     return w
+
+
+# ---------------------------------------------------------------------------
+# the discrete v-calculus: face differences, their split onto cells, adjoint
+# ---------------------------------------------------------------------------
+
+def _face_diff(grid, values, axis):
+    return np.diff(values, axis=axis) / grid.dv
+
+
+def faces_to_cells(faces: np.ndarray, axis: int) -> np.ndarray:
+    """Each interior face value split evenly onto its two cells along
+    `axis`; the boundary faces carry nothing."""
+    lead = (slice(None),) * (axis % faces.ndim)
+    shape = list(faces.shape)
+    shape[len(lead)] += 1
+    half = 0.5 * faces
+    cells = np.zeros(shape)
+    cells[lead + (slice(None, -1),)] = half
+    cells[lead + (slice(1, None),)] += half
+    return cells
+
+
+def grad_v_sq_density(grid, values: np.ndarray) -> np.ndarray:
+    """|grad_v f|^2 per cell: the squared face differences split onto the
+    cells, summed over the v axes (the last `grid.dim` axes of `values`)."""
+    return sum(faces_to_cells(_face_diff(grid, values, a) ** 2, a)
+               for a in range(values.ndim - grid.dim, values.ndim))
+
+
+def cell_grad_v(grid, values: np.ndarray, ax: int) -> np.ndarray:
+    """The face differences of v axis `ax` split onto the cells: the
+    negative adjoint of `face_divergence`, centered in the interior."""
+    axis = values.ndim - grid.dim + ax
+    return faces_to_cells(_face_diff(grid, values, axis), axis)
+
+
+def face_divergence(grid, comp: np.ndarray, ax: int) -> np.ndarray:
+    """div_v along v axis `ax`: `comp` averaged to the interior faces, zero
+    on the boundary faces, and differenced back to the cells."""
+    s = np.moveaxis(comp, comp.ndim - grid.dim + ax, -1)
+    flux = np.pad(0.5 * (s[..., :-1] + s[..., 1:]), [(0, 0)] * (s.ndim - 1) + [(1, 1)])
+    return np.moveaxis(_face_diff(grid, flux, -1), -1, comp.ndim - grid.dim + ax)

@@ -158,20 +158,15 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
                 f"zoom preimage needs t = {t:.6g}, outside the stored span "
                 f"[{traj.times[0]:.6g}, {traj.times[-1]:.6g}]")
         slab = _lerp(traj.values, 0, _snap(np.atleast_1d(ti)))[0]
-        for ax, c in enumerate(xs):
-            idx = (np.asarray(c).ravel() + grid.x_max) / grid.dx - 0.5
-            if np.min(idx) < -0.5 - 1e-9 or np.max(idx) > grid.n_x - 0.5 + 1e-9:
+        for ax, (name, c, half, h, n) in enumerate(
+                [("x", c, grid.x_max, grid.dx, grid.n_x) for c in xs]
+                + [("v", c, grid.v_max, grid.dv, grid.n_v) for c in vs]):
+            idx = (np.asarray(c).ravel() + half) / h - 0.5
+            if np.min(idx) < -0.5 - 1e-9 or np.max(idx) > n - 0.5 + 1e-9:
                 raise GeometryError(
-                    f"zoom preimage needs |x| up to {np.max(np.abs(c)):.6g}, "
-                    f"outside the box [-{grid.x_max}, {grid.x_max}]")
+                    f"zoom preimage needs |{name}| up to {np.max(np.abs(c)):.6g}, "
+                    f"outside the box [-{half}, {half}]")
             slab = _lerp(slab, ax, _snap(idx))
-        for ax, c in enumerate(vs):
-            idx = (np.asarray(c).ravel() + grid.v_max) / grid.dv - 0.5
-            if np.min(idx) < -0.5 - 1e-9 or np.max(idx) > grid.n_v - 0.5 + 1e-9:
-                raise GeometryError(
-                    f"zoom preimage needs |v| up to {np.max(np.abs(c)):.6g}, "
-                    f"outside the box [-{grid.v_max}, {grid.v_max}]")
-            slab = _lerp(slab, grid.dim + ax, _snap(idx))
         out[i] = slab
     zoomed = Trajectory(zoom_grid, zoom_grid.times.copy(), out)
     a_z = diffusion.transformed(smap)
@@ -267,18 +262,22 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     entries = [(n, math.log10(v)) for n, v in enumerate(report.ladder)
                if v > floor]
     if len(entries) >= 2:
-        ns = np.array([e[0] for e in entries], dtype=float)
-        ls = np.array([e[1] for e in entries], dtype=float)
-        slope, intercept = np.polyfit(ns, ls, 1)
-        pred = slope * ns + intercept
-        ss_res = float(np.sum((ls - pred) ** 2))
-        ss_tot = float(np.sum((ls - ls.mean()) ** 2))
+        slope, _, report.fit_r2 = _line_fit(entries)
         report.mu_emp = 10.0**slope
-        report.fit_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
         report.degenerate = False
         if 0.0 < report.mu_emp < 1.0:
             report.sigma_emp = modulus_from_constants(report.mu_emp, omega, dim=dim)
     return report
+
+
+def _line_fit(pairs):
+    """(slope, intercept, R^2) of the least-squares line through the
+    (x, y) pairs; R^2 is 1 when the y are all equal."""
+    xs, ys = (np.array(col, dtype=float) for col in zip(*pairs))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def _check_omega(omega: float, dim: int):
@@ -494,13 +493,7 @@ def holder_fit(traj: Trajectory, base=None, radii=None) -> dict:
     if len(pairs) < 3:
         return {"sigma": math.nan, "C": math.nan, "r2": math.nan,
                 "radii": list(radii), "sups": sups, "degenerate": True}
-    lr = np.array([p[0] for p in pairs])
-    ls = np.array([p[1] for p in pairs])
-    slope, intercept = np.polyfit(lr, ls, 1)
-    pred = slope * lr + intercept
-    ss_res = float(np.sum((ls - pred) ** 2))
-    ss_tot = float(np.sum((ls - ls.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _line_fit(pairs)
     return {"sigma": float(slope), "C": 10.0**intercept, "r2": r2,
             "radii": list(radii), "sups": sups, "degenerate": False}
 

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import KeyedSampler
-from .degiorgi import _V_MARGIN, _cutoff_sums
+from .degiorgi import _cutoff_sums
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
-    time_quadrature_weights
+    face_divergence, grad_v_sq_density, time_quadrature_weights
 
 __all__ = [
     "SolverError",
@@ -174,12 +174,6 @@ class _TransportPlan:
 # ---------------------------------------------------------------------------
 # diffusion: implicit divergence-form finite volume along each v axis
 # ---------------------------------------------------------------------------
-
-def _coefficient_grid(diffusion, grid: PhaseGrid, t):
-    """Diagonal coefficient arrays on cell centers, one per v axis."""
-    return tuple(np.broadcast_to(a, grid.shape)
-                 for a in diffusion.diagonal(t, *grid.coords()))
-
 
 # a Thomas sweep step processes one block of 2^k rows of the v-first layout;
 # cyclic reduction runs until a block holds this many cells or every row
@@ -365,8 +359,7 @@ class _StepPlan:
         self.active = active
         self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic")
         self.implicit = _ImplicitDiffusion(grid, dt, active)
-        self.coefficients = KeyedSampler(
-            diffusion, lambda t: _coefficient_grid(diffusion, grid, t))
+        self.coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(grid, t))
         self.increment = None if source is None else KeyedSampler(
             source, lambda t: dt * source.sample(grid, t))
 
@@ -470,20 +463,18 @@ def solve_anchored(data: Trajectory, diffusion, source,
     boundary values anchored to the parent field.
     """
     grid = data.grid
-    t0 = float(data.times[0])
-    dt = float(data.times[1] - data.times[0])
+    times = data.times.copy()
+    dt = float(times[1] - times[0])
     plan = _StepPlan(grid, diffusion, source, dt, interp, False, ~ring_mask(grid))
-    times = [t0]
     slices = np.empty_like(data.values)
     slices[0] = data.values[0]
-    for n in range(len(data.times) - 1):
-        t_next = t0 + (n + 1) * dt
+    for n in range(len(times) - 1):
         # rings carry the parent data at the implicit time level, so the
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
-        # with constant coefficient passes through bit-consistently)
-        slices[n + 1], _ = plan.step(slices[n], times[-1], data.at_time(t_next))
-        times.append(t_next)
-    return Trajectory(grid, np.array(times), slices)
+        # with constant coefficient passes through bit-consistently); the
+        # slices keep the data's times, so a final slice at t = 0 stays there
+        slices[n + 1], _ = plan.step(slices[n], float(times[n]), data.at_time(times[n + 1]))
+    return Trajectory(grid, times, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +484,10 @@ def solve_anchored(data: Trajectory, diffusion, source,
 class BarrierSource:
     """Source S1 + div_v S2 assembled from stored trajectories.
 
-    div_v is the adjoint of the face gradient: components are averaged to
-    faces and differenced back to cells with zero boundary faces, so the
-    discrete energy pairing (div_v S2, G) = -(S2, grad_v G) mirrors the
-    continuous identity.
+    div_v is `geometry.face_divergence`, the adjoint of the face gradient
+    with zero boundary faces, so the discrete energy pairing
+    (div_v S2, G) = -(S2, grad_v G) mirrors the continuous identity, with
+    grad_v the cell gradient of `build_barrier_sources`.
     """
 
     def __init__(self, s1: Trajectory, s2):
@@ -511,18 +502,8 @@ class BarrierSource:
     def sample(self, grid: PhaseGrid, t: float) -> np.ndarray:
         out = self.s1.at_time(t).copy()
         for ax, comp in enumerate(self.s2):
-            out += _face_divergence(grid, comp.at_time(t), ax)
+            out += face_divergence(grid, comp.at_time(t), ax)
         return out
-
-
-def _face_divergence(grid: PhaseGrid, comp: np.ndarray, ax: int) -> np.ndarray:
-    v_ax = grid.dim + ax
-    s = np.moveaxis(comp, v_ax, -1)
-    n = s.shape[-1]
-    flux = np.zeros(s.shape[:-1] + (n + 1,))
-    flux[..., 1:n] = 0.5 * (s[..., :-1] + s[..., 1:])
-    div = (flux[..., 1:] - flux[..., :-1]) / grid.dv
-    return np.moveaxis(div, -1, v_ax)
 
 
 def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int,
@@ -559,13 +540,8 @@ def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int,
 # ---------------------------------------------------------------------------
 
 def grad_v_sq_sum(grid: PhaseGrid, vals: np.ndarray) -> float:
-    """Discrete || grad_v f ||_L2^2 by face differences (the FV seminorm)."""
-    total = 0.0
-    for ax in range(grid.dim):
-        v_ax = grid.dim + ax
-        d = np.diff(vals, axis=v_ax) / grid.dv
-        total += float(np.sum(d * d))
-    return total * grid.cell_volume
+    """|| grad_v f ||_L2^2 (the FV seminorm): the cell sum of the density."""
+    return float(np.sum(grad_v_sq_density(grid, vals))) * grid.cell_volume
 
 
 def energy_budget(traj: Trajectory, source, lam: float):
@@ -616,13 +592,13 @@ def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
     lhs is the weighted energy at t plus the (1/lam)-weighted dissipation of
     eta(v) (f - C_k)_+, rhs is the energy at s, the lam |grad eta(v)|^2
     term, the transport term with v . grad eta(x), and the source work.
-    They are reductions of the same per-slice cutoff sums as U_k
-    (`degiorgi.truncation_energy`), taken on the level window from s.
+    They are reductions of the same per-slice face-difference cutoff sums as
+    U_k (`degiorgi.truncation_energy`), taken on the level window from s.
     """
     if not s < t + 1e-15:
         raise ValueError(f"need s < t, got s = {s}, t = {t}")
     level = DyadicLevel(k)
-    traj = traj.window(s, level.outer_radius, _V_MARGIN)
+    traj = traj.window(s, level.outer_radius)
     cv = traj.grid.cell_volume
     i_s = traj.slice_index(s)
     i_t = traj.slice_index(t)

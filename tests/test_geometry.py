@@ -9,6 +9,7 @@ from kfplab.geometry import (
     GeometryError,
     PhaseGrid,
     ball_volume,
+    cell_grad_v,
     cutoff_eval,
     cutoff_slope,
     cylinder_integral,
@@ -16,11 +17,14 @@ from kfplab.geometry import (
     dyadic_params,
     dyadic_radius,
     dyadic_time,
+    face_divergence,
+    grad_v_sq_density,
     hat_cylinder,
     hat_union_unit,
     level_set_measure,
     make_cylinder,
 )
+from kfplab.solver import grad_v_sq_sum
 
 
 # --- cylinders ---------------------------------------------------------------
@@ -253,3 +257,41 @@ def test_odd_grid_has_center_node():
     g = PhaseGrid(1, (-1.0, 0.0), 8, 1.0, 15, 1.0, 15)
     assert abs(g.x_centers[7]) < 1e-15
     assert abs(g.v_centers[7]) < 1e-15
+
+
+# --- the discrete v-calculus ---------------------------------------------------------
+
+CALCULUS_GRIDS = {1: PhaseGrid(1, (-1.5, 0.0), 8, 1.5, 12, 1.5, 17),
+                  2: PhaseGrid(2, (-1.5, 0.0), 8, 1.5, 6, 1.5, 9)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_gradient_is_negative_adjoint_of_face_divergence(dim):
+    grid = CALCULUS_GRIDS[dim]
+    rng = np.random.default_rng(11 + dim)
+    s = rng.normal(size=grid.shape)
+    g = rng.normal(size=grid.shape)
+    for ax in range(dim):
+        lhs = float(np.sum(s * cell_grad_v(grid, g, ax)))
+        rhs = -float(np.sum(face_divergence(grid, s, ax) * g))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        # in the interior the cell gradient is the centered difference
+        inner = [slice(None)] * g.ndim
+        inner[dim + ax] = slice(1, -1)
+        inner = tuple(inner)
+        assert np.allclose(cell_grad_v(grid, g, ax)[inner],
+                           np.gradient(g, grid.dv, axis=dim + ax)[inner],
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grad_v_sq_density_sums_to_face_seminorm(dim):
+    grid = CALCULUS_GRIDS[dim]
+    rng = np.random.default_rng(21 + dim)
+    f = rng.normal(size=(3,) + grid.shape)
+    density = grad_v_sq_density(grid, f)
+    assert density.shape == f.shape and np.all(density >= 0.0)
+    for i in range(3):
+        expected = grad_v_sq_sum(grid, f[i]) / grid.cell_volume
+        assert float(np.sum(density[i])) == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(density[i], grad_v_sq_density(grid, f[i]))

@@ -24,7 +24,6 @@ from kfplab.solver import (
     _ImplicitDiffusion,
     _TransportPlan,
     _bc_mask,
-    _coefficient_grid,
     kinetic_ibvp,
     solve,
     solve_anchored,
@@ -129,7 +128,7 @@ def test_lapack_diffusion_matches_dense_solve(dim, n, masked):
     grid = PhaseGrid(dim, (-1.5, 0.0), 12, 1.5, n, 1.5, n + 1)
     a = build_diffusion(dim, 2.0, "cellwise_random", low=0.6, high=1.8,
                         cell=0.3, seed=4)
-    coeffs = _coefficient_grid(a, grid, -0.7)
+    coeffs = a.sample(grid, -0.7)
     active = _bc_mask(grid, kinetic_ibvp(1.0)) if masked else None
     vals = np.random.default_rng(n).uniform(-1.0, 2.0, grid.shape)
     dt = 4.0 * grid.dt
@@ -149,7 +148,7 @@ def test_tridiagonal_plan_matches_dense_solve_at_each_depth(dim, n, depth, maske
     grid = PhaseGrid(dim, (-1.5, 0.0), 12, 1.5, n, 1.5, n)
     a = build_diffusion(dim, 2.0, "cellwise_random", low=0.6, high=1.8,
                         cell=0.3, seed=4)
-    coeffs = _coefficient_grid(a, grid, -0.7)
+    coeffs = a.sample(grid, -0.7)
     active = _bc_mask(grid, kinetic_ibvp(1.0)) if masked else None
     vals = np.random.default_rng(n).uniform(-1.0, 2.0, grid.shape)
     dt = 4.0 * grid.dt

@@ -11,7 +11,6 @@ from kfplab.solver import (
     kinetic_ibvp,
     _ImplicitDiffusion,
     _TransportPlan,
-    _coefficient_grid,
     comparison_check,
     energy_budget,
     local_energy_check,
@@ -60,7 +59,7 @@ def test_homogeneous_source_gives_linear_growth(grid, rough_a):
 def test_diffusion_substep_maximum_principle(grid, rough_a):
     rng = np.random.default_rng(0)
     vals = rng.uniform(-1.0, 2.0, grid.shape)
-    coeffs = _coefficient_grid(rough_a, grid, -0.5)
+    coeffs = rough_a.sample(grid, -0.5)
     out, _ = _ImplicitDiffusion(grid, grid.dt)(vals, coeffs)
     assert out.max() <= vals.max() + 1e-13
     assert out.min() >= vals.min() - 1e-13
@@ -269,11 +268,11 @@ def test_comparison_check(grid):
 def test_face_divergence_is_adjoint_of_face_gradient(grid):
     # the pairing sum div_v(S) . G = - sum S_face . (G_{i+1} - G_i)/dv holds
     # exactly: boundary faces carry zero flux by construction
-    from kfplab.solver import _face_divergence
+    from kfplab.geometry import face_divergence
     rng = np.random.default_rng(6)
     s = rng.normal(size=grid.shape)
     g = rng.normal(size=grid.shape)
-    div = _face_divergence(grid, s, 0)
+    div = face_divergence(grid, s, 0)
     lhs = np.sum(div * g) * grid.dv
     faces = 0.5 * (s[:, :-1] + s[:, 1:])
     rhs = -np.sum(faces * np.diff(g, axis=1))

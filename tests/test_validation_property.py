@@ -36,6 +36,11 @@ def configs(draw):
         "diagnostics.k_s": [-1.0, 0.0, 1.0],
         "diagnostics.a": [0.0, 1.0, 2.0],
         "diagnostics.alpha_iso": [1e-9, 1e-3, 0.05, 1.0],
+        "coeff.lambda": [1.5, 2.0, 1e80, 1e300],
+        # R_{k-1} = R_k in float64 from k = 54 on: an empty cutoff annulus
+        "diagnostics.levels": [2, 53, 54, 60, 520],
+        "diagnostics.barrier_levels": ["1, 2", "1, 53", "1, 60"],
+        "initial.amplitude": [0.4, 3.0, math.nan, math.inf],
     }
     for key, values in constants.items():
         if draw(st.integers(0, 2)) == 0:
@@ -57,6 +62,11 @@ _RUN = {"grid.dim": 1, "grid.n_t": 24, "grid.n_x": 24, "grid.n_v": 24,
 @example({**_RUN, "source.kind": "constant", "source.bound": 1.0})
 # 8 cells of width 0.375 cannot resolve Q[1/2]: the gate's fallback cylinder
 @example({**_RUN, "grid.n_t": 12, "grid.n_x": 8, "grid.n_v": 8})
+# lam^3 of the assembled front factor saturates to inf instead of overflowing
+@example({**_RUN, "coeff.lambda": 1e80})
+@example({**_RUN, "diagnostics.levels": 60})
+@example({**_RUN, "diagnostics.barrier_levels": "1, 60"})
+@example({**_RUN, "initial.amplitude": math.nan})
 def test_config_is_rejected_or_completes(entries):
     try:
         cfg = parse_config(_text(entries))

@@ -2,7 +2,8 @@
 
 The references below are the full-grid forms of `cylinder_integral`,
 `truncation_energy`, `build_barrier_sources` and `local_energy_check`:
-they sweep every stored slice and every cell of the phase box.  The
+they sweep every stored slice and every cell of the phase box, and take
+their v differences with `np.diff` here, on the scheme's faces.  The
 windowed audits must agree with them to 1e-12 relative, and the barrier
 sources cell for cell, on N = 1 and N = 2 grids of odd and even size, at
 an amplitude whose truncations (and so the barrier fields) are non-zero.
@@ -15,12 +16,7 @@ import pytest
 
 from kfplab import solver
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
-from kfplab.degiorgi import (
-    build_barrier_sources,
-    grad_v_sq_trajectory,
-    truncate,
-    truncation_energy,
-)
+from kfplab.degiorgi import build_barrier_sources, truncate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     Cylinder,
@@ -41,6 +37,31 @@ REL = 1e-12
 
 
 # --- whole-grid references ------------------------------------------------------
+
+def _to_cells(faces, axis):
+    """Half of each interior face value onto each of its two cells."""
+    pad_lo = [(0, 0)] * faces.ndim
+    pad_hi = list(pad_lo)
+    pad_lo[axis], pad_hi[axis] = (0, 1), (1, 0)
+    return 0.5 * np.pad(faces, pad_lo) + 0.5 * np.pad(faces, pad_hi)
+
+
+def _face_diff(grid, values, ax):
+    return np.diff(values, axis=values.ndim - grid.dim + ax) / grid.dv
+
+
+def _grad_sq_cells(grid, values):
+    """|grad_v|^2 per cell: the squared face differences onto the cells."""
+    out = np.zeros(values.shape)
+    for ax in range(grid.dim):
+        out += _to_cells(_face_diff(grid, values, ax) ** 2,
+                         values.ndim - grid.dim + ax)
+    return out
+
+
+def _grad_sq_reference(traj):
+    return Trajectory(traj.grid, traj.times.copy(), _grad_sq_cells(traj.grid, traj.values))
+
 
 def _cells_reference(traj, region):
     mid = 0.5 * (traj.times[:-1] + traj.times[1:])
@@ -79,13 +100,10 @@ def _truncation_energy_reference(traj, k, lam):
         fk = np.maximum(traj.values[i] - c, 0.0)
         sup_term = max(sup_term, 0.5 * float(np.sum(eta_x * eta_v**2 * fk**2)) * cv)
         if w[i] > 0.0:
-            prod = eta_v * fk
-            gsq = np.zeros(grid.shape)
-            for ax in range(grid.dim):
-                gsq += np.gradient(prod, grid.dv, axis=grid.dim + ax) ** 2
+            gsq = _grad_sq_cells(grid, eta_v * fk)
             dissipation += float(w[i]) * float(np.sum(eta_x * gsq)) * cv
     fk_traj = truncate(traj, k)
-    gk_traj = grad_v_sq_trajectory(fk_traj)
+    gk_traj = _grad_sq_reference(fk_traj)
     q_in = level.cylinder(grid.dim)
     q_out = level.outer_cylinder(grid.dim)
     sq = lambda v: v**2
@@ -127,7 +145,7 @@ def _build_barrier_sources_reference(traj, k, diffusion, source):
         g = source.sample(grid, t) if source is not None else 0.0
         cross = np.zeros(grid.shape)
         for ax in range(grid.dim):
-            dfk = np.gradient(fk, grid.dv, axis=grid.dim + ax)
+            dfk = _to_cells(_face_diff(grid, fk, ax), grid.dim + ax)
             cross += a_diag[ax] * dfk * grad_eta_v[ax]
             s2_vals[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
         s1_vals[i] = (g * ind * eta_x * eta_v**2
@@ -155,7 +173,7 @@ def _build_barrier_sources_reference(traj, k, diffusion, source):
                                for comp in s2)),
         "fk_l2": math.sqrt(_cylinder_integral_reference(fk_traj, sq, q_out)),
         "grad_fk_l2": math.sqrt(_cylinder_integral_reference(
-            grad_v_sq_trajectory(fk_traj), lambda v: v, q_out)),
+            _grad_sq_reference(fk_traj), lambda v: v, q_out)),
         "g_ind_l2": math.sqrt(g_ind),
     }
 
@@ -185,10 +203,7 @@ def _local_energy_check_reference(traj, k, c, lam, s, t, source=None):
     for i in np.nonzero(w_time)[0]:
         w = float(w_time[i])
         fk = positive_part(i)
-        prod = grid.expand_v(eta_v) * fk
-        gsq = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            gsq += np.gradient(prod, grid.dv, axis=grid.dim + ax) ** 2
+        gsq = _grad_sq_cells(grid, grid.expand_v(eta_v) * fk)
         dissip += w * float(np.sum(wx * gsq)) * cv
         grad_pen += w * float(np.sum(wx * fk**2 * grid.expand_v(eta_v_slope) ** 2)) * cv
         transport += w * 0.5 * float(np.sum(wv**2 * fk**2 * vdot)) * cv
@@ -204,7 +219,8 @@ def _local_energy_check_reference(traj, k, c, lam, s, t, source=None):
 
 # (dim, n_t, n_x, v_max, n_v): N = 1 at 24^2 and 64^2, N = 2 at 13^4 and 18^4,
 # and an N = 1 grid whose v box ends just past |v| = R_0 = 1, so that the
-# level-1 window's two extra v cells are clipped at the grid edge
+# level-1 window's extra v cell lands on the grid edge and the level-0
+# window's is clipped there
 GRIDS = {
     "24": (1, 24, 24, 1.5, 24),
     "64": (1, 48, 64, 1.5, 64),
@@ -250,7 +266,7 @@ def test_window_is_a_read_only_view_with_sliced_arrays(run):
     grid = traj.grid
     for k in range(4):
         level = DyadicLevel(k)
-        win = traj.window(dyadic_time(k - 1), level.outer_radius, 2)
+        win = traj.window(dyadic_time(k - 1), level.outer_radius)
         cells = win.grid
         assert isinstance(cells, GridWindow)
         assert np.shares_memory(win.values, traj.values)
@@ -276,13 +292,15 @@ def test_window_is_a_read_only_view_with_sliced_arrays(run):
 
 def test_window_margin_clips_at_grid_edge():
     grid = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 23, 1.05, 21)
-    cells = GridWindow(grid, DyadicLevel(1).outer_radius, 2)
+    cells = GridWindow(grid, DyadicLevel(1).outer_radius)
     xs, vs = cells.box
     assert (xs.start, xs.stop) == (4, 19)          # |x| < 1 on 23 cells of 3/23
-    assert (vs.start, vs.stop) == (0, grid.n_v)    # |v| < 1, +2 cells, clipped
+    assert (vs.start, vs.stop) == (0, grid.n_v)    # |v| < 1 on cells 1..19, +1 cell
+    # |v| < 3/2 holds every cell, so the margin cell is clipped
+    assert GridWindow(grid, DyadicLevel(0).outer_radius).box[1] == slice(0, grid.n_v)
     # at k = 0 on the default box the window is the whole grid
     whole = GridWindow(PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 13, 1.5, 13),
-                       DyadicLevel(0).outer_radius, 2)
+                       DyadicLevel(0).outer_radius)
     assert whole.box == (slice(0, 13),) * 4
 
 

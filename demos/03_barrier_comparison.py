@@ -3,7 +3,9 @@
 The truncated cutoff field F_k = f_k eta_k(x) eta_k(v)^2 satisfies the
 equation with sources S1 + div_v S2 minus a positive defect, so the
 solution G_k of the inflow boundary-value problem with those sources and
-the same starting slice dominates it pointwise.  The comparison minimum
+the same starting slice dominates it pointwise.  The sources, F_k and G_k
+all live on the level window: the slices from T_{k-1} on the cell box of
+B(R_{k-1})^2, outside which each of them is zero.  The comparison minimum
 below stays at roundoff-to-scheme scale.
 """
 
@@ -13,7 +15,7 @@ from kfplab import PhaseField, PhaseGrid, WHOLE_SPACE, build_diffusion, \
     build_source, solve, solve_barrier_ibvp
 from kfplab.degiorgi import build_barrier_sources
 from kfplab.fields import Trajectory
-from kfplab.geometry import DyadicLevel, dyadic_time
+from kfplab.geometry import DyadicLevel
 from kfplab.solver import comparison_check
 
 grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
@@ -29,16 +31,17 @@ traj = solve(f0, rough, source, 0.0, WHOLE_SPACE)
 for k in (1, 2):
     rep = build_barrier_sources(traj, k, rough, source)
     level = DyadicLevel(k)
-    eta_x = grid.expand_x(level.eta(grid.rho_x))
-    eta_v = grid.expand_v(level.eta(grid.rho_v))
-    fk = np.maximum(traj.values - level.truncation, 0.0) * eta_x * eta_v**2
-    fk_traj = Trajectory(grid, traj.times.copy(), fk)
-    i0 = fk_traj.slice_index(dyadic_time(k - 1))
-    window = Trajectory(grid, fk_traj.times[i0:], fk_traj.values[i0:])
+    # the sources' window: slices from T_{k-1}, cells of B(R_{k-1})^2
+    window = traj.window(rep.s1.t_start, level.outer_radius)
+    cells = window.grid
+    eta_x = cells.expand_x(level.eta(cells.rho_x))
+    eta_v = cells.expand_v(level.eta(cells.rho_v))
+    fk = np.maximum(window.values - level.truncation, 0.0) * eta_x * eta_v**2
+    window = Trajectory(cells, window.times.copy(), fk)
 
     barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, k,
                                  initial=window.field(0))
-    print(f"level k = {k}")
+    print(f"level k = {k}, window of {cells.shape} cells in {grid.shape}")
     print(f"  ||S1||_L2 = {rep.s1_l2:.4f}  (ladder budget {rep.s1_bound:.4f})")
     print(f"  ||S2||_L2 = {rep.s2_l2:.4f}  (ladder budget {rep.s2_bound:.4f})")
     print(f"  ||F_k||_inf = {np.abs(window.values).max():.4f}, "

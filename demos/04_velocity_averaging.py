@@ -37,6 +37,9 @@ x = big.x_centers[:, None]
 v = big.v_centers[None, :]
 f0 = PhaseField(big, -1.5, 1.1 * np.cos(np.pi * x / 1.5) * np.exp(-v**2 / 0.18))
 traj = solve(f0, rough, g, 0.0, WHOLE_SPACE)
+# the sources and the barrier live on the level-1 window; its spectra are
+# taken at the whole grid's padded lengths, so they are the spectra of G_1
+# zero-extended to the grid
 rep = build_barrier_sources(traj, 1, rough, g)
 barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, 1)
 

@@ -55,18 +55,25 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, values, spacings, groups, pad: int = 2,
-                    warn_boundary: bool = True) -> "SpectralField":
+                    warn_boundary: bool = True, box=None) -> "SpectralField":
         """Transform a sample array with given per-axis spacings.
 
-        Each group's axes are zero-padded by `pad` (the compact-support
-        embedding); support touching the unpadded boundary triggers an
-        aliasing warning.
+        Each group's axes are zero-padded to `pad` times the shape of `box`
+        (default: the array's own shape), the compact-support embedding.
+        A window of a larger box passes that box's shape: zero-extended,
+        the window is a circular shift of the box's zero-extended field, so
+        every marginal power spectrum is the box's.  Support touching the
+        edge of the box triggers an aliasing warning; an axis shorter than
+        the box is taken to lie inside it, as a level window's axes do.
         """
         values = np.asarray(values, dtype=float)
+        box = values.shape if box is None else box
         if warn_boundary and values.size:
             scale = float(np.max(np.abs(values)))
             if scale > 0:
                 for ax in range(values.ndim):
+                    if values.shape[ax] < box[ax]:
+                        continue
                     edge = np.take(values, [0, values.shape[ax] - 1], axis=ax)
                     if np.max(np.abs(edge)) > 1e-10 * scale:
                         warnings.warn(
@@ -75,7 +82,7 @@ class SpectralField:
                         break
         marginals = {}
         for name, axes in groups.items():
-            sizes = [pad * values.shape[ax] for ax in axes]
+            sizes = [pad * box[ax] for ax in axes]
             power = np.abs(np.fft.rfftn(values, s=sizes, axes=axes))
             power *= power
             power = power.sum(axis=tuple(ax for ax in range(values.ndim)
@@ -97,8 +104,11 @@ class SpectralField:
     def from_trajectory(cls, traj: Trajectory, pad: int = 2,
                         warn_boundary: bool = True) -> "SpectralField":
         """Spectral field of a trajectory; the time axis is treated like the
-        space axes (padded, transformed)."""
+        space axes (padded, transformed).  A trajectory on a `GridWindow`
+        is transformed at its parent grid's padded lengths, which gives the
+        spectra of its zero extension to that grid."""
         grid = traj.grid
+        parent = getattr(grid, "parent", grid)
         dt_slice = float(traj.times[1] - traj.times[0])
         spacings = (dt_slice,) + (grid.dx,) * grid.dim + (grid.dv,) * grid.dim
         groups = {
@@ -107,7 +117,8 @@ class SpectralField:
             "v": tuple(range(1 + grid.dim, 1 + 2 * grid.dim)),
         }
         return cls.from_values(traj.values, spacings, groups, pad=pad,
-                               warn_boundary=warn_boundary)
+                               warn_boundary=warn_boundary,
+                               box=(traj.n_slices,) + parent.shape)
 
     def l2_norm(self) -> float:
         """Grid L2 norm summed from the samples in physical space."""

@@ -72,7 +72,8 @@ def grad_v_sq_trajectory(traj: Trajectory) -> Trajectory:
     return traj.map_values(lambda values: grad_v_sq_density(traj.grid, values))
 
 
-def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None) -> dict:
+def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None,
+                 energy_only: bool = False) -> dict:
     """{slice index: raw cell sums} of the five level-k cutoff-energy
     integrands of f_k = (f - C_k)_+ on the listed slices of a level window:
 
@@ -80,8 +81,9 @@ def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None) -> di
         eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
         g f_k eta_x eta_v^2  (0.0 without a source),
 
-    with |grad_v|^2 the face-difference cell density.  U_k and the local
-    energy inequality are reductions of these sums.
+    with |grad_v|^2 the face-difference cell density.  The local energy
+    inequality reduces all five; U_k reads only the first two, which are
+    all that `energy_only` computes.
     """
     cells = win.grid
     c = level.truncation
@@ -89,22 +91,26 @@ def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None) -> di
     eta_v = cells.expand_v(level.eta(cells.rho_v))
     eta_v_sq = eta_v**2
     weight = eta_x * eta_v_sq
-    slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
-    vdot = level.v_dot_grad_eta_x(cells)
+    if not energy_only:
+        slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
+        vdot = level.v_dot_grad_eta_x(cells)
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(cells, t))
     sums = {}
     for i in slices:
         fk = np.maximum(win.values[i] - c, 0.0)
         fk_sq = fk**2
+        energy = (float(np.sum(weight * fk_sq)),
+                  float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * fk))))
+        if energy_only:
+            sums[int(i)] = energy
+            continue
         work = 0.0
         if source is not None:
             work = float(np.sum(sample(float(win.times[i])) * fk * eta_x * eta_v_sq))
-        sums[int(i)] = (float(np.sum(weight * fk_sq)),
-                        float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * fk))),
-                        float(np.sum(eta_x * fk_sq * slope_sq)),
-                        float(np.sum(eta_v_sq * fk_sq * vdot)),
-                        work)
+        sums[int(i)] = energy + (float(np.sum(eta_x * fk_sq * slope_sq)),
+                                 float(np.sum(eta_v_sq * fk_sq * vdot)),
+                                 work)
     return sums
 
 
@@ -142,7 +148,8 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
     slices = np.nonzero(traj.times >= level.t_start - 1e-12)[0]
     sup_term = 0.0
     dissipation = 0.0
-    for i, (energy, grad_sq, *_) in _cutoff_sums(traj, level, slices).items():
+    for i, (energy, grad_sq) in _cutoff_sums(traj, level, slices,
+                                             energy_only=True).items():
         sup_term = max(sup_term, 0.5 * energy * cv)
         if w[i] > 0.0:
             dissipation += float(w[i]) * grad_sq * cv
@@ -219,8 +226,8 @@ def chebyshev_audit(traj: Trajectory, k: int,
 @dataclass
 class BarrierSourceReport:
     k: int
-    s1: Trajectory
-    s2: tuple
+    s1: Trajectory               # on the level window, from T_{k-1}
+    s2: tuple                    # one window trajectory per v axis
     s1_l2: float
     s2_l2: float
     fk_l2: float
@@ -252,11 +259,12 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     (`geometry.cell_grad_v`).  The report carries the L2(Q_{k-1}) norms and
     the ladder bounds they must satisfy.
 
-    S1 and S2 are returned at every stored slice on the whole grid, zero
-    outside the cell box of B(R_{k-1})^2.  They and the norms are computed on
-    the trajectory's window over that box with one extra v cell, on which the
-    face differences equal the whole grid's wherever a cutoff factor is
-    non-zero; the coefficient and the source are sampled there only when
+    S1 and S2 are trajectories on the level window (`Trajectory.window`):
+    the stored slices from the one nearest T_{k-1}, where the barrier
+    problem starts, on the cell box of B(R_{k-1})^2 with one extra v cell.
+    On the whole grid they would be zero outside that box, and the face
+    differences on it equal the whole grid's wherever a cutoff factor is
+    non-zero.  The coefficient and the source are sampled there only when
     their time keys change.
     """
     if k < 1:
@@ -264,7 +272,8 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     grid = traj.grid
     level = DyadicLevel(k)
     c = level.truncation
-    win = traj.window(traj.t_start, level.outer_radius)
+    win = traj.window(float(traj.times[traj.slice_index(dyadic_time(k - 1))]),
+                      level.outer_radius)
     cells = win.grid
     eta_x = cells.expand_x(level.eta(cells.rho_x))
     eta_v = cells.expand_v(level.eta(cells.rho_v))
@@ -274,12 +283,9 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(cells, t))
 
-    n = traj.n_slices
-    s1_vals = np.zeros((n,) + grid.shape)
-    s2_vals = [np.zeros((n,) + grid.shape) for _ in range(grid.dim)]
-    on_box = (slice(None),) + cells.box
-    s1_box = s1_vals[on_box]
-    s2_box = [sv[on_box] for sv in s2_vals]
+    n = win.n_slices
+    s1_vals = np.empty((n,) + cells.shape)
+    s2_vals = [np.empty((n,) + cells.shape) for _ in range(grid.dim)]
     for i in range(n):
         t = float(win.times[i])
         f = win.values[i]
@@ -290,13 +296,13 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
         cross = np.zeros(cells.shape)
         for ax in range(grid.dim):
             cross += a_diag[ax] * cell_grad_v(cells, fk, ax) * grad_eta_v[ax]
-            s2_box[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
-        s1_box[i] = (g * ind * eta_x * eta_v**2
-                     + fk * eta_v**2 * vdot
-                     - 2.0 * eta_x * eta_v * cross)
+            s2_vals[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
+        s1_vals[i] = (g * ind * eta_x * eta_v**2
+                      + fk * eta_v**2 * vdot
+                      - 2.0 * eta_x * eta_v * cross)
 
-    s1 = Trajectory(grid, traj.times.copy(), s1_vals)
-    s2 = tuple(Trajectory(grid, traj.times.copy(), sv) for sv in s2_vals)
+    s1 = Trajectory(cells, win.times.copy(), s1_vals)
+    s2 = tuple(Trajectory(cells, win.times.copy(), sv) for sv in s2_vals)
 
     q_out = level.outer_cylinder(grid.dim)
     sq = lambda v: v**2

@@ -105,7 +105,8 @@ class Trajectory:
         before t_start, on the cells of `GridWindow(grid, radius)`.
 
         Every level-k audit vanishes outside Q_{k-1} = (T_{k-1}, 0] x
-        B(R_{k-1})^2, so it reads only this window of the trajectory.
+        B(R_{k-1})^2, so it reads only this window of the trajectory; the
+        level-k barrier problem is solved on the same cells.
         """
         cells = GridWindow(self.grid, radius)
         i0 = max(int(np.searchsorted(self.times, t_start, side="right")) - 1, 0)

@@ -20,8 +20,10 @@ onto its two cells.  A `GridWindow` is the cell box of one dyadic level:
 the cells with |x_a| < R and |v_a| < R on every axis, plus one v cell for
 the face differences.  Its centers and radius arrays are slices of the
 parent grid's arrays, so every mask, cutoff, sample and face difference on
-it is bit-equal to the parent's.  It is for audits only and is not a
-`PhaseGrid`: the solver's periodic x has no meaning on it.
+it is bit-equal to the parent's.  The level audits run on it, and so does
+the barrier problem of the same level, whose domain B(R)^2 lies inside
+the box; it is not a `PhaseGrid`, and the periodic whole-space problem has
+no meaning on it.
 """
 
 from __future__ import annotations
@@ -204,17 +206,24 @@ class GridWindow(_CellBox):
     Every array is a slice of the parent's, so masks, cutoffs and samples
     are bit-equal to the parent's cell by cell, and so are the face
     differences of the cells with |v_a| < radius.  `box` indexes the window
-    in a parent (x, v) array.  Audits only: there is no periodic x here.
+    in a parent (x, v) array, and a field on the window stands for its
+    zero extension to `parent`.  The cell counts `n_x`, `n_v` are the
+    window's; the spacings and `v_max` are the parent's, which is all the
+    kinetic IBVP's step plan reads besides the centers.  There is no
+    periodic x here.
     """
 
     def __init__(self, grid: PhaseGrid, radius: float):
+        self.parent = grid
         self.dim = grid.dim
-        self.dv, self.cell_volume = grid.dv, grid.cell_volume
+        self.dx, self.dv, self.cell_volume = grid.dx, grid.dv, grid.cell_volume
+        self.v_max = grid.v_max
         xs = _centered_cells(grid.x_centers, radius, 0)
         vs = _centered_cells(grid.v_centers, radius, _V_MARGIN)
         self.box = (xs,) * self.dim + (vs,) * self.dim
         self.x_centers = grid.x_centers[xs]
         self.v_centers = grid.v_centers[vs]
+        self.n_x, self.n_v = len(self.x_centers), len(self.v_centers)
         self.rho_x = grid.rho_x[self.box[:self.dim]]
         self.rho_v = grid.rho_v[self.box[self.dim:]]
         self.x_shape = self.rho_x.shape

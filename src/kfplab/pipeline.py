@@ -176,23 +176,29 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
     """The level-k barrier: its sources, the barrier solve from the truncated
     field at T_{k-1}, the comparison and the spectral audits.
 
-    Returns the `barrier.csv` row, a copy of the final barrier slice, and
-    whether the comparison and the spectral audits passed; the source and
-    barrier trajectories are freed when the call returns.
+    Everything runs on the level window of the sources, the slices from
+    T_{k-1} on the cell box of B(R_{k-1})^2, outside which every field of
+    the stage is zero.  Returns the `barrier.csv` row, the final barrier
+    slice on the whole grid, and whether the comparison and the spectral
+    audits passed; the source and barrier trajectories are freed when the
+    call returns.
     """
     rep = degiorgi.build_barrier_sources(traj, k, diffusion, source)
     level = DyadicLevel(k)
-    eta_x = grid.expand_x(level.eta(grid.rho_x))
-    eta_v = grid.expand_v(level.eta(grid.rho_v))
-    # the truncated field from T_{k-1} on, where the barrier problem starts
-    i0 = traj.slice_index(dyadic_time(k - 1))
-    window = Trajectory(grid, traj.times[i0:].copy(),
-                        np.maximum(traj.values[i0:] - level.truncation, 0.0)
-                        * eta_x * eta_v**2)
+    window = traj.window(rep.s1.t_start, level.outer_radius)
+    cells = window.grid
+    eta_x = cells.expand_x(level.eta(cells.rho_x))
+    eta_v = cells.expand_v(level.eta(cells.rho_v))
+    # the truncated field F_k from T_{k-1} on, where the barrier problem starts
+    trunc = Trajectory(cells, window.times.copy(),
+                       np.maximum(window.values - level.truncation, 0.0)
+                       * eta_x * eta_v**2)
     g_traj = solver.solve_barrier_ibvp(rep.s1, rep.s2, diffusion, k,
-                                       interp=cfg.interp, initial=window.field(0))
-    comp_min = solver.comparison_check(window, g_traj)
-    f_linf = float(np.max(np.abs(window.values)))
+                                       interp=cfg.interp, initial=trunc.field(0))
+    # G_k starts from F_k, so G_k - F_k = 0 on the first slice and the
+    # minimum over the window is the whole grid's, whose other nodes hold 0
+    comp_min = solver.comparison_check(trunc, g_traj)
+    f_linf = float(np.max(np.abs(trunc.values)))
     comparison_ok = comp_min >= -10.0 * _scheme_tolerance(grid, f_linf, cfg.dt)
 
     spec = averaging.SpectralField.from_trajectory(g_traj, warn_boundary=False)
@@ -205,7 +211,10 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
                    and lhs <= rhs * (1.0 + 1e-12) + 1e-15)
     row = [k, rep.s1_l2, rep.s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf,
            plancherel_defect, lhs, rhs, est.lhs, est.rhs_unit, est.ratio]
-    return row, g_traj.field(g_traj.n_slices - 1).copy(), comparison_ok, spectral_ok
+    final = np.zeros(grid.shape)
+    final[cells.box] = g_traj.values[-1]
+    return (row, PhaseField(grid, float(g_traj.times[-1]), final),
+            comparison_ok, spectral_ok)
 
 
 def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
@@ -313,6 +322,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     gate = degiorgi.linfty_gate(traj, kappa_log)
     metrics["gate_premise_log10"] = gate.premise_log10
     metrics["gate_conclusion_sup"] = gate.conclusion_sup
+    metrics["gate_resolution_limited"] = gate.resolution_limited
     verdicts["gate_implication"] = gate.implication_holds
 
     if cfg.run_bisection:

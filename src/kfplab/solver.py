@@ -34,6 +34,12 @@ Boundary conditions:
   Dirichlet on |v| = R, and zero on the inflow part of |x| = R where
   v.x < 0, realized by zeroing semi-Lagrangian feet that trace outside
   the ball (the CFL bound dt <= dx / v_max keeps feet within one cell).
+  It is solved on whatever cell box its sources live on: a `PhaseGrid`,
+  or the level's `GridWindow`, the cell box of B(R)^2 with one Dirichlet v
+  cell past it.  Every cell outside the ball is pinned to zero, and a foot
+  that leaves the box reads zero as one that lands on a pinned cell does,
+  so the transport on the window is bit-equal to the whole grid's; only
+  the diffusion's elimination order follows the smaller slab.
 """
 
 from __future__ import annotations
@@ -482,12 +488,14 @@ def solve_anchored(data: Trajectory, diffusion, source,
 # ---------------------------------------------------------------------------
 
 class BarrierSource:
-    """Source S1 + div_v S2 assembled from stored trajectories.
+    """Source S1 + div_v S2 assembled from stored trajectories on one cell
+    box (a grid or the level window of `build_barrier_sources`).
 
     div_v is `geometry.face_divergence`, the adjoint of the face gradient
     with zero boundary faces, so the discrete energy pairing
     (div_v S2, G) = -(S2, grad_v G) mirrors the continuous identity, with
-    grad_v the cell gradient of `build_barrier_sources`.
+    grad_v the cell gradient of `build_barrier_sources`.  On the window
+    the boundary faces sit past the Dirichlet v cell, where S2 vanishes.
     """
 
     def __init__(self, s1: Trajectory, s2):
@@ -512,6 +520,9 @@ def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int,
     """Solve the level-k barrier problem on (T_{k-1}, 0) x B(0, R_{k-1})^2
     with the kinetic inflow boundary condition.
 
+    The solve runs on the cell box of the sources (`s1.grid`): a whole
+    grid, or the level window that `build_barrier_sources` returns, which
+    holds the ball; the step is the time spacing of the sources' slices.
     Initial data defaults to zero.  The comparison 0 <= F_k <= G_k rests on
     the difference having zero initial defect, which literal zero data
     provides only when the truncated field already vanishes at T_{k-1};
@@ -521,8 +532,8 @@ def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int,
     grid = s1.grid
     t_start = dyadic_time(k - 1)
     radius = dyadic_radius(k - 1)
-    if t_start < grid.t_span[0] - 1e-9:
-        raise ValueError(f"grid time span {grid.t_span} does not cover T_{k-1}")
+    if t_start < s1.t_start - 1e-9:
+        raise ValueError(f"sources start at t = {s1.t_start}, after T_{k-1} = {t_start}")
     dt = float(s1.times[1] - s1.times[0])
     if initial is None:
         f0 = PhaseField.constant(grid, t_start, 0.0)
@@ -553,8 +564,10 @@ def energy_budget(traj: Trajectory, source, lam: float):
             <=  1/2 ||f(t0)||^2 + int_{t0}^t ||g|| ||f||
 
     with right-endpoint quadrature in time (matching the implicit substep).
-    Returns (records, min_slack); slack >= 0 up to scheme tolerance because
-    the discrete step dissipates at least the continuous rate.
+    Returns (records, min_slack), with min_slack the least slack over the
+    stored times after t0 (at t0 the slack is 0 by definition); slack >= 0
+    up to scheme tolerance because the discrete step dissipates at least
+    the continuous rate.
     """
     grid = traj.grid
     e0 = 0.5 * float(np.sum(traj.values[0]**2)) * grid.cell_volume
@@ -577,7 +590,8 @@ def energy_budget(traj: Trajectory, source, lam: float):
                 f_l2 = float(np.sqrt(np.sum(vals**2) * grid.cell_volume))
                 work += h * g_l2 * f_l2
         slack = (e0 + work) - (e_t + dissip)
-        min_slack = min(min_slack, slack)
+        if i > 0:
+            min_slack = min(min_slack, slack)
         records.append({"t": t, "energy": e_t, "dissipation": dissip,
                         "source_work": work, "slack": slack})
     return records, float(min_slack)

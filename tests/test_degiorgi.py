@@ -20,7 +20,8 @@ from kfplab.degiorgi import (
     truncation_energy,
 )
 from kfplab.fields import PhaseField, Trajectory
-from kfplab.geometry import DyadicLevel, PhaseGrid, level_set_measure, make_cylinder
+from kfplab.geometry import DyadicLevel, PhaseGrid, dyadic_time, level_set_measure, \
+    make_cylinder
 from kfplab.solver import WHOLE_SPACE, solve
 
 
@@ -212,7 +213,9 @@ def test_barrier_sources_vanish_below_level(grid):
 
 def test_barrier_sources_constant_field_oracle(grid):
     """f = 1, g = 0, A = I: S2 = -2 eta_x eta_v (1 - C_k) grad eta_v and S1
-    keeps only the transport-cutoff term (grad_v f_k = 0)."""
+    keeps only the transport-cutoff term (grad_v f_k = 0).  The sources are
+    returned on the level window, from T_{k-1}; the whole-grid oracle is
+    zero outside its box."""
     a = build_diffusion(1, 2.0, "constant", value=1.0)
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
@@ -226,8 +229,14 @@ def test_barrier_sources_constant_field_oracle(grid):
     slope_x = (lev.eta_slope(grid.rho_x) * np.sign(grid.x_centers))[:, None]
     s2_expect = -2.0 * eta_x * eta_v * cbar * slope_v
     s1_expect = cbar * eta_v**2 * grid.v_centers[None, :] * slope_x
-    assert np.max(np.abs(rep.s2[0].values[0] - s2_expect)) < 1e-10
-    assert np.max(np.abs(rep.s1.values[0] - s1_expect)) < 1e-10
+    box = rep.s1.grid.box
+    assert rep.s1.t_start == dyadic_time(k - 1)
+    for expect in (s1_expect, s2_expect):
+        outside = expect.copy()
+        outside[box] = 0.0
+        assert not outside.any()
+    assert np.max(np.abs(rep.s2[0].values[0] - s2_expect[box])) < 1e-10
+    assert np.max(np.abs(rep.s1.values[0] - s1_expect[box])) < 1e-10
 
 
 def test_barrier_source_norm_bounds(rough_run):

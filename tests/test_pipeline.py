@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from kfplab import averaging
+from kfplab import averaging, solver
 from kfplab.cli import main as cli_main
 from kfplab.config import parse_config
 from kfplab.degiorgi import empirical_kappa, linfty_gate
+from kfplab.geometry import GridWindow, dyadic_radius, dyadic_time
 from kfplab.pipeline import (
     CSV_COLUMNS,
     build_coefficient,
@@ -63,20 +64,54 @@ def test_bisection_off_reports_no_defect():
     assert np.isnan(res.metrics["kappa_affine_defect"])
 
 
+def test_energy_slack_and_gate_resolution_metrics():
+    res = run_pipeline(parse_config(SMALL_CONFIG + "diagnostics.bisection = false\n"))
+    slacks = [row[-1] for row in res.tables["energy"]]
+    # the slack at t0 is 0 by definition, so the metric is taken after it
+    assert slacks[0] == 0.0
+    assert res.metrics["energy_min_slack"] == min(slacks[1:]) > 0.0
+    assert res.verdicts["energy_slack"]
+    assert res.metrics["gate_resolution_limited"] is False
+    # 8 cells of width 0.375 cannot resolve Q[1/2]: the gate's fallback cylinder
+    coarse = run_pipeline(parse_config(
+        SMALL_CONFIG + "grid.n_t = 12\ngrid.n_x = 8\ngrid.n_v = 8\n"
+                       "diagnostics.bisection = false\n"))
+    assert coarse.metrics["gate_resolution_limited"] is True
+
+
 def test_barrier_audits_see_nonzero_fields(monkeypatch):
     # at amplitude 3 the truncations (f - C_k)_+ eta are non-zero, so the
     # comparison and spectral audits check real barrier data
     spectra = []
+    barriers = []
     from_trajectory = averaging.SpectralField.from_trajectory
+    solve_barrier_ibvp = solver.solve_barrier_ibvp
 
     def recording(cls, *args, **kwargs):
         spectra.append(from_trajectory(*args, **kwargs))
         return spectra[-1]
+
+    def solving(s1, s2, diffusion, k, **kwargs):
+        barriers.append((k, s1, solve_barrier_ibvp(s1, s2, diffusion, k, **kwargs)))
+        return barriers[-1][-1]
     monkeypatch.setattr(averaging.SpectralField, "from_trajectory",
                         classmethod(recording))
+    monkeypatch.setattr(solver, "solve_barrier_ibvp", solving)
     cfg = parse_config(SMALL_CONFIG + "initial.amplitude = 3.0\n"
                                       "diagnostics.bisection = false\n")
     res = run_pipeline(cfg)
+
+    # the barrier stage runs on the level window from T_{k-1}: sources and
+    # barrier are (slices from T_{k-1}, *window shape), smaller than the grid
+    grid = build_grid(cfg)
+    times = grid.times
+    assert [k for k, _, _ in barriers] == list(cfg.barrier_levels)
+    for k, s1, g in barriers:
+        cells = GridWindow(grid, dyadic_radius(k - 1))
+        shape = (int(np.count_nonzero(times >= dyadic_time(k - 1))),) + cells.shape
+        assert s1.grid.box == cells.box
+        assert s1.values.shape == g.values.shape == shape
+        assert math.prod(cells.shape) < math.prod(grid.shape)
 
     col = {name: j for j, name in enumerate(CSV_COLUMNS["barrier"])}
     row = res.tables["barrier"][0]

@@ -7,44 +7,60 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from kfplab.config import ConfigError, parse_config
-from kfplab.pipeline import manifest_text, run_pipeline
+from kfplab.pipeline import CSV_COLUMNS, manifest_text, run_pipeline
+
+
+# each constant key: the values `validate()` accepts on the default config,
+# then those it rejects (lambda = 1.5 leaves the default coefficient band)
+CONSTANTS = {
+    "diagnostics.beta": ([1e-300, 0.01, 0.5], [-1.0, 0.0]),
+    "diagnostics.gamma": ([0.0, 1.0, 1e300], [-100.0]),
+    "diagnostics.c_n": ([0.0, 1.0, 1e300], [-5.0]),
+    "diagnostics.k_s": ([1.0], [-1.0, 0.0]),
+    "diagnostics.a": ([1.0, 2.0], [0.0]),
+    "diagnostics.alpha_iso": ([0.05, 1.0], [1e-9, 1e-3]),
+    "coeff.lambda": ([2.0, 1e80, 1e300], [1.5]),
+    # R_{k-1} = R_k in float64 from k = 54 on: an empty cutoff annulus
+    "diagnostics.levels": ([2, 53], [54, 60, 520]),
+    "diagnostics.barrier_levels": (["1, 2", "1, 53"], ["1, 60"]),
+    "initial.amplitude": ([0.4, 3.0], [math.nan, math.inf]),
+}
 
 
 @st.composite
 def configs(draw):
+    """One config.  Three draws in four take each value from those that
+    `validate()` accepts on its own, so that most draws run the pipeline to
+    a manifest; the fourth draws from every value, rejected ones included."""
+    free = draw(st.integers(0, 3)) == 3
     dim = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(4, 24 if dim == 1 else 13))
+    n_max = 24 if dim == 1 else 11
+    # odd n puts a cell centre at the origin, inside every Q[omega/2]
+    odd = st.integers(2, (n_max - 1) // 2).map(lambda m: 2 * m + 1)
+    n = draw(st.integers(4, n_max) if free else odd)
     n_t_max = 48 if dim == 1 else 24
+    # multiples of 6 from n up put T_0 = -1 and T_1 on stored slices and
+    # meet the transport bound on the default box
+    aligned = st.integers(-(-n // 6), n_t_max // 6).map(lambda m: 6 * m)
+    # omega < 1 - 2^(-1/N): 0.4 is rejected for N = 2
+    omegas = [0.2, 0.25, 0.28] + ([0.4] if free or dim == 1 else [])
     entries = {
         "run.seed": draw(st.integers(0, 50)),
         "grid.dim": dim,
-        # multiples of 6 from n up put T_0 = -1 and T_1 on stored slices and
-        # meet the transport bound; any other n_t is drawn too
-        "grid.n_t": draw(st.integers(-(-n // 6), n_t_max // 6).map(lambda m: 6 * m)
-                         | st.integers(6, n_t_max)),
+        "grid.n_t": draw(aligned | st.integers(6, n_t_max) if free else aligned),
         "grid.n_x": n,
         "grid.n_v": n,
-        "diagnostics.omega": draw(st.sampled_from([0.2, 0.25, 0.28, 0.4])),
+        # boxes whose level-1 window reaches the grid edge in x or in v
+        "grid.x_max": draw(st.sampled_from([1.5, 1.0])),
+        "grid.v_max": draw(st.sampled_from([1.5, 1.05])),
+        "diagnostics.omega": draw(st.sampled_from(omegas)),
         "diagnostics.bisection": draw(st.booleans()),
         "source.kind": draw(st.sampled_from(["zero", "noise", "constant"])),
         "source.bound": draw(st.sampled_from([0.3, 1.0])),
     }
-    constants = {
-        "diagnostics.beta": [-1.0, 0.0, 1e-300, 0.01, 0.5],
-        "diagnostics.gamma": [-100.0, 0.0, 1.0, 1e300],
-        "diagnostics.c_n": [-5.0, 0.0, 1.0, 1e300],
-        "diagnostics.k_s": [-1.0, 0.0, 1.0],
-        "diagnostics.a": [0.0, 1.0, 2.0],
-        "diagnostics.alpha_iso": [1e-9, 1e-3, 0.05, 1.0],
-        "coeff.lambda": [1.5, 2.0, 1e80, 1e300],
-        # R_{k-1} = R_k in float64 from k = 54 on: an empty cutoff annulus
-        "diagnostics.levels": [2, 53, 54, 60, 520],
-        "diagnostics.barrier_levels": ["1, 2", "1, 53", "1, 60"],
-        "initial.amplitude": [0.4, 3.0, math.nan, math.inf],
-    }
-    for key, values in constants.items():
+    for key, (accepted, rejected) in CONSTANTS.items():
         if draw(st.integers(0, 2)) == 0:
-            entries[key] = draw(st.sampled_from(values))
+            entries[key] = draw(st.sampled_from(accepted + rejected if free else accepted))
     return entries
 
 
@@ -78,6 +94,8 @@ def test_config_is_rejected_or_completes(entries):
     assert "manifest.status = complete\n" in text
     assert "verdict.all = " in text
     event(f"complete N = {cfg.dim}")
+    f_linf = result.tables["barrier"][0][CSV_COLUMNS["barrier"].index("f_linf")]
+    event(f"barrier {'exercised' if f_linf > 0 else 'zero'}")
     if cfg.run_bisection:
         kappa_emp = result.metrics["kappa_emp_log10"]
         assert not math.isnan(kappa_emp)

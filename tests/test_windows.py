@@ -10,11 +10,12 @@ an amplitude whose truncations (and so the barrier fields) are non-zero.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from kfplab import solver
+from kfplab import averaging, solver
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
 from kfplab.degiorgi import build_barrier_sources, truncate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
@@ -347,11 +348,20 @@ def test_barrier_sources_match_reference(run, with_source):
     for k in (1, 2):
         got = build_barrier_sources(traj, k, diffusion, source)
         expected = _build_barrier_sources_reference(traj, k, diffusion, source)
-        assert got.s1.values.shape == traj.values.shape
-        for i in range(traj.n_slices):
-            assert np.array_equal(got.s1.values[i], expected["s1"].values[i]), (k, i)
-            for comp, ref in zip(got.s2, expected["s2"]):
-                assert np.array_equal(comp.values[i], ref.values[i]), (k, i)
+        cells = got.s1.grid
+        assert cells.box == GridWindow(traj.grid, DyadicLevel(k).outer_radius).box
+        # the sources start at the slice at T_{k-1}, where the barrier does
+        i0 = traj.slice_index(dyadic_time(k - 1))
+        assert np.array_equal(got.s1.times, traj.times[i0:])
+        assert got.s1.values.shape == (traj.n_slices - i0,) + cells.shape
+        for comp, ref in zip((got.s1,) + got.s2, (expected["s1"],) + expected["s2"]):
+            # the whole-grid reference is exactly zero outside the window's box
+            outside = ref.values.copy()
+            outside[(slice(None),) + cells.box] = 0.0
+            assert not outside.any(), k
+            for i in range(got.s1.n_slices):
+                assert np.array_equal(comp.values[i],
+                                      ref.values[i0 + i][cells.box]), (k, i)
         for name in ("s1_l2", "s2_l2", "fk_l2", "grad_fk_l2", "g_ind_l2"):
             assert _close(getattr(got, name), expected[name]), (k, name)
         if not with_source:
@@ -408,3 +418,99 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
         assert 0 < len(calls["sample"]) < traj.n_slices
     # build_barrier_sources: diagonal per slice key, source per slice and per cell mid
     assert 0 < len(calls["diagonal"]) < traj.n_slices
+
+
+# --- the barrier stage on the window ---------------------------------------------------
+
+def _from_slice(traj, i0):
+    return Trajectory(traj.grid, traj.times[i0:].copy(), traj.values[i0:])
+
+
+def _embed(traj, parent):
+    """A window trajectory zero-extended to its parent grid."""
+    values = np.zeros((traj.n_slices,) + parent.shape)
+    values[(slice(None),) + traj.grid.box] = traj.values
+    return Trajectory(parent, traj.times.copy(), values)
+
+
+def _cutoff_field(traj, k):
+    """F_k = (f - C_k)_+ eta_k(x) eta_k(v)^2 on the trajectory's own cells."""
+    cells = traj.grid
+    level = DyadicLevel(k)
+    return Trajectory(cells, traj.times.copy(),
+                      np.maximum(traj.values - level.truncation, 0.0)
+                      * cells.expand_x(level.eta(cells.rho_x))
+                      * cells.expand_v(level.eta(cells.rho_v)) ** 2)
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+def test_barrier_solve_on_window_matches_whole_grid(run, interp):
+    traj, diffusion, source = run["traj"], run["diffusion"], run["source"]
+    grid = traj.grid
+    for k in (1, 2):
+        i0 = traj.slice_index(dyadic_time(k - 1))
+        rep = build_barrier_sources(traj, k, diffusion, source)
+        cells = rep.s1.grid
+        window = traj.window(rep.s1.t_start, DyadicLevel(k).outer_radius)
+        f_win = _cutoff_field(window, k)
+        f_whole = _cutoff_field(_from_slice(traj, i0), k)
+        assert np.array_equal(f_win.values, f_whole.values[(slice(None),) + cells.box])
+        assert np.array_equal(_embed(f_win, grid).values, f_whole.values)
+        assert f_whole.values.max() > 0.0
+
+        g_win = solver.solve_barrier_ibvp(rep.s1, rep.s2, diffusion, k, interp=interp,
+                                          initial=f_win.field(0))
+        shape = (traj.n_slices - i0,) + cells.shape
+        assert rep.s1.values.shape == g_win.values.shape == shape
+        assert all(comp.values.shape == shape for comp in rep.s2)
+
+        ref = _build_barrier_sources_reference(traj, k, diffusion, source)
+        g_whole = solver.solve_barrier_ibvp(
+            _from_slice(ref["s1"], i0), tuple(_from_slice(c, i0) for c in ref["s2"]),
+            diffusion, k, interp=interp, initial=f_whole.field(0))
+        assert np.array_equal(g_win.times, g_whole.times)
+        # the whole-grid barrier is pinned to zero outside the window's box
+        outside = g_whole.values.copy()
+        outside[(slice(None),) + cells.box] = 0.0
+        assert not outside.any(), k
+        scale = float(np.max(np.abs(g_whole.values)))
+        assert scale > 0.0
+        embedded = _embed(g_win, grid)
+        assert np.max(np.abs(embedded.values - g_whole.values)) <= REL * scale, k
+        assert _close(solver.comparison_check(f_win, g_win),
+                      solver.comparison_check(f_whole, g_whole), scale), k
+
+
+def test_window_spectra_match_zero_extension(run):
+    traj = run["traj"]
+    for k in (1, 2):
+        window = _cutoff_field(traj.window(dyadic_time(k - 1),
+                                           DyadicLevel(k).outer_radius), k)
+        got = averaging.SpectralField.from_trajectory(window, warn_boundary=False)
+        expected = averaging.SpectralField.from_trajectory(
+            _embed(window, traj.grid), warn_boundary=False)
+        assert expected.l2_sq > 0.0
+        assert _close(got.l2_sq, expected.l2_sq)
+        # the window warns of support on the grid's edge exactly when its zero
+        # extension does (tapered to 0 at both ends in time, so that the time
+        # axis does not warn for both): its own edges inside the grid are not
+        # the grid's
+        taper = np.ones(window.n_slices)
+        taper[[0, -1]] = 0.0
+        tapered = Trajectory(window.grid, window.times,
+                             window.values * taper.reshape((-1,) + (1,) * 2 * traj.grid.dim))
+        warned = []
+        for field in (tapered, _embed(tapered, traj.grid)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                averaging.SpectralField.from_trajectory(field)
+            warned.append(len(caught))
+        assert warned[0] == warned[1], k
+        for group in ("t", "x", "v"):
+            (k_sq, power), (k_sq_ref, power_ref) = (got.marginals[group],
+                                                    expected.marginals[group])
+            assert np.array_equal(k_sq, k_sq_ref)
+            assert power.shape == power_ref.shape
+            assert np.max(np.abs(power - power_ref)) <= REL * np.max(power_ref), group
+            for s in (0.0, 1.0 / 3.0, 1.0):
+                assert _close(got.frac_norm(group, s), expected.frac_norm(group, s))

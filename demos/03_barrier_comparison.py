@@ -14,8 +14,6 @@ import numpy as np
 from kfplab import PhaseField, PhaseGrid, WHOLE_SPACE, build_diffusion, \
     build_source, solve, solve_barrier_ibvp
 from kfplab.degiorgi import build_barrier_sources
-from kfplab.fields import Trajectory
-from kfplab.geometry import DyadicLevel
 from kfplab.solver import comparison_check
 
 grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
@@ -30,20 +28,12 @@ traj = solve(f0, rough, source, 0.0, WHOLE_SPACE)
 
 for k in (1, 2):
     rep = build_barrier_sources(traj, k, rough, source)
-    level = DyadicLevel(k)
-    # the sources' window: slices from T_{k-1}, cells of B(R_{k-1})^2
-    window = traj.window(rep.s1.t_start, level.outer_radius)
-    cells = window.grid
-    eta_x = cells.expand_x(level.eta(cells.rho_x))
-    eta_v = cells.expand_v(level.eta(cells.rho_v))
-    fk = np.maximum(window.values - level.truncation, 0.0) * eta_x * eta_v**2
-    window = Trajectory(cells, window.times.copy(), fk)
-
-    barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, k,
-                                 initial=window.field(0))
-    print(f"level k = {k}, window of {cells.shape} cells in {grid.shape}")
+    # F_k on the sources' window: slices from T_{k-1}, cells of B(R_{k-1})^2
+    fk = rep.fk
+    barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, k, initial=fk.field(0))
+    print(f"level k = {k}, window of {fk.grid.shape} cells in {grid.shape}")
     print(f"  ||S1||_L2 = {rep.s1_l2:.4f}  (ladder budget {rep.s1_bound:.4f})")
     print(f"  ||S2||_L2 = {rep.s2_l2:.4f}  (ladder budget {rep.s2_bound:.4f})")
-    print(f"  ||F_k||_inf = {np.abs(window.values).max():.4f}, "
+    print(f"  ||F_k||_inf = {np.abs(fk.values).max():.4f}, "
           f"||G_k||_inf = {np.abs(barrier.values).max():.4f}")
-    print(f"  min(G_k - F_k) = {comparison_check(window, barrier):.2e}")
+    print(f"  min(G_k - F_k) = {comparison_check(fk, barrier):.2e}")

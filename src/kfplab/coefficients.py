@@ -1,7 +1,7 @@
 """Rough diffusion coefficients and source terms.
 
-Diffusion fields A(t, x, v) are merely measurable, symmetric, and
-uniformly elliptic: all eigenvalues in [1/lam, lam] with lam > 1.  No
+Diffusion fields A(t, x, v) are merely measurable, diagonal, and
+uniformly elliptic: every diagonal entry in [1/lam, lam] with lam > 1.  No
 continuity is assumed or used anywhere downstream.  Piecewise-constant
 kinds (checkerboard, cellwise-random) are genuinely discontinuous across
 coefficient-cell faces, and those faces are deliberately offset by half a
@@ -108,13 +108,12 @@ class KeyedSampler:
 class DiffusionField:
     """The matrix coefficient A(t, x, v) with its ellipticity certificate lam.
 
-    For dim = 1 the field is the scalar a(t, x, v) in [1/lam, lam].  For
-    dim = 2 the generator produces diagonal matrices (so the solver's
-    per-axis maximum principle is preservable); the `clamped_symmetric`
-    kind produces full symmetric matrices for validator exercises only.
-    An optional `transform` pulls coordinates back through a kinetic
-    scaling map before the kind rule is applied (used by zooming); the
-    ellipticity bounds are invariant under that composition.
+    A is diagonal, diag(a_1, .., a_N) with every entry in [1/lam, lam]: the
+    solver splits the diffusion per v axis and keeps its discrete maximum
+    principle only for diagonal fields.  For dim = 1 the field is the
+    scalar a(t, x, v).  An optional `transform` pulls coordinates back
+    through a kinetic scaling map before the kind rule is applied (used by
+    zooming); the ellipticity bounds are invariant under that composition.
     """
 
     dim: int
@@ -128,10 +127,8 @@ class DiffusionField:
         if self.lam <= 1.0:
             raise CoefficientError(f"ellipticity constant must exceed 1, got {self.lam}")
         if self.kind not in ("constant", "checkerboard", "cellwise_random",
-                             "oscillatory", "clamped_symmetric"):
+                             "oscillatory"):
             raise CoefficientError(f"unknown diffusion kind {self.kind!r}")
-        if self.kind == "clamped_symmetric" and self.dim != 2:
-            raise CoefficientError("clamped_symmetric requires dim = 2")
         self._check_bounds()
 
     # -- declared value ranges, rejected at build time ----------------------
@@ -146,8 +143,6 @@ class DiffusionField:
             return p["low"], p["high"]
         if self.kind == "oscillatory":
             return p["mid"] - abs(p["amplitude"]), p["mid"] + abs(p["amplitude"])
-        if self.kind == "clamped_symmetric":
-            return p.get("low", 1.0 / self.lam), p.get("high", self.lam)
         raise AssertionError
 
     def _check_bounds(self):
@@ -201,7 +196,7 @@ class DiffusionField:
         """A key with equal values only at times whose samples are bit-equal:
         None for kinds constant in t (constant, and checkerboard without t
         in its axes), the time-cell index of the pulled-back time for
-        cellwise_random, clamped_symmetric and checkerboard with t, and t
+        cellwise_random and checkerboard with t, and t
         itself for oscillatory, and for any kind but constant under a zoom
         with v0 != 0, whose x drifts with s."""
         p = self.params
@@ -217,14 +212,10 @@ class DiffusionField:
         """a(t, x, v) for dim = 1, broadcasting over array arguments."""
         if self.dim != 1:
             raise CoefficientError("scalar evaluation requires dim = 1")
-        t, xs, vs = _pullback(self.transform, t, (x,), (v,))
-        return self._scalar_rule(0, t, xs, vs)
+        return self.diagonal(t, (x,), (v,))[0]
 
     def diagonal(self, t, xs, vs):
         """Per-axis diagonal entries (a_1[, a_2]) at broadcast coordinates."""
-        if self.kind == "clamped_symmetric":
-            raise CoefficientError("clamped_symmetric has no diagonal form; "
-                                   "the solver is restricted to diagonal fields")
         t, xs, vs = _pullback(self.transform, t, tuple(xs), tuple(vs))
         return tuple(self._scalar_rule(i, t, xs, vs) for i in range(self.dim))
 
@@ -232,30 +223,6 @@ class DiffusionField:
         """The diagonal entries on all (x, v) cell centers of the grid at t."""
         return tuple(np.broadcast_to(a, grid.shape)
                      for a in self.diagonal(t, *grid.coords()))
-
-    def matrix(self, t, x, v) -> np.ndarray:
-        """The full N x N symmetric matrix at one point (validator path)."""
-        xs = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-        vs = tuple(np.atleast_1d(np.asarray(v, dtype=float)))
-        if self.kind == "clamped_symmetric":
-            tt, xs, vs = _pullback(self.transform, t, xs, vs)
-            p = self.params
-            lo = p.get("low", 1.0 / self.lam)
-            hi = p.get("high", self.lam)
-            idx = [_cell_index(tt, p["cell"], p.get("offset", 0.5 * p["cell"]))]
-            idx += [_cell_index(c, p["cell"], p.get("offset", 0.5 * p["cell"]))
-                    for c in xs + vs]
-            lam1 = lo + (hi - lo) * hash_uniform(self.seed + 1, *idx)
-            lam2 = lo + (hi - lo) * hash_uniform(self.seed + 2, *idx)
-            theta = 2.0 * np.pi * hash_uniform(self.seed + 3, *idx)
-            c, s = np.cos(theta), np.sin(theta)
-            rot = np.array([[c, -s], [s, c]], dtype=float).reshape(2, 2)
-            return rot @ np.diag([float(lam1), float(lam2)]) @ rot.T
-        if self.dim == 1:
-            val = np.asarray(self.scalar(t, xs[0], vs[0])).reshape(())
-            return np.array([[float(val)]])
-        diag = self.diagonal(t, xs, vs)
-        return np.diag([float(np.asarray(d).reshape(())) for d in diag])
 
     def transformed(self, transform) -> "DiffusionField":
         """Compose the coordinate transform (zoom pullback); lam is unchanged."""
@@ -275,8 +242,7 @@ def build_diffusion(dim: int, lam: float, kind: str, seed: int = 0,
 class EllipticityCertificate:
     passed: bool
     margin: float
-    symmetry_defect: float
-    violations: list
+    violations: list        # (t, x, v, margin), the first 16
 
     def __bool__(self):
         return self.passed
@@ -284,41 +250,35 @@ class EllipticityCertificate:
 
 def validate_ellipticity(A: DiffusionField, grid: PhaseGrid, times=None,
                          n_random: int = 256, seed: int = 0) -> EllipticityCertificate:
-    """Check symmetry and the eigenvalue band [1/lam, lam] on grid nodes plus
-    random off-grid points; returns the worst-case margin and any violations."""
+    """Check the diagonal entries against the band [1/lam, lam] on strided
+    grid nodes at three times plus random off-grid points, in one
+    evaluation; returns the worst-case margin min(a - 1/lam, lam - a) and
+    any violations."""
     if n_random < 0:
         raise CoefficientError("sample budget must be nonnegative")
     if times is None:
         times = [grid.t_span[0], 0.5 * (grid.t_span[0] + grid.t_span[1]), grid.t_span[1]]
-    pts = []
     stride = max(1, grid.n_x // 16)
-    for t in times:
-        for x in grid.x_centers[::stride]:
-            for v in grid.v_centers[::stride]:
-                pts.append((t, (x,) * A.dim, (v,) * A.dim))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        t = rng.uniform(*grid.t_span)
-        x = tuple(rng.uniform(-grid.x_max, grid.x_max, A.dim))
-        v = tuple(rng.uniform(-grid.v_max, grid.v_max, A.dim))
-        pts.append((t, x, v))
+    tn, xn, vn = (c.ravel() for c in np.meshgrid(
+        np.asarray(times, dtype=float), grid.x_centers[::stride],
+        grid.v_centers[::stride], indexing="ij"))
+    # the columns t, x_1..x_N, v_1..v_N of each random point, scaled one
+    # uniform draw at a time as `Generator.uniform` would
+    lo = np.array([grid.t_span[0]] + [-grid.x_max] * A.dim + [-grid.v_max] * A.dim)
+    hi = np.array([grid.t_span[1]] + [grid.x_max] * A.dim + [grid.v_max] * A.dim)
+    rand = lo + (hi - lo) * np.random.default_rng(seed).random((n_random, 1 + 2 * A.dim))
+    t = np.concatenate([tn, rand[:, 0]])
+    xs = [np.concatenate([xn, rand[:, 1 + i]]) for i in range(A.dim)]
+    vs = [np.concatenate([vn, rand[:, 1 + A.dim + i]]) for i in range(A.dim)]
 
-    lo, hi = 1.0 / A.lam, A.lam
-    margin = np.inf
-    sym_defect = 0.0
-    violations = []
-    for (t, x, v) in pts:
-        m = A.matrix(t, x, v)
-        sym = float(np.max(np.abs(m - m.T)))
-        sym_defect = max(sym_defect, sym)
-        eig = np.linalg.eigvalsh(0.5 * (m + m.T))
-        pt_margin = min(float(eig.min() - lo), float(hi - eig.max()))
-        margin = min(margin, pt_margin)
-        if pt_margin < -1e-12 or sym > 1e-12:
-            violations.append((t, x, v, pt_margin, sym))
-    return EllipticityCertificate(
-        passed=not violations, margin=margin, symmetry_defect=sym_defect,
-        violations=violations[:16])
+    a = np.stack([np.broadcast_to(d, t.shape) for d in A.diagonal(t, xs, vs)])
+    pt_margin = np.minimum(a - 1.0 / A.lam, A.lam - a).min(axis=0)
+    violations = [(t[i], tuple(c[i] for c in xs), tuple(c[i] for c in vs),
+                   float(pt_margin[i]))
+                  for i in np.nonzero(pt_margin < -1e-12)[0][:16]]
+    return EllipticityCertificate(passed=not violations,
+                                  margin=float(pt_margin.min()),
+                                  violations=violations)
 
 
 # --- source terms ------------------------------------------------------------

@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time
 from .holder import lemma_constants
+from .solver import StepCountError, whole_steps
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
            "parse_sweep_config", "config_to_text"]
@@ -201,15 +202,10 @@ class RunConfig:
                     fail(path, f"level {k} has an empty cutoff annulus")
         if self.store_every < 1:
             fail("solver.store_every", f"must be >= 1, got {self.store_every}")
-        # the same step count and tolerance `solver.solve` enforces
-        span = -self.t_min
-        n_steps = max(1, int(round(span / dt)))
-        if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
-            fail("solver.dt", f"dt = {dt} does not divide the time span "
-                              f"{span} into whole steps")
-        if n_steps % self.store_every != 0:
-            fail("solver.store_every", f"store_every = {self.store_every} "
-                                       f"must divide the step count {n_steps}")
+        try:  # the whole-step rule `solver.solve` enforces
+            whole_steps(-self.t_min, dt, self.store_every)
+        except StepCountError as exc:
+            fail(f"solver.{exc.param}", str(exc))
         # the barrier of level k starts from the stored slice at T_{k-1}
         step = dt * self.store_every
         for k in self.barrier_levels:

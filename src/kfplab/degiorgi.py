@@ -225,9 +225,14 @@ def chebyshev_audit(traj: Trajectory, k: int,
 
 @dataclass
 class BarrierSourceReport:
+    """The level-k barrier sources S1, S2 and the field F_k they act on,
+    all on the level window from T_{k-1}, with the L2(Q_{k-1}) norms of
+    `build_barrier_sources` and the ladder budgets they must meet."""
+
     k: int
     s1: Trajectory               # on the level window, from T_{k-1}
     s2: tuple                    # one window trajectory per v axis
+    fk: Trajectory               # F_k = f_k eta_k(x) eta_k(v)^2 on the same window
     s1_l2: float
     s2_l2: float
     fk_l2: float
@@ -256,10 +261,11 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
 
     both supported in Q_{k-1} through the cutoff factors.  Cutoff gradients
     are analytic; grad_v f_k is the cell gradient of the truncated field
-    (`geometry.cell_grad_v`).  The report carries the L2(Q_{k-1}) norms and
-    the ladder bounds they must satisfy.
+    (`geometry.cell_grad_v`).  The report carries the L2(Q_{k-1}) norms,
+    the ladder bounds they must satisfy, and the truncated cutoff field
+    F_k = f_k eta_k(x) eta_k(v)^2 the barrier starts from and dominates.
 
-    S1 and S2 are trajectories on the level window (`Trajectory.window`):
+    S1, S2 and F_k are trajectories on the level window (`Trajectory.window`):
     the stored slices from the one nearest T_{k-1}, where the barrier
     problem starts, on the cell box of B(R_{k-1})^2 with one extra v cell.
     On the whole grid they would be zero outside that box, and the face
@@ -303,6 +309,8 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
 
     s1 = Trajectory(cells, win.times.copy(), s1_vals)
     s2 = tuple(Trajectory(cells, win.times.copy(), sv) for sv in s2_vals)
+    fk = Trajectory(cells, win.times.copy(),
+                    np.maximum(win.values - c, 0.0) * eta_x * eta_v**2)
 
     q_out = level.outer_cylinder(grid.dim)
     sq = lambda v: v**2
@@ -316,7 +324,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     s2_actual = 2.0 * lam * level.max_slope * fk_l2
     s1_budget = (g_ind + 2.0 ** (k + 2) * level.outer_radius * fk_l2
                  + 2.0 ** (k + 3) * lam * grad_l2)
-    return BarrierSourceReport(k, s1, s2, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
+    return BarrierSourceReport(k, s1, s2, fk, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
                                s2_budget, s2_actual, s1_budget)
 
 

@@ -7,6 +7,9 @@ kinetic cylinder of radius r is
     Q[r] = (-r, 0) x B(0, r) x B(0, r),
 
 an anisotropic neighborhood adapted to the transport-diffusion scaling.
+Every `Cylinder` is centred at the origin with one radius for both balls;
+the audits reach other base points through the kinetic zoom
+(`holder.ScalingMap`), which moves the point to the origin.
 Set measures are computed with a midpoint cell rule: a spacetime cell
 counts iff its center satisfies the predicate, so the error is at most
 one cell layer and the rule is monotone in the threshold.  The rule is
@@ -116,11 +119,11 @@ class _CellBox:
         return w.reshape((1,) * self.dim + w.shape)
 
 
-def _distance(centers, point, dim: int) -> np.ndarray:
-    """|c - point| over the dim-axis box with these centers on every axis."""
+def _distance(centers, dim: int) -> np.ndarray:
+    """|c| over the dim-axis box with these centers on every axis."""
     if dim == 1:
-        return np.abs(centers - point[0])
-    xx, yy = np.meshgrid(centers - point[0], centers - point[1], indexing="ij")
+        return np.abs(centers)
+    xx, yy = np.meshgrid(centers, centers, indexing="ij")
     return np.sqrt(xx * xx + yy * yy)
 
 
@@ -171,8 +174,8 @@ class PhaseGrid(_CellBox):
         self.cell_volume = self.dx**self.dim * self.dv**self.dim
 
         # radius arrays over the x box and the v box
-        self.rho_x = _distance(self.x_centers, (0.0, 0.0), self.dim)
-        self.rho_v = _distance(self.v_centers, (0.0, 0.0), self.dim)
+        self.rho_x = _distance(self.x_centers, self.dim)
+        self.rho_v = _distance(self.v_centers, self.dim)
 
     def unit_scale(self) -> "PhaseGrid":
         """The same cell counts over the unit-scale box covering Q[3/2],
@@ -237,56 +240,43 @@ class GridWindow(_CellBox):
 
 @dataclass(frozen=True)
 class Cylinder:
-    """A set (t_lo, t_hi] x B(x_center, x_radius) x B(v_center, v_radius).
+    """A set (t_lo, t_hi] x B(0, radius) x B(0, radius).
 
-    The standard cylinder Q[r] uses (t_lo, t_hi] = (-r, 0] and both balls
-    centered at the origin with radius r.  `measure` is analytic, the
-    product of the interval length and the two ball volumes.
+    The standard cylinder Q[r] uses (t_lo, t_hi] = (-r, 0] and radius r.
+    `measure` is analytic, the product of the interval length and the two
+    ball volumes.  Masks read the grid's radius arrays `rho_x`, `rho_v`.
     """
 
     dim: int
     t_lo: float
     t_hi: float
-    x_radius: float
-    v_radius: float
-    x_center: tuple = (0.0,)
-    v_center: tuple = (0.0,)
+    radius: float
     label: str = ""
 
     def __post_init__(self):
         if self.t_hi <= self.t_lo:
             raise GeometryError(f"empty time interval ({self.t_lo}, {self.t_hi}]")
-        if self.x_radius <= 0 or self.v_radius <= 0:
-            raise GeometryError("cylinder radii must be positive")
+        if self.radius <= 0:
+            raise GeometryError("cylinder radius must be positive")
 
     @property
     def measure(self) -> float:
-        return ((self.t_hi - self.t_lo)
-                * ball_volume(self.dim, self.x_radius)
-                * ball_volume(self.dim, self.v_radius))
+        ball = ball_volume(self.dim, self.radius)
+        return (self.t_hi - self.t_lo) * ball * ball
 
     def contains_time(self, t) -> np.ndarray:
         t = np.asarray(t)
         return (t > self.t_lo) & (t <= self.t_hi)
 
-    def _dist(self, grid: PhaseGrid, which: str) -> np.ndarray:
-        center = self.x_center if which == "x" else self.v_center
-        if all(c == 0.0 for c in center):
-            return grid.rho_x if which == "x" else grid.rho_v
-        return _distance(grid.x_centers if which == "x" else grid.v_centers,
-                         center, grid.dim)
-
     def space_mask(self, grid: PhaseGrid) -> np.ndarray:
         """Boolean mask over (x, v) cells whose centers lie in both balls."""
-        in_x = self._dist(grid, "x") < self.x_radius
-        in_v = self._dist(grid, "v") < self.v_radius
+        in_x, in_v = grid.rho_x < self.radius, grid.rho_v < self.radius
         return grid.expand_x(in_x) & grid.expand_v(in_v)
 
     def space_box(self, grid: PhaseGrid):
         """(box, mask): index slices of the bounding cell box of
         `space_mask` in an (x, v) array, and the mask on that box."""
-        in_x = self._dist(grid, "x") < self.x_radius
-        in_v = self._dist(grid, "v") < self.v_radius
+        in_x, in_v = grid.rho_x < self.radius, grid.rho_v < self.radius
         bx, bv = _bounding_box(in_x), _bounding_box(in_v)
         return bx + bv, grid.expand_x(in_x[bx]) & grid.expand_v(in_v[bv])
 
@@ -294,11 +284,11 @@ class Cylinder:
         t = np.asarray(times)
         if not ((t.max() > self.t_lo) and (t.min() <= self.t_hi)):
             return False
-        return bool((self._dist(grid, "x") < self.x_radius).any()
-                    and (self._dist(grid, "v") < self.v_radius).any())
+        return bool((grid.rho_x < self.radius).any()
+                    and (grid.rho_v < self.radius).any())
 
     def __str__(self):
-        return self.label or (f"({self.t_lo},{self.t_hi}]xB{self.x_radius}xB{self.v_radius}")
+        return self.label or f"({self.t_lo},{self.t_hi}]xB{self.radius}xB{self.radius}"
 
 
 def _bounding_box(mask: np.ndarray) -> tuple:
@@ -315,17 +305,17 @@ def make_cylinder(r: float, dim: int = 1) -> Cylinder:
     """The standard kinetic cylinder Q[r] = (-r, 0) x B(0,r) x B(0,r)."""
     if r <= 0:
         raise GeometryError(f"cylinder radius must be positive, got {r}")
-    return Cylinder(dim, -r, 0.0, r, r, (0.0,) * dim, (0.0,) * dim, f"Q[{r}]")
+    return Cylinder(dim, -r, 0.0, r, f"Q[{r}]")
 
 
 def hat_cylinder(dim: int = 1) -> Cylinder:
     """The time-shifted cylinder (-3/2, -1] x B(0,1)^2."""
-    return Cylinder(dim, -1.5, -1.0, 1.0, 1.0, (0.0,) * dim, (0.0,) * dim, "Qhat")
+    return Cylinder(dim, -1.5, -1.0, 1.0, "Qhat")
 
 
 def hat_union_unit(dim: int = 1) -> Cylinder:
     """The union of the hat cylinder and Q[1], i.e. (-3/2, 0) x B(0,1)^2."""
-    return Cylinder(dim, -1.5, 0.0, 1.0, 1.0, (0.0,) * dim, (0.0,) * dim, "Qhat+Q[1]")
+    return Cylinder(dim, -1.5, 0.0, 1.0, "Qhat+Q[1]")
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,6 @@ class ZoomedTriple:
     data: Trajectory
     diffusion: object
     source: object
-    map: ScalingMap
 
 
 def _snap(coords: np.ndarray) -> np.ndarray:
@@ -171,7 +170,7 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
     zoomed = Trajectory(zoom_grid, zoom_grid.times.copy(), out)
     a_z = diffusion.transformed(smap)
     g_z = source.transformed(smap, smap.eps**2) if source is not None else None
-    return ZoomedTriple(zoomed, a_z, g_z, smap)
+    return ZoomedTriple(zoomed, a_z, g_z)
 
 
 def zoom_residual(triple: ZoomedTriple) -> dict:
@@ -361,7 +360,6 @@ def isoperimetric_probe(traj: Trajectory, theta: float, omega: float,
         raise ValueError("isoperimetric probe requires f <= 1 on the hat union")
 
     hat_total = level_set_measure(traj, lambda f: np.isfinite(f), hat)
-    values = traj.values
     flipped = False
     m_below = level_set_measure(traj, lambda f: f <= 0.0, hat)
     if m_below < 0.5 * hat_total - 1e-12:

@@ -184,21 +184,13 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
     call returns.
     """
     rep = degiorgi.build_barrier_sources(traj, k, diffusion, source)
-    level = DyadicLevel(k)
-    window = traj.window(rep.s1.t_start, level.outer_radius)
-    cells = window.grid
-    eta_x = cells.expand_x(level.eta(cells.rho_x))
-    eta_v = cells.expand_v(level.eta(cells.rho_v))
-    # the truncated field F_k from T_{k-1} on, where the barrier problem starts
-    trunc = Trajectory(cells, window.times.copy(),
-                       np.maximum(window.values - level.truncation, 0.0)
-                       * eta_x * eta_v**2)
+    # the barrier starts from the truncated field F_k at T_{k-1}
     g_traj = solver.solve_barrier_ibvp(rep.s1, rep.s2, diffusion, k,
-                                       interp=cfg.interp, initial=trunc.field(0))
+                                       interp=cfg.interp, initial=rep.fk.field(0))
     # G_k starts from F_k, so G_k - F_k = 0 on the first slice and the
     # minimum over the window is the whole grid's, whose other nodes hold 0
-    comp_min = solver.comparison_check(trunc, g_traj)
-    f_linf = float(np.max(np.abs(trunc.values)))
+    comp_min = solver.comparison_check(rep.fk, g_traj)
+    f_linf = float(np.max(np.abs(rep.fk.values)))
     comparison_ok = comp_min >= -10.0 * _scheme_tolerance(grid, f_linf, cfg.dt)
 
     spec = averaging.SpectralField.from_trajectory(g_traj, warn_boundary=False)
@@ -206,13 +198,13 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
     plancherel_defect = abs(spec.frac_norm("v", 0.0) - l2)
     lhs, rhs = averaging.interpolation_audit(spec)
     est = averaging.averaging_estimate_audit(spec, rep.s1_l2, rep.s2_l2,
-                                             cfg.lam, level.radius)
+                                             cfg.lam, DyadicLevel(k).radius)
     spectral_ok = (plancherel_defect <= 1e-12 * max(1.0, l2)
                    and lhs <= rhs * (1.0 + 1e-12) + 1e-15)
     row = [k, rep.s1_l2, rep.s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf,
            plancherel_defect, lhs, rhs, est.lhs, est.rhs_unit, est.ratio]
     final = np.zeros(grid.shape)
-    final[cells.box] = g_traj.values[-1]
+    final[rep.fk.grid.box] = g_traj.values[-1]
     return (row, PhaseField(grid, float(g_traj.times[-1]), final),
             comparison_ok, spectral_ok)
 

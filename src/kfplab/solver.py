@@ -57,12 +57,14 @@ from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
 __all__ = [
     "SolverError",
     "CFLError",
+    "StepCountError",
     "BoundaryCondition",
     "WHOLE_SPACE",
     "kinetic_ibvp",
     "step",
     "solve",
     "solve_anchored",
+    "whole_steps",
     "ring_mask",
     "solve_barrier_ibvp",
     "BarrierSource",
@@ -80,6 +82,31 @@ class SolverError(RuntimeError):
 
 class CFLError(ValueError):
     """Time step violates the transport bound dt <= dx / v_max."""
+
+
+class StepCountError(ValueError):
+    """A time span is no whole number of steps (`param` = "dt"), or its
+    step count is no multiple of the storage stride (`param` =
+    "store_every")."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
+
+
+def whole_steps(span: float, dt: float, store_every: int = 1) -> int:
+    """The step count of a march over `span` > 0 at step `dt`: span/dt
+    rounded, which must be exact to 1e-9 of max(1, span) and divisible by
+    `store_every` so the stored slices stay uniform."""
+    n_steps = max(1, int(round(span / dt)))
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise StepCountError("dt", f"span {span} is not an integer multiple "
+                                   f"of dt = {dt}")
+    if n_steps % store_every != 0:
+        raise StepCountError("store_every", f"store_every = {store_every} must "
+                                            f"divide the step count {n_steps} "
+                                            f"(stored slices stay uniform)")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -424,22 +451,17 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
           store_every: int = 1) -> Trajectory:
     """March from f0.t to t_end, storing every `store_every`-th slice.
 
-    The step count is rounded from (t_end - f0.t)/dt; identical inputs give
-    bit-identical trajectories.  Each step appends an energy-ledger entry,
-    with `diff_residual` the worst diffusion-solve residual of the step
-    over its tolerance (0 for the initial entry).
+    The step count is `whole_steps(t_end - f0.t, dt, store_every)`;
+    identical inputs give bit-identical trajectories.  Each step appends an
+    energy-ledger entry, with `diff_residual` the worst diffusion-solve
+    residual of the step over its tolerance (0 for the initial entry).
     """
     grid = f0.grid
     dt = grid.dt if dt is None else float(dt)
     span = t_end - f0.t
     if span <= 0:
         raise ValueError(f"t_end = {t_end} must exceed the initial time {f0.t}")
-    n_steps = max(1, int(round(span / dt)))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"span {span} is not an integer multiple of dt = {dt}")
-    if n_steps % store_every != 0:
-        raise ValueError(f"store_every = {store_every} must divide the "
-                         f"step count {n_steps} (stored slices stay uniform)")
+    n_steps = whole_steps(span, dt, store_every)
     plan = _bc_plan(grid, diffusion, source, dt, bc, interp)
     vals = plan.restrict(f0.values)
     times = [f0.t]
@@ -463,10 +485,10 @@ def solve_anchored(data: Trajectory, diffusion, source,
 
     Starts from the first stored slice and steps the boundary problem whose
     Dirichlet cells are the outermost cells of each x and v axis (`ring_mask`),
-    filled with the data trajectory (time-interpolated) at every new time
-    level.  Used by the zoom machinery, where `data` is an interpolated
-    field and the re-solve imposes the equation at the new scale with
-    boundary values anchored to the parent field.
+    filled with the data's own stored slice at every new time level; the
+    re-solve keeps the data's times.  Used by the zoom machinery, where
+    `data` is an interpolated field and the re-solve imposes the equation
+    at the new scale with boundary values anchored to the parent field.
     """
     grid = data.grid
     times = data.times.copy()
@@ -479,7 +501,7 @@ def solve_anchored(data: Trajectory, diffusion, source,
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
         # with constant coefficient passes through bit-consistently); the
         # slices keep the data's times, so a final slice at t = 0 stays there
-        slices[n + 1], _ = plan.step(slices[n], float(times[n]), data.at_time(times[n + 1]))
+        slices[n + 1], _ = plan.step(slices[n], float(times[n]), data.values[n + 1])
     return Trajectory(grid, times, slices)
 
 

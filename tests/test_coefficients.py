@@ -25,7 +25,6 @@ def test_constant_identity_valid(grid):
     cert = validate_ellipticity(a, grid, n_random=64)
     assert cert.passed
     assert cert.margin == pytest.approx(0.5, abs=1e-12)
-    assert cert.symmetry_defect == 0.0
 
 
 def test_checkerboard_values_within_band(grid):
@@ -92,31 +91,73 @@ def test_hash_uniform_is_pure_and_in_range():
 
 # --- dim 2 -------------------------------------------------------------------
 
-def test_dim2_diagonal_and_clamped_symmetric():
+def test_dim2_diagonal_fields_only():
     grid2 = PhaseGrid(2, (-1.0, 0.0), 8, 1.0, 8, 1.0, 8)
     diag = build_diffusion(2, 2.0, "checkerboard", values=(0.7, 1.4), cell=0.3)
     cert = validate_ellipticity(diag, grid2, n_random=32)
     assert cert.passed
+    # every field is diagonal: a full symmetric kind is not offered
+    with pytest.raises(CoefficientError, match="unknown diffusion kind"):
+        build_diffusion(2, 2.0, "clamped_symmetric", cell=0.3,
+                        low=0.6, high=1.8, seed=5)
 
-    full = build_diffusion(2, 2.0, "clamped_symmetric", cell=0.3,
-                           low=0.6, high=1.8, seed=5)
-    cert2 = validate_ellipticity(full, grid2, n_random=64)
-    assert cert2.passed
-    # quadratic-form oracle, independent of the validator's eigvalsh path
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        t = rng.uniform(-1.0, 0.0)
-        x = tuple(rng.uniform(-1, 1, 2))
-        v = tuple(rng.uniform(-1, 1, 2))
-        m = full.matrix(t, x, v)
-        assert np.allclose(m, m.T, atol=1e-15)
-        u = rng.normal(size=2)
-        u /= np.linalg.norm(u)
-        q = float(u @ m @ u)
-        assert 0.5 - 1e-12 <= q <= 2.0 + 1e-12
-    # the solver path must refuse the non-diagonal kind
-    with pytest.raises(CoefficientError):
-        full.diagonal(0.0, (np.zeros(2), np.zeros(2)), (np.zeros(2), np.zeros(2)))
+
+def _ellipticity_reference(A, grid, n_random, seed=0):
+    """(margin, violations) from one eigenvalue solve per check point: the
+    strided grid nodes at three times, then `n_random` points drawn one
+    coordinate at a time."""
+    times = [grid.t_span[0], 0.5 * (grid.t_span[0] + grid.t_span[1]), grid.t_span[1]]
+    stride = max(1, grid.n_x // 16)
+    pts = [(t, (x,) * A.dim, (v,) * A.dim) for t in times
+           for x in grid.x_centers[::stride] for v in grid.v_centers[::stride]]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        t = rng.uniform(*grid.t_span)
+        x = tuple(rng.uniform(-grid.x_max, grid.x_max, A.dim))
+        v = tuple(rng.uniform(-grid.v_max, grid.v_max, A.dim))
+        pts.append((t, x, v))
+    margin, violations = np.inf, []
+    for t, x, v in pts:
+        m = np.diag([float(np.asarray(d).reshape(())) for d in A.diagonal(t, x, v)])
+        eig = np.linalg.eigvalsh(m)
+        pt_margin = min(float(eig.min() - 1.0 / A.lam), float(A.lam - eig.max()))
+        margin = min(margin, pt_margin)
+        if pt_margin < -1e-12:
+            violations.append((t, x, v, pt_margin))
+    return margin, violations[:16]
+
+
+def _fields(dim):
+    fields = {
+        "constant": build_diffusion(dim, 2.0, "constant", value=1.3),
+        "checkerboard": build_diffusion(dim, 2.0, "checkerboard", values=(0.6, 1.5),
+                                        cell=0.25, axes="txv"),
+        "cellwise_random": build_diffusion(dim, 2.0, "cellwise_random", low=0.55,
+                                           high=1.8, cell=0.2, seed=4),
+        "oscillatory": build_diffusion(dim, 2.0, "oscillatory", mid=1.0,
+                                       amplitude=0.5, frequency=1.5),
+    }
+    fields["zoomed"] = fields["cellwise_random"].transformed(
+        ScalingMap(0.5, -0.2, (0.1,) * dim, (0.3,) * dim))
+    fields["mutated"] = build_diffusion(dim, 2.0, "constant", value=1.0)
+    fields["mutated"].params["value"] = 2.5       # out of band everywhere
+    fields["mutated_partly"] = build_diffusion(dim, 2.0, "cellwise_random", low=0.6,
+                                               high=1.8, cell=0.2, seed=7)
+    fields["mutated_partly"].params["high"] = 2.4  # out of band on some cells
+    return fields
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_validator_matches_pointwise_eigenvalues(dim):
+    grid = PhaseGrid(dim, (-1.5, 0.0), 8, 1.5, 20 if dim == 1 else 8,
+                     1.5, 20 if dim == 1 else 8)
+    for name, field in _fields(dim).items():
+        cert = validate_ellipticity(field, grid, n_random=64, seed=3)
+        margin, violations = _ellipticity_reference(field, grid, 64, seed=3)
+        assert cert.margin == margin, name
+        assert cert.violations == violations, name
+        assert cert.passed == (not violations), name
+        assert cert.passed == (not name.startswith("mutated")), name
 
 
 # --- sources -----------------------------------------------------------------

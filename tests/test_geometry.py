@@ -53,8 +53,8 @@ def test_measure_monotone_in_radius():
 def test_measure_additive_under_time_splitting():
     r = 1.2
     whole = make_cylinder(r)
-    early = Cylinder(1, -r, -0.4, r, r)
-    late = Cylinder(1, -0.4, 0.0, r, r)
+    early = Cylinder(1, -r, -0.4, radius=r)
+    late = Cylinder(1, -0.4, 0.0, radius=r)
     assert early.measure + late.measure == pytest.approx(whole.measure, abs=1e-14)
 
 
@@ -219,9 +219,11 @@ def test_level_set_measure_monotone_in_threshold(c1, gap):
 
 def test_level_set_region_outside_domain(grid48):
     traj = Trajectory.from_constant(grid48, grid48.times, 1.0)
-    far = Cylinder(1, -1.0, 0.0, 0.2, 0.2, x_center=(40.0,), v_center=(0.0,))
+    # no cell centre of the even 48-cell grid lies within half a cell of 0
+    tiny = Cylinder(1, -1.0, 0.0, radius=0.49 * grid48.dx)
+    assert not tiny.intersects_grid(grid48, grid48.times)
     with pytest.raises(GeometryError):
-        level_set_measure(traj, lambda f: f > 0, far)
+        level_set_measure(traj, lambda f: f > 0, tiny)
 
 
 def test_cylinder_integral_constant_field(grid48):

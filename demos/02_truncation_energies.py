@@ -15,8 +15,7 @@ from kfplab.degiorgi import chebyshev_audit, truncation_energy
 
 grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
 rough = build_diffusion(1, 2.0, "checkerboard", values=(0.6, 1.5), cell=0.25)
-source = build_source(1, "bump", bound=0.4, amplitude=0.4,
-                      x_radius=1.0, v_radius=1.0)
+source = build_source(1, "bump", bound=0.4)
 
 x = grid.x_centers[:, None]
 v = grid.v_centers[None, :]

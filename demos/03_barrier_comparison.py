@@ -19,8 +19,7 @@ from kfplab.solver import comparison_check
 grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
 rough = build_diffusion(1, 2.0, "cellwise_random", low=0.55, high=1.8,
                         cell=0.2, seed=3)
-source = build_source(1, "bump", bound=0.5, amplitude=0.5,
-                      x_radius=1.0, v_radius=1.0)
+source = build_source(1, "bump", bound=0.5)
 x = grid.x_centers[:, None]
 v = grid.v_centers[None, :]
 f0 = PhaseField(grid, -1.5, 1.1 * np.cos(np.pi * x / 1.5) * np.exp(-v**2 / 0.18))

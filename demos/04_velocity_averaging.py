@@ -32,7 +32,7 @@ print(f"  smoothing gain:                    {out['gain']:.3f}\n")
 # the barrier field of a rough run, with the full spectral audit
 big = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
 rough = build_diffusion(1, 2.0, "checkerboard", values=(0.6, 1.5), cell=0.25)
-g = build_source(1, "bump", bound=0.5, amplitude=0.5, x_radius=1.0, v_radius=1.0)
+g = build_source(1, "bump", bound=0.5)
 x = big.x_centers[:, None]
 v = big.v_centers[None, :]
 f0 = PhaseField(big, -1.5, 1.1 * np.cos(np.pi * x / 1.5) * np.exp(-v**2 / 0.18))
@@ -41,7 +41,7 @@ traj = solve(f0, rough, g, 0.0, WHOLE_SPACE)
 # taken at the whole grid's padded lengths, so they are the spectra of G_1
 # zero-extended to the grid
 rep = build_barrier_sources(traj, 1, rough, g)
-barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, 1)
+barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, 1, initial=rep.fk.field(0))
 
 spec = SpectralField.from_trajectory(barrier, warn_boundary=False)
 lhs, rhs = interpolation_audit(spec)

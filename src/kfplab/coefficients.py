@@ -285,17 +285,21 @@ def validate_ellipticity(A: DiffusionField, grid: PhaseGrid, times=None,
 
 @dataclass
 class SourceField:
-    """The scalar source g(t, x, v) with a declared amplitude budget.
+    """The scalar source g(t, x, v) with its amplitude `bound`.
 
-    `bound` is a pointwise budget: every kind satisfies |g| <= bound by
-    construction (noise is clamped).  Its L^q norm over Q[3/2], for the
-    exponent q of the iteration constants, is `source_lq_norm`.
+    `bound` is the magnitude of every kind and a pointwise budget,
+    |g| <= bound: the constant kind is bound everywhere, the bump is bound
+    times the radial cutoff that is 1 on B(0, 1/2) and 0 outside B(0, 1),
+    in x and in v, and noise is uniform in [-bound, bound] per `cell` of
+    (t, x, v), with cell faces offset by half a cell from the origin.  Its
+    L^q norm over Q[3/2], for the exponent q of the iteration constants,
+    is `source_lq_norm`.
     """
 
     dim: int
     kind: str
     bound: float = 0.0
-    params: dict = field(default_factory=dict)
+    cell: float = 0.25
     seed: int = 0
     transform: object = None
     scale: float = 1.0
@@ -303,30 +307,27 @@ class SourceField:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "bump", "noise"):
             raise CoefficientError(f"unknown source kind {self.kind!r}")
-        if self.bound < 0:
-            raise CoefficientError("source bound must be nonnegative")
+        if not 0.0 <= self.bound < np.inf:
+            raise CoefficientError(f"source bound must be finite and nonnegative, "
+                                   f"got {self.bound}")
+        if not 0.0 < self.cell < np.inf:
+            raise CoefficientError(f"source cell must be positive and finite, "
+                                   f"got {self.cell}")
 
     def evaluate(self, t, xs, vs):
         """g at broadcast coordinates (tuple of x arrays, tuple of v arrays)."""
         t, xs, vs = _pullback(self.transform, t, tuple(xs), tuple(vs))
-        p = self.params
-        if self.kind == "zero":
-            out = np.zeros(np.broadcast(*map(np.asarray, xs + vs)).shape)
-        elif self.kind == "constant":
-            value = p.get("value", self.bound)
-            out = np.full(np.broadcast(*map(np.asarray, xs + vs)).shape, float(value))
+        if self.kind in ("zero", "constant"):
+            value = 0.0 if self.kind == "zero" else float(self.bound)
+            out = np.full(np.broadcast(*map(np.asarray, xs + vs)).shape, value)
         elif self.kind == "bump":
-            rx = p.get("x_radius", 1.0)
-            rv = p.get("v_radius", 1.0)
-            amp = p.get("amplitude", self.bound)
             rho_x = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in xs))
             rho_v = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in vs))
-            out = amp * cutoff_value(rho_x, 0.5 * rx, rx) * cutoff_value(rho_v, 0.5 * rv, rv)
-        else:  # noise, clamped to [-bound, bound]
-            cell = p.get("cell", 0.25)
-            offset = p.get("offset", 0.5 * cell)
-            idx = [_cell_index(t, cell, offset)]
-            idx += [_cell_index(c, cell, offset) for c in xs + vs]
+            out = self.bound * cutoff_value(rho_x, 0.5, 1.0) * cutoff_value(rho_v, 0.5, 1.0)
+        else:  # noise, within [-bound, bound]
+            offset = 0.5 * self.cell
+            idx = [_cell_index(t, self.cell, offset)]
+            idx += [_cell_index(c, self.cell, offset) for c in xs + vs]
             u = hash_uniform(self.seed, *idx)
             out = self.bound * (2.0 * u - 1.0)
         return self.scale * out
@@ -342,8 +343,7 @@ class SourceField:
             return t
         if self.kind == "bump":
             return None
-        cell = self.params.get("cell", 0.25)
-        return _time_cell(self.transform, t, cell, self.params.get("offset", 0.5 * cell))
+        return _time_cell(self.transform, t, self.cell, 0.5 * self.cell)
 
     def sample(self, grid: PhaseGrid, t: float) -> np.ndarray:
         """g on all (x, v) cell centers of the grid at time t."""
@@ -351,25 +351,23 @@ class SourceField:
 
     def transformed(self, transform, scale: float) -> "SourceField":
         """Pull back through a scaling map and multiply by `scale` (eps^2)."""
-        return SourceField(self.dim, self.kind, self.bound, dict(self.params),
-                           self.seed, _composed(self.transform, transform),
-                           self.scale * scale)
+        return SourceField(self.dim, self.kind, self.bound, self.cell, self.seed,
+                           _composed(self.transform, transform), self.scale * scale)
 
     def scaled(self, factor: float) -> "SourceField":
-        return SourceField(self.dim, self.kind, self.bound,
-                           dict(self.params), self.seed, self.transform,
-                           self.scale * factor)
+        return SourceField(self.dim, self.kind, self.bound, self.cell, self.seed,
+                           self.transform, self.scale * factor)
 
 
 def build_source(dim: int, kind: str, bound: float = 0.0, seed: int = 0,
-                 **params) -> SourceField:
-    return SourceField(dim=dim, kind=kind, bound=bound, params=params, seed=seed)
+                 cell: float = 0.25) -> SourceField:
+    return SourceField(dim=dim, kind=kind, bound=bound, cell=cell, seed=seed)
 
 
 def source_lq_norm(source: SourceField, grid: PhaseGrid, q: float) -> float:
     """Quadrature L^q norm of g over Q[3/2] (cell rule in space, midpoint
     rule on 32 time cells)."""
-    region = make_cylinder(1.5, grid.dim)
+    region = make_cylinder(1.5)
     n_t = 32
     t_lo = max(region.t_lo, grid.t_span[0])
     t_hi = min(region.t_hi, grid.t_span[1])

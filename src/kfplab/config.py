@@ -7,16 +7,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time
 from .holder import lemma_constants
 from .solver import StepCountError, whole_steps
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
-           "parse_sweep_config", "config_to_text"]
+           "parse_sweep_config", "config_to_text", "format_value"]
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
+
+
+# the largest initial amplitude and source bound: the audits sum squares of
+# f and g over every cell and slice, and at 1e160 those overflow float64
+_MAGNITUDE_MAX = 1e100
 
 
 def _parse_scalar(raw: str):
@@ -110,6 +117,13 @@ class RunConfig:
         def fail(path, msg):
             raise ConfigError(f"field '{path}': {msg}")
 
+        # q = inf is the iteration's cleanest case; every other number is finite
+        for f in fields(self):
+            val = getattr(self, f.name)
+            for item in (val if f.name in _LIST_FIELDS else (val,)):
+                if (isinstance(item, float) and f.name != "q_constants"
+                        and not math.isfinite(item)):
+                    fail(_ATTRS[f.name], f"must be finite, got {item}")
         if self.dim not in (1, 2):
             fail("grid.dim", f"must be 1 or 2, got {self.dim}")
         for path, val in (("grid.n_t", self.n_t), ("grid.n_x", self.n_x),
@@ -138,14 +152,19 @@ class RunConfig:
                 fail("coeff.amplitude", f"range [{lo}, {hi}] outside [{band[0]}, {band[1]}]")
         else:
             fail("coeff.kind", f"unknown kind {self.coeff_kind!r}")
+        for path, val in (("coeff.cell", self.coeff_cell), ("source.cell", self.source_cell)):
+            if not val > 0:
+                fail(path, f"cells must be positive, got {val}")
         if self.source_kind not in ("zero", "constant", "bump", "noise"):
             fail("source.kind", f"unknown kind {self.source_kind!r}")
         if self.source_bound < 0:
             fail("source.bound", "must be nonnegative")
+        for path, val in (("initial.amplitude", self.initial_amplitude),
+                          ("source.bound", self.source_bound)):
+            if abs(val) > _MAGNITUDE_MAX:
+                fail(path, f"magnitude must be at most {_MAGNITUDE_MAX:g}, got {val}")
         if self.initial_kind not in ("modes", "bump", "point"):
             fail("initial.kind", f"unknown kind {self.initial_kind!r}")
-        if not math.isfinite(self.initial_amplitude):
-            fail("initial.amplitude", f"must be finite, got {self.initial_amplitude}")
         if self.initial_v_width <= 0:
             fail("initial.v_width", "must be positive")
         if self.initial_modes < 1:
@@ -230,6 +249,11 @@ class RunConfig:
                 if not rho.min() < r:
                     fail(path, f"no cell centre of the half-width {half} box "
                                f"lies in Q[omega/2] = Q[{r}]")
+        # the ladder re-solves on the unit-scale grid with its own step
+        unit = run_grid.unit_scale()
+        if unit.dt > unit.dx / unit.v_max * (1 + 1e-12):
+            fail("grid.n_t", f"the zoom grid's step {unit.dt} violates its "
+                             f"transport bound dx/v_max = {unit.dx / unit.v_max}")
         return self
 
 
@@ -305,13 +329,17 @@ def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
         return parse_config(fh.read(), base)
 
 
-def _format_value(val) -> str:
-    if isinstance(val, bool):
+def format_value(val) -> str:
+    """The text of a config value or a result: true/false, repr of a float
+    (nan for None), items joined by ", ", str otherwise."""
+    if isinstance(val, (bool, np.bool_)):
         return "true" if val else "false"
-    if isinstance(val, float):
-        return "inf" if math.isinf(val) else repr(val)
+    if val is None:
+        return "nan"
+    if isinstance(val, (float, np.floating)):
+        return repr(float(val))
     if isinstance(val, (tuple, list)):
-        return ", ".join(_format_value(v) for v in val)
+        return ", ".join(format_value(v) for v in val)
     return str(val)
 
 
@@ -324,5 +352,5 @@ def config_to_text(cfg: RunConfig) -> str:
         val = getattr(cfg, f.name)
         if val is None:
             continue
-        lines.append(f"{_ATTRS[f.name]} = {_format_value(val)}")
+        lines.append(f"{_ATTRS[f.name]} = {format_value(val)}")
     return "\n".join(lines) + "\n"

@@ -154,9 +154,9 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
         if w[i] > 0.0:
             dissipation += float(w[i]) * grad_sq * cv
 
-    q_out = level.outer_cylinder(grid.dim)
+    q_out = level.outer_cylinder()
     (fk_in, grad_in), (fk_out, grad_out) = _fk_norms(
-        traj, k, level.cylinder(grid.dim), q_out)
+        traj, k, level.cylinder(), q_out)
     return TruncationReport(k, sup_term + dissipation / lam, sup_term,
                             dissipation / lam,
                             level_set_measure(traj, lambda f: f > c, q_out),
@@ -200,13 +200,18 @@ def chebyshev_audit(traj: Trajectory, k: int,
     previous truncation energy is supplied, the chained bound
     3 * 2^{2k+1} U_{k-1} is reported as well (its constant presumes the
     continuous sup bound, so only the margin is recorded, not asserted).
+
+    Both sides vanish outside Q_{k-1}, so the audit runs on the level
+    window from T_{k-1}, the view `truncation_energy` counts its level set
+    on, and the two measures are equal.
     """
     if k < 1:
         raise ValueError(f"chebyshev audit requires k >= 1, got {k}")
-    grid = traj.grid
+    level = DyadicLevel(k)
+    traj = traj.window(dyadic_time(k - 1), level.outer_radius)
     c_k = dyadic_truncation(k)
     c_prev = dyadic_truncation(k - 1)
-    q_out = make_cylinder(DyadicLevel(k).outer_radius, grid.dim)
+    q_out = level.outer_cylinder()
     measure = level_set_measure(traj, lambda f: f > c_k, q_out)
     integral = cylinder_integral(
         traj, lambda f: np.maximum(f - c_prev, 0.0) ** 2, q_out)
@@ -312,7 +317,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     fk = Trajectory(cells, win.times.copy(),
                     np.maximum(win.values - c, 0.0) * eta_x * eta_v**2)
 
-    q_out = level.outer_cylinder(grid.dim)
+    q_out = level.outer_cylinder()
     sq = lambda v: v**2
     s1_l2 = math.sqrt(cylinder_integral(s1, sq, q_out))
     s2_l2 = math.sqrt(sum(cylinder_integral(comp, sq, q_out) for comp in s2))
@@ -562,8 +567,8 @@ def _conclusion_cylinder(traj: Trajectory, r: float):
     dt_slice = float(traj.times[1] - traj.times[0])
     min_r = max(1.5 * grid.dx, 1.5 * grid.dv, 1.5 * dt_slice)
     if r < min_r:
-        return make_cylinder(min_r, grid.dim), True
-    return make_cylinder(r, grid.dim), False
+        return make_cylinder(min_r), True
+    return make_cylinder(r), False
 
 
 def linfty_gate(traj: Trajectory, kappa_log: float, zoomed: bool = False,
@@ -576,14 +581,13 @@ def linfty_gate(traj: Trajectory, kappa_log: float, zoomed: bool = False,
     below grid resolution the smallest node-resolving cylinder is used and
     flagged.
     """
-    dim = traj.grid.dim
     if zoomed:
         if omega is None:
             raise ValueError("zoomed gate requires omega")
-        premise_region = make_cylinder(omega / 2.0, dim)
+        premise_region = make_cylinder(omega / 2.0)
         conclusion_r = omega**3 / 54.0
     else:
-        premise_region = make_cylinder(1.5, dim)
+        premise_region = make_cylinder(1.5)
         conclusion_r = 0.5
     premise_log = _premise_log10(traj, premise_region)
     region, resolution_limited = _conclusion_cylinder(traj, conclusion_r)
@@ -622,4 +626,4 @@ def empirical_kappa(traj: Trajectory, unit: Trajectory, a0: float):
         return math.inf, math.inf
     amp = a0 + float(np.min((_CONCLUSION_BOUND - t_n[rising]) / u_n[rising]))
     at_amp = Trajectory(traj.grid, traj.times, traj.values + (amp - a0) * unit.values)
-    return _premise_log10(at_amp, make_cylinder(1.5, traj.grid.dim)), amp
+    return _premise_log10(at_amp, make_cylinder(1.5)), amp

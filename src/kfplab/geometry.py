@@ -243,11 +243,11 @@ class Cylinder:
     """A set (t_lo, t_hi] x B(0, radius) x B(0, radius).
 
     The standard cylinder Q[r] uses (t_lo, t_hi] = (-r, 0] and radius r.
-    `measure` is analytic, the product of the interval length and the two
-    ball volumes.  Masks read the grid's radius arrays `rho_x`, `rho_v`.
+    A cylinder is a set in the phase space of whichever grid it is applied
+    to: masks read the grid's radius arrays `rho_x`, `rho_v`, and the
+    analytic `measure` takes the dimension N.
     """
 
-    dim: int
     t_lo: float
     t_hi: float
     radius: float
@@ -259,9 +259,9 @@ class Cylinder:
         if self.radius <= 0:
             raise GeometryError("cylinder radius must be positive")
 
-    @property
-    def measure(self) -> float:
-        ball = ball_volume(self.dim, self.radius)
+    def measure(self, dim: int) -> float:
+        """The product of the interval length and the two ball volumes in R^dim."""
+        ball = ball_volume(dim, self.radius)
         return (self.t_hi - self.t_lo) * ball * ball
 
     def contains_time(self, t) -> np.ndarray:
@@ -301,21 +301,21 @@ def _bounding_box(mask: np.ndarray) -> tuple:
     return tuple(box)
 
 
-def make_cylinder(r: float, dim: int = 1) -> Cylinder:
+def make_cylinder(r: float) -> Cylinder:
     """The standard kinetic cylinder Q[r] = (-r, 0) x B(0,r) x B(0,r)."""
     if r <= 0:
         raise GeometryError(f"cylinder radius must be positive, got {r}")
-    return Cylinder(dim, -r, 0.0, r, f"Q[{r}]")
+    return Cylinder(-r, 0.0, r, f"Q[{r}]")
 
 
-def hat_cylinder(dim: int = 1) -> Cylinder:
+def hat_cylinder() -> Cylinder:
     """The time-shifted cylinder (-3/2, -1] x B(0,1)^2."""
-    return Cylinder(dim, -1.5, -1.0, 1.0, "Qhat")
+    return Cylinder(-1.5, -1.0, 1.0, "Qhat")
 
 
-def hat_union_unit(dim: int = 1) -> Cylinder:
+def hat_union_unit() -> Cylinder:
     """The union of the hat cylinder and Q[1], i.e. (-3/2, 0) x B(0,1)^2."""
-    return Cylinder(dim, -1.5, 0.0, 1.0, "Qhat+Q[1]")
+    return Cylinder(-1.5, 0.0, 1.0, "Qhat+Q[1]")
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +419,11 @@ class DyadicLevel:
         """Actual peak slope of the quintic profile, (15/8) 2^{k+1}."""
         return (15.0 / 8.0) / (self.outer_radius - self.radius)
 
-    def cylinder(self, dim: int = 1) -> Cylinder:
-        return make_cylinder(self.radius, dim)
+    def cylinder(self) -> Cylinder:
+        return make_cylinder(self.radius)
 
-    def outer_cylinder(self, dim: int = 1) -> Cylinder:
-        return make_cylinder(self.outer_radius, dim)
+    def outer_cylinder(self) -> Cylinder:
+        return make_cylinder(self.outer_radius)
 
     def eta(self, rho):
         return cutoff_value(rho, self.radius, self.outer_radius)

@@ -234,8 +234,8 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     _check_omega(omega, dim)
     eps_step = omega * omega / 27.0
     report = OscillationReport(omega=omega)
-    region = make_cylinder(omega / 2.0, dim)
-    inner_region = make_cylinder(omega**3 / 54.0, dim)
+    region = make_cylinder(omega / 2.0)
+    inner_region = make_cylinder(omega**3 / 54.0)
 
     current = traj
     a_cur, g_cur = diffusion, source
@@ -293,7 +293,6 @@ def _check_omega(omega: float, dim: int):
 @dataclass
 class ThetaSequenceReport:
     theta: float
-    levels: list                        # trajectories f_0 .. f_kmax
     measures: list                      # m_k over the hat cylinder union Q[1]
     monotone: bool                      # f_k <= f_{k-1} on the region, exact
     measures_nondecreasing: bool
@@ -305,27 +304,26 @@ def theta_sequence(traj: Trajectory, theta: float, k_max: int) -> ThetaSequenceR
     Requires theta in (0, 1/2) and f <= 1 on the hat-union region (the
     bound normalize_pair gives); the ladder is then pointwise nonincreasing
     in k there (exactly) and the measures m_k = |{f_k <= 0}| over that
-    region are nondecreasing.
+    region are nondecreasing.  Only the current pair of levels is held.
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    region = hat_union_unit(traj.grid.dim)
+    region = hat_union_unit()
     if cylinder_node_extrema(traj, region)[1] > 1.0 + 1e-12:
         raise ValueError("theta sequence requires f <= 1 on the hat union "
                          "(normalize first)")
-    levels = [traj]
+    prev = traj
     measures = [level_set_measure(traj, lambda f: f <= 0.0, region)]
     monotone = True
     for _ in range(k_max):
-        prev = levels[-1]
         nxt = prev.map_values(lambda v: (v - 1.0) / theta + 1.0)
         rise = cylinder_node_extrema(
             Trajectory(prev.grid, prev.times, nxt.values - prev.values), region)[1]
         monotone &= bool(rise <= 1e-12)
-        levels.append(nxt)
         measures.append(level_set_measure(nxt, lambda f: f <= 0.0, region))
+        prev = nxt
     nondecr = all(b >= a - 1e-12 for a, b in zip(measures, measures[1:]))
-    return ThetaSequenceReport(theta, levels, measures, monotone, nondecr)
+    return ThetaSequenceReport(theta, measures, monotone, nondecr)
 
 
 @dataclass
@@ -353,8 +351,8 @@ def isoperimetric_probe(traj: Trajectory, theta: float, omega: float,
     _check_omega(omega, grid.dim)
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    hat = hat_cylinder(grid.dim)
-    union = hat_union_unit(grid.dim)
+    hat = hat_cylinder()
+    union = hat_union_unit()
     _, top_val, _ = cylinder_node_extrema(traj, union)
     if top_val > 1.0 + 1e-12:
         raise ValueError("isoperimetric probe requires f <= 1 on the hat union")
@@ -375,7 +373,7 @@ def isoperimetric_probe(traj: Trajectory, theta: float, omega: float,
         work = traj
 
     m_top = level_set_measure(work, lambda f: f >= 1.0 - theta,
-                              make_cylinder(omega / 2.0, grid.dim))
+                              make_cylinder(omega / 2.0))
     m_middle = level_set_measure(
         work, lambda f: (f > 0.0) & (f < 1.0 - theta), union)
     log_top = math.log10(m_top) if m_top > 0 else -math.inf
@@ -416,7 +414,7 @@ def normalize_pair(traj: Trajectory, source, beta: float):
     hat-union region, so |f/L| <= 1 and |g/L| <= beta."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    region = hat_union_unit(traj.grid.dim)
+    region = hat_union_unit()
     lo, hi, count = cylinder_node_extrema(traj, region)
     f_inf = max(abs(lo), abs(hi)) if count else 0.0
     if source is None:
@@ -496,17 +494,10 @@ def holder_fit(traj: Trajectory, base=None, radii=None) -> dict:
             "radii": list(radii), "sups": sups, "degenerate": False}
 
 
-def modulus_from_constants(mu: float, omega: float, dim: int = 1,
-                           denominator: float = 27.0) -> float:
-    """The Hoelder exponent sigma = ln(mu) / ln(omega^2 / denominator) > 0.
-
-    The zoom step contracting by mu has factor omega^2/27; a variant with
-    28 in the denominator is selectable (both stated in the source of the
-    scaling argument; 27 matches the iteration step and is the default).
-    """
+def modulus_from_constants(mu: float, omega: float, dim: int = 1) -> float:
+    """The Hoelder exponent sigma = ln(mu) / ln(omega^2 / 27) > 0 of a zoom
+    step with factor omega^2/27 that contracts the oscillation by mu."""
     _check_omega(omega, dim)
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    if denominator not in (27.0, 28.0):
-        raise ValueError("denominator must be 27 or 28")
-    return math.log(mu) / math.log(omega * omega / denominator)
+    return math.log(mu) / math.log(omega * omega / 27.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import averaging, degiorgi, holder, solver
 from .coefficients import DiffusionField, SourceField, source_lq_norm
-from .config import ConfigError, RunConfig, config_to_text
+from .config import ConfigError, RunConfig, config_to_text, format_value
 from .fields import PhaseField, Trajectory
 from .geometry import DyadicLevel, PhaseGrid, dyadic_time
 from .snapshots import export_snapshot
@@ -93,17 +93,8 @@ def build_coefficient(cfg: RunConfig) -> DiffusionField:
 
 
 def build_source_field(cfg: RunConfig) -> SourceField:
-    params = {}
-    if cfg.source_kind == "constant":
-        params["value"] = cfg.source_bound
-    elif cfg.source_kind == "bump":
-        params["amplitude"] = cfg.source_bound
-        params["x_radius"] = 1.0
-        params["v_radius"] = 1.0
-    elif cfg.source_kind == "noise":
-        params["cell"] = cfg.source_cell
-    return SourceField(cfg.dim, cfg.source_kind, bound=cfg.source_bound,
-                       params=params, seed=cfg.seed * 13 + 5)
+    return SourceField(cfg.dim, cfg.source_kind, cfg.source_bound, cfg.source_cell,
+                       seed=cfg.seed * 13 + 5)
 
 
 def build_initial(cfg: RunConfig, grid: PhaseGrid,
@@ -404,42 +395,30 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(val) -> str:
-    if isinstance(val, bool) or isinstance(val, np.bool_):
-        return "true" if val else "false"
-    if val is None:
-        return "nan"
-    if isinstance(val, (float, np.floating)):
-        v = float(val)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(val)
-
-
 def _write_csv(path, columns, rows):
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_value(v) for v in row])
+
+
+def _manifest_header(status: str) -> str:
+    return f"manifest.version = {MANIFEST_VERSION}\nmanifest.status = {status}\n"
 
 
 def manifest_text(cfg: RunConfig, result: RunResult) -> str:
     out = io.StringIO()
-    out.write(f"manifest.version = {MANIFEST_VERSION}\n")
-    out.write(f"manifest.status = complete\n")
+    out.write(_manifest_header("complete"))
     for name, cols in sorted(CSV_COLUMNS.items()):
         out.write(f"csv.{name} = {';'.join(cols)}\n")
     for line in config_to_text(cfg).splitlines():
         out.write(f"config.{line}\n")
     for key in sorted(result.metrics):
-        out.write(f"metric.{key} = {_fmt(result.metrics[key])}\n")
+        out.write(f"metric.{key} = {format_value(result.metrics[key])}\n")
     for key in sorted(result.verdicts):
-        out.write(f"verdict.{key} = {_fmt(result.verdicts[key])}\n")
-    out.write(f"verdict.all = {_fmt(result.passed)}\n")
+        out.write(f"verdict.{key} = {format_value(result.verdicts[key])}\n")
+    out.write(f"verdict.all = {format_value(result.passed)}\n")
     return out.getvalue()
 
 
@@ -447,9 +426,7 @@ def write_incomplete_manifest(out_dir, exc: Exception):
     """Flag a run that raised: the manifest names the error, no verdicts."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="ascii") as fh:
-        fh.write(f"manifest.version = {MANIFEST_VERSION}\n"
-                 "manifest.status = incomplete\n"
-                 f"manifest.error = {exc!r}\n")
+        fh.write(_manifest_header("incomplete") + f"manifest.error = {exc!r}\n")
 
 
 def _write_outputs(cfg: RunConfig, result: RunResult, traj: Trajectory,
@@ -553,5 +530,5 @@ def sweep(configs, out_root=None, workers: int | None = None):
             fh.write(f"runs = {len(rows)}\n")
             fh.write(f"complete = {len(complete)}\n")
             for name in SWEEP_AUDITS:
-                fh.write(f"pass_rate.{name} = {_fmt(pass_rates[name])}\n")
+                fh.write(f"pass_rate.{name} = {format_value(pass_rates[name])}\n")
     return results, rows, pass_rates

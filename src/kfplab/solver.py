@@ -387,6 +387,8 @@ class _StepPlan:
 
     def __init__(self, grid: PhaseGrid, diffusion, source, dt: float, interp: str,
                  periodic: bool, active=None):
+        if interp not in ("linear", "cubic"):
+            raise ValueError(f"interp must be 'linear' or 'cubic', got {interp!r}")
         _check_cfl(grid, dt)
         self.dt = dt
         self.active = active
@@ -536,36 +538,28 @@ class BarrierSource:
         return out
 
 
-def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int,
-                       interp: str = "linear",
-                       initial: PhaseField | None = None) -> Trajectory:
+def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int, initial: PhaseField,
+                       interp: str = "linear") -> Trajectory:
     """Solve the level-k barrier problem on (T_{k-1}, 0) x B(0, R_{k-1})^2
-    with the kinetic inflow boundary condition.
+    with the kinetic inflow boundary condition, from `initial` at T_{k-1}.
 
     The solve runs on the cell box of the sources (`s1.grid`): a whole
     grid, or the level window that `build_barrier_sources` returns, which
     holds the ball; the step is the time spacing of the sources' slices.
-    Initial data defaults to zero.  The comparison 0 <= F_k <= G_k rests on
-    the difference having zero initial defect, which literal zero data
-    provides only when the truncated field already vanishes at T_{k-1};
-    passing `initial` = F_k(T_{k-1}, .) keeps the comparison a genuine
-    maximum-principle consequence for arbitrary runs.
+    The comparison 0 <= F_k <= G_k is a maximum-principle consequence when
+    the difference has zero initial defect, so `initial` is the truncated
+    field F_k(T_{k-1}, .) (`BarrierSourceReport.fk.field(0)`).
     """
-    grid = s1.grid
     t_start = dyadic_time(k - 1)
     radius = dyadic_radius(k - 1)
     if t_start < s1.t_start - 1e-9:
         raise ValueError(f"sources start at t = {s1.t_start}, after T_{k-1} = {t_start}")
+    if abs(initial.t - t_start) > 1e-9:
+        raise ValueError(f"initial slice is at t = {initial.t}, "
+                         f"the barrier starts at {t_start}")
     dt = float(s1.times[1] - s1.times[0])
-    if initial is None:
-        f0 = PhaseField.constant(grid, t_start, 0.0)
-    else:
-        if abs(initial.t - t_start) > 1e-9:
-            raise ValueError(f"initial slice is at t = {initial.t}, "
-                             f"the barrier starts at {t_start}")
-        f0 = initial
     src = BarrierSource(s1, s2)
-    return solve(f0, diffusion, src, 0.0, kinetic_ibvp(radius), dt=dt, interp=interp)
+    return solve(initial, diffusion, src, 0.0, kinetic_ibvp(radius), dt=dt, interp=interp)
 
 
 # ---------------------------------------------------------------------------

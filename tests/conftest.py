@@ -28,8 +28,7 @@ def rough_run(grid64):
     """One checkerboard-coefficient solve shared by diagnostic tests."""
     diffusion = build_diffusion(1, 2.0, "checkerboard", values=(0.6, 1.5),
                                 cell=0.25)
-    source = build_source(1, "bump", bound=0.4, amplitude=0.4,
-                          x_radius=1.0, v_radius=1.0)
+    source = build_source(1, "bump", bound=0.4)
     x = grid64.x_centers[:, None]
     v = grid64.v_centers[None, :]
     f0 = PhaseField(grid64, -1.5,

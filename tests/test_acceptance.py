@@ -315,8 +315,7 @@ def test_averaging_constant_fit_reported(ensemble):
 def test_criterion_11_zoom_covariance():
     grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
     a = build_diffusion(1, 2.0, "checkerboard", values=(0.6, 1.5), cell=0.25)
-    g = build_source(1, "bump", bound=0.3, amplitude=0.3, x_radius=1.0,
-                     v_radius=1.0)
+    g = build_source(1, "bump", bound=0.3)
     x = grid.x_centers[:, None]
     v = grid.v_centers[None, :]
     f0 = PhaseField(grid, -1.5, 0.7 * np.cos(np.pi * x / 1.5)

@@ -168,10 +168,10 @@ def test_zero_source(grid):
 
 
 def test_constant_source_norms(grid):
-    g = build_source(1, "constant", bound=1.0, value=1.0)
+    g = build_source(1, "constant", bound=1.0)
     assert source_lq_norm(g, grid, q=np.inf) == pytest.approx(1.0, abs=1e-12)
     # ||g||_{L2(Q[3/2])} = sqrt(measure) with the measure from the geometry module
-    expect = np.sqrt(make_cylinder(1.5, 1).measure)
+    expect = np.sqrt(make_cylinder(1.5).measure(1))
     assert source_lq_norm(g, grid, q=2.0) == pytest.approx(expect, rel=1e-12)
 
 
@@ -183,12 +183,28 @@ def test_clamped_noise_respects_bound(grid):
 
 
 def test_bump_source_supported_inside(grid):
-    g = build_source(1, "bump", bound=0.5, amplitude=0.5, x_radius=1.0,
-                     v_radius=1.0)
+    g = build_source(1, "bump", bound=0.5)
     s = g.sample(grid, -0.5)
     outside = grid.expand_x(grid.rho_x >= 1.0) | grid.expand_v(grid.rho_v >= 1.0)
     assert np.all(s[outside] == 0.0)
     assert s.max() == pytest.approx(0.5, abs=1e-12)
+
+
+def test_source_magnitude_is_its_bound(grid):
+    # the bound is the magnitude of every kind, so |g| <= bound holds by
+    # construction and a second magnitude cannot be passed
+    peaks = {kind: float(np.max(np.abs(build_source(1, kind, bound=0.3, seed=9)
+                                        .sample(grid, -0.7))))
+             for kind in ("zero", "constant", "bump", "noise")}
+    assert peaks["zero"] == 0.0 and peaks["constant"] == 0.3
+    assert 0.29 < peaks["noise"] <= 0.3
+    assert peaks["bump"] == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(TypeError):
+        build_source(1, "constant", bound=0.1, value=5.0)
+    for bad in (dict(bound=-0.1), dict(bound=np.inf), dict(bound=np.nan),
+                dict(cell=0.0), dict(cell=np.inf)):
+        with pytest.raises(CoefficientError):
+            build_source(1, "noise", **{"bound": 0.3, **bad})
 
 
 def test_unknown_kinds_rejected():
@@ -256,8 +272,8 @@ def test_diffusion_time_key_repeats_only_with_its_samples(grid, kind, params, fo
 @pytest.mark.parametrize("transform", list(_TRANSFORMS))
 @pytest.mark.parametrize("kind,params,forms", [
     ("zero", dict(), ("none", "none", "none")),
-    ("constant", dict(value=0.2), ("none", "none", "none")),
-    ("bump", dict(amplitude=0.3, x_radius=1.0, v_radius=1.0), ("none", "none", "t")),
+    ("constant", dict(), ("none", "none", "none")),
+    ("bump", dict(), ("none", "none", "t")),
     ("noise", dict(cell=0.25), ("cell", "cell", "t")),
 ])
 def test_source_time_key_repeats_only_with_its_samples(grid, kind, params, forms,

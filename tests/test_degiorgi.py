@@ -260,7 +260,7 @@ def test_constants_chain_for_reference_values():
     assert expo == 180
     assert 2.0 * c.alpha / (c.alpha - 1.0) ** 2 == pytest.approx(180.0, rel=1e-12)
     # c = 8(1+2 lam) + gamma |Q[3/2]|^(1/2), with the measure from geometry
-    assert c.c_const == pytest.approx(40.0 + math.sqrt(make_cylinder(1.5).measure),
+    assert c.c_const == pytest.approx(40.0 + math.sqrt(make_cylinder(1.5).measure(1)),
                                       rel=1e-14)
     assert c.p == pytest.approx(18.0 / 7.0, rel=1e-14)
     assert c.rho > 1.0

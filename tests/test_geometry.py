@@ -30,11 +30,11 @@ from kfplab.solver import grad_v_sq_sum
 # --- cylinders ---------------------------------------------------------------
 
 def test_standard_cylinder_measures():
-    assert make_cylinder(1.5, 1).measure == pytest.approx(13.5, abs=1e-14)
-    assert make_cylinder(1.0, 1).measure == pytest.approx(4.0, abs=1e-14)
-    assert hat_cylinder(1).measure == pytest.approx(2.0, abs=1e-14)
+    assert make_cylinder(1.5).measure(1) == pytest.approx(13.5, abs=1e-14)
+    assert make_cylinder(1.0).measure(1) == pytest.approx(4.0, abs=1e-14)
+    assert hat_cylinder().measure(1) == pytest.approx(2.0, abs=1e-14)
     # dim 2: r * (pi r^2)^2
-    assert make_cylinder(1.0, 2).measure == pytest.approx(np.pi**2, rel=1e-14)
+    assert make_cylinder(1.0).measure(2) == pytest.approx(np.pi**2, rel=1e-14)
 
 
 def test_cylinder_rejects_bad_radius():
@@ -46,22 +46,22 @@ def test_cylinder_rejects_bad_radius():
 
 def test_measure_monotone_in_radius():
     radii = [0.25, 0.5, 1.0, 1.25, 1.5]
-    measures = [make_cylinder(r).measure for r in radii]
+    measures = [make_cylinder(r).measure(1) for r in radii]
     assert all(b > a for a, b in zip(measures, measures[1:]))
 
 
 def test_measure_additive_under_time_splitting():
     r = 1.2
     whole = make_cylinder(r)
-    early = Cylinder(1, -r, -0.4, radius=r)
-    late = Cylinder(1, -0.4, 0.0, radius=r)
-    assert early.measure + late.measure == pytest.approx(whole.measure, abs=1e-14)
+    early = Cylinder(-r, -0.4, radius=r)
+    late = Cylinder(-0.4, 0.0, radius=r)
+    assert early.measure(1) + late.measure(1) == pytest.approx(whole.measure(1), abs=1e-14)
 
 
 def test_hat_union_covers_both_pieces():
-    u = hat_union_unit(1)
-    assert u.measure == pytest.approx(hat_cylinder(1).measure
-                                      + make_cylinder(1.0).measure, abs=1e-14)
+    u = hat_union_unit()
+    assert u.measure(1) == pytest.approx(hat_cylinder().measure(1)
+                                         + make_cylinder(1.0).measure(1), abs=1e-14)
 
 
 # --- dyadic sequences --------------------------------------------------------
@@ -200,8 +200,8 @@ def test_level_set_measure_against_monte_carlo(grid48):
     vals = 0.5 * (traj.values[it, ix, iv] + traj.values[it + 1, ix, iv])
     hits = vals > 0.2
     p = hits.mean()
-    mc = p * region.measure
-    mc_err = region.measure * np.sqrt(p * (1 - p) / n_mc)
+    mc = p * region.measure(1)
+    mc_err = region.measure(1) * np.sqrt(p * (1 - p) / n_mc)
     cell_vol = dt_cell * grid48.cell_volume
     assert abs(measured - mc) <= 2.0 * (mc_err + cell_vol)
 
@@ -220,7 +220,7 @@ def test_level_set_measure_monotone_in_threshold(c1, gap):
 def test_level_set_region_outside_domain(grid48):
     traj = Trajectory.from_constant(grid48, grid48.times, 1.0)
     # no cell centre of the even 48-cell grid lies within half a cell of 0
-    tiny = Cylinder(1, -1.0, 0.0, radius=0.49 * grid48.dx)
+    tiny = Cylinder(-1.0, 0.0, radius=0.49 * grid48.dx)
     assert not tiny.intersects_grid(grid48, grid48.times)
     with pytest.raises(GeometryError):
         level_set_measure(traj, lambda f: f > 0, tiny)

@@ -10,6 +10,7 @@ from kfplab.geometry import (
     GeometryError,
     PhaseGrid,
     hat_union_unit,
+    level_set_measure,
     make_cylinder,
 )
 from kfplab.holder import (
@@ -122,7 +123,7 @@ def test_zoom_preimage_escape_reports_domain(grid):
 
 
 def test_zoom_source_gains_eps_squared(grid):
-    g = build_source(1, "constant", bound=1.0, value=1.0)
+    g = build_source(1, "constant", bound=1.0)
     traj = Trajectory.from_constant(grid, grid.times, 0.0)
     a = build_diffusion(1, 2.0, "constant", value=1.0)
     triple = zoom(traj, ScalingMap(0.5), a, g)
@@ -238,15 +239,18 @@ def test_ladder_rejects_bad_omega(grid):
 def test_theta_sequence_fixed_point(grid):
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
     rep = theta_sequence(traj, 0.25, 3)
-    for lev in rep.levels:
-        assert np.all(lev.values == 1.0)
+    # every level is 1 again, so no level reaches 0 anywhere
+    assert rep.measures == [0.0] * 4
     assert rep.monotone
 
 
-def test_theta_sequence_zero_field(grid):
-    traj = Trajectory.from_constant(grid, grid.times, 0.0)
-    rep = theta_sequence(traj, 0.25, 1)
-    assert np.allclose(rep.levels[1].values, -3.0, atol=1e-14)
+def test_theta_sequence_measures_follow_the_affine_map(grid):
+    # f = 0.8, theta = 1/4: f_1 = (0.8 - 1)/theta + 1 = 0.2 > 0, f_2 = -2.2 <= 0
+    traj = Trajectory.from_constant(grid, grid.times, 0.8)
+    rep = theta_sequence(traj, 0.25, 2)
+    whole = level_set_measure(traj, lambda f: f > 0.0, hat_union_unit())
+    assert whole > 0.0
+    assert rep.measures == [0.0, 0.0, whole]
 
 
 def test_theta_sequence_monotone_and_measures(grid):
@@ -256,9 +260,6 @@ def test_theta_sequence_monotone_and_measures(grid):
     rep = theta_sequence(traj, 0.3, 4)
     assert rep.monotone
     assert rep.measures_nondecreasing
-    # pointwise ordering is exact
-    for a, b in zip(rep.levels, rep.levels[1:]):
-        assert np.all(b.values <= a.values + 1e-12)
 
 
 def test_theta_sequence_bounds_f_on_the_hat_union_only(grid):
@@ -323,7 +324,7 @@ def test_probe_ramp_measures_match_exhaustive_scan(grid):
                               alpha_iso=0.25)
     assert rep.m_below > 0 and rep.m_top > 0 and rep.m_middle > 0
     # independent cell enumeration for the middle set
-    union = hat_union_unit(1)
+    union = hat_union_unit()
     mids = 0.5 * (traj.times[:-1] + traj.times[1:])
     count = 0
     mask = union.space_mask(grid)
@@ -358,11 +359,12 @@ def test_normalize_trivial_and_reference(grid):
 
     ramp = Trajectory.from_function(grid, grid.times,
                                     lambda t, x, v: np.sign(x) * (abs(x) < 0.9))
-    g = build_source(1, "constant", bound=0.1, value=0.1)
+    g = build_source(1, "constant", bound=0.1)
     scaled, src, big_l = normalize_pair(ramp, g, beta=0.1)
     assert big_l == pytest.approx(4.0, rel=1e-12)     # (1+1)(1+1)
     assert float(np.max(np.abs(scaled.values))) <= 1.0 + 1e-12
     assert abs(src.scale) * src.bound <= 0.1 * big_l  # |g/L| <= beta after scaling
+    assert float(np.max(np.abs(src.sample(grid, -1.0)))) <= 0.1
 
 
 def test_lemma_constants_relations():
@@ -479,8 +481,3 @@ def test_modulus_values_and_monotonicity():
     assert modulus_from_constants(0.999999, 0.4) < 1e-4   # mu -> 1 gives sigma -> 0
     with pytest.raises(ValueError):
         modulus_from_constants(1.1, 0.4)
-    with pytest.raises(ValueError):
-        modulus_from_constants(0.5, 0.4, denominator=26.0)
-    # the 28 variant is selectable and slightly smaller
-    assert modulus_from_constants(0.9, 0.4, denominator=28.0) < \
-        modulus_from_constants(0.9, 0.4, denominator=27.0)

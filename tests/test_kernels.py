@@ -199,10 +199,12 @@ def test_factor_reuse_is_bit_identical_to_refactoring(monkeypatch, kind, params)
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
     s1 = Trajectory.from_function(grid, grid.times,
                                   lambda t, x, v: np.exp(-4 * (x**2 + v**2)))
-    barrier = solve_barrier_ibvp(s1, (zeros,), a, 1)
+    start = PhaseField.constant(grid, -1.0, 0.0)
+    barrier = solve_barrier_ibvp(s1, (zeros,), a, 1, start)
     _always_refactor(monkeypatch)
     assert np.array_equal(reused.values, solve(f0, a, g, 0.0, WHOLE_SPACE).values)
-    assert np.array_equal(barrier.values, solve_barrier_ibvp(s1, (zeros,), a, 1).values)
+    assert np.array_equal(barrier.values,
+                          solve_barrier_ibvp(s1, (zeros,), a, 1, start).values)
 
 
 # 24 steps over (-1.5, 0); cellwise_random changes when the step midpoint
@@ -242,7 +244,7 @@ _KINDS = [
 
 
 @pytest.mark.parametrize("source_kind,source_params", [
-    ("bump", dict(amplitude=0.3, x_radius=1.0, v_radius=1.0)),
+    ("bump", dict()),
     ("noise", dict(cell=0.25)),
 ])
 @pytest.mark.parametrize("kind,params", _KINDS)
@@ -262,7 +264,8 @@ def test_keyed_sampling_is_bit_identical_to_resampling(monkeypatch, kind, params
 
     def solves():
         return ([solve(f0, a, g, 0.0, WHOLE_SPACE),
-                 solve_barrier_ibvp(s1, (zeros,), a, 1)]
+                 solve_barrier_ibvp(s1, (zeros,), a, 1,
+                                    PhaseField.constant(grid, -1.0, 0.0))]
                 + [solve_anchored(z.data, z.diffusion, z.source) for z in zooms])
 
     keyed = solves()

@@ -47,7 +47,7 @@ def test_constants_are_fixed_points(grid, rough_a, zero_g):
 
 
 def test_homogeneous_source_gives_linear_growth(grid, rough_a):
-    g1 = build_source(1, "constant", bound=1.0, value=1.0)
+    g1 = build_source(1, "constant", bound=1.0)
     f = PhaseField.constant(grid, -1.5, 0.0)
     traj = solve(f, rough_a, g1, 0.0, WHOLE_SPACE)
     for i, t in enumerate(traj.times):
@@ -183,11 +183,21 @@ def test_kolmogorov_against_sde_monte_carlo():
         assert abs(m[key] - mc) < 4 * se + 1e-4
 
 
+def test_unknown_interp_is_rejected(grid, rough_a, zero_g):
+    # any name but "linear" and "cubic" is an error, not linear transport
+    f = PhaseField.constant(grid, -1.5, 0.7)
+    with pytest.raises(ValueError, match="interp"):
+        solve(f, rough_a, zero_g, 0.0, WHOLE_SPACE, interp="Cubic")
+    with pytest.raises(ValueError, match="interp"):
+        step(f, rough_a, zero_g, grid.dt, WHOLE_SPACE, interp="spline")
+
+
 # --- barrier problem -----------------------------------------------------------
 
 def test_barrier_zero_sources_zero_solution(grid, rough_a):
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
-    g = solve_barrier_ibvp(zeros, zeros, rough_a, 1)
+    g = solve_barrier_ibvp(zeros, zeros, rough_a, 1,
+                           PhaseField.constant(grid, -1.0, 0.0))
     assert np.all(g.values == 0.0)
 
 
@@ -196,14 +206,14 @@ def test_barrier_positive_source_nonnegative(grid, rough_a):
         grid, grid.times,
         lambda t, x, v: np.exp(-4 * (x**2 + v**2)) * np.ones_like(x + v))
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
-    g = solve_barrier_ibvp(s1, zeros, rough_a, 1)
+    g = solve_barrier_ibvp(s1, zeros, rough_a, 1, PhaseField.constant(grid, -1.0, 0.0))
     assert g.values.min() >= -1e-10
 
 
 def test_barrier_boundary_stays_zero(grid, rough_a):
     s1 = Trajectory.from_constant(grid, grid.times, 1.0)
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
-    g = solve_barrier_ibvp(s1, zeros, rough_a, 1)
+    g = solve_barrier_ibvp(s1, zeros, rough_a, 1, PhaseField.constant(grid, -1.0, 0.0))
     radius = DyadicLevel(1).outer_radius
     outside = (grid.expand_x(grid.rho_x >= radius)
                | grid.expand_v(grid.rho_v >= radius))
@@ -345,11 +355,12 @@ def test_dim2_barrier_smoke():
     g2 = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 10, 1.5, 10)
     a2 = build_diffusion(2, 2.0, "constant", value=1.0)
     zeros = Trajectory.from_constant(g2, g2.times, 0.0)
-    g = solve_barrier_ibvp(zeros, (zeros, zeros), a2, 1)
+    start = PhaseField.constant(g2, -1.0, 0.0)
+    g = solve_barrier_ibvp(zeros, (zeros, zeros), a2, 1, start)
     assert np.all(g.values == 0.0)
     s1 = Trajectory.from_function(
         g2, g2.times,
         lambda t, x1, x2, v1, v2: np.exp(-4 * (x1**2 + x2**2 + v1**2 + v2**2)))
-    g = solve_barrier_ibvp(s1, (zeros, zeros), a2, 1)
+    g = solve_barrier_ibvp(s1, (zeros, zeros), a2, 1, start)
     assert g.values.min() >= -1e-10
     assert g.values.max() > 0.0

@@ -23,7 +23,12 @@ CONSTANTS = {
     # R_{k-1} = R_k in float64 from k = 54 on: an empty cutoff annulus
     "diagnostics.levels": ([2, 53], [54, 60, 520]),
     "diagnostics.barrier_levels": (["1, 2", "1, 53"], ["1, 60"]),
-    "initial.amplitude": ([0.4, 3.0], [math.nan, math.inf]),
+    "initial.amplitude": ([0.4, 3.0, -1e100], [math.nan, math.inf, 1e308]),
+    "source.bound": ([0.3, 1.0, 1e100], [-1.0, math.inf, math.nan, 1e308]),
+    "coeff.frequency": ([1.0, 2.5], [math.inf, math.nan]),
+    "coeff.cell": ([0.25, 0.6], [0.0, -0.25, math.inf]),
+    "source.cell": ([0.25, 0.1], [0.0, math.nan]),
+    "diagnostics.holder_radii": (["0.4, 0.2, 0.1"], ["0.4, 0.2, inf", "0.4, nan, 0.1"]),
 }
 
 
@@ -83,6 +88,10 @@ _RUN = {"grid.dim": 1, "grid.n_t": 24, "grid.n_x": 24, "grid.n_v": 24,
 @example({**_RUN, "diagnostics.levels": 60})
 @example({**_RUN, "diagnostics.barrier_levels": "1, 60"})
 @example({**_RUN, "initial.amplitude": math.nan})
+# the unit-scale grid every zoom re-solves on has step 1.5/n_t, over its
+# transport bound 2/n_x at n_t = 6, n_x = 9
+@example({**_RUN, "grid.n_t": 6, "grid.n_x": 9, "grid.n_v": 9, "grid.v_max": 1.05,
+          "diagnostics.omega": 0.2})
 def test_config_is_rejected_or_completes(entries):
     try:
         cfg = parse_config(_text(entries))

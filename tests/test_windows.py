@@ -17,7 +17,9 @@ import pytest
 
 from kfplab import averaging, solver
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
-from kfplab.degiorgi import build_barrier_sources, truncate, truncation_energy
+from kfplab.config import parse_config
+from kfplab.degiorgi import build_barrier_sources, chebyshev_audit, truncate, \
+    truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     Cylinder,
@@ -32,6 +34,8 @@ from kfplab.geometry import (
     make_cylinder,
     time_quadrature_weights,
 )
+from kfplab.pipeline import build_coefficient, build_grid, build_source_field, \
+    solve_initial
 from kfplab.solver import WHOLE_SPACE, local_energy_check, solve
 
 REL = 1e-12
@@ -105,8 +109,8 @@ def _truncation_energy_reference(traj, k, lam):
             dissipation += float(w[i]) * float(np.sum(eta_x * gsq)) * cv
     fk_traj = truncate(traj, k)
     gk_traj = _grad_sq_reference(fk_traj)
-    q_in = level.cylinder(grid.dim)
-    q_out = level.outer_cylinder(grid.dim)
+    q_in = level.cylinder()
+    q_out = level.outer_cylinder()
     sq = lambda v: v**2
     ident = lambda v: v
     return {
@@ -154,7 +158,7 @@ def _build_barrier_sources_reference(traj, k, diffusion, source):
                       - 2.0 * eta_x * eta_v * cross)
     s1 = Trajectory(grid, traj.times.copy(), s1_vals)
     s2 = tuple(Trajectory(grid, traj.times.copy(), sv) for sv in s2_vals)
-    q_out = level.outer_cylinder(grid.dim)
+    q_out = level.outer_cylinder()
     sq = lambda v: v**2
     fk_traj = truncate(traj, k)
     g_ind = 0.0
@@ -285,7 +289,7 @@ def test_window_is_a_read_only_view_with_sliced_arrays(run):
         assert np.array_equal(cells.x_centers, grid.x_centers[cells.box[0]])
         assert np.array_equal(cells.v_centers, grid.v_centers[cells.box[-1]])
         # every cell of the level's outer ball is inside the window
-        in_ball = level.outer_cylinder(grid.dim).space_mask(grid)
+        in_ball = level.outer_cylinder().space_mask(grid)
         outside = in_ball.copy()
         outside[cells.box] = False
         assert in_ball.any() and not outside.any()
@@ -310,9 +314,9 @@ def test_window_margin_clips_at_grid_edge():
 def test_cylinder_integral_matches_reference(run):
     traj = run["traj"]
     dim = traj.grid.dim
-    regions = [make_cylinder(DyadicLevel(k).outer_radius, dim) for k in range(4)]
-    regions += [make_cylinder(0.125, dim), hat_cylinder(dim),
-                Cylinder(dim, -0.9, -0.2, 0.7)]
+    regions = [make_cylinder(DyadicLevel(k).outer_radius) for k in range(4)]
+    regions += [make_cylinder(0.125), hat_cylinder(),
+                Cylinder(-0.9, -0.2, 0.7)]
     funcs = [lambda f: f**2, lambda f: np.maximum(f - 0.25, 0.0) ** 2, np.abs]
     for region in regions:
         for func in funcs:
@@ -339,6 +343,23 @@ def test_truncation_energy_matches_reference(run):
         for name, value in expected.items():
             assert _close(getattr(got, name), value), (k, name)
     assert truncation_energy(traj, 1, lam).energy > 0.0
+
+
+def test_chebyshev_counts_the_truncation_level_set():
+    # N = 2, 18^4 cells, n_t = 18: the slice spacing 1/12 is not a binary
+    # fraction, so times[1] - times[0] of the whole trajectory and of a level
+    # window differ in the last bits; both audits read the level window, so
+    # they count {f_k > 0} in Q_{k-1} as one number
+    cfg = parse_config("grid.dim = 2\ngrid.n_t = 18\ngrid.n_x = 18\ngrid.n_v = 18\n"
+                       "diagnostics.omega = 0.25\ncoeff.kind = cellwise_random\n"
+                       "initial.kind = bump\ninitial.amplitude = 3.0\n"
+                       "source.kind = bump\nsource.bound = 1.0\nrun.seed = 2\n")
+    grid = build_grid(cfg)
+    traj = solve_initial(cfg, grid, build_coefficient(cfg), build_source_field(cfg))
+    measures = [chebyshev_audit(traj, k).measure for k in range(1, 5)]
+    assert measures == [truncation_energy(traj, k, cfg.lam).level_set
+                        for k in range(1, 5)]
+    assert max(measures) > 0.0
 
 
 @pytest.mark.parametrize("with_source", [True, False])

@@ -1,7 +1,10 @@
 """Command line front end: run, sweep, inspect, report.
 
-Exit code 0 iff every selected audit passed.  The sweep runs its ensemble
-on KFPLAB_WORKERS forked worker processes (default 1, in-process); runs own
+Exit code 0 iff every selected audit passed, 3 when the run raised.  A run
+uses a second CPU when its affinity mask holds one: the Hoelder stage runs
+in a forked process beside the De Giorgi stage (`run_pipeline`), with the
+same artifacts and errors as in-process.  The sweep runs its ensemble on
+KFPLAB_WORKERS forked worker processes (default 1, in-process); runs own
 their output subdirectories exclusively, and aggregation order is fixed, so
 the outputs are byte-identical at any worker count.
 """

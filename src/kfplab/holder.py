@@ -30,6 +30,7 @@ from .fields import Trajectory
 from .geometry import (
     Cylinder,
     GeometryError,
+    GridWindow,
     PhaseGrid,
     _centered_cells,
     ball_volume,
@@ -304,11 +305,16 @@ def theta_sequence(traj: Trajectory, theta: float, k_max: int) -> ThetaSequenceR
     Requires theta in (0, 1/2) and f <= 1 on the hat-union region (the
     bound normalize_pair gives); the ladder is then pointwise nonincreasing
     in k there (exactly) and the measures m_k = |{f_k <= 0}| over that
-    region are nondecreasing.  Only the current pair of levels is held.
+    region are nondecreasing.  Only the current pair of levels is held, on
+    the cells of B(0,1)^2: every query reads those cells only, and the
+    window keeps the trajectory's times, so each measure and each rise is
+    the whole grid's bit for bit.
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
     region = hat_union_unit()
+    cells = GridWindow(traj.grid, region.radius)
+    traj = Trajectory(cells, traj.times, traj.values[(slice(None),) + cells.box])
     if cylinder_node_extrema(traj, region)[1] > 1.0 + 1e-12:
         raise ValueError("theta sequence requires f <= 1 on the hat union "
                          "(normalize first)")

@@ -8,6 +8,17 @@ interpolation inequality, oscillation contraction mu < 1, a positive
 fitted Hoelder exponent, and the empirical-vs-assembled kappa ordering
 (kappa_emp in closed form from the main run and one unit-amplitude run,
 its superposition checked against a direct solve).
+
+After the main solve the audits form two independent stages that read only
+the trajectory, the coefficient, the source and the configuration: the De
+Giorgi stage (energy, local energy, truncation and Chebyshev, the barrier
+stage, the constants, the recursion, the gate and kappa_emp) and the
+Hoelder stage (normalization, oscillation ladder, probe, theta sequence and
+Hoelder fit).  When the process may use more than one CPU, the Hoelder
+stage runs in one forked process while the De Giorgi stage runs in the
+caller; otherwise the two run in that order in-process.  Both paths call
+the same two functions, so the artifacts are byte-identical, and a failure
+raises the serial path's exception.
 """
 
 from __future__ import annotations
@@ -205,12 +216,34 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     grid = build_grid(cfg)
     diffusion = build_coefficient(cfg)
     source = build_source_field(cfg)
-    result = RunResult(cfg)
-    metrics = result.metrics
-    verdicts = result.verdicts
-    tables = result.tables
-
     traj = solve_initial(cfg, grid, diffusion, source)
+
+    stage_args = (cfg, traj, diffusion, source)
+    if _can_overlap():
+        (degiorgi_part, barrier_finals), holder_part = _overlapped_stages(stage_args)
+    else:
+        degiorgi_part, barrier_finals = _degiorgi_stage(*stage_args)
+        holder_part = _holder_stage(*stage_args)
+    result = RunResult(cfg)
+    for tables, metrics, verdicts in (degiorgi_part, holder_part):
+        result.tables.update(tables)
+        result.metrics.update(metrics)
+        result.verdicts.update(verdicts)
+    if out_dir is not None:
+        _write_outputs(cfg, result, traj, barrier_finals, out_dir)
+    return result
+
+
+def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
+    """The L-infinity chain on the solution: energy, local energy,
+    truncation energies and Chebyshev, the barrier stage, the iteration
+    constants, the recursion, the gate and, when bisection is on, kappa_emp
+    with its affine check (two more solves).
+
+    Returns ((tables, metrics, verdicts), barrier_finals).
+    """
+    grid = traj.grid
+    tables, metrics, verdicts = {}, {}, {}
 
     # --- global energy inequality ------------------------------------------
     records, min_slack = solver.energy_budget(traj, source, cfg.lam)
@@ -330,6 +363,18 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
         metrics["kappa_emp_log10"] = math.nan
         metrics["kappa_affine_defect"] = math.nan
         verdicts["kappa_order"] = True
+    return (tables, metrics, verdicts), barrier_finals
+
+
+def _holder_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
+    """The oscillation chain on the solution: the normalization, the
+    oscillation ladder, the isoperimetric probe, the theta sequence and the
+    Hoelder fit.
+
+    Returns (tables, metrics, verdicts).
+    """
+    grid = traj.grid
+    tables, metrics, verdicts = {}, {}, {}
 
     # --- oscillation ladder, probe, Hoelder fit ------------------------------
     lemma = holder.lemma_constants(cfg.omega, cfg.lam, cfg.dim, cfg.theta,
@@ -385,10 +430,70 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     metrics["holder_c"] = fit["C"]
     verdicts["sigma_positive"] = bool(fit["degenerate"] or
                                       (fit["sigma"] > 0 and fit["r2"] > 0.9))
+    return tables, metrics, verdicts
 
-    if out_dir is not None:
-        _write_outputs(cfg, result, traj, barrier_finals, out_dir)
-    return result
+
+def _can_overlap() -> bool:
+    """Whether the Hoelder stage may run in a forked process while the De
+    Giorgi stage runs in this one: the affinity mask holds more than one
+    CPU, the fork start method exists, and this process is not itself a
+    multiprocessing child (a sweep pool worker, whose pool already keeps
+    every CPU busy)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or len(affinity(0)) < 2:
+        return False
+    # imported here, as in `sweep`, so that importing kfplab never pays for it
+    import multiprocessing
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and multiprocessing.parent_process() is None)
+
+
+def _holder_child(conn, stage_args):
+    """The forked process: send the Hoelder stage's dicts, or nothing when
+    the stage raises; the parent then re-runs it and raises the error
+    itself, so no exception is pickled."""
+    try:
+        conn.send(_holder_stage(*stage_args))
+    except Exception:  # noqa: BLE001 - reported by the parent's re-run
+        pass
+    finally:
+        conn.close()
+
+
+def _overlapped_stages(stage_args):
+    """Run the Hoelder stage in a forked process during the De Giorgi stage.
+
+    The child inherits the trajectory through fork; only its small result
+    dicts come back over the pipe.  A stage that fails in the child, or a
+    child that dies without replying, is re-run here (both stages are
+    deterministic), so its exception is the serial path's.  When the De
+    Giorgi stage raises, the child is terminated.  The child is joined on
+    every path.  Returns the two stages' results.
+    """
+    import multiprocessing
+    # fork, not spawn: the child shares the stored trajectory instead of
+    # receiving it pickled, and imports nothing again
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_holder_child, args=(writer, stage_args),
+                        daemon=True)
+    child.start()
+    writer.close()
+    try:
+        degiorgi_out = _degiorgi_stage(*stage_args)
+        try:
+            holder_part = reader.recv()
+        except EOFError:
+            holder_part = None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        reader.close()
+    if holder_part is None:
+        holder_part = _holder_stage(*stage_args)
+    return degiorgi_out, holder_part
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     GeometryError,
     PhaseGrid,
+    cylinder_node_extrema,
     hat_union_unit,
     level_set_measure,
     make_cylinder,
@@ -271,6 +272,44 @@ def test_theta_sequence_bounds_f_on_the_hat_union_only(grid):
     assert rep.measures_nondecreasing
     with pytest.raises(ValueError, match="hat union"):
         theta_sequence(traj.map_values(lambda f: f + 1.0), 0.25, 1)
+
+
+def _whole_grid_theta_sequence(traj, theta, k_max):
+    """The theta ladder built on every cell of the grid: each whole level
+    and each whole difference, queried on the hat union."""
+    region = hat_union_unit()
+    prev = traj
+    measures = [level_set_measure(traj, lambda f: f <= 0.0, region)]
+    rises = []
+    for _ in range(k_max):
+        nxt = prev.map_values(lambda v: (v - 1.0) / theta + 1.0)
+        rises.append(cylinder_node_extrema(
+            Trajectory(prev.grid, prev.times, nxt.values - prev.values), region)[1])
+        measures.append(level_set_measure(nxt, lambda f: f <= 0.0, region))
+        prev = nxt
+    return measures, all(r <= 1e-12 for r in rises)
+
+
+@pytest.mark.parametrize("dim,t_min,n_t,n", [
+    (1, -1.5, 48, 48),
+    (1, -2.0, 18, 20),    # slices before -3/2, a slice spacing of 1/9
+    (2, -1.5, 18, 18),    # the n2 benchmark grid
+    (2, -1.7, 12, 13),
+])
+def test_theta_sequence_window_matches_whole_grid(dim, t_min, n_t, n):
+    grid = PhaseGrid(dim, (t_min, 0.0), n_t, 1.5, n, 1.5, n)
+    rng = np.random.default_rng(dim * 100 + n)
+    vals = rng.uniform(-0.6, 1.0, (len(grid.times),) + grid.shape)
+    # over 1 off the hat union, which the ladder never reads
+    vals[:, np.broadcast_to(grid.expand_x(grid.rho_x > 1.2), grid.shape)] = 3.0
+    # values whose image lands on the level f_k = 0 (theta = 1/4: 0.75 -> 0)
+    vals[vals > 0.9] = 0.75
+    traj = Trajectory(grid, grid.times, vals)
+    rep = theta_sequence(traj, 0.25, 4)
+    measures, monotone = _whole_grid_theta_sequence(traj, 0.25, 4)
+    assert rep.measures == measures
+    assert rep.monotone == monotone
+    assert 0.0 < measures[0] < measures[-1]
 
 
 @given(theta=st.floats(0.05, 0.45), shift=st.floats(-0.5, 0.9))

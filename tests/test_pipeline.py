@@ -1,12 +1,14 @@
 import csv
 import filecmp
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
-from kfplab import averaging, solver
+from kfplab import averaging, degiorgi, holder, pipeline, solver
 from kfplab.cli import main as cli_main
 from kfplab.config import parse_config
 from kfplab.degiorgi import empirical_kappa, linfty_gate
@@ -30,6 +32,13 @@ coeff.kind = checkerboard
 # the amplitude-3 run of test_barrier_audits_see_nonzero_fields: its
 # truncations (f - C_k)_+ eta, and so its barrier fields, are non-zero
 BARRIER_CONFIG = SMALL_CONFIG + "initial.amplitude = 3.0\ndiagnostics.bisection = false\n"
+# the desk benchmark's run on the small grid: a noise source, bisection on
+DESK_CONFIG = SMALL_CONFIG + "source.kind = noise\nsource.bound = 0.3\n" \
+                             "initial.amplitude = 0.8\n"
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the overlapped path forks")
 
 
 def test_affine_bisection_matches_direct_solves():
@@ -141,3 +150,134 @@ def test_barrier_artifacts_byte_identical_across_cli_runs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["f_linf"]) > 0.0
     assert float(rows[0]["s1_l2"]) > 0.0
+
+
+# --- the overlapped stages ---------------------------------------------------------
+
+def _cli_run(tmp_path, text, name, overlap, monkeypatch):
+    """`kfplab run` with the Hoelder stage forked (overlap) or in-process."""
+    monkeypatch.setattr(pipeline, "_can_overlap", lambda: overlap)
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(text)
+    code = cli_main(["run", str(cfg_path), "-o", str(tmp_path / name)])
+    assert multiprocessing.active_children() == []
+    return code
+
+
+def _same_files(a, b):
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+    return names
+
+
+def _record_pid(monkeypatch, path):
+    """Wrap `holder.theta_sequence` to log the pid of each process that runs it."""
+    theta_sequence = holder.theta_sequence
+
+    def recording(*args, **kwargs):
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return theta_sequence(*args, **kwargs)
+    monkeypatch.setattr(holder, "theta_sequence", recording)
+
+
+@needs_fork
+@pytest.mark.parametrize("text", [DESK_CONFIG, BARRIER_CONFIG], ids=["desk", "barrier"])
+def test_serial_and_overlapped_paths_write_identical_artifacts(tmp_path, monkeypatch,
+                                                               text):
+    pids = tmp_path / "pids"
+    _record_pid(monkeypatch, pids)
+    assert _cli_run(tmp_path, text, "serial", False, monkeypatch) == 0
+    assert _cli_run(tmp_path, text, "overlap", True, monkeypatch) == 0
+    serial_pid, overlap_pid = (int(p) for p in pids.read_text().split())
+    assert serial_pid == os.getpid() != overlap_pid
+    names = _same_files(tmp_path / "serial", tmp_path / "overlap")
+    assert {"theta.csv", "ladder.csv", "barrier.csv", "manifest.txt"} <= set(names)
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@needs_fork
+@pytest.mark.parametrize("module,name,exc", [
+    (holder, "theta_sequence", ValueError("theta ladder failed")),     # forked stage
+    (degiorgi, "chebyshev_audit", RuntimeError("chebyshev failed")),   # parent stage
+], ids=["holder_stage", "degiorgi_stage"])
+def test_overlapped_failures_match_the_serial_path(tmp_path, monkeypatch, module, name,
+                                                   exc):
+    monkeypatch.setattr(module, name, _raising(exc))
+    cfg = parse_config(DESK_CONFIG)
+    errors = []
+    for overlap in (False, True):
+        monkeypatch.setattr(pipeline, "_can_overlap", lambda: overlap)
+        with pytest.raises(type(exc)) as info:
+            run_pipeline(cfg)
+        errors.append(info.value)
+        assert multiprocessing.active_children() == []
+    assert [type(e) for e in errors] == [type(exc)] * 2
+    assert str(errors[0]) == str(errors[1]) == str(exc)
+
+    # the CLI flags both runs incomplete with the same manifest and exit code 3
+    for label, overlap in (("serial", False), ("overlap", True)):
+        assert _cli_run(tmp_path, DESK_CONFIG, label, overlap, monkeypatch) == 3
+    _same_files(tmp_path / "serial", tmp_path / "overlap")
+    manifest = (tmp_path / "overlap" / "manifest.txt").read_text()
+    assert "manifest.status = incomplete\n" in manifest
+    assert f"manifest.error = {exc!r}\n" in manifest
+
+
+@needs_fork
+def test_a_child_that_dies_is_rerun_in_process(tmp_path, monkeypatch):
+    theta_sequence = holder.theta_sequence
+
+    def dying(*args, **kwargs):
+        if multiprocessing.parent_process() is not None:
+            os._exit(1)  # no reply, no cleanup: EOF on the pipe
+        return theta_sequence(*args, **kwargs)
+    monkeypatch.setattr(holder, "theta_sequence", dying)
+    assert _cli_run(tmp_path, BARRIER_CONFIG, "serial", False, monkeypatch) == 0
+    assert _cli_run(tmp_path, BARRIER_CONFIG, "overlap", True, monkeypatch) == 0
+    _same_files(tmp_path / "serial", tmp_path / "overlap")
+
+
+@needs_fork
+def test_interrupt_terminates_and_joins_the_child(monkeypatch):
+    monkeypatch.setattr(pipeline, "_can_overlap", lambda: True)
+    monkeypatch.setattr(degiorgi, "chebyshev_audit", _raising(KeyboardInterrupt()))
+    # a forked stage that would outlast the test unless it is terminated
+    monkeypatch.setattr(holder, "normalize_pair", lambda *args: time.sleep(120))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(parse_config(BARRIER_CONFIG))
+    assert time.monotonic() - start < 60
+    assert multiprocessing.active_children() == []
+
+
+def _probe_in_child(conn):
+    conn.send(pipeline._can_overlap())
+    conn.close()
+
+
+@needs_fork
+def test_overlap_probe(monkeypatch):
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else 1
+    assert pipeline._can_overlap() == (cpus > 1)
+    # a multiprocessing child, such as a sweep pool worker, stays serial
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_probe_in_child, args=(writer,))
+    child.start()
+    writer.close()
+    assert reader.poll(60)
+    assert reader.recv() is False
+    child.join(60)
+    assert not child.is_alive()
+    # one CPU in the affinity mask: serial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pipeline._can_overlap() is False

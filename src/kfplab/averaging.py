@@ -7,8 +7,8 @@ axis by default); the fractional derivative of order s along an axis group
 frequencies m, with L the padded box length and the zero mode mapped to
 zero for s > 0.  By Parseval along the other axes, their padding changes
 nothing: each group is transformed over its own padded axes only, |F|^2 is
-summed over the rest, and each norm is one weighted sum over that small
-marginal.  Plancherel and the interpolation inequality
+summed over the rest (one slab of them at a time), and each norm is one
+weighted sum over that small marginal.  Plancherel and the interpolation inequality
 
     ||D_v^{1/3} G|| <= ||G||^{2/3} ||D_v G||^{1/3}
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Trajectory
+from .geometry import _slab_total, _slabs
 
 __all__ = [
     "SpectralField",
@@ -65,11 +66,18 @@ class SpectralField:
         every marginal power spectrum is the box's.  Support touching the
         edge of the box triggers an aliasing warning; an axis shorter than
         the box is taken to lie inside it, as a level window's axes do.
+
+        Only the marginals are kept.  Each group is transformed in slabs of
+        the first axis outside it, each slab's transform at most
+        `geometry._SLAB_BYTES`, and the slabs' marginal powers are added
+        in axis order, as are the slabs' sums of squares (`l2_sq`) along
+        axis 0; a field whose transforms fit in one slab is summed exactly
+        as in one piece.
         """
         values = np.asarray(values, dtype=float)
         box = values.shape if box is None else box
         if warn_boundary and values.size:
-            scale = float(np.max(np.abs(values)))
+            scale = max(float(values.max()), -float(values.min()))
             if scale > 0:
                 for ax in range(values.ndim):
                     if values.shape[ax] < box[ax]:
@@ -83,10 +91,7 @@ class SpectralField:
         marginals = {}
         for name, axes in groups.items():
             sizes = [pad * box[ax] for ax in axes]
-            power = np.abs(np.fft.rfftn(values, s=sizes, axes=axes))
-            power *= power
-            power = power.sum(axis=tuple(ax for ax in range(values.ndim)
-                                         if ax not in axes))
+            power = _marginal_power(values, axes, sizes)
             freqs = [np.arange(m) for m in power.shape]
             k_sq = sum(k * k for k in np.ix_(*[
                 2.0 * np.pi * np.minimum(j, n - j) / (spacings[ax] * n)
@@ -97,8 +102,9 @@ class SpectralField:
             power *= np.where((j == 0) | (2 * j == n), 1.0, 2.0) / math.prod(sizes)
             marginals[name] = (k_sq, power)
         fhat = np.concatenate([power.ravel() for _, power in marginals.values()])
-        return cls(fhat, marginals, float(np.sum(values * values)),
-                   float(np.prod(spacings)))
+        l2_sq = _slab_total(float(np.sum(part * part))
+                            for part in _slab_views(values, 0, values[:1].nbytes))
+        return cls(fhat, marginals, l2_sq, float(np.prod(spacings)))
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, pad: int = 2,
@@ -137,6 +143,37 @@ class SpectralField:
         k_sq, power = self.marginals[group]
         weight = k_sq**s  # 0^0 = 1: the zero mode survives only at s = 0
         return math.sqrt(float(np.sum(weight * power)) * self.cell_volume)
+
+
+def _slab_views(values, ax: int, index_bytes: int) -> list:
+    """Views of `values` in consecutive slabs along axis `ax`, each at most
+    `_SLAB_BYTES` at `index_bytes` per index (the whole array when the
+    axis is empty)."""
+    parts = _slabs(values.shape[ax], index_bytes) if values.shape[ax] else [slice(None)]
+    return [values[(slice(None),) * ax + (part,)] for part in parts]
+
+
+def _marginal_power(values, axes, sizes) -> np.ndarray:
+    """|rfftn(values)|^2 over the group's `axes`, zero-padded to `sizes`,
+    summed over the other axes, one slab of the first other axis at a time."""
+    others = tuple(ax for ax in range(values.ndim) if ax not in axes)
+    chunks = [values]
+    if others:
+        # complex transform bytes per index of the slab axis: the padded
+        # group (its last axis a half spectrum) times the other axes' cells
+        rest = math.prod(values.shape[ax] for ax in others[1:])
+        spectrum = 16 * math.prod(sizes[:-1]) * (sizes[-1] // 2 + 1) * rest
+        chunks = _slab_views(values, others[0], spectrum)
+    total = None
+    for chunk in chunks:
+        power = np.abs(np.fft.rfftn(chunk, s=sizes, axes=axes))
+        power *= power
+        power = power.sum(axis=others)
+        if total is None:
+            total = power
+        else:
+            total += power
+    return total
 
 
 def frac_norm(target, group: str, s: float, **kwargs) -> float:

@@ -3,16 +3,20 @@
 Exit code 0 iff every selected audit passed, 3 when the run raised.  A run
 uses a second CPU when its affinity mask holds one: the Hoelder stage runs
 in a forked process beside the De Giorgi stage (`run_pipeline`), with the
-same artifacts and errors as in-process.  The sweep runs its ensemble on
-KFPLAB_WORKERS forked worker processes (default 1, in-process); runs own
-their output subdirectories exclusively, and aggregation order is fixed, so
-the outputs are byte-identical at any worker count.
+same artifacts and errors as in-process.  `run --timings PATH` writes the
+per-stage wall times and peak RSS (`RunResult.timings`) to PATH, outside
+the run directory, whose files stay byte-identical.  The sweep runs its
+ensemble on KFPLAB_WORKERS forked worker processes (default 1,
+in-process); runs own their output subdirectories exclusively, and
+aggregation order is fixed, so the outputs are byte-identical at any
+worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 
@@ -34,6 +38,10 @@ def _cmd_run(args) -> int:
             write_incomplete_manifest(args.output, exc)
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
+    if args.timings:
+        with open(args.timings, "w", encoding="ascii") as fh:
+            json.dump(result.timings, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     for name in sorted(result.verdicts):
         print(f"{name:20s} {'PASS' if result.verdicts[name] else 'FAIL'}")
     print(f"{'all':20s} {'PASS' if result.passed else 'FAIL'}")
@@ -145,6 +153,9 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("-o", "--output", default=None,
                        help="output directory for CSVs, manifest, snapshots")
+    p_run.add_argument("--timings", default=None, metavar="PATH",
+                       help="write each stage's wall time and peak RSS as JSON "
+                       "to PATH (keep it outside the output directory)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser(

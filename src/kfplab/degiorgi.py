@@ -134,7 +134,10 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
 
     Every term vanishes outside Q_{k-1}, so the report is computed on the
     trajectory's window from T_{k-1} over B(R_{k-1})^2 with one extra v
-    cell, on which the face differences equal the whole grid's."""
+    cell, on which the face differences equal the whole grid's.  Nothing
+    is kept but sums: the cutoff energies are reduced slice by slice, and
+    the level set and the f_k norms are streamed cylinder integrals that
+    truncate and difference each stored slice as they reach it."""
     level = DyadicLevel(k)
     if traj.times[0] > level.t_start + 1e-9:
         raise GeometryError(
@@ -164,11 +167,17 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
 
 
 def _fk_norms(traj: Trajectory, k: int, *regions) -> list:
-    """(||f_k||, ||grad_v f_k||) in L2 of each region, by the cell rule."""
-    fk = truncate(traj, k)
-    gk = grad_v_sq_trajectory(fk)
-    return [(math.sqrt(cylinder_integral(fk, lambda v: v**2, region)),
-             math.sqrt(cylinder_integral(gk, lambda v: v, region)))
+    """(||f_k||, ||grad_v f_k||) in L2 of each region, by the cell rule.
+
+    f_k = (f - C_k)_+ and its face-difference density |grad_v f_k|^2 are
+    slice maps of the streamed integrals: each stored slice is truncated
+    (and differenced) on its own, so the cell value of f_k stays the
+    average of the truncated slices, and no mapped trajectory is built."""
+    c = dyadic_truncation(k)
+    trunc = lambda s: np.maximum(s - c, 0.0)
+    grad_sq = lambda s: grad_v_sq_density(traj.grid, trunc(s))
+    return [(math.sqrt(cylinder_integral(traj, lambda v: v**2, region, trunc)),
+             math.sqrt(cylinder_integral(traj, lambda v: v, region, grad_sq)))
             for region in regions]
 
 

@@ -15,7 +15,7 @@ counts iff its center satisfies the predicate, so the error is at most
 one cell layer and the rule is monotone in the threshold.  The rule is
 evaluated on the region's bounding box only: the contiguous range of time
 cells it holds and the bounding cell box of its (x, v) mask, both read as
-views of the stored slices.
+views of the stored slices, a slab of at most `_SLAB_BYTES` at a time.
 
 The v-calculus is the scheme's face difference D = np.diff/dv, its adjoint
 the face divergence, and one rule splitting each interior face value evenly
@@ -469,47 +469,99 @@ def _check_region(traj, region: Cylinder):
         raise GeometryError(f"region {region} does not intersect the grid domain")
 
 
-def _cell_values(traj, region: Cylinder):
-    """(values, mask): the midpoint-in-time values of the region's time
-    cells on the bounding box of its (x, v) mask, and the mask on that box;
-    values is None when no time cell lies in the region."""
+# bytes one slab of a streamed reduction may hold: the stored slices of a
+# cylinder integral, or the transform of a spectral marginal.  Every N = 1
+# default-grid trajectory (49 x 64^2 float64, 1.6 MB) and its spectra fit in
+# one slab, so their reductions are single sums
+_SLAB_BYTES = 1 << 22
+
+
+# the input-sized temporaries a slice map makes (`grad_v_sq_density` of a
+# truncation on N = 2: the truncation, then per v axis the difference, its
+# square, the half and the cells, and the running sum)
+_MAP_COPIES = 8
+
+
+def _slabs(count: int, unit_bytes: int) -> list:
+    """Consecutive slices covering range(count), each of at most
+    max(1, `_SLAB_BYTES` // unit_bytes) units of `unit_bytes` bytes."""
+    step = max(1, _SLAB_BYTES // max(1, unit_bytes))
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+
+
+def _cell_slabs(traj, region: Cylinder, slice_map=None):
+    """(values, mask) per slab: the midpoint-in-time values of a run of the
+    region's time cells on the bounding box of its (x, v) mask, and the
+    mask on that box.  `slice_map`, which must act slice by slice, is
+    applied to the stored slices (on their whole cell box, so face
+    differences see every neighbour) before the midpoint average; no slab
+    when no time cell lies in the region."""
     _check_region(traj, region)
     cells = _time_cells(traj, region)
     box, mask = region.space_box(traj.grid)
-    if cells.start == cells.stop:
-        return None, mask
-    stored = traj.values[cells.start:cells.stop + 1][(slice(None),) + box]
-    return 0.5 * (stored[:-1] + stored[1:]), mask
+    for part in _slabs(cells.stop - cells.start, traj.values[0].nbytes):
+        stored = traj.values[cells.start + part.start:cells.start + part.stop + 1]
+        if slice_map is None:
+            stored = stored[(slice(None),) + box]
+            vals = stored[:-1] + stored[1:]
+        else:
+            # the map runs on groups of slices whose temporaries, counted
+            # as _MAP_COPIES arrays of its input, fit in one slab
+            vals = np.empty((len(stored),) + mask.shape)
+            for group in _slabs(len(stored), _MAP_COPIES * stored[0].nbytes):
+                vals[group] = slice_map(stored[group])[(slice(None),) + box]
+            # the sums of neighbours in place, each read before it is overwritten
+            for j in range(len(vals) - 1):
+                vals[j] += vals[j + 1]
+            vals = vals[:-1]
+        vals *= 0.5
+        yield vals, mask
 
 
-def level_set_measure(traj, predicate, region: Cylinder) -> float:
+def _slab_total(parts) -> float:
+    """The left-to-right sum of the per-slab sums (0.0 when there are none);
+    a single slab's sum is returned unchanged."""
+    total = None
+    for part in parts:
+        total = part if total is None else total + part
+    return 0.0 if total is None else total
+
+
+def level_set_measure(traj, predicate, region: Cylinder, slice_map=None) -> float:
     """Lebesgue measure of {(t,x,v) in region : predicate(f)} by the cell rule.
 
     `traj` is a time-indexed field (attributes grid, times, values); the
-    cell value is the midpoint-in-time average of the two adjacent slices.
-    `predicate` acts cell by cell and sees only the region's bounding box.
-    Monotone in the threshold by construction; error at most one cell layer.
+    cell value is the midpoint-in-time average of the two adjacent slices
+    (of `slice_map` applied to each stored slice, when given).  `predicate`
+    acts cell by cell and sees only the region's bounding box.  Monotone in
+    the threshold by construction; error at most one cell layer.  The cells
+    are counted slab by slab (`_SLAB_BYTES`), so nothing the size of the
+    trajectory is built; the count is exact at any slab size.
     """
-    vals, mask = _cell_values(traj, region)
-    if vals is None:
-        return 0.0
-    count = int(np.count_nonzero(predicate(vals) & mask))
+    count = sum(int(np.count_nonzero(predicate(vals) & mask))
+                for vals, mask in _cell_slabs(traj, region, slice_map))
     dt_cell = float(traj.times[1] - traj.times[0])
     return count * dt_cell * traj.grid.cell_volume
 
 
-def cylinder_integral(traj, func, region: Cylinder) -> float:
+def cylinder_integral(traj, func, region: Cylinder, slice_map=None) -> float:
     """Integral of func(f) over the region with the same cell rule as
     `level_set_measure`, so Chebyshev comparisons are exact discretely.
 
     `func` acts cell by cell and is evaluated on the region's bounding box
-    only: its time cells and the bounding cell box of its (x, v) mask.
+    only: its time cells and the bounding cell box of its (x, v) mask.  A
+    nonlinear `slice_map` (a truncation, a gradient density) is applied to
+    each stored slice before the midpoint average, as if the trajectory
+    were mapped first.  Only the per-slab sums are kept: the time cells
+    are reduced `_SLAB_BYTES` of stored slices at a time and the slab sums
+    added in time order, so a one-slab integral is one sum over its cells,
+    and both sides of a Chebyshev comparison, summed over the same slabs,
+    stay exact.
     """
-    vals, mask = _cell_values(traj, region)
-    if vals is None:
-        return 0.0
+    total = _slab_total(float(np.sum(func(vals) * mask))
+                        for vals, mask in _cell_slabs(traj, region, slice_map))
     dt_cell = float(traj.times[1] - traj.times[0])
-    return float(np.sum(func(vals) * mask)) * dt_cell * traj.grid.cell_volume
+    return total * dt_cell * traj.grid.cell_volume
 
 
 def cylinder_nodes(traj, region: Cylinder) -> np.ndarray:

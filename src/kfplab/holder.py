@@ -40,11 +40,12 @@ from .geometry import (
     level_set_measure,
     make_cylinder,
 )
-from .solver import ring_mask, solve_anchored
+from .solver import _ANCHOR_RING, ring_mask, solve_anchored
 
 __all__ = [
     "ScalingMap",
     "ZoomedTriple",
+    "ZoomSampler",
     "zoom",
     "zoom_residual",
     "oscillation",
@@ -78,10 +79,14 @@ class ScalingMap:
     def dim(self) -> int:
         return len(self.x0)
 
+    def apply_time(self, s):
+        """The parent time t0 + eps^2 s of zoom time s."""
+        return self.t0 + self.eps * self.eps * np.asarray(s)
+
     def apply_coords(self, s, ys, vs_):
         """Map zoomed coordinates (s, y, xi) to parent coordinates (t, x, v)."""
         e = self.eps
-        t = self.t0 + e * e * np.asarray(s)
+        t = self.apply_time(s)
         xs = tuple(self.x0[i] + e**3 * np.asarray(ys[i])
                    + e * e * np.asarray(s) * self.v0[i] for i in range(self.dim))
         vs = tuple(self.v0[i] + e * np.asarray(vs_[i]) for i in range(self.dim))
@@ -112,75 +117,186 @@ def _snap(coords: np.ndarray) -> np.ndarray:
     return np.where(np.abs(coords - rounded) < 1e-9, rounded, coords)
 
 
-def _lerp(values: np.ndarray, axis: int, idx: np.ndarray) -> np.ndarray:
-    """Linear interpolation of `values` along one axis at fractional node
-    indices `idx` (1-d), holding the edge values beyond the end nodes."""
-    n = values.shape[axis]
+def _axis_nodes(idx: np.ndarray, n: int):
+    """(lo, hi, w): the two node indices of a 1-d linear interpolation at
+    fractional node indices `idx` (snapped) on an axis of n nodes, holding
+    the edge values beyond the end nodes, and the weight of hi."""
+    idx = _snap(idx)
     lo = np.floor(idx)
-    shape = [1] * values.ndim
-    shape[axis] = len(idx)
-    w = (idx - lo).reshape(shape)
+    w = idx - lo
     lo = lo.astype(np.int64)
-    a = np.take(values, np.clip(lo, 0, n - 1), axis=axis)
-    b = np.take(values, np.clip(lo + 1, 0, n - 1), axis=axis)
-    return (1.0 - w) * a + w * b
+    return (np.minimum(np.maximum(lo, 0), n - 1),
+            np.minimum(np.maximum(lo + 1, 0), n - 1), w)
+
+
+def _lerp_plan(nodes, start: int, axis: int, ndim: int):
+    """`_axis_nodes` ready for `_lerp` along `axis` of an ndim-array whose
+    first index on that axis is node `start`: (lo, hi, 1 - w, w)."""
+    lo, hi, w = nodes
+    shape = [1] * ndim
+    shape[axis] = len(w)
+    return lo - start, hi - start, (1.0 - w).reshape(shape), w.reshape(shape)
+
+
+def _lerp(values: np.ndarray, axis: int, plan) -> np.ndarray:
+    """Linear interpolation of `values` along one axis by a `_lerp_plan`."""
+    lo, hi, omw, w = plan
+    return omw * np.take(values, lo, axis=axis) + w * np.take(values, hi, axis=axis)
+
+
+def _time_nodes(smap: ScalingMap, s: float, times: np.ndarray):
+    """(lo, hi, w) of the preimage of zoom time s on the time axis `times`,
+    measured from its first time in its first slice spacing."""
+    t = smap.apply_time(s)
+    ti = (t - times[0]) / float(times[1] - times[0])
+    if ti < -1e-9 or ti > len(times) - 1 + 1e-9:
+        raise GeometryError(
+            f"zoom preimage needs t = {t:.6g}, outside the stored span "
+            f"[{times[0]:.6g}, {times[-1]:.6g}]")
+    lo, hi, w = _axis_nodes(np.atleast_1d(ti), len(times))
+    return int(lo[0]), int(hi[0]), w[0]
+
+
+class ZoomSampler:
+    """T_eps F on a unit-scale grid by linear interpolation, one zoom slice
+    at a time.
+
+    The interpolation is separable: at a fixed zoom time s the preimage
+    time is one number, x_i depends on y_i alone (the drift eps^2 s v0_i is
+    a constant shift) and v_i on xi_i alone.  So each zoom slice is a
+    linear interpolation in time between two stored slices followed by one
+    1-d linear interpolation per x and v axis, each holding the edge value
+    beyond the outermost cell centers.  A slice reads only the parent's
+    referenced index box, the cells its nodes touch (about two per axis
+    under the ladder's zoom), and `anchors` computes only the cells of
+    `ring_mask`; every value is the whole-grid interpolation's bit for bit.
+
+    `full_times` is the parent's whole time axis when `traj` holds only its
+    last slices (a re-solve that kept what the ladder reads): time indices
+    are measured on it, so they are the whole trajectory's.  The preimage
+    of every zoom-grid node must lie in the parent domain; otherwise the
+    required domain is reported.  Mapped coordinates that land exactly on
+    parent nodes are snapped, so an identity zoom on a matching grid is
+    bit-equal.
+    """
+
+    def __init__(self, traj: Trajectory, smap: ScalingMap,
+                 zoom_grid: PhaseGrid | None = None, full_times=None):
+        grid = traj.grid
+        self.traj = traj
+        self.grid = grid.unit_scale() if zoom_grid is None else zoom_grid
+        self.times = self.grid.times
+        full_times = traj.times if full_times is None else full_times
+        offset = len(full_times) - traj.n_slices
+        self.rings = [np.r_[0:_ANCHOR_RING, n - _ANCHOR_RING:n]
+                      for n in self.grid.x_shape + self.grid.v_shape]
+        self.plans = []
+        ys, xis = self.grid.coords()
+        spatial, last_idx = None, None
+        for s in self.times:
+            t_lo, t_hi, t_w = _time_nodes(smap, float(s), full_times)
+            if t_lo < offset:
+                raise GeometryError(
+                    f"zoom preimage needs t = {smap.apply_time(float(s)):.6g}, "
+                    f"before the first kept slice {traj.times[0]:.6g}")
+            _, xs, vs = smap.apply_coords(float(s), ys, xis)
+            idx = []
+            for name, c, half, h, n in (
+                    [("x", c, grid.x_max, grid.dx, grid.n_x) for c in xs]
+                    + [("v", c, grid.v_max, grid.dv, grid.n_v) for c in vs]):
+                at = (np.asarray(c).ravel() + half) / h - 0.5
+                if at.min() < -0.5 - 1e-9 or at.max() > n - 0.5 + 1e-9:
+                    raise GeometryError(
+                        f"zoom preimage needs |{name}| up to {np.max(np.abs(c)):.6g}, "
+                        f"outside the box [-{half}, {half}]")
+                idx.append(at)
+            # without drift every slice has the same spatial nodes
+            if last_idx is None or not all(map(np.array_equal, idx, last_idx)):
+                spatial, last_idx = self._spatial(idx), idx
+            self.plans.append((t_lo - offset, t_hi - offset, 1.0 - t_w, t_w) + spatial)
+
+    def _spatial(self, idx):
+        """(box, plans, ring plan) of one slice's fractional node indices on
+        the parent's x and v axes: the referenced index box, the cells the
+        nodes touch on each axis; a `_lerp_plan` per axis on that box; and
+        the plan of the last axis's ring cells."""
+        grid = self.traj.grid
+        ndim = 2 * grid.dim
+        nodes = [_axis_nodes(i, n) for i, n in
+                 zip(idx, (grid.n_x,) * grid.dim + (grid.n_v,) * grid.dim)]
+        box = tuple(slice(int(lo.min()), int(hi.max()) + 1) for lo, hi, _ in nodes)
+        full = [_lerp_plan(nd, b.start, ax, ndim)
+                for ax, (nd, b) in enumerate(zip(nodes, box))]
+        ring = _lerp_plan(tuple(arr[self.rings[-1]] for arr in nodes[-1]),
+                          box[-1].start, ndim - 1, ndim)
+        return box, full, ring
+
+    def _box(self, i: int) -> np.ndarray:
+        """Zoom slice i's time interpolation on the referenced index box."""
+        lo, hi, omw, w, box, _, _ = self.plans[i]
+        values = self.traj.values
+        return omw * values[lo][box] + w * values[hi][box]
+
+    def whole(self, i: int) -> np.ndarray:
+        """Zoom slice i on every cell of the zoom grid."""
+        *_, full, _ = self.plans[i]
+        out = self._box(i)
+        for ax, plan in enumerate(full):
+            out = _lerp(out, ax, plan)
+        return out
+
+    def anchors(self):
+        """For each zoom slice after the first, one array holding it on the
+        ring cells (the same array, refilled; its other cells hold 0).
+
+        The ring is the union of one face per axis, that axis cut to its
+        ring cells.  Every face interpolates the axes in the order of a
+        whole slice: face a cuts the interpolation of axes <= a to its ring
+        cells, or, on the last axis, interpolates only those."""
+        buf = np.zeros(self.grid.shape)
+        last = len(self.rings) - 1
+        for i in range(1, len(self.times)):
+            *_, full, ring = self.plans[i]
+            prefix = self._box(i)
+            for ax, cells in enumerate(self.rings):
+                if ax == last:
+                    face = _lerp(prefix, ax, ring)
+                else:
+                    prefix = _lerp(prefix, ax, full[ax])
+                    face = np.take(prefix, cells, axis=ax)
+                    for later in range(ax + 1, last + 1):
+                        face = _lerp(face, later, full[later])
+                buf[(slice(None),) * ax + (cells,)] = face
+            yield buf
 
 
 def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
          zoom_grid: PhaseGrid | None = None) -> ZoomedTriple:
-    """Sample T_eps F on a unit-scale grid by linear interpolation and
-    compose the coefficient and source through the map (source gains eps^2).
+    """Sample T_eps F on a unit-scale grid (`ZoomSampler`, every slice
+    whole) and compose the coefficient and source through the map (source
+    gains eps^2)."""
+    sampler = ZoomSampler(traj, smap, zoom_grid)
+    out = np.empty((len(sampler.times),) + sampler.grid.shape)
+    for i in range(len(out)):
+        out[i] = sampler.whole(i)
+    zoomed = Trajectory(sampler.grid, sampler.times.copy(), out)
+    return ZoomedTriple(zoomed, *_transformed(smap, diffusion, source))
 
-    The interpolation is separable: at a fixed zoom time s the preimage
-    time is one number, x_i depends on y_i alone (the drift eps^2 s v0_i is
-    a constant shift) and v_i on xi_i alone.  So each output slice is a
-    linear interpolation in time between two stored slices followed by one
-    1-d linear interpolation per x and v axis, each holding the edge value
-    beyond the outermost cell centers.
 
-    The preimage of every zoom-grid node must lie in the parent domain;
-    otherwise the required domain is reported.  Mapped coordinates that
-    land exactly on parent nodes are snapped, so an identity zoom on a
-    matching grid is bit-equal.
-    """
-    grid = traj.grid
-    if zoom_grid is None:
-        zoom_grid = grid.unit_scale()
-    dt_slice = float(traj.times[1] - traj.times[0])
-
-    out = np.empty((len(zoom_grid.times),) + zoom_grid.shape)
-    ys, xis = zoom_grid.coords()
-    for i, s in enumerate(zoom_grid.times):
-        t, xs, vs = smap.apply_coords(float(s), ys, xis)
-        ti = (t - traj.times[0]) / dt_slice
-        if ti < -1e-9 or ti > len(traj.times) - 1 + 1e-9:
-            raise GeometryError(
-                f"zoom preimage needs t = {t:.6g}, outside the stored span "
-                f"[{traj.times[0]:.6g}, {traj.times[-1]:.6g}]")
-        slab = _lerp(traj.values, 0, _snap(np.atleast_1d(ti)))[0]
-        for ax, (name, c, half, h, n) in enumerate(
-                [("x", c, grid.x_max, grid.dx, grid.n_x) for c in xs]
-                + [("v", c, grid.v_max, grid.dv, grid.n_v) for c in vs]):
-            idx = (np.asarray(c).ravel() + half) / h - 0.5
-            if np.min(idx) < -0.5 - 1e-9 or np.max(idx) > n - 0.5 + 1e-9:
-                raise GeometryError(
-                    f"zoom preimage needs |{name}| up to {np.max(np.abs(c)):.6g}, "
-                    f"outside the box [-{half}, {half}]")
-            slab = _lerp(slab, ax, _snap(idx))
-        out[i] = slab
-    zoomed = Trajectory(zoom_grid, zoom_grid.times.copy(), out)
-    a_z = diffusion.transformed(smap)
-    g_z = source.transformed(smap, smap.eps**2) if source is not None else None
-    return ZoomedTriple(zoomed, a_z, g_z)
+def _transformed(smap: ScalingMap, diffusion, source):
+    """The coefficient and the source composed through the map."""
+    return (diffusion.transformed(smap),
+            source.transformed(smap, smap.eps**2) if source is not None else None)
 
 
 def zoom_residual(triple: ZoomedTriple) -> dict:
     """Discrete equation residual of a zoomed triple, measured by re-solving.
 
     The equation with the transformed (a, g) is solved on the zoom grid
-    from the zoomed initial slice, with the outermost cells (`ring_mask`)
-    anchored to the zoomed data; the interior mismatch against the data is
-    the residual (interpolation error plus scheme error of both solves).
+    from the zoomed initial slice, with the band of `_ANCHOR_RING` cells at
+    each end of every axis (`ring_mask`) anchored to the zoomed data; the
+    mismatch against the data on the cells that band encloses is the
+    residual (interpolation error plus scheme error of both solves).
     """
     resolved = solve_anchored(triple.data, triple.diffusion, triple.source)
     interior = ~ring_mask(triple.data.grid)
@@ -230,6 +346,13 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     Q[omega/2] stays resolvable on a desk-scale grid (Q[omega^3/54] is
     subgrid; its oscillation is recorded too whenever it resolves).
     A field bounded by 1 with |g| <= beta is expected (see normalize_pair).
+
+    Each level streams: one `ZoomSampler` gives the re-solve its first
+    zoomed slice whole and then only the ring cells it anchors, and the
+    re-solve keeps only the slices the ladder reads next, the nodes of the
+    two cylinders and the next zoom's time preimage (`_ladder_keep`; the
+    last two slices on the benchmark grids).  Every entry is the one of
+    whole zoomed and re-solved trajectories, bit for bit.
     """
     dim = traj.grid.dim
     _check_omega(omega, dim)
@@ -237,8 +360,10 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     report = OscillationReport(omega=omega)
     region = make_cylinder(omega / 2.0)
     inner_region = make_cylinder(omega**3 / 54.0)
+    smap = ScalingMap(eps_step, 0.0, (0.0,) * dim, (0.0,) * dim)
+    unit = traj.grid.unit_scale()
 
-    current = traj
+    current, full_times = traj, None
     a_cur, g_cur = diffusion, source
     for level in range(n_levels + 1):
         report.ladder.append(oscillation(current, region))
@@ -250,15 +375,16 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
         report.ladder_inner.append(inner)
         if level == n_levels:
             break
-        smap = ScalingMap(eps_step, 0.0, (0.0,) * dim, (0.0,) * dim)
-        triple = zoom(current, smap, a_cur, g_cur)
-        resolved = solve_anchored(triple.data, triple.diffusion, triple.source,
-                                  interp=interp)
-        current, a_cur, g_cur = resolved, triple.diffusion, triple.source
+        sampler = ZoomSampler(current, smap, unit, full_times)
+        a_cur, g_cur = _transformed(smap, a_cur, g_cur)
+        keep = _ladder_keep(unit.times, (region, inner_region),
+                            smap if level + 1 < n_levels else None)
+        current = solve_anchored(sampler, a_cur, g_cur, interp=interp, keep=keep)
+        full_times = unit.times
 
     # oscillations at roundoff scale are treated as zero (a constant field
     # zoomed through interpolation picks up ~1e-17 dust)
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(traj.values))))
+    floor = 1e-12 * max(1.0, float(traj.values.max()), -float(traj.values.min()))
     entries = [(n, math.log10(v)) for n, v in enumerate(report.ladder)
                if v > floor]
     if len(entries) >= 2:
@@ -268,6 +394,20 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
         if 0.0 < report.mu_emp < 1.0:
             report.sigma_emp = modulus_from_constants(report.mu_emp, omega, dim=dim)
     return report
+
+
+def _ladder_keep(times, regions, smap=None) -> int:
+    """How many trailing slices of a re-solve on `times` the ladder reads:
+    the nodes of each region's time set and, when `smap` zooms next, the
+    slices its time preimage interpolates between."""
+    first = len(times) - 1
+    for region in regions:
+        inside = np.nonzero(region.contains_time(times))[0]
+        if inside.size:
+            first = min(first, int(inside[0]))
+    if smap is not None:
+        first = min([first] + [_time_nodes(smap, float(s), times)[0] for s in times])
+    return len(times) - first
 
 
 def _line_fit(pairs):
@@ -364,31 +504,28 @@ def isoperimetric_probe(traj: Trajectory, theta: float, omega: float,
         raise ValueError("isoperimetric probe requires f <= 1 on the hat union")
 
     hat_total = level_set_measure(traj, lambda f: np.isfinite(f), hat)
-    flipped = False
     m_below = level_set_measure(traj, lambda f: f <= 0.0, hat)
+    flip = None
     if m_below < 0.5 * hat_total - 1e-12:
-        flipped = True
-        flipped_traj = traj.map_values(lambda v: -v)
-        m_below = level_set_measure(flipped_traj, lambda f: f <= 0.0, hat)
+        # the probe runs on -f, read slice by slice through the slice map
+        flip = np.negative
+        m_below = level_set_measure(traj, lambda f: f <= 0.0, hat, flip)
         if m_below < 0.5 * hat_total - 1e-12:
             raise ValueError(
                 "level-set hypothesis fails for both f and -f: "
                 f"m_below = {m_below}, half the hat cylinder = {0.5 * hat_total}")
-        work = flipped_traj
-    else:
-        work = traj
 
-    m_top = level_set_measure(work, lambda f: f >= 1.0 - theta,
-                              make_cylinder(omega / 2.0))
+    m_top = level_set_measure(traj, lambda f: f >= 1.0 - theta,
+                              make_cylinder(omega / 2.0), flip)
     m_middle = level_set_measure(
-        work, lambda f: (f > 0.0) & (f < 1.0 - theta), union)
+        traj, lambda f: (f > 0.0) & (f < 1.0 - theta), union, flip)
     log_top = math.log10(m_top) if m_top > 0 else -math.inf
     first = log_top < eta_iso_log10
     second = m_middle >= alpha_iso
     verdict = ("both" if first and second else
                "top_small" if first else
                "middle_large" if second else "neither")
-    return IsoperimetricReport(m_below, m_top, m_middle, flipped, hat_total,
+    return IsoperimetricReport(m_below, m_top, m_middle, flip is not None, hat_total,
                                first, verdict)
 
 

@@ -27,6 +27,8 @@ import csv
 import io
 import math
 import os
+import resource
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,10 +160,16 @@ def solve_initial(cfg: RunConfig, grid: PhaseGrid, diffusion, source,
 
 @dataclass
 class RunResult:
+    """A run's verdicts, metrics and tables, which its artifacts hold, and
+    its `timings`, which they do not: per stage ("main_solve", "degiorgi",
+    "holder") the wall time, this process's `getrusage` maximum RSS when
+    the stage ended, and whether it ran in a forked process (`_timed`)."""
+
     config: RunConfig
     verdicts: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -216,15 +224,18 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     grid = build_grid(cfg)
     diffusion = build_coefficient(cfg)
     source = build_source_field(cfg)
-    traj = solve_initial(cfg, grid, diffusion, source)
+    timings = {}
+    traj, timings["main_solve"] = _timed(solve_initial, cfg, grid, diffusion, source)
 
     stage_args = (cfg, traj, diffusion, source)
     if _can_overlap():
-        (degiorgi_part, barrier_finals), holder_part = _overlapped_stages(stage_args)
+        degiorgi_out, holder_out = _overlapped_stages(stage_args)
     else:
-        degiorgi_part, barrier_finals = _degiorgi_stage(*stage_args)
-        holder_part = _holder_stage(*stage_args)
-    result = RunResult(cfg)
+        degiorgi_out = _timed(_degiorgi_stage, *stage_args)
+        holder_out = _timed(_holder_stage, *stage_args)
+    ((degiorgi_part, barrier_finals), timings["degiorgi"]) = degiorgi_out
+    holder_part, timings["holder"] = holder_out
+    result = RunResult(cfg, timings=timings)
     for tables, metrics, verdicts in (degiorgi_part, holder_part):
         result.tables.update(tables)
         result.metrics.update(metrics)
@@ -448,12 +459,23 @@ def _can_overlap() -> bool:
             and multiprocessing.parent_process() is None)
 
 
+def _timed(fn, *args, forked: bool = False):
+    """(fn(*args), timing): the call's wall time, this process's
+    `getrusage` maximum RSS in MiB when it returned, and `forked`."""
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, {"wall_s": time.perf_counter() - start,
+                 "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                 "forked": forked}
+
+
 def _holder_child(conn, stage_args):
-    """The forked process: send the Hoelder stage's dicts, or nothing when
-    the stage raises; the parent then re-runs it and raises the error
-    itself, so no exception is pickled."""
+    """The forked process: send the Hoelder stage's dicts with the stage's
+    timing in this process, or nothing when the stage raises; the parent
+    then re-runs it and raises the error itself, so no exception is
+    pickled."""
     try:
-        conn.send(_holder_stage(*stage_args))
+        conn.send(_timed(_holder_stage, *stage_args, forked=True))
     except Exception:  # noqa: BLE001 - reported by the parent's re-run
         pass
     finally:
@@ -468,7 +490,8 @@ def _overlapped_stages(stage_args):
     child that dies without replying, is re-run here (both stages are
     deterministic), so its exception is the serial path's.  When the De
     Giorgi stage raises, the child is terminated.  The child is joined on
-    every path.  Returns the two stages' results.
+    every path.  Returns the two stages' results, each with its `_timed`
+    timing.
     """
     import multiprocessing
     # fork, not spawn: the child shares the stored trajectory instead of
@@ -480,7 +503,7 @@ def _overlapped_stages(stage_args):
     child.start()
     writer.close()
     try:
-        degiorgi_out = _degiorgi_stage(*stage_args)
+        degiorgi_out = _timed(_degiorgi_stage, *stage_args)
         try:
             holder_part = reader.recv()
         except EOFError:
@@ -492,7 +515,7 @@ def _overlapped_stages(stage_args):
         child.join()
         reader.close()
     if holder_part is None:
-        holder_part = _holder_stage(*stage_args)
+        holder_part = _timed(_holder_stage, *stage_args)
     return degiorgi_out, holder_part
 
 

@@ -481,30 +481,45 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     return Trajectory(grid, np.array(times), slices, ledger)
 
 
-def solve_anchored(data: Trajectory, diffusion, source,
-                   interp: str = "linear") -> Trajectory:
+def solve_anchored(data, diffusion, source, interp: str = "linear",
+                   keep: int | None = None) -> Trajectory:
     """Re-solve the equation with initial and boundary data taken from `data`.
 
-    Starts from the first stored slice and steps the boundary problem whose
-    Dirichlet cells are the outermost cells of each x and v axis (`ring_mask`),
-    filled with the data's own stored slice at every new time level; the
-    re-solve keeps the data's times.  Used by the zoom machinery, where
-    `data` is an interpolated field and the re-solve imposes the equation
-    at the new scale with boundary values anchored to the parent field.
+    Starts from the first slice of the data and steps the boundary problem
+    whose Dirichlet cells are the band of `_ANCHOR_RING` cells at each end
+    of every x and v axis (`ring_mask`), filled with the data's slice at
+    every new time level; the re-solve keeps the data's times.  Used by the
+    zoom machinery, where the data is an interpolated field and the
+    re-solve imposes the equation at the new scale with boundary values
+    anchored to the parent field.
+
+    `data` is a `Trajectory`, or a zoom sampler (`holder.ZoomSampler`)
+    that makes the first slice whole and, after that, only the ring cells.
+    Only the last `keep` slices (default: all) are stored.
     """
     grid = data.grid
     times = data.times.copy()
+    if isinstance(data, Trajectory):
+        initial, anchors = data.values[0], iter(data.values[1:])
+    else:
+        initial, anchors = data.whole(0), data.anchors()
+    keep = len(times) if keep is None else keep
+    first = len(times) - keep
     dt = float(times[1] - times[0])
     plan = _StepPlan(grid, diffusion, source, dt, interp, False, ~ring_mask(grid))
-    slices = np.empty_like(data.values)
-    slices[0] = data.values[0]
-    for n in range(len(times) - 1):
+    slices = np.empty((keep,) + grid.shape)
+    vals = initial
+    if first == 0:
+        slices[0] = vals
+    for n, anchor in zip(range(len(times) - 1), anchors):
         # rings carry the parent data at the implicit time level, so the
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
         # with constant coefficient passes through bit-consistently); the
         # slices keep the data's times, so a final slice at t = 0 stays there
-        slices[n + 1], _ = plan.step(slices[n], float(times[n]), data.values[n + 1])
-    return Trajectory(grid, times, slices)
+        vals, _ = plan.step(vals, float(times[n]), anchor)
+        if n + 1 >= first:
+            slices[n + 1 - first] = vals
+    return Trajectory(grid, times[first:], slices)
 
 
 # ---------------------------------------------------------------------------

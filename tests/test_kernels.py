@@ -17,7 +17,7 @@ import kfplab
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import PhaseGrid
-from kfplab.holder import ScalingMap, zoom
+from kfplab.holder import ScalingMap, ZoomSampler, zoom
 from kfplab import solver
 from kfplab.solver import (
     WHOLE_SPACE,
@@ -25,6 +25,7 @@ from kfplab.solver import (
     _TransportPlan,
     _bc_mask,
     kinetic_ibvp,
+    ring_mask,
     solve,
     solve_anchored,
     solve_barrier_ibvp,
@@ -335,13 +336,24 @@ def _zoom_reference(traj, smap, zoom_grid):
     (0.5, -0.2, 0.1, 0.3),
     (0.3, -0.1, -0.2, -0.5),
 ])
-def test_separable_zoom_matches_map_coordinates(dim, n, smap_args):
+@pytest.mark.parametrize("output", ["zoom", "sampler_ring"])
+def test_separable_zoom_matches_map_coordinates(dim, n, smap_args, output):
     eps, t0, x0, v0 = smap_args
     grid = PhaseGrid(dim, (-1.5, 0.0), 12, 1.5, n, 1.5, n)
     rng = np.random.default_rng(n)
     traj = Trajectory(grid, grid.times, rng.normal(size=(len(grid.times),) + grid.shape))
     a = build_diffusion(dim, 2.0, "constant", value=1.0)
     smap = ScalingMap(eps, t0, (x0,) * dim, (v0,) * dim)
-    got = zoom(traj, smap, a, None).data.values
     expected = _zoom_reference(traj, smap, grid.unit_scale())
+    if output == "zoom":
+        got = zoom(traj, smap, a, None).data.values
+    else:
+        # the ladder's sampler: the first slice whole from the referenced
+        # index box, then the ring cells the anchored re-solve reads
+        sampler = ZoomSampler(traj, smap)
+        ring = ring_mask(sampler.grid)
+        got = np.concatenate([sampler.whole(0).ravel()]
+                             + [anchor[ring] for anchor in sampler.anchors()])
+        expected = np.concatenate([expected[0].ravel()]
+                                  + [later[ring] for later in expected[1:]])
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import json
 import math
 import multiprocessing
 import os
@@ -195,6 +196,26 @@ def test_serial_and_overlapped_paths_write_identical_artifacts(tmp_path, monkeyp
     assert serial_pid == os.getpid() != overlap_pid
     names = _same_files(tmp_path / "serial", tmp_path / "overlap")
     assert {"theta.csv", "ladder.csv", "barrier.csv", "manifest.txt"} <= set(names)
+
+
+@pytest.mark.parametrize("overlap", [False, pytest.param(True, marks=needs_fork)],
+                         ids=["serial", "overlap"])
+def test_timings_flag_leaves_the_run_directory_byte_identical(tmp_path, monkeypatch,
+                                                               overlap):
+    assert _cli_run(tmp_path, BARRIER_CONFIG, "plain", overlap, monkeypatch) == 0
+    monkeypatch.setattr(pipeline, "_can_overlap", lambda: overlap)
+    cfg_path = tmp_path / "timed.cfg"
+    cfg_path.write_text(BARRIER_CONFIG)
+    timings_path = tmp_path / "timings.json"
+    assert cli_main(["run", str(cfg_path), "-o", str(tmp_path / "timed"),
+                     "--timings", str(timings_path)]) == 0
+    _same_files(tmp_path / "plain", tmp_path / "timed")
+    timings = json.loads(timings_path.read_text())
+    assert sorted(timings) == ["degiorgi", "holder", "main_solve"]
+    for stage in timings.values():
+        assert stage["wall_s"] > 0.0 and stage["maxrss_mb"] > 0.0
+    assert timings["holder"]["forked"] is overlap
+    assert timings["degiorgi"]["forked"] is timings["main_solve"]["forked"] is False
 
 
 def _raising(exc):

@@ -9,7 +9,9 @@ the run directory, whose files stay byte-identical.  The sweep runs its
 ensemble on KFPLAB_WORKERS forked worker processes (default 1,
 in-process); runs own their output subdirectories exclusively, and
 aggregation order is fixed, so the outputs are byte-identical at any
-worker count.
+worker count.  `sweep --timings PATH` writes every run's stage timings to
+PATH, keyed by run index (null for a run that raised), again outside the
+sweep directory.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ import sys
 from .config import ConfigError, RunConfig, parse_config_file, parse_sweep_config
 from .pipeline import run_pipeline, sweep, worker_count, write_incomplete_manifest
 from .snapshots import import_snapshot
+
+
+def _write_timings(path, timings):
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(timings, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_run(args) -> int:
@@ -39,9 +47,7 @@ def _cmd_run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     if args.timings:
-        with open(args.timings, "w", encoding="ascii") as fh:
-            json.dump(result.timings, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_timings(args.timings, result.timings)
     for name in sorted(result.verdicts):
         print(f"{name:20s} {'PASS' if result.verdicts[name] else 'FAIL'}")
     print(f"{'all':20s} {'PASS' if result.passed else 'FAIL'}")
@@ -87,6 +93,9 @@ def _cmd_sweep(args) -> int:
         return 2
     results, rows, pass_rates = sweep(configs, out_root=args.output,
                                       workers=workers)
+    if args.timings:
+        _write_timings(args.timings, {str(idx): None if res is None else res.timings
+                                      for idx, res in enumerate(results)})
     print(f"{len(rows)} runs")
     for name, rate in pass_rates.items():
         print(f"pass_rate {name:20s} {rate:.0%}")
@@ -163,6 +172,10 @@ def main(argv=None) -> int:
         "processes; outputs are byte-identical at any worker count")
     p_sweep.add_argument("config")
     p_sweep.add_argument("-o", "--output", default=None)
+    p_sweep.add_argument("--timings", default=None, metavar="PATH",
+                         help="write each run's stage wall times and peak RSS as "
+                         "JSON keyed by run index to PATH (keep it outside the "
+                         "output directory)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_inspect = sub.add_parser("inspect", help="print snapshot header and stats")

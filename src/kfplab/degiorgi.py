@@ -31,6 +31,7 @@ from .geometry import (
     ball_volume,
     cell_grad_v,
     cylinder_integral,
+    cylinder_integrals,
     cylinder_node_extrema,
     cylinder_nodes,
     dyadic_time,
@@ -42,6 +43,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "CutoffSums",
     "TruncationReport",
     "ChebyshevReport",
     "BarrierSourceReport",
@@ -72,46 +74,73 @@ def grad_v_sq_trajectory(traj: Trajectory) -> Trajectory:
     return traj.map_values(lambda values: grad_v_sq_density(traj.grid, values))
 
 
-def _cutoff_sums(win: Trajectory, level: DyadicLevel, slices, source=None,
-                 energy_only: bool = False) -> dict:
-    """{slice index: raw cell sums} of the five level-k cutoff-energy
-    integrands of f_k = (f - C_k)_+ on the listed slices of a level window:
+class CutoffSums:
+    """Raw cell sums of the five level-k cutoff-energy integrands of
+    f_k = (f - C_k)_+ on the stored slices of one trajectory:
 
         eta_x eta_v^2 f_k^2,   eta_x |grad_v(eta_v f_k)|^2,
         eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
         g f_k eta_x eta_v^2  (0.0 without a source),
 
-    with |grad_v|^2 the face-difference cell density.  The local energy
-    inequality reduces all five; U_k reads only the first two, which are
-    all that `energy_only` computes.
+    with |grad_v|^2 the face-difference cell density, each summed over the
+    level window (the cell box of B(R_{k-1})^2 with one extra v cell).
+
+    Called with slice indices of the trajectory, it returns {index: sums}.
+    Each slice's sums are computed once, when first asked for, and do not
+    depend on which other slices are asked for; so the local energy
+    inequality's (s, t) pairs (`solver.local_energy_check`) and U_k
+    (`truncation_energy`) of one level, which read the same slices, share
+    one instance and truncate and difference each slice once.  With
+    `energy_only` only the first two sums are computed, all U_k reads.
     """
-    cells = win.grid
-    c = level.truncation
-    eta_x = cells.expand_x(level.eta(cells.rho_x))
-    eta_v = cells.expand_v(level.eta(cells.rho_v))
-    eta_v_sq = eta_v**2
-    weight = eta_x * eta_v_sq
-    if not energy_only:
-        slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
-        vdot = level.v_dot_grad_eta_x(cells)
-    sample = None if source is None else KeyedSampler(
-        source, lambda t: source.sample(cells, t))
-    sums = {}
-    for i in slices:
-        fk = np.maximum(win.values[i] - c, 0.0)
+
+    def __init__(self, traj: Trajectory, k: int, source=None,
+                 energy_only: bool = False):
+        level = DyadicLevel(k)
+        self.k, self.source, self.energy_only = k, source, energy_only
+        self.win = traj.window(float(traj.times[0]), level.outer_radius)
+        cells = self.win.grid
+        self.c = level.truncation
+        self.eta_x = cells.expand_x(level.eta(cells.rho_x))
+        self.eta_v = cells.expand_v(level.eta(cells.rho_v))
+        self.eta_v_sq = self.eta_v**2
+        self.weight = self.eta_x * self.eta_v_sq
+        if not energy_only:
+            self.slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
+            self.vdot = level.v_dot_grad_eta_x(cells)
+        self.sample = None if source is None else KeyedSampler(
+            source, lambda t: source.sample(cells, t))
+        self.sums = {}
+
+    def check(self, k: int, source=None, energy_only: bool = False):
+        """Raise ValueError unless these are level k's sums with `source`
+        (any source when `energy_only`, whose sums do not read it)."""
+        if self.k != k or (self.energy_only and not energy_only) or (
+                not energy_only and self.source is not source):
+            raise ValueError(f"cutoff sums of level {self.k} cannot stand for "
+                             f"level {k} with this source")
+
+    def __call__(self, slices) -> dict:
+        for i in map(int, slices):
+            if i not in self.sums:
+                self.sums[i] = self._slice(i)
+        return {int(i): self.sums[int(i)] for i in slices}
+
+    def _slice(self, i: int) -> tuple:
+        cells = self.win.grid
+        fk = np.maximum(self.win.values[i] - self.c, 0.0)
         fk_sq = fk**2
-        energy = (float(np.sum(weight * fk_sq)),
-                  float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * fk))))
-        if energy_only:
-            sums[int(i)] = energy
-            continue
+        energy = (float(np.sum(self.weight * fk_sq)),
+                  float(np.sum(self.eta_x * grad_v_sq_density(cells, self.eta_v * fk))))
+        if self.energy_only:
+            return energy
         work = 0.0
-        if source is not None:
-            work = float(np.sum(sample(float(win.times[i])) * fk * eta_x * eta_v_sq))
-        sums[int(i)] = energy + (float(np.sum(eta_x * fk_sq * slope_sq)),
-                                 float(np.sum(eta_v_sq * fk_sq * vdot)),
-                                 work)
-    return sums
+        if self.source is not None:
+            work = float(np.sum(self.sample(float(self.win.times[i])) * fk
+                                * self.eta_x * self.eta_v_sq))
+        return energy + (float(np.sum(self.eta_x * fk_sq * self.slope_sq)),
+                         float(np.sum(self.eta_v_sq * fk_sq * self.vdot)),
+                         work)
 
 
 @dataclass
@@ -127,7 +156,8 @@ class TruncationReport:
     grad_l2_outer: float
 
 
-def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
+def truncation_energy(traj: Trajectory, k: int, lam: float,
+                      sums: CutoffSums | None = None) -> TruncationReport:
     """Compute U_k from stored slices: discrete sup over the slices in
     [T_k, 0] plus trapezoid time-quadrature of the weighted dissipation,
     with |grad_v (eta_k(v) f_k)|^2 the face-difference cell density.
@@ -135,34 +165,34 @@ def truncation_energy(traj: Trajectory, k: int, lam: float) -> TruncationReport:
     Every term vanishes outside Q_{k-1}, so the report is computed on the
     trajectory's window from T_{k-1} over B(R_{k-1})^2 with one extra v
     cell, on which the face differences equal the whole grid's.  Nothing
-    is kept but sums: the cutoff energies are reduced slice by slice, and
-    the level set and the f_k norms are streamed cylinder integrals that
-    truncate and difference each stored slice as they reach it."""
+    is kept but sums: the cutoff energies are reduced slice by slice
+    (`sums`, a `CutoffSums` of this trajectory and level that other audits
+    share, or one of its own), and the level set and the f_k norms of Q_k
+    and Q_{k-1} are streamed cylinder integrals, one pass that truncates
+    and differences each stored slice as it reaches it."""
     level = DyadicLevel(k)
     if traj.times[0] > level.t_start + 1e-9:
         raise GeometryError(
             f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
-    traj = traj.window(dyadic_time(k - 1), level.outer_radius)
-    grid = traj.grid
-    c = level.truncation
-    cv = grid.cell_volume
-
+    if sums is None:
+        sums = CutoffSums(traj, k, energy_only=True)
+    sums.check(k, energy_only=True)
+    cv = traj.grid.cell_volume
     w = time_quadrature_weights(traj.times, level.t_start, 0.0)
     slices = np.nonzero(traj.times >= level.t_start - 1e-12)[0]
     sup_term = 0.0
     dissipation = 0.0
-    for i, (energy, grad_sq) in _cutoff_sums(traj, level, slices,
-                                             energy_only=True).items():
+    for i, (energy, grad_sq, *_) in sums(slices).items():
         sup_term = max(sup_term, 0.5 * energy * cv)
         if w[i] > 0.0:
             dissipation += float(w[i]) * grad_sq * cv
 
+    traj = traj.window(dyadic_time(k - 1), level.outer_radius)
     q_out = level.outer_cylinder()
-    (fk_in, grad_in), (fk_out, grad_out) = _fk_norms(
-        traj, k, level.cylinder(), q_out)
+    (fk_out, grad_out), (fk_in, grad_in) = _fk_norms(traj, k, q_out, level.cylinder())
     return TruncationReport(k, sup_term + dissipation / lam, sup_term,
                             dissipation / lam,
-                            level_set_measure(traj, lambda f: f > c, q_out),
+                            level_set_measure(traj, lambda f: f > level.truncation, q_out),
                             fk_in, fk_out, grad_in, grad_out)
 
 
@@ -170,15 +200,16 @@ def _fk_norms(traj: Trajectory, k: int, *regions) -> list:
     """(||f_k||, ||grad_v f_k||) in L2 of each region, by the cell rule.
 
     f_k = (f - C_k)_+ and its face-difference density |grad_v f_k|^2 are
-    slice maps of the streamed integrals: each stored slice is truncated
+    slice maps of two streamed passes (`cylinder_integrals`), each of which
+    maps every stored slice once for all regions: each slice is truncated
     (and differenced) on its own, so the cell value of f_k stays the
     average of the truncated slices, and no mapped trajectory is built."""
     c = dyadic_truncation(k)
     trunc = lambda s: np.maximum(s - c, 0.0)
     grad_sq = lambda s: grad_v_sq_density(traj.grid, trunc(s))
-    return [(math.sqrt(cylinder_integral(traj, lambda v: v**2, region, trunc)),
-             math.sqrt(cylinder_integral(traj, lambda v: v, region, grad_sq)))
-            for region in regions]
+    return [(math.sqrt(fk), math.sqrt(grad)) for fk, grad in zip(
+        cylinder_integrals(traj, lambda v: v**2, regions, trunc),
+        cylinder_integrals(traj, lambda v: v, regions, grad_sq))]
 
 
 @dataclass

@@ -102,7 +102,8 @@ class Trajectory:
 
     def window(self, t_start: float, radius: float) -> "Trajectory":
         """A read-only view of the stored slices from the last one at or
-        before t_start, on the cells of `GridWindow(grid, radius)`.
+        before t_start, on the cells of `GridWindow(grid, radius)` (the
+        grid may itself be a cell box).
 
         Every level-k audit vanishes outside Q_{k-1} = (T_{k-1}, 0] x
         B(R_{k-1})^2, so it reads only this window of the trajectory; the
@@ -110,7 +111,10 @@ class Trajectory:
         """
         cells = GridWindow(self.grid, radius)
         i0 = max(int(np.searchsorted(self.times, t_start, side="right")) - 1, 0)
-        values = self.values[i0:][(slice(None),) + cells.box]
+        # both boxes index the parent grid; the view is cut from this one's
+        box = tuple(slice(c.start - g.start, c.stop - g.start)
+                    for c, g in zip(cells.box, self.grid.box))
+        values = self.values[i0:][(slice(None),) + box]
         values.flags.writeable = False
         return Trajectory(cells, self.times[i0:], values)
 

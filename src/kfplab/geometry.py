@@ -19,14 +19,16 @@ views of the stored slices, a slab of at most `_SLAB_BYTES` at a time.
 
 The v-calculus is the scheme's face difference D = np.diff/dv, its adjoint
 the face divergence, and one rule splitting each interior face value evenly
-onto its two cells.  A `GridWindow` is the cell box of one dyadic level:
-the cells with |x_a| < R and |v_a| < R on every axis, plus one v cell for
-the face differences.  Its centers and radius arrays are slices of the
-parent grid's arrays, so every mask, cutoff, sample and face difference on
-it is bit-equal to the parent's.  The level audits run on it, and so does
-the barrier problem of the same level, whose domain B(R)^2 lies inside
-the box; it is not a `PhaseGrid`, and the periodic whole-space problem has
-no meaning on it.
+onto its two cells.  A cell box (`_CellBox`) is a box of a grid's cells
+whose centers and radius arrays are slices of the grid's arrays, so every
+mask, cutoff, sample and face difference on it is bit-equal to the
+grid's.  A `GridWindow` is the cell box of one dyadic level: the cells
+with |x_a| < R and |v_a| < R on every axis, plus one v cell for the face
+differences.  The level audits run on it, and so does the barrier problem
+of the same level, whose domain B(R)^2 lies inside the box; the zoom's
+anchored re-solve steps the box of the cells its ring does not pin
+(`solver.solve_anchored`).  A box is not a `PhaseGrid`, and the periodic
+whole-space problem has no meaning on it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "cutoff_eval",
     "level_set_measure",
     "cylinder_integral",
+    "cylinder_integrals",
     "cylinder_node_extrema",
     "cylinder_nodes",
     "time_quadrature_weights",
@@ -83,9 +86,39 @@ def ball_volume(dim: int, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _CellBox:
-    """Broadcasting helpers over a box of (x, v) cells, given its `dim`,
-    center arrays `x_centers`/`v_centers` (one per axis, the same on every
-    axis) and shapes `x_shape`, `v_shape`."""
+    """A box of (x, v) cells of a `PhaseGrid`, `parent`: the cells in the
+    index slices `box` of a parent (x, v) array, one slice on every x axis
+    and one on every v axis.
+
+    Its center arrays `x_centers`, `v_centers` and radius arrays `rho_x`,
+    `rho_v` are slices of the parent's, and its spacings, `v_max` and
+    `cell_volume` are the parent's, so every mask, cutoff, sample and face
+    difference on it is bit-equal to the parent's cell by cell.  A
+    `PhaseGrid` is the box of all its cells, its own parent; a box cut
+    from a box is a box of their parent.  The methods broadcast over the
+    box.
+    """
+
+    def __init__(self, grid, xs: slice, vs: slice):
+        """The cells of `grid` (a `PhaseGrid` or a box of one) in the index
+        slices `xs` of each x axis and `vs` of each v axis of `grid`."""
+        root = grid.parent
+        x0, v0 = grid.box[0].start, grid.box[-1].start
+        xs = slice(x0 + xs.start, x0 + xs.stop)
+        vs = slice(v0 + vs.start, v0 + vs.stop)
+        self.parent = root
+        self.dim = root.dim
+        self.dx, self.dv, self.cell_volume = root.dx, root.dv, root.cell_volume
+        self.v_max = root.v_max
+        self.box = (xs,) * self.dim + (vs,) * self.dim
+        self.x_centers = root.x_centers[xs]
+        self.v_centers = root.v_centers[vs]
+        self.n_x, self.n_v = len(self.x_centers), len(self.v_centers)
+        self.rho_x = root.rho_x[self.box[:self.dim]]
+        self.rho_v = root.rho_v[self.box[self.dim:]]
+        self.x_shape = self.rho_x.shape
+        self.v_shape = self.rho_v.shape
+        self.shape = self.x_shape + self.v_shape
 
     def axis_coord(self, which: str, axis: int) -> np.ndarray:
         """Coordinate array of one x or v axis broadcast to its box shape."""
@@ -176,6 +209,8 @@ class PhaseGrid(_CellBox):
         # radius arrays over the x box and the v box
         self.rho_x = _distance(self.x_centers, self.dim)
         self.rho_v = _distance(self.v_centers, self.dim)
+        self.parent = self
+        self.box = (slice(0, self.n_x),) * self.dim + (slice(0, self.n_v),) * self.dim
 
     def unit_scale(self) -> "PhaseGrid":
         """The same cell counts over the unit-scale box covering Q[3/2],
@@ -202,36 +237,23 @@ def _centered_cells(centers, radius: float, margin: int) -> slice:
 
 
 class GridWindow(_CellBox):
-    """The cells of `grid` with |x_a| < radius on every x axis and
-    |v_a| < radius, widened by `_V_MARGIN` cells and clipped at the grid
-    edge, on every v axis.
+    """The cell box of one dyadic level: the cells of `grid` with
+    |x_a| < radius on every x axis and |v_a| < radius, widened by
+    `_V_MARGIN` cells and clipped at the grid edge, on every v axis.
 
-    Every array is a slice of the parent's, so masks, cutoffs and samples
-    are bit-equal to the parent's cell by cell, and so are the face
-    differences of the cells with |v_a| < radius.  `box` indexes the window
-    in a parent (x, v) array, and a field on the window stands for its
-    zero extension to `parent`.  The cell counts `n_x`, `n_v` are the
-    window's; the spacings and `v_max` are the parent's, which is all the
-    kinetic IBVP's step plan reads besides the centers.  There is no
+    As a `_CellBox` its masks, cutoffs and samples are bit-equal to the
+    parent's cell by cell, and so are the face differences of the cells
+    with |v_a| < radius.  A field on the window stands for its zero
+    extension to `parent`.  The level audits run on it, and so does the
+    kinetic IBVP of the level, whose step plan reads the centers, the
+    spacings and `v_max`, and takes its transport weights from the
+    parent's rows (`box`), so that they are the whole grid's.  There is no
     periodic x here.
     """
 
-    def __init__(self, grid: PhaseGrid, radius: float):
-        self.parent = grid
-        self.dim = grid.dim
-        self.dx, self.dv, self.cell_volume = grid.dx, grid.dv, grid.cell_volume
-        self.v_max = grid.v_max
-        xs = _centered_cells(grid.x_centers, radius, 0)
-        vs = _centered_cells(grid.v_centers, radius, _V_MARGIN)
-        self.box = (xs,) * self.dim + (vs,) * self.dim
-        self.x_centers = grid.x_centers[xs]
-        self.v_centers = grid.v_centers[vs]
-        self.n_x, self.n_v = len(self.x_centers), len(self.v_centers)
-        self.rho_x = grid.rho_x[self.box[:self.dim]]
-        self.rho_v = grid.rho_v[self.box[self.dim:]]
-        self.x_shape = self.rho_x.shape
-        self.v_shape = self.rho_v.shape
-        self.shape = self.x_shape + self.v_shape
+    def __init__(self, grid, radius: float):
+        super().__init__(grid, _centered_cells(grid.x_centers, radius, 0),
+                         _centered_cells(grid.v_centers, radius, _V_MARGIN))
 
 
 # ---------------------------------------------------------------------------
@@ -489,33 +511,77 @@ def _slabs(count: int, unit_bytes: int) -> list:
     return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def _cell_slabs(traj, region: Cylinder, slice_map=None):
+def _cell_slabs(traj, region: Cylinder):
     """(values, mask) per slab: the midpoint-in-time values of a run of the
     region's time cells on the bounding box of its (x, v) mask, and the
-    mask on that box.  `slice_map`, which must act slice by slice, is
-    applied to the stored slices (on their whole cell box, so face
-    differences see every neighbour) before the midpoint average; no slab
-    when no time cell lies in the region."""
+    mask on that box; no slab when no time cell lies in the region."""
     _check_region(traj, region)
     cells = _time_cells(traj, region)
     box, mask = region.space_box(traj.grid)
     for part in _slabs(cells.stop - cells.start, traj.values[0].nbytes):
         stored = traj.values[cells.start + part.start:cells.start + part.stop + 1]
-        if slice_map is None:
-            stored = stored[(slice(None),) + box]
-            vals = stored[:-1] + stored[1:]
-        else:
-            # the map runs on groups of slices whose temporaries, counted
-            # as _MAP_COPIES arrays of its input, fit in one slab
-            vals = np.empty((len(stored),) + mask.shape)
-            for group in _slabs(len(stored), _MAP_COPIES * stored[0].nbytes):
-                vals[group] = slice_map(stored[group])[(slice(None),) + box]
-            # the sums of neighbours in place, each read before it is overwritten
-            for j in range(len(vals) - 1):
-                vals[j] += vals[j + 1]
-            vals = vals[:-1]
+        stored = stored[(slice(None),) + box]
+        vals = stored[:-1] + stored[1:]
         vals *= 0.5
         yield vals, mask
+
+
+def _mapped_slab_sums(traj, regions, slice_map, reduce) -> list:
+    """For each region, [reduce(values, mask) per slab] of the `_cell_slabs`
+    of the trajectory mapped by `slice_map`, which must act slice by slice
+    and runs on the stored slices' whole cell box, so face differences see
+    every neighbour.  Each stored slice is mapped once for all regions: in
+    time order, in groups whose temporaries, counted as `_MAP_COPIES`
+    arrays of its input, fit one slab; each region gathers the cell values
+    of its own slabs from them (`_SlabCells`)."""
+    for region in regions:
+        _check_region(traj, region)
+    regions = [_SlabCells(traj, region, reduce) for region in regions]
+    spans = [region.slabs for region in regions if region.slabs]
+    first = min((slabs[0][0] for slabs in spans), default=0)
+    last = max((slabs[-1][1] for slabs in spans), default=-1)
+    for group in _slabs(last + 1 - first, _MAP_COPIES * traj.values[0].nbytes):
+        mapped = slice_map(traj.values[first + group.start:first + group.stop])
+        for j, i in enumerate(range(first + group.start, first + group.stop)):
+            for region in regions:
+                region.add(i, mapped[j])
+    return [region.sums for region in regions]
+
+
+class _SlabCells:
+    """One region's cell values in `_mapped_slab_sums`, fed one mapped
+    stored slice at a time in time order: per slab of the region's time
+    cells, each mapped slice plus the next on the region's bounding box,
+    halved and reduced when the slab's last stored slice has come."""
+
+    def __init__(self, traj, region: Cylinder, reduce):
+        cells = _time_cells(traj, region)
+        self.box, self.mask = region.space_box(traj.grid)
+        self.slabs = [(cells.start + part.start, cells.start + part.stop)
+                      for part in _slabs(cells.stop - cells.start, traj.values[0].nbytes)]
+        self.reduce = reduce
+        self.sums = []
+        self.cells = None
+
+    def add(self, i: int, values):
+        """Take mapped stored slice i: it closes time cell i - 1 and opens
+        time cell i of the region."""
+        if not self.slabs or i < self.slabs[0][0]:
+            return
+        a, b = self.slabs[0]
+        if self.cells is None:
+            self.cells = np.empty((b - a,) + self.mask.shape)
+        if i > a:
+            self.cells[i - 1 - a] += values[self.box]
+        if i < b:
+            self.cells[i - a] = values[self.box]
+        if i == b:
+            self.cells *= 0.5
+            self.sums.append(self.reduce(self.cells, self.mask))
+            self.cells = None
+            self.slabs.pop(0)
+            # the slice that closes a slab opens the next one
+            self.add(i, values)
 
 
 def _slab_total(parts) -> float:
@@ -538,8 +604,12 @@ def level_set_measure(traj, predicate, region: Cylinder, slice_map=None) -> floa
     are counted slab by slab (`_SLAB_BYTES`), so nothing the size of the
     trajectory is built; the count is exact at any slab size.
     """
-    count = sum(int(np.count_nonzero(predicate(vals) & mask))
-                for vals, mask in _cell_slabs(traj, region, slice_map))
+    count_cells = lambda vals, mask: int(np.count_nonzero(predicate(vals) & mask))
+    if slice_map is None:
+        count = sum(count_cells(vals, mask) for vals, mask in _cell_slabs(traj, region))
+    else:
+        [counts] = _mapped_slab_sums(traj, [region], slice_map, count_cells)
+        count = sum(counts)
     dt_cell = float(traj.times[1] - traj.times[0])
     return count * dt_cell * traj.grid.cell_volume
 
@@ -558,10 +628,30 @@ def cylinder_integral(traj, func, region: Cylinder, slice_map=None) -> float:
     and both sides of a Chebyshev comparison, summed over the same slabs,
     stay exact.
     """
-    total = _slab_total(float(np.sum(func(vals) * mask))
-                        for vals, mask in _cell_slabs(traj, region, slice_map))
+    if slice_map is not None:
+        return cylinder_integrals(traj, func, [region], slice_map)[0]
+    total = _slab_total(_masked_sum(func, vals, mask)
+                        for vals, mask in _cell_slabs(traj, region))
     dt_cell = float(traj.times[1] - traj.times[0])
     return total * dt_cell * traj.grid.cell_volume
+
+
+def cylinder_integrals(traj, func, regions, slice_map) -> list:
+    """`cylinder_integral(traj, func, region, slice_map)` of each region,
+    with every stored slice mapped only once for all of them; each region
+    still adds its own slab sums (`_mapped_slab_sums`), so every integral
+    is the one region's bit for bit."""
+    dt_cell = float(traj.times[1] - traj.times[0])
+    return [_slab_total(sums) * dt_cell * traj.grid.cell_volume for sums in
+            _mapped_slab_sums(traj, regions, slice_map,
+                              lambda vals, mask: _masked_sum(func, vals, mask))]
+
+
+def _masked_sum(func, vals: np.ndarray, mask) -> float:
+    """sum(func(vals) * mask), the product taken in place."""
+    vals = func(vals)
+    vals *= mask
+    return float(np.sum(vals))
 
 
 def cylinder_nodes(traj, region: Cylinder) -> np.ndarray:

@@ -30,7 +30,6 @@ from .fields import Trajectory
 from .geometry import (
     Cylinder,
     GeometryError,
-    GridWindow,
     PhaseGrid,
     _centered_cells,
     ball_volume,
@@ -166,33 +165,36 @@ class ZoomSampler:
     a constant shift) and v_i on xi_i alone.  So each zoom slice is a
     linear interpolation in time between two stored slices followed by one
     1-d linear interpolation per x and v axis, each holding the edge value
-    beyond the outermost cell centers.  A slice reads only the parent's
-    referenced index box, the cells its nodes touch (about two per axis
-    under the ladder's zoom), and `anchors` computes only the cells of
-    `ring_mask`; every value is the whole-grid interpolation's bit for bit.
+    beyond the outermost cell centers.  A slice reads only the stored
+    slices' referenced index box, the cells its nodes touch (about two per
+    axis under the ladder's zoom), and `anchors` computes only the ring
+    cells of `ring_mask` a re-solve asks for; every value is the whole-grid
+    interpolation's bit for bit.
 
-    `full_times` is the parent's whole time axis when `traj` holds only its
-    last slices (a re-solve that kept what the ladder reads): time indices
-    are measured on it, so they are the whole trajectory's.  The preimage
-    of every zoom-grid node must lie in the parent domain; otherwise the
-    required domain is reported.  Mapped coordinates that land exactly on
-    parent nodes are snapped, so an identity zoom on a matching grid is
-    bit-equal.
+    `traj` may live on a cell box of its grid (`geometry._CellBox`, as
+    `normalize_pair` returns): node indices are computed on the parent
+    grid and then shifted into the box, which must hold every node the
+    zoom reads.  `full_times` is the parent's whole time axis when `traj`
+    holds only its last slices (a re-solve that kept what the ladder
+    reads): time indices are measured on it, so they are the whole
+    trajectory's.  The preimage of every zoom-grid node must lie in the
+    parent domain; otherwise the required domain is reported.  Mapped
+    coordinates that land exactly on parent nodes are snapped, so an
+    identity zoom on a matching grid is bit-equal.
     """
 
     def __init__(self, traj: Trajectory, smap: ScalingMap,
                  zoom_grid: PhaseGrid | None = None, full_times=None):
-        grid = traj.grid
+        cells = traj.grid
+        grid = cells.parent
         self.traj = traj
         self.grid = grid.unit_scale() if zoom_grid is None else zoom_grid
         self.times = self.grid.times
         full_times = traj.times if full_times is None else full_times
         offset = len(full_times) - traj.n_slices
-        self.rings = [np.r_[0:_ANCHOR_RING, n - _ANCHOR_RING:n]
-                      for n in self.grid.x_shape + self.grid.v_shape]
         self.plans = []
         ys, xis = self.grid.coords()
-        spatial, last_idx = None, None
+        nodes, last_idx = None, None
         for s in self.times:
             t_lo, t_hi, t_w = _time_nodes(smap, float(s), full_times)
             if t_lo < offset:
@@ -212,61 +214,85 @@ class ZoomSampler:
                 idx.append(at)
             # without drift every slice has the same spatial nodes
             if last_idx is None or not all(map(np.array_equal, idx, last_idx)):
-                spatial, last_idx = self._spatial(idx), idx
-            self.plans.append((t_lo - offset, t_hi - offset, 1.0 - t_w, t_w) + spatial)
+                nodes, last_idx = self._nodes(idx), idx
+            self.plans.append((t_lo - offset, t_hi - offset, 1.0 - t_w, t_w, nodes))
 
-    def _spatial(self, idx):
-        """(box, plans, ring plan) of one slice's fractional node indices on
-        the parent's x and v axes: the referenced index box, the cells the
-        nodes touch on each axis; a `_lerp_plan` per axis on that box; and
-        the plan of the last axis's ring cells."""
-        grid = self.traj.grid
-        ndim = 2 * grid.dim
-        nodes = [_axis_nodes(i, n) for i, n in
-                 zip(idx, (grid.n_x,) * grid.dim + (grid.n_v,) * grid.dim)]
-        box = tuple(slice(int(lo.min()), int(hi.max()) + 1) for lo, hi, _ in nodes)
-        full = [_lerp_plan(nd, b.start, ax, ndim)
-                for ax, (nd, b) in enumerate(zip(nodes, box))]
-        ring = _lerp_plan(tuple(arr[self.rings[-1]] for arr in nodes[-1]),
-                          box[-1].start, ndim - 1, ndim)
-        return box, full, ring
+    def _nodes(self, idx):
+        """`_axis_nodes` of one slice's fractional node indices on each of
+        the parent's x and v axes, shifted into the stored cell box."""
+        cells = self.traj.grid
+        grid = cells.parent
+        nodes = []
+        for at, n, b in zip(idx, grid.x_shape + grid.v_shape, cells.box):
+            lo, hi, w = _axis_nodes(at, n)
+            if lo.min() < b.start or hi.max() >= b.stop:
+                raise GeometryError("zoom preimage needs cells outside the stored "
+                                    f"index range [{b.start}, {b.stop})")
+            nodes.append((lo - b.start, hi - b.start, w))
+        return nodes
 
-    def _box(self, i: int) -> np.ndarray:
-        """Zoom slice i's time interpolation on the referenced index box."""
-        lo, hi, omw, w, box, _, _ = self.plans[i]
+    @staticmethod
+    def _cut(nodes, cells):
+        """(box, plans) of the zoom cells `cells`, one slice or index array
+        per axis: the index box of the stored slices their nodes reference,
+        and a `_lerp_plan` per axis on that box."""
+        ndim = len(nodes)
+        cut = [tuple(arr[c] for arr in nd) for nd, c in zip(nodes, cells)]
+        box = tuple(slice(int(lo.min()), int(hi.max()) + 1) for lo, hi, _ in cut)
+        return box, [_lerp_plan(nd, b.start, ax, ndim)
+                     for ax, (nd, b) in enumerate(zip(cut, box))]
+
+    def _box(self, i: int, box) -> np.ndarray:
+        """Zoom slice i's time interpolation on the index box `box`."""
+        lo, hi, omw, w, _ = self.plans[i]
         values = self.traj.values
         return omw * values[lo][box] + w * values[hi][box]
 
     def whole(self, i: int) -> np.ndarray:
         """Zoom slice i on every cell of the zoom grid."""
-        *_, full, _ = self.plans[i]
-        out = self._box(i)
-        for ax, plan in enumerate(full):
+        nodes = self.plans[i][-1]
+        box, plans = self._cut(nodes, (slice(None),) * len(nodes))
+        out = self._box(i, box)
+        for ax, plan in enumerate(plans):
             out = _lerp(out, ax, plan)
         return out
 
-    def anchors(self):
-        """For each zoom slice after the first, one array holding it on the
-        ring cells (the same array, refilled; its other cells hold 0).
+    def anchors(self, cells=None):
+        """For each zoom slice after the first, one array on the zoom
+        cells `cells` (one slice per axis; default: every cell) holding the
+        slice on the ring cells among them (the same array, refilled; its
+        other cells hold 0).
 
         The ring is the union of one face per axis, that axis cut to its
         ring cells.  Every face interpolates the axes in the order of a
         whole slice: face a cuts the interpolation of axes <= a to its ring
         cells, or, on the last axis, interpolates only those."""
-        buf = np.zeros(self.grid.shape)
-        last = len(self.rings) - 1
+        shape = self.grid.shape
+        cells = (slice(None),) * len(shape) if cells is None else cells
+        axes = [np.arange(n)[c] for c, n in zip(cells, shape)]
+        rings = [np.nonzero((at < _ANCHOR_RING) | (at >= n - _ANCHOR_RING))[0]
+                 for at, n in zip(axes, shape)]
+        buf = np.zeros(tuple(map(len, axes)))
+        last = len(rings) - 1
+        spatial = None
         for i in range(1, len(self.times)):
-            *_, full, ring = self.plans[i]
-            prefix = self._box(i)
-            for ax, cells in enumerate(self.rings):
+            nodes = self.plans[i][-1]
+            if spatial is None or spatial[0] is not nodes:
+                box, full = self._cut(nodes, cells)
+                ring = _lerp_plan(tuple(arr[cells[-1]][rings[-1]] for arr in nodes[-1]),
+                                  box[-1].start, last, last + 1)
+                spatial = (nodes, box, full, ring)
+            _, box, full, ring = spatial
+            prefix = self._box(i, box)
+            for ax, ring_cells in enumerate(rings):
                 if ax == last:
                     face = _lerp(prefix, ax, ring)
                 else:
                     prefix = _lerp(prefix, ax, full[ax])
-                    face = np.take(prefix, cells, axis=ax)
+                    face = np.take(prefix, ring_cells, axis=ax)
                     for later in range(ax + 1, last + 1):
                         face = _lerp(face, later, full[later])
-                buf[(slice(None),) * ax + (cells,)] = face
+                buf[(slice(None),) * ax + (ring_cells,)] = face
             yield buf
 
 
@@ -345,7 +371,9 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     entries contract by the same mu as the inner-cylinder recursion, and
     Q[omega/2] stays resolvable on a desk-scale grid (Q[omega^3/54] is
     subgrid; its oscillation is recorded too whenever it resolves).
-    A field bounded by 1 with |g| <= beta is expected (see normalize_pair).
+    A field bounded by 1 with |g| <= beta is expected (see normalize_pair);
+    it may live on a cell box of its grid that holds the cylinders and the
+    first zoom's preimage, as the one `normalize_pair` returns.
 
     Each level streams: one `ZoomSampler` gives the re-solve its first
     zoomed slice whole and then only the ring cells it anchors, and the
@@ -361,7 +389,7 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     region = make_cylinder(omega / 2.0)
     inner_region = make_cylinder(omega**3 / 54.0)
     smap = ScalingMap(eps_step, 0.0, (0.0,) * dim, (0.0,) * dim)
-    unit = traj.grid.unit_scale()
+    unit = traj.grid.parent.unit_scale()
 
     current, full_times = traj, None
     a_cur, g_cur = diffusion, source
@@ -382,8 +410,9 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
         current = solve_anchored(sampler, a_cur, g_cur, interp=interp, keep=keep)
         full_times = unit.times
 
-    # oscillations at roundoff scale are treated as zero (a constant field
-    # zoomed through interpolation picks up ~1e-17 dust)
+    # oscillations at roundoff scale of the data the ladder reads are
+    # treated as zero (a constant field zoomed through interpolation picks
+    # up ~1e-17 dust)
     floor = 1e-12 * max(1.0, float(traj.values.max()), -float(traj.values.min()))
     entries = [(n, math.log10(v)) for n, v in enumerate(report.ladder)
                if v > floor]
@@ -453,8 +482,7 @@ def theta_sequence(traj: Trajectory, theta: float, k_max: int) -> ThetaSequenceR
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
     region = hat_union_unit()
-    cells = GridWindow(traj.grid, region.radius)
-    traj = Trajectory(cells, traj.times, traj.values[(slice(None),) + cells.box])
+    traj = traj.window(float(traj.times[0]), region.radius)
     if cylinder_node_extrema(traj, region)[1] > 1.0 + 1e-12:
         raise ValueError("theta sequence requires f <= 1 on the hat union "
                          "(normalize first)")
@@ -554,7 +582,13 @@ def lemma_constants(omega: float, lam: float, dim: int, theta: float,
 
 def normalize_pair(traj: Trajectory, source, beta: float):
     """Scale (f, g) by L = (1 + ||f||_inf)(1 + ||g||_inf / beta) over the
-    hat-union region, so |f/L| <= 1 and |g/L| <= beta."""
+    hat-union region, so |f/L| <= 1 there and |g/L| <= beta.
+
+    The scaled field is kept on the cells of B(0,1)^2 only
+    (`Trajectory.window` at radius 1, every slice): the hat union, the
+    ladder's and the probe's cylinders, the theta sequence and the first
+    zoom's preimage lie in them, so the oscillation chain reads nothing
+    else, and no scaled copy of the whole trajectory is made."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     region = hat_union_unit()
@@ -565,7 +599,8 @@ def normalize_pair(traj: Trajectory, source, beta: float):
     else:
         g_inf = abs(source.scale) * source.bound
     big_l = (1.0 + f_inf) * (1.0 + g_inf / beta)
-    scaled = traj.map_values(lambda v: v / big_l)
+    scaled = traj.window(float(traj.times[0]), region.radius).map_values(
+        lambda v: v / big_l)
     scaled_source = None if source is None else source.scaled(1.0 / big_l)
     return scaled, scaled_source, big_l
 

@@ -23,7 +23,12 @@ when the sampled coefficient arrays change.  Each step then applies the
 gathers and one factored solve per v axis, whose residual is checked
 against 1e-9 (1 + max|rhs|) and recorded in the ledger as `diff_residual`,
 the worst residual over that tolerance.  `solve_anchored` runs the same
-step with its Dirichlet ring filled from the data trajectory.
+step with its Dirichlet ring filled from the data, on the cell box of the
+unpinned cells widened by the transport's reach: only that box is stepped
+and carried, and each step fills only the pinned cells inside it.  Its
+transport weights come from the parent grid's rows and its diffusion keeps
+the whole grid's cyclic-reduction depth, so every value is the whole-grid
+step's bit for bit.
 
 Boundary conditions:
 
@@ -37,9 +42,10 @@ Boundary conditions:
   It is solved on whatever cell box its sources live on: a `PhaseGrid`,
   or the level's `GridWindow`, the cell box of B(R)^2 with one Dirichlet v
   cell past it.  Every cell outside the ball is pinned to zero, and a foot
-  that leaves the box reads zero as one that lands on a pinned cell does,
-  so the transport on the window is bit-equal to the whole grid's; only
-  the diffusion's elimination order follows the smaller slab.
+  that leaves the box reads zero as one that lands on a pinned cell does;
+  the window's transport weights come from the parent grid's rows, so the
+  transport on the window is bit-equal to the whole grid's on the ball.
+  Only the diffusion's elimination order follows the smaller slab.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import KeyedSampler
-from .degiorgi import _cutoff_sums
+from .degiorgi import CutoffSums
 from .fields import PhaseField, Trajectory
-from .geometry import PhaseGrid, dyadic_radius, dyadic_time, DyadicLevel, \
+from .geometry import PhaseGrid, _CellBox, _bounding_box, dyadic_radius, dyadic_time, \
     face_divergence, grad_v_sq_density, time_quadrature_weights
 
 __all__ = [
@@ -148,36 +154,54 @@ class _TransportPlan:
     it exists for the moment oracle, not for comparison-principle runs.
 
     Source indices and weights depend only on the grid and tau, so they
-    are built once, as field-shaped arrays of indices into the flattened
-    field, and applied with `take`.  Non-periodic reads outside the box
-    point at one zero appended to the flattened field.
+    are built once, as arrays of indices into the flattened input of each
+    pass, and applied with `take`.  Non-periodic reads outside the box
+    point at one zero appended to the flattened input.  On a cell box the
+    feet are measured from the parent grid's rows (`grid.box`), so the
+    weights are the whole grid's bit for bit; box-local rows would round
+    the fractional feet differently.
+
+    `inner` (one slice per axis, default every cell) is the box of cells
+    whose output is read, and the call returns the output there.  Each
+    pass computes only what the passes after it read: on its own x axis
+    and the x axes before it `inner`'s rows, on the later x axes every row,
+    and on the v axes, along which nothing moves, `inner`'s rows.
     """
 
-    def __init__(self, grid: PhaseGrid, tau: float, periodic: bool, cubic: bool):
+    def __init__(self, grid, tau: float, periodic: bool, cubic: bool, inner=None):
         self.periodic = periodic
-        size = int(np.prod(grid.shape))
-        ids = np.arange(size).reshape(grid.shape)
+        dim = grid.dim
+        inner = (slice(None),) * 2 * dim if inner is None else inner
         n = grid.n_x
-        rows = np.arange(n)[:, None]
-        fi = rows - grid.v_centers[None, :] * tau / grid.dx
-        base = np.floor(fi).astype(np.int64)
-        w = fi - base
-        if cubic:
-            offs = (-1, 0, 1, 2)
-            weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
-                       (w * w - 1.0) * (w - 2.0) / 2.0,
-                       -w * (w + 1.0) * (w - 2.0) / 2.0,
-                       w * (w * w - 1.0) / 6.0)
-        else:
-            offs = (0, 1)
-            weights = (1.0 - w, w)
+        start = grid.box[0].start
+        # the input of the first pass: every x row, `inner`'s v rows
+        self.v_rows = (slice(None),) * dim + inner[dim:]
+        shape = [n] * dim + [len(range(grid.n_v)[s]) for s in inner[dim:]]
         self.passes = []
-        for ax in range(grid.dim):
+        for ax in range(dim):
+            rows = np.arange(n)[inner[ax]][:, None]
+            fi = (rows + start) - grid.v_centers[inner[dim + ax]][None, :] * tau / grid.dx
+            foot = np.floor(fi)
+            w = fi - foot
+            base = foot.astype(np.int64) - start
+            if cubic:
+                offs = (-1, 0, 1, 2)
+                weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
+                           (w * w - 1.0) * (w - 2.0) / 2.0,
+                           -w * (w + 1.0) * (w - 2.0) / 2.0,
+                           w * (w * w - 1.0) / 6.0)
+            else:
+                offs = (0, 1)
+                weights = (1.0 - w, w)
+            size = int(np.prod(shape))
+            out_shape = list(shape)
+            out_shape[ax] = len(rows)
+            ids = np.arange(size).reshape(shape)[(slice(None),) * ax + (inner[ax],)]
             # the (x_i, v_i) plane of the shift, broadcast over the other axes
-            plane = [1] * 2 * grid.dim
-            plane[ax] = n
-            plane[grid.dim + ax] = grid.n_v
-            stride = int(np.prod(grid.shape[ax + 1:]))
+            plane = [1] * 2 * dim
+            plane[ax] = len(rows)
+            plane[dim + ax] = shape[dim + ax]
+            stride = int(np.prod(shape[ax + 1:]))
             taps = []
             for o, wk in zip(offs, weights):
                 src = base + o
@@ -187,15 +211,19 @@ class _TransportPlan:
                 idx = ids + ((src - rows) * stride).reshape(plane)
                 if not periodic:
                     idx = np.where(inside.reshape(plane), idx, size)
-                taps.append((idx, np.broadcast_to(wk.reshape(plane), grid.shape).copy()))
+                taps.append((idx, np.broadcast_to(wk.reshape(plane), out_shape).copy()))
             self.passes.append(taps)
+            shape = out_shape
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = values
+        out = values[self.v_rows]
         for taps in self.passes:
-            flat = out.ravel()
-            if not self.periodic:
-                flat = np.concatenate((flat, (0.0,)))
+            if self.periodic:
+                flat = out.ravel()
+            else:
+                flat = np.empty(out.size + 1)
+                flat[:-1].reshape(out.shape)[...] = out
+                flat[-1] = 0.0
             (idx, w), *rest = taps
             acc = w * flat.take(idx)
             for idx, w in rest:
@@ -212,6 +240,17 @@ class _TransportPlan:
 # cyclic reduction runs until a block holds this many cells or every row
 # has decoupled (2^k >= n_v)
 _BLOCK_CELLS = 1024
+
+
+def _reduction_depth(grid) -> int:
+    """The cyclic-reduction depth k of a v solve on `grid`: the smallest k
+    at which a stride block of 2^k rows holds `_BLOCK_CELLS` cells or
+    every row has decoupled."""
+    slice_cells = grid.n_x**grid.dim * grid.n_v**(grid.dim - 1)
+    depth = 0
+    while slice_cells << depth < _BLOCK_CELLS and 1 << depth < grid.n_v:
+        depth += 1
+    return depth
 
 
 class _ImplicitDiffusion:
@@ -231,33 +270,47 @@ class _ImplicitDiffusion:
     runs k parallel cyclic-reduction stages with coupling distances 1, 2,
     ..., 2^(k-1), which split every column into 2^k interleaved systems of
     coupling distance 2^k, then the Thomas elimination of those with
-    stride 2^k.  k is the smallest depth at which a stride block holds
-    `_BLOCK_CELLS` cells or every row has decoupled.  The matrices are
+    stride 2^k.  k is `_reduction_depth(grid)` unless `depth` is given:
+    the rows a solve eliminates together follow k, so a box that must
+    reproduce a larger grid's solve bit for bit takes that grid's.  The
+    matrices are
     strictly diagonally dominant M-matrices, so nothing pivots; a Dirichlet
     row (unit diagonal, no coupling) has zero multipliers at every stage
     and returns its data exactly.  The operator keeps the last coefficient
     arrays it was given with their factors and refactors only when the
     coefficients change, so a time-independent coefficient is factored once
     per solve.  Every solve is checked against the residual tolerance
-    1e-9 (1 + max|rhs|) of the original tridiagonal system; the call
-    returns the worst residual over that tolerance.
+    1e-9 (1 + max|rhs|) of the original tridiagonal system, over the
+    columns it solves; the call returns the worst residual over that
+    tolerance.
+
+    `inner` (one slice per axis, default every cell) is the box outside
+    which every cell is a Dirichlet cell.  A column of v axis a that lies
+    outside it on another axis has no free row, and a solve would return
+    its data (save that a -0.0 next to a negative value can come back as
+    +0.0), so each axis solves only the columns within `inner` on the
+    other axes, and the other cells keep their incoming values.
     """
 
-    def __init__(self, grid: PhaseGrid, dt: float, active=None):
+    def __init__(self, grid, dt: float, active=None, depth: int | None = None,
+                 inner=None):
         self.grid = grid
         self.r = dt / grid.dv**2
         self.active = active
         self.coeffs = None
         self.factors = None
-        slice_cells = grid.n_x**grid.dim * grid.n_v**(grid.dim - 1)
-        self.depth = 0
-        while slice_cells << self.depth < _BLOCK_CELLS and 1 << self.depth < grid.n_v:
-            self.depth += 1
+        self.depth = _reduction_depth(grid) if depth is None else depth
+        dim = grid.dim
+        self.whole = inner is None
+        inner = (slice(None),) * 2 * dim if inner is None else inner
+        self.columns = [inner[:dim + ax] + (slice(None),) + inner[dim + ax + 1:]
+                        for ax in range(dim)]
 
     def _v_first(self, arr, ax):
-        """`arr` as (n_v, cells per v slice) with v axis `ax` first."""
-        return np.ascontiguousarray(
-            np.moveaxis(arr, self.grid.dim + ax, 0)).reshape(self.grid.n_v, -1)
+        """The columns of `arr` that v axis `ax` solves, as (n_v, columns)
+        with that axis first."""
+        return np.ascontiguousarray(np.moveaxis(
+            arr[self.columns[ax]], self.grid.dim + ax, 0)).reshape(self.grid.n_v, -1)
 
     def _factor(self, ax, a):
         a = self._v_first(a, ax)
@@ -326,6 +379,7 @@ class _ImplicitDiffusion:
         worst = 0.0
         for ax, (sub, diag, sup, *factors) in enumerate(self.factors):
             v_ax = self.grid.dim + ax
+            columns = self.columns[ax]
             rhs = self._v_first(out, ax)
             sol = self._solve(rhs, *factors)
             res = diag * sol
@@ -338,8 +392,14 @@ class _ImplicitDiffusion:
                 raise SolverError(f"diffusion solve residual {err:.3e} "
                                   f"exceeds tolerance {tol:.3e}")
             worst = max(worst, err / tol)
-            moved = np.moveaxis(out, v_ax, 0).shape
-            out = np.moveaxis(sol.reshape(moved), 0, v_ax)
+            moved = np.moveaxis(out[columns], v_ax, 0).shape
+            sol = np.moveaxis(sol.reshape(moved), 0, v_ax)
+            if self.whole:
+                out = sol
+            else:
+                if out is values:
+                    out = values.copy()
+                out[columns] = sol
         return out, worst
 
 
@@ -358,6 +418,11 @@ def _bc_mask(grid: PhaseGrid, bc: BoundaryCondition):
 # width in cells of the Dirichlet band `solve_anchored` pins to its data
 _ANCHOR_RING = 2
 
+# cells a transport half-step reads on each side of its output cell: the
+# CFL bound keeps a foot within half a cell, the linear kernel reads the two
+# nodes around it and the cubic kernel one more on each side
+_REACH = {"linear": 1, "cubic": 2}
+
 
 def ring_mask(grid: PhaseGrid) -> np.ndarray:
     """Cells within `_ANCHOR_RING` cells of either end of any x or v axis:
@@ -372,7 +437,18 @@ def ring_mask(grid: PhaseGrid) -> np.ndarray:
     return mask
 
 
-def _check_cfl(grid: PhaseGrid, dt: float):
+def _anchored_cells(grid: PhaseGrid, interp: str) -> _CellBox:
+    """The cells `solve_anchored` steps: those the ring does not pin,
+    widened by the transport's reach (`_REACH`) and clipped at the grid.
+    The widening stays inside the ring, so a diffusion row of the box is
+    either unpinned or a Dirichlet row."""
+    if interp not in _REACH:
+        raise ValueError(f"interp must be 'linear' or 'cubic', got {interp!r}")
+    m = max(_ANCHOR_RING - _REACH[interp], 0)
+    return _CellBox(grid, slice(m, grid.n_x - m), slice(m, grid.n_v - m))
+
+
+def _check_cfl(grid, dt: float):
     limit = grid.dx / grid.v_max
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt} exceeds the transport bound dx/v_max = {limit}")
@@ -383,17 +459,22 @@ class _StepPlan:
     gathers, the implicit diffusion operator with its factors, and the
     coefficient arrays and source increment dt*g, resampled only when their
     time keys change.  Cells outside `active` are Dirichlet rows of the
-    diffusion solve."""
+    diffusion solve, whose reduction depth is `depth` when given.  Both
+    substeps compute only what the bounding box of `active` (`inner`)
+    needs: the cells outside it take the Dirichlet data whatever is
+    computed there."""
 
-    def __init__(self, grid: PhaseGrid, diffusion, source, dt: float, interp: str,
-                 periodic: bool, active=None):
+    def __init__(self, grid, diffusion, source, dt: float, interp: str,
+                 periodic: bool, active=None, depth: int | None = None):
         if interp not in ("linear", "cubic"):
             raise ValueError(f"interp must be 'linear' or 'cubic', got {interp!r}")
         _check_cfl(grid, dt)
         self.dt = dt
         self.active = active
-        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic")
-        self.implicit = _ImplicitDiffusion(grid, dt, active)
+        inner = None if active is None else _bounding_box(active)
+        self.inner = (slice(None),) * 2 * grid.dim if inner is None else inner
+        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic", inner)
+        self.implicit = _ImplicitDiffusion(grid, dt, active, depth, inner)
         self.coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(grid, t))
         self.increment = None if source is None else KeyedSampler(
             source, lambda t: dt * source.sample(grid, t))
@@ -415,14 +496,21 @@ class _StepPlan:
             # the increment dt*g rides inside the implicit solve: barrier sources
             # carry stiff div_v structure that must see the same implicit damping
             # as the field itself, or the comparison defect saturates at O(1)
-            out = out + self.increment(t_mid)
-        if self.active is not None:
-            out = np.where(self.active, out, fill)
+            out = out + self.increment(t_mid)[self.inner]
+        out = self._pinned(out, fill)
         out, residual = self.implicit(out, self.coefficients(t_mid))
-        out = self.transport(out)
-        if self.active is not None:
-            out = np.where(self.active, out, fill)
+        out = self._pinned(self.transport(out), fill)
         return out, residual
+
+    def _pinned(self, inner, fill):
+        """The plan's whole box from values on `self.inner`: those values
+        on the cells of `active`, `fill` on the others."""
+        if self.active is None:
+            return inner
+        out = np.empty(self.active.shape)
+        out[...] = fill
+        out[self.inner] = np.where(self.active[self.inner], inner, out[self.inner])
+        return out
 
 
 def _bc_plan(grid, diffusion, source, dt, bc: BoundaryCondition, interp) -> _StepPlan:
@@ -493,24 +581,46 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
     re-solve imposes the equation at the new scale with boundary values
     anchored to the parent field.
 
-    `data` is a `Trajectory`, or a zoom sampler (`holder.ZoomSampler`)
-    that makes the first slice whole and, after that, only the ring cells.
-    Only the last `keep` slices (default: all) are stored.
+    Only the cells a step can change are stepped: the unpinned cells
+    widened by the transport's reach, one cell under linear interpolation
+    and two under cubic (`_anchored_cells`; under cubic that is the whole
+    grid).  The step plan lives on that box and only the box is carried
+    from step to step; each step fills the pinned cells inside it with the
+    data, and its transport and diffusion compute only what the unpinned
+    cells read (`_StepPlan`).  A stored slice is put together from the
+    data on the ring and the box inside.  Two rules keep every value the
+    whole grid's bit for bit: the transport weights come from the parent
+    grid's rows, and the diffusion keeps the whole grid's cyclic-reduction
+    depth (the box has fewer cells per v slice, and that count sets the
+    depth).  The Dirichlet rows the box drops couple to nothing, and a v
+    column whose cells are all pinned is not solved: a solve returns its
+    data, save that it can turn a -0.0 next to a negative value into
+    +0.0, which only the sign of an exact zero could show.
+
+    `data` is a `Trajectory`, or a zoom sampler (`holder.ZoomSampler`) that
+    makes a slice whole (the first, and each stored one) and, at every
+    other step, only the pinned cells inside the box.  Only the last
+    `keep` slices (default: all) are stored.
     """
     grid = data.grid
     times = data.times.copy()
+    cells = _anchored_cells(grid, interp)
+    inside = (slice(None),) + cells.box
     if isinstance(data, Trajectory):
-        initial, anchors = data.values[0], iter(data.values[1:])
+        whole = lambda i: data.values[i]
+        anchors = iter(data.values[1:][inside])
     else:
-        initial, anchors = data.whole(0), data.anchors()
+        whole, anchors = data.whole, data.anchors(cells.box)
     keep = len(times) if keep is None else keep
     first = len(times) - keep
     dt = float(times[1] - times[0])
-    plan = _StepPlan(grid, diffusion, source, dt, interp, False, ~ring_mask(grid))
+    plan = _StepPlan(cells, diffusion, source, dt, interp, False,
+                     ~ring_mask(grid)[cells.box], _reduction_depth(grid))
     slices = np.empty((keep,) + grid.shape)
-    vals = initial
+    initial = whole(0)
     if first == 0:
-        slices[0] = vals
+        slices[0] = initial
+    vals = initial[cells.box]
     for n, anchor in zip(range(len(times) - 1), anchors):
         # rings carry the parent data at the implicit time level, so the
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
@@ -518,7 +628,9 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
         # slices keep the data's times, so a final slice at t = 0 stays there
         vals, _ = plan.step(vals, float(times[n]), anchor)
         if n + 1 >= first:
-            slices[n + 1 - first] = vals
+            out = slices[n + 1 - first]
+            out[...] = whole(n + 1)
+            out[cells.box] = vals
     return Trajectory(grid, times[first:], slices)
 
 
@@ -629,7 +741,7 @@ def energy_budget(traj: Trajectory, source, lam: float):
 
 
 def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
-                       source=None) -> float:
+                       source=None, sums: CutoffSums | None = None) -> float:
     """Residual (rhs - lhs) of the level-k cutoff energy inequality for
     (f - C_k)_+ between times s < t.
 
@@ -637,19 +749,21 @@ def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
     lhs is the weighted energy at t plus the (1/lam)-weighted dissipation of
     eta(v) (f - C_k)_+, rhs is the energy at s, the lam |grad eta(v)|^2
     term, the transport term with v . grad eta(x), and the source work.
-    They are reductions of the same per-slice face-difference cutoff sums as
-    U_k (`degiorgi.truncation_energy`), taken on the level window from s.
+    They are reductions of the per-slice face-difference cutoff sums on the
+    level window (`degiorgi.CutoffSums`): `sums` when given, shared with the
+    other (s, t) pairs and U_k of the level, else sums of its own.
     """
     if not s < t + 1e-15:
         raise ValueError(f"need s < t, got s = {s}, t = {t}")
-    level = DyadicLevel(k)
-    traj = traj.window(s, level.outer_radius)
+    if sums is None:
+        sums = CutoffSums(traj, k, source)
+    sums.check(k, source)
     cv = traj.grid.cell_volume
     i_s = traj.slice_index(s)
     i_t = traj.slice_index(t)
     w_time = time_quadrature_weights(traj.times, s, t)
     weighted = np.nonzero(w_time)[0]
-    sums = _cutoff_sums(traj, level, sorted({i_s, i_t, *weighted.tolist()}), source)
+    sums = sums(sorted({i_s, i_t, *weighted.tolist()}))
 
     energy_t = 0.5 * sums[i_t][0] * cv
     energy_s = 0.5 * sums[i_s][0] * cv

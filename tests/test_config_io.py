@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import json
 import os
 import pathlib
 
@@ -328,6 +329,37 @@ def test_cli_sweep_respects_worker_env(tmp_path, monkeypatch):
     tree_a = _tree(a)
     assert "sweep.csv" in tree_a and "run_0001/field_final.snap" in tree_a
     assert tree_a == _tree(b)
+
+
+def test_cli_sweep_timings_leave_the_sweep_directory_byte_identical(tmp_path,
+                                                                   monkeypatch):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(FAST_CONFIG + "\nsweep.seeds = 1, 2\n")
+    trees = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KFPLAB_WORKERS", workers)
+        for timed in (False, True):
+            out = tmp_path / f"sweep_w{workers}_{timed}"
+            args = ["sweep", str(cfg_path), "-o", str(out)]
+            timings_path = tmp_path / f"timings_w{workers}.json"
+            if timed:
+                args += ["--timings", str(timings_path)]
+            assert cli_main(args) == 0
+            trees[workers, timed] = _tree(out)
+            if not timed:
+                continue
+            # written outside the sweep directory, one entry per run index
+            timings = json.loads(timings_path.read_text())
+            assert sorted(timings) == ["0", "1"]
+            for run in timings.values():
+                assert sorted(run) == ["degiorgi", "holder", "main_solve"]
+                for stage in run.values():
+                    assert stage["wall_s"] > 0.0 and stage["maxrss_mb"] > 0.0
+                # a pool worker runs both stages in-process
+                assert workers == "1" or run["holder"]["forked"] is False
+    first = trees["1", False]
+    assert "sweep.csv" in first and "run_0001/manifest.txt" in first
+    assert all(tree == first for tree in trees.values())
 
 
 @pytest.mark.parametrize("raw, workers", [(None, 1), ("1", 1), ("2", 2), (" 3 ", 3)])

@@ -121,14 +121,19 @@ def test_streamed_ladder_is_the_materialised_loop_bit_for_bit(name):
     cfg = parse_config(LADDER_CONFIGS[name])
     grid = build_grid(cfg)
     diffusion, source = build_coefficient(cfg), build_source_field(cfg)
-    traj, source, _ = holder.normalize_pair(
-        solve_initial(cfg, grid, diffusion, source), source, 0.01)
-    report = oscillation_ladder(traj, diffusion, source, cfg.omega, n_levels=3)
-    ladder, inner, mu = _ladder_reference(traj, diffusion, source, cfg.omega, 3)
-    assert report.ladder == ladder
-    assert np.array_equal(report.ladder_inner, inner, equal_nan=True)
-    assert report.mu_emp == mu or (math.isnan(report.mu_emp) and math.isnan(mu))
-    assert not report.degenerate
+    traj = solve_initial(cfg, grid, diffusion, source)
+    # the normalized field lives on the cells of B(0,1)^2; the reference
+    # scales the whole trajectory
+    window, source, big_l = holder.normalize_pair(traj, source, 0.01)
+    assert window.grid.shape != grid.shape
+    whole = traj.map_values(lambda v: v / big_l)
+    ladder, inner, mu = _ladder_reference(whole, diffusion, source, cfg.omega, 3)
+    for data in (window, whole):
+        report = oscillation_ladder(data, diffusion, source, cfg.omega, n_levels=3)
+        assert report.ladder == ladder
+        assert np.array_equal(report.ladder_inner, inner, equal_nan=True)
+        assert report.mu_emp == mu or (math.isnan(report.mu_emp) and math.isnan(mu))
+        assert not report.degenerate
 
 
 @pytest.mark.parametrize("dim,n,n_t,omega,kept", [
@@ -204,6 +209,26 @@ def test_streamed_reductions_do_not_depend_on_the_slab(monkeypatch, dim, n, n_t)
         assert rep.margin >= 0.0, k
 
 
+@pytest.mark.parametrize("slab_slices", [None, 1, 3])
+def test_shared_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_slices):
+    """`cylinder_integrals` maps each stored slice once for several regions
+    and still adds each region's own slab sums: one slab, a slab per
+    slice, and slabs that cut the regions' time cells apart."""
+    grid = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 9, 1.5, 9)
+    traj = _field(grid, seed=4)
+    if slab_slices is not None:
+        monkeypatch.setattr(geometry, "_SLAB_BYTES", slab_slices * traj.values[0].nbytes)
+    trunc = lambda s: np.maximum(s - 0.25, 0.0)
+    grad_sq = lambda s: grad_v_sq_density(grid, trunc(s))
+    regions = [make_cylinder(1.5), make_cylinder(1.0), DyadicLevel(2).outer_cylinder(),
+               hat_cylinder()]
+    squares = geometry.cylinder_integrals(traj, lambda v: v**2, regions, trunc)
+    grads = geometry.cylinder_integrals(traj, lambda v: v, regions, grad_sq)
+    for region, sq, grad in zip(regions, squares, grads):
+        assert sq == cylinder_integral(traj, lambda v: v**2, region, trunc) > 0.0
+        assert grad == cylinder_integral(traj, lambda v: v, region, grad_sq) > 0.0
+
+
 # --- memory ------------------------------------------------------------------------
 
 def _rise(fn, *args, **kwargs):
@@ -227,9 +252,9 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     On N = 2 at 13^4 cells and 97 stored slices (21.1 MiB, six cylinder
     slabs of 18 time cells), each audit's tracemalloc rise above its entry
     must stay below BOUND = 0.75 of the trajectory's bytes.  Measured
-    here: `truncation_energy` at k = 0 0.57, `linfty_gate` 0.56,
-    `SpectralField.from_trajectory` 0.27 and `oscillation_ladder` 0.50
-    (its re-solve's step plan and kept slices).  With the whole-trajectory
+    here: `truncation_energy` at k = 0 0.45, `linfty_gate` 0.38,
+    `SpectralField.from_trajectory` 0.27 and `oscillation_ladder` 0.30
+    (its re-solve's step plan on the inner cell box and kept slices).  With the whole-trajectory
     temporaries these streams replaced, the same calls rose 4.97, 2.97,
     6.47 and 3.31 trajectories.
     """

@@ -29,7 +29,7 @@ for k in (1, 2):
     rep = build_barrier_sources(traj, k, rough, source)
     # F_k on the sources' window: slices from T_{k-1}, cells of B(R_{k-1})^2
     fk = rep.fk
-    barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, k, initial=fk.field(0))
+    barrier = solve_barrier_ibvp(rep.source, rough, k, initial=fk.field(0))
     print(f"level k = {k}, window of {fk.grid.shape} cells in {grid.shape}")
     print(f"  ||S1||_L2 = {rep.s1_l2:.4f}  (ladder budget {rep.s1_bound:.4f})")
     print(f"  ||S2||_L2 = {rep.s2_l2:.4f}  (ladder budget {rep.s2_bound:.4f})")

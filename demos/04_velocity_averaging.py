@@ -41,7 +41,7 @@ traj = solve(f0, rough, g, 0.0, WHOLE_SPACE)
 # taken at the whole grid's padded lengths, so they are the spectra of G_1
 # zero-extended to the grid
 rep = build_barrier_sources(traj, 1, rough, g)
-barrier = solve_barrier_ibvp(rep.s1, rep.s2, rough, 1, initial=rep.fk.field(0))
+barrier = solve_barrier_ibvp(rep.source, rough, 1, initial=rep.fk.field(0))
 
 spec = SpectralField.from_trajectory(barrier, warn_boundary=False)
 lhs, rhs = interpolation_audit(spec)

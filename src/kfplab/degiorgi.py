@@ -28,6 +28,7 @@ from .fields import Trajectory
 from .geometry import (
     DyadicLevel,
     GeometryError,
+    SliceIntegral,
     ball_volume,
     cell_grad_v,
     cylinder_integral,
@@ -36,6 +37,7 @@ from .geometry import (
     cylinder_nodes,
     dyadic_time,
     dyadic_truncation,
+    face_divergence,
     grad_v_sq_density,
     level_set_measure,
     make_cylinder,
@@ -46,6 +48,7 @@ __all__ = [
     "CutoffSums",
     "TruncationReport",
     "ChebyshevReport",
+    "BarrierSource",
     "BarrierSourceReport",
     "IterationConstants",
     "GateReport",
@@ -268,15 +271,72 @@ def chebyshev_audit(traj: Trajectory, k: int,
 # barrier sources
 # ---------------------------------------------------------------------------
 
+class BarrierSource:
+    """The barrier problem's source S1 + div_v S2 as its solve reads it: per
+    step n from `t_start`, the increment dt (S1 + div_v S2) at the step's
+    midpoint t_start + n dt + dt/2, on one cell box (a grid or the level
+    window of `build_barrier_sources`).
+
+    S1 and each S2 component are interpolated linearly in time between the
+    stored slices around the midpoint (`Trajectory.at_time`), so only the
+    increments are kept, one slice per step, and not S1 and the N
+    components of S2 at every stored time.  div_v is
+    `geometry.face_divergence`, the adjoint of the face gradient with zero
+    boundary faces, so the discrete energy pairing (div_v S2, G) =
+    -(S2, grad_v G) mirrors the continuous identity, with grad_v the cell
+    gradient of `build_barrier_sources`.  On the window the boundary faces
+    sit past the Dirichlet v cell, where S2 vanishes.
+    """
+
+    def __init__(self, grid, t_start: float, dt: float, n_steps: int):
+        self.grid = grid
+        self.t_start = t_start
+        self.dt = dt
+        self.increments = np.empty((n_steps,) + grid.shape)
+
+    @classmethod
+    def from_trajectories(cls, s1: Trajectory, s2, t_start: float | None = None):
+        """The increments of the steps from `t_start` (default: the first
+        stored time) to t = 0, at the spacing of the stored slices."""
+        s2 = tuple(s2) if isinstance(s2, (tuple, list)) else (s2,)
+        t_start = s1.t_start if t_start is None else t_start
+        dt = float(s1.times[1] - s1.times[0])
+        src = cls(s1.grid, t_start, dt, int(round((0.0 - t_start) / dt)))
+        for n in range(len(src.increments)):
+            src.set_step(n, s1, s2)
+        return src
+
+    def set_step(self, n: int, s1: Trajectory, s2):
+        """Fill step n's increment from S1 and the S2 components, any
+        trajectories whose stored slices hold its midpoint."""
+        if len(s2) != self.grid.dim:
+            raise ValueError(f"need {self.grid.dim} components for S2, got {len(s2)}")
+        t_mid = self.t_start + n * self.dt + 0.5 * self.dt
+        out = self.increments[n]
+        out[...] = s1.at_time(t_mid)
+        for ax, comp in enumerate(s2):
+            out += face_divergence(self.grid, comp.at_time(t_mid), ax)
+        out *= self.dt
+
+    def increments_for(self, grid, dt: float):
+        """The step plan's increment sampler: the increment of the step whose
+        midpoint is t."""
+        if grid.shape != self.grid.shape or dt != self.dt:
+            raise ValueError(f"the barrier source has steps of {self.dt} on "
+                             f"{self.grid.shape}, the solve {dt} on {grid.shape}")
+        return lambda t: self.increments[int(round((t - self.t_start) / dt - 0.5))]
+
+
 @dataclass
 class BarrierSourceReport:
-    """The level-k barrier sources S1, S2 and the field F_k they act on,
-    all on the level window from T_{k-1}, with the L2(Q_{k-1}) norms of
-    `build_barrier_sources` and the ladder budgets they must meet."""
+    """The level-k barrier source and the field F_k it acts on, both on the
+    level window from T_{k-1}, with the L2(Q_{k-1}) norms of
+    `build_barrier_sources` and the ladder budgets they must meet.  S1 and
+    S2 are not kept: the source holds the barrier solve's increments, and
+    their norms were taken as they were assembled."""
 
     k: int
-    s1: Trajectory               # on the level window, from T_{k-1}
-    s2: tuple                    # one window trajectory per v axis
+    source: BarrierSource        # dt (S1 + div_v S2) per barrier step, on the window
     fk: Trajectory               # F_k = f_k eta_k(x) eta_k(v)^2 on the same window
     s1_l2: float
     s2_l2: float
@@ -296,36 +356,18 @@ class BarrierSourceReport:
         return self.s1_l2 <= self.s1_bound + 1e-9 * max(1.0, self.s1_bound)
 
 
-def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
-                          ) -> BarrierSourceReport:
-    """Assemble the level-k barrier sources
+def _barrier_slices(win: Trajectory, level: DyadicLevel, diffusion, source):
+    """(f_k, S1, S2) at each stored slice of the level window `win`, in
+    time order, with S2 one array per v axis:
 
         S1 = g 1_{f > C_k} eta_k(x) eta_k(v)^2 + f_k eta_k(v)^2 v.grad eta_k(x)
              - 2 eta_k(x) eta_k(v) a . grad_v f_k . grad eta_k(v),
-        S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v),
+        S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v).
 
-    both supported in Q_{k-1} through the cutoff factors.  Cutoff gradients
-    are analytic; grad_v f_k is the cell gradient of the truncated field
-    (`geometry.cell_grad_v`).  The report carries the L2(Q_{k-1}) norms,
-    the ladder bounds they must satisfy, and the truncated cutoff field
-    F_k = f_k eta_k(x) eta_k(v)^2 the barrier starts from and dominates.
-
-    S1, S2 and F_k are trajectories on the level window (`Trajectory.window`):
-    the stored slices from the one nearest T_{k-1}, where the barrier
-    problem starts, on the cell box of B(R_{k-1})^2 with one extra v cell.
-    On the whole grid they would be zero outside that box, and the face
-    differences on it equal the whole grid's wherever a cutoff factor is
-    non-zero.  The coefficient and the source are sampled there only when
-    their time keys change.
-    """
-    if k < 1:
-        raise ValueError(f"barrier sources require k >= 1, got {k}")
-    grid = traj.grid
-    level = DyadicLevel(k)
-    c = level.truncation
-    win = traj.window(float(traj.times[traj.slice_index(dyadic_time(k - 1))]),
-                      level.outer_radius)
+    The coefficient and the source are sampled only when their time keys
+    change."""
     cells = win.grid
+    c = level.truncation
     eta_x = cells.expand_x(level.eta(cells.rho_x))
     eta_v = cells.expand_v(level.eta(cells.rho_v))
     vdot = level.v_dot_grad_eta_x(cells)
@@ -333,11 +375,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(cells, t))
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(cells, t))
-
-    n = win.n_slices
-    s1_vals = np.empty((n,) + cells.shape)
-    s2_vals = [np.empty((n,) + cells.shape) for _ in range(grid.dim)]
-    for i in range(n):
+    for i in range(win.n_slices):
         t = float(win.times[i])
         f = win.values[i]
         fk = np.maximum(f - c, 0.0)
@@ -345,31 +383,79 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
         a_diag = coefficients(t)
         g = sample(t) if source is not None else 0.0
         cross = np.zeros(cells.shape)
-        for ax in range(grid.dim):
+        s2 = []
+        for ax in range(cells.dim):
             cross += a_diag[ax] * cell_grad_v(cells, fk, ax) * grad_eta_v[ax]
-            s2_vals[ax][i] = -2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax]
-        s1_vals[i] = (g * ind * eta_x * eta_v**2
-                      + fk * eta_v**2 * vdot
-                      - 2.0 * eta_x * eta_v * cross)
+            s2.append(-2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax])
+        s1 = (g * ind * eta_x * eta_v**2
+              + fk * eta_v**2 * vdot
+              - 2.0 * eta_x * eta_v * cross)
+        yield fk, s1, tuple(s2)
 
-    s1 = Trajectory(cells, win.times.copy(), s1_vals)
-    s2 = tuple(Trajectory(cells, win.times.copy(), sv) for sv in s2_vals)
-    fk = Trajectory(cells, win.times.copy(),
-                    np.maximum(win.values - c, 0.0) * eta_x * eta_v**2)
 
+def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
+                          ) -> BarrierSourceReport:
+    """Assemble the level-k barrier source S1 + div_v S2 (`_barrier_slices`),
+    both parts supported in Q_{k-1} through the cutoff factors.  Cutoff
+    gradients are analytic; grad_v f_k is the cell gradient of the
+    truncated field (`geometry.cell_grad_v`).  The report carries the
+    L2(Q_{k-1}) norms of S1 and S2, the ladder bounds they must satisfy,
+    the barrier solve's source and the truncated cutoff field
+    F_k = f_k eta_k(x) eta_k(v)^2 the barrier starts from and dominates.
+
+    Everything lives on the level window (`Trajectory.window`): the stored
+    slices from the one nearest T_{k-1}, where the barrier problem starts,
+    on the cell box of B(R_{k-1})^2 with one extra v cell.  On the whole
+    grid it would be zero outside that box, and the face differences on it
+    equal the whole grid's wherever a cutoff factor is non-zero.  S1 and S2
+    are assembled one stored slice at a time: their norms are summed as
+    they come (`geometry.SliceIntegral`), and each step's increment
+    dt (S1 + div_v S2) at its midpoint is kept (`BarrierSource`), not S1
+    and S2 themselves.
+    """
+    if k < 1:
+        raise ValueError(f"barrier sources require k >= 1, got {k}")
+    level = DyadicLevel(k)
+    win = traj.window(float(traj.times[traj.slice_index(dyadic_time(k - 1))]),
+                      level.outer_radius)
+    cells = win.grid
+    times = win.times
     q_out = level.outer_cylinder()
     sq = lambda v: v**2
-    s1_l2 = math.sqrt(cylinder_integral(s1, sq, q_out))
-    s2_l2 = math.sqrt(sum(cylinder_integral(comp, sq, q_out) for comp in s2))
+    s1_sq = SliceIntegral(win, sq, q_out)
+    s2_sq = [SliceIntegral(win, sq, q_out) for _ in range(cells.dim)]
+    eta_x = cells.expand_x(level.eta(cells.rho_x))
+    eta_v_sq = cells.expand_v(level.eta(cells.rho_v)) ** 2
+    fk_vals = np.empty((win.n_slices,) + cells.shape)
+    barrier = BarrierSource(cells, float(times[0]), float(times[1] - times[0]),
+                            win.n_slices - 1)
+    last = None
+    for i, (fk, s1, s2) in enumerate(_barrier_slices(win, level, diffusion, source)):
+        np.multiply(fk, eta_x, out=fk_vals[i])
+        fk_vals[i] *= eta_v_sq
+        s1_sq.add(i, s1)
+        for comp, integral in zip(s2, s2_sq):
+            integral.add(i, comp)
+        if last is not None:
+            # the step from slice i - 1 to slice i reads S1 and S2 between them
+            pair = lambda prev, cur: Trajectory(cells, times[i - 1:i + 1],
+                                                np.stack((prev, cur)))
+            barrier.set_step(i - 1, pair(last[0], s1),
+                             [pair(prev, cur) for prev, cur in zip(last[1], s2)])
+        last = (s1, s2)
+    fk = Trajectory(cells, times.copy(), fk_vals)
+
+    s1_l2 = math.sqrt(s1_sq.value())
+    s2_l2 = math.sqrt(sum(integral.value() for integral in s2_sq))
     [(fk_l2, grad_l2)] = _fk_norms(win, k, q_out)
     g_ind = 0.0 if source is None else math.sqrt(
-        _gind_integral(win, source, c, q_out))
+        _gind_integral(win, source, level.truncation, q_out))
     lam = diffusion.lam
     s2_budget = 2.0 ** (k + 3) * lam * fk_l2
     s2_actual = 2.0 * lam * level.max_slope * fk_l2
     s1_budget = (g_ind + 2.0 ** (k + 2) * level.outer_radius * fk_l2
                  + 2.0 ** (k + 3) * lam * grad_l2)
-    return BarrierSourceReport(k, s1, s2, fk, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
+    return BarrierSourceReport(k, barrier, fk, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
                                s2_budget, s2_actual, s1_budget)
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "cutoff_eval",
     "level_set_measure",
     "cylinder_integral",
+    "SliceIntegral",
     "cylinder_integrals",
     "cylinder_node_extrema",
     "cylinder_nodes",
@@ -634,6 +635,28 @@ def cylinder_integral(traj, func, region: Cylinder, slice_map=None) -> float:
                         for vals, mask in _cell_slabs(traj, region))
     dt_cell = float(traj.times[1] - traj.times[0])
     return total * dt_cell * traj.grid.cell_volume
+
+
+class SliceIntegral:
+    """`cylinder_integral(traj, func, region)` of a trajectory whose slices
+    come one at a time: `add(i, values)` takes stored slice i, in time
+    order, of a trajectory on `traj`'s cells and times (`traj` itself is
+    read for those only), and `value()` is the integral once the region's
+    last stored slice has come.  The slab sums are `cylinder_integral`'s
+    bit for bit (`_SlabCells`), and only the current slab is held."""
+
+    def __init__(self, traj, func, region: Cylinder):
+        _check_region(traj, region)
+        self.cells = _SlabCells(traj, region,
+                                lambda vals, mask: _masked_sum(func, vals, mask))
+        self.dt_cell = float(traj.times[1] - traj.times[0])
+        self.cell_volume = traj.grid.cell_volume
+
+    def add(self, i: int, values):
+        self.cells.add(i, values)
+
+    def value(self) -> float:
+        return _slab_total(self.cells.sums) * self.dt_cell * self.cell_volume
 
 
 def cylinder_integrals(traj, func, regions, slice_map) -> list:

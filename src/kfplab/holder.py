@@ -143,17 +143,17 @@ def _lerp(values: np.ndarray, axis: int, plan) -> np.ndarray:
     return omw * np.take(values, lo, axis=axis) + w * np.take(values, hi, axis=axis)
 
 
-def _time_nodes(smap: ScalingMap, s: float, times: np.ndarray):
-    """(lo, hi, w) of the preimage of zoom time s on the time axis `times`,
-    measured from its first time in its first slice spacing."""
+def _time_nodes(smap: ScalingMap, s: np.ndarray, times: np.ndarray):
+    """(lo, hi, w) of the preimages of the zoom times `s` on the time axis
+    `times`, measured from its first time in its first slice spacing."""
     t = smap.apply_time(s)
     ti = (t - times[0]) / float(times[1] - times[0])
-    if ti < -1e-9 or ti > len(times) - 1 + 1e-9:
+    outside = (ti < -1e-9) | (ti > len(times) - 1 + 1e-9)
+    if outside.any():
         raise GeometryError(
-            f"zoom preimage needs t = {t:.6g}, outside the stored span "
+            f"zoom preimage needs t = {t[outside][0]:.6g}, outside the stored span "
             f"[{times[0]:.6g}, {times[-1]:.6g}]")
-    lo, hi, w = _axis_nodes(np.atleast_1d(ti), len(times))
-    return int(lo[0]), int(hi[0]), w[0]
+    return _axis_nodes(ti, len(times))
 
 
 class ZoomSampler:
@@ -185,37 +185,48 @@ class ZoomSampler:
 
     def __init__(self, traj: Trajectory, smap: ScalingMap,
                  zoom_grid: PhaseGrid | None = None, full_times=None):
-        cells = traj.grid
-        grid = cells.parent
         self.traj = traj
-        self.grid = grid.unit_scale() if zoom_grid is None else zoom_grid
+        self.grid = traj.grid.parent.unit_scale() if zoom_grid is None else zoom_grid
         self.times = self.grid.times
         full_times = traj.times if full_times is None else full_times
         offset = len(full_times) - traj.n_slices
+        t_lo, t_hi, t_w = _time_nodes(smap, self.times, full_times)
+        if t_lo.min() < offset:
+            s = float(self.times[np.argmax(t_lo < offset)])
+            raise GeometryError(
+                f"zoom preimage needs t = {smap.apply_time(s):.6g}, "
+                f"before the first kept slice {traj.times[0]:.6g}")
+        # without drift (v0 = 0) x_i = x0_i + eps^3 y_i at every zoom time, so
+        # every slice has the nodes of the first; with drift, a slice reuses
+        # the last slice's nodes when its node indices are the same
+        drifts = any(v != 0.0 for v in smap.v0)
         self.plans = []
-        ys, xis = self.grid.coords()
         nodes, last_idx = None, None
-        for s in self.times:
-            t_lo, t_hi, t_w = _time_nodes(smap, float(s), full_times)
-            if t_lo < offset:
+        for i, s in enumerate(self.times):
+            if nodes is None or drifts:
+                idx = self._node_indices(smap, float(s))
+                if last_idx is None or not all(map(np.array_equal, idx, last_idx)):
+                    nodes, last_idx = self._nodes(idx), idx
+            self.plans.append((int(t_lo[i]) - offset, int(t_hi[i]) - offset,
+                               1.0 - t_w[i], t_w[i], nodes))
+
+    def _node_indices(self, smap: ScalingMap, s: float):
+        """The fractional parent node indices of the zoom grid's cell
+        centers at zoom time s, one array per x and v axis."""
+        grid = self.traj.grid.parent
+        ys, xis = self.grid.coords()
+        _, xs, vs = smap.apply_coords(s, ys, xis)
+        idx = []
+        for name, c, half, h, n in (
+                [("x", c, grid.x_max, grid.dx, grid.n_x) for c in xs]
+                + [("v", c, grid.v_max, grid.dv, grid.n_v) for c in vs]):
+            at = (np.asarray(c).ravel() + half) / h - 0.5
+            if at.min() < -0.5 - 1e-9 or at.max() > n - 0.5 + 1e-9:
                 raise GeometryError(
-                    f"zoom preimage needs t = {smap.apply_time(float(s)):.6g}, "
-                    f"before the first kept slice {traj.times[0]:.6g}")
-            _, xs, vs = smap.apply_coords(float(s), ys, xis)
-            idx = []
-            for name, c, half, h, n in (
-                    [("x", c, grid.x_max, grid.dx, grid.n_x) for c in xs]
-                    + [("v", c, grid.v_max, grid.dv, grid.n_v) for c in vs]):
-                at = (np.asarray(c).ravel() + half) / h - 0.5
-                if at.min() < -0.5 - 1e-9 or at.max() > n - 0.5 + 1e-9:
-                    raise GeometryError(
-                        f"zoom preimage needs |{name}| up to {np.max(np.abs(c)):.6g}, "
-                        f"outside the box [-{half}, {half}]")
-                idx.append(at)
-            # without drift every slice has the same spatial nodes
-            if last_idx is None or not all(map(np.array_equal, idx, last_idx)):
-                nodes, last_idx = self._nodes(idx), idx
-            self.plans.append((t_lo - offset, t_hi - offset, 1.0 - t_w, t_w, nodes))
+                    f"zoom preimage needs |{name}| up to {np.max(np.abs(c)):.6g}, "
+                    f"outside the box [-{half}, {half}]")
+            idx.append(at)
+        return idx
 
     def _nodes(self, idx):
         """`_axis_nodes` of one slice's fractional node indices on each of
@@ -435,7 +446,7 @@ def _ladder_keep(times, regions, smap=None) -> int:
         if inside.size:
             first = min(first, int(inside[0]))
     if smap is not None:
-        first = min([first] + [_time_nodes(smap, float(s), times)[0] for s in times])
+        first = min(first, int(_time_nodes(smap, times, times)[0].min()))
     return len(times) - first
 
 

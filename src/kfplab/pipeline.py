@@ -163,7 +163,8 @@ class RunResult:
     """A run's verdicts, metrics and tables, which its artifacts hold, and
     its `timings`, which they do not: per stage ("main_solve", "degiorgi",
     "holder") the wall time, this process's `getrusage` maximum RSS when
-    the stage ended, and whether it ran in a forked process (`_timed`)."""
+    the stage ended, the minor page faults the stage took in its process,
+    and whether it ran in a forked process (`_timed`)."""
 
     config: RunConfig
     verdicts: dict = field(default_factory=dict)
@@ -181,6 +182,12 @@ def _scheme_tolerance(grid: PhaseGrid, scale: float, dt: float | None = None) ->
     return (dt + grid.dx + grid.dv) * max(1e-12, scale)
 
 
+def _abs_max(values: np.ndarray) -> float:
+    """max|values| as max(max, -min), without an array of |values|; abs
+    turns the -0.0 of an all-zero array into the 0.0 that |values| gives."""
+    return abs(float(np.maximum(values.max(), -values.min())))
+
+
 def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
                    source, k: int):
     """The level-k barrier: its sources, the barrier solve from the truncated
@@ -190,31 +197,35 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
     T_{k-1} on the cell box of B(R_{k-1})^2, outside which every field of
     the stage is zero.  Returns the `barrier.csv` row, the final barrier
     slice on the whole grid, and whether the comparison and the spectral
-    audits passed; the source and barrier trajectories are freed when the
-    call returns.
+    audits passed.  The source and F_k are freed once the comparison is
+    taken, before the spectra, and the barrier when the call returns.
     """
     rep = degiorgi.build_barrier_sources(traj, k, diffusion, source)
+    fk = rep.fk
     # the barrier starts from the truncated field F_k at T_{k-1}
-    g_traj = solver.solve_barrier_ibvp(rep.s1, rep.s2, diffusion, k,
-                                       interp=cfg.interp, initial=rep.fk.field(0))
+    g_traj = solver.solve_barrier_ibvp(rep.source, diffusion, k, interp=cfg.interp,
+                                       initial=fk.field(0))
     # G_k starts from F_k, so G_k - F_k = 0 on the first slice and the
     # minimum over the window is the whole grid's, whose other nodes hold 0
-    comp_min = solver.comparison_check(rep.fk, g_traj)
-    f_linf = float(np.max(np.abs(rep.fk.values)))
+    comp_min = solver.comparison_check(fk, g_traj)
+    f_linf = _abs_max(fk.values)
     comparison_ok = comp_min >= -10.0 * _scheme_tolerance(grid, f_linf, cfg.dt)
+    s1_l2, s2_l2 = rep.s1_l2, rep.s2_l2
+    row = [k, s1_l2, s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf]
+    # the spectra read the barrier alone: the source and F_k go first
+    del rep, fk
 
     spec = averaging.SpectralField.from_trajectory(g_traj, warn_boundary=False)
     l2 = spec.l2_norm()
     plancherel_defect = abs(spec.frac_norm("v", 0.0) - l2)
     lhs, rhs = averaging.interpolation_audit(spec)
-    est = averaging.averaging_estimate_audit(spec, rep.s1_l2, rep.s2_l2,
+    est = averaging.averaging_estimate_audit(spec, s1_l2, s2_l2,
                                              cfg.lam, DyadicLevel(k).radius)
     spectral_ok = (plancherel_defect <= 1e-12 * max(1.0, l2)
                    and lhs <= rhs * (1.0 + 1e-12) + 1e-15)
-    row = [k, rep.s1_l2, rep.s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf,
-           plancherel_defect, lhs, rhs, est.lhs, est.rhs_unit, est.ratio]
+    row += [plancherel_defect, lhs, rhs, est.lhs, est.rhs_unit, est.ratio]
     final = np.zeros(grid.shape)
-    final[rep.fk.grid.box] = g_traj.values[-1]
+    final[g_traj.grid.box] = g_traj.values[-1]
     return (row, PhaseField(grid, float(g_traj.times[-1]), final),
             comparison_ok, spectral_ok)
 
@@ -272,7 +283,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     level_sums = {}
     local_rows = []
     local_ok = True
-    f_scale = float(np.max(np.abs(traj.values)))
+    f_scale = _abs_max(traj.values)
     tol_local = 10.0 * _scheme_tolerance(grid, f_scale**2, cfg.dt)
     for k in (1, 2, 3):
         t_k = dyadic_time(k)
@@ -470,12 +481,15 @@ def _can_overlap() -> bool:
 
 def _timed(fn, *args, forked: bool = False):
     """(fn(*args), timing): the call's wall time, this process's
-    `getrusage` maximum RSS in MiB when it returned, and `forked`."""
+    `getrusage` maximum RSS in MiB when it returned, the minor page faults
+    this process took during the call, and `forked`."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     out = fn(*args)
-    return out, {"wall_s": time.perf_counter() - start,
-                 "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                 "forked": forked}
+    wall = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return out, {"wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
+                 "minflt": usage.ru_minflt - faults, "forked": forked}
 
 
 def _holder_child(conn, stage_args):

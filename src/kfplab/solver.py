@@ -13,22 +13,31 @@ so the substep is an M-matrix solve and constants are exact fixed points.
 Work that depends only on the grid, dt and the coefficient is done once
 per solve, in a step plan (`solve` and `solve_anchored` build one; the
 public `step` builds one per call).  The transport's flat gather indices
-and interpolation weights are fixed for the solve.  The coefficient arrays
-and the source increment dt*g are resampled only when the field's
-`time_key` changes: never for a time-independent field, once per time cell
-for a cellwise-random one, every step for an oscillatory one or under a
-drifting zoom.  The diffusion factors its tridiagonal systems in numpy
+and interpolation weights are fixed for the solve; a tap's weights are
+stored on the (x_i, v_i) plane of its shift expanded along the v axes,
+n^3 values on an n^4 grid.  The coefficient arrays and the source
+increment dt*g are resampled only when the field's `time_key` changes:
+never for a time-independent field, once per time cell for a
+cellwise-random one, every step for an oscillatory one or under a
+drifting zoom; a barrier source (`degiorgi.BarrierSource`) holds its
+increments.  The diffusion factors its tridiagonal systems in numpy
 (cyclic-reduction stages, then a strided Thomas sweep) and refactors only
-when the sampled coefficient arrays change.  Each step then applies the
-gathers and one factored solve per v axis, whose residual is checked
-against 1e-9 (1 + max|rhs|) and recorded in the ledger as `diff_residual`,
-the worst residual over that tolerance.  `solve_anchored` runs the same
-step with its Dirichlet ring filled from the data, on the cell box of the
-unpinned cells widened by the transport's reach: only that box is stepped
-and carried, and each step fills only the pinned cells inside it.  Its
-transport weights come from the parent grid's rows and its diffusion keeps
-the whole grid's cyclic-reduction depth, so every value is the whole-grid
-step's bit for bit.
+when the sampled coefficient arrays change; without Dirichlet cells the
+coupling below the diagonal is the one above it, stored once.  Each step
+then applies the gathers and one factored solve per v axis, whose
+residual is checked against 1e-9 (1 + max|rhs|) and recorded in the
+ledger as `diff_residual`, the worst residual over that tolerance.  A step
+runs in buffers the plan allocates once and allocates no slice-sized
+array: on N = 2 a plan holds about 20 slices (the index gathers, four
+factor arrays per v axis, the coefficient samples and its buffers), and
+its step returns one of them, valid until the next step.
+`solve_anchored` runs the same step with its Dirichlet ring filled from
+the data, on the cell box of the unpinned cells widened by the
+transport's reach: only that box is stepped and carried, and each step
+fills only the pinned cells inside it.  Its transport weights come from
+the parent grid's rows and its diffusion keeps the whole grid's
+cyclic-reduction depth, so every value is the whole-grid step's bit for
+bit.
 
 Boundary conditions:
 
@@ -55,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import KeyedSampler
-from .degiorgi import CutoffSums
+from .degiorgi import BarrierSource, CutoffSums
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, _CellBox, _bounding_box, dyadic_radius, dyadic_time, \
     face_divergence, grad_v_sq_density, time_quadrature_weights
@@ -73,7 +82,6 @@ __all__ = [
     "whole_steps",
     "ring_mask",
     "solve_barrier_ibvp",
-    "BarrierSource",
     "energy_budget",
     "local_energy_check",
     "comparison_check",
@@ -159,16 +167,27 @@ class _TransportPlan:
     point at one zero appended to the flattened input.  On a cell box the
     feet are measured from the parent grid's rows (`grid.box`), so the
     weights are the whole grid's bit for bit; box-local rows would round
-    the fractional feet differently.
+    the fractional feet differently.  A tap's weight depends only on the
+    (x_i, v_i) plane of its shift: it is stored expanded along the v axes
+    and broadcast along the other x axes (n^3 values per tap on an n^4
+    grid), which multiplies as fast as a full copy and equals it bit for
+    bit.
 
     `inner` (one slice per axis, default every cell) is the box of cells
     whose output is read, and the call returns the output there.  Each
     pass computes only what the passes after it read: on its own x axis
     and the x axes before it `inner`'s rows, on the later x axes every row,
     and on the v axes, along which nothing moves, `inner`'s rows.
+
+    A call writes its result into `out` and works in `scratch`, flat
+    buffers of at least one element more than the grid has cells: the
+    first holds each tap's gather, the others each pass's input (with the
+    appended zero when not periodic).  A periodic first pass reads its
+    input in place.
     """
 
-    def __init__(self, grid, tau: float, periodic: bool, cubic: bool, inner=None):
+    def __init__(self, grid, tau: float, periodic: bool, cubic: bool, inner=None,
+                 scratch=None):
         self.periodic = periodic
         dim = grid.dim
         inner = (slice(None),) * 2 * dim if inner is None else inner
@@ -201,6 +220,9 @@ class _TransportPlan:
             plane = [1] * 2 * dim
             plane[ax] = len(rows)
             plane[dim + ax] = shape[dim + ax]
+            # the weights' stored shape: the plane, expanded along every v axis
+            stored = [1] * dim + out_shape[dim:]
+            stored[ax] = len(rows)
             stride = int(np.prod(shape[ax + 1:]))
             taps = []
             for o, wk in zip(offs, weights):
@@ -211,25 +233,44 @@ class _TransportPlan:
                 idx = ids + ((src - rows) * stride).reshape(plane)
                 if not periodic:
                     idx = np.where(inside.reshape(plane), idx, size)
-                taps.append((idx, np.broadcast_to(wk.reshape(plane), out_shape).copy()))
-            self.passes.append(taps)
+                taps.append((idx, np.broadcast_to(wk.reshape(plane), stored).copy()))
+            self.passes.append((tuple(out_shape), taps))
             shape = out_shape
+        cells = int(np.prod(grid.shape)) + 1
+        self.scratch = scratch if scratch is not None else [np.empty(cells) for _ in range(3)]
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = values[self.v_rows]
-        for taps in self.passes:
-            if self.periodic:
-                flat = out.ravel()
+    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        gather, *inputs = self.scratch
+        src = values[self.v_rows]
+        if self.periodic:
+            flat = np.ascontiguousarray(src).reshape(-1)
+        else:
+            flat = inputs[0][:src.size + 1]
+            flat[:-1].reshape(src.shape)[...] = src
+            flat[-1] = 0.0
+        for p, (shape, taps) in enumerate(self.passes):
+            size = int(np.prod(shape))
+            if p == len(self.passes) - 1:
+                acc = np.empty(shape) if out is None else out
+                nxt = None
             else:
-                flat = np.empty(out.size + 1)
-                flat[:-1].reshape(out.shape)[...] = out
-                flat[-1] = 0.0
+                nxt = inputs[(p + 1) % len(inputs)][:size + 1]
+                acc = nxt[:-1].reshape(shape)
+            g = gather[:size].reshape(shape)
             (idx, w), *rest = taps
-            acc = w * flat.take(idx)
+            flat.take(idx, out=g, mode="clip")
+            np.multiply(w, g, out=acc)
             for idx, w in rest:
-                acc += w * flat.take(idx)
-            out = acc
-        return out
+                flat.take(idx, out=g, mode="clip")
+                g *= w
+                acc += g
+            if nxt is not None:
+                if self.periodic:
+                    flat = nxt[:-1]
+                else:
+                    nxt[-1] = 0.0
+                    flat = nxt
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +325,19 @@ class _ImplicitDiffusion:
     columns it solves; the call returns the worst residual over that
     tolerance.
 
+    Per v axis the factors are the diagonal, the couplings below and above
+    it (`lower`, `upper`: n_v - 1 rows each), the Thomas multipliers and
+    the inverse pivots, and, at depth k > 0, the stage multipliers and the
+    eliminated upper coupling.  Without Dirichlet cells row i + 1 couples
+    to row i as row i to row i + 1, so `lower` is `upper`, one array; at
+    depth 0 the eliminated upper coupling is `upper` itself.  Each axis is
+    moved to the front by a transposition fixed when the operator is built.
+    The factors are built and every solve runs in `scratch`, three flat
+    buffers of at least the grid's cell count (four at depth k > 0): the
+    v-first right-hand side, the solution and the products that are
+    subtracted; the right-hand side becomes the residual.  A call solves in
+    place, writing each axis's solution back into the values it was given.
+
     `inner` (one slice per axis, default every cell) is the box outside
     which every cell is a Dirichlet cell.  A column of v axis a that lies
     outside it on another axis has no free row, and a solve would return
@@ -293,113 +347,148 @@ class _ImplicitDiffusion:
     """
 
     def __init__(self, grid, dt: float, active=None, depth: int | None = None,
-                 inner=None):
+                 inner=None, scratch=None):
         self.grid = grid
         self.r = dt / grid.dv**2
-        self.active = active
         self.coeffs = None
         self.factors = None
         self.depth = _reduction_depth(grid) if depth is None else depth
         dim = grid.dim
-        self.whole = inner is None
         inner = (slice(None),) * 2 * dim if inner is None else inner
         self.columns = [inner[:dim + ax] + (slice(None),) + inner[dim + ax + 1:]
                         for ax in range(dim)]
+        # the transposition that moves v axis ax to the front, its inverse,
+        # and the shape of the moved columns
+        self.moves = []
+        for ax, columns in enumerate(self.columns):
+            perm = (dim + ax,) + tuple(a for a in range(2 * dim) if a != dim + ax)
+            shape = [len(range(n)[s]) for s, n in zip(columns, grid.shape)]
+            self.moves.append((perm, tuple(np.argsort(perm)), tuple(shape[a] for a in perm)))
+        self.dead = None if active is None else [
+            ~np.ascontiguousarray(active[c].transpose(perm)).reshape(grid.n_v, -1)
+            for c, (perm, _, _) in zip(self.columns, self.moves)]
+        cells = int(np.prod(grid.shape))
+        self.scratch = scratch if scratch is not None else [
+            np.empty(cells) for _ in range(3 + (self.depth > 0))]
 
-    def _v_first(self, arr, ax):
-        """The columns of `arr` that v axis `ax` solves, as (n_v, columns)
-        with that axis first."""
-        return np.ascontiguousarray(np.moveaxis(
-            arr[self.columns[ax]], self.grid.dim + ax, 0)).reshape(self.grid.n_v, -1)
+    def _v_first(self, arr, ax, buf):
+        """The columns of `arr` that v axis `ax` solves, copied into `buf`
+        as (n_v, columns) with that axis first."""
+        perm, _, moved = self.moves[ax]
+        out = buf[:int(np.prod(moved))].reshape(moved)
+        out[...] = arr[self.columns[ax]].transpose(perm)
+        return out.reshape(self.grid.n_v, -1)
 
     def _factor(self, ax, a):
-        a = self._v_first(a, ax)
-        am = np.zeros_like(a)
-        ap = np.zeros_like(a)
-        har = 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
-        am[1:] = har
-        ap[:-1] = har
-        diag = 1.0 + self.r * (am + ap)
-        sub = -self.r * am
-        sup = -self.r * ap
-        if self.active is not None:
-            dead = ~self._v_first(self.active, ax)
-            diag = np.where(dead, 1.0, diag)
-            sub = np.where(dead, 0.0, sub)
-            sup = np.where(dead, 0.0, sup)
+        rhs, tmp = self.scratch[0], self.scratch[2]
+        a = self._v_first(a, ax, rhs)
+        n = len(a)
+        # the face coefficients r*har, negated: har = 2 a_i a_(i+1) / (a_i + a_(i+1))
+        off = np.multiply(a[:-1], 2.0)
+        off *= a[1:]
+        off /= np.add(a[:-1], a[1:], out=tmp[:off.size].reshape(off.shape))
+        diag = np.zeros(a.shape)
+        diag[1:] = off
+        diag[:-1] += off
+        diag *= self.r
+        diag += 1.0
+        off *= -self.r
+        if self.dead is None:
+            lower = upper = off
+        else:
+            dead = self.dead[ax]
+            np.copyto(diag, 1.0, where=dead)
+            lower = np.where(dead[1:], 0.0, off)
+            upper = np.where(dead[:-1], 0.0, off)
+        tmp = tmp[:a.size].reshape(a.shape)
         # row i reads lo[i] x[i - d] + di[i] x[i] + up[i] x[i + d]; the first
         # d entries of lo and the last d of up are zero at every stage
-        lo, di, up = sub.copy(), diag.copy(), sup.copy()
+        di = diag.copy()
         stages = []
         d = 1
-        for _ in range(self.depth):
-            alpha = -lo[d:] / di[:-d]
-            gamma = -up[:-d] / di[d:]
-            di[d:] += alpha * up[:-d]
-            di[:-d] += gamma * lo[d:]
-            lo[d:] = alpha * lo[:-d]
-            up[:-d] = gamma * up[d:]
-            stages.append((d, alpha, gamma))
-            d *= 2
-        n = len(di)
+        if self.depth:
+            lo, up = np.empty(a.shape), np.empty(a.shape)
+            lo[0] = up[-1] = -self.r * 0.0
+            lo[1:] = lower
+            up[:-1] = upper
+            if self.dead is not None:
+                np.copyto(lo[0], 0.0, where=dead[0])
+                np.copyto(up[-1], 0.0, where=dead[-1])
+            for _ in range(self.depth):
+                alpha = np.negative(lo[d:])
+                alpha /= di[:-d]
+                gamma = np.negative(up[:-d])
+                gamma /= di[d:]
+                di[d:] += np.multiply(alpha, up[:-d], out=tmp[d:])
+                di[:-d] += np.multiply(gamma, lo[d:], out=tmp[:-d])
+                lo[d:] = np.multiply(alpha, lo[:-d], out=tmp[d:])
+                up[:-d] = np.multiply(gamma, up[d:], out=tmp[:-d])
+                stages.append((d, alpha, gamma))
+                d *= 2
+            lo, up = lo[d:], up[:n - d]
+        else:
+            lo, up = lower, upper
+        # lo[i] and up[i] now couple rows i + d and i
         mult = np.empty_like(di[d:])
         for j in range(d, n, d):
             e = min(j + d, n)
-            mult[j - d:e - d] = lo[j:e] / di[j - d:e - d]
-            di[j:e] -= mult[j - d:e - d] * up[j - d:e - d]
-        return sub, diag, sup, stages, mult, 1.0 / di, up[:n - d]
+            np.divide(lo[j - d:e - d], di[j - d:e - d], out=mult[j - d:e - d])
+            di[j:e] -= np.multiply(mult[j - d:e - d], up[j - d:e - d], out=tmp[j:e])
+        np.divide(1.0, di, out=di)
+        return diag, lower, upper, stages, mult, di, up
 
-    @staticmethod
-    def _solve(rhs, stages, mult, inv_diag, up):
-        """Apply the factors to a v-first right-hand side."""
-        x = rhs.copy()
+    def _solve(self, x, stages, mult, inv_diag, up):
+        """Apply the factors to the v-first right-hand side `x` in place (or,
+        after an odd number of stages, in the fourth scratch buffer);
+        returns the solution."""
+        tmp = self.scratch[2][:x.size].reshape(x.shape)
+        if stages:
+            y = self.scratch[3][:x.size].reshape(x.shape)
         for d, alpha, gamma in stages:
-            y = x.copy()
-            y[d:] += alpha * x[:-d]
-            y[:-d] += gamma * x[d:]
-            x = y
+            y[...] = x
+            y[d:] += np.multiply(alpha, x[:-d], out=tmp[d:])
+            y[:-d] += np.multiply(gamma, x[d:], out=tmp[:-d])
+            x, y = y, x
         n, s = len(x), 1 << len(stages)
         for j in range(s, n, s):
             e = min(j + s, n)
-            x[j:e] -= mult[j - s:e - s] * x[j - s:e - s]
+            x[j:e] -= np.multiply(mult[j - s:e - s], x[j - s:e - s], out=tmp[j:e])
         last = (n - 1) // s * s
         x[last:] *= inv_diag[last:]
         for j in range(last - s, -1, -s):
             e = min(j + s, n - s)
-            x[j:e] -= up[j:e] * x[j + s:e + s]
+            x[j:e] -= np.multiply(up[j:e], x[j + s:e + s], out=tmp[j:e])
             x[j:j + s] *= inv_diag[j:j + s]
         return x
 
     def __call__(self, values: np.ndarray, coeffs) -> tuple:
+        """Solve in place: (`values`, now the solution, worst residual over
+        its tolerance)."""
         if coeffs is not self.coeffs and (
                 self.coeffs is None or not all(map(np.array_equal, coeffs, self.coeffs))):
             self.factors = [self._factor(ax, a) for ax, a in enumerate(coeffs)]
             self.coeffs = coeffs
         out = values
+        rhs_buf, sol_buf, tmp_buf = self.scratch[:3]
         worst = 0.0
-        for ax, (sub, diag, sup, *factors) in enumerate(self.factors):
-            v_ax = self.grid.dim + ax
-            columns = self.columns[ax]
-            rhs = self._v_first(out, ax)
-            sol = self._solve(rhs, *factors)
-            res = diag * sol
-            res -= rhs
-            res[1:] += sub[1:] * sol[:-1]
-            res[:-1] += sup[:-1] * sol[1:]
-            err = float(np.maximum(res.max(), -res.min()))
+        for ax, (diag, lower, upper, *factors) in enumerate(self.factors):
+            rhs = self._v_first(out, ax, rhs_buf)
             tol = 1e-9 * (1.0 + float(np.maximum(rhs.max(), -rhs.min())))
+            sol = sol_buf[:rhs.size].reshape(rhs.shape)
+            sol[...] = rhs
+            sol = self._solve(sol, *factors)
+            tmp = tmp_buf[:rhs.size].reshape(rhs.shape)
+            # the residual diag*sol - rhs + lower*sol[:-1] + upper*sol[1:], in rhs
+            np.subtract(np.multiply(diag, sol, out=tmp), rhs, out=rhs)
+            rhs[1:] += np.multiply(lower, sol[:-1], out=tmp[1:])
+            rhs[:-1] += np.multiply(upper, sol[1:], out=tmp[:-1])
+            err = float(np.maximum(rhs.max(), -rhs.min()))
             if not np.isfinite(err) or err > tol:
                 raise SolverError(f"diffusion solve residual {err:.3e} "
                                   f"exceeds tolerance {tol:.3e}")
             worst = max(worst, err / tol)
-            moved = np.moveaxis(out[columns], v_ax, 0).shape
-            sol = np.moveaxis(sol.reshape(moved), 0, v_ax)
-            if self.whole:
-                out = sol
-            else:
-                if out is values:
-                    out = values.copy()
-                out[columns] = sol
+            _, inverse, moved = self.moves[ax]
+            out[self.columns[ax]] = sol.reshape(moved).transpose(inverse)
         return out, worst
 
 
@@ -458,11 +547,25 @@ class _StepPlan:
     """What every Strang step of one solve reuses: the half-step transport
     gathers, the implicit diffusion operator with its factors, and the
     coefficient arrays and source increment dt*g, resampled only when their
-    time keys change.  Cells outside `active` are Dirichlet rows of the
-    diffusion solve, whose reduction depth is `depth` when given.  Both
-    substeps compute only what the bounding box of `active` (`inner`)
-    needs: the cells outside it take the Dirichlet data whatever is
-    computed there."""
+    time keys change (a `BarrierSource` holds its increments).  Cells
+    outside `active` are Dirichlet rows of the diffusion solve, whose
+    reduction depth is `depth` when given.  Both substeps compute only what
+    the bounding box of `active` (`inner`) needs: the cells outside it take
+    the Dirichlet data whatever is computed there.
+
+    A step allocates no array the size of a slice.  The transport and the
+    diffusion share three scratch buffers (four at reduction depth k > 0),
+    and a step writes the first transport's output (on `inner`) into one
+    more buffer and its result into another, which it returns.  That
+    result is the plan's: it holds until the next step, which may read it
+    as its input.  The buffers are the rows of one block, allocated and
+    freed at once: a solve that frees one block of several slices leaves
+    glibc's dynamic mmap threshold above a slab of the streamed audits
+    (`geometry._SLAB_BYTES`), whose temporaries then reuse heap pages
+    instead of faulting in fresh ones.  With one buffer per slice the
+    threshold stayed at one slice, and the De Giorgi stage that follows
+    the main solve of the N = 2 benchmark run took over three times the
+    minor page faults and about a sixth longer."""
 
     def __init__(self, grid, diffusion, source, dt: float, interp: str,
                  periodic: bool, active=None, depth: int | None = None):
@@ -473,11 +576,23 @@ class _StepPlan:
         self.active = active
         inner = None if active is None else _bounding_box(active)
         self.inner = (slice(None),) * 2 * grid.dim if inner is None else inner
-        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic", inner)
-        self.implicit = _ImplicitDiffusion(grid, dt, active, depth, inner)
+        depth = _reduction_depth(grid) if depth is None else depth
+        cells = int(np.prod(grid.shape))
+        block = np.empty((5 + (depth > 0), cells + 1))
+        scratch = list(block[2:])
+        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic",
+                                        inner, scratch)
+        self.implicit = _ImplicitDiffusion(grid, dt, active, depth, inner, scratch)
         self.coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(grid, t))
-        self.increment = None if source is None else KeyedSampler(
-            source, lambda t: dt * source.sample(grid, t))
+        if isinstance(source, BarrierSource):
+            self.increment = source.increments_for(grid, dt)
+        else:
+            self.increment = None if source is None else KeyedSampler(
+                source, lambda t: dt * source.sample(grid, t))
+        moved = [len(range(n)[s]) for s, n in zip(self.inner, grid.shape)]
+        self.moved = block[0, :int(np.prod(moved))].reshape(moved)
+        self.result = block[1, :cells].reshape(grid.shape)
+        self.active_inner = None if active is None else active[self.inner]
 
     def restrict(self, values):
         """`values` with zero outside the domain."""
@@ -485,31 +600,32 @@ class _StepPlan:
 
     def step(self, values, t, fill=0.0):
         """One Strang step of the boundary problem whose domain is `active`;
-        returns the new values and the diffusion residual over its bound.
+        returns the new values (the plan's `result` buffer) and the diffusion
+        residual over its bound.
 
         Cells outside `active` take `fill`, the Dirichlet data at t + dt
         (zero for the kinetic IBVP), and must hold the data at t on entry,
         so that transport reads it at feet outside the domain."""
         t_mid = t + 0.5 * self.dt
-        out = self.transport(values)
+        out = self.transport(values, self.moved)
         if self.increment is not None:
             # the increment dt*g rides inside the implicit solve: barrier sources
             # carry stiff div_v structure that must see the same implicit damping
             # as the field itself, or the comparison defect saturates at O(1)
-            out = out + self.increment(t_mid)[self.inner]
+            out += self.increment(t_mid)[self.inner]
         out = self._pinned(out, fill)
-        out, residual = self.implicit(out, self.coefficients(t_mid))
-        out = self._pinned(self.transport(out), fill)
-        return out, residual
+        _, residual = self.implicit(out, self.coefficients(t_mid))
+        after = self.moved if self.active is not None else self.result
+        return self._pinned(self.transport(out, after), fill), residual
 
     def _pinned(self, inner, fill):
-        """The plan's whole box from values on `self.inner`: those values
-        on the cells of `active`, `fill` on the others."""
+        """The plan's whole box from values on `self.inner`, in `result`:
+        those values on the cells of `active`, `fill` on the others."""
         if self.active is None:
             return inner
-        out = np.empty(self.active.shape)
+        out = self.result
         out[...] = fill
-        out[self.inner] = np.where(self.active[self.inner], inner, out[self.inner])
+        np.copyto(out[self.inner], inner, where=self.active_inner)
         return out
 
 
@@ -522,7 +638,7 @@ def step(state: PhaseField, diffusion, source, dt: float, bc: BoundaryCondition,
     """One Strang step from state.t to state.t + dt."""
     plan = _bc_plan(state.grid, diffusion, source, dt, bc, interp)
     vals, _ = plan.step(plan.restrict(state.values), state.t)
-    return PhaseField(state.grid, state.t + dt, vals)
+    return PhaseField(state.grid, state.t + dt, vals.copy())
 
 
 def _ledger_entry(grid, t, vals, diff_residual):
@@ -638,55 +754,30 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
 # the barrier initial-boundary value problem
 # ---------------------------------------------------------------------------
 
-class BarrierSource:
-    """Source S1 + div_v S2 assembled from stored trajectories on one cell
-    box (a grid or the level window of `build_barrier_sources`).
-
-    div_v is `geometry.face_divergence`, the adjoint of the face gradient
-    with zero boundary faces, so the discrete energy pairing
-    (div_v S2, G) = -(S2, grad_v G) mirrors the continuous identity, with
-    grad_v the cell gradient of `build_barrier_sources`.  On the window
-    the boundary faces sit past the Dirichlet v cell, where S2 vanishes.
-    """
-
-    def __init__(self, s1: Trajectory, s2):
-        self.s1 = s1
-        self.s2 = tuple(s2) if isinstance(s2, (tuple, list)) else (s2,)
-        if len(self.s2) != s1.grid.dim:
-            raise ValueError(f"need {s1.grid.dim} components for S2, got {len(self.s2)}")
-
-    def time_key(self, t: float) -> float:
-        return t
-
-    def sample(self, grid: PhaseGrid, t: float) -> np.ndarray:
-        out = self.s1.at_time(t).copy()
-        for ax, comp in enumerate(self.s2):
-            out += face_divergence(grid, comp.at_time(t), ax)
-        return out
-
-
-def solve_barrier_ibvp(s1: Trajectory, s2, diffusion, k: int, initial: PhaseField,
+def solve_barrier_ibvp(source: BarrierSource, diffusion, k: int, initial: PhaseField,
                        interp: str = "linear") -> Trajectory:
     """Solve the level-k barrier problem on (T_{k-1}, 0) x B(0, R_{k-1})^2
     with the kinetic inflow boundary condition, from `initial` at T_{k-1}.
 
-    The solve runs on the cell box of the sources (`s1.grid`): a whole
+    The solve runs on the cell box of the source (`source.grid`): a whole
     grid, or the level window that `build_barrier_sources` returns, which
-    holds the ball; the step is the time spacing of the sources' slices.
-    The comparison 0 <= F_k <= G_k is a maximum-principle consequence when
-    the difference has zero initial defect, so `initial` is the truncated
-    field F_k(T_{k-1}, .) (`BarrierSourceReport.fk.field(0)`).
+    holds the ball; the step is the source's, whose steps must start at
+    the initial time.  The comparison 0 <= F_k <= G_k is a
+    maximum-principle consequence when the difference has zero initial
+    defect, so `initial` is the truncated field F_k(T_{k-1}, .)
+    (`BarrierSourceReport.fk.field(0)`).
     """
     t_start = dyadic_time(k - 1)
     radius = dyadic_radius(k - 1)
-    if t_start < s1.t_start - 1e-9:
-        raise ValueError(f"sources start at t = {s1.t_start}, after T_{k-1} = {t_start}")
     if abs(initial.t - t_start) > 1e-9:
         raise ValueError(f"initial slice is at t = {initial.t}, "
                          f"the barrier starts at {t_start}")
-    dt = float(s1.times[1] - s1.times[0])
-    src = BarrierSource(s1, s2)
-    return solve(initial, diffusion, src, 0.0, kinetic_ibvp(radius), dt=dt, interp=interp)
+    if source.t_start != initial.t or len(source.increments) != whole_steps(
+            0.0 - initial.t, source.dt):
+        raise ValueError(f"the source's {len(source.increments)} steps start at "
+                         f"t = {source.t_start}, the barrier's at {initial.t}")
+    return solve(initial, diffusion, source, 0.0, kinetic_ibvp(radius), dt=source.dt,
+                 interp=interp)
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +876,14 @@ def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
 
 
 def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """min(B - A) over all stored nodes; >= 0 means A <= B holds pointwise."""
+    """min(B - A) over all stored nodes; >= 0 means A <= B holds pointwise.
+    The minimum is taken slice by slice."""
     if traj_a.values.shape != traj_b.values.shape:
         raise ValueError(f"trajectory shapes differ: {traj_a.values.shape} "
                          f"vs {traj_b.values.shape}")
-    return float(np.min(traj_b.values - traj_a.values))
+    diff = np.empty(traj_a.grid.shape)
+    return min(float(np.subtract(b, a, out=diff).min())
+               for a, b in zip(traj_a.values, traj_b.values))
 
 
 def second_moments(field: PhaseField):

@@ -37,7 +37,7 @@ def _whole_grid_resolve(data: Trajectory, diffusion, source, interp):
     out = [vals]
     for n in range(len(times) - 1):
         vals, _ = plan.step(vals, float(times[n]), data.values[n + 1])
-        out.append(vals)
+        out.append(vals.copy())  # the plan's buffer, overwritten next step
     return np.stack(out)
 
 

@@ -355,6 +355,7 @@ def test_cli_sweep_timings_leave_the_sweep_directory_byte_identical(tmp_path,
                 assert sorted(run) == ["degiorgi", "holder", "main_solve"]
                 for stage in run.values():
                     assert stage["wall_s"] > 0.0 and stage["maxrss_mb"] > 0.0
+                    assert isinstance(stage["minflt"], int) and stage["minflt"] >= 0
                 # a pool worker runs both stages in-process
                 assert workers == "1" or run["holder"]["forked"] is False
     first = trees["1", False]

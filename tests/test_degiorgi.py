@@ -7,6 +7,7 @@ import pytest
 from kfplab.coefficients import build_diffusion, build_source
 from kfplab.degiorgi import (
     IterationConstants,
+    _barrier_slices,
     build_barrier_sources,
     chebyshev_audit,
     empirical_kappa,
@@ -20,8 +21,8 @@ from kfplab.degiorgi import (
     truncation_energy,
 )
 from kfplab.fields import PhaseField, Trajectory
-from kfplab.geometry import DyadicLevel, PhaseGrid, dyadic_time, level_set_measure, \
-    make_cylinder
+from kfplab.geometry import DyadicLevel, PhaseGrid, dyadic_time, face_divergence, \
+    level_set_measure, make_cylinder
 from kfplab.solver import WHOLE_SPACE, solve
 
 
@@ -207,8 +208,8 @@ def test_barrier_sources_vanish_below_level(grid):
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 0.1)   # below C_1
     rep = build_barrier_sources(traj, 1, a, g)
-    assert np.all(rep.s1.values == 0.0)
-    assert all(np.all(c.values == 0.0) for c in rep.s2)
+    assert np.all(rep.source.increments == 0.0)
+    assert rep.s1_l2 == rep.s2_l2 == 0.0
 
 
 def test_barrier_sources_constant_field_oracle(grid):
@@ -222,6 +223,8 @@ def test_barrier_sources_constant_field_oracle(grid):
     k = 1
     rep = build_barrier_sources(traj, k, a, g)
     lev = DyadicLevel(k)
+    window = traj.window(dyadic_time(k - 1), lev.outer_radius)
+    _, s1, (s2,) = next(_barrier_slices(window, lev, a, g))
     cbar = 1.0 - lev.truncation
     eta_x = lev.eta(grid.rho_x)[:, None]
     eta_v = lev.eta(grid.rho_v)[None, :]
@@ -229,14 +232,18 @@ def test_barrier_sources_constant_field_oracle(grid):
     slope_x = (lev.eta_slope(grid.rho_x) * np.sign(grid.x_centers))[:, None]
     s2_expect = -2.0 * eta_x * eta_v * cbar * slope_v
     s1_expect = cbar * eta_v**2 * grid.v_centers[None, :] * slope_x
-    box = rep.s1.grid.box
-    assert rep.s1.t_start == dyadic_time(k - 1)
+    box = rep.fk.grid.box
+    assert window.grid.box == box
+    assert rep.fk.t_start == rep.source.t_start == dyadic_time(k - 1)
     for expect in (s1_expect, s2_expect):
         outside = expect.copy()
         outside[box] = 0.0
         assert not outside.any()
-    assert np.max(np.abs(rep.s2[0].values[0] - s2_expect[box])) < 1e-10
-    assert np.max(np.abs(rep.s1.values[0] - s1_expect[box])) < 1e-10
+    assert np.max(np.abs(s2 - s2_expect[box])) < 1e-10
+    assert np.max(np.abs(s1 - s1_expect[box])) < 1e-10
+    # f is constant in time: every increment is dt (S1 + div_v S2)
+    inc = rep.source.dt * (s1_expect + face_divergence(grid, s2_expect, 0))[box]
+    assert np.max(np.abs(rep.source.increments - inc)) < 1e-10 * rep.source.dt
 
 
 def test_barrier_source_norm_bounds(rough_run):

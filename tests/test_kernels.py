@@ -15,6 +15,7 @@ from scipy import ndimage
 
 import kfplab
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
+from kfplab.degiorgi import BarrierSource
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import PhaseGrid
 from kfplab.holder import ScalingMap, ZoomSampler, zoom
@@ -133,7 +134,7 @@ def test_lapack_diffusion_matches_dense_solve(dim, n, masked):
     active = _bc_mask(grid, kinetic_ibvp(1.0)) if masked else None
     vals = np.random.default_rng(n).uniform(-1.0, 2.0, grid.shape)
     dt = 4.0 * grid.dt
-    out, residual = _ImplicitDiffusion(grid, dt, active)(vals, coeffs)
+    out, residual = _ImplicitDiffusion(grid, dt, active)(vals.copy(), coeffs)
     expected = _dense_diffusion(vals, grid, coeffs, dt, active)
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert 0.0 <= residual <= 1.0
@@ -155,7 +156,7 @@ def test_tridiagonal_plan_matches_dense_solve_at_each_depth(dim, n, depth, maske
     dt = 4.0 * grid.dt
     plan = _ImplicitDiffusion(grid, dt, active)
     assert plan.depth == depth
-    out, residual = plan(vals, coeffs)
+    out, residual = plan(vals.copy(), coeffs)  # solves in place
     expected = _dense_diffusion(vals, grid, coeffs, dt, active)
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert 0.0 <= residual <= 1.0
@@ -201,11 +202,11 @@ def test_factor_reuse_is_bit_identical_to_refactoring(monkeypatch, kind, params)
     s1 = Trajectory.from_function(grid, grid.times,
                                   lambda t, x, v: np.exp(-4 * (x**2 + v**2)))
     start = PhaseField.constant(grid, -1.0, 0.0)
-    barrier = solve_barrier_ibvp(s1, (zeros,), a, 1, start)
+    src = BarrierSource.from_trajectories(s1, (zeros,), -1.0)
+    barrier = solve_barrier_ibvp(src, a, 1, start)
     _always_refactor(monkeypatch)
     assert np.array_equal(reused.values, solve(f0, a, g, 0.0, WHOLE_SPACE).values)
-    assert np.array_equal(barrier.values,
-                          solve_barrier_ibvp(s1, (zeros,), a, 1, start).values)
+    assert np.array_equal(barrier.values, solve_barrier_ibvp(src, a, 1, start).values)
 
 
 # 24 steps over (-1.5, 0); cellwise_random changes when the step midpoint
@@ -265,8 +266,8 @@ def test_keyed_sampling_is_bit_identical_to_resampling(monkeypatch, kind, params
 
     def solves():
         return ([solve(f0, a, g, 0.0, WHOLE_SPACE),
-                 solve_barrier_ibvp(s1, (zeros,), a, 1,
-                                    PhaseField.constant(grid, -1.0, 0.0))]
+                 solve_barrier_ibvp(BarrierSource.from_trajectories(s1, (zeros,), -1.0),
+                                    a, 1, PhaseField.constant(grid, -1.0, 0.0))]
                 + [solve_anchored(z.data, z.diffusion, z.source) for z in zooms])
 
     keyed = solves()
@@ -308,6 +309,186 @@ def test_diffusion_residual_failure_raises(monkeypatch):
     monkeypatch.setattr(_ImplicitDiffusion, "_factor", wrong_factor)
     with pytest.raises(solver.SolverError):
         solve(f0, a, None, 0.0, WHOLE_SPACE)
+
+
+# --- the lean step against the step it replaced -------------------------------
+# The references below are the step's kernels as they were before the step
+# plan kept each slice-sized array once: a fresh padded input and
+# accumulator per transport pass, every factor array with a separate lower
+# coupling and a copy of the upper one, and fresh arrays for every solve and
+# residual.  They read the lean plan's gathers, columns and masks, so the
+# comparison is of the arithmetic alone.
+
+def _transport_call_reference(plan, values):
+    out = values[plan.v_rows]
+    for _, taps in plan.passes:
+        if plan.periodic:
+            flat = out.ravel()
+        else:
+            flat = np.empty(out.size + 1)
+            flat[:-1].reshape(out.shape)[...] = out
+            flat[-1] = 0.0
+        (idx, w), *rest = taps
+        acc = w * flat.take(idx)
+        for idx, w in rest:
+            acc += w * flat.take(idx)
+        out = acc
+    return out
+
+
+def _v_first_reference(op, arr, ax):
+    return np.ascontiguousarray(np.moveaxis(
+        arr[op.columns[ax]], op.grid.dim + ax, 0)).reshape(op.grid.n_v, -1)
+
+
+def _factor_reference(op, active, ax, a):
+    a = _v_first_reference(op, a, ax)
+    am = np.zeros_like(a)
+    ap = np.zeros_like(a)
+    har = 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
+    am[1:] = har
+    ap[:-1] = har
+    diag = 1.0 + op.r * (am + ap)
+    sub = -op.r * am
+    sup = -op.r * ap
+    if active is not None:
+        dead = ~_v_first_reference(op, active, ax)
+        diag = np.where(dead, 1.0, diag)
+        sub = np.where(dead, 0.0, sub)
+        sup = np.where(dead, 0.0, sup)
+    lo, di, up = sub.copy(), diag.copy(), sup.copy()
+    stages = []
+    d = 1
+    for _ in range(op.depth):
+        alpha = -lo[d:] / di[:-d]
+        gamma = -up[:-d] / di[d:]
+        di[d:] += alpha * up[:-d]
+        di[:-d] += gamma * lo[d:]
+        lo[d:] = alpha * lo[:-d]
+        up[:-d] = gamma * up[d:]
+        stages.append((d, alpha, gamma))
+        d *= 2
+    n = len(di)
+    mult = np.empty_like(di[d:])
+    for j in range(d, n, d):
+        e = min(j + d, n)
+        mult[j - d:e - d] = lo[j:e] / di[j - d:e - d]
+        di[j:e] -= mult[j - d:e - d] * up[j - d:e - d]
+    return sub, diag, sup, stages, mult, 1.0 / di, up[:n - d]
+
+
+def _solve_reference(rhs, stages, mult, inv_diag, up):
+    x = rhs.copy()
+    for d, alpha, gamma in stages:
+        y = x.copy()
+        y[d:] += alpha * x[:-d]
+        y[:-d] += gamma * x[d:]
+        x = y
+    n, s = len(x), 1 << len(stages)
+    for j in range(s, n, s):
+        e = min(j + s, n)
+        x[j:e] -= mult[j - s:e - s] * x[j - s:e - s]
+    last = (n - 1) // s * s
+    x[last:] *= inv_diag[last:]
+    for j in range(last - s, -1, -s):
+        e = min(j + s, n - s)
+        x[j:e] -= up[j:e] * x[j + s:e + s]
+        x[j:j + s] *= inv_diag[j:j + s]
+    return x
+
+
+def _diffusion_reference(op, active, values, coeffs):
+    out = values
+    worst = 0.0
+    for ax, a in enumerate(coeffs):
+        sub, diag, sup, *factors = _factor_reference(op, active, ax, a)
+        v_ax = op.grid.dim + ax
+        columns = op.columns[ax]
+        rhs = _v_first_reference(op, out, ax)
+        sol = _solve_reference(rhs, *factors)
+        res = diag * sol
+        res -= rhs
+        res[1:] += sub[1:] * sol[:-1]
+        res[:-1] += sup[:-1] * sol[1:]
+        err = float(np.maximum(res.max(), -res.min()))
+        tol = 1e-9 * (1.0 + float(np.maximum(rhs.max(), -rhs.min())))
+        assert np.isfinite(err) and err <= tol
+        worst = max(worst, err / tol)
+        moved = np.moveaxis(out[columns], v_ax, 0).shape
+        sol = np.moveaxis(sol.reshape(moved), 0, v_ax)
+        if out is values:
+            out = values.copy()
+        out[columns] = sol
+    return out, worst
+
+
+def _pinned_reference(plan, inner, fill):
+    if plan.active is None:
+        return inner
+    out = np.empty(plan.active.shape)
+    out[...] = fill
+    out[plan.inner] = np.where(plan.active[plan.inner], inner, out[plan.inner])
+    return out
+
+
+def _step_reference(plan, values, t, fill=0.0):
+    t_mid = t + 0.5 * plan.dt
+    out = _transport_call_reference(plan.transport, values)
+    if plan.increment is not None:
+        out = out + plan.increment(t_mid)[plan.inner]
+    out = _pinned_reference(plan, out, fill)
+    out, residual = _diffusion_reference(plan.implicit, plan.active, out,
+                                         plan.coefficients(t_mid))
+    return _pinned_reference(plan, _transport_call_reference(plan.transport, out),
+                             fill), residual
+
+
+_STEP_GRIDS = {
+    # cyclic-reduction depth 5 on 24^2, 1 on 8^4 (512 cells per v slice) and
+    # 0 on 13^4 (2197)
+    "n1_24": (PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 24, 1.5, 24), 5),
+    "n2_8": (PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 8, 1.5, 8), 1),
+    "n2_13": (PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 13, 1.5, 13), 0),
+}
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("kind,params", [
+    ("cellwise_random", dict(low=0.6, high=1.6, cell=0.25)),
+    # refactored at every step
+    ("oscillatory", dict(mid=1.0, amplitude=0.4, frequency=1.3)),
+])
+@pytest.mark.parametrize("problem", ["periodic", "kinetic_ibvp", "anchored"])
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+@pytest.mark.parametrize("name", sorted(_STEP_GRIDS))
+def test_lean_step_is_bit_identical_to_reference(name, interp, problem, kind, params,
+                                                 with_source):
+    grid, depth = _STEP_GRIDS[name]
+    dim = grid.dim
+    a = build_diffusion(dim, 2.0, kind, seed=2, **params)
+    g = build_source(dim, "noise", bound=0.3, cell=0.25, seed=5) if with_source else None
+    rng = np.random.default_rng(len(name) + 7 * dim)
+    dt = grid.dt
+    fills = [0.0] * 4
+    if problem == "anchored":
+        cells = solver._anchored_cells(grid, interp)
+        plan = solver._StepPlan(cells, a, g, dt, interp, False,
+                                ~ring_mask(grid)[cells.box], solver._reduction_depth(grid))
+        fills = [rng.uniform(-1.0, 1.0, cells.shape) for _ in fills]
+        vals = rng.uniform(-1.0, 1.0, cells.shape)
+    else:
+        bc = WHOLE_SPACE if problem == "periodic" else kinetic_ibvp(1.0)
+        plan = solver._bc_plan(grid, a, g, dt, bc, interp)
+        vals = plan.restrict(rng.uniform(-1.0, 1.0, grid.shape))
+    assert plan.implicit.depth == depth
+    expected = vals.copy()
+    for n, fill in enumerate(fills):
+        t = -1.5 + n * dt
+        expected, expected_res = _step_reference(plan, expected, t, fill)
+        vals, res = plan.step(vals, t, fill)
+        assert np.array_equal(vals, expected), n
+        assert res == expected_res, n
+    assert res > 0.0
 
 
 # --- zoom --------------------------------------------------------------------

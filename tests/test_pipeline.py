@@ -101,8 +101,8 @@ def test_barrier_audits_see_nonzero_fields(monkeypatch):
         spectra.append(from_trajectory(*args, **kwargs))
         return spectra[-1]
 
-    def solving(s1, s2, diffusion, k, **kwargs):
-        barriers.append((k, s1, solve_barrier_ibvp(s1, s2, diffusion, k, **kwargs)))
+    def solving(source, diffusion, k, **kwargs):
+        barriers.append((k, source, solve_barrier_ibvp(source, diffusion, k, **kwargs)))
         return barriers[-1][-1]
     monkeypatch.setattr(averaging.SpectralField, "from_trajectory",
                         classmethod(recording))
@@ -116,11 +116,13 @@ def test_barrier_audits_see_nonzero_fields(monkeypatch):
     grid = build_grid(cfg)
     times = grid.times
     assert [k for k, _, _ in barriers] == list(cfg.barrier_levels)
-    for k, s1, g in barriers:
+    for k, src, g in barriers:
         cells = GridWindow(grid, dyadic_radius(k - 1))
         shape = (int(np.count_nonzero(times >= dyadic_time(k - 1))),) + cells.shape
-        assert s1.grid.box == cells.box
-        assert s1.values.shape == g.values.shape == shape
+        assert src.grid.box == cells.box
+        # one increment per barrier step
+        assert g.values.shape == shape
+        assert src.increments.shape == (shape[0] - 1,) + shape[1:]
         assert math.prod(cells.shape) < math.prod(grid.shape)
 
     col = {name: j for j, name in enumerate(CSV_COLUMNS["barrier"])}
@@ -198,6 +200,12 @@ def test_serial_and_overlapped_paths_write_identical_artifacts(tmp_path, monkeyp
     assert {"theta.csv", "ladder.csv", "barrier.csv", "manifest.txt"} <= set(names)
 
 
+def test_timed_counts_the_page_faults_of_the_call():
+    # a fresh 32 MiB array is mapped and touched inside the call
+    _, timing = pipeline._timed(lambda: float(np.ones(1 << 22).sum()))
+    assert timing["minflt"] > 0 and timing["forked"] is False
+
+
 @pytest.mark.parametrize("overlap", [False, pytest.param(True, marks=needs_fork)],
                          ids=["serial", "overlap"])
 def test_timings_flag_leaves_the_run_directory_byte_identical(tmp_path, monkeypatch,
@@ -214,6 +222,7 @@ def test_timings_flag_leaves_the_run_directory_byte_identical(tmp_path, monkeypa
     assert sorted(timings) == ["degiorgi", "holder", "main_solve"]
     for stage in timings.values():
         assert stage["wall_s"] > 0.0 and stage["maxrss_mb"] > 0.0
+        assert isinstance(stage["minflt"], int) and stage["minflt"] >= 0
     assert timings["holder"]["forked"] is overlap
     assert timings["degiorgi"]["forked"] is timings["main_solve"]["forked"] is False
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kfplab.coefficients import build_diffusion, build_source
+from kfplab.degiorgi import BarrierSource
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import PhaseGrid, DyadicLevel
 from kfplab.solver import (
@@ -196,7 +197,7 @@ def test_unknown_interp_is_rejected(grid, rough_a, zero_g):
 
 def test_barrier_zero_sources_zero_solution(grid, rough_a):
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
-    g = solve_barrier_ibvp(zeros, zeros, rough_a, 1,
+    g = solve_barrier_ibvp(BarrierSource.from_trajectories(zeros, zeros, -1.0), rough_a, 1,
                            PhaseField.constant(grid, -1.0, 0.0))
     assert np.all(g.values == 0.0)
 
@@ -206,14 +207,16 @@ def test_barrier_positive_source_nonnegative(grid, rough_a):
         grid, grid.times,
         lambda t, x, v: np.exp(-4 * (x**2 + v**2)) * np.ones_like(x + v))
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
-    g = solve_barrier_ibvp(s1, zeros, rough_a, 1, PhaseField.constant(grid, -1.0, 0.0))
+    g = solve_barrier_ibvp(BarrierSource.from_trajectories(s1, zeros, -1.0), rough_a, 1,
+                           PhaseField.constant(grid, -1.0, 0.0))
     assert g.values.min() >= -1e-10
 
 
 def test_barrier_boundary_stays_zero(grid, rough_a):
     s1 = Trajectory.from_constant(grid, grid.times, 1.0)
     zeros = Trajectory.from_constant(grid, grid.times, 0.0)
-    g = solve_barrier_ibvp(s1, zeros, rough_a, 1, PhaseField.constant(grid, -1.0, 0.0))
+    g = solve_barrier_ibvp(BarrierSource.from_trajectories(s1, zeros, -1.0), rough_a, 1,
+                           PhaseField.constant(grid, -1.0, 0.0))
     radius = DyadicLevel(1).outer_radius
     outside = (grid.expand_x(grid.rho_x >= radius)
                | grid.expand_v(grid.rho_v >= radius))
@@ -356,11 +359,13 @@ def test_dim2_barrier_smoke():
     a2 = build_diffusion(2, 2.0, "constant", value=1.0)
     zeros = Trajectory.from_constant(g2, g2.times, 0.0)
     start = PhaseField.constant(g2, -1.0, 0.0)
-    g = solve_barrier_ibvp(zeros, (zeros, zeros), a2, 1, start)
+    g = solve_barrier_ibvp(BarrierSource.from_trajectories(zeros, (zeros, zeros), -1.0),
+                           a2, 1, start)
     assert np.all(g.values == 0.0)
     s1 = Trajectory.from_function(
         g2, g2.times,
         lambda t, x1, x2, v1, v2: np.exp(-4 * (x1**2 + x2**2 + v1**2 + v2**2)))
-    g = solve_barrier_ibvp(s1, (zeros, zeros), a2, 1, start)
+    g = solve_barrier_ibvp(BarrierSource.from_trajectories(s1, (zeros, zeros), -1.0),
+                           a2, 1, start)
     assert g.values.min() >= -1e-10
     assert g.values.max() > 0.0

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfplab import geometry, holder
+from kfplab import geometry, holder, pipeline, solver
 from kfplab.averaging import SpectralField
 from kfplab.coefficients import build_diffusion
 from kfplab.config import parse_config
@@ -212,8 +212,9 @@ def test_streamed_reductions_do_not_depend_on_the_slab(monkeypatch, dim, n, n_t)
 @pytest.mark.parametrize("slab_slices", [None, 1, 3])
 def test_shared_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_slices):
     """`cylinder_integrals` maps each stored slice once for several regions
-    and still adds each region's own slab sums: one slab, a slab per
-    slice, and slabs that cut the regions' time cells apart."""
+    and still adds each region's own slab sums, and `SliceIntegral`, fed
+    one stored slice at a time, adds `cylinder_integral`'s: one slab, a
+    slab per slice, and slabs that cut the regions' time cells apart."""
     grid = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 9, 1.5, 9)
     traj = _field(grid, seed=4)
     if slab_slices is not None:
@@ -227,6 +228,10 @@ def test_shared_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_sli
     for region, sq, grad in zip(regions, squares, grads):
         assert sq == cylinder_integral(traj, lambda v: v**2, region, trunc) > 0.0
         assert grad == cylinder_integral(traj, lambda v: v, region, grad_sq) > 0.0
+        streamed = geometry.SliceIntegral(traj, lambda v: v**2, region)
+        for i, values in enumerate(traj.values):
+            streamed.add(i, values)
+        assert streamed.value() == cylinder_integral(traj, lambda v: v**2, region) > 0.0
 
 
 # --- memory ------------------------------------------------------------------------
@@ -272,3 +277,51 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     }
     for name, rise in rises.items():
         assert rise < BOUND * size, (name, rise / size)
+
+
+N2_CONFIG = ("run.seed = 2\ncoeff.kind = checkerboard\nsource.kind = zero\n"
+             "grid.dim = 2\ngrid.n_t = 18\ngrid.n_x = 18\ngrid.n_v = 18\n"
+             "diagnostics.omega = 0.25\ndiagnostics.bisection = false\n")
+MIB = float(2**20)
+
+
+def test_step_plan_and_barrier_audit_hold_each_slice_once():
+    """The N = 2 step plan and the level-1 barrier audit by tracemalloc.
+
+    On the benchmark's N = 2 run (18^4 cells, a slice is 0.80 MiB):
+
+    * `_StepPlan` built and stepped once peaks at most 17.6 MiB (22
+      slices) above its entry; measured 16.1: the transport's index
+      gathers 3.2, the diffusion factors 6.2, the coefficient samples 1.6,
+      three scratch buffers and the two step buffers 4.0.  When a plan
+      held full-size weights, a lower and an upper coupling and an upper
+      copy, and every step allocated its temporaries, it peaked at 23.9.
+    * A later step rises at most 0.4 MiB (half a slice); measured 0.05,
+      against 4.8 (six slices).
+    * `pipeline._barrier_audit` at k = 1 rises at most 17.5 MiB; measured
+      16.0, in `build_barrier_sources`, where F_k, the barrier's
+      increments and the slabs of the S1 and S2 norms are alive.  When the
+      report kept S1, both S2 components and F_k, it rose 19.7.
+    """
+    cfg = parse_config(N2_CONFIG)
+    grid = build_grid(cfg)
+    diffusion = build_coefficient(cfg)
+    source = build_source_field(cfg)
+    f0 = pipeline.build_initial(cfg, grid)
+    state = {}
+
+    def first():
+        state["plan"] = solver._StepPlan(grid, diffusion, source, grid.dt, cfg.interp, True)
+        state["vals"], _ = state["plan"].step(f0.values, f0.t)
+
+    def later():
+        state["plan"].step(state["vals"], f0.t + grid.dt)
+
+    rises = {"plan and first step": _rise(first), "later step": _rise(later)}
+    del state
+    traj = solve_initial(cfg, grid, diffusion, source)
+    rises["barrier audit"] = _rise(pipeline._barrier_audit, cfg, grid, traj, diffusion,
+                                   source, 1)
+    bounds = {"plan and first step": 17.6, "later step": 0.4, "barrier audit": 17.5}
+    for name, rise in rises.items():
+        assert rise < bounds[name] * MIB, (name, rise / MIB)

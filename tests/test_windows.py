@@ -18,8 +18,8 @@ import pytest
 from kfplab import averaging, solver
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
 from kfplab.config import parse_config
-from kfplab.degiorgi import build_barrier_sources, chebyshev_audit, truncate, \
-    truncation_energy
+from kfplab.degiorgi import BarrierSource, _barrier_slices, build_barrier_sources, \
+    chebyshev_audit, truncate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     Cylinder,
@@ -29,6 +29,7 @@ from kfplab.geometry import (
     cylinder_integral,
     cylinder_node_extrema,
     dyadic_time,
+    face_divergence,
     hat_cylinder,
     level_set_measure,
     make_cylinder,
@@ -36,7 +37,7 @@ from kfplab.geometry import (
 )
 from kfplab.pipeline import build_coefficient, build_grid, build_source_field, \
     solve_initial
-from kfplab.solver import WHOLE_SPACE, local_energy_check, solve
+from kfplab.solver import WHOLE_SPACE, kinetic_ibvp, local_energy_check, solve
 
 REL = 1e-12
 
@@ -181,6 +182,33 @@ def _build_barrier_sources_reference(traj, k, diffusion, source):
             _grad_sq_reference(fk_traj), lambda v: v, q_out)),
         "g_ind_l2": math.sqrt(g_ind),
     }
+
+
+class _BarrierSourceReference:
+    """The barrier source as the barrier solve sampled it before it kept
+    only its increments: S1 + div_v S2 at any t, interpolated in time from
+    whole S1 and S2 trajectories, which the step plan multiplies by dt at
+    each step's midpoint (time key t: sampled at every step)."""
+
+    def __init__(self, s1, s2):
+        self.s1 = s1
+        self.s2 = tuple(s2)
+
+    def time_key(self, t):
+        return t
+
+    def sample(self, grid, t):
+        out = self.s1.at_time(t).copy()
+        for ax, comp in enumerate(self.s2):
+            out += face_divergence(grid, comp.at_time(t), ax)
+        return out
+
+
+def _barrier_reference(s1, s2, diffusion, k, initial, interp):
+    """The level-k barrier solved with `_BarrierSourceReference`."""
+    dt = float(s1.times[1] - s1.times[0])
+    return solve(initial, diffusion, _BarrierSourceReference(s1, s2), 0.0,
+                 kinetic_ibvp(DyadicLevel(k).outer_radius), dt=dt, interp=interp)
 
 
 def _local_energy_check_reference(traj, k, c, lam, s, t, source=None):
@@ -369,20 +397,34 @@ def test_barrier_sources_match_reference(run, with_source):
     for k in (1, 2):
         got = build_barrier_sources(traj, k, diffusion, source)
         expected = _build_barrier_sources_reference(traj, k, diffusion, source)
-        cells = got.s1.grid
+        cells = got.fk.grid
         assert cells.box == GridWindow(traj.grid, DyadicLevel(k).outer_radius).box
         # the sources start at the slice at T_{k-1}, where the barrier does
         i0 = traj.slice_index(dyadic_time(k - 1))
-        assert np.array_equal(got.s1.times, traj.times[i0:])
-        assert got.s1.values.shape == (traj.n_slices - i0,) + cells.shape
-        for comp, ref in zip((got.s1,) + got.s2, (expected["s1"],) + expected["s2"]):
+        window = traj.window(float(traj.times[i0]), DyadicLevel(k).outer_radius)
+        assert np.array_equal(got.fk.times, traj.times[i0:])
+        assert got.source.t_start == traj.times[i0]
+        assert got.source.increments.shape == (traj.n_slices - i0 - 1,) + cells.shape
+        slices = list(_barrier_slices(window, DyadicLevel(k), diffusion, source))
+        assert len(slices) == traj.n_slices - i0
+        for j, ref in enumerate((expected["s1"],) + expected["s2"]):
             # the whole-grid reference is exactly zero outside the window's box
             outside = ref.values.copy()
             outside[(slice(None),) + cells.box] = 0.0
             assert not outside.any(), k
-            for i in range(got.s1.n_slices):
-                assert np.array_equal(comp.values[i],
+            for i, (_, s1, s2) in enumerate(slices):
+                assert np.array_equal(((s1,) + s2)[j],
                                       ref.values[i0 + i][cells.box]), (k, i)
+        # each step's increment is the one the barrier solve sampled from whole
+        # window trajectories of S1 and S2
+        cut = lambda ref: Trajectory(cells, traj.times[i0:].copy(),
+                                     ref.values[i0:][(slice(None),) + cells.box])
+        sampled = _BarrierSourceReference(cut(expected["s1"]),
+                                          [cut(c) for c in expected["s2"]])
+        dt = got.source.dt
+        for n, inc in enumerate(got.source.increments):
+            t_mid = float(traj.times[i0]) + n * dt + 0.5 * dt
+            assert np.array_equal(inc, dt * sampled.sample(cells, t_mid)), (k, n)
         for name in ("s1_l2", "s2_l2", "fk_l2", "grad_fk_l2", "g_ind_l2"):
             assert _close(getattr(got, name), expected[name]), (k, name)
         if not with_source:
@@ -471,8 +513,8 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
     for k in (1, 2):
         i0 = traj.slice_index(dyadic_time(k - 1))
         rep = build_barrier_sources(traj, k, diffusion, source)
-        cells = rep.s1.grid
-        window = traj.window(rep.s1.t_start, DyadicLevel(k).outer_radius)
+        cells = rep.fk.grid
+        window = traj.window(rep.fk.t_start, DyadicLevel(k).outer_radius)
         f_win = _cutoff_field(window, k)
         f_whole = _cutoff_field(_from_slice(traj, i0), k)
         assert np.array_equal(f_win.values, f_whole.values[(slice(None),) + cells.box])
@@ -483,15 +525,23 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
         assert np.array_equal(rep.fk.times, f_whole.times)
         assert np.array_equal(rep.fk.values, f_whole.values[(slice(None),) + cells.box])
 
-        g_win = solver.solve_barrier_ibvp(rep.s1, rep.s2, diffusion, k, interp=interp,
+        g_win = solver.solve_barrier_ibvp(rep.source, diffusion, k, interp=interp,
                                           initial=f_win.field(0))
         shape = (traj.n_slices - i0,) + cells.shape
-        assert rep.s1.values.shape == g_win.values.shape == shape
-        assert all(comp.values.shape == shape for comp in rep.s2)
+        assert rep.fk.values.shape == g_win.values.shape == shape
+        assert rep.source.increments.shape == (shape[0] - 1,) + cells.shape
 
         ref = _build_barrier_sources_reference(traj, k, diffusion, source)
+        s1_whole = _from_slice(ref["s1"], i0)
+        s2_whole = tuple(_from_slice(c, i0) for c in ref["s2"])
+        # the lean solve is the one that sampled whole S1 and S2 window
+        # trajectories at every step, bit for bit
+        cut = lambda t: Trajectory(cells, t.times, t.values[(slice(None),) + cells.box])
+        assert np.array_equal(g_win.values, _barrier_reference(
+            cut(s1_whole), [cut(c) for c in s2_whole], diffusion, k,
+            f_win.field(0), interp).values), k
         g_whole = solver.solve_barrier_ibvp(
-            _from_slice(ref["s1"], i0), tuple(_from_slice(c, i0) for c in ref["s2"]),
+            BarrierSource.from_trajectories(s1_whole, s2_whole),
             diffusion, k, interp=interp, initial=f_whole.field(0))
         assert np.array_equal(g_win.times, g_whole.times)
         # the whole-grid barrier is pinned to zero outside the window's box

@@ -208,6 +208,9 @@ def test_barrier_sources_vanish_below_level(grid):
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 0.1)   # below C_1
     rep = build_barrier_sources(traj, 1, a, g)
+    window = traj.window(dyadic_time(0), DyadicLevel(1).outer_radius)
+    for _, s1, s2 in _barrier_slices(window, DyadicLevel(1), a, g):
+        assert np.all(s1 == 0.0) and all(np.all(c == 0.0) for c in s2)
     assert np.all(rep.source.increments == 0.0)
     assert rep.s1_l2 == rep.s2_l2 == 0.0
 

@@ -349,6 +349,11 @@ class SourceField:
         """g on all (x, v) cell centers of the grid at time t."""
         return np.broadcast_to(self.evaluate(t, *grid.coords()), grid.shape).copy()
 
+    def increments_for(self, grid: PhaseGrid, dt: float) -> KeyedSampler:
+        """A step plan's increment sampler: dt * g on the grid at the step's
+        midpoint t, drawn again only when the time key changes."""
+        return KeyedSampler(self, lambda t: dt * self.sample(grid, t))
+
     def transformed(self, transform, scale: float) -> "SourceField":
         """Pull back through a scaling map and multiply by `scale` (eps^2)."""
         return SourceField(self.dim, self.kind, self.bound, self.cell, self.seed,

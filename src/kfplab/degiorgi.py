@@ -278,8 +278,8 @@ class BarrierSource:
     window of `build_barrier_sources`).
 
     S1 and each S2 component are interpolated linearly in time between the
-    stored slices around the midpoint (`Trajectory.at_time`), so only the
-    increments are kept, one slice per step, and not S1 and the N
+    stored slices around the midpoint (`Trajectory.at_time`'s formula), so
+    only the increments are kept, one slice per step, and not S1 and the N
     components of S2 at every stored time.  div_v is
     `geometry.face_divergence`, the adjoint of the face gradient with zero
     boundary faces, so the discrete energy pairing (div_v S2, G) =
@@ -297,25 +297,39 @@ class BarrierSource:
     @classmethod
     def from_trajectories(cls, s1: Trajectory, s2, t_start: float | None = None):
         """The increments of the steps from `t_start` (default: the first
-        stored time) to t = 0, at the spacing of the stored slices."""
+        stored time) to t = 0, at the spacing of the stored slices, which
+        must hold every step's midpoint."""
         s2 = tuple(s2) if isinstance(s2, (tuple, list)) else (s2,)
         t_start = s1.t_start if t_start is None else t_start
-        dt = float(s1.times[1] - s1.times[0])
+        times = s1.times
+        dt = float(times[1] - times[0])
         src = cls(s1.grid, t_start, dt, int(round((0.0 - t_start) / dt)))
+        at = lambda j: (s1.values[j], [comp.values[j] for comp in s2])
         for n in range(len(src.increments)):
-            src.set_step(n, s1, s2)
+            t_mid = src.midpoint(n)
+            if not times[0] < t_mid < times[-1]:
+                raise ValueError(f"step {n}'s midpoint {t_mid} is outside the stored "
+                                 f"times [{times[0]}, {times[-1]}]")
+            j = int(np.searchsorted(times, t_mid)) - 1
+            src.set_step(n, times[j:j + 2], at(j), at(j + 1))
         return src
 
-    def set_step(self, n: int, s1: Trajectory, s2):
-        """Fill step n's increment from S1 and the S2 components, any
-        trajectories whose stored slices hold its midpoint."""
-        if len(s2) != self.grid.dim:
-            raise ValueError(f"need {self.grid.dim} components for S2, got {len(s2)}")
-        t_mid = self.t_start + n * self.dt + 0.5 * self.dt
+    def midpoint(self, n: int) -> float:
+        return self.t_start + n * self.dt + 0.5 * self.dt
+
+    def set_step(self, n: int, times, prev, cur):
+        """Fill step n's increment from (S1, S2) at the two stored `times`
+        around its midpoint: `prev` and `cur` are (S1, S2) slice pairs, with
+        S2 one array per v axis."""
+        if len(prev[1]) != self.grid.dim or len(cur[1]) != self.grid.dim:
+            raise ValueError(f"need {self.grid.dim} components for S2, "
+                             f"got {len(prev[1])} and {len(cur[1])}")
+        w = (self.midpoint(n) - times[0]) / (times[1] - times[0])
+        lerp = lambda a, b: (1.0 - w) * a + w * b
         out = self.increments[n]
-        out[...] = s1.at_time(t_mid)
-        for ax, comp in enumerate(s2):
-            out += face_divergence(self.grid, comp.at_time(t_mid), ax)
+        out[...] = lerp(prev[0], cur[0])
+        for ax, (a, b) in enumerate(zip(prev[1], cur[1])):
+            out += face_divergence(self.grid, lerp(a, b), ax)
         out *= self.dt
 
     def increments_for(self, grid, dt: float):
@@ -438,10 +452,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
             integral.add(i, comp)
         if last is not None:
             # the step from slice i - 1 to slice i reads S1 and S2 between them
-            pair = lambda prev, cur: Trajectory(cells, times[i - 1:i + 1],
-                                                np.stack((prev, cur)))
-            barrier.set_step(i - 1, pair(last[0], s1),
-                             [pair(prev, cur) for prev, cur in zip(last[1], s2)])
+            barrier.set_step(i - 1, times[i - 1:i + 1], last, (s1, s2))
         last = (s1, s2)
     fk = Trajectory(cells, times.copy(), fk_vals)
 

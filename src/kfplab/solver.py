@@ -19,8 +19,10 @@ n^3 values on an n^4 grid.  The coefficient arrays and the source
 increment dt*g are resampled only when the field's `time_key` changes:
 never for a time-independent field, once per time cell for a
 cellwise-random one, every step for an oscillatory one or under a
-drifting zoom; a barrier source (`degiorgi.BarrierSource`) holds its
-increments.  The diffusion factors its tridiagonal systems in numpy
+drifting zoom.  The plan takes its increments from the source's
+`increments_for(grid, dt)`: a `SourceField` draws dt*g by time key, a
+barrier source (`degiorgi.BarrierSource`) returns the increments it
+holds.  The diffusion factors its tridiagonal systems in numpy
 (cyclic-reduction stages, then a strided Thomas sweep) and refactors only
 when the sampled coefficient arrays change; without Dirichlet cells the
 coupling below the diagonal is the one above it, stored once.  Each step
@@ -546,8 +548,8 @@ def _check_cfl(grid, dt: float):
 class _StepPlan:
     """What every Strang step of one solve reuses: the half-step transport
     gathers, the implicit diffusion operator with its factors, and the
-    coefficient arrays and source increment dt*g, resampled only when their
-    time keys change (a `BarrierSource` holds its increments).  Cells
+    coefficient arrays, resampled only when their time key changes, and the
+    source's increment sampler (`increments_for`).  Cells
     outside `active` are Dirichlet rows of the diffusion solve, whose
     reduction depth is `depth` when given.  Both substeps compute only what
     the bounding box of `active` (`inner`) needs: the cells outside it take
@@ -584,11 +586,7 @@ class _StepPlan:
                                         inner, scratch)
         self.implicit = _ImplicitDiffusion(grid, dt, active, depth, inner, scratch)
         self.coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(grid, t))
-        if isinstance(source, BarrierSource):
-            self.increment = source.increments_for(grid, dt)
-        else:
-            self.increment = None if source is None else KeyedSampler(
-                source, lambda t: dt * source.sample(grid, t))
+        self.increment = None if source is None else source.increments_for(grid, dt)
         moved = [len(range(n)[s]) for s, n in zip(self.inner, grid.shape)]
         self.moved = block[0, :int(np.prod(moved))].reshape(moved)
         self.result = block[1, :cells].reshape(grid.shape)
@@ -877,13 +875,13 @@ def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
 
 def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:
     """min(B - A) over all stored nodes; >= 0 means A <= B holds pointwise.
-    The minimum is taken slice by slice."""
+    The minimum is taken slice by slice; a NaN at any node gives NaN."""
     if traj_a.values.shape != traj_b.values.shape:
         raise ValueError(f"trajectory shapes differ: {traj_a.values.shape} "
                          f"vs {traj_b.values.shape}")
     diff = np.empty(traj_a.grid.shape)
-    return min(float(np.subtract(b, a, out=diff).min())
-               for a, b in zip(traj_a.values, traj_b.values))
+    return float(np.min([np.subtract(b, a, out=diff).min()
+                         for a, b in zip(traj_a.values, traj_b.values)]))
 
 
 def second_moments(field: PhaseField):

@@ -61,7 +61,7 @@ def test_diffusion_substep_maximum_principle(grid, rough_a):
     rng = np.random.default_rng(0)
     vals = rng.uniform(-1.0, 2.0, grid.shape)
     coeffs = rough_a.sample(grid, -0.5)
-    out, _ = _ImplicitDiffusion(grid, grid.dt)(vals, coeffs)
+    out, _ = _ImplicitDiffusion(grid, grid.dt)(vals.copy(), coeffs)  # solves in place
     assert out.max() <= vals.max() + 1e-13
     assert out.min() >= vals.min() - 1e-13
 
@@ -272,6 +272,10 @@ def test_comparison_check(grid):
     b = Trajectory.from_constant(grid, grid.times, 1.3)
     assert comparison_check(a, a) == 0.0
     assert comparison_check(a, b) == pytest.approx(1.0, abs=1e-15)
+    # a NaN in a later slice is not lost behind a finite first minimum
+    nan_b = Trajectory(grid, b.times, b.values.copy())
+    nan_b.values[-1, 0, 0] = np.nan
+    assert np.isnan(comparison_check(a, nan_b))
     small = PhaseGrid(1, (-1.0, 0.0), 8, 1.0, 8, 1.0, 8)
     c = Trajectory.from_constant(small, small.times, 0.0)
     with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from kfplab import averaging, solver
-from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
+from kfplab.coefficients import DiffusionField, KeyedSampler, SourceField, build_diffusion, \
+    build_source
 from kfplab.config import parse_config
 from kfplab.degiorgi import BarrierSource, _barrier_slices, build_barrier_sources, \
     chebyshev_audit, truncate, truncation_energy
@@ -202,6 +203,9 @@ class _BarrierSourceReference:
         for ax, comp in enumerate(self.s2):
             out += face_divergence(grid, comp.at_time(t), ax)
         return out
+
+    def increments_for(self, grid, dt):
+        return KeyedSampler(self, lambda t: dt * self.sample(grid, t))
 
 
 def _barrier_reference(s1, s2, diffusion, k, initial, interp):

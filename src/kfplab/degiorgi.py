@@ -315,6 +315,7 @@ class BarrierSource:
         return src
 
     def midpoint(self, n: int) -> float:
+        """The time at which step n samples S1 and S2."""
         return self.t_start + n * self.dt + 0.5 * self.dt
 
     def set_step(self, n: int, times, prev, cur):

@@ -202,6 +202,13 @@ def test_barrier_zero_sources_zero_solution(grid, rough_a):
     assert np.all(g.values == 0.0)
 
 
+def test_barrier_source_needs_every_midpoint_stored(grid):
+    # the stored slices end before the last steps' midpoints: no clamping
+    early = Trajectory.from_constant(grid, grid.times[grid.times <= -0.5], 1.0)
+    with pytest.raises(ValueError, match="midpoint"):
+        BarrierSource.from_trajectories(early, early, -1.0)
+
+
 def test_barrier_positive_source_nonnegative(grid, rough_a):
     s1 = Trajectory.from_function(
         grid, grid.times,

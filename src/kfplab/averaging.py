@@ -6,9 +6,30 @@ axis by default); the fractional derivative of order s along an axis group
 (t, x or v) is the multiplier |2 pi m / L|^s on that group's integer
 frequencies m, with L the padded box length and the zero mode mapped to
 zero for s > 0.  By Parseval along the other axes, their padding changes
-nothing: each group is transformed over its own padded axes only, |F|^2 is
-summed over the rest (one slab of them at a time), and each norm is one
-weighted sum over that small marginal.  Plancherel and the interpolation inequality
+nothing: each norm is one weighted sum over the group's marginal power
+spectrum, |F|^2 of the group's padded transform summed over the other
+axes.  That marginal is taken by Wiener-Khinchin, never by transforming
+the field: it is the transform of the group's circular autocorrelation
+
+    R(tau) = sum over a, o of x(a, o) x(a + tau mod L, o),
+
+a the group's cells and o the other axes' cells.  R is binned from the
+group's Gram matrix over the other axes, which BLAS accumulates one
+product per slab, so the cost is one pass of matrix products over the
+stored values plus a transform of the padded group box alone.  Because
+the lags wrap modulo the padded lengths, the result is the padded
+transform's for any padding, pad = 1 included, and for a window inside a
+larger box.
+
+Error model: each autocorrelation entry is a sum of products bounded by
+R(0) = sum x^2, so every marginal entry carries an absolute rounding
+error of order eps R(0), however small the entry, where the squared
+transform's error shrank with the entry.  The norms, dominated by the
+occupied modes, move at the level of eps relative; a mode with no power
+may come out slightly negative, and `frac_norm` reads a weighted sum
+that rounding drives to zero or below as 0.0.
+
+Plancherel and the interpolation inequality
 
     ||D_v^{1/3} G|| <= ||G||^{2/3} ||D_v G||^{1/3}
 
@@ -45,8 +66,12 @@ class SpectralField:
     `marginals` maps "t" / "x" / "v" to (|k|^2, power) over the padded
     frequencies of that group's axes (the last axis holds the rfft half
     spectrum, its Hermitian weights folded into power); `fhat` concatenates
-    every group's power.  `l2_sq` is the sum of squared samples and
-    `cell_volume` the sample cell volume, so norms are grid L2 norms.
+    every group's power.  Each power is the rfftn of the group's circular
+    autocorrelation over its padded lengths (module docstring), exact up to
+    an absolute rounding error of order eps * `l2_sq` per entry, so an
+    empty mode may hold a tiny negative value.  `l2_sq` is the sum of
+    squared samples and `cell_volume` the sample cell volume, so norms are
+    grid L2 norms.
     """
 
     fhat: np.ndarray
@@ -57,22 +82,24 @@ class SpectralField:
     @classmethod
     def from_values(cls, values, spacings, groups, pad: int = 2,
                     warn_boundary: bool = True, box=None) -> "SpectralField":
-        """Transform a sample array with given per-axis spacings.
+        """Marginal spectra of a sample array with given per-axis spacings.
 
-        Each group's axes are zero-padded to `pad` times the shape of `box`
-        (default: the array's own shape), the compact-support embedding.
-        A window of a larger box passes that box's shape: zero-extended,
-        the window is a circular shift of the box's zero-extended field, so
-        every marginal power spectrum is the box's.  Support touching the
-        edge of the box triggers an aliasing warning; an axis shorter than
-        the box is taken to lie inside it, as a level window's axes do.
+        Each group's axes, a run of consecutive axes, are zero-padded to
+        `pad` times the shape of `box` (default: the array's own shape), the
+        compact-support embedding.  A window of a larger box passes that
+        box's shape: zero-extended, the window is a circular shift of the
+        box's zero-extended field, so every marginal power spectrum is the
+        box's.  Support touching the edge of the box triggers an aliasing
+        warning; an axis shorter than the box is taken to lie inside it, as
+        a level window's axes do.
 
-        Only the marginals are kept.  Each group is transformed in slabs of
-        the first axis outside it, each slab's transform at most
-        `geometry._SLAB_BYTES`, and the slabs' marginal powers are added
-        in axis order, as are the slabs' sums of squares (`l2_sq`) along
-        axis 0; a field whose transforms fit in one slab is summed exactly
-        as in one piece.
+        Only the marginals are kept, each the transform of the group's
+        autocorrelation with its lags wrapped modulo the padded lengths
+        (`_marginal_power`), exact for any `pad` and box; its error model
+        is the module docstring's.  The Gram products read the values in
+        slabs of the first axis outside the group, at most
+        `geometry._SLAB_BYTES` each, and add them in axis order, as are the
+        slabs' sums of squares (`l2_sq`) along axis 0.
         """
         values = np.asarray(values, dtype=float)
         box = values.shape if box is None else box
@@ -110,9 +137,9 @@ class SpectralField:
     def from_trajectory(cls, traj: Trajectory, pad: int = 2,
                         warn_boundary: bool = True) -> "SpectralField":
         """Spectral field of a trajectory; the time axis is treated like the
-        space axes (padded, transformed).  A trajectory on a `GridWindow`
-        is transformed at its parent grid's padded lengths, which gives the
-        spectra of its zero extension to that grid."""
+        space axes (padded, one group of its own).  A trajectory on a
+        `GridWindow` takes its spectra at its parent grid's padded lengths,
+        which gives the spectra of its zero extension to that grid."""
         grid = traj.grid
         parent = getattr(grid, "parent", grid)
         dt_slice = float(traj.times[1] - traj.times[0])
@@ -134,7 +161,10 @@ class SpectralField:
         """L2 norm of |2 pi k / L|^s applied along the axis group.
 
         s = 0 reproduces the field's L2 norm (Plancherel, to roundoff); s = 1 is
-        the full first derivative along the group.
+        the full first derivative along the group.  A weighted sum that
+        rounding leaves at zero or below (an empty or all-zero spectrum,
+        whose marginal entries carry errors of order eps * `l2_sq`) gives
+        +0.0.
         """
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"fractional order must lie in [0, 1], got {s}")
@@ -142,7 +172,8 @@ class SpectralField:
             raise ValueError(f"unknown axis group {group!r}")
         k_sq, power = self.marginals[group]
         weight = k_sq**s  # 0^0 = 1: the zero mode survives only at s = 0
-        return math.sqrt(float(np.sum(weight * power)) * self.cell_volume)
+        total = float(np.sum(weight * power)) * self.cell_volume
+        return math.sqrt(total) if total > 0.0 else 0.0
 
 
 def _slab_views(values, ax: int, index_bytes: int) -> list:
@@ -154,26 +185,56 @@ def _slab_views(values, ax: int, index_bytes: int) -> list:
 
 
 def _marginal_power(values, axes, sizes) -> np.ndarray:
-    """|rfftn(values)|^2 over the group's `axes`, zero-padded to `sizes`,
-    summed over the other axes, one slab of the first other axis at a time."""
-    others = tuple(ax for ax in range(values.ndim) if ax not in axes)
+    """The sum over the other axes of |rfftn(values)|^2 over the group's
+    `axes`, zero-padded to `sizes`, by Wiener-Khinchin: the rfftn of
+
+        R(tau) = sum of x(a, o) x(b, o) over the other axes' cells o and the
+                 pairs of group cells a, b with b - a = tau modulo `sizes`,
+
+    the circular autocorrelation of the zero-padded field summed over the
+    other axes, real because R is even.
+
+    The group's Gram matrix over the other axes is accumulated one BLAS
+    product per slab of the first axis outside the group (for a group
+    between other axes, one per index of the axes before it), on views of
+    `values` reshaped to (cells before, group cells, cells after); a slab
+    whose strides allow no such view is copied, a slab at a time.  Its
+    entries are then binned by lag in the order of the cell pairs."""
+    shape = [values.shape[ax] for ax in axes]
+    if tuple(axes) != tuple(range(axes[0], axes[0] + len(axes))):
+        raise ValueError(f"an axis group must be a run of consecutive axes, got {axes}")
+    if any(size < n for size, n in zip(sizes, shape)):
+        raise ValueError(f"padded lengths {tuple(sizes)} are shorter than the "
+                         f"group's axes {tuple(shape)}")
+    cells = math.prod(shape)
+    gram = np.zeros((cells, cells))
+    others = [ax for ax in range(values.ndim) if ax not in axes]
     chunks = [values]
-    if others:
-        # complex transform bytes per index of the slab axis: the padded
-        # group (its last axis a half spectrum) times the other axes' cells
-        rest = math.prod(values.shape[ax] for ax in others[1:])
-        spectrum = 16 * math.prod(sizes[:-1]) * (sizes[-1] // 2 + 1) * rest
-        chunks = _slab_views(values, others[0], spectrum)
-    total = None
+    if others and values.size:
+        chunks = _slab_views(values, others[0],
+                             values.itemsize * values.size // values.shape[others[0]])
     for chunk in chunks:
-        power = np.abs(np.fft.rfftn(chunk, s=sizes, axes=axes))
-        power *= power
-        power = power.sum(axis=others)
-        if total is None:
-            total = power
+        rows = math.prod(chunk.shape[:axes[0]])
+        after = math.prod(chunk.shape[axes[-1] + 1:])
+        block = chunk.reshape(rows, cells, after)
+        if after == 1:
+            flat = block.reshape(rows, cells)
+            gram += flat.T @ flat
         else:
-            total += power
-    return total
+            for part in block:
+                gram += part @ part.T
+    # the flat index of the lag (b - a) mod sizes of each pair (a, b) of
+    # group cells, a and b in row-major order
+    lag = np.zeros((1,) * (2 * len(axes)), dtype=np.intp)
+    stride = 1
+    for i in reversed(range(len(axes))):
+        j = np.arange(shape[i])
+        pair = [1] * (2 * len(axes))
+        pair[i] = pair[len(axes) + i] = shape[i]
+        lag = lag + ((j[None, :] - j[:, None]) % sizes[i] * stride).reshape(pair)
+        stride *= sizes[i]
+    corr = np.bincount(lag.ravel(), weights=gram.ravel(), minlength=stride)
+    return np.ascontiguousarray(np.fft.rfftn(corr.reshape(sizes)).real)
 
 
 def frac_norm(target, group: str, s: float, **kwargs) -> float:

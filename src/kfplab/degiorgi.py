@@ -409,7 +409,7 @@ def _barrier_slices(win: Trajectory, level: DyadicLevel, diffusion, source):
 
 
 def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
-                          ) -> BarrierSourceReport:
+                          trunc: TruncationReport) -> BarrierSourceReport:
     """Assemble the level-k barrier source S1 + div_v S2 (`_barrier_slices`),
     both parts supported in Q_{k-1} through the cutoff factors.  Cutoff
     gradients are analytic; grad_v f_k is the cell gradient of the
@@ -427,9 +427,15 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     they come (`geometry.SliceIntegral`), and each step's increment
     dt (S1 + div_v S2) at its midpoint is kept (`BarrierSource`), not S1
     and S2 themselves.
+
+    ||f_k|| and ||grad_v f_k|| in L2(Q_{k-1}), which the ladder budgets
+    read, are the level's `truncation_energy` report's (`trunc`): the same
+    streamed cylinder integrals over the same cells.
     """
     if k < 1:
         raise ValueError(f"barrier sources require k >= 1, got {k}")
+    if trunc.k != k:
+        raise ValueError(f"the truncation report is of level {trunc.k}, not {k}")
     level = DyadicLevel(k)
     win = traj.window(float(traj.times[traj.slice_index(dyadic_time(k - 1))]),
                       level.outer_radius)
@@ -459,7 +465,7 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
 
     s1_l2 = math.sqrt(s1_sq.value())
     s2_l2 = math.sqrt(sum(integral.value() for integral in s2_sq))
-    [(fk_l2, grad_l2)] = _fk_norms(win, k, q_out)
+    fk_l2, grad_l2 = trunc.fk_l2_outer, trunc.grad_l2_outer
     g_ind = 0.0 if source is None else math.sqrt(
         _gind_integral(win, source, level.truncation, q_out))
     lam = diffusion.lam

@@ -493,9 +493,9 @@ def _check_region(traj, region: Cylinder):
 
 
 # bytes one slab of a streamed reduction may hold: the stored slices of a
-# cylinder integral, or the transform of a spectral marginal.  Every N = 1
-# default-grid trajectory (49 x 64^2 float64, 1.6 MB) and its spectra fit in
-# one slab, so their reductions are single sums
+# cylinder integral, or the values one Gram product of a spectral marginal
+# reads.  Every N = 1 default-grid trajectory (49 x 64^2 float64, 1.6 MB)
+# fits in one slab, so its reductions are single sums
 _SLAB_BYTES = 1 << 22
 
 

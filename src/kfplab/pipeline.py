@@ -189,9 +189,10 @@ def _abs_max(values: np.ndarray) -> float:
 
 
 def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
-                   source, k: int):
-    """The level-k barrier: its sources, the barrier solve from the truncated
-    field at T_{k-1}, the comparison and the spectral audits.
+                   source, trunc: degiorgi.TruncationReport):
+    """The level-k barrier, k = `trunc.k`: its sources (with the f_k norms
+    of the level's truncation report `trunc`), the barrier solve from the
+    truncated field at T_{k-1}, the comparison and the spectral audits.
 
     Everything runs on the level window of the sources, the slices from
     T_{k-1} on the cell box of B(R_{k-1})^2, outside which every field of
@@ -200,7 +201,8 @@ def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
     audits passed.  The source and F_k are freed once the comparison is
     taken, before the spectra, and the barrier when the call returns.
     """
-    rep = degiorgi.build_barrier_sources(traj, k, diffusion, source)
+    k = trunc.k
+    rep = degiorgi.build_barrier_sources(traj, k, diffusion, source, trunc)
     fk = rep.fk
     # the barrier starts from the truncated field F_k at T_{k-1}
     g_traj = solver.solve_barrier_ibvp(rep.source, diffusion, k, interp=cfg.interp,
@@ -328,8 +330,11 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     comparison_ok = True
     spectral_ok = True
     for k in cfg.barrier_levels:
+        # a barrier level beyond the truncation ladder gets a report of its own
+        trunc = trunc_reports[k] if k <= cfg.levels else \
+            degiorgi.truncation_energy(traj, k, cfg.lam)
         row, final, comp_ok, spec_ok = _barrier_audit(cfg, grid, traj, diffusion,
-                                                      source, k)
+                                                      source, trunc)
         barrier_rows.append(row)
         barrier_finals.append((k, final))
         comparison_ok &= comp_ok

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kfplab import geometry
 from kfplab.averaging import (
     SpectralField,
     averaging_estimate_audit,
@@ -11,7 +12,7 @@ from kfplab.averaging import (
     velocity_average,
 )
 from kfplab.fields import Trajectory
-from kfplab.geometry import PhaseGrid
+from kfplab.geometry import DyadicLevel, PhaseGrid, dyadic_time
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +113,86 @@ def test_single_mode_frac_norm_analytic(grid):
 def test_zero_field_norms(grid):
     traj = Trajectory.from_constant(grid, grid.times, 0.0)
     sf = SpectralField.from_trajectory(traj, warn_boundary=False)
-    assert sf.l2_norm() == 0.0
-    assert sf.frac_norm("v", 1.0 / 3.0) == 0.0
+    norms = [sf.l2_norm()] + [sf.frac_norm(group, s) for group in ("t", "x", "v")
+                              for s in (0.0, 1.0 / 3.0, 1.0)]
+    # +0.0, not -0.0: the barrier rows of a run with a zero barrier print them
+    assert all(n == 0.0 and math.copysign(1.0, n) == 1.0 for n in norms)
+
+
+def test_frac_norm_reads_a_sum_rounded_below_zero_as_zero():
+    # an empty mode's marginal may come out a rounding error below zero
+    k_sq, power = np.array([0.0, 4.0]), np.array([0.0, -1e-30])
+    sf = SpectralField(power.copy(), {"v": (k_sq, power)}, 0.0, 1.0)
+    for s in (0.0, 1.0 / 3.0, 1.0):
+        norm = sf.frac_norm("v", s)
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+
+
+# --- the autocorrelation path against an independent padded fftn ------------------
+
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_autocorrelation_marginals_match_padded_fftn(shape, pad, padded_fftn_check):
+    # pad = 1 wraps every lag; on N = 2 the x group sits between t and v
+    vals, spacings, groups = random_spectral_case(shape, seed=5)
+    sf = SpectralField.from_values(vals, spacings, groups, pad=pad,
+                                   warn_boundary=False)
+    padded_fftn_check(sf, vals, spacings, groups, pad)
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape", [SHAPES["N=1 odd"], SHAPES["N=2 even"]],
+                         ids=["N=1", "N=2"])
+def test_autocorrelation_marginals_in_a_larger_box(shape, pad, padded_fftn_check):
+    vals, spacings, groups = random_spectral_case(shape, seed=6)
+    box = tuple(n + 3 for n in shape)
+    sf = SpectralField.from_values(vals, spacings, groups, pad=pad,
+                                   warn_boundary=False, box=box)
+    padded_fftn_check(sf, vals, spacings, groups, pad, box=box)
+
+
+def test_from_values_rejects_groups_it_cannot_correlate():
+    vals, spacings, _ = random_spectral_case(SHAPES["N=2 odd"])
+    with pytest.raises(ValueError, match="consecutive"):
+        SpectralField.from_values(vals, spacings, {"x": (1, 3)}, warn_boundary=False)
+    with pytest.raises(ValueError, match="shorter"):
+        SpectralField.from_values(vals, spacings, {"t": (0,)}, pad=1,
+                                  warn_boundary=False, box=(4,) + vals.shape[1:])
+
+
+def _window_case(seed=7):
+    """A random N = 2 trajectory and its level-1 window, a strided view."""
+    grid = PhaseGrid(2, (-1.5, 0.0), 8, 1.5, 9, 1.5, 10)
+    rng = np.random.default_rng(seed)
+    traj = Trajectory(grid, grid.times, rng.normal(size=(len(grid.times),) + grid.shape))
+    window = traj.window(dyadic_time(0), DyadicLevel(1).outer_radius)
+    assert not window.values.flags.c_contiguous
+    assert np.shares_memory(window.values, traj.values)
+    spacings = (float(grid.times[1] - grid.times[0]),) + (grid.dx,) * 2 + (grid.dv,) * 2
+    groups = {"t": (0,), "x": (1, 2), "v": (3, 4)}
+    return window, spacings, groups, (window.n_slices,) + grid.shape
+
+
+def test_autocorrelation_marginals_of_a_window_view(padded_fftn_check):
+    window, spacings, groups, box = _window_case()
+    assert window.values.shape[1:] != box[1:]
+    sf = SpectralField.from_trajectory(window, warn_boundary=False)
+    padded_fftn_check(sf, window.values, spacings, groups, 2, box=box)
+
+
+@pytest.mark.parametrize("slab", ["slice", "index"])
+def test_autocorrelation_marginals_over_many_slabs(monkeypatch, padded_fftn_check, slab):
+    window, spacings, groups, box = _window_case(seed=8)
+    one = SpectralField.from_trajectory(window, warn_boundary=False)
+    unit = window.values[0].nbytes
+    monkeypatch.setattr(geometry, "_SLAB_BYTES", unit if slab == "slice" else 1)
+    # every group is summed over several slabs: t over x_1, x and v over t
+    assert len(geometry._slabs(window.n_slices, unit)) == window.n_slices
+    assert len(geometry._slabs(window.values.shape[1],
+                               window.values.nbytes // window.values.shape[1])) > 1
+    many = SpectralField.from_trajectory(window, warn_boundary=False)
+    padded_fftn_check(many, window.values, spacings, groups, 2, box=box)
+    assert many.l2_sq == pytest.approx(one.l2_sq, rel=1e-14)
 
 
 def test_interpolation_equality_single_mode(grid):

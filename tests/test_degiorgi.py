@@ -8,6 +8,7 @@ from kfplab.coefficients import build_diffusion, build_source
 from kfplab.degiorgi import (
     IterationConstants,
     _barrier_slices,
+    _fk_norms,
     build_barrier_sources,
     chebyshev_audit,
     empirical_kappa,
@@ -127,14 +128,23 @@ def test_truncation_energy_checkerboard_oracle(grid):
 
 
 def test_barrier_and_truncation_norms_agree(rough_run):
+    # the barrier sources take ||f_k|| and ||grad_v f_k|| over Q_{k-1} from
+    # the truncation report: they are the norms of the sources' own window
     traj = rough_run["trajectory"]
     for k in (1, 2):
         trunc = truncation_energy(traj, k, rough_run["lam"])
         barrier = build_barrier_sources(traj, k, rough_run["diffusion"],
-                                        rough_run["source"])
+                                        rough_run["source"], trunc)
+        window = traj.window(float(barrier.fk.times[0]), DyadicLevel(k).outer_radius)
+        [(fk_l2, grad_l2)] = _fk_norms(window, k, DyadicLevel(k).outer_cylinder())
         assert trunc.fk_l2_outer > 0.0 and trunc.grad_l2_outer > 0.0
-        assert barrier.fk_l2 == pytest.approx(trunc.fk_l2_outer, rel=1e-12)
-        assert barrier.grad_fk_l2 == pytest.approx(trunc.grad_l2_outer, rel=1e-12)
+        assert (barrier.fk_l2, barrier.grad_fk_l2) == (trunc.fk_l2_outer,
+                                                       trunc.grad_l2_outer)
+        assert fk_l2 == pytest.approx(trunc.fk_l2_outer, rel=1e-12)
+        assert grad_l2 == pytest.approx(trunc.grad_l2_outer, rel=1e-12)
+    with pytest.raises(ValueError, match="level 1, not 2"):
+        build_barrier_sources(traj, 2, rough_run["diffusion"], rough_run["source"],
+                              truncation_energy(traj, 1, rough_run["lam"]))
 
 
 def test_truncation_energy_monotone_range_for_constants():
@@ -207,7 +217,7 @@ def test_barrier_sources_vanish_below_level(grid):
     a = build_diffusion(1, 2.0, "constant", value=1.0)
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 0.1)   # below C_1
-    rep = build_barrier_sources(traj, 1, a, g)
+    rep = build_barrier_sources(traj, 1, a, g, truncation_energy(traj, 1, a.lam))
     window = traj.window(dyadic_time(0), DyadicLevel(1).outer_radius)
     for _, s1, s2 in _barrier_slices(window, DyadicLevel(1), a, g):
         assert np.all(s1 == 0.0) and all(np.all(c == 0.0) for c in s2)
@@ -224,7 +234,7 @@ def test_barrier_sources_constant_field_oracle(grid):
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
     k = 1
-    rep = build_barrier_sources(traj, k, a, g)
+    rep = build_barrier_sources(traj, k, a, g, truncation_energy(traj, k, a.lam))
     lev = DyadicLevel(k)
     window = traj.window(dyadic_time(k - 1), lev.outer_radius)
     _, s1, (s2,) = next(_barrier_slices(window, lev, a, g))
@@ -252,8 +262,8 @@ def test_barrier_sources_constant_field_oracle(grid):
 def test_barrier_source_norm_bounds(rough_run):
     traj = rough_run["trajectory"]
     for k in (1, 2):
-        rep = build_barrier_sources(traj, k, rough_run["diffusion"],
-                                    rough_run["source"])
+        rep = build_barrier_sources(traj, k, rough_run["diffusion"], rough_run["source"],
+                                    truncation_energy(traj, k, rough_run["lam"]))
         assert rep.s2_within_bound
         assert rep.s1_within_bound
         assert rep.s2_bound_actual <= rep.s2_bound + 1e-12

@@ -4,11 +4,14 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import kfplab
 from kfplab import averaging, degiorgi, holder, pipeline, solver
 from kfplab.cli import main as cli_main
 from kfplab.config import parse_config
@@ -89,7 +92,7 @@ def test_energy_slack_and_gate_resolution_metrics():
     assert coarse.metrics["gate_resolution_limited"] is True
 
 
-def test_barrier_audits_see_nonzero_fields(monkeypatch):
+def test_barrier_audits_see_nonzero_fields(monkeypatch, padded_fftn_check):
     # at amplitude 3 the truncations (f - C_k)_+ eta are non-zero, so the
     # comparison and spectral audits check real barrier data
     spectra = []
@@ -135,6 +138,13 @@ def test_barrier_audits_see_nonzero_fields(monkeypatch):
     assert row[col["plancherel_defect"]] <= 1e-12 * max(1.0, l2)
     assert res.verdicts["comparison"]
     assert res.verdicts["spectral"]
+    # the barriers' spectra are an independent padded fftn's, the window
+    # zero-extended to the grid (a circular shift leaves every marginal)
+    assert len(spectra) == len(barriers)
+    for spec, (_, _, g) in zip(spectra, barriers):
+        spacings = (float(g.times[1] - g.times[0]), grid.dx, grid.dv)
+        padded_fftn_check(spec, g.values, spacings, {"t": (0,), "x": (1,), "v": (2,)},
+                          2, box=(g.n_slices,) + grid.shape)
 
 
 def test_barrier_artifacts_byte_identical_across_cli_runs(tmp_path):
@@ -153,6 +163,40 @@ def test_barrier_artifacts_byte_identical_across_cli_runs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["f_linf"]) > 0.0
     assert float(rows[0]["s1_l2"]) > 0.0
+
+
+def test_a_barrier_level_beyond_the_truncation_ladder_gets_its_own_report():
+    # the barrier budgets read the level's truncation report; level 3 lies
+    # beyond a ladder of levels 0..2
+    cfg = parse_config(BARRIER_CONFIG + "diagnostics.levels = 2\n"
+                                        "diagnostics.barrier_levels = 1, 3\n")
+    res = run_pipeline(cfg)
+    assert [row[0] for row in res.tables["truncation"]] == [0, 1, 2]
+    assert [row[0] for row in res.tables["barrier"]] == [1, 3]
+    traj = solve_initial(cfg, build_grid(cfg), build_coefficient(cfg),
+                         build_source_field(cfg))
+    rep = degiorgi.build_barrier_sources(traj, 3, build_coefficient(cfg),
+                                         build_source_field(cfg),
+                                         degiorgi.truncation_energy(traj, 3, cfg.lam))
+    col = CSV_COLUMNS["barrier"].index("s1_bound")
+    assert res.tables["barrier"][1][col] == rep.s1_bound
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the benchmark runs one BLAS thread and the tests the default; the
+    # spectra's Gram products must give the same bits at either count
+    cfg_path = tmp_path / "barrier.cfg"
+    cfg_path.write_text(BARRIER_CONFIG)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kfplab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "kfplab.cli", "run", str(cfg_path),
+                        "-o", str(tmp_path / threads)], env=env, check=True, timeout=600)
+    assert "barrier.csv" in _same_files(tmp_path / "1", tmp_path / "2")
+    with open(tmp_path / "1" / "barrier.csv", encoding="ascii") as fh:
+        assert float(next(csv.DictReader(fh))["interp_lhs"]) > 0.0
 
 
 # --- the overlapped stages ---------------------------------------------------------

@@ -258,8 +258,10 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     slabs of 18 time cells), each audit's tracemalloc rise above its entry
     must stay below BOUND = 0.75 of the trajectory's bytes.  Measured
     here: `truncation_energy` at k = 0 0.45, `linfty_gate` 0.38,
-    `SpectralField.from_trajectory` 0.27 and `oscillation_ladder` 0.30
-    (its re-solve's step plan on the inner cell box and kept slices).  With the whole-trajectory
+    `SpectralField.from_trajectory` 0.19 (one slab's squares for `l2_sq`;
+    its Gram products hold little more than each group's Gram matrix) and
+    `oscillation_ladder` 0.30 (its re-solve's step plan on the inner cell
+    box and kept slices).  With the whole-trajectory
     temporaries these streams replaced, the same calls rose 4.97, 2.97,
     6.47 and 3.31 trajectories.
     """
@@ -320,8 +322,9 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     rises = {"plan and first step": _rise(first), "later step": _rise(later)}
     del state
     traj = solve_initial(cfg, grid, diffusion, source)
+    trunc = truncation_energy(traj, 1, cfg.lam)
     rises["barrier audit"] = _rise(pipeline._barrier_audit, cfg, grid, traj, diffusion,
-                                   source, 1)
+                                   source, trunc)
     bounds = {"plan and first step": 17.6, "later step": 0.4, "barrier audit": 17.5}
     for name, rise in rises.items():
         assert rise < bounds[name] * MIB, (name, rise / MIB)

@@ -394,12 +394,19 @@ def test_chebyshev_counts_the_truncation_level_set():
     assert max(measures) > 0.0
 
 
+def _barrier_sources(traj, k, diffusion, source):
+    """`build_barrier_sources` with the f_k norms of the level's truncation
+    report, as the pipeline calls it."""
+    return build_barrier_sources(traj, k, diffusion, source,
+                                 truncation_energy(traj, k, diffusion.lam))
+
+
 @pytest.mark.parametrize("with_source", [True, False])
 def test_barrier_sources_match_reference(run, with_source):
     traj, diffusion = run["traj"], run["diffusion"]
     source = run["source"] if with_source else None
     for k in (1, 2):
-        got = build_barrier_sources(traj, k, diffusion, source)
+        got = _barrier_sources(traj, k, diffusion, source)
         expected = _build_barrier_sources_reference(traj, k, diffusion, source)
         cells = got.fk.grid
         assert cells.box == GridWindow(traj.grid, DyadicLevel(k).outer_radius).box
@@ -433,7 +440,7 @@ def test_barrier_sources_match_reference(run, with_source):
             assert _close(getattr(got, name), expected[name]), (k, name)
         if not with_source:
             assert got.g_ind_l2 == 0.0
-    assert build_barrier_sources(traj, 1, diffusion, source).s1_l2 > 0.0
+    assert _barrier_sources(traj, 1, diffusion, source).s1_l2 > 0.0
 
 
 @pytest.mark.parametrize("with_source", [True, False])
@@ -473,9 +480,10 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
     def distinct(keys):
         return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
 
+    trunc = truncation_energy(traj, 1, 2.0)
     for audit in (lambda: solver.energy_budget(traj, source, 2.0),
                   lambda: local_energy_check(traj, 1, 2.0, -0.75, 0.0, source),
-                  lambda: build_barrier_sources(traj, 1, diffusion, source)):
+                  lambda: build_barrier_sources(traj, 1, diffusion, source, trunc)):
         calls["sample"].clear()
         calls["diagonal"].clear()
         audit()
@@ -516,7 +524,7 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
     grid = traj.grid
     for k in (1, 2):
         i0 = traj.slice_index(dyadic_time(k - 1))
-        rep = build_barrier_sources(traj, k, diffusion, source)
+        rep = _barrier_sources(traj, k, diffusion, source)
         cells = rep.fk.grid
         window = traj.window(rep.fk.t_start, DyadicLevel(k).outer_radius)
         f_win = _cutoff_field(window, k)

@@ -23,15 +23,14 @@ f0 = PhaseField(grid, -1.5, 0.9 * np.cos(np.pi * x / 1.5) * np.exp(-v**2 / 0.18)
 traj = solve(f0, rough, source, 0.0, WHOLE_SPACE)
 
 print(" k      U_k        sup part   dissipation  |{f_k>0} n Q_{k-1}|")
-energies = []
-for k in range(5):
-    rep = truncation_energy(traj, k, 2.0)
-    energies.append(rep.energy)
-    print(f" {k}   {rep.energy:9.3e}  {rep.sup_term:9.3e}  {rep.dissipation_term:9.3e}"
+reports = [truncation_energy(traj, k, 2.0) for k in range(5)]
+energies = [rep.energy for rep in reports]
+for rep in reports:
+    print(f" {rep.k}   {rep.energy:9.3e}  {rep.sup_term:9.3e}  {rep.dissipation_term:9.3e}"
           f"    {rep.level_set:9.3e}")
 print("monotone:", all(b <= a + 1e-12 for a, b in zip(energies, energies[1:])))
 
 print("\n k   measure     Chebyshev bound   margin")
 for k in (1, 2, 3, 4):
-    rep = chebyshev_audit(traj, k, energies[k - 1])
+    rep = chebyshev_audit(traj, reports[k], energies[k - 1])
     print(f" {k}  {rep.measure:9.3e}   {rep.bound:9.3e}     {rep.margin:9.3e}")

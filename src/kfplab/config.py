@@ -225,8 +225,13 @@ class RunConfig:
             whole_steps(-self.t_min, dt, self.store_every)
         except StepCountError as exc:
             fail(f"solver.{exc.param}", str(exc))
-        # the barrier of level k starts from the stored slice at T_{k-1}
+        # the barrier of level k starts from the stored slice at T_{k-1} and
+        # steps at the stored spacing, under the same transport bound
         step = dt * self.store_every
+        if self.barrier_levels and step > cfl * (1 + 1e-12):
+            fail("solver.store_every", f"the barrier's step dt * store_every = "
+                                       f"{step} violates the transport bound "
+                                       f"dx/v_max = {cfl}")
         for k in self.barrier_levels:
             t_start = dyadic_time(k - 1)
             if t_start < self.t_min - 1e-9:

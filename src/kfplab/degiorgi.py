@@ -230,9 +230,10 @@ class ChebyshevReport:
         return self.margin >= -1e-12 * max(1.0, self.bound)
 
 
-def chebyshev_audit(traj: Trajectory, k: int,
+def chebyshev_audit(traj: Trajectory, trunc: TruncationReport,
                     u_prev: float | None = None) -> ChebyshevReport:
-    """Level-set measure against the Chebyshev bound at level k >= 1.
+    """Level-set measure against the Chebyshev bound at the level k >= 1
+    of `trunc`, this trajectory's `truncation_energy` report.
 
     Both sides use the same midpoint cell rule, so a counted cell has
     f_{k-1} > 2^{-k-1} at its center and the inequality
@@ -245,25 +246,24 @@ def chebyshev_audit(traj: Trajectory, k: int,
     continuous sup bound, so only the margin is recorded, not asserted).
 
     Both sides vanish outside Q_{k-1}, so the audit runs on the level
-    window from T_{k-1}, the view `truncation_energy` counts its level set
-    on, and the two measures are equal.
+    window from T_{k-1}.  The measure is the report's `level_set`, counted
+    on that window with the same predicate and region; the integral is
+    summed over the same slabs of the same cells.
     """
+    k = trunc.k
     if k < 1:
-        raise ValueError(f"chebyshev audit requires k >= 1, got {k}")
+        raise ValueError(f"chebyshev audit requires a report of level k >= 1, got {k}")
     level = DyadicLevel(k)
     traj = traj.window(dyadic_time(k - 1), level.outer_radius)
-    c_k = dyadic_truncation(k)
     c_prev = dyadic_truncation(k - 1)
-    q_out = level.outer_cylinder()
-    measure = level_set_measure(traj, lambda f: f > c_k, q_out)
     integral = cylinder_integral(
-        traj, lambda f: np.maximum(f - c_prev, 0.0) ** 2, q_out)
+        traj, lambda f: np.maximum(f - c_prev, 0.0) ** 2, level.outer_cylinder())
     bound = 2.0 ** (2 * k + 2) * integral
     chained = chained_margin = None
     if u_prev is not None:
         chained = 3.0 * 2.0 ** (2 * k + 1) * u_prev
         chained_margin = chained - bound
-    return ChebyshevReport(k, measure, integral, bound, bound - measure,
+    return ChebyshevReport(k, trunc.level_set, integral, bound, bound - trunc.level_set,
                            chained, chained_margin)
 
 

@@ -14,8 +14,11 @@ Set measures are computed with a midpoint cell rule: a spacetime cell
 counts iff its center satisfies the predicate, so the error is at most
 one cell layer and the rule is monotone in the threshold.  The rule is
 evaluated on the region's bounding box only: the contiguous range of time
-cells it holds and the bounding cell box of its (x, v) mask, both read as
-views of the stored slices, a slab of at most `_SLAB_BYTES` at a time.
+cells it holds and the bounding cell box of its (x, v) mask.  One reducer,
+`SliceIntegral`, evaluates it for every cylinder integral and level-set
+measure: it takes the stored slices one at a time and sums the cells a
+slab of at most `_SLAB_BYTES` at a time, so both sides of a Chebyshev
+comparison sum the same cells over the same slabs.
 
 The v-calculus is the scheme's face difference D = np.diff/dv, its adjoint
 the face divergence, and one rule splitting each interior face value evenly
@@ -512,77 +515,58 @@ def _slabs(count: int, unit_bytes: int) -> list:
     return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def _cell_slabs(traj, region: Cylinder):
-    """(values, mask) per slab: the midpoint-in-time values of a run of the
-    region's time cells on the bounding box of its (x, v) mask, and the
-    mask on that box; no slab when no time cell lies in the region."""
-    _check_region(traj, region)
-    cells = _time_cells(traj, region)
-    box, mask = region.space_box(traj.grid)
-    for part in _slabs(cells.stop - cells.start, traj.values[0].nbytes):
-        stored = traj.values[cells.start + part.start:cells.start + part.stop + 1]
-        stored = stored[(slice(None),) + box]
-        vals = stored[:-1] + stored[1:]
-        vals *= 0.5
-        yield vals, mask
+class SliceIntegral:
+    """The integral of func(f) over `region` by the midpoint cell rule, of
+    a trajectory whose stored slices come one at a time: `add(i, values)`
+    takes stored slice i, in time order, of a trajectory on `traj`'s cells
+    and times (`traj` is read for those and its slice size only), and
+    `value()` is the integral once the region's last stored slice has come.
 
+    The one engine of every cylinder integral and level-set measure.  The
+    region's time cells are cut into slabs of at most `_SLAB_BYTES` of
+    stored slices; each slice added to the slab on the region's bounding
+    box closes time cell i - 1 and opens time cell i, and a slab complete
+    is halved into its midpoint values, `func` applied, the (x, v) mask
+    multiplied in place and the product summed.  Only the current slab is
+    held, and the slab sums are added in time order (`_slab_total`).
+    """
 
-def _mapped_slab_sums(traj, regions, slice_map, reduce) -> list:
-    """For each region, [reduce(values, mask) per slab] of the `_cell_slabs`
-    of the trajectory mapped by `slice_map`, which must act slice by slice
-    and runs on the stored slices' whole cell box, so face differences see
-    every neighbour.  Each stored slice is mapped once for all regions: in
-    time order, in groups whose temporaries, counted as `_MAP_COPIES`
-    arrays of its input, fit one slab; each region gathers the cell values
-    of its own slabs from them (`_SlabCells`)."""
-    for region in regions:
+    def __init__(self, traj, func, region: Cylinder):
         _check_region(traj, region)
-    regions = [_SlabCells(traj, region, reduce) for region in regions]
-    spans = [region.slabs for region in regions if region.slabs]
-    first = min((slabs[0][0] for slabs in spans), default=0)
-    last = max((slabs[-1][1] for slabs in spans), default=-1)
-    for group in _slabs(last + 1 - first, _MAP_COPIES * traj.values[0].nbytes):
-        mapped = slice_map(traj.values[first + group.start:first + group.stop])
-        for j, i in enumerate(range(first + group.start, first + group.stop)):
-            for region in regions:
-                region.add(i, mapped[j])
-    return [region.sums for region in regions]
-
-
-class _SlabCells:
-    """One region's cell values in `_mapped_slab_sums`, fed one mapped
-    stored slice at a time in time order: per slab of the region's time
-    cells, each mapped slice plus the next on the region's bounding box,
-    halved and reduced when the slab's last stored slice has come."""
-
-    def __init__(self, traj, region: Cylinder, reduce):
         cells = _time_cells(traj, region)
         self.box, self.mask = region.space_box(traj.grid)
         self.slabs = [(cells.start + part.start, cells.start + part.stop)
                       for part in _slabs(cells.stop - cells.start, traj.values[0].nbytes)]
-        self.reduce = reduce
+        self.func = func
         self.sums = []
         self.cells = None
+        self.dt_cell = float(traj.times[1] - traj.times[0])
+        self.cell_volume = traj.grid.cell_volume
 
     def add(self, i: int, values):
-        """Take mapped stored slice i: it closes time cell i - 1 and opens
-        time cell i of the region."""
-        if not self.slabs or i < self.slabs[0][0]:
-            return
-        a, b = self.slabs[0]
-        if self.cells is None:
-            self.cells = np.empty((b - a,) + self.mask.shape)
-        if i > a:
-            self.cells[i - 1 - a] += values[self.box]
-        if i < b:
-            self.cells[i - a] = values[self.box]
-        if i == b:
+        """Take stored slice i: it closes time cell i - 1 and opens time
+        cell i of the region; the slice that closes a slab opens the next."""
+        while self.slabs and i >= self.slabs[0][0]:
+            a, b = self.slabs[0]
+            if self.cells is None:
+                self.cells = np.empty((b - a,) + self.mask.shape)
+            if i > a:
+                self.cells[i - 1 - a] += values[self.box]
+            if i < b:
+                self.cells[i - a] = values[self.box]
+                return
             self.cells *= 0.5
-            self.sums.append(self.reduce(self.cells, self.mask))
+            vals = self.func(self.cells)
+            vals *= self.mask
+            # a level set's 0/1 cells are counted: np.sum would cast them
+            # to integers through a buffer of its own
+            total = np.count_nonzero(vals) if vals.dtype == bool else np.sum(vals)
+            self.sums.append(float(total))
             self.cells = None
             self.slabs.pop(0)
-            # the slice that closes a slab opens the next one
-            self.add(i, values)
+
+    def value(self) -> float:
+        return _slab_total(self.sums) * self.dt_cell * self.cell_volume
 
 
 def _slab_total(parts) -> float:
@@ -594,87 +578,50 @@ def _slab_total(parts) -> float:
     return 0.0 if total is None else total
 
 
-def level_set_measure(traj, predicate, region: Cylinder, slice_map=None) -> float:
-    """Lebesgue measure of {(t,x,v) in region : predicate(f)} by the cell rule.
+def cylinder_integrals(traj, func, regions, slice_map=None) -> list:
+    """The integral of func(f) over each region by the midpoint cell rule:
+    the cell value is the midpoint-in-time average of the two adjacent
+    stored slices (of `slice_map` applied to each stored slice, when
+    given), and `func` acts cell by cell on the region's bounding box.
 
-    `traj` is a time-indexed field (attributes grid, times, values); the
-    cell value is the midpoint-in-time average of the two adjacent slices
-    (of `slice_map` applied to each stored slice, when given).  `predicate`
-    acts cell by cell and sees only the region's bounding box.  Monotone in
-    the threshold by construction; error at most one cell layer.  The cells
-    are counted slab by slab (`_SLAB_BYTES`), so nothing the size of the
-    trajectory is built; the count is exact at any slab size.
+    One `SliceIntegral` per region is fed the stored slices in time order,
+    so every integral is the one region's bit for bit.  Without a slice map
+    it is fed views of the stored slices.  A nonlinear `slice_map` (a
+    truncation, a gradient density) must act slice by slice; it runs on
+    the stored slices' whole cell box, so face differences see every
+    neighbour, once for all regions, in groups whose temporaries, counted
+    as `_MAP_COPIES` arrays of its input, fit one slab.
     """
-    count_cells = lambda vals, mask: int(np.count_nonzero(predicate(vals) & mask))
-    if slice_map is None:
-        count = sum(count_cells(vals, mask) for vals, mask in _cell_slabs(traj, region))
-    else:
-        [counts] = _mapped_slab_sums(traj, [region], slice_map, count_cells)
-        count = sum(counts)
-    dt_cell = float(traj.times[1] - traj.times[0])
-    return count * dt_cell * traj.grid.cell_volume
+    integrals = [SliceIntegral(traj, func, region) for region in regions]
+    spans = [integral.slabs for integral in integrals if integral.slabs]
+    first = min((slabs[0][0] for slabs in spans), default=0)
+    last = max((slabs[-1][1] for slabs in spans), default=-1)
+    unit = traj.values[0].nbytes * (1 if slice_map is None else _MAP_COPIES)
+    for group in _slabs(last + 1 - first, unit):
+        stored = traj.values[first + group.start:first + group.stop]
+        mapped = stored if slice_map is None else slice_map(stored)
+        for i, values in enumerate(mapped, first + group.start):
+            for integral in integrals:
+                integral.add(i, values)
+    return [integral.value() for integral in integrals]
 
 
 def cylinder_integral(traj, func, region: Cylinder, slice_map=None) -> float:
-    """Integral of func(f) over the region with the same cell rule as
-    `level_set_measure`, so Chebyshev comparisons are exact discretely.
+    """`cylinder_integrals` of one region.  `level_set_measure` uses the
+    same cells and slabs, so Chebyshev comparisons are exact discretely."""
+    return cylinder_integrals(traj, func, [region], slice_map)[0]
 
-    `func` acts cell by cell and is evaluated on the region's bounding box
-    only: its time cells and the bounding cell box of its (x, v) mask.  A
-    nonlinear `slice_map` (a truncation, a gradient density) is applied to
-    each stored slice before the midpoint average, as if the trajectory
-    were mapped first.  Only the per-slab sums are kept: the time cells
-    are reduced `_SLAB_BYTES` of stored slices at a time and the slab sums
-    added in time order, so a one-slab integral is one sum over its cells,
-    and both sides of a Chebyshev comparison, summed over the same slabs,
-    stay exact.
+
+def level_set_measure(traj, predicate, region: Cylinder, slice_map=None) -> float:
+    """Lebesgue measure of {(t,x,v) in region : predicate(f)} by the cell
+    rule: `cylinder_integral` of the predicate's 0/1 value, so a count of
+    whole cells per slab, exact below 2^53 cells at any slab size.
+
+    `predicate` returns a boolean array; it acts cell by cell and sees only
+    the region's bounding box.  Monotone in the threshold by construction;
+    error at most one cell layer.
     """
-    if slice_map is not None:
-        return cylinder_integrals(traj, func, [region], slice_map)[0]
-    total = _slab_total(_masked_sum(func, vals, mask)
-                        for vals, mask in _cell_slabs(traj, region))
-    dt_cell = float(traj.times[1] - traj.times[0])
-    return total * dt_cell * traj.grid.cell_volume
-
-
-class SliceIntegral:
-    """`cylinder_integral(traj, func, region)` of a trajectory whose slices
-    come one at a time: `add(i, values)` takes stored slice i, in time
-    order, of a trajectory on `traj`'s cells and times (`traj` itself is
-    read for those only), and `value()` is the integral once the region's
-    last stored slice has come.  The slab sums are `cylinder_integral`'s
-    bit for bit (`_SlabCells`), and only the current slab is held."""
-
-    def __init__(self, traj, func, region: Cylinder):
-        _check_region(traj, region)
-        self.cells = _SlabCells(traj, region,
-                                lambda vals, mask: _masked_sum(func, vals, mask))
-        self.dt_cell = float(traj.times[1] - traj.times[0])
-        self.cell_volume = traj.grid.cell_volume
-
-    def add(self, i: int, values):
-        self.cells.add(i, values)
-
-    def value(self) -> float:
-        return _slab_total(self.cells.sums) * self.dt_cell * self.cell_volume
-
-
-def cylinder_integrals(traj, func, regions, slice_map) -> list:
-    """`cylinder_integral(traj, func, region, slice_map)` of each region,
-    with every stored slice mapped only once for all of them; each region
-    still adds its own slab sums (`_mapped_slab_sums`), so every integral
-    is the one region's bit for bit."""
-    dt_cell = float(traj.times[1] - traj.times[0])
-    return [_slab_total(sums) * dt_cell * traj.grid.cell_volume for sums in
-            _mapped_slab_sums(traj, regions, slice_map,
-                              lambda vals, mask: _masked_sum(func, vals, mask))]
-
-
-def _masked_sum(func, vals: np.ndarray, mask) -> float:
-    """sum(func(vals) * mask), the product taken in place."""
-    vals = func(vals)
-    vals *= mask
-    return float(np.sum(vals))
+    return cylinder_integral(traj, predicate, region, slice_map)
 
 
 def cylinder_nodes(traj, region: Cylinder) -> np.ndarray:

@@ -317,7 +317,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     cheb_rows = []
     cheb_ok = True
     for k in range(1, cfg.levels + 1):
-        rep = degiorgi.chebyshev_audit(traj, k, energies[k - 1])
+        rep = degiorgi.chebyshev_audit(traj, trunc_reports[k], energies[k - 1])
         cheb_rows.append([rep.k, rep.measure, rep.integral, rep.bound, rep.margin,
                           rep.chained_bound, rep.chained_margin])
         cheb_ok &= rep.passed

@@ -112,7 +112,8 @@ def test_config_rejects_dt_not_dividing_the_span():
 
 
 def test_config_rejects_store_every_not_dividing_the_steps(tmp_path, capsys):
-    text = ("grid.t_min = -1.0\nsolver.store_every = {}\n"
+    # 16 x cells keep the barrier's step dt * store_every within dx/v_max
+    text = ("grid.t_min = -1.0\ngrid.n_x = 16\nsolver.store_every = {}\n"
             "diagnostics.barrier_levels = 1\ndiagnostics.bisection = false\n")
     with pytest.raises(ConfigError, match="solver.store_every"):
         parse_config(text.format(5))    # 48 steps
@@ -121,6 +122,27 @@ def test_config_rejects_store_every_not_dividing_the_steps(tmp_path, capsys):
     cfg_path.write_text(text.format(5))
     assert cli_main(["run", str(cfg_path)]) == 2
     assert "solver.store_every" in capsys.readouterr().err
+
+
+STORE_24 = "grid.n_x = 24\ngrid.n_v = 24\ndiagnostics.bisection = false\n"
+
+
+def test_config_rejects_store_every_over_the_barrier_transport_bound():
+    # the barrier steps at the stored spacing dt * store_every: 0.125 on
+    # 24^2 over dx/v_max = 1/12, and on the default grid dt is at the bound
+    with pytest.raises(ConfigError, match="field 'solver.store_every': the barrier's "
+                                          "step dt [*] store_every = 0.125 violates"):
+        parse_config(STORE_24 + "grid.n_t = 24\nsolver.store_every = 2\n")
+    with pytest.raises(ConfigError, match="field 'solver.store_every'"):
+        parse_config("solver.store_every = 2\n")
+
+
+@pytest.mark.parametrize("n_t,store_every", [(48, 2), (96, 4)])
+def test_store_every_within_the_bound_completes(n_t, store_every):
+    cfg = parse_config(STORE_24 + f"grid.n_t = {n_t}\nsolver.store_every = {store_every}\n")
+    result = pipeline.run_pipeline(cfg)
+    assert "manifest.status = complete\n" in pipeline.manifest_text(cfg, result)
+    assert len(result.tables["barrier"]) == len(cfg.barrier_levels)
 
 
 def test_sweep_keys_returned_by_the_parser():

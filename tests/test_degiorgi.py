@@ -172,9 +172,14 @@ def test_truncation_energy_monotone_on_solver_run(rough_run):
 
 # --- Chebyshev ------------------------------------------------------------------
 
+def _chebyshev(traj, k, u_prev=None):
+    """`chebyshev_audit` of level k with the level's truncation report."""
+    return chebyshev_audit(traj, truncation_energy(traj, k, 2.0), u_prev)
+
+
 def test_chebyshev_zero_field(grid):
     traj = Trajectory.from_constant(grid, grid.times, 0.0)
-    rep = chebyshev_audit(traj, 1)
+    rep = _chebyshev(traj, 1)
     assert rep.measure == 0.0 and rep.bound == 0.0
     assert rep.passed
 
@@ -186,13 +191,13 @@ def test_chebyshev_constant_just_above_level(grid):
     delta = 0.01
     c_k = DyadicLevel(k).truncation
     traj = Trajectory.from_constant(grid, grid.times, c_k + delta)
-    rep = chebyshev_audit(traj, k)
+    rep = _chebyshev(traj, k)
     factor = (2.0 ** (k + 1) * (2.0 ** (-k - 1) + delta)) ** 2
     assert rep.bound == pytest.approx(factor * rep.measure, rel=1e-12)
     assert rep.passed
     # at delta = 0 the level set {f_k > 0} is empty (strict inequality)
     traj0 = Trajectory.from_constant(grid, grid.times, c_k)
-    rep0 = chebyshev_audit(traj0, k)
+    rep0 = _chebyshev(traj0, k)
     assert rep0.measure == 0.0 and rep0.passed
 
 
@@ -200,7 +205,7 @@ def test_chebyshev_exact_on_solver_run(rough_run):
     traj = rough_run["trajectory"]
     for k in (1, 2, 3, 4):
         u_prev = truncation_energy(traj, k - 1, rough_run["lam"]).energy
-        rep = chebyshev_audit(traj, k, u_prev)
+        rep = _chebyshev(traj, k, u_prev)
         assert rep.passed
         assert rep.margin >= -1e-12
 
@@ -208,7 +213,7 @@ def test_chebyshev_exact_on_solver_run(rough_run):
 def test_chebyshev_requires_k_ge_1(grid):
     traj = Trajectory.from_constant(grid, grid.times, 0.0)
     with pytest.raises(ValueError):
-        chebyshev_audit(traj, 0)
+        _chebyshev(traj, 0)
 
 
 # --- barrier sources -------------------------------------------------------------
@@ -318,7 +323,7 @@ def test_truncation_machinery_dim2_smoke():
     traj = Trajectory(grid2, grid2.times, vals)
     energies = [truncation_energy(traj, k, 2.0).energy for k in (0, 1)]
     assert energies[0] > 0
-    rep = chebyshev_audit(traj, 1)
+    rep = _chebyshev(traj, 1)
     assert rep.passed
     assert rep.measure <= rep.bound + 1e-12
 

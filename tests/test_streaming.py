@@ -204,17 +204,19 @@ def test_streamed_reductions_do_not_depend_on_the_slab(monkeypatch, dim, n, n_t)
     assert one["measure", "Q[1.0]", "pos"] > 0.0
     # both sides of the Chebyshev bound are summed over the same slabs
     for k in (1, 2, 3):
-        rep = chebyshev_audit(traj, k)
+        rep = chebyshev_audit(traj, truncation_energy(traj, k, 2.0))
         assert rep.measure > 0.0
         assert rep.margin >= 0.0, k
 
 
 @pytest.mark.parametrize("slab_slices", [None, 1, 3])
 def test_shared_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_slices):
-    """`cylinder_integrals` maps each stored slice once for several regions
-    and still adds each region's own slab sums, and `SliceIntegral`, fed
-    one stored slice at a time, adds `cylinder_integral`'s: one slab, a
-    slab per slice, and slabs that cut the regions' time cells apart."""
+    """Every cylinder integral runs on one `SliceIntegral` per region:
+    `cylinder_integrals` feeds those of several regions from one pass that
+    maps each stored slice once, and each value is the one region's
+    `cylinder_integral` bit for bit; a `SliceIntegral` fed the stored
+    slices by hand adds the same slab sums.  At one slab, a slab per
+    slice, and slabs that cut the regions' time cells apart."""
     grid = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 9, 1.5, 9)
     traj = _field(grid, seed=4)
     if slab_slices is not None:

@@ -92,6 +92,8 @@ _RUN = {"grid.dim": 1, "grid.n_t": 24, "grid.n_x": 24, "grid.n_v": 24,
 # transport bound 2/n_x at n_t = 6, n_x = 9
 @example({**_RUN, "grid.n_t": 6, "grid.n_x": 9, "grid.n_v": 9, "grid.v_max": 1.05,
           "diagnostics.omega": 0.2})
+# the barrier steps at the stored spacing 2 dt = 0.125, over dx/v_max = 1/12
+@example({**_RUN, "solver.store_every": 2, "diagnostics.bisection": False})
 def test_config_is_rejected_or_completes(entries):
     try:
         cfg = parse_config(_text(entries))

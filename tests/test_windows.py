@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kfplab import averaging, solver
+from kfplab import averaging, geometry, solver
 from kfplab.coefficients import DiffusionField, KeyedSampler, SourceField, build_diffusion, \
     build_source
 from kfplab.config import parse_config
@@ -27,7 +27,9 @@ from kfplab.geometry import (
     DyadicLevel,
     GridWindow,
     PhaseGrid,
+    SliceIntegral,
     cylinder_integral,
+    cylinder_integrals,
     cylinder_node_extrema,
     dyadic_time,
     face_divergence,
@@ -343,27 +345,53 @@ def test_window_margin_clips_at_grid_edge():
 
 # --- the audits against their references --------------------------------------------
 
-def test_cylinder_integral_matches_reference(run):
+def test_cylinder_integral_matches_reference(run, monkeypatch):
+    """Every entry to the one midpoint-cell reducer against the whole-array
+    references: one region, several regions at once, a slice map, and
+    `SliceIntegral` fed one stored slice at a time; at the default slab
+    and at a slab of one stored slice.  Measures are counts, so equal."""
     traj = run["traj"]
-    dim = traj.grid.dim
+    _reducer_matches_reference(traj)
+    monkeypatch.setattr(geometry, "_SLAB_BYTES", traj.values[0].nbytes)
+    _reducer_matches_reference(traj)
+
+
+def _reducer_matches_reference(traj):
     regions = [make_cylinder(DyadicLevel(k).outer_radius) for k in range(4)]
     regions += [make_cylinder(0.125), hat_cylinder(),
                 Cylinder(-0.9, -0.2, 0.7)]
     funcs = [lambda f: f**2, lambda f: np.maximum(f - 0.25, 0.0) ** 2, np.abs]
+    # the isoperimetric probe's flip and a truncation
+    slice_maps = [np.negative, lambda s: np.maximum(s - 0.25, 0.0)]
     for region in regions:
         for func in funcs:
             expected = _cylinder_integral_reference(traj, func, region)
             assert _close(cylinder_integral(traj, func, region), expected), region
+            streamed = SliceIntegral(traj, func, region)
+            for i, values in enumerate(traj.values):
+                streamed.add(i, values)
+            assert _close(streamed.value(), expected), region
         for level in (0.25, 0.5, 1.0):
             pred = lambda f: f > level
             assert level_set_measure(traj, pred, region) \
                 == _level_set_measure_reference(traj, pred, region)
+            for slice_map in slice_maps:
+                assert level_set_measure(traj, pred, region, slice_map) \
+                    == _level_set_measure_reference(traj.map_values(slice_map),
+                                                    pred, region)
         times = region.contains_time(traj.times)
         mask = region.space_mask(traj.grid)
         if times.any() and mask.any():
             vals = traj.values[times][:, mask]
             assert cylinder_node_extrema(traj, region) == (
                 float(vals.min()), float(vals.max()), int(vals.size))
+    for func in funcs:
+        for slice_map in [None] + slice_maps:
+            mapped = traj if slice_map is None else traj.map_values(slice_map)
+            got = cylinder_integrals(traj, func, regions, slice_map)
+            for region, value in zip(regions, got):
+                expected = _cylinder_integral_reference(mapped, func, region)
+                assert _close(value, expected), region
 
 
 def test_truncation_energy_matches_reference(run):
@@ -380,17 +408,25 @@ def test_truncation_energy_matches_reference(run):
 def test_chebyshev_counts_the_truncation_level_set():
     # N = 2, 18^4 cells, n_t = 18: the slice spacing 1/12 is not a binary
     # fraction, so times[1] - times[0] of the whole trajectory and of a level
-    # window differ in the last bits; both audits read the level window, so
-    # they count {f_k > 0} in Q_{k-1} as one number
+    # window differ in the last bits; the audit takes {f_k > 0} in Q_{k-1}
+    # from the truncation report, which counts it on the level window
     cfg = parse_config("grid.dim = 2\ngrid.n_t = 18\ngrid.n_x = 18\ngrid.n_v = 18\n"
                        "diagnostics.omega = 0.25\ncoeff.kind = cellwise_random\n"
                        "initial.kind = bump\ninitial.amplitude = 3.0\n"
                        "source.kind = bump\nsource.bound = 1.0\nrun.seed = 2\n")
     grid = build_grid(cfg)
     traj = solve_initial(cfg, grid, build_coefficient(cfg), build_source_field(cfg))
-    measures = [chebyshev_audit(traj, k).measure for k in range(1, 5)]
-    assert measures == [truncation_energy(traj, k, cfg.lam).level_set
-                        for k in range(1, 5)]
+    measures = []
+    for k in range(1, 5):
+        level = DyadicLevel(k)
+        trunc = truncation_energy(traj, k, cfg.lam)
+        window = traj.window(dyadic_time(k - 1), level.outer_radius)
+        recount = level_set_measure(window, lambda f: f > level.truncation,
+                                    level.outer_cylinder())
+        rep = chebyshev_audit(traj, trunc)
+        assert rep.measure == trunc.level_set == recount
+        assert rep.margin >= 0.0
+        measures.append(rep.measure)
     assert max(measures) > 0.0
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from kfplab import PhaseField, PhaseGrid, WHOLE_SPACE, build_diffusion, \
     build_source, solve, solve_barrier_ibvp
-from kfplab.degiorgi import build_barrier_sources, truncation_energy
+from kfplab.degiorgi import LevelPass, build_barrier_sources, truncation_energy
 from kfplab.solver import comparison_check
 
 grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 64, 1.5, 64)
@@ -28,7 +28,7 @@ traj = solve(f0, rough, source, 0.0, WHOLE_SPACE)
 for k in (1, 2):
     # the ladder budgets read the f_k norms of the level's truncation report
     rep = build_barrier_sources(traj, k, rough, source,
-                                truncation_energy(traj, k, rough.lam))
+                                truncation_energy(LevelPass(traj, k), rough.lam))
     # F_k on the sources' window: slices from T_{k-1}, cells of B(R_{k-1})^2
     fk = rep.fk
     barrier = solve_barrier_ibvp(rep.source, rough, k, initial=fk.field(0))

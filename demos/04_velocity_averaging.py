@@ -14,7 +14,7 @@ from kfplab import PhaseField, PhaseGrid, WHOLE_SPACE, build_diffusion, \
     build_source, solve, solve_barrier_ibvp
 from kfplab.averaging import SpectralField, averaging_estimate_audit, \
     interpolation_audit, velocity_average
-from kfplab.degiorgi import build_barrier_sources, truncation_energy
+from kfplab.degiorgi import LevelPass, build_barrier_sources, truncation_energy
 from kfplab.fields import Trajectory
 from kfplab.geometry import DyadicLevel
 
@@ -40,7 +40,7 @@ traj = solve(f0, rough, g, 0.0, WHOLE_SPACE)
 # the sources and the barrier live on the level-1 window; its spectra are
 # taken at the whole grid's padded lengths, so they are the spectra of G_1
 # zero-extended to the grid
-rep = build_barrier_sources(traj, 1, rough, g, truncation_energy(traj, 1, rough.lam))
+rep = build_barrier_sources(traj, 1, rough, g, truncation_energy(LevelPass(traj, 1), rough.lam))
 barrier = solve_barrier_ibvp(rep.source, rough, 1, initial=rep.fk.field(0))
 
 spec = SpectralField.from_trajectory(barrier, warn_boundary=False)

@@ -130,8 +130,10 @@ class RunConfig:
                           ("grid.n_v", self.n_v)):
             if val < 4:
                 fail(path, f"resolution must be >= 4, got {val}")
-        if not self.t_min < 0.0:
-            fail("grid.t_min", f"must be negative (runs end at 0), got {self.t_min}")
+        # runs end at 0, and U_0 reads the stored slices from T_0 = -1 on
+        if self.t_min > dyadic_time(0) + 1e-9:
+            fail("grid.t_min", f"must be at or before T_0 = {dyadic_time(0)}, where the "
+                               f"time window of U_0 starts, got {self.t_min}")
         for path, val in (("grid.x_max", self.x_max), ("grid.v_max", self.v_max)):
             if not val > 0:
                 fail(path, f"box half-widths must be positive, got {val}")
@@ -234,9 +236,6 @@ class RunConfig:
                                        f"dx/v_max = {cfl}")
         for k in self.barrier_levels:
             t_start = dyadic_time(k - 1)
-            if t_start < self.t_min - 1e-9:
-                fail("grid.t_min", f"barrier level {k} starts at T_{k - 1} = "
-                                   f"{t_start}, before t_min = {self.t_min}")
             t_slice = self.t_min + round((t_start - self.t_min) / step) * step
             if abs(t_slice - t_start) > 1e-9:
                 fail("grid.n_t" if self.dt is None else "solver.dt",

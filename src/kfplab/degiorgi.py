@@ -32,7 +32,6 @@ from .geometry import (
     ball_volume,
     cell_grad_v,
     cylinder_integral,
-    cylinder_integrals,
     cylinder_node_extrema,
     cylinder_nodes,
     dyadic_time,
@@ -45,7 +44,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "CutoffSums",
+    "LevelPass",
     "TruncationReport",
     "ChebyshevReport",
     "BarrierSource",
@@ -77,73 +76,90 @@ def grad_v_sq_trajectory(traj: Trajectory) -> Trajectory:
     return traj.map_values(lambda values: grad_v_sq_density(traj.grid, values))
 
 
-class CutoffSums:
-    """Raw cell sums of the five level-k cutoff-energy integrands of
-    f_k = (f - C_k)_+ on the stored slices of one trajectory:
+class LevelPass:
+    """Every integral of level k's truncation f_k = (f - C_k)_+ that the
+    level's audits read, from one walk of the level window.
+
+    The window is `Trajectory.window` of level k: the stored slices from
+    the last one at or before T_{k-1}, on the cell box of B(R_{k-1})^2 with
+    one extra v cell, outside which every level-k integrand vanishes.  The
+    pass takes its stored slices once, in time order, and forms f_k and
+    the face-difference density |grad_v f_k|^2 of each once, for the
+    `geometry.SliceIntegral`s of `fk_l2` and `grad_l2`, ||f_k|| and
+    ||grad_v f_k|| in L2 of (Q_k, Q_{k-1}).  The level set `level_set`,
+    |{f > C_k} cap Q_{k-1}|, and the Chebyshev bound's integral `prev_sq`,
+    int_{Q_{k-1}} f_{k-1}^2 (None at k = 0), read the stored slices
+    themselves: they are summed after the walk, over views of the window,
+    so that their slabs are not held beside those of f_k.
+
+    From the last slice at or before T_k on (window index `first`), where
+    U_k and the local energy inequality read, each slice also gives the
+    raw cell sums of the five cutoff-energy integrands (`cutoff_sums`):
 
         eta_x eta_v^2 f_k^2,   eta_x |grad_v(eta_v f_k)|^2,
         eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
-        g f_k eta_x eta_v^2  (0.0 without a source),
+        g f_k eta_x eta_v^2  (0.0 without a source).
 
-    with |grad_v|^2 the face-difference cell density, each summed over the
-    level window (the cell box of B(R_{k-1})^2 with one extra v cell).
-
-    Called with slice indices of the trajectory, it returns {index: sums}.
-    Each slice's sums are computed once, when first asked for, and do not
-    depend on which other slices are asked for; so the local energy
-    inequality's (s, t) pairs (`solver.local_energy_check`) and U_k
-    (`truncation_energy`) of one level, which read the same slices, share
-    one instance and truncate and difference each slice once.  With
-    `energy_only` only the first two sums are computed, all U_k reads.
+    Slice indices are those of the window (`window`, a read-only view).
     """
 
-    def __init__(self, traj: Trajectory, k: int, source=None,
-                 energy_only: bool = False):
+    def __init__(self, traj: Trajectory, k: int, source=None):
         level = DyadicLevel(k)
-        self.k, self.source, self.energy_only = k, source, energy_only
-        self.win = traj.window(float(traj.times[0]), level.outer_radius)
-        cells = self.win.grid
-        self.c = level.truncation
-        self.eta_x = cells.expand_x(level.eta(cells.rho_x))
-        self.eta_v = cells.expand_v(level.eta(cells.rho_v))
-        self.eta_v_sq = self.eta_v**2
-        self.weight = self.eta_x * self.eta_v_sq
-        if not energy_only:
-            self.slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
-            self.vdot = level.v_dot_grad_eta_x(cells)
-        self.sample = None if source is None else KeyedSampler(
+        if traj.times[0] > level.t_start + 1e-9:
+            raise GeometryError(
+                f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
+        self.k = k
+        self.window = win = traj.window(dyadic_time(k - 1), level.outer_radius)
+        self.first = max(int(np.searchsorted(win.times, level.t_start, side="right")) - 1, 0)
+        cells = win.grid
+        c = level.truncation
+        eta_x = cells.expand_x(level.eta(cells.rho_x))
+        eta_v = cells.expand_v(level.eta(cells.rho_v))
+        eta_v_sq = eta_v**2
+        slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
+        vdot = level.v_dot_grad_eta_x(cells)
+        sample = None if source is None else KeyedSampler(
             source, lambda t: source.sample(cells, t))
-        self.sums = {}
+        regions = (level.cylinder(), level.outer_cylinder())
+        # the squares are taken in place: a slab makes no second slab-sized array
+        fk_sq = [SliceIntegral(win, lambda v: np.square(v, out=v), q) for q in regions]
+        grad_sq = [SliceIntegral(win, lambda v: v, q) for q in regions]
+        self._sums = []
+        for i, f in enumerate(win.values):
+            fk = np.maximum(f - c, 0.0)
+            for integral in fk_sq:
+                integral.add(i, fk)
+            density = grad_v_sq_density(cells, fk)
+            for integral in grad_sq:
+                integral.add(i, density)
+            # freed before the cutoff sums make their own slice-sized arrays
+            del density
+            if i < self.first:
+                continue
+            grad = float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * fk)))
+            fk_fk = fk**2
+            work = 0.0
+            if source is not None:
+                work = float(np.sum(sample(float(win.times[i])) * fk * eta_x * eta_v_sq))
+            # the weight eta_x eta_v^2 is multiplied per slice: a slice-sized
+            # weight held through the walk would add to its peak
+            self._sums.append((float(np.sum(eta_x * eta_v_sq * fk_fk)), grad,
+                               float(np.sum(eta_x * fk_fk * slope_sq)),
+                               float(np.sum(eta_v_sq * fk_fk * vdot)), work))
+        self.fk_l2 = tuple(math.sqrt(integral.value()) for integral in fk_sq)
+        self.grad_l2 = tuple(math.sqrt(integral.value()) for integral in grad_sq)
+        self.level_set = level_set_measure(win, lambda f: f > c, regions[1])
+        self.prev_sq = None if k == 0 else cylinder_integral(
+            win, lambda f: np.maximum(f - dyadic_truncation(k - 1), 0.0) ** 2, regions[1])
 
-    def check(self, k: int, source=None, energy_only: bool = False):
-        """Raise ValueError unless these are level k's sums with `source`
-        (any source when `energy_only`, whose sums do not read it)."""
-        if self.k != k or (self.energy_only and not energy_only) or (
-                not energy_only and self.source is not source):
-            raise ValueError(f"cutoff sums of level {self.k} cannot stand for "
-                             f"level {k} with this source")
-
-    def __call__(self, slices) -> dict:
-        for i in map(int, slices):
-            if i not in self.sums:
-                self.sums[i] = self._slice(i)
-        return {int(i): self.sums[int(i)] for i in slices}
-
-    def _slice(self, i: int) -> tuple:
-        cells = self.win.grid
-        fk = np.maximum(self.win.values[i] - self.c, 0.0)
-        fk_sq = fk**2
-        energy = (float(np.sum(self.weight * fk_sq)),
-                  float(np.sum(self.eta_x * grad_v_sq_density(cells, self.eta_v * fk))))
-        if self.energy_only:
-            return energy
-        work = 0.0
-        if self.source is not None:
-            work = float(np.sum(self.sample(float(self.win.times[i])) * fk
-                                * self.eta_x * self.eta_v_sq))
-        return energy + (float(np.sum(self.eta_x * fk_sq * self.slope_sq)),
-                         float(np.sum(self.eta_v_sq * fk_sq * self.vdot)),
-                         work)
+    def cutoff_sums(self, slices) -> dict:
+        """{i: the five cutoff sums of window slice i} for the slices asked
+        for, each from the last one at or before T_k on."""
+        slices = [int(i) for i in slices]
+        if slices and min(slices) < self.first:
+            raise ValueError(f"slice {min(slices)} of the level-{self.k} window is "
+                             f"before T_{self.k}'s slice {self.first}")
+        return {i: self._sums[i - self.first] for i in slices}
 
 
 @dataclass
@@ -159,60 +175,27 @@ class TruncationReport:
     grad_l2_outer: float
 
 
-def truncation_energy(traj: Trajectory, k: int, lam: float,
-                      sums: CutoffSums | None = None) -> TruncationReport:
-    """Compute U_k from stored slices: discrete sup over the slices in
-    [T_k, 0] plus trapezoid time-quadrature of the weighted dissipation,
-    with |grad_v (eta_k(v) f_k)|^2 the face-difference cell density.
-
-    Every term vanishes outside Q_{k-1}, so the report is computed on the
-    trajectory's window from T_{k-1} over B(R_{k-1})^2 with one extra v
-    cell, on which the face differences equal the whole grid's.  Nothing
-    is kept but sums: the cutoff energies are reduced slice by slice
-    (`sums`, a `CutoffSums` of this trajectory and level that other audits
-    share, or one of its own), and the level set and the f_k norms of Q_k
-    and Q_{k-1} are streamed cylinder integrals, one pass that truncates
-    and differences each stored slice as it reaches it."""
-    level = DyadicLevel(k)
-    if traj.times[0] > level.t_start + 1e-9:
-        raise GeometryError(
-            f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
-    if sums is None:
-        sums = CutoffSums(traj, k, energy_only=True)
-    sums.check(k, energy_only=True)
-    cv = traj.grid.cell_volume
-    w = time_quadrature_weights(traj.times, level.t_start, 0.0)
-    slices = np.nonzero(traj.times >= level.t_start - 1e-12)[0]
+def truncation_energy(level: LevelPass, lam: float) -> TruncationReport:
+    """U_k of the level's pass: the discrete sup over the stored slices in
+    [T_k, 0] plus the trapezoid time-quadrature of the weighted dissipation,
+    with |grad_v (eta_k(v) f_k)|^2 the face-difference cell density.  Both
+    are read from the pass's cutoff sums, and the level set and the f_k
+    norms of Q_k and Q_{k-1} are the pass's reducers."""
+    t_k = dyadic_time(level.k)
+    times = level.window.times
+    cv = level.window.grid.cell_volume
+    w = time_quadrature_weights(times, t_k, 0.0)
     sup_term = 0.0
     dissipation = 0.0
-    for i, (energy, grad_sq, *_) in sums(slices).items():
+    for i, (energy, grad_sq, *_) in level.cutoff_sums(
+            np.nonzero(times >= t_k - 1e-12)[0]).items():
         sup_term = max(sup_term, 0.5 * energy * cv)
         if w[i] > 0.0:
             dissipation += float(w[i]) * grad_sq * cv
-
-    traj = traj.window(dyadic_time(k - 1), level.outer_radius)
-    q_out = level.outer_cylinder()
-    (fk_out, grad_out), (fk_in, grad_in) = _fk_norms(traj, k, q_out, level.cylinder())
-    return TruncationReport(k, sup_term + dissipation / lam, sup_term,
-                            dissipation / lam,
-                            level_set_measure(traj, lambda f: f > level.truncation, q_out),
+    (fk_in, fk_out), (grad_in, grad_out) = level.fk_l2, level.grad_l2
+    return TruncationReport(level.k, sup_term + dissipation / lam, sup_term,
+                            dissipation / lam, level.level_set,
                             fk_in, fk_out, grad_in, grad_out)
-
-
-def _fk_norms(traj: Trajectory, k: int, *regions) -> list:
-    """(||f_k||, ||grad_v f_k||) in L2 of each region, by the cell rule.
-
-    f_k = (f - C_k)_+ and its face-difference density |grad_v f_k|^2 are
-    slice maps of two streamed passes (`cylinder_integrals`), each of which
-    maps every stored slice once for all regions: each slice is truncated
-    (and differenced) on its own, so the cell value of f_k stays the
-    average of the truncated slices, and no mapped trajectory is built."""
-    c = dyadic_truncation(k)
-    trunc = lambda s: np.maximum(s - c, 0.0)
-    grad_sq = lambda s: grad_v_sq_density(traj.grid, trunc(s))
-    return [(math.sqrt(fk), math.sqrt(grad)) for fk, grad in zip(
-        cylinder_integrals(traj, lambda v: v**2, regions, trunc),
-        cylinder_integrals(traj, lambda v: v, regions, grad_sq))]
 
 
 @dataclass
@@ -230,10 +213,9 @@ class ChebyshevReport:
         return self.margin >= -1e-12 * max(1.0, self.bound)
 
 
-def chebyshev_audit(traj: Trajectory, trunc: TruncationReport,
-                    u_prev: float | None = None) -> ChebyshevReport:
+def chebyshev_audit(level: LevelPass, u_prev: float | None = None) -> ChebyshevReport:
     """Level-set measure against the Chebyshev bound at the level k >= 1
-    of `trunc`, this trajectory's `truncation_energy` report.
+    of the pass.
 
     Both sides use the same midpoint cell rule, so a counted cell has
     f_{k-1} > 2^{-k-1} at its center and the inequality
@@ -245,25 +227,19 @@ def chebyshev_audit(traj: Trajectory, trunc: TruncationReport,
     3 * 2^{2k+1} U_{k-1} is reported as well (its constant presumes the
     continuous sup bound, so only the margin is recorded, not asserted).
 
-    Both sides vanish outside Q_{k-1}, so the audit runs on the level
-    window from T_{k-1}.  The measure is the report's `level_set`, counted
-    on that window with the same predicate and region; the integral is
-    summed over the same slabs of the same cells.
+    Both sides are reducers of the level's pass (`level_set`, `prev_sq`):
+    the same cells of the level window summed over the same slabs.
     """
-    k = trunc.k
+    k = level.k
     if k < 1:
-        raise ValueError(f"chebyshev audit requires a report of level k >= 1, got {k}")
-    level = DyadicLevel(k)
-    traj = traj.window(dyadic_time(k - 1), level.outer_radius)
-    c_prev = dyadic_truncation(k - 1)
-    integral = cylinder_integral(
-        traj, lambda f: np.maximum(f - c_prev, 0.0) ** 2, level.outer_cylinder())
+        raise ValueError(f"chebyshev audit requires a pass of level k >= 1, got {k}")
+    integral = level.prev_sq
     bound = 2.0 ** (2 * k + 2) * integral
     chained = chained_margin = None
     if u_prev is not None:
         chained = 3.0 * 2.0 ** (2 * k + 1) * u_prev
         chained_margin = chained - bound
-    return ChebyshevReport(k, trunc.level_set, integral, bound, bound - trunc.level_set,
+    return ChebyshevReport(k, level.level_set, integral, bound, bound - level.level_set,
                            chained, chained_margin)
 
 
@@ -429,8 +405,8 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
     and S2 themselves.
 
     ||f_k|| and ||grad_v f_k|| in L2(Q_{k-1}), which the ladder budgets
-    read, are the level's `truncation_energy` report's (`trunc`): the same
-    streamed cylinder integrals over the same cells.
+    read, are the level's `truncation_energy` report's (`trunc`), reduced
+    by its `LevelPass` over the same cells.
     """
     if k < 1:
         raise ValueError(f"barrier sources require k >= 1, got {k}")

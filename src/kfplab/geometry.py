@@ -61,7 +61,6 @@ __all__ = [
     "level_set_measure",
     "cylinder_integral",
     "SliceIntegral",
-    "cylinder_integrals",
     "cylinder_node_extrema",
     "cylinder_nodes",
     "time_quadrature_weights",
@@ -502,12 +501,6 @@ def _check_region(traj, region: Cylinder):
 _SLAB_BYTES = 1 << 22
 
 
-# the input-sized temporaries a slice map makes (`grad_v_sq_density` of a
-# truncation on N = 2: the truncation, then per v axis the difference, its
-# square, the half and the cells, and the running sum)
-_MAP_COPIES = 8
-
-
 def _slabs(count: int, unit_bytes: int) -> list:
     """Consecutive slices covering range(count), each of at most
     max(1, `_SLAB_BYTES` // unit_bytes) units of `unit_bytes` bytes."""
@@ -522,13 +515,16 @@ class SliceIntegral:
     and times (`traj` is read for those and its slice size only), and
     `value()` is the integral once the region's last stored slice has come.
 
-    The one engine of every cylinder integral and level-set measure.  The
-    region's time cells are cut into slabs of at most `_SLAB_BYTES` of
+    The one engine of every cylinder integral and level-set measure, fed
+    the stored slices by `cylinder_integral` and, slice by slice, the
+    truncations and gradient densities of a level by `degiorgi.LevelPass`.
+    The region's time cells are cut into slabs of at most `_SLAB_BYTES` of
     stored slices; each slice added to the slab on the region's bounding
     box closes time cell i - 1 and opens time cell i, and a slab complete
-    is halved into its midpoint values, `func` applied, the (x, v) mask
-    multiplied in place and the product summed.  Only the current slab is
-    held, and the slab sums are added in time order (`_slab_total`).
+    is halved into its midpoint values, `func` applied (it may overwrite
+    the slab), the (x, v) mask multiplied in place and the product summed.
+    Only the current slab is held, and the slab sums are added in time
+    order (`_slab_total`).
     """
 
     def __init__(self, traj, func, region: Cylinder):
@@ -562,7 +558,8 @@ class SliceIntegral:
             # to integers through a buffer of its own
             total = np.count_nonzero(vals) if vals.dtype == bool else np.sum(vals)
             self.sums.append(float(total))
-            self.cells = None
+            # the finished slab goes before the next one is allocated
+            self.cells = vals = None
             self.slabs.pop(0)
 
     def value(self) -> float:
@@ -578,41 +575,20 @@ def _slab_total(parts) -> float:
     return 0.0 if total is None else total
 
 
-def cylinder_integrals(traj, func, regions, slice_map=None) -> list:
-    """The integral of func(f) over each region by the midpoint cell rule:
+def cylinder_integral(traj, func, region: Cylinder) -> float:
+    """The integral of func(f) over the region by the midpoint cell rule:
     the cell value is the midpoint-in-time average of the two adjacent
-    stored slices (of `slice_map` applied to each stored slice, when
-    given), and `func` acts cell by cell on the region's bounding box.
-
-    One `SliceIntegral` per region is fed the stored slices in time order,
-    so every integral is the one region's bit for bit.  Without a slice map
-    it is fed views of the stored slices.  A nonlinear `slice_map` (a
-    truncation, a gradient density) must act slice by slice; it runs on
-    the stored slices' whole cell box, so face differences see every
-    neighbour, once for all regions, in groups whose temporaries, counted
-    as `_MAP_COPIES` arrays of its input, fit one slab.
-    """
-    integrals = [SliceIntegral(traj, func, region) for region in regions]
-    spans = [integral.slabs for integral in integrals if integral.slabs]
-    first = min((slabs[0][0] for slabs in spans), default=0)
-    last = max((slabs[-1][1] for slabs in spans), default=-1)
-    unit = traj.values[0].nbytes * (1 if slice_map is None else _MAP_COPIES)
-    for group in _slabs(last + 1 - first, unit):
-        stored = traj.values[first + group.start:first + group.stop]
-        mapped = stored if slice_map is None else slice_map(stored)
-        for i, values in enumerate(mapped, first + group.start):
-            for integral in integrals:
-                integral.add(i, values)
-    return [integral.value() for integral in integrals]
+    stored slices, and `func` acts cell by cell on the region's bounding
+    box.  A `SliceIntegral` fed views of the stored slices in time order;
+    `level_set_measure` uses the same cells and slabs, so Chebyshev
+    comparisons are exact discretely."""
+    integral = SliceIntegral(traj, func, region)
+    for i, values in enumerate(traj.values):
+        integral.add(i, values)
+    return integral.value()
 
 
-def cylinder_integral(traj, func, region: Cylinder, slice_map=None) -> float:
-    """`cylinder_integrals` of one region.  `level_set_measure` uses the
-    same cells and slabs, so Chebyshev comparisons are exact discretely."""
-    return cylinder_integrals(traj, func, [region], slice_map)[0]
-
-
-def level_set_measure(traj, predicate, region: Cylinder, slice_map=None) -> float:
+def level_set_measure(traj, predicate, region: Cylinder) -> float:
     """Lebesgue measure of {(t,x,v) in region : predicate(f)} by the cell
     rule: `cylinder_integral` of the predicate's 0/1 value, so a count of
     whole cells per slab, exact below 2^53 cells at any slab size.
@@ -621,7 +597,7 @@ def level_set_measure(traj, predicate, region: Cylinder, slice_map=None) -> floa
     the region's bounding box.  Monotone in the threshold by construction;
     error at most one cell layer.
     """
-    return cylinder_integral(traj, predicate, region, slice_map)
+    return cylinder_integral(traj, predicate, region)
 
 
 def cylinder_nodes(traj, region: Cylinder) -> np.ndarray:

@@ -543,28 +543,32 @@ def isoperimetric_probe(traj: Trajectory, theta: float, omega: float,
         raise ValueError("isoperimetric probe requires f <= 1 on the hat union")
 
     hat_total = level_set_measure(traj, lambda f: np.isfinite(f), hat)
-    m_below = level_set_measure(traj, lambda f: f <= 0.0, hat)
-    flip = None
-    if m_below < 0.5 * hat_total - 1e-12:
-        # the probe runs on -f, read slice by slice through the slice map
-        flip = np.negative
-        m_below = level_set_measure(traj, lambda f: f <= 0.0, hat, flip)
+    top = 1.0 - theta
+    below, above, middle = (lambda f: f <= 0.0, lambda f: f >= top,
+                            lambda f: (f > 0.0) & (f < top))
+    m_below = level_set_measure(traj, below, hat)
+    flipped = m_below < 0.5 * hat_total - 1e-12
+    if flipped:
+        # the probe runs on -f through the mirrored predicates on f: negation
+        # commutes with the midpoint average exactly, so each counts the
+        # cells its predicate would count on -f
+        below, above, middle = (lambda f: f >= 0.0, lambda f: f <= -top,
+                                lambda f: (f < 0.0) & (f > -top))
+        m_below = level_set_measure(traj, below, hat)
         if m_below < 0.5 * hat_total - 1e-12:
             raise ValueError(
                 "level-set hypothesis fails for both f and -f: "
                 f"m_below = {m_below}, half the hat cylinder = {0.5 * hat_total}")
 
-    m_top = level_set_measure(traj, lambda f: f >= 1.0 - theta,
-                              make_cylinder(omega / 2.0), flip)
-    m_middle = level_set_measure(
-        traj, lambda f: (f > 0.0) & (f < 1.0 - theta), union, flip)
+    m_top = level_set_measure(traj, above, make_cylinder(omega / 2.0))
+    m_middle = level_set_measure(traj, middle, union)
     log_top = math.log10(m_top) if m_top > 0 else -math.inf
     first = log_top < eta_iso_log10
     second = m_middle >= alpha_iso
     verdict = ("both" if first and second else
                "top_small" if first else
                "middle_large" if second else "neither")
-    return IsoperimetricReport(m_below, m_top, m_middle, flip is not None, hat_total,
+    return IsoperimetricReport(m_below, m_top, m_middle, flipped, hat_total,
                                first, verdict)
 
 

@@ -279,20 +279,21 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     metrics["energy_tolerance"] = tol_energy
     verdicts["energy_slack"] = min_slack >= -tol_energy
 
+    # --- one pass per truncation level, read by every level-k audit below --
+    passes = {k: degiorgi.LevelPass(traj, k, source)
+              for k in sorted({*range(cfg.levels + 1), 1, 2, 3, *cfg.barrier_levels})}
+    trunc_reports = {k: degiorgi.truncation_energy(level, cfg.lam)
+                     for k, level in passes.items()}
+
     # --- local energy inequality -------------------------------------------
-    # each level's cutoff sums are taken once per slice, for its three (s, t)
-    # pairs and for U_k below, which read the same slices
-    level_sums = {}
     local_rows = []
     local_ok = True
     f_scale = _abs_max(traj.values)
     tol_local = 10.0 * _scheme_tolerance(grid, f_scale**2, cfg.dt)
     for k in (1, 2, 3):
         t_k = dyadic_time(k)
-        level_sums[k] = degiorgi.CutoffSums(traj, k, source)
         for (s, t) in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
-            res = solver.local_energy_check(traj, k, cfg.lam, s, t, source,
-                                            sums=level_sums[k])
+            res = solver.local_energy_check(passes[k], cfg.lam, s, t)
             local_rows.append([k, s, t, res])
             local_ok &= res >= -tol_local
     tables["local_energy"] = local_rows
@@ -301,14 +302,11 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     verdicts["local_energy"] = bool(local_ok)
 
     # --- truncation energies and the Chebyshev audit ------------------------
-    trunc_reports = [degiorgi.truncation_energy(traj, k, cfg.lam,
-                                                sums=level_sums.get(k))
-                     for k in range(cfg.levels + 1)]
-    energies = [r.energy for r in trunc_reports]
+    ladder = [trunc_reports[k] for k in range(cfg.levels + 1)]
+    energies = [r.energy for r in ladder]
     tables["truncation"] = [[r.k, r.energy, r.sup_term, r.dissipation_term,
                              r.level_set, r.fk_l2_inner, r.fk_l2_outer,
-                             r.grad_l2_inner, r.grad_l2_outer]
-                            for r in trunc_reports]
+                             r.grad_l2_inner, r.grad_l2_outer] for r in ladder]
     mono_tol = 1e-9 * (1.0 + energies[0])
     verdicts["u_monotone"] = all(b <= a + mono_tol
                                  for a, b in zip(energies, energies[1:]))
@@ -317,7 +315,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     cheb_rows = []
     cheb_ok = True
     for k in range(1, cfg.levels + 1):
-        rep = degiorgi.chebyshev_audit(traj, trunc_reports[k], energies[k - 1])
+        rep = degiorgi.chebyshev_audit(passes[k], energies[k - 1])
         cheb_rows.append([rep.k, rep.measure, rep.integral, rep.bound, rep.margin,
                           rep.chained_bound, rep.chained_margin])
         cheb_ok &= rep.passed
@@ -330,11 +328,8 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     comparison_ok = True
     spectral_ok = True
     for k in cfg.barrier_levels:
-        # a barrier level beyond the truncation ladder gets a report of its own
-        trunc = trunc_reports[k] if k <= cfg.levels else \
-            degiorgi.truncation_energy(traj, k, cfg.lam)
         row, final, comp_ok, spec_ok = _barrier_audit(cfg, grid, traj, diffusion,
-                                                      source, trunc)
+                                                      source, trunc_reports[k])
         barrier_rows.append(row)
         barrier_finals.append((k, final))
         comparison_ok &= comp_ok

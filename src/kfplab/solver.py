@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import KeyedSampler
-from .degiorgi import BarrierSource, CutoffSums
+from .degiorgi import BarrierSource, LevelPass
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, _CellBox, _bounding_box, dyadic_radius, dyadic_time, \
     face_divergence, grad_v_sq_density, time_quadrature_weights
@@ -829,30 +829,29 @@ def energy_budget(traj: Trajectory, source, lam: float):
     return records, float(min_slack)
 
 
-def local_energy_check(traj: Trajectory, k: int, lam: float, s: float, t: float,
-                       source=None, sums: CutoffSums | None = None) -> float:
+def local_energy_check(level: LevelPass, lam: float, s: float, t: float) -> float:
     """Residual (rhs - lhs) of the level-k cutoff energy inequality for
-    (f - C_k)_+ between times s < t.
+    (f - C_k)_+ between times s < t, on the trajectory and source of the
+    level's pass.
 
     All six integrals are evaluated by quadrature with the level-k cutoffs:
     lhs is the weighted energy at t plus the (1/lam)-weighted dissipation of
     eta(v) (f - C_k)_+, rhs is the energy at s, the lam |grad eta(v)|^2
     term, the transport term with v . grad eta(x), and the source work.
-    They are reductions of the per-slice face-difference cutoff sums on the
-    level window (`degiorgi.CutoffSums`): `sums` when given, shared with the
-    other (s, t) pairs and U_k of the level, else sums of its own.
+    They are reductions of the pass's per-slice face-difference cutoff
+    sums (`degiorgi.LevelPass.cutoff_sums`), which U_k of the level reads
+    too; the stored slice of s must not precede the last one at or before
+    T_k.
     """
     if not s < t + 1e-15:
         raise ValueError(f"need s < t, got s = {s}, t = {t}")
-    if sums is None:
-        sums = CutoffSums(traj, k, source)
-    sums.check(k, source)
-    cv = traj.grid.cell_volume
-    i_s = traj.slice_index(s)
-    i_t = traj.slice_index(t)
-    w_time = time_quadrature_weights(traj.times, s, t)
+    win = level.window
+    cv = win.grid.cell_volume
+    i_s = win.slice_index(s)
+    i_t = win.slice_index(t)
+    w_time = time_quadrature_weights(win.times, s, t)
     weighted = np.nonzero(w_time)[0]
-    sums = sums(sorted({i_s, i_t, *weighted.tolist()}))
+    sums = level.cutoff_sums(sorted({i_s, i_t, *weighted.tolist()}))
 
     energy_t = 0.5 * sums[i_t][0] * cv
     energy_s = 0.5 * sums[i_s][0] * cv

@@ -7,8 +7,8 @@ import pytest
 from kfplab.coefficients import build_diffusion, build_source
 from kfplab.degiorgi import (
     IterationConstants,
+    LevelPass,
     _barrier_slices,
-    _fk_norms,
     build_barrier_sources,
     chebyshev_audit,
     empirical_kappa,
@@ -22,8 +22,8 @@ from kfplab.degiorgi import (
     truncation_energy,
 )
 from kfplab.fields import PhaseField, Trajectory
-from kfplab.geometry import DyadicLevel, PhaseGrid, dyadic_time, face_divergence, \
-    level_set_measure, make_cylinder
+from kfplab.geometry import DyadicLevel, PhaseGrid, cylinder_integral, dyadic_time, \
+    face_divergence, level_set_measure, make_cylinder
 from kfplab.solver import WHOLE_SPACE, solve
 
 
@@ -78,7 +78,7 @@ def test_masked_gradient_inequality_away_from_boundary(grid):
 
 def test_truncation_energy_zero_field(grid):
     traj = Trajectory.from_constant(grid, grid.times, 0.0)
-    rep = truncation_energy(traj, 1, 2.0)
+    rep = truncation_energy(LevelPass(traj, 1), 2.0)
     assert rep.energy == 0.0
     assert rep.level_set == 0.0
 
@@ -92,7 +92,7 @@ def test_truncation_energy_constant_field_oracle(grid):
     lam = 2.0
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
     for k in (1, 2):
-        rep = truncation_energy(traj, k, lam)
+        rep = truncation_energy(LevelPass(traj, k), lam)
         lev = DyadicLevel(k)
         cbar = 1.0 - lev.truncation
         eta_x = lev.eta(grid.rho_x)
@@ -123,7 +123,7 @@ def test_truncation_energy_checkerboard_oracle(grid):
         d = np.diff(lev.eta(grid.rho_v) * f_k) / grid.dv
         expect = (abs(lev.t_start) / lam * np.sum(eta_x) * np.sum(d**2)
                   * grid.cell_volume)
-        rep = truncation_energy(traj, k, lam)
+        rep = truncation_energy(LevelPass(traj, k), lam)
         assert rep.dissipation_term == pytest.approx(expect, rel=1e-10)
 
 
@@ -132,11 +132,14 @@ def test_barrier_and_truncation_norms_agree(rough_run):
     # the truncation report: they are the norms of the sources' own window
     traj = rough_run["trajectory"]
     for k in (1, 2):
-        trunc = truncation_energy(traj, k, rough_run["lam"])
+        trunc = truncation_energy(LevelPass(traj, k), rough_run["lam"])
         barrier = build_barrier_sources(traj, k, rough_run["diffusion"],
                                         rough_run["source"], trunc)
         window = traj.window(float(barrier.fk.times[0]), DyadicLevel(k).outer_radius)
-        [(fk_l2, grad_l2)] = _fk_norms(window, k, DyadicLevel(k).outer_cylinder())
+        fk = truncate(window, k)
+        q_out = DyadicLevel(k).outer_cylinder()
+        fk_l2 = math.sqrt(cylinder_integral(fk, lambda v: v**2, q_out))
+        grad_l2 = math.sqrt(cylinder_integral(grad_v_sq_trajectory(fk), lambda v: v, q_out))
         assert trunc.fk_l2_outer > 0.0 and trunc.grad_l2_outer > 0.0
         assert (barrier.fk_l2, barrier.grad_fk_l2) == (trunc.fk_l2_outer,
                                                        trunc.grad_l2_outer)
@@ -144,7 +147,7 @@ def test_barrier_and_truncation_norms_agree(rough_run):
         assert grad_l2 == pytest.approx(trunc.grad_l2_outer, rel=1e-12)
     with pytest.raises(ValueError, match="level 1, not 2"):
         build_barrier_sources(traj, 2, rough_run["diffusion"], rough_run["source"],
-                              truncation_energy(traj, 1, rough_run["lam"]))
+                              truncation_energy(LevelPass(traj, 1), rough_run["lam"]))
 
 
 def test_truncation_energy_monotone_range_for_constants():
@@ -156,14 +159,14 @@ def test_truncation_energy_monotone_range_for_constants():
     monotonicity is a small-data property."""
     grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, 96, 1.5, 96)
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
-    us = [truncation_energy(traj, k, 2.0).energy for k in range(4)]
+    us = [truncation_energy(LevelPass(traj, k), 2.0).energy for k in range(4)]
     assert all(b <= a for a, b in zip(us[:3], us[1:3]))
     assert us[3] > us[2]
 
 
 def test_truncation_energy_monotone_on_solver_run(rough_run):
     traj = rough_run["trajectory"]
-    energies = [truncation_energy(traj, k, rough_run["lam"]).energy
+    energies = [truncation_energy(LevelPass(traj, k), rough_run["lam"]).energy
                 for k in range(5)]
     assert energies[0] > 0
     for a, b in zip(energies, energies[1:]):
@@ -173,8 +176,8 @@ def test_truncation_energy_monotone_on_solver_run(rough_run):
 # --- Chebyshev ------------------------------------------------------------------
 
 def _chebyshev(traj, k, u_prev=None):
-    """`chebyshev_audit` of level k with the level's truncation report."""
-    return chebyshev_audit(traj, truncation_energy(traj, k, 2.0), u_prev)
+    """`chebyshev_audit` of the level-k pass."""
+    return chebyshev_audit(LevelPass(traj, k), u_prev)
 
 
 def test_chebyshev_zero_field(grid):
@@ -204,7 +207,7 @@ def test_chebyshev_constant_just_above_level(grid):
 def test_chebyshev_exact_on_solver_run(rough_run):
     traj = rough_run["trajectory"]
     for k in (1, 2, 3, 4):
-        u_prev = truncation_energy(traj, k - 1, rough_run["lam"]).energy
+        u_prev = truncation_energy(LevelPass(traj, k - 1), rough_run["lam"]).energy
         rep = _chebyshev(traj, k, u_prev)
         assert rep.passed
         assert rep.margin >= -1e-12
@@ -222,7 +225,7 @@ def test_barrier_sources_vanish_below_level(grid):
     a = build_diffusion(1, 2.0, "constant", value=1.0)
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 0.1)   # below C_1
-    rep = build_barrier_sources(traj, 1, a, g, truncation_energy(traj, 1, a.lam))
+    rep = build_barrier_sources(traj, 1, a, g, truncation_energy(LevelPass(traj, 1), a.lam))
     window = traj.window(dyadic_time(0), DyadicLevel(1).outer_radius)
     for _, s1, s2 in _barrier_slices(window, DyadicLevel(1), a, g):
         assert np.all(s1 == 0.0) and all(np.all(c == 0.0) for c in s2)
@@ -239,7 +242,7 @@ def test_barrier_sources_constant_field_oracle(grid):
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
     k = 1
-    rep = build_barrier_sources(traj, k, a, g, truncation_energy(traj, k, a.lam))
+    rep = build_barrier_sources(traj, k, a, g, truncation_energy(LevelPass(traj, k), a.lam))
     lev = DyadicLevel(k)
     window = traj.window(dyadic_time(k - 1), lev.outer_radius)
     _, s1, (s2,) = next(_barrier_slices(window, lev, a, g))
@@ -268,7 +271,7 @@ def test_barrier_source_norm_bounds(rough_run):
     traj = rough_run["trajectory"]
     for k in (1, 2):
         rep = build_barrier_sources(traj, k, rough_run["diffusion"], rough_run["source"],
-                                    truncation_energy(traj, k, rough_run["lam"]))
+                                    truncation_energy(LevelPass(traj, k), rough_run["lam"]))
         assert rep.s2_within_bound
         assert rep.s1_within_bound
         assert rep.s2_bound_actual <= rep.s2_bound + 1e-12
@@ -321,7 +324,7 @@ def test_truncation_machinery_dim2_smoke():
     rng = np.random.default_rng(2)
     vals = rng.uniform(0.0, 0.7, (len(grid2.times),) + grid2.shape)
     traj = Trajectory(grid2, grid2.times, vals)
-    energies = [truncation_energy(traj, k, 2.0).energy for k in (0, 1)]
+    energies = [truncation_energy(LevelPass(traj, k), 2.0).energy for k in (0, 1)]
     assert energies[0] > 0
     rep = _chebyshev(traj, 1)
     assert rep.passed

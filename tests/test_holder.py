@@ -383,6 +383,26 @@ def test_probe_flips_sign_when_needed(grid):
     assert rep.flipped
 
 
+@pytest.mark.parametrize("dim,n", [(1, 48), (2, 11)])
+def test_probe_flip_measures_the_negated_field_bit_for_bit(dim, n):
+    """A field with |f| <= 1, below 0 on less than half of the hat
+    cylinder: the probe flips, and its three measures are those of the
+    probe on -f, which does not flip, bit for bit."""
+    grid = PhaseGrid(dim, (-1.5, 0.0), 24, 1.5, n, 1.5, n)
+
+    def fn(t, *coords):
+        return 0.2 - 0.8 * np.cos(3.0 * t + sum((2.0 + a) * c for a, c in enumerate(coords)))
+
+    traj = Trajectory.from_function(grid, grid.times, fn)
+    assert float(np.max(np.abs(traj.values))) <= 1.0
+    probe = lambda tr: isoperimetric_probe(tr, 0.45, 0.25, eta_iso_log10=-10.0,
+                                           alpha_iso=0.25)
+    rep, neg = probe(traj), probe(traj.map_values(np.negative))
+    assert rep.flipped and not neg.flipped
+    assert (rep.m_below, rep.m_top, rep.m_middle) == (neg.m_below, neg.m_top, neg.m_middle)
+    assert min(rep.m_below, rep.m_top, rep.m_middle) > 0.0
+
+
 def test_probe_requires_f_below_one(grid):
     traj = Trajectory.from_constant(grid, grid.times, 1.2)
     with pytest.raises(ValueError):

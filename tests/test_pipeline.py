@@ -177,9 +177,29 @@ def test_a_barrier_level_beyond_the_truncation_ladder_gets_its_own_report():
                          build_source_field(cfg))
     rep = degiorgi.build_barrier_sources(traj, 3, build_coefficient(cfg),
                                          build_source_field(cfg),
-                                         degiorgi.truncation_energy(traj, 3, cfg.lam))
+                                         degiorgi.truncation_energy(
+                                             degiorgi.LevelPass(traj, 3), cfg.lam))
     col = CSV_COLUMNS["barrier"].index("s1_bound")
     assert res.tables["barrier"][1][col] == rep.s1_bound
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "cellwise_random", "constant"])
+def test_the_sup_term_of_u_k_does_not_increase_with_k(kind):
+    """sup_t 1/2 int eta_k(x) eta_k(v)^2 f_k^2 over the slices from T_k is
+    non-increasing in k: f_k <= f_{k-1} and eta_k <= eta_{k-1} cell by
+    cell, and the slices from T_k are among those from T_{k-1}.  The cell
+    sums of two levels run over different level windows, and so round
+    apart: the roundoff tolerance is 1e-12 of the previous level's term.
+    At amplitude 1e3 on 24^2 cells U_k is not monotone (`u_monotone`
+    fails on all three coefficient kinds): its dissipation term grows with
+    the cutoff slopes, which grow like 2^k."""
+    cfg = parse_config(f"grid.n_t = 24\ngrid.n_x = 24\ngrid.n_v = 24\ncoeff.kind = {kind}\n"
+                       "initial.amplitude = 1000.0\ndiagnostics.bisection = false\n")
+    rows = run_pipeline(cfg).tables["truncation"]
+    sup = [row[CSV_COLUMNS["truncation"].index("sup_term")] for row in rows]
+    assert len(sup) == cfg.levels + 1 and sup[-1] > 0.0
+    for k in range(1, len(sup)):
+        assert sup[k] <= sup[k - 1] * (1.0 + 1e-12), (k, sup)
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kfplab.coefficients import build_diffusion, build_source
-from kfplab.degiorgi import BarrierSource
+from kfplab.degiorgi import BarrierSource, LevelPass
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import PhaseGrid, DyadicLevel
 from kfplab.solver import (
@@ -263,14 +263,14 @@ def test_local_energy_trivial_cases(grid, rough_a, zero_g):
     f0 = PhaseField.constant(grid, -1.5, 0.1)
     traj = solve(f0, rough_a, zero_g, 0.0, WHOLE_SPACE)
     # f below the truncation level C_2 = 0.375: every term vanishes
-    res = local_energy_check(traj, 2, 2.0, -0.625, 0.0, zero_g)
+    res = local_energy_check(LevelPass(traj, 2, zero_g), 2.0, -0.625, 0.0)
     assert res == 0.0
     # degenerate interval s = t: both sides equal, on data above C_1 = 0.25
     # so that the energies compared are non-zero
     above = solve(PhaseField.constant(grid, -1.5, 0.5), rough_a, zero_g, 0.0,
                   WHOLE_SPACE)
     assert above.values.min() > DyadicLevel(1).truncation
-    res = local_energy_check(above, 1, 2.0, -0.25, -0.25, zero_g)
+    res = local_energy_check(LevelPass(above, 1, zero_g), 2.0, -0.25, -0.25)
     assert abs(res) < 1e-14
 
 

@@ -19,13 +19,14 @@ from kfplab import geometry, holder, pipeline, solver
 from kfplab.averaging import SpectralField
 from kfplab.coefficients import build_diffusion
 from kfplab.config import parse_config
-from kfplab.degiorgi import chebyshev_audit, linfty_gate, truncation_energy
+from kfplab.degiorgi import LevelPass, chebyshev_audit, linfty_gate, truncation_energy
 from kfplab.fields import Trajectory
 from kfplab.geometry import (
     DyadicLevel,
     PhaseGrid,
     cylinder_integral,
     cylinder_node_extrema,
+    dyadic_time,
     grad_v_sq_density,
     hat_cylinder,
     level_set_measure,
@@ -164,20 +165,19 @@ def _field(grid, seed):
 
 def _streamed(traj):
     """Every streamed reduction of the trajectory, in one dict."""
-    grid = traj.grid
-    trunc = lambda s: np.maximum(s - 0.25, 0.0)
-    grad_sq = lambda s: grad_v_sq_density(grid, trunc(s))
     regions = [make_cylinder(1.5), make_cylinder(1.0), make_cylinder(0.5),
                DyadicLevel(2).outer_cylinder(), hat_cylinder()]
     out = {}
     for region in regions:
         key = str(region)
         out["int", key, "sq"] = cylinder_integral(traj, lambda v: v**2, region)
-        out["int", key, "trunc"] = cylinder_integral(traj, lambda v: v**2, region, trunc)
-        out["int", key, "grad"] = cylinder_integral(traj, lambda v: v, region, grad_sq)
         out["measure", key, "pos"] = level_set_measure(traj, lambda f: f > 0.5, region)
-        out["measure", key, "trunc"] = level_set_measure(traj, lambda f: f > 0.1,
-                                                         region, trunc)
+    # the truncations and gradient densities of the level passes
+    for k in (0, 1, 2):
+        level = LevelPass(traj, k)
+        out["int", k, "trunc"], out["int", k, "trunc_outer"] = level.fk_l2
+        out["int", k, "grad"], out["int", k, "grad_outer"] = level.grad_l2
+        out["measure", k, "level_set"] = level.level_set
     spec = SpectralField.from_trajectory(traj, warn_boundary=False)
     out["l2"] = spec.l2_norm()
     for group in ("t", "x", "v"):
@@ -204,36 +204,34 @@ def test_streamed_reductions_do_not_depend_on_the_slab(monkeypatch, dim, n, n_t)
     assert one["measure", "Q[1.0]", "pos"] > 0.0
     # both sides of the Chebyshev bound are summed over the same slabs
     for k in (1, 2, 3):
-        rep = chebyshev_audit(traj, truncation_energy(traj, k, 2.0))
+        rep = chebyshev_audit(LevelPass(traj, k))
         assert rep.measure > 0.0
         assert rep.margin >= 0.0, k
 
 
 @pytest.mark.parametrize("slab_slices", [None, 1, 3])
-def test_shared_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_slices):
-    """Every cylinder integral runs on one `SliceIntegral` per region:
-    `cylinder_integrals` feeds those of several regions from one pass that
-    maps each stored slice once, and each value is the one region's
-    `cylinder_integral` bit for bit; a `SliceIntegral` fed the stored
-    slices by hand adds the same slab sums.  At one slab, a slab per
-    slice, and slabs that cut the regions' time cells apart."""
+def test_level_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_slices):
+    """`LevelPass` feeds the f_k and |grad_v f_k|^2 integrals of Q_k and
+    Q_{k-1} from one walk that truncates and differences each stored slice
+    once, and each value is `cylinder_integral` of the whole-array map of
+    its window bit for bit.  At one slab, a slab per slice, and slabs that
+    cut the regions' time cells apart."""
     grid = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 9, 1.5, 9)
     traj = _field(grid, seed=4)
-    if slab_slices is not None:
-        monkeypatch.setattr(geometry, "_SLAB_BYTES", slab_slices * traj.values[0].nbytes)
-    trunc = lambda s: np.maximum(s - 0.25, 0.0)
-    grad_sq = lambda s: grad_v_sq_density(grid, trunc(s))
-    regions = [make_cylinder(1.5), make_cylinder(1.0), DyadicLevel(2).outer_cylinder(),
-               hat_cylinder()]
-    squares = geometry.cylinder_integrals(traj, lambda v: v**2, regions, trunc)
-    grads = geometry.cylinder_integrals(traj, lambda v: v, regions, grad_sq)
-    for region, sq, grad in zip(regions, squares, grads):
-        assert sq == cylinder_integral(traj, lambda v: v**2, region, trunc) > 0.0
-        assert grad == cylinder_integral(traj, lambda v: v, region, grad_sq) > 0.0
-        streamed = geometry.SliceIntegral(traj, lambda v: v**2, region)
-        for i, values in enumerate(traj.values):
-            streamed.add(i, values)
-        assert streamed.value() == cylinder_integral(traj, lambda v: v**2, region) > 0.0
+    for k in (1, 2):
+        level = DyadicLevel(k)
+        win = traj.window(dyadic_time(k - 1), level.outer_radius)
+        if slab_slices is not None:
+            monkeypatch.setattr(geometry, "_SLAB_BYTES", slab_slices * win.values[0].nbytes)
+        fk = win.map_values(lambda v: np.maximum(v - level.truncation, 0.0))
+        gk = fk.map_values(lambda v: grad_v_sq_density(win.grid, v))
+        regions = (level.cylinder(), level.outer_cylinder())
+        got = LevelPass(traj, k)
+        assert got.fk_l2 == tuple(math.sqrt(cylinder_integral(fk, lambda v: v**2, q))
+                                  for q in regions)
+        assert got.grad_l2 == tuple(math.sqrt(cylinder_integral(gk, lambda v: v, q))
+                                    for q in regions)
+        assert min(got.fk_l2 + got.grad_l2) > 0.0
 
 
 # --- memory ------------------------------------------------------------------------
@@ -259,7 +257,10 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     On N = 2 at 13^4 cells and 97 stored slices (21.1 MiB, six cylinder
     slabs of 18 time cells), each audit's tracemalloc rise above its entry
     must stay below BOUND = 0.75 of the trajectory's bytes.  Measured
-    here: `truncation_energy` at k = 0 0.45, `linfty_gate` 0.38,
+    here: `truncation_energy` with its `LevelPass` at k = 0 0.55 (the
+    slabs of the four f_k reducers at once, two of them on the whole grid,
+    and one stored slice's arrays; 0.45 when each reducer had a pass of
+    its own), `linfty_gate` 0.38,
     `SpectralField.from_trajectory` 0.19 (one slab's squares for `l2_sq`;
     its Gram products hold little more than each group's Gram matrix) and
     `oscillation_ladder` 0.30 (its re-solve's step plan on the inner cell
@@ -273,7 +274,7 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     diffusion = build_diffusion(2, 2.0, "constant", value=1.0)
     size = traj.values.nbytes
     rises = {
-        "truncation_energy": _rise(truncation_energy, traj, 0, 2.0),
+        "truncation_energy": _rise(lambda: truncation_energy(LevelPass(traj, 0), 2.0)),
         "linfty_gate": _rise(linfty_gate, traj, -5.0),
         "from_trajectory": _rise(SpectralField.from_trajectory, traj,
                                  warn_boundary=False),
@@ -324,7 +325,7 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     rises = {"plan and first step": _rise(first), "later step": _rise(later)}
     del state
     traj = solve_initial(cfg, grid, diffusion, source)
-    trunc = truncation_energy(traj, 1, cfg.lam)
+    trunc = truncation_energy(LevelPass(traj, 1), cfg.lam)
     rises["barrier audit"] = _rise(pipeline._barrier_audit, cfg, grid, traj, diffusion,
                                    source, trunc)
     bounds = {"plan and first step": 17.6, "later step": 0.4, "barrier audit": 17.5}

@@ -44,14 +44,18 @@ def configs(draw):
     odd = st.integers(2, (n_max - 1) // 2).map(lambda m: 2 * m + 1)
     n = draw(st.integers(4, n_max) if free else odd)
     n_t_max = 48 if dim == 1 else 24
-    # multiples of 6 from n up put T_0 = -1 and T_1 on stored slices and
-    # meet the transport bound on the default box
-    aligned = st.integers(-(-n // 6), n_t_max // 6).map(lambda m: 6 * m)
+    # U_0's time window starts at T_0 = -1: t_min = -0.9 is rejected
+    t_min = draw(st.sampled_from([-1.5, -1.0] + ([-1.25, -0.9] if free else [])))
+    # multiples of 6 (of 4 from t_min = -1) from n up put T_0 = -1 and T_1
+    # on stored slices and meet the transport bound on the default box
+    step = 4 if t_min == -1.0 else 6
+    aligned = st.integers(-(-n // step), n_t_max // step).map(lambda m: step * m)
     # omega < 1 - 2^(-1/N): 0.4 is rejected for N = 2
     omegas = [0.2, 0.25, 0.28] + ([0.4] if free or dim == 1 else [])
     entries = {
         "run.seed": draw(st.integers(0, 50)),
         "grid.dim": dim,
+        "grid.t_min": t_min,
         "grid.n_t": draw(aligned | st.integers(6, n_t_max) if free else aligned),
         "grid.n_x": n,
         "grid.n_v": n,
@@ -94,6 +98,11 @@ _RUN = {"grid.dim": 1, "grid.n_t": 24, "grid.n_x": 24, "grid.n_v": 24,
           "diagnostics.omega": 0.2})
 # the barrier steps at the stored spacing 2 dt = 0.125, over dx/v_max = 1/12
 @example({**_RUN, "solver.store_every": 2, "diagnostics.bisection": False})
+# U_0 reads the stored slices from T_0 = -1 on, before t_min
+@example({**_RUN, "grid.t_min": -0.9, "diagnostics.barrier_levels": ""})
+@example({**_RUN, "grid.t_min": -0.99, "diagnostics.barrier_levels": ""})
+@example({**_RUN, "grid.t_min": -0.9, "grid.n_t": 36, "diagnostics.barrier_levels": 2})
+@example({**_RUN, "grid.t_min": -0.4, "diagnostics.barrier_levels": ""})
 def test_config_is_rejected_or_completes(entries):
     try:
         cfg = parse_config(_text(entries))

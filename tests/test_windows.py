@@ -9,6 +9,7 @@ sources cell for cell, on N = 1 and N = 2 grids of odd and even size, at
 an amplitude whose truncations (and so the barrier fields) are non-zero.
 """
 
+import collections
 import math
 import warnings
 
@@ -19,8 +20,8 @@ from kfplab import averaging, geometry, solver
 from kfplab.coefficients import DiffusionField, KeyedSampler, SourceField, build_diffusion, \
     build_source
 from kfplab.config import parse_config
-from kfplab.degiorgi import BarrierSource, _barrier_slices, build_barrier_sources, \
-    chebyshev_audit, truncate, truncation_energy
+from kfplab.degiorgi import BarrierSource, LevelPass, _barrier_slices, \
+    build_barrier_sources, chebyshev_audit, truncate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     Cylinder,
@@ -29,10 +30,10 @@ from kfplab.geometry import (
     PhaseGrid,
     SliceIntegral,
     cylinder_integral,
-    cylinder_integrals,
     cylinder_node_extrema,
     dyadic_time,
     face_divergence,
+    grad_v_sq_density,
     hat_cylinder,
     level_set_measure,
     make_cylinder,
@@ -347,9 +348,9 @@ def test_window_margin_clips_at_grid_edge():
 
 def test_cylinder_integral_matches_reference(run, monkeypatch):
     """Every entry to the one midpoint-cell reducer against the whole-array
-    references: one region, several regions at once, a slice map, and
-    `SliceIntegral` fed one stored slice at a time; at the default slab
-    and at a slab of one stored slice.  Measures are counts, so equal."""
+    references: one region, and `SliceIntegral` fed one stored slice at a
+    time; at the default slab and at a slab of one stored slice.  Measures
+    are counts, so equal."""
     traj = run["traj"]
     _reducer_matches_reference(traj)
     monkeypatch.setattr(geometry, "_SLAB_BYTES", traj.values[0].nbytes)
@@ -361,8 +362,6 @@ def _reducer_matches_reference(traj):
     regions += [make_cylinder(0.125), hat_cylinder(),
                 Cylinder(-0.9, -0.2, 0.7)]
     funcs = [lambda f: f**2, lambda f: np.maximum(f - 0.25, 0.0) ** 2, np.abs]
-    # the isoperimetric probe's flip and a truncation
-    slice_maps = [np.negative, lambda s: np.maximum(s - 0.25, 0.0)]
     for region in regions:
         for func in funcs:
             expected = _cylinder_integral_reference(traj, func, region)
@@ -375,41 +374,88 @@ def _reducer_matches_reference(traj):
             pred = lambda f: f > level
             assert level_set_measure(traj, pred, region) \
                 == _level_set_measure_reference(traj, pred, region)
-            for slice_map in slice_maps:
-                assert level_set_measure(traj, pred, region, slice_map) \
-                    == _level_set_measure_reference(traj.map_values(slice_map),
-                                                    pred, region)
         times = region.contains_time(traj.times)
         mask = region.space_mask(traj.grid)
         if times.any() and mask.any():
             vals = traj.values[times][:, mask]
             assert cylinder_node_extrema(traj, region) == (
                 float(vals.min()), float(vals.max()), int(vals.size))
-    for func in funcs:
-        for slice_map in [None] + slice_maps:
-            mapped = traj if slice_map is None else traj.map_values(slice_map)
-            got = cylinder_integrals(traj, func, regions, slice_map)
-            for region, value in zip(regions, got):
-                expected = _cylinder_integral_reference(mapped, func, region)
-                assert _close(value, expected), region
 
 
-def test_truncation_energy_matches_reference(run):
-    traj, lam = run["traj"], run["lam"]
+# slabs of the level pass: the default, and slabs of one and of three stored
+# slices of the level window, whose boundaries fall inside Q_{k-1}'s time cells
+SLABS = [None, 1, 3]
+
+
+def _level_pass(monkeypatch, traj, k, slab, source=None):
+    """`LevelPass` of level k at slabs of `slab` level-window slices (at
+    the default slab when None), which stay set for the references."""
+    monkeypatch.undo()
+    if slab is not None:
+        cells = GridWindow(traj.grid, DyadicLevel(k).outer_radius)
+        monkeypatch.setattr(geometry, "_SLAB_BYTES", slab * 8 * math.prod(cells.shape))
+    return LevelPass(traj, k, source)
+
+
+def _pass_reducers_match_window_maps(level, source):
+    """Each reducer of the pass against the same reducer of whole-array maps
+    of its window, and the cutoff sums against each slice's on the window:
+    bit for bit."""
+    k, win = level.k, level.window
+    cells = win.grid
+    lvl = DyadicLevel(k)
+    c = lvl.truncation
+    fk = win.map_values(lambda v: np.maximum(v - c, 0.0))
+    gk = fk.map_values(lambda v: grad_v_sq_density(cells, v))
+    regions = (lvl.cylinder(), lvl.outer_cylinder())
+    assert level.fk_l2 == tuple(math.sqrt(cylinder_integral(fk, lambda v: v**2, q))
+                                for q in regions)
+    assert level.grad_l2 == tuple(math.sqrt(cylinder_integral(gk, lambda v: v, q))
+                                  for q in regions)
+    assert level.level_set == level_set_measure(win, lambda f: f > c, regions[1])
+    if k >= 1:
+        c_prev = DyadicLevel(k - 1).truncation
+        assert level.prev_sq == cylinder_integral(
+            win, lambda f: np.maximum(f - c_prev, 0.0) ** 2, regions[1])
+    eta_x = cells.expand_x(lvl.eta(cells.rho_x))
+    eta_v = cells.expand_v(lvl.eta(cells.rho_v))
+    slope_sq = cells.expand_v(lvl.eta_slope(cells.rho_v)) ** 2
+    vdot = lvl.v_dot_grad_eta_x(cells)
+    slices = range(level.first, win.n_slices)
+    for i, sums in level.cutoff_sums(slices).items():
+        f = fk.values[i]
+        g = 0.0 if source is None else float(np.sum(
+            source.sample(cells, float(win.times[i])) * f * eta_x * eta_v**2))
+        assert sums == (float(np.sum(eta_x * eta_v**2 * f**2)),
+                        float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * f))),
+                        float(np.sum(eta_x * f**2 * slope_sq)),
+                        float(np.sum(eta_v**2 * f**2 * vdot)), g), (k, i)
+    assert win.times[level.first] <= lvl.t_start < win.times[level.first + 1]
+
+
+@pytest.mark.parametrize("slab", SLABS)
+def test_truncation_energy_matches_reference(run, slab, monkeypatch):
+    traj, lam, source = run["traj"], run["lam"], run["source"]
     for k in range(4):
-        got = truncation_energy(traj, k, lam)
+        level = _level_pass(monkeypatch, traj, k, slab, source)
+        # a slab boundary inside Q_{k-1}'s time cells
+        slabs = SliceIntegral(level.window, np.abs, DyadicLevel(k).outer_cylinder()).slabs
+        assert slab is None or len(slabs) > 1
+        _pass_reducers_match_window_maps(level, source)
+        got = truncation_energy(level, lam)
         expected = _truncation_energy_reference(traj, k, lam)
         assert got.level_set == expected["level_set"]
         for name, value in expected.items():
             assert _close(getattr(got, name), value), (k, name)
-    assert truncation_energy(traj, 1, lam).energy > 0.0
+    assert truncation_energy(LevelPass(traj, 1), lam).energy > 0.0
 
 
-def test_chebyshev_counts_the_truncation_level_set():
+@pytest.mark.parametrize("slab", SLABS)
+def test_chebyshev_counts_the_truncation_level_set(slab, monkeypatch):
     # N = 2, 18^4 cells, n_t = 18: the slice spacing 1/12 is not a binary
     # fraction, so times[1] - times[0] of the whole trajectory and of a level
     # window differ in the last bits; the audit takes {f_k > 0} in Q_{k-1}
-    # from the truncation report, which counts it on the level window
+    # and its integral from the level's pass, which sums them on the window
     cfg = parse_config("grid.dim = 2\ngrid.n_t = 18\ngrid.n_x = 18\ngrid.n_v = 18\n"
                        "diagnostics.omega = 0.25\ncoeff.kind = cellwise_random\n"
                        "initial.kind = bump\ninitial.amplitude = 3.0\n"
@@ -419,12 +465,15 @@ def test_chebyshev_counts_the_truncation_level_set():
     measures = []
     for k in range(1, 5):
         level = DyadicLevel(k)
-        trunc = truncation_energy(traj, k, cfg.lam)
         window = traj.window(dyadic_time(k - 1), level.outer_radius)
+        rep = chebyshev_audit(_level_pass(monkeypatch, traj, k, slab))
         recount = level_set_measure(window, lambda f: f > level.truncation,
                                     level.outer_cylinder())
-        rep = chebyshev_audit(traj, trunc)
-        assert rep.measure == trunc.level_set == recount
+        c_prev = DyadicLevel(k - 1).truncation
+        integral = cylinder_integral(window, lambda f: np.maximum(f - c_prev, 0.0) ** 2,
+                                     level.outer_cylinder())
+        assert rep.measure == recount
+        assert rep.integral == integral
         assert rep.margin >= 0.0
         measures.append(rep.measure)
     assert max(measures) > 0.0
@@ -434,7 +483,7 @@ def _barrier_sources(traj, k, diffusion, source):
     """`build_barrier_sources` with the f_k norms of the level's truncation
     report, as the pipeline calls it."""
     return build_barrier_sources(traj, k, diffusion, source,
-                                 truncation_energy(traj, k, diffusion.lam))
+                                 truncation_energy(LevelPass(traj, k), diffusion.lam))
 
 
 @pytest.mark.parametrize("with_source", [True, False])
@@ -479,20 +528,58 @@ def test_barrier_sources_match_reference(run, with_source):
     assert _barrier_sources(traj, 1, diffusion, source).s1_l2 > 0.0
 
 
+@pytest.mark.parametrize("slab", SLABS)
 @pytest.mark.parametrize("with_source", [True, False])
-def test_local_energy_check_matches_reference(run, with_source):
+def test_local_energy_check_matches_reference(run, with_source, slab, monkeypatch):
     traj, lam = run["traj"], run["lam"]
     source = run["source"] if with_source else None
     scales = []
     for k in (1, 2, 3):
         c = DyadicLevel(k).truncation
         t_k = dyadic_time(k)
+        level = _level_pass(monkeypatch, traj, k, slab, source)
         for s, t in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
-            got = local_energy_check(traj, k, lam, s, t, source)
+            got = local_energy_check(level, lam, s, t)
             expected, scale = _local_energy_check_reference(traj, k, c, lam, s, t, source)
             assert _close(got, expected, scale), (k, s, t)
             scales.append(scale)
+        # the pass sums the cutoffs from the last slice at or before T_k on
+        if level.first > 0:
+            with pytest.raises(ValueError, match="before T_"):
+                local_energy_check(level, lam, float(level.window.times[level.first - 1]), 0.0)
     assert max(scales) > 0.0
+
+
+def test_each_window_slice_is_truncated_once_per_level(run, monkeypatch):
+    """The level pass and every audit that reads it (U_k, Chebyshev, the
+    local energy inequality) form f_k = (f - C_k)_+ of each stored slice of
+    the level window once: every np.maximum call is counted against the
+    slices it truncates, whole arrays of slices included."""
+    traj, lam, source = run["traj"], run["lam"], run["source"]
+    maximum = np.maximum
+    for k in range(5):
+        lvl = DyadicLevel(k)
+        win = traj.window(dyadic_time(k - 1), lvl.outer_radius)
+        shape = win.grid.shape
+        wanted = {(f - lvl.truncation).tobytes() for f in win.values}
+        assert len(wanted) == win.n_slices
+        seen = collections.Counter()
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape[a.ndim - len(shape):] == shape:
+                seen.update(piece.tobytes() for piece in a.reshape((-1,) + shape))
+            return maximum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", counting)
+        level = LevelPass(traj, k, source)
+        truncation_energy(level, lam)
+        if k >= 1:
+            chebyshev_audit(level)
+        if k in (1, 2, 3):
+            local_energy_check(level, lam, lvl.t_start, 0.0)
+        monkeypatch.undo()
+        assert [seen[key] for key in wanted] == [1] * win.n_slices, k
 
 
 # --- keyed diagnostic sampling ----------------------------------------------------------
@@ -516,9 +603,9 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
     def distinct(keys):
         return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
 
-    trunc = truncation_energy(traj, 1, 2.0)
+    trunc = truncation_energy(LevelPass(traj, 1), 2.0)
     for audit in (lambda: solver.energy_budget(traj, source, 2.0),
-                  lambda: local_energy_check(traj, 1, 2.0, -0.75, 0.0, source),
+                  lambda: local_energy_check(LevelPass(traj, 1, source), 2.0, -0.75, 0.0),
                   lambda: build_barrier_sources(traj, 1, diffusion, source, trunc)):
         calls["sample"].clear()
         calls["diagonal"].clear()

@@ -63,13 +63,13 @@ def _expand_sweep(cfg: RunConfig, keys: dict):
     if not seeds_raw:
         raise ConfigError("sweep requires 'sweep.seeds' (comma list or a..b range)")
     seeds = []
-    for part in seeds_raw.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+    for part in filter(None, (p.strip() for p in seeds_raw.split(","))):
+        lo, dots, hi = part.partition("..")
+        try:
+            seeds.extend(range(int(lo), int(hi if dots else lo) + 1))
+        except ValueError:
+            raise ConfigError(f"sweep.seeds: {part!r} is neither an integer nor "
+                              f"an a..b range") from None
     if not seeds:
         raise ConfigError("sweep.seeds produced an empty ensemble")
     kinds = [k.strip() for k in keys.get("sweep.kinds", "").split(",") if k.strip()]

@@ -81,9 +81,11 @@ class LevelPass:
     level's audits read, from one walk of the level window.
 
     The window is `Trajectory.window` of level k: the stored slices from
-    the last one at or before T_{k-1}, on the cell box of B(R_{k-1})^2 with
-    one extra v cell, outside which every level-k integrand vanishes.  The
-    pass takes its stored slices once, in time order, and forms f_k and
+    the last one at or before T_{k-1} (up to roundoff), on the cell box of
+    B(R_{k-1})^2 with one extra v cell, outside which every level-k
+    integrand vanishes.  The level-k barrier reads the same window, the
+    `source` kept here and the norms of Q_{k-1} (`build_barrier_sources`).
+    The pass takes its stored slices once, in time order, and forms f_k and
     the face-difference density |grad_v f_k|^2 of each once, for the
     `geometry.SliceIntegral`s of `fk_l2` and `grad_l2`, ||f_k|| and
     ||grad_v f_k|| in L2 of (Q_k, Q_{k-1}).  The level set `level_set`,
@@ -92,9 +94,10 @@ class LevelPass:
     themselves: they are summed after the walk, over views of the window,
     so that their slabs are not held beside those of f_k.
 
-    From the last slice at or before T_k on (window index `first`), where
-    U_k and the local energy inequality read, each slice also gives the
-    raw cell sums of the five cutoff-energy integrands (`cutoff_sums`):
+    From the last slice at or before T_k on (window index `first`, by the
+    same rule, `Trajectory.slice_at`), where U_k and the local energy
+    inequality read, each slice also gives the raw cell sums of the five
+    cutoff-energy integrands (`cutoff_sums`):
 
         eta_x eta_v^2 f_k^2,   eta_x |grad_v(eta_v f_k)|^2,
         eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
@@ -109,12 +112,12 @@ class LevelPass:
             raise GeometryError(
                 f"trajectory starts at {traj.times[0]}, after T_{k} = {level.t_start}")
         self.k = k
+        self.source = source
         self.window = win = traj.window(dyadic_time(k - 1), level.outer_radius)
-        self.first = max(int(np.searchsorted(win.times, level.t_start, side="right")) - 1, 0)
+        self.first = win.slice_at(level.t_start)
         cells = win.grid
         c = level.truncation
-        eta_x = cells.expand_x(level.eta(cells.rho_x))
-        eta_v = cells.expand_v(level.eta(cells.rho_v))
+        eta_x, eta_v = level.cutoffs(cells)
         eta_v_sq = eta_v**2
         slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
         vdot = level.v_dot_grad_eta_x(cells)
@@ -347,22 +350,22 @@ class BarrierSourceReport:
         return self.s1_l2 <= self.s1_bound + 1e-9 * max(1.0, self.s1_bound)
 
 
-def _barrier_slices(win: Trajectory, level: DyadicLevel, diffusion, source):
-    """(f_k, S1, S2) at each stored slice of the level window `win`, in
-    time order, with S2 one array per v axis:
+def _barrier_slices(level: LevelPass, diffusion):
+    """(f_k, S1, S2) at each stored slice of the level's window, in time
+    order, with S2 one array per v axis:
 
         S1 = g 1_{f > C_k} eta_k(x) eta_k(v)^2 + f_k eta_k(v)^2 v.grad eta_k(x)
              - 2 eta_k(x) eta_k(v) a . grad_v f_k . grad eta_k(v),
-        S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v).
+        S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v),
 
-    The coefficient and the source are sampled only when their time keys
-    change."""
+    with g the pass's source.  The coefficient and the source are sampled
+    only when their time keys change."""
+    win, source, dyadic = level.window, level.source, DyadicLevel(level.k)
     cells = win.grid
-    c = level.truncation
-    eta_x = cells.expand_x(level.eta(cells.rho_x))
-    eta_v = cells.expand_v(level.eta(cells.rho_v))
-    vdot = level.v_dot_grad_eta_x(cells)
-    grad_eta_v = [cells.expand_v(g) for g in level.grad_eta(cells, "v")]
+    c = dyadic.truncation
+    eta_x, eta_v = dyadic.cutoffs(cells)
+    vdot = dyadic.v_dot_grad_eta_x(cells)
+    grad_eta_v = [cells.expand_v(g) for g in dyadic.grad_eta(cells, "v")]
     coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(cells, t))
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(cells, t))
@@ -384,50 +387,47 @@ def _barrier_slices(win: Trajectory, level: DyadicLevel, diffusion, source):
         yield fk, s1, tuple(s2)
 
 
-def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
-                          trunc: TruncationReport) -> BarrierSourceReport:
-    """Assemble the level-k barrier source S1 + div_v S2 (`_barrier_slices`),
-    both parts supported in Q_{k-1} through the cutoff factors.  Cutoff
-    gradients are analytic; grad_v f_k is the cell gradient of the
-    truncated field (`geometry.cell_grad_v`).  The report carries the
-    L2(Q_{k-1}) norms of S1 and S2, the ladder bounds they must satisfy,
-    the barrier solve's source and the truncated cutoff field
+def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
+    """Assemble the barrier source S1 + div_v S2 of the pass's level k >= 1
+    (`_barrier_slices`), both parts supported in Q_{k-1} through the cutoff
+    factors.  Cutoff gradients are analytic; grad_v f_k is the cell
+    gradient of the truncated field (`geometry.cell_grad_v`).  The report
+    carries the L2(Q_{k-1}) norms of S1 and S2, the ladder bounds they must
+    satisfy, the barrier solve's source and the truncated cutoff field
     F_k = f_k eta_k(x) eta_k(v)^2 the barrier starts from and dominates.
 
-    Everything lives on the level window (`Trajectory.window`): the stored
-    slices from the one nearest T_{k-1}, where the barrier problem starts,
-    on the cell box of B(R_{k-1})^2 with one extra v cell.  On the whole
-    grid it would be zero outside that box, and the face differences on it
-    equal the whole grid's wherever a cutoff factor is non-zero.  S1 and S2
-    are assembled one stored slice at a time: their norms are summed as
-    they come (`geometry.SliceIntegral`), and each step's increment
-    dt (S1 + div_v S2) at its midpoint is kept (`BarrierSource`), not S1
-    and S2 themselves.
+    Everything lives on the pass's level window (`LevelPass.window`): the
+    stored slices from the one at T_{k-1}, where the barrier problem
+    starts, on the cell box of B(R_{k-1})^2 with one extra v cell.  On the
+    whole grid it would be zero outside that box, and the face differences
+    on it equal the whole grid's wherever a cutoff factor is non-zero.
+    S1 and S2 are assembled one stored slice at a time, with the pass's
+    source: their norms are summed as they come (`geometry.SliceIntegral`),
+    and each step's increment dt (S1 + div_v S2) at its midpoint is kept
+    (`BarrierSource`), not S1 and S2 themselves.
 
     ||f_k|| and ||grad_v f_k|| in L2(Q_{k-1}), which the ladder budgets
-    read, are the level's `truncation_energy` report's (`trunc`), reduced
-    by its `LevelPass` over the same cells.
+    read, are the pass's (`fk_l2[1]`, `grad_l2[1]`), reduced over the same
+    cells.
     """
+    k = level.k
     if k < 1:
-        raise ValueError(f"barrier sources require k >= 1, got {k}")
-    if trunc.k != k:
-        raise ValueError(f"the truncation report is of level {trunc.k}, not {k}")
-    level = DyadicLevel(k)
-    win = traj.window(float(traj.times[traj.slice_index(dyadic_time(k - 1))]),
-                      level.outer_radius)
+        raise ValueError(f"barrier sources require a pass of level k >= 1, got {k}")
+    dyadic = DyadicLevel(k)
+    win = level.window
     cells = win.grid
     times = win.times
-    q_out = level.outer_cylinder()
+    q_out = dyadic.outer_cylinder()
     sq = lambda v: v**2
     s1_sq = SliceIntegral(win, sq, q_out)
     s2_sq = [SliceIntegral(win, sq, q_out) for _ in range(cells.dim)]
-    eta_x = cells.expand_x(level.eta(cells.rho_x))
-    eta_v_sq = cells.expand_v(level.eta(cells.rho_v)) ** 2
+    eta_x, eta_v = dyadic.cutoffs(cells)
+    eta_v_sq = eta_v**2
     fk_vals = np.empty((win.n_slices,) + cells.shape)
     barrier = BarrierSource(cells, float(times[0]), float(times[1] - times[0]),
                             win.n_slices - 1)
     last = None
-    for i, (fk, s1, s2) in enumerate(_barrier_slices(win, level, diffusion, source)):
+    for i, (fk, s1, s2) in enumerate(_barrier_slices(level, diffusion)):
         np.multiply(fk, eta_x, out=fk_vals[i])
         fk_vals[i] *= eta_v_sq
         s1_sq.add(i, s1)
@@ -441,13 +441,13 @@ def build_barrier_sources(traj: Trajectory, k: int, diffusion, source,
 
     s1_l2 = math.sqrt(s1_sq.value())
     s2_l2 = math.sqrt(sum(integral.value() for integral in s2_sq))
-    fk_l2, grad_l2 = trunc.fk_l2_outer, trunc.grad_l2_outer
-    g_ind = 0.0 if source is None else math.sqrt(
-        _gind_integral(win, source, level.truncation, q_out))
+    fk_l2, grad_l2 = level.fk_l2[1], level.grad_l2[1]
+    g_ind = 0.0 if level.source is None else math.sqrt(
+        _gind_integral(win, level.source, dyadic.truncation, q_out))
     lam = diffusion.lam
     s2_budget = 2.0 ** (k + 3) * lam * fk_l2
-    s2_actual = 2.0 * lam * level.max_slope * fk_l2
-    s1_budget = (g_ind + 2.0 ** (k + 2) * level.outer_radius * fk_l2
+    s2_actual = 2.0 * lam * dyadic.max_slope * fk_l2
+    s1_budget = (g_ind + 2.0 ** (k + 2) * dyadic.outer_radius * fk_l2
                  + 2.0 ** (k + 3) * lam * grad_l2)
     return BarrierSourceReport(k, barrier, fk, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
                                s2_budget, s2_actual, s1_budget)

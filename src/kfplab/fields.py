@@ -86,6 +86,12 @@ class Trajectory:
                                 f"[{self.times[0]}, {self.times[-1]}]")
         return int(np.argmin(np.abs(self.times - t)))
 
+    def slice_at(self, t: float) -> int:
+        """Index of the last stored slice at or before t, to 1e-9 (0 when t
+        is before the first): the stored slice at a time the slices hold
+        up to roundoff."""
+        return max(int(np.searchsorted(self.times, t + 1e-9, side="right")) - 1, 0)
+
     def field(self, i: int) -> PhaseField:
         return PhaseField(self.grid, float(self.times[i]), self.values[i])
 
@@ -101,16 +107,17 @@ class Trajectory:
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
     def window(self, t_start: float, radius: float) -> "Trajectory":
-        """A read-only view of the stored slices from the last one at or
-        before t_start, on the cells of `GridWindow(grid, radius)` (the
-        grid may itself be a cell box).
+        """A read-only view of the stored slices from `slice_at(t_start)`,
+        the last one at or before t_start up to roundoff, on the cells of
+        `GridWindow(grid, radius)` (the grid may itself be a cell box).
 
         Every level-k audit vanishes outside Q_{k-1} = (T_{k-1}, 0] x
-        B(R_{k-1})^2, so it reads only this window of the trajectory; the
-        level-k barrier problem is solved on the same cells.
+        B(R_{k-1})^2, so it reads only this window of the trajectory
+        (`degiorgi.LevelPass`); the level-k barrier starts at its first
+        slice, the stored slice at T_{k-1}, and is solved on its cells.
         """
         cells = GridWindow(self.grid, radius)
-        i0 = max(int(np.searchsorted(self.times, t_start, side="right")) - 1, 0)
+        i0 = self.slice_at(t_start)
         # both boxes index the parent grid; the view is cut from this one's
         box = tuple(slice(c.start - g.start, c.stop - g.start)
                     for c, g in zip(cells.box, self.grid.box))

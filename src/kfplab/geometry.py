@@ -462,6 +462,11 @@ class DyadicLevel:
         slope, rho_safe = self.eta_slope(rho), np.where(rho > 0, rho, 1.0)
         return [slope * grid.axis_coord(which, ax) / rho_safe for ax in range(grid.dim)]
 
+    def cutoffs(self, grid: PhaseGrid) -> tuple:
+        """(eta_k(x), eta_k(v)) on the grid's (x, v) box, each broadcast
+        against its fields."""
+        return grid.expand_x(self.eta(grid.rho_x)), grid.expand_v(self.eta(grid.rho_v))
+
     def v_dot_grad_eta_x(self, grid: PhaseGrid) -> np.ndarray:
         """v . grad eta_k(x) on the grid's (x, v) box."""
         return sum(grid.expand_x(g) * grid.expand_v(grid.axis_coord("v", ax))

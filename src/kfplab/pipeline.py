@@ -188,21 +188,21 @@ def _abs_max(values: np.ndarray) -> float:
     return abs(float(np.maximum(values.max(), -values.min())))
 
 
-def _barrier_audit(cfg: RunConfig, grid: PhaseGrid, traj: Trajectory, diffusion,
-                   source, trunc: degiorgi.TruncationReport):
-    """The level-k barrier, k = `trunc.k`: its sources (with the f_k norms
-    of the level's truncation report `trunc`), the barrier solve from the
-    truncated field at T_{k-1}, the comparison and the spectral audits.
+def _barrier_audit(cfg: RunConfig, level: degiorgi.LevelPass, diffusion):
+    """The barrier of the pass's level k: its sources (with the pass's
+    window, source and f_k norms), the barrier solve from the truncated
+    field at T_{k-1}, the comparison and the spectral audits.
 
-    Everything runs on the level window of the sources, the slices from
-    T_{k-1} on the cell box of B(R_{k-1})^2, outside which every field of
-    the stage is zero.  Returns the `barrier.csv` row, the final barrier
-    slice on the whole grid, and whether the comparison and the spectral
-    audits passed.  The source and F_k are freed once the comparison is
-    taken, before the spectra, and the barrier when the call returns.
+    Everything runs on the pass's level window, the slices from T_{k-1}
+    on the cell box of B(R_{k-1})^2, outside which every field of the
+    stage is zero.  Returns the `barrier.csv` row, the final barrier slice
+    on the whole grid, and whether the comparison and the spectral audits
+    passed.  The source and F_k are freed once the comparison is taken,
+    before the spectra, and the barrier when the call returns.
     """
-    k = trunc.k
-    rep = degiorgi.build_barrier_sources(traj, k, diffusion, source, trunc)
+    k = level.k
+    grid = level.window.grid.parent
+    rep = degiorgi.build_barrier_sources(level, diffusion)
     fk = rep.fk
     # the barrier starts from the truncated field F_k at T_{k-1}
     g_traj = solver.solve_barrier_ibvp(rep.source, diffusion, k, interp=cfg.interp,
@@ -282,8 +282,6 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     # --- one pass per truncation level, read by every level-k audit below --
     passes = {k: degiorgi.LevelPass(traj, k, source)
               for k in sorted({*range(cfg.levels + 1), 1, 2, 3, *cfg.barrier_levels})}
-    trunc_reports = {k: degiorgi.truncation_energy(level, cfg.lam)
-                     for k, level in passes.items()}
 
     # --- local energy inequality -------------------------------------------
     local_rows = []
@@ -302,7 +300,8 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     verdicts["local_energy"] = bool(local_ok)
 
     # --- truncation energies and the Chebyshev audit ------------------------
-    ladder = [trunc_reports[k] for k in range(cfg.levels + 1)]
+    ladder = [degiorgi.truncation_energy(passes[k], cfg.lam)
+              for k in range(cfg.levels + 1)]
     energies = [r.energy for r in ladder]
     tables["truncation"] = [[r.k, r.energy, r.sup_term, r.dissipation_term,
                              r.level_set, r.fk_l2_inner, r.fk_l2_outer,
@@ -328,8 +327,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     comparison_ok = True
     spectral_ok = True
     for k in cfg.barrier_levels:
-        row, final, comp_ok, spec_ok = _barrier_audit(cfg, grid, traj, diffusion,
-                                                      source, trunc_reports[k])
+        row, final, comp_ok, spec_ok = _barrier_audit(cfg, passes[k], diffusion)
         barrier_rows.append(row)
         barrier_finals.append((k, final))
         comparison_ok &= comp_ok

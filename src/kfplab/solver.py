@@ -758,12 +758,13 @@ def solve_barrier_ibvp(source: BarrierSource, diffusion, k: int, initial: PhaseF
     with the kinetic inflow boundary condition, from `initial` at T_{k-1}.
 
     The solve runs on the cell box of the source (`source.grid`): a whole
-    grid, or the level window that `build_barrier_sources` returns, which
-    holds the ball; the step is the source's, whose steps must start at
-    the initial time.  The comparison 0 <= F_k <= G_k is a
-    maximum-principle consequence when the difference has zero initial
-    defect, so `initial` is the truncated field F_k(T_{k-1}, .)
-    (`BarrierSourceReport.fk.field(0)`).
+    grid, or the level window of the `degiorgi.LevelPass` that
+    `build_barrier_sources` reads, which holds the ball; the step is the
+    source's, whose steps must start at the initial time, the stored
+    slice at T_{k-1} up to 1e-9 (`Trajectory.slice_at`).  The comparison
+    0 <= F_k <= G_k is a maximum-principle consequence when the
+    difference has zero initial defect, so `initial` is the truncated
+    field F_k(T_{k-1}, .) (`BarrierSourceReport.fk.field(0)`).
     """
     t_start = dyadic_time(k - 1)
     radius = dyadic_radius(k - 1)

@@ -332,6 +332,15 @@ def test_cli_sweep_empty_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seeds", ["1, x", "1..2..3", "1.."])
+def test_cli_sweep_rejects_malformed_seeds(tmp_path, capsys, seeds):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(FAST_CONFIG + f"\nsweep.seeds = {seeds}\n")
+    assert cli_main(["sweep", str(cfg_path), "-o", str(tmp_path / "sw")]) == 2
+    assert "sweep.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def _tree(root):
     """Every file under root, by relative path, with its bytes."""
     return {os.path.relpath(os.path.join(d, f), root):

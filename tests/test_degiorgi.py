@@ -129,25 +129,27 @@ def test_truncation_energy_checkerboard_oracle(grid):
 
 def test_barrier_and_truncation_norms_agree(rough_run):
     # the barrier sources take ||f_k|| and ||grad_v f_k|| over Q_{k-1} from
-    # the truncation report: they are the norms of the sources' own window
+    # the level's pass: they are the norms of the sources' own window
     traj = rough_run["trajectory"]
     for k in (1, 2):
-        trunc = truncation_energy(LevelPass(traj, k), rough_run["lam"])
-        barrier = build_barrier_sources(traj, k, rough_run["diffusion"],
-                                        rough_run["source"], trunc)
+        level = LevelPass(traj, k, rough_run["source"])
+        trunc = truncation_energy(level, rough_run["lam"])
+        barrier = build_barrier_sources(level, rough_run["diffusion"])
         window = traj.window(float(barrier.fk.times[0]), DyadicLevel(k).outer_radius)
         fk = truncate(window, k)
         q_out = DyadicLevel(k).outer_cylinder()
         fk_l2 = math.sqrt(cylinder_integral(fk, lambda v: v**2, q_out))
         grad_l2 = math.sqrt(cylinder_integral(grad_v_sq_trajectory(fk), lambda v: v, q_out))
-        assert trunc.fk_l2_outer > 0.0 and trunc.grad_l2_outer > 0.0
-        assert (barrier.fk_l2, barrier.grad_fk_l2) == (trunc.fk_l2_outer,
-                                                       trunc.grad_l2_outer)
-        assert fk_l2 == pytest.approx(trunc.fk_l2_outer, rel=1e-12)
-        assert grad_l2 == pytest.approx(trunc.grad_l2_outer, rel=1e-12)
-    with pytest.raises(ValueError, match="level 1, not 2"):
-        build_barrier_sources(traj, 2, rough_run["diffusion"], rough_run["source"],
-                              truncation_energy(LevelPass(traj, 1), rough_run["lam"]))
+        assert level.fk_l2[1] > 0.0 and level.grad_l2[1] > 0.0
+        assert (barrier.fk_l2, barrier.grad_fk_l2) == (level.fk_l2[1], level.grad_l2[1])
+        assert (trunc.fk_l2_outer, trunc.grad_l2_outer) == (level.fk_l2[1],
+                                                            level.grad_l2[1])
+        assert fk_l2 == pytest.approx(level.fk_l2[1], rel=1e-12)
+        assert grad_l2 == pytest.approx(level.grad_l2[1], rel=1e-12)
+    # level 0 has no barrier
+    with pytest.raises(ValueError, match="k >= 1, got 0"):
+        build_barrier_sources(LevelPass(traj, 0, rough_run["source"]),
+                              rough_run["diffusion"])
 
 
 def test_truncation_energy_monotone_range_for_constants():
@@ -225,9 +227,9 @@ def test_barrier_sources_vanish_below_level(grid):
     a = build_diffusion(1, 2.0, "constant", value=1.0)
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 0.1)   # below C_1
-    rep = build_barrier_sources(traj, 1, a, g, truncation_energy(LevelPass(traj, 1), a.lam))
-    window = traj.window(dyadic_time(0), DyadicLevel(1).outer_radius)
-    for _, s1, s2 in _barrier_slices(window, DyadicLevel(1), a, g):
+    level = LevelPass(traj, 1, g)
+    rep = build_barrier_sources(level, a)
+    for _, s1, s2 in _barrier_slices(level, a):
         assert np.all(s1 == 0.0) and all(np.all(c == 0.0) for c in s2)
     assert np.all(rep.source.increments == 0.0)
     assert rep.s1_l2 == rep.s2_l2 == 0.0
@@ -242,10 +244,11 @@ def test_barrier_sources_constant_field_oracle(grid):
     g = build_source(1, "zero")
     traj = Trajectory.from_constant(grid, grid.times, 1.0)
     k = 1
-    rep = build_barrier_sources(traj, k, a, g, truncation_energy(LevelPass(traj, k), a.lam))
+    level = LevelPass(traj, k, g)
+    rep = build_barrier_sources(level, a)
     lev = DyadicLevel(k)
-    window = traj.window(dyadic_time(k - 1), lev.outer_radius)
-    _, s1, (s2,) = next(_barrier_slices(window, lev, a, g))
+    window = level.window
+    _, s1, (s2,) = next(_barrier_slices(level, a))
     cbar = 1.0 - lev.truncation
     eta_x = lev.eta(grid.rho_x)[:, None]
     eta_v = lev.eta(grid.rho_v)[None, :]
@@ -270,8 +273,8 @@ def test_barrier_sources_constant_field_oracle(grid):
 def test_barrier_source_norm_bounds(rough_run):
     traj = rough_run["trajectory"]
     for k in (1, 2):
-        rep = build_barrier_sources(traj, k, rough_run["diffusion"], rough_run["source"],
-                                    truncation_energy(LevelPass(traj, k), rough_run["lam"]))
+        rep = build_barrier_sources(LevelPass(traj, k, rough_run["source"]),
+                                    rough_run["diffusion"])
         assert rep.s2_within_bound
         assert rep.s1_within_bound
         assert rep.s2_bound_actual <= rep.s2_bound + 1e-12

@@ -22,6 +22,9 @@ def test_demo_exits_zero(demo, tmp_path):
     src = str(Path(kfplab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
+    # the warnings pyproject's filterwarnings turns into errors, as errors
+    # here too: the filter does not reach a subprocess
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-W", "error::UserWarning", str(demo)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]

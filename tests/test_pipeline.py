@@ -166,8 +166,9 @@ def test_barrier_artifacts_byte_identical_across_cli_runs(tmp_path):
 
 
 def test_a_barrier_level_beyond_the_truncation_ladder_gets_its_own_report():
-    # the barrier budgets read the level's truncation report; level 3 lies
-    # beyond a ladder of levels 0..2
+    # the barrier budgets read the f_k norms of the level's pass; level 3
+    # lies beyond a ladder of levels 0..2, so it has a pass and no
+    # truncation report
     cfg = parse_config(BARRIER_CONFIG + "diagnostics.levels = 2\n"
                                         "diagnostics.barrier_levels = 1, 3\n")
     res = run_pipeline(cfg)
@@ -175,12 +176,26 @@ def test_a_barrier_level_beyond_the_truncation_ladder_gets_its_own_report():
     assert [row[0] for row in res.tables["barrier"]] == [1, 3]
     traj = solve_initial(cfg, build_grid(cfg), build_coefficient(cfg),
                          build_source_field(cfg))
-    rep = degiorgi.build_barrier_sources(traj, 3, build_coefficient(cfg),
-                                         build_source_field(cfg),
-                                         degiorgi.truncation_energy(
-                                             degiorgi.LevelPass(traj, 3), cfg.lam))
+    rep = degiorgi.build_barrier_sources(
+        degiorgi.LevelPass(traj, 3, build_source_field(cfg)), build_coefficient(cfg))
     col = CSV_COLUMNS["barrier"].index("s1_bound")
     assert res.tables["barrier"][1][col] == rep.s1_bound
+
+
+def test_a_level_pass_and_its_barrier_start_at_the_same_stored_slice():
+    # on this grid T_0 = -1 is stored at -0.9999999999999999: the level-1
+    # window starts there, not one slice earlier, and the barrier with it
+    cfg = parse_config(BARRIER_CONFIG + "grid.t_min = -1.4\ngrid.n_t = 21\n"
+                                        "diagnostics.barrier_levels = 1\n")
+    diffusion, source = build_coefficient(cfg), build_source_field(cfg)
+    traj = solve_initial(cfg, build_grid(cfg), diffusion, source)
+    i0 = traj.slice_index(dyadic_time(0))
+    assert traj.times[i0] > dyadic_time(0)
+    level = degiorgi.LevelPass(traj, 1, source)
+    rep = degiorgi.build_barrier_sources(level, diffusion)
+    assert level.window.times[0] == rep.fk.times[0] == rep.source.t_start == traj.times[i0]
+    assert rep.fk.n_slices == traj.n_slices - i0
+    assert rep.fk_l2 > 0.0
 
 
 @pytest.mark.parametrize("kind", ["checkerboard", "cellwise_random", "constant"])

@@ -325,9 +325,8 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     rises = {"plan and first step": _rise(first), "later step": _rise(later)}
     del state
     traj = solve_initial(cfg, grid, diffusion, source)
-    trunc = truncation_energy(LevelPass(traj, 1), cfg.lam)
-    rises["barrier audit"] = _rise(pipeline._barrier_audit, cfg, grid, traj, diffusion,
-                                   source, trunc)
+    rises["barrier audit"] = _rise(pipeline._barrier_audit, cfg,
+                                   LevelPass(traj, 1, source), diffusion)
     bounds = {"plan and first step": 17.6, "later step": 0.4, "barrier audit": 17.5}
     for name, rise in rises.items():
         assert rise < bounds[name] * MIB, (name, rise / MIB)

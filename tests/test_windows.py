@@ -479,29 +479,24 @@ def test_chebyshev_counts_the_truncation_level_set(slab, monkeypatch):
     assert max(measures) > 0.0
 
 
-def _barrier_sources(traj, k, diffusion, source):
-    """`build_barrier_sources` with the f_k norms of the level's truncation
-    report, as the pipeline calls it."""
-    return build_barrier_sources(traj, k, diffusion, source,
-                                 truncation_energy(LevelPass(traj, k), diffusion.lam))
-
-
 @pytest.mark.parametrize("with_source", [True, False])
 def test_barrier_sources_match_reference(run, with_source):
     traj, diffusion = run["traj"], run["diffusion"]
     source = run["source"] if with_source else None
     for k in (1, 2):
-        got = _barrier_sources(traj, k, diffusion, source)
+        level = LevelPass(traj, k, source)
+        got = build_barrier_sources(level, diffusion)
         expected = _build_barrier_sources_reference(traj, k, diffusion, source)
         cells = got.fk.grid
         assert cells.box == GridWindow(traj.grid, DyadicLevel(k).outer_radius).box
-        # the sources start at the slice at T_{k-1}, where the barrier does
+        # the sources start at the slice at T_{k-1}, where the barrier does,
+        # on the pass's own window
         i0 = traj.slice_index(dyadic_time(k - 1))
-        window = traj.window(float(traj.times[i0]), DyadicLevel(k).outer_radius)
+        assert cells is level.window.grid
         assert np.array_equal(got.fk.times, traj.times[i0:])
         assert got.source.t_start == traj.times[i0]
         assert got.source.increments.shape == (traj.n_slices - i0 - 1,) + cells.shape
-        slices = list(_barrier_slices(window, DyadicLevel(k), diffusion, source))
+        slices = list(_barrier_slices(level, diffusion))
         assert len(slices) == traj.n_slices - i0
         for j, ref in enumerate((expected["s1"],) + expected["s2"]):
             # the whole-grid reference is exactly zero outside the window's box
@@ -525,7 +520,7 @@ def test_barrier_sources_match_reference(run, with_source):
             assert _close(getattr(got, name), expected[name]), (k, name)
         if not with_source:
             assert got.g_ind_l2 == 0.0
-    assert _barrier_sources(traj, 1, diffusion, source).s1_l2 > 0.0
+    assert build_barrier_sources(LevelPass(traj, 1, source), diffusion).s1_l2 > 0.0
 
 
 @pytest.mark.parametrize("slab", SLABS)
@@ -603,10 +598,10 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
     def distinct(keys):
         return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
 
-    trunc = truncation_energy(LevelPass(traj, 1), 2.0)
+    level = LevelPass(traj, 1, source)
     for audit in (lambda: solver.energy_budget(traj, source, 2.0),
                   lambda: local_energy_check(LevelPass(traj, 1, source), 2.0, -0.75, 0.0),
-                  lambda: build_barrier_sources(traj, 1, diffusion, source, trunc)):
+                  lambda: build_barrier_sources(level, diffusion)):
         calls["sample"].clear()
         calls["diagonal"].clear()
         audit()
@@ -647,7 +642,7 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
     grid = traj.grid
     for k in (1, 2):
         i0 = traj.slice_index(dyadic_time(k - 1))
-        rep = _barrier_sources(traj, k, diffusion, source)
+        rep = build_barrier_sources(LevelPass(traj, k, source), diffusion)
         cells = rep.fk.grid
         window = traj.window(rep.fk.t_start, DyadicLevel(k).outer_radius)
         f_win = _cutoff_field(window, k)

@@ -66,10 +66,14 @@ def _expand_sweep(cfg: RunConfig, keys: dict):
     for part in filter(None, (p.strip() for p in seeds_raw.split(","))):
         lo, dots, hi = part.partition("..")
         try:
-            seeds.extend(range(int(lo), int(hi if dots else lo) + 1))
+            lo, hi = int(lo), int(hi if dots else lo)
         except ValueError:
             raise ConfigError(f"sweep.seeds: {part!r} is neither an integer nor "
                               f"an a..b range") from None
+        if hi < lo:
+            raise ConfigError(f"sweep.seeds: the range {part!r} is reversed "
+                              f"({lo} > {hi})")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ConfigError("sweep.seeds produced an empty ensemble")
     kinds = [k.strip() for k in keys.get("sweep.kinds", "").split(",") if k.strip()]

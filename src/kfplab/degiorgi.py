@@ -44,6 +44,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "LOCAL_ENERGY_LEVELS",
     "LevelPass",
     "TruncationReport",
     "ChebyshevReport",
@@ -76,6 +77,11 @@ def grad_v_sq_trajectory(traj: Trajectory) -> Trajectory:
     return traj.map_values(lambda values: grad_v_sq_density(traj.grid, values))
 
 
+# the truncation levels whose cutoff energy inequality the run checks
+# (`solver.local_energy_check`); their passes take all five cutoff sums
+LOCAL_ENERGY_LEVELS = (1, 2, 3)
+
+
 class LevelPass:
     """Every integral of level k's truncation f_k = (f - C_k)_+ that the
     level's audits read, from one walk of the level window.
@@ -96,12 +102,17 @@ class LevelPass:
 
     From the last slice at or before T_k on (window index `first`, by the
     same rule, `Trajectory.slice_at`), where U_k and the local energy
-    inequality read, each slice also gives the raw cell sums of the five
+    inequality read, each slice also gives the raw cell sums of the
     cutoff-energy integrands (`cutoff_sums`):
 
         eta_x eta_v^2 f_k^2,   eta_x |grad_v(eta_v f_k)|^2,
         eta_x f_k^2 |grad eta_v|^2,   eta_v^2 f_k^2 v.grad eta_x,
         g f_k eta_x eta_v^2  (0.0 without a source).
+
+    U_k reads the first two; the last three, which only the local energy
+    inequality reads, are taken on the levels of `LOCAL_ENERGY_LEVELS`.
+    Each integrand is formed in one of three slice buffers of the pass, in
+    the association order of its formula above, read left to right.
 
     Slice indices are those of the window (`window`, a read-only view).
     """
@@ -119,45 +130,63 @@ class LevelPass:
         c = level.truncation
         eta_x, eta_v = level.cutoffs(cells)
         eta_v_sq = eta_v**2
-        slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
-        vdot = level.v_dot_grad_eta_x(cells)
-        sample = None if source is None else KeyedSampler(
-            source, lambda t: source.sample(cells, t))
+        local = k in LOCAL_ENERGY_LEVELS
+        if local:
+            slope_sq = cells.expand_v(level.eta_slope(cells.rho_v)) ** 2
+            vdot = level.v_dot_grad_eta_x(cells)
+            sample = None if source is None else KeyedSampler(
+                source, lambda t: source.sample(cells, t))
         regions = (level.cylinder(), level.outer_cylinder())
         # the squares are taken in place: a slab makes no second slab-sized array
         fk_sq = [SliceIntegral(win, lambda v: np.square(v, out=v), q) for q in regions]
         grad_sq = [SliceIntegral(win, lambda v: v, q) for q in regions]
+        fk, density, buf = np.empty((3,) + cells.shape)
         self._sums = []
         for i, f in enumerate(win.values):
-            fk = np.maximum(f - c, 0.0)
+            np.maximum(np.subtract(f, c, out=fk), 0.0, out=fk)
             for integral in fk_sq:
                 integral.add(i, fk)
-            density = grad_v_sq_density(cells, fk)
+            grad_v_sq_density(cells, fk, density)
             for integral in grad_sq:
                 integral.add(i, density)
-            # freed before the cutoff sums make their own slice-sized arrays
-            del density
             if i < self.first:
                 continue
-            grad = float(np.sum(eta_x * grad_v_sq_density(cells, eta_v * fk)))
-            fk_fk = fk**2
+            grad_v_sq_density(cells, np.multiply(eta_v, fk, out=buf), density)
+            density *= eta_x
+            grad = float(np.sum(density))
             work = 0.0
-            if source is not None:
-                work = float(np.sum(sample(float(win.times[i])) * fk * eta_x * eta_v_sq))
-            # the weight eta_x eta_v^2 is multiplied per slice: a slice-sized
-            # weight held through the walk would add to its peak
-            self._sums.append((float(np.sum(eta_x * eta_v_sq * fk_fk)), grad,
-                               float(np.sum(eta_x * fk_fk * slope_sq)),
-                               float(np.sum(eta_v_sq * fk_fk * vdot)), work))
+            if local and source is not None:
+                np.multiply(sample(float(win.times[i])), fk, out=buf)
+                buf *= eta_x
+                buf *= eta_v_sq
+                work = float(np.sum(buf))
+            fk_fk = np.square(fk, out=fk)
+            np.multiply(eta_x, eta_v_sq, out=buf)
+            buf *= fk_fk
+            sums = (float(np.sum(buf)), grad)
+            if local:
+                np.multiply(eta_x, fk_fk, out=buf)
+                buf *= slope_sq
+                slope = float(np.sum(buf))
+                np.multiply(eta_v_sq, fk_fk, out=buf)
+                buf *= vdot
+                sums += (slope, float(np.sum(buf)), work)
+            self._sums.append(sums)
+        # the buffers go before the level set and f_{k-1}^2 take their slabs
+        fk = density = buf = fk_fk = None
         self.fk_l2 = tuple(math.sqrt(integral.value()) for integral in fk_sq)
         self.grad_l2 = tuple(math.sqrt(integral.value()) for integral in grad_sq)
         self.level_set = level_set_measure(win, lambda f: f > c, regions[1])
+        c_prev = None if k == 0 else dyadic_truncation(k - 1)
+        # f_{k-1}^2 in place: the slab is the integral's own
         self.prev_sq = None if k == 0 else cylinder_integral(
-            win, lambda f: np.maximum(f - dyadic_truncation(k - 1), 0.0) ** 2, regions[1])
+            win, lambda f: np.square(np.maximum(np.subtract(f, c_prev, out=f), 0.0, out=f),
+                                     out=f), regions[1])
 
     def cutoff_sums(self, slices) -> dict:
-        """{i: the five cutoff sums of window slice i} for the slices asked
-        for, each from the last one at or before T_k on."""
+        """{i: the cutoff sums of window slice i} for the slices asked for,
+        each from the last one at or before T_k on: all five on the levels
+        of `LOCAL_ENERGY_LEVELS`, the first two on the others."""
         slices = [int(i) for i in slices]
         if slices and min(slices) < self.first:
             raise ValueError(f"slice {min(slices)} of the level-{self.k} window is "
@@ -300,16 +329,25 @@ class BarrierSource:
     def set_step(self, n: int, times, prev, cur):
         """Fill step n's increment from (S1, S2) at the two stored `times`
         around its midpoint: `prev` and `cur` are (S1, S2) slice pairs, with
-        S2 one array per v axis."""
+        S2 one array per v axis.  The increment is dt times the lerp
+        (1 - w) a + w b of S1 plus the divergence of each S2 component's
+        lerp, added in that order; it is formed in place, with two slice
+        buffers for the lerps and divergences."""
         if len(prev[1]) != self.grid.dim or len(cur[1]) != self.grid.dim:
             raise ValueError(f"need {self.grid.dim} components for S2, "
                              f"got {len(prev[1])} and {len(cur[1])}")
         w = (self.midpoint(n) - times[0]) / (times[1] - times[0])
-        lerp = lambda a, b: (1.0 - w) * a + w * b
         out = self.increments[n]
-        out[...] = lerp(prev[0], cur[0])
+        s2_lerp, part = np.empty((2,) + self.grid.shape)
+
+        def lerp(a, b, into):
+            np.multiply(a, 1.0 - w, out=into)
+            into += np.multiply(b, w, out=part)
+            return into
+
+        lerp(prev[0], cur[0], out)
         for ax, (a, b) in enumerate(zip(prev[1], cur[1])):
-            out += face_divergence(self.grid, lerp(a, b), ax)
+            out += face_divergence(self.grid, lerp(a, b, s2_lerp), ax, part)
         out *= self.dt
 
     def increments_for(self, grid, dt: float):
@@ -359,32 +397,55 @@ def _barrier_slices(level: LevelPass, diffusion):
         S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v),
 
     with g the pass's source.  The coefficient and the source are sampled
-    only when their time keys change."""
+    only when their time keys change.  S1 and S2 are new arrays per slice,
+    each formed in place in the association order of its formula read left
+    to right; f_k is a buffer of the generator, overwritten at the next
+    slice."""
     win, source, dyadic = level.window, level.source, DyadicLevel(level.k)
     cells = win.grid
     c = dyadic.truncation
     eta_x, eta_v = dyadic.cutoffs(cells)
+    eta_v_sq = eta_v**2
+    two_eta_x, minus_two_eta_x = 2.0 * eta_x, -2.0 * eta_x
     vdot = dyadic.v_dot_grad_eta_x(cells)
     grad_eta_v = [cells.expand_v(g) for g in dyadic.grad_eta(cells, "v")]
     coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(cells, t))
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(cells, t))
+    fk, cross, buf = np.empty((3,) + cells.shape)
+    ind = np.empty(cells.shape, dtype=bool)
     for i in range(win.n_slices):
         t = float(win.times[i])
         f = win.values[i]
-        fk = np.maximum(f - c, 0.0)
-        ind = f > c
+        np.maximum(np.subtract(f, c, out=fk), 0.0, out=fk)
         a_diag = coefficients(t)
-        g = sample(t) if source is not None else 0.0
-        cross = np.zeros(cells.shape)
-        s2 = []
-        for ax in range(cells.dim):
-            cross += a_diag[ax] * cell_grad_v(cells, fk, ax) * grad_eta_v[ax]
-            s2.append(-2.0 * eta_x * eta_v * fk * a_diag[ax] * grad_eta_v[ax])
-        s1 = (g * ind * eta_x * eta_v**2
-              + fk * eta_v**2 * vdot
-              - 2.0 * eta_x * eta_v * cross)
-        yield fk, s1, tuple(s2)
+        s1 = np.empty(cells.shape)
+        s2 = tuple(np.empty(cells.shape) for _ in range(cells.dim))
+        # the sum over the axes of a_ax (grad_v f_k)_ax (grad eta_v)_ax, from 0.0
+        cross.fill(0.0)
+        for ax, comp in enumerate(s2):
+            term = cell_grad_v(cells, fk, ax, buf)
+            term *= a_diag[ax]
+            term *= grad_eta_v[ax]
+            cross += term
+            np.multiply(minus_two_eta_x, eta_v, out=comp)
+            comp *= fk
+            comp *= a_diag[ax]
+            comp *= grad_eta_v[ax]
+        if source is not None:
+            np.multiply(sample(t), np.greater(f, c, out=ind), out=s1)
+            s1 *= eta_x
+            s1 *= eta_v_sq
+        else:
+            # no source: its term is 0.0 times the indicator and the cutoffs
+            s1.fill(0.0)
+        np.multiply(fk, eta_v_sq, out=buf)
+        buf *= vdot
+        s1 += buf
+        np.multiply(two_eta_x, eta_v, out=buf)
+        buf *= cross
+        s1 -= buf
+        yield fk, s1, s2
 
 
 def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
@@ -418,7 +479,7 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
     cells = win.grid
     times = win.times
     q_out = dyadic.outer_cylinder()
-    sq = lambda v: v**2
+    sq = lambda v: np.square(v, out=v)
     s1_sq = SliceIntegral(win, sq, q_out)
     s2_sq = [SliceIntegral(win, sq, q_out) for _ in range(cells.dim)]
     eta_x, eta_v = dyadic.cutoffs(cells)
@@ -437,6 +498,7 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
             # the step from slice i - 1 to slice i reads S1 and S2 between them
             barrier.set_step(i - 1, times[i - 1:i + 1], last, (s1, s2))
         last = (s1, s2)
+    last = s1 = s2 = None
     fk = Trajectory(cells, times.copy(), fk_vals)
 
     s1_l2 = math.sqrt(s1_sq.value())
@@ -674,10 +736,20 @@ class GateReport:
 _CONCLUSION_BOUND = 0.5 + 1e-12
 
 
-def _premise_log10(traj: Trajectory, region) -> float:
-    """log10 int_region f_+^2 (-inf when the integral is 0)."""
-    integral = cylinder_integral(traj, lambda f: np.maximum(f, 0.0) ** 2, region)
-    return math.log10(integral) if integral > 0 else -math.inf
+def _premise_log10(traj: Trajectory, region, slices=None) -> float:
+    """log10 int_region f_+^2 (-inf when the integral is 0) of the stored
+    slices of `traj`, or of `slices`, the stored slices of a run on its
+    cells and times, fed one at a time."""
+    integral = SliceIntegral(traj, _positive_sq, region)
+    for i, values in enumerate(traj.values if slices is None else slices):
+        integral.add(i, values)
+    value = integral.value()
+    return math.log10(value) if value > 0 else -math.inf
+
+
+def _positive_sq(f):
+    """f_+^2, in place."""
+    return np.square(np.maximum(f, 0.0, out=f), out=f)
 
 
 def _conclusion_cylinder(traj: Trajectory, r: float):
@@ -735,6 +807,10 @@ def empirical_kappa(traj: Trajectory, unit: Trajectory, a0: float):
     (inf, inf) when no conclusion node has U_n > 0.  The assembled
     threshold is sufficient, never necessary, so kappa_log10 <= kappa_emp
     is the expected outcome.
+
+    The premise integral of the run from a* streams: its stored slices
+    traj_i + (a* - a0) unit_i are formed one at a time in one slice buffer
+    and fed to the integral's `geometry.SliceIntegral`.
     """
     region, _ = _conclusion_cylinder(traj, 0.5)
     t_n = cylinder_nodes(traj, region)
@@ -745,5 +821,14 @@ def empirical_kappa(traj: Trajectory, unit: Trajectory, a0: float):
     if not rising.any():
         return math.inf, math.inf
     amp = a0 + float(np.min((_CONCLUSION_BOUND - t_n[rising]) / u_n[rising]))
-    at_amp = Trajectory(traj.grid, traj.times, traj.values + (amp - a0) * unit.values)
-    return _premise_log10(at_amp, make_cylinder(1.5)), amp
+    return _premise_log10(traj, make_cylinder(1.5), _superposed(traj, unit, amp - a0)), amp
+
+
+def _superposed(traj: Trajectory, unit: Trajectory, scale: float):
+    """The stored slices traj_i + scale unit_i, one at a time, each written
+    into one slice buffer (valid until the next)."""
+    out = np.empty(traj.grid.shape)
+    for f, u in zip(traj.values, unit.values):
+        np.multiply(u, scale, out=out)
+        out += f
+        yield out

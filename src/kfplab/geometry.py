@@ -652,39 +652,70 @@ def time_quadrature_weights(times, t_lo: float, t_hi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _face_diff(grid, values, axis):
-    return np.diff(values, axis=axis) / grid.dv
+    """The face differences D = np.diff/dv of `values` along `axis`."""
+    faces = np.diff(values, axis=axis)
+    faces /= grid.dv
+    return faces
 
 
-def faces_to_cells(faces: np.ndarray, axis: int) -> np.ndarray:
+def faces_to_cells(faces: np.ndarray, axis: int, out=None) -> np.ndarray:
     """Each interior face value split evenly onto its two cells along
-    `axis`; the boundary faces carry nothing."""
+    `axis`, into `out` when given; the boundary faces carry nothing.  The
+    faces are halved in place.
+
+    Cell j takes the halves of faces j and j - 1; the first cell has only
+    face 0, and the last only the last face, added to 0.0 as the sum of a
+    zero-filled cell would add it (so a -0.0 half gives +0.0 there)."""
     lead = (slice(None),) * (axis % faces.ndim)
     shape = list(faces.shape)
     shape[len(lead)] += 1
-    half = 0.5 * faces
-    cells = np.zeros(shape)
-    cells[lead + (slice(None, -1),)] = half
-    cells[lead + (slice(1, None),)] += half
-    return cells
+    out = np.empty(shape) if out is None else out
+    faces *= 0.5
+    out[lead + (0,)] = faces[lead + (0,)]
+    np.add(faces[lead + (slice(1, None),)], faces[lead + (slice(None, -1),)],
+           out=out[lead + (slice(1, -1),)])
+    np.add(faces[lead + (-1,)], 0.0, out=out[lead + (-1,)])
+    return out
 
 
-def grad_v_sq_density(grid, values: np.ndarray) -> np.ndarray:
+def grad_v_sq_density(grid, values: np.ndarray, out=None) -> np.ndarray:
     """|grad_v f|^2 per cell: the squared face differences split onto the
-    cells, summed over the v axes (the last `grid.dim` axes of `values`)."""
-    return sum(faces_to_cells(_face_diff(grid, values, a) ** 2, a)
-               for a in range(values.ndim - grid.dim, values.ndim))
+    cells, summed over the v axes (the last `grid.dim` axes of `values`),
+    into `out` when given.  The axes are added in order, each axis's cells
+    formed whole first."""
+    out = np.empty(values.shape) if out is None else out
+    for n, axis in enumerate(range(values.ndim - grid.dim, values.ndim)):
+        faces = _face_diff(grid, values, axis)
+        np.square(faces, out=faces)
+        if n == 0:
+            faces_to_cells(faces, axis, out)
+        else:
+            out += faces_to_cells(faces, axis)
+    return out
 
 
-def cell_grad_v(grid, values: np.ndarray, ax: int) -> np.ndarray:
-    """The face differences of v axis `ax` split onto the cells: the
-    negative adjoint of `face_divergence`, centered in the interior."""
+def cell_grad_v(grid, values: np.ndarray, ax: int, out=None) -> np.ndarray:
+    """The face differences of v axis `ax` split onto the cells, into `out`
+    when given: the negative adjoint of `face_divergence`, centered in the
+    interior."""
     axis = values.ndim - grid.dim + ax
-    return faces_to_cells(_face_diff(grid, values, axis), axis)
+    return faces_to_cells(_face_diff(grid, values, axis), axis, out)
 
 
-def face_divergence(grid, comp: np.ndarray, ax: int) -> np.ndarray:
-    """div_v along v axis `ax`: `comp` averaged to the interior faces, zero
-    on the boundary faces, and differenced back to the cells."""
-    s = np.moveaxis(comp, comp.ndim - grid.dim + ax, -1)
-    flux = np.pad(0.5 * (s[..., :-1] + s[..., 1:]), [(0, 0)] * (s.ndim - 1) + [(1, 1)])
-    return np.moveaxis(_face_diff(grid, flux, -1), -1, comp.ndim - grid.dim + ax)
+def face_divergence(grid, comp: np.ndarray, ax: int, out=None) -> np.ndarray:
+    """div_v along v axis `ax`, into `out` when given: `comp` averaged to
+    the interior faces, zero on the boundary faces, and differenced back
+    to the cells.  The first cell reads its inner face alone and the last
+    one 0.0 minus its inner face, as the differences of zero-padded faces
+    would (so a +0.0 face gives +0.0 there, not its negation -0.0)."""
+    axis = comp.ndim - grid.dim + ax
+    lead = (slice(None),) * axis
+    out = np.empty(comp.shape) if out is None else out
+    flux = np.add(comp[lead + (slice(None, -1),)], comp[lead + (slice(1, None),)])
+    flux *= 0.5
+    out[lead + (0,)] = flux[lead + (0,)]
+    np.subtract(flux[lead + (slice(1, None),)], flux[lead + (slice(None, -1),)],
+                out=out[lead + (slice(1, -1),)])
+    np.subtract(0.0, flux[lead + (-1,)], out=out[lead + (-1,)])
+    out /= grid.dv
+    return out

@@ -7,7 +7,10 @@ level-set bound, the barrier comparison, Plancherel and the spectral
 interpolation inequality, oscillation contraction mu < 1, a positive
 fitted Hoelder exponent, and the empirical-vs-assembled kappa ordering
 (kappa_emp in closed form from the main run and one unit-amplitude run,
-its superposition checked against a direct solve).
+its superposition checked against a direct run, `_bisection`).  The
+bisection keeps the unit run and streams the rest: the premise integral
+at a* reads the superposed slices one at a time, and the direct run is
+stepped by `solver.march` and compared slice by slice as it comes.
 
 After the main solve the audits form two independent stages that read only
 the trajectory, the coefficient, the source and the configuration: the De
@@ -146,12 +149,19 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid,
     return PhaseField(grid, grid.t_span[0], vals)
 
 
+def _initial_run(step, cfg: RunConfig, grid: PhaseGrid, diffusion, source,
+                 amplitude: float | None = None):
+    """`step`, `solver.solve` or `solver.march`, of the whole-space run
+    from `build_initial(cfg, grid, amplitude)`."""
+    return step(build_initial(cfg, grid, amplitude), diffusion, source, 0.0,
+                solver.WHOLE_SPACE, dt=cfg.dt, interp=cfg.interp,
+                store_every=cfg.store_every)
+
+
 def solve_initial(cfg: RunConfig, grid: PhaseGrid, diffusion, source,
                   amplitude: float | None = None) -> Trajectory:
     """The whole-space run from `build_initial(cfg, grid, amplitude)`."""
-    return solver.solve(build_initial(cfg, grid, amplitude), diffusion, source,
-                        0.0, solver.WHOLE_SPACE, dt=cfg.dt, interp=cfg.interp,
-                        store_every=cfg.store_every)
+    return _initial_run(solver.solve, cfg, grid, diffusion, source, amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +272,8 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     """The L-infinity chain on the solution: energy, local energy,
     truncation energies and Chebyshev, the barrier stage, the iteration
     constants, the recursion, the gate and, when bisection is on, kappa_emp
-    with its affine check (two more solves).
+    with its affine check (a unit solve and a streamed direct run,
+    `_bisection`).
 
     Returns ((tables, metrics, verdicts), barrier_finals).
     """
@@ -281,14 +292,15 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
 
     # --- one pass per truncation level, read by every level-k audit below --
     passes = {k: degiorgi.LevelPass(traj, k, source)
-              for k in sorted({*range(cfg.levels + 1), 1, 2, 3, *cfg.barrier_levels})}
+              for k in sorted({*range(cfg.levels + 1), *degiorgi.LOCAL_ENERGY_LEVELS,
+                               *cfg.barrier_levels})}
 
     # --- local energy inequality -------------------------------------------
     local_rows = []
     local_ok = True
     f_scale = _abs_max(traj.values)
     tol_local = 10.0 * _scheme_tolerance(grid, f_scale**2, cfg.dt)
-    for k in (1, 2, 3):
+    for k in degiorgi.LOCAL_ENERGY_LEVELS:
         t_k = dyadic_time(k)
         for (s, t) in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
             res = solver.local_energy_check(passes[k], cfg.lam, s, t)
@@ -368,22 +380,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     verdicts["gate_implication"] = gate.implication_holds
 
     if cfg.run_bisection:
-        # the step is linear in f (transport is a fixed gather, diffusion one
-        # linear solve with f-independent coefficients) plus g, and the
-        # initial data is the amplitude times a fixed profile, so the run
-        # from amplitude a is traj + (a - a0) unit; one direct solve at a*
-        # (at 1e-3 when a* is infinite) checks that superposition
-        a0 = cfg.initial_amplitude
-        unit = solve_initial(cfg, grid, diffusion, None, amplitude=1.0)
-        kappa_emp, amp = degiorgi.empirical_kappa(traj, unit, a0)
-        amp = amp if math.isfinite(amp) else 1e-3
-        direct = solve_initial(cfg, grid, diffusion, source, amp).values
-        # |traj + (a* - a0) unit - direct| in one array, the run's peak on N = 1
-        gap = (amp - a0) * unit.values
-        gap += traj.values
-        gap -= direct
-        defect = float(np.max(np.abs(gap, out=gap))) \
-            / (1.0 + float(np.maximum(direct.max(), -direct.min())))
+        kappa_emp, defect = _bisection(cfg, traj, diffusion, source)
         metrics["kappa_emp_log10"] = kappa_emp
         metrics["kappa_affine_defect"] = defect
         verdicts["kappa_order"] = (kappa_log <= kappa_emp
@@ -393,6 +390,39 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
         metrics["kappa_affine_defect"] = math.nan
         verdicts["kappa_order"] = True
     return (tables, metrics, verdicts), barrier_finals
+
+
+def _bisection(cfg: RunConfig, traj: Trajectory, diffusion, source):
+    """(log10 kappa_emp, affine defect): the empirical threshold of the
+    plain gate from the run and one source-free unit-amplitude run, and
+    the check of the superposition it rests on.
+
+    The step is linear in f (transport is a fixed gather, diffusion one
+    linear solve with f-independent coefficients) plus g, and the initial
+    data is the amplitude times a fixed profile, so the run from amplitude
+    a is traj + (a - a0) unit.  One direct run at a* (at 1e-3 when a* is
+    infinite) checks that superposition: the defect is
+    max|traj + (a* - a0) unit - direct| / (1 + max|direct|) over the
+    stored slices.  The direct run is stepped by `solver.march` and each
+    stored slice compared as it comes, in one slice buffer, so neither the
+    superposed run nor the direct one is held: beside the run, the unit
+    run is the one trajectory the bisection keeps.
+    """
+    grid = traj.grid
+    a0 = cfg.initial_amplitude
+    unit = solve_initial(cfg, grid, diffusion, None, amplitude=1.0)
+    kappa_emp, amp = degiorgi.empirical_kappa(traj, unit, a0)
+    amp = amp if math.isfinite(amp) else 1e-3
+    gap = np.empty(grid.shape)
+    gaps, scales = [], []
+    direct_run = _initial_run(solver.march, cfg, grid, diffusion, source, amp)
+    for i, (_, direct) in enumerate(direct_run):
+        np.multiply(unit.values[i], amp - a0, out=gap)
+        gap += traj.values[i]
+        gap -= direct
+        gaps.append(_abs_max(gap))
+        scales.append(_abs_max(direct))
+    return kappa_emp, float(np.max(gaps)) / (1.0 + float(np.max(scales)))
 
 
 def _holder_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):

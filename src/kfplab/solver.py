@@ -32,7 +32,12 @@ ledger as `diff_residual`, the worst residual over that tolerance.  A step
 runs in buffers the plan allocates once and allocates no slice-sized
 array: on N = 2 a plan holds about 20 slices (the index gathers, four
 factor arrays per v axis, the coefficient samples and its buffers), and
-its step returns one of them, valid until the next step.
+its step returns one of them, valid until the next step.  One loop
+steps a solve: the generator `march` yields each stored slice in that
+buffer as it comes, and `solve` is `march` collected, with the energy
+ledger, whose squares are taken in a scratch buffer of the plan.  A
+caller that only reduces the slices steps `march` itself and holds no
+trajectory (the affine check of `pipeline._bisection`).
 `solve_anchored` runs the same step with its Dirichlet ring filled from
 the data, on the cell box of the unpinned cells widened by the
 transport's reach: only that box is stepped and carried, and each step
@@ -66,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import KeyedSampler
-from .degiorgi import BarrierSource, LevelPass
+from .degiorgi import LOCAL_ENERGY_LEVELS, BarrierSource, LevelPass
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, _CellBox, _bounding_box, dyadic_radius, dyadic_time, \
     face_divergence, grad_v_sq_density, time_quadrature_weights
@@ -79,6 +84,7 @@ __all__ = [
     "WHOLE_SPACE",
     "kinetic_ibvp",
     "step",
+    "march",
     "solve",
     "solve_anchored",
     "whole_steps",
@@ -590,6 +596,8 @@ class _StepPlan:
         moved = [len(range(n)[s]) for s, n in zip(self.inner, grid.shape)]
         self.moved = block[0, :int(np.prod(moved))].reshape(moved)
         self.result = block[1, :cells].reshape(grid.shape)
+        # a scratch slice no step holds on to: the caller's until the next step
+        self.spare = block[2, :cells].reshape(grid.shape)
         self.active_inner = None if active is None else active[self.inner]
 
     def restrict(self, values):
@@ -639,10 +647,12 @@ def step(state: PhaseField, diffusion, source, dt: float, bc: BoundaryCondition,
     return PhaseField(state.grid, state.t + dt, vals.copy())
 
 
-def _ledger_entry(grid, t, vals, diff_residual):
+def _ledger_entry(grid, t, vals, diff_residual, square):
+    """The energy-ledger entry of `vals`; its squares are formed in the
+    slice buffer `square`."""
     return {
         "t": float(t),
-        "l2_sq": float(np.sum(vals**2) * grid.cell_volume),
+        "l2_sq": float(np.sum(np.square(vals, out=square)) * grid.cell_volume),
         "mass": float(np.sum(vals) * grid.cell_volume),
         "min": float(vals.min()),
         "max": float(vals.max()),
@@ -650,37 +660,65 @@ def _ledger_entry(grid, t, vals, diff_residual):
     }
 
 
-def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition,
-          dt: float | None = None, interp: str = "linear",
-          store_every: int = 1) -> Trajectory:
-    """March from f0.t to t_end, storing every `store_every`-th slice.
-
-    The step count is `whole_steps(t_end - f0.t, dt, store_every)`;
-    identical inputs give bit-identical trajectories.  Each step appends an
-    energy-ledger entry, with `diff_residual` the worst diffusion-solve
-    residual of the step over its tolerance (0 for the initial entry).
-    """
-    grid = f0.grid
-    dt = grid.dt if dt is None else float(dt)
+def _march_steps(f0: PhaseField, t_end: float, dt: float | None, store_every: int):
+    """(dt, step count) of a march from f0.t to t_end."""
+    dt = f0.grid.dt if dt is None else float(dt)
     span = t_end - f0.t
     if span <= 0:
         raise ValueError(f"t_end = {t_end} must exceed the initial time {f0.t}")
-    n_steps = whole_steps(span, dt, store_every)
+    return dt, whole_steps(span, dt, store_every)
+
+
+def march(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition,
+          dt: float | None = None, interp: str = "linear", store_every: int = 1,
+          ledger: list | None = None):
+    """Step from f0.t to t_end, yielding (t, values) at f0.t and after
+    every `store_every`-th step: the one stepping loop, which `solve`
+    collects and a caller that reduces each stored slice as it comes
+    steps itself.
+
+    The step count is `whole_steps(t_end - f0.t, dt, store_every)`, checked
+    at the first slice.  `values` is the step plan's buffer (at f0.t, f0's
+    values with zero outside the domain): it holds until the next step,
+    so a caller that keeps a slice copies it.  With a `ledger` list, the
+    initial entry and one energy-ledger entry per step are appended to it,
+    with `diff_residual` the worst diffusion-solve residual of the step
+    over its tolerance (0 for the initial entry).
+    """
+    grid = f0.grid
+    dt, n_steps = _march_steps(f0, t_end, dt, store_every)
     plan = _bc_plan(grid, diffusion, source, dt, bc, interp)
     vals = plan.restrict(f0.values)
-    times = [f0.t]
-    slices = np.empty((n_steps // store_every + 1,) + grid.shape)
-    slices[0] = vals
-    ledger = [_ledger_entry(grid, f0.t, vals, 0.0)]
+    if ledger is not None:
+        ledger.append(_ledger_entry(grid, f0.t, vals, 0.0, plan.spare))
+    yield f0.t, vals
     t = f0.t
     for n in range(n_steps):
         vals, residual = plan.step(vals, t)
         t = f0.t + (n + 1) * dt
-        ledger.append(_ledger_entry(grid, t, vals, residual))
+        if ledger is not None:
+            ledger.append(_ledger_entry(grid, t, vals, residual, plan.spare))
         if (n + 1) % store_every == 0:
-            slices[len(times)] = vals
-            times.append(t)
-    return Trajectory(grid, np.array(times), slices, ledger)
+            yield t, vals
+
+
+def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition,
+          dt: float | None = None, interp: str = "linear",
+          store_every: int = 1) -> Trajectory:
+    """March from f0.t to t_end, storing every `store_every`-th slice: the
+    slices of `march` collected, with its energy ledger.
+
+    Identical inputs give bit-identical trajectories.
+    """
+    _, n_steps = _march_steps(f0, t_end, dt, store_every)
+    times = np.empty(n_steps // store_every + 1)
+    slices = np.empty(times.shape + f0.grid.shape)
+    ledger = []
+    for i, (t, vals) in enumerate(march(f0, diffusion, source, t_end, bc, dt, interp,
+                                        store_every, ledger)):
+        times[i] = t
+        slices[i] = vals
+    return Trajectory(f0.grid, times, slices, ledger)
 
 
 def solve_anchored(data, diffusion, source, interp: str = "linear",
@@ -803,24 +841,29 @@ def energy_budget(traj: Trajectory, source, lam: float):
     the continuous rate.
     """
     grid = traj.grid
-    e0 = 0.5 * float(np.sum(traj.values[0]**2)) * grid.cell_volume
     sample = None if source is None else KeyedSampler(
         source, lambda t: source.sample(grid, t))
     records = []
     dissip = 0.0
     work = 0.0
     min_slack = np.inf
+    # each slice's squares and its gradient density are formed once, in place
+    buf = np.empty(grid.shape)
     for i in range(traj.n_slices):
         t = float(traj.times[i])
         vals = traj.values[i]
-        e_t = 0.5 * float(np.sum(vals**2)) * grid.cell_volume
-        if i > 0:
+        sq = float(np.sum(np.square(vals, out=buf)))
+        e_t = 0.5 * sq * grid.cell_volume
+        if i == 0:
+            e0 = e_t
+        else:
             h = float(traj.times[i] - traj.times[i - 1])
-            dissip += h * grad_v_sq_sum(grid, vals) / lam
+            density = grad_v_sq_density(grid, vals, buf)
+            dissip += h * (float(np.sum(density)) * grid.cell_volume) / lam
             if source is not None:
                 g = sample(t - 0.5 * h)
-                g_l2 = float(np.sqrt(np.sum(g**2) * grid.cell_volume))
-                f_l2 = float(np.sqrt(np.sum(vals**2) * grid.cell_volume))
+                g_l2 = float(np.sqrt(np.sum(np.square(g, out=buf)) * grid.cell_volume))
+                f_l2 = float(np.sqrt(sq * grid.cell_volume))
                 work += h * g_l2 * f_l2
         slack = (e0 + work) - (e_t + dissip)
         if i > 0:
@@ -841,11 +884,14 @@ def local_energy_check(level: LevelPass, lam: float, s: float, t: float) -> floa
     term, the transport term with v . grad eta(x), and the source work.
     They are reductions of the pass's per-slice face-difference cutoff
     sums (`degiorgi.LevelPass.cutoff_sums`), which U_k of the level reads
-    too; the stored slice of s must not precede the last one at or before
-    T_k.
+    too, so k is one of `degiorgi.LOCAL_ENERGY_LEVELS`; the stored slice of
+    s must not precede the last one at or before T_k.
     """
     if not s < t + 1e-15:
         raise ValueError(f"need s < t, got s = {s}, t = {t}")
+    if level.k not in LOCAL_ENERGY_LEVELS:
+        raise ValueError(f"the level-{level.k} pass takes no local energy sums; "
+                         f"the levels {LOCAL_ENERGY_LEVELS} do")
     win = level.window
     cv = win.grid.cell_volume
     i_s = win.slice_index(s)

@@ -341,6 +341,16 @@ def test_cli_sweep_rejects_malformed_seeds(tmp_path, capsys, seeds):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("seeds", ["3..1, 4", "3..1"])
+def test_cli_sweep_rejects_a_reversed_range(tmp_path, capsys, seeds):
+    # a reversed range once dropped its seeds: "3..1, 4" ran seed 4 alone
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(FAST_CONFIG + f"\nsweep.seeds = {seeds}\n")
+    assert cli_main(["sweep", str(cfg_path), "-o", str(tmp_path / "sw")]) == 2
+    assert "the range '3..1' is reversed" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def _tree(root):
     """Every file under root, by relative path, with its bytes."""
     return {os.path.relpath(os.path.join(d, f), root):

@@ -39,6 +39,10 @@ BARRIER_CONFIG = SMALL_CONFIG + "initial.amplitude = 3.0\ndiagnostics.bisection 
 # the desk benchmark's run on the small grid: a noise source, bisection on
 DESK_CONFIG = SMALL_CONFIG + "source.kind = noise\nsource.bound = 0.3\n" \
                              "initial.amplitude = 0.8\n"
+# the same at amplitude 30: every truncation level, both barriers and the
+# bisection's runs are non-zero, where at amplitude 0.8 every field beyond
+# k = 0 is zero
+DESK_AMP30_CONFIG = DESK_CONFIG.replace("initial.amplitude = 0.8", "initial.amplitude = 30.0")
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -265,10 +269,17 @@ def _record_pid(monkeypatch, path):
     monkeypatch.setattr(holder, "theta_sequence", recording)
 
 
+def _csv_rows(path):
+    with open(path, encoding="ascii") as fh:
+        return list(csv.DictReader(fh))
+
+
 @needs_fork
-@pytest.mark.parametrize("text", [DESK_CONFIG, BARRIER_CONFIG], ids=["desk", "barrier"])
+@pytest.mark.parametrize("text,exercised", [(DESK_CONFIG, False), (BARRIER_CONFIG, False),
+                                            (DESK_AMP30_CONFIG, True)],
+                         ids=["desk", "barrier", "desk_amp30"])
 def test_serial_and_overlapped_paths_write_identical_artifacts(tmp_path, monkeypatch,
-                                                               text):
+                                                               text, exercised):
     pids = tmp_path / "pids"
     _record_pid(monkeypatch, pids)
     assert _cli_run(tmp_path, text, "serial", False, monkeypatch) == 0
@@ -277,6 +288,12 @@ def test_serial_and_overlapped_paths_write_identical_artifacts(tmp_path, monkeyp
     assert serial_pid == os.getpid() != overlap_pid
     names = _same_files(tmp_path / "serial", tmp_path / "overlap")
     assert {"theta.csv", "ladder.csv", "barrier.csv", "manifest.txt"} <= set(names)
+    if exercised:
+        # every level pass and both barriers were compared on non-zero fields
+        assert all(float(r["level_set"]) > 0.0
+                   for r in _csv_rows(tmp_path / "serial" / "truncation.csv"))
+        assert all(float(r["s1_l2"]) > 0.0 and float(r["s2_l2"]) > 0.0
+                   for r in _csv_rows(tmp_path / "serial" / "barrier.csv"))
 
 
 def test_timed_counts_the_page_faults_of_the_call():

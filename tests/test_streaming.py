@@ -257,10 +257,12 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     On N = 2 at 13^4 cells and 97 stored slices (21.1 MiB, six cylinder
     slabs of 18 time cells), each audit's tracemalloc rise above its entry
     must stay below BOUND = 0.75 of the trajectory's bytes.  Measured
-    here: `truncation_energy` with its `LevelPass` at k = 0 0.55 (the
+    here: `truncation_energy` with its `LevelPass` at k = 0 0.52 (the
     slabs of the four f_k reducers at once, two of them on the whole grid,
-    and one stored slice's arrays; 0.45 when each reducer had a pass of
-    its own), `linfty_gate` 0.38,
+    and the pass's three slice buffers; 0.55 when each slice's integrands
+    were built in fresh arrays, 0.45 when each reducer had a pass of its
+    own), `linfty_gate` 0.19 (one slab, f_+^2 taken in place; 0.38 with
+    a second slab for f_+^2),
     `SpectralField.from_trajectory` 0.19 (one slab's squares for `l2_sq`;
     its Gram products hold little more than each group's Gram matrix) and
     `oscillation_ladder` 0.30 (its re-solve's step plan on the inner cell
@@ -284,6 +286,36 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
         assert rise < BOUND * size, (name, rise / size)
 
 
+BISECTION_CONFIG = ("run.seed = 2\ngrid.n_t = 96\ngrid.n_x = 24\ngrid.n_v = 24\n"
+                    "coeff.kind = checkerboard\nsource.kind = noise\nsource.bound = 0.3\n"
+                    "initial.amplitude = 0.8\n")
+
+
+def test_bisection_holds_the_unit_run_and_no_other_trajectory(monkeypatch):
+    """`pipeline._bisection` (the unit solve, `empirical_kappa` and the
+    affine check) keeps the unit run and streams the rest.
+
+    On a 24^2 desk-like run with 97 stored slices, and slabs of 8 stored
+    slices as on a trajectory of more than `geometry._SLAB_BYTES`, the
+    tracemalloc rise above the call's entry must stay below 1.6
+    trajectories.  Measured: 1.44, of which the unit run with its energy
+    ledger holds 1.08 and a step plan 0.26 (the direct run's, while the
+    unit run is held); the premise's slab and the one slice buffer of the
+    superposed run and of the affine gap are the rest.  When the run at
+    a* and the gap were whole arrays, and the direct run was solved whole,
+    the same call rose 3.14 trajectories.
+    """
+    cfg = parse_config(BISECTION_CONFIG)
+    grid = build_grid(cfg)
+    diffusion, source = build_coefficient(cfg), build_source_field(cfg)
+    traj = solve_initial(cfg, grid, diffusion, source)
+    monkeypatch.setattr(geometry, "_SLAB_BYTES", 8 * traj.values[0].nbytes)
+    rise = _rise(pipeline._bisection, cfg, traj, diffusion, source)
+    assert rise < 1.6 * traj.values.nbytes, rise / traj.values.nbytes
+    kappa_emp, defect = pipeline._bisection(cfg, traj, diffusion, source)
+    assert math.isfinite(kappa_emp) and defect <= pipeline.AFFINE_TOLERANCE
+
+
 N2_CONFIG = ("run.seed = 2\ncoeff.kind = checkerboard\nsource.kind = zero\n"
              "grid.dim = 2\ngrid.n_t = 18\ngrid.n_x = 18\ngrid.n_v = 18\n"
              "diagnostics.omega = 0.25\ndiagnostics.bisection = false\n")
@@ -304,9 +336,11 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     * A later step rises at most 0.4 MiB (half a slice); measured 0.05,
       against 4.8 (six slices).
     * `pipeline._barrier_audit` at k = 1 rises at most 17.5 MiB; measured
-      16.0, in `build_barrier_sources`, where F_k, the barrier's
-      increments and the slabs of the S1 and S2 norms are alive.  When the
-      report kept S1, both S2 components and F_k, it rose 19.7.
+      14.8, in `build_barrier_sources`, where F_k, the barrier's
+      increments and the slabs of the S1 and S2 norms are alive (15.7
+      when S1, S2, their squares and the increments were built in fresh
+      temporaries).  When the report kept S1, both S2 components and F_k,
+      it rose 19.7.
     """
     cfg = parse_config(N2_CONFIG)
     grid = build_grid(cfg)

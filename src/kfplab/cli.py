@@ -4,8 +4,8 @@ Exit code 0 iff every selected audit passed, 3 when the run raised.  A run
 uses a second CPU when its affinity mask holds one: the Hoelder stage runs
 in a forked process beside the De Giorgi stage (`run_pipeline`), with the
 same artifacts and errors as in-process.  `run --timings PATH` writes the
-per-stage wall times, peak RSS and minor page faults
-(`RunResult.timings`) to PATH, outside
+per-stage wall times, peak RSS, minor page faults, Strang steps and
+microseconds per step (`RunResult.timings`) to PATH, outside
 the run directory, whose files stay byte-identical.  The sweep runs its
 ensemble on KFPLAB_WORKERS forked worker processes (default 1,
 in-process); runs own their output subdirectories exclusively, and
@@ -168,9 +168,9 @@ def main(argv=None) -> int:
     p_run.add_argument("-o", "--output", default=None,
                        help="output directory for CSVs, manifest, snapshots")
     p_run.add_argument("--timings", default=None, metavar="PATH",
-                       help="write each stage's wall time, peak RSS and minor "
-                       "page faults as JSON to PATH (keep it outside the output "
-                       "directory)")
+                       help="write each stage's wall time, peak RSS, minor "
+                       "page faults, Strang steps and microseconds per step as "
+                       "JSON to PATH (keep it outside the output directory)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser(
@@ -179,8 +179,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config")
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.add_argument("--timings", default=None, metavar="PATH",
-                         help="write each run's stage wall times, peak RSS and "
-                         "minor page faults as JSON keyed by run index to PATH "
+                         help="write each run's stage timings (see run "
+                         "--timings) as JSON keyed by run index to PATH "
                          "(keep it outside the output directory)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 

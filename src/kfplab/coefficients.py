@@ -12,6 +12,7 @@ pure, order-independent and bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,11 @@ def hash_uniform(seed: int, *index_arrays) -> np.ndarray:
 
 
 def _cell_index(coord, cell: float, offset: float):
+    """floor((coord - offset) / cell): an int for a float `coord` (a step's
+    time, by Python float arithmetic, bit-equal to the array rule), an
+    int64 array otherwise."""
+    if isinstance(coord, float):
+        return math.floor((coord - offset) / cell)
     return np.floor((np.asarray(coord, dtype=float) - offset) / cell).astype(np.int64)
 
 
@@ -79,8 +85,7 @@ def _composed(outer, inner):
 def _time_cell(transform, t, cell: float, offset: float) -> int:
     """Index of the time cell holding t pulled back through `transform`."""
     if transform is not None:
-        zeros = (0.0,) * transform.dim
-        t = transform.apply_coords(t, zeros, zeros)[0]
+        t = transform.apply_time(t)
     return int(_cell_index(t, cell, offset))
 
 

@@ -79,7 +79,10 @@ class ScalingMap:
         return len(self.x0)
 
     def apply_time(self, s):
-        """The parent time t0 + eps^2 s of zoom time s."""
+        """The parent time t0 + eps^2 s of zoom time s: a float for a float
+        s (Python float arithmetic, bit-equal to the array rule)."""
+        if isinstance(s, float):
+            return self.t0 + self.eps * self.eps * s
         return self.t0 + self.eps * self.eps * np.asarray(s)
 
     def apply_coords(self, s, ys, vs_):

@@ -173,8 +173,9 @@ class RunResult:
     """A run's verdicts, metrics and tables, which its artifacts hold, and
     its `timings`, which they do not: per stage ("main_solve", "degiorgi",
     "holder") the wall time, this process's `getrusage` maximum RSS when
-    the stage ended, the minor page faults the stage took in its process,
-    and whether it ran in a forked process (`_timed`)."""
+    the stage ended, the minor page faults and the Strang steps the stage
+    took in its process with their mean time, and whether it ran in a
+    forked process (`_timed`)."""
 
     config: RunConfig
     verdicts: dict = field(default_factory=dict)
@@ -510,14 +511,20 @@ def _can_overlap() -> bool:
 def _timed(fn, *args, forked: bool = False):
     """(fn(*args), timing): the call's wall time, this process's
     `getrusage` maximum RSS in MiB when it returned, the minor page faults
-    this process took during the call, and `forked`."""
+    this process took during the call, the Strang steps it took
+    (`solver.STEP_CLOCK`) with their mean time in microseconds (None
+    without steps), and `forked`."""
+    clock = solver.STEP_CLOCK
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps, step_s = clock.steps, clock.seconds
     start = time.perf_counter()
     out = fn(*args)
     wall = time.perf_counter() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    steps, step_s = clock.steps - steps, clock.seconds - step_s
     return out, {"wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
-                 "minflt": usage.ru_minflt - faults, "forked": forked}
+                 "minflt": usage.ru_minflt - faults, "steps": steps,
+                 "step_us": 1e6 * step_s / steps if steps else None, "forked": forked}
 
 
 def _holder_child(conn, stage_args):

@@ -32,12 +32,31 @@ ledger as `diff_residual`, the worst residual over that tolerance.  A step
 runs in buffers the plan allocates once and allocates no slice-sized
 array: on N = 2 a plan holds about 20 slices (the index gathers, four
 factor arrays per v axis, the coefficient samples and its buffers), and
-its step returns one of them, valid until the next step.  One loop
-steps a solve: the generator `march` yields each stored slice in that
-buffer as it comes, and `solve` is `march` collected, with the energy
-ledger, whose squares are taken in a scratch buffer of the plan.  A
-caller that only reduces the slices steps `march` itself and holds no
-trajectory (the affine check of `pipeline._bisection`).
+its step returns one of them, valid until the next step.
+
+The step is bound to its plan.  The plan owns every array a step touches
+and makes every view of them when it is built: one tuple of views per
+transport tap, per cyclic-reduction stage and per Thomas block, which a
+step unpacks into ufunc and `take` calls with a positional `out`
+(`kernels`).  A refactor writes the new factors into the plan's factor
+arrays in place, so it allocates nothing and the views stay valid.  On
+the N = 1 grids the step is bound by that per-call work, not by
+arithmetic: a 64^2 step is about 60 calls on 4096-cell arrays, and
+building the slices, shapes and reshapes again at every call was a third
+of its time.  Every buffer of a plan (the block rows, padded to a
+multiple of 8 doubles, the factor arrays, the transport's indices and
+weights) and the stored trajectory of `solve` and `solve_anchored` start
+on a 64-byte boundary (`kernels._aligned`): a 4096-element float64
+multiply takes 1.6-1.8 us with every operand so aligned and 3.1-3.4 us
+at 16 mod 64, where numpy's allocator leaves large arrays (90 against
+109 us at 18^4 cells).  A step's inputs are the values, the increment at
+its time key and the Dirichlet fill.
+
+One loop steps a solve: the generator `march` yields each stored slice in
+the step's result buffer as it comes, and `solve` is `march` collected,
+with the energy ledger, whose squares are taken in a scratch buffer of
+the plan.  A caller that only reduces the slices steps `march` itself
+and holds no trajectory (the affine check of `pipeline._bisection`).
 `solve_anchored` runs the same step with its Dirichlet ring filled from
 the data, on the cell box of the unpinned cells widened by the
 transport's reach: only that box is stepped and carried, and each step
@@ -66,6 +85,8 @@ Boundary conditions:
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +96,8 @@ from .degiorgi import LOCAL_ENERGY_LEVELS, BarrierSource, LevelPass
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, _CellBox, _bounding_box, dyadic_radius, dyadic_time, \
     face_divergence, grad_v_sq_density, time_quadrature_weights
+from .kernels import SolverError, _ImplicitDiffusion, _TransportPlan, _aligned, _padded, \
+    _reduction_depth
 
 __all__ = [
     "SolverError",
@@ -96,10 +119,6 @@ __all__ = [
     "second_moments",
     "grad_v_sq_sum",
 ]
-
-
-class SolverError(RuntimeError):
-    """Linear solve failed to reach the requested residual."""
 
 
 class CFLError(ValueError):
@@ -154,350 +173,19 @@ def kinetic_ibvp(radius: float) -> BoundaryCondition:
     return BoundaryCondition("kinetic_ibvp", radius=radius)
 
 
-# ---------------------------------------------------------------------------
-# transport: semi-Lagrangian shift along each x axis, as precomputed gathers
-# ---------------------------------------------------------------------------
+class _StepClock:
+    """The Strang steps this process has taken and the seconds spent in
+    them (`_StepPlan.step`), read before and after each stage of a run for
+    its timings (`pipeline._timed`).  Like `getrusage`'s counts it is one
+    per process and only grows, so a reader takes differences, and a
+    forked process counts its own steps from the parent's totals."""
 
-class _TransportPlan:
-    """Advect in x by v*tau: one shift per spatial axis, exact per-axis split.
-
-    Along x axis i, with the field viewed as columns of fixed (v, other
-    axes), column j moves by d_j = v_i*tau/dx cells: out[k, j] is the
-    interpolation of vals[k - d_j, j].  Linear interpolation is a convex
-    combination (monotone, and exactly conservative for uniform shifts).
-    The cubic variant is the 4-point Lagrange kernel: still exactly
-    conservative and exact on moments up to third order, but not monotone;
-    it exists for the moment oracle, not for comparison-principle runs.
-
-    Source indices and weights depend only on the grid and tau, so they
-    are built once, as arrays of indices into the flattened input of each
-    pass, and applied with `take`.  Non-periodic reads outside the box
-    point at one zero appended to the flattened input.  On a cell box the
-    feet are measured from the parent grid's rows (`grid.box`), so the
-    weights are the whole grid's bit for bit; box-local rows would round
-    the fractional feet differently.  A tap's weight depends only on the
-    (x_i, v_i) plane of its shift: it is stored expanded along the v axes
-    and broadcast along the other x axes (n^3 values per tap on an n^4
-    grid), which multiplies as fast as a full copy and equals it bit for
-    bit.
-
-    `inner` (one slice per axis, default every cell) is the box of cells
-    whose output is read, and the call returns the output there.  Each
-    pass computes only what the passes after it read: on its own x axis
-    and the x axes before it `inner`'s rows, on the later x axes every row,
-    and on the v axes, along which nothing moves, `inner`'s rows.
-
-    A call writes its result into `out` and works in `scratch`, flat
-    buffers of at least one element more than the grid has cells: the
-    first holds each tap's gather, the others each pass's input (with the
-    appended zero when not periodic).  A periodic first pass reads its
-    input in place.
-    """
-
-    def __init__(self, grid, tau: float, periodic: bool, cubic: bool, inner=None,
-                 scratch=None):
-        self.periodic = periodic
-        dim = grid.dim
-        inner = (slice(None),) * 2 * dim if inner is None else inner
-        n = grid.n_x
-        start = grid.box[0].start
-        # the input of the first pass: every x row, `inner`'s v rows
-        self.v_rows = (slice(None),) * dim + inner[dim:]
-        shape = [n] * dim + [len(range(grid.n_v)[s]) for s in inner[dim:]]
-        self.passes = []
-        for ax in range(dim):
-            rows = np.arange(n)[inner[ax]][:, None]
-            fi = (rows + start) - grid.v_centers[inner[dim + ax]][None, :] * tau / grid.dx
-            foot = np.floor(fi)
-            w = fi - foot
-            base = foot.astype(np.int64) - start
-            if cubic:
-                offs = (-1, 0, 1, 2)
-                weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
-                           (w * w - 1.0) * (w - 2.0) / 2.0,
-                           -w * (w + 1.0) * (w - 2.0) / 2.0,
-                           w * (w * w - 1.0) / 6.0)
-            else:
-                offs = (0, 1)
-                weights = (1.0 - w, w)
-            size = int(np.prod(shape))
-            out_shape = list(shape)
-            out_shape[ax] = len(rows)
-            ids = np.arange(size).reshape(shape)[(slice(None),) * ax + (inner[ax],)]
-            # the (x_i, v_i) plane of the shift, broadcast over the other axes
-            plane = [1] * 2 * dim
-            plane[ax] = len(rows)
-            plane[dim + ax] = shape[dim + ax]
-            # the weights' stored shape: the plane, expanded along every v axis
-            stored = [1] * dim + out_shape[dim:]
-            stored[ax] = len(rows)
-            stride = int(np.prod(shape[ax + 1:]))
-            taps = []
-            for o, wk in zip(offs, weights):
-                src = base + o
-                inside = (src >= 0) & (src < n)
-                if periodic:
-                    src = src % n
-                idx = ids + ((src - rows) * stride).reshape(plane)
-                if not periodic:
-                    idx = np.where(inside.reshape(plane), idx, size)
-                taps.append((idx, np.broadcast_to(wk.reshape(plane), stored).copy()))
-            self.passes.append((tuple(out_shape), taps))
-            shape = out_shape
-        cells = int(np.prod(grid.shape)) + 1
-        self.scratch = scratch if scratch is not None else [np.empty(cells) for _ in range(3)]
-
-    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        gather, *inputs = self.scratch
-        src = values[self.v_rows]
-        if self.periodic:
-            flat = np.ascontiguousarray(src).reshape(-1)
-        else:
-            flat = inputs[0][:src.size + 1]
-            flat[:-1].reshape(src.shape)[...] = src
-            flat[-1] = 0.0
-        for p, (shape, taps) in enumerate(self.passes):
-            size = int(np.prod(shape))
-            if p == len(self.passes) - 1:
-                acc = np.empty(shape) if out is None else out
-                nxt = None
-            else:
-                nxt = inputs[(p + 1) % len(inputs)][:size + 1]
-                acc = nxt[:-1].reshape(shape)
-            g = gather[:size].reshape(shape)
-            (idx, w), *rest = taps
-            flat.take(idx, out=g, mode="clip")
-            np.multiply(w, g, out=acc)
-            for idx, w in rest:
-                flat.take(idx, out=g, mode="clip")
-                g *= w
-                acc += g
-            if nxt is not None:
-                if self.periodic:
-                    flat = nxt[:-1]
-                else:
-                    nxt[-1] = 0.0
-                    flat = nxt
-        return acc
+    def __init__(self):
+        self.steps = 0
+        self.seconds = 0.0
 
 
-# ---------------------------------------------------------------------------
-# diffusion: implicit divergence-form finite volume along each v axis
-# ---------------------------------------------------------------------------
-
-# a Thomas sweep step processes one block of 2^k rows of the v-first layout;
-# cyclic reduction runs until a block holds this many cells or every row
-# has decoupled (2^k >= n_v)
-_BLOCK_CELLS = 1024
-
-
-def _reduction_depth(grid) -> int:
-    """The cyclic-reduction depth k of a v solve on `grid`: the smallest k
-    at which a stride block of 2^k rows holds `_BLOCK_CELLS` cells or
-    every row has decoupled."""
-    slice_cells = grid.n_x**grid.dim * grid.n_v**(grid.dim - 1)
-    depth = 0
-    while slice_cells << depth < _BLOCK_CELLS and 1 << depth < grid.n_v:
-        depth += 1
-    return depth
-
-
-class _ImplicitDiffusion:
-    """Backward Euler for div_v(a grad_v .) with harmonic face averages.
-
-    `active` is an optional boolean mask; inactive cells hold their incoming
-    values as Dirichlet data for the coupled rows (the kinetic IBVP passes
-    zeros there, the anchored re-solve passes parent-field data), which
-    keeps the M-matrix structure.  For dim = 2 the two v axes are advanced
-    sequentially (splitting within the substep; first order, matching the
-    backward Euler substep order).
-
-    Each v axis is a batch of independent tridiagonal systems, one per
-    column of fixed (x, other v).  They are solved on the v-first layout,
-    an (n_v, cells per v slice) array, so every row operation is one
-    vectorised call over a contiguous slab of columns.  The factorization
-    runs k parallel cyclic-reduction stages with coupling distances 1, 2,
-    ..., 2^(k-1), which split every column into 2^k interleaved systems of
-    coupling distance 2^k, then the Thomas elimination of those with
-    stride 2^k.  k is `_reduction_depth(grid)` unless `depth` is given:
-    the rows a solve eliminates together follow k, so a box that must
-    reproduce a larger grid's solve bit for bit takes that grid's.  The
-    matrices are
-    strictly diagonally dominant M-matrices, so nothing pivots; a Dirichlet
-    row (unit diagonal, no coupling) has zero multipliers at every stage
-    and returns its data exactly.  The operator keeps the last coefficient
-    arrays it was given with their factors and refactors only when the
-    coefficients change, so a time-independent coefficient is factored once
-    per solve.  Every solve is checked against the residual tolerance
-    1e-9 (1 + max|rhs|) of the original tridiagonal system, over the
-    columns it solves; the call returns the worst residual over that
-    tolerance.
-
-    Per v axis the factors are the diagonal, the couplings below and above
-    it (`lower`, `upper`: n_v - 1 rows each), the Thomas multipliers and
-    the inverse pivots, and, at depth k > 0, the stage multipliers and the
-    eliminated upper coupling.  Without Dirichlet cells row i + 1 couples
-    to row i as row i to row i + 1, so `lower` is `upper`, one array; at
-    depth 0 the eliminated upper coupling is `upper` itself.  Each axis is
-    moved to the front by a transposition fixed when the operator is built.
-    The factors are built and every solve runs in `scratch`, three flat
-    buffers of at least the grid's cell count (four at depth k > 0): the
-    v-first right-hand side, the solution and the products that are
-    subtracted; the right-hand side becomes the residual.  A call solves in
-    place, writing each axis's solution back into the values it was given.
-
-    `inner` (one slice per axis, default every cell) is the box outside
-    which every cell is a Dirichlet cell.  A column of v axis a that lies
-    outside it on another axis has no free row, and a solve would return
-    its data (save that a -0.0 next to a negative value can come back as
-    +0.0), so each axis solves only the columns within `inner` on the
-    other axes, and the other cells keep their incoming values.
-    """
-
-    def __init__(self, grid, dt: float, active=None, depth: int | None = None,
-                 inner=None, scratch=None):
-        self.grid = grid
-        self.r = dt / grid.dv**2
-        self.coeffs = None
-        self.factors = None
-        self.depth = _reduction_depth(grid) if depth is None else depth
-        dim = grid.dim
-        inner = (slice(None),) * 2 * dim if inner is None else inner
-        self.columns = [inner[:dim + ax] + (slice(None),) + inner[dim + ax + 1:]
-                        for ax in range(dim)]
-        # the transposition that moves v axis ax to the front, its inverse,
-        # and the shape of the moved columns
-        self.moves = []
-        for ax, columns in enumerate(self.columns):
-            perm = (dim + ax,) + tuple(a for a in range(2 * dim) if a != dim + ax)
-            shape = [len(range(n)[s]) for s, n in zip(columns, grid.shape)]
-            self.moves.append((perm, tuple(np.argsort(perm)), tuple(shape[a] for a in perm)))
-        self.dead = None if active is None else [
-            ~np.ascontiguousarray(active[c].transpose(perm)).reshape(grid.n_v, -1)
-            for c, (perm, _, _) in zip(self.columns, self.moves)]
-        cells = int(np.prod(grid.shape))
-        self.scratch = scratch if scratch is not None else [
-            np.empty(cells) for _ in range(3 + (self.depth > 0))]
-
-    def _v_first(self, arr, ax, buf):
-        """The columns of `arr` that v axis `ax` solves, copied into `buf`
-        as (n_v, columns) with that axis first."""
-        perm, _, moved = self.moves[ax]
-        out = buf[:int(np.prod(moved))].reshape(moved)
-        out[...] = arr[self.columns[ax]].transpose(perm)
-        return out.reshape(self.grid.n_v, -1)
-
-    def _factor(self, ax, a):
-        rhs, tmp = self.scratch[0], self.scratch[2]
-        a = self._v_first(a, ax, rhs)
-        n = len(a)
-        # the face coefficients r*har, negated: har = 2 a_i a_(i+1) / (a_i + a_(i+1))
-        off = np.multiply(a[:-1], 2.0)
-        off *= a[1:]
-        off /= np.add(a[:-1], a[1:], out=tmp[:off.size].reshape(off.shape))
-        diag = np.zeros(a.shape)
-        diag[1:] = off
-        diag[:-1] += off
-        diag *= self.r
-        diag += 1.0
-        off *= -self.r
-        if self.dead is None:
-            lower = upper = off
-        else:
-            dead = self.dead[ax]
-            np.copyto(diag, 1.0, where=dead)
-            lower = np.where(dead[1:], 0.0, off)
-            upper = np.where(dead[:-1], 0.0, off)
-        tmp = tmp[:a.size].reshape(a.shape)
-        # row i reads lo[i] x[i - d] + di[i] x[i] + up[i] x[i + d]; the first
-        # d entries of lo and the last d of up are zero at every stage
-        di = diag.copy()
-        stages = []
-        d = 1
-        if self.depth:
-            lo, up = np.empty(a.shape), np.empty(a.shape)
-            lo[0] = up[-1] = -self.r * 0.0
-            lo[1:] = lower
-            up[:-1] = upper
-            if self.dead is not None:
-                np.copyto(lo[0], 0.0, where=dead[0])
-                np.copyto(up[-1], 0.0, where=dead[-1])
-            for _ in range(self.depth):
-                alpha = np.negative(lo[d:])
-                alpha /= di[:-d]
-                gamma = np.negative(up[:-d])
-                gamma /= di[d:]
-                di[d:] += np.multiply(alpha, up[:-d], out=tmp[d:])
-                di[:-d] += np.multiply(gamma, lo[d:], out=tmp[:-d])
-                lo[d:] = np.multiply(alpha, lo[:-d], out=tmp[d:])
-                up[:-d] = np.multiply(gamma, up[d:], out=tmp[:-d])
-                stages.append((d, alpha, gamma))
-                d *= 2
-            lo, up = lo[d:], up[:n - d]
-        else:
-            lo, up = lower, upper
-        # lo[i] and up[i] now couple rows i + d and i
-        mult = np.empty_like(di[d:])
-        for j in range(d, n, d):
-            e = min(j + d, n)
-            np.divide(lo[j - d:e - d], di[j - d:e - d], out=mult[j - d:e - d])
-            di[j:e] -= np.multiply(mult[j - d:e - d], up[j - d:e - d], out=tmp[j:e])
-        np.divide(1.0, di, out=di)
-        return diag, lower, upper, stages, mult, di, up
-
-    def _solve(self, x, stages, mult, inv_diag, up):
-        """Apply the factors to the v-first right-hand side `x` in place (or,
-        after an odd number of stages, in the fourth scratch buffer);
-        returns the solution."""
-        tmp = self.scratch[2][:x.size].reshape(x.shape)
-        if stages:
-            y = self.scratch[3][:x.size].reshape(x.shape)
-        for d, alpha, gamma in stages:
-            y[...] = x
-            y[d:] += np.multiply(alpha, x[:-d], out=tmp[d:])
-            y[:-d] += np.multiply(gamma, x[d:], out=tmp[:-d])
-            x, y = y, x
-        n, s = len(x), 1 << len(stages)
-        for j in range(s, n, s):
-            e = min(j + s, n)
-            x[j:e] -= np.multiply(mult[j - s:e - s], x[j - s:e - s], out=tmp[j:e])
-        last = (n - 1) // s * s
-        x[last:] *= inv_diag[last:]
-        for j in range(last - s, -1, -s):
-            e = min(j + s, n - s)
-            x[j:e] -= np.multiply(up[j:e], x[j + s:e + s], out=tmp[j:e])
-            x[j:j + s] *= inv_diag[j:j + s]
-        return x
-
-    def __call__(self, values: np.ndarray, coeffs) -> tuple:
-        """Solve in place: (`values`, now the solution, worst residual over
-        its tolerance)."""
-        if coeffs is not self.coeffs and (
-                self.coeffs is None or not all(map(np.array_equal, coeffs, self.coeffs))):
-            self.factors = [self._factor(ax, a) for ax, a in enumerate(coeffs)]
-            self.coeffs = coeffs
-        out = values
-        rhs_buf, sol_buf, tmp_buf = self.scratch[:3]
-        worst = 0.0
-        for ax, (diag, lower, upper, *factors) in enumerate(self.factors):
-            rhs = self._v_first(out, ax, rhs_buf)
-            tol = 1e-9 * (1.0 + float(np.maximum(rhs.max(), -rhs.min())))
-            sol = sol_buf[:rhs.size].reshape(rhs.shape)
-            sol[...] = rhs
-            sol = self._solve(sol, *factors)
-            tmp = tmp_buf[:rhs.size].reshape(rhs.shape)
-            # the residual diag*sol - rhs + lower*sol[:-1] + upper*sol[1:], in rhs
-            np.subtract(np.multiply(diag, sol, out=tmp), rhs, out=rhs)
-            rhs[1:] += np.multiply(lower, sol[:-1], out=tmp[1:])
-            rhs[:-1] += np.multiply(upper, sol[1:], out=tmp[:-1])
-            err = float(np.maximum(rhs.max(), -rhs.min()))
-            if not np.isfinite(err) or err > tol:
-                raise SolverError(f"diffusion solve residual {err:.3e} "
-                                  f"exceeds tolerance {tol:.3e}")
-            worst = max(worst, err / tol)
-            _, inverse, moved = self.moves[ax]
-            out[self.columns[ax]] = sol.reshape(moved).transpose(inverse)
-        return out, worst
+STEP_CLOCK = _StepClock()
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +249,22 @@ class _StepPlan:
     the bounding box of `active` (`inner`) needs: the cells outside it take
     the Dirichlet data whatever is computed there.
 
+    The plan owns every array a step touches and makes every view of them
+    when it is built, so that a step is the ufunc and `take` calls of its
+    substeps on views it already holds; its inputs are the values, the
+    increment at the step's time key and the Dirichlet fill.  On the N = 1
+    grids a step is bound by that per-call work: a 64^2 step is about 60
+    calls on 4096-cell arrays.
+
     A step allocates no array the size of a slice.  The transport and the
     diffusion share three scratch buffers (four at reduction depth k > 0),
     and a step writes the first transport's output (on `inner`) into one
     more buffer and its result into another, which it returns.  That
     result is the plan's: it holds until the next step, which may read it
-    as its input.  The buffers are the rows of one block, allocated and
-    freed at once: a solve that frees one block of several slices leaves
+    as its input.  The buffers are the rows of one `_aligned` block, each
+    padded to a multiple of 8 doubles so that every row starts on a
+    64-byte boundary, allocated and freed at once: a solve that frees one
+    block of several slices leaves
     glibc's dynamic mmap threshold above a slab of the streamed audits
     (`geometry._SLAB_BYTES`), whose temporaries then reuse heap pages
     instead of faulting in fresh ones.  With one buffer per slice the
@@ -585,8 +282,8 @@ class _StepPlan:
         inner = None if active is None else _bounding_box(active)
         self.inner = (slice(None),) * 2 * grid.dim if inner is None else inner
         depth = _reduction_depth(grid) if depth is None else depth
-        cells = int(np.prod(grid.shape))
-        block = np.empty((5 + (depth > 0), cells + 1))
+        cells = math.prod(grid.shape)
+        block = _aligned((5 + (depth > 0), _padded(cells + 1)))
         scratch = list(block[2:])
         self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic",
                                         inner, scratch)
@@ -594,11 +291,13 @@ class _StepPlan:
         self.coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(grid, t))
         self.increment = None if source is None else source.increments_for(grid, dt)
         moved = [len(range(n)[s]) for s, n in zip(self.inner, grid.shape)]
-        self.moved = block[0, :int(np.prod(moved))].reshape(moved)
+        self.moved = block[0, :math.prod(moved)].reshape(moved)
         self.result = block[1, :cells].reshape(grid.shape)
         # a scratch slice no step holds on to: the caller's until the next step
         self.spare = block[2, :cells].reshape(grid.shape)
-        self.active_inner = None if active is None else active[self.inner]
+        if active is not None:
+            self.active_inner = active[self.inner]
+            self.result_inner = self.result[self.inner]
 
     def restrict(self, values):
         """`values` with zero outside the domain."""
@@ -612,27 +311,33 @@ class _StepPlan:
         Cells outside `active` take `fill`, the Dirichlet data at t + dt
         (zero for the kinetic IBVP), and must hold the data at t on entry,
         so that transport reads it at feet outside the domain."""
+        start = time.perf_counter()
         t_mid = t + 0.5 * self.dt
-        out = self.transport(values, self.moved)
+        moved = self.transport(values, self.moved)
         if self.increment is not None:
             # the increment dt*g rides inside the implicit solve: barrier sources
             # carry stiff div_v structure that must see the same implicit damping
             # as the field itself, or the comparison defect saturates at O(1)
-            out += self.increment(t_mid)[self.inner]
-        out = self._pinned(out, fill)
-        _, residual = self.implicit(out, self.coefficients(t_mid))
-        after = self.moved if self.active is not None else self.result
-        return self._pinned(self.transport(out, after), fill), residual
+            increment = self.increment(t_mid)
+            np.add(moved, increment if self.active is None else increment[self.inner],
+                   moved)
+        if self.active is None:
+            _, residual = self.implicit(moved, self.coefficients(t_mid))
+            out = self.transport(moved, self.result)
+        else:
+            out = self._pinned(moved, fill)
+            _, residual = self.implicit(out, self.coefficients(t_mid))
+            self._pinned(self.transport(out, moved), fill)
+        STEP_CLOCK.steps += 1
+        STEP_CLOCK.seconds += time.perf_counter() - start
+        return out, residual
 
     def _pinned(self, inner, fill):
         """The plan's whole box from values on `self.inner`, in `result`:
         those values on the cells of `active`, `fill` on the others."""
-        if self.active is None:
-            return inner
-        out = self.result
-        out[...] = fill
-        np.copyto(out[self.inner], inner, where=self.active_inner)
-        return out
+        np.copyto(self.result, fill)
+        np.copyto(self.result_inner, inner, where=self.active_inner)
+        return self.result
 
 
 def _bc_plan(grid, diffusion, source, dt, bc: BoundaryCondition, interp) -> _StepPlan:
@@ -712,7 +417,7 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     """
     _, n_steps = _march_steps(f0, t_end, dt, store_every)
     times = np.empty(n_steps // store_every + 1)
-    slices = np.empty(times.shape + f0.grid.shape)
+    slices = _aligned(times.shape + f0.grid.shape)
     ledger = []
     for i, (t, vals) in enumerate(march(f0, diffusion, source, t_end, bc, dt, interp,
                                         store_every, ledger)):
@@ -768,7 +473,7 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
     dt = float(times[1] - times[0])
     plan = _StepPlan(cells, diffusion, source, dt, interp, False,
                      ~ring_mask(grid)[cells.box], _reduction_depth(grid))
-    slices = np.empty((keep,) + grid.shape)
+    slices = _aligned((keep,) + grid.shape)
     initial = whole(0)
     if first == 0:
         slices[0] = initial

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kfplab import coefficients
 from kfplab.coefficients import (
     CoefficientError,
     build_diffusion,
@@ -283,3 +284,69 @@ def test_source_time_key_repeats_only_with_its_samples(grid, kind, params, forms
         g = g.transformed(_TRANSFORMS[transform], 0.25)
     _assert_keys_match_samples(g, lambda t: g.sample(grid, t).tobytes(),
                                dict(zip(_TRANSFORMS, forms))[transform])
+
+
+def _time_cell_array(transform, times, cell, offset):
+    """The time-cell rule on an array of times: the pull-back and the floor
+    taken by numpy."""
+    t = times if transform is None else transform.apply_time(times)
+    return np.floor((t - offset) / cell).astype(np.int64)
+
+
+# a cell and a zoom factor whose products and quotients round
+_CELL = 0.3
+_ROUNDING_TRANSFORMS = {
+    "none": None,
+    "zoom_v0_zero": ScalingMap(0.8, -0.1, (0.1,), (0.0,)),
+    "zoom_v0_drift": ScalingMap(0.8, -0.1, (0.1,), (0.3,)),
+}
+
+
+@pytest.mark.parametrize("transform", list(_ROUNDING_TRANSFORMS))
+@pytest.mark.parametrize("kind,params", [
+    ("cellwise_random", dict(low=0.6, high=1.6, cell=_CELL)),
+    ("checkerboard", dict(values=(0.6, 1.5), cell=_CELL, axes="txv")),
+    ("noise", dict(cell=_CELL)),
+])
+def test_scalar_time_keys_equal_the_array_rule(grid, kind, params, transform):
+    """A step's time key is taken on one float by Python arithmetic; it must
+    be the array rule's cell, bit for bit, at 10^4 times that include the
+    exact cell faces and their neighbours, and a sample drawn at a float
+    time must equal the one drawn at that time as an array."""
+    smap = _ROUNDING_TRANSFORMS[transform]
+    cell, offset = _CELL, 0.5 * _CELL
+    if kind == "noise":
+        field = build_source(1, kind, bound=0.3, seed=5, **params)
+        field = field if smap is None else field.transformed(smap, 0.25)
+
+        def sample(t):
+            return field.evaluate(t, *grid.coords())
+    else:
+        field = build_diffusion(1, 2.0, kind, seed=2, **params)
+        field = field if smap is None else field.transformed(smap)
+
+        def sample(t):
+            return field.diagonal(t, *grid.coords())[0]
+
+    # the parent's faces offset + m cell, as times of this field, and the 16
+    # floats on either side of each; the rest uniform over (-1.5, 0)
+    faces = offset + cell * np.arange(-20.0, 1.0)
+    if smap is not None:
+        faces = (faces - smap.t0) / (smap.eps * smap.eps)
+    near = [faces[(faces > -1.5) & (faces < 0.0)]]
+    for direction in (-np.inf, np.inf):
+        t = near[0]
+        for _ in range(16):
+            t = np.nextafter(t, direction)
+            near.append(t)
+    near = np.concatenate(near)
+    times = np.concatenate([near, np.random.default_rng(3).uniform(
+        -1.5, 0.0, 10_000 - len(near))])
+    expected = _time_cell_array(smap, times, cell, offset)
+    drifts = smap is not None and any(smap.v0)
+    for t, cell_index in zip(times.tolist(), expected.tolist()):
+        got = coefficients._time_cell(smap, t, cell, offset)
+        assert type(got) is int and got == cell_index, t
+        assert field.time_key(t) == (t if drifts else cell_index), t
+    for t in near.tolist()[::max(1, len(near) // 12)]:
+        assert np.array_equal(sample(t), sample(np.full(grid.shape, t)))

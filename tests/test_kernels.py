@@ -94,6 +94,44 @@ def test_transport_plan_equals_column_shift_gather(dim, n_x, n_v, periodic, cubi
         assert np.array_equal(plan(vals), expected)
 
 
+def _lagrange(nodes, o, w):
+    """The Lagrange basis polynomial of node `o` on `nodes`, at w."""
+    out = np.ones_like(w)
+    for q in nodes:
+        if q != o:
+            out = out * (w - q) / (o - q)
+    return out
+
+
+@pytest.mark.parametrize("cubic", [False, True])
+@pytest.mark.parametrize("n_x,n_v", [(64, 64), (25, 23)])
+def test_transport_pass_multiplies_each_mode_by_its_symbol(n_x, n_v, cubic):
+    """One periodic pass on cos(k x), on every v row, is Re(S(k, v) e^{ikx})
+    to roundoff.  Row v moves by s = v tau / dx cells; its foot i - s is
+    node i + m plus the fraction w (m = floor(-s)), so the pass multiplies
+    e^{ikx} by S = e^{ikm dx} sum_o L_o(w) e^{iko dx}, with L_o the Lagrange
+    basis on the kernel's nodes: (0, 1) for the linear kernel, where S is
+    e^{ikm dx} ((1 - w) + w e^{ik dx}) (measured from node i + m + 1, the
+    form (1 - w') + w' e^{-ik dx} with w' = 1 - w), and (-1, 0, 1, 2) for
+    the cubic one."""
+    grid = PhaseGrid(1, (-1.5, 0.0), 48, 1.5, n_x, 1.5, n_v)
+    tau = 0.5 * grid.dt
+    plan = _TransportPlan(grid, tau, True, cubic)
+    s = grid.v_centers * tau / grid.dx
+    m = np.floor(-s)
+    w = -s - m
+    nodes = (-1, 0, 1, 2) if cubic else (0, 1)
+    x = grid.x_centers
+    for p in (1, 3, n_x // 4, n_x // 2 - 1):
+        k = 2.0 * np.pi * p / (2.0 * grid.x_max)
+        symbol = np.exp(1j * k * m * grid.dx) * sum(
+            _lagrange(nodes, o, w) * np.exp(1j * k * o * grid.dx) for o in nodes)
+        out = plan(np.repeat(np.cos(k * x)[:, None], n_v, axis=1))
+        expected = np.real(symbol[None, :] * np.exp(1j * k * x)[:, None])
+        # cos(k x) itself is rounded to about 1e-14 at k x ~ 100
+        assert np.max(np.abs(out - expected)) <= 1e-13, p
+
+
 # --- diffusion ---------------------------------------------------------------
 
 def _dense_diffusion(values, grid, coeffs, dt, active):

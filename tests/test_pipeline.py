@@ -323,6 +323,32 @@ def test_timings_flag_leaves_the_run_directory_byte_identical(tmp_path, monkeypa
     assert timings["degiorgi"]["forked"] is timings["main_solve"]["forked"] is False
 
 
+@pytest.mark.parametrize("overlap", [False, pytest.param(True, marks=needs_fork)],
+                         ids=["serial", "overlap"])
+def test_timings_count_the_strang_steps_of_each_stage(monkeypatch, overlap):
+    """Each stage's `steps` counts the Strang steps taken in its process,
+    the forked Hoelder stage's included: n_t in the main solve; the
+    bisection's unit and direct runs (n_t each) and the barrier IBVPs from
+    T_(k-1) to 0 in the De Giorgi stage; n_t per ladder level in the
+    Hoelder stage."""
+    monkeypatch.setattr(pipeline, "_can_overlap", lambda: overlap)
+    cfg = parse_config(DESK_CONFIG)
+    assert cfg.run_bisection and cfg.barrier_levels
+    grid = build_grid(cfg)
+    n_t = solver.whole_steps(-cfg.t_min, grid.dt)
+    barrier = sum(solver.whole_steps(-dyadic_time(k - 1), grid.dt)
+                  for k in cfg.barrier_levels)
+    timings = run_pipeline(cfg).timings
+    assert timings["holder"]["forked"] is overlap
+    assert timings["main_solve"]["steps"] == n_t
+    assert timings["degiorgi"]["steps"] == 2 * n_t + barrier
+    assert timings["holder"]["steps"] == cfg.ladder_levels * n_t
+    for stage in timings.values():
+        assert stage["step_us"] > 0.0
+    _, timing = pipeline._timed(lambda: None)
+    assert timing["steps"] == 0 and timing["step_us"] is None
+
+
 def _raising(exc):
     def fail(*args, **kwargs):
         raise exc

@@ -6,7 +6,9 @@ ladder zooms through one `ZoomSampler` and keeps only the slices it reads
 next.  The tests below pin three things: the streamed ladder is the
 materialised zoom + re-solve loop bit for bit; the reductions do not
 depend on the slab size beyond summation order; and none of the streamed
-audits builds a temporary the size of the trajectory.
+audits builds a temporary the size of the trajectory.  Beside them, the
+step plan is held to its slices: it holds each once, a refactoring step
+allocates none, and every buffer starts on a 64-byte boundary.
 """
 
 import math
@@ -20,9 +22,10 @@ from kfplab.averaging import SpectralField
 from kfplab.coefficients import build_diffusion
 from kfplab.config import parse_config
 from kfplab.degiorgi import LevelPass, chebyshev_audit, linfty_gate, truncation_energy
-from kfplab.fields import Trajectory
+from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     DyadicLevel,
+    GridWindow,
     PhaseGrid,
     cylinder_integral,
     cylinder_node_extrema,
@@ -328,7 +331,10 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     On the benchmark's N = 2 run (18^4 cells, a slice is 0.80 MiB):
 
     * `_StepPlan` built and stepped once peaks at most 17.6 MiB (22
-      slices) above its entry; measured 16.1: the transport's index
+      slices) above its entry; measured 16.2 (16.1 before its buffers were
+      64-byte aligned; 17.0 when its factor arrays were allocated before
+      the first coefficient draw, whose temporaries then stacked on
+      them): the transport's index
       gathers 3.2, the diffusion factors 6.2, the coefficient samples 1.6,
       three scratch buffers and the two step buffers 4.0.  When a plan
       held full-size weights, a lower and an upper coupling and an upper
@@ -364,3 +370,64 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     bounds = {"plan and first step": 17.6, "later step": 0.4, "barrier audit": 17.5}
     for name, rise in rises.items():
         assert rise < bounds[name] * MIB, (name, rise / MIB)
+
+
+def _plan_buffers(plan):
+    """Every array a step plan owns: its block rows, the transport's indices
+    and weights, and the diffusion's factor arrays."""
+    yield from (plan.moved, plan.result, plan.spare, *plan.transport.scratch)
+    for _, taps in plan.transport.passes:
+        for idx, weight in taps:
+            yield from (idx, weight)
+    for diag, lower, upper, stages, mult, inv_diag, up in plan.implicit.factors:
+        yield from (diag, lower, upper, mult, inv_diag, up)
+        for _, alpha, gamma in stages:
+            yield from (alpha, gamma)
+
+
+def test_a_refactoring_step_allocates_nothing_and_plan_buffers_are_aligned():
+    """The step plan factors in place, and owns 64-byte-aligned buffers.
+
+    On the benchmark's N = 2 grid (18^4 cells, a slice is 0.80 MiB) with
+    an oscillatory coefficient, which the plan refactors at every step, a
+    later step must rise at most half a slice under tracemalloc.  The
+    coefficient samples are drawn before the step: the field's draw of its
+    two components rises 3.0 slices, and is the field's, not the step's.
+    Measured 0.13 slices (the bool arrays of the comparison of the new
+    samples with the factored ones); 7.8 when each refactor built a new
+    factor set.  Every buffer of the whole-space plan, of a kinetic IBVP
+    plan on a level window and of an anchored-box plan, and the stored
+    slices of `solve` and `solve_anchored`, start on a 64-byte boundary.
+    """
+    grid = PhaseGrid(2, (-1.5, 0.0), 18, 1.5, 18, 1.5, 18)
+    a = build_diffusion(2, 2.0, "oscillatory", mid=1.0, amplitude=0.4, frequency=1.3)
+    plan = solver._StepPlan(grid, a, None, grid.dt, "linear", True)
+    t = [-1.5 + n * grid.dt for n in range(4)]
+    samples = iter([a.sample(grid, s + 0.5 * grid.dt) for s in t])
+    plan.coefficients = lambda _: next(samples)
+    vals, _ = plan.step(np.random.default_rng(0).uniform(-1.0, 1.0, grid.shape), t[0])
+    vals, _ = plan.step(vals, t[1])
+    factors = [arr.copy() for arr in plan.implicit.factors[0][:3]]
+    rise = _rise(plan.step, vals, t[2])
+    assert rise < 0.5 * vals.nbytes, rise / vals.nbytes
+    # the step refactored, into the same arrays
+    assert not np.array_equal(factors[0], plan.implicit.factors[0][0])
+
+    small = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 25, 1.5, 23)
+    b = build_diffusion(1, 2.0, "cellwise_random", low=0.6, high=1.6, cell=0.25)
+    window, cells = GridWindow(grid, 1.0), solver._anchored_cells(small, "linear")
+    ibvp = solver._bc_plan(window, a, None, grid.dt, solver.kinetic_ibvp(1.0), "cubic")
+    anchored = solver._StepPlan(cells, b, None, small.dt, "linear", False,
+                                ~solver.ring_mask(small)[cells.box],
+                                solver._reduction_depth(small))
+    # a plan allocates its factor arrays at its first step
+    ibvp.step(ibvp.restrict(np.ones(window.shape)), -1.5)
+    anchored.step(np.ones(cells.shape), -1.5)
+    for p in (plan, ibvp, anchored):
+        for arr in _plan_buffers(p):
+            assert arr.size == 0 or arr.ctypes.data % 64 == 0, arr.shape
+    f0 = PhaseField(small, -1.5, np.random.default_rng(1).normal(size=small.shape))
+    traj = solver.solve(f0, b, None, 0.0, solver.WHOLE_SPACE)
+    anchored = solve_anchored(traj, b, None)
+    for values in (traj.values, anchored.values, solve_anchored(traj, b, None, keep=2).values):
+        assert values.ctypes.data % 64 == 0

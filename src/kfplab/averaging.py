@@ -15,11 +15,11 @@ the field: it is the transform of the group's circular autocorrelation
 
 a the group's cells and o the other axes' cells.  R is binned from the
 group's Gram matrix over the other axes, which BLAS accumulates one
-product per slab, so the cost is one pass of matrix products over the
-stored values plus a transform of the padded group box alone.  Because
-the lags wrap modulo the padded lengths, the result is the padded
-transform's for any padding, pad = 1 included, and for a window inside a
-larger box.
+product per index of the first other axis, so the cost is one pass of
+matrix products over the stored values plus a transform of the padded
+group box alone.  Because the lags wrap modulo the padded lengths, the
+result is the padded transform's for any padding, pad = 1 included, and
+for a window inside a larger box.
 
 Error model: each autocorrelation entry is a sum of products bounded by
 R(0) = sum x^2, so every marginal entry carries an absolute rounding
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Trajectory
-from .geometry import _slab_total, _slabs
 
 __all__ = [
     "SpectralField",
@@ -96,10 +95,10 @@ class SpectralField:
         Only the marginals are kept, each the transform of the group's
         autocorrelation with its lags wrapped modulo the padded lengths
         (`_marginal_power`), exact for any `pad` and box; its error model
-        is the module docstring's.  The Gram products read the values in
-        slabs of the first axis outside the group, at most
-        `geometry._SLAB_BYTES` each, and add them in axis order, as are the
-        slabs' sums of squares (`l2_sq`) along axis 0.
+        is the module docstring's.  The Gram products read the values one
+        index of the first axis outside the group at a time, and are added
+        in axis order; `l2_sq` adds the sums of squares of the axis-0
+        slices in order, each squared in one slice buffer.
         """
         values = np.asarray(values, dtype=float)
         box = values.shape if box is None else box
@@ -129,8 +128,10 @@ class SpectralField:
             power *= np.where((j == 0) | (2 * j == n), 1.0, 2.0) / math.prod(sizes)
             marginals[name] = (k_sq, power)
         fhat = np.concatenate([power.ravel() for _, power in marginals.values()])
-        l2_sq = _slab_total(float(np.sum(part * part))
-                            for part in _slab_views(values, 0, values[:1].nbytes))
+        l2_sq = 0.0
+        squares = np.empty(values.shape[1:])
+        for part in values:
+            l2_sq += float(np.sum(np.multiply(part, part, out=squares)))
         return cls(fhat, marginals, l2_sq, float(np.prod(spacings)))
 
     @classmethod
@@ -176,14 +177,6 @@ class SpectralField:
         return math.sqrt(total) if total > 0.0 else 0.0
 
 
-def _slab_views(values, ax: int, index_bytes: int) -> list:
-    """Views of `values` in consecutive slabs along axis `ax`, each at most
-    `_SLAB_BYTES` at `index_bytes` per index (the whole array when the
-    axis is empty)."""
-    parts = _slabs(values.shape[ax], index_bytes) if values.shape[ax] else [slice(None)]
-    return [values[(slice(None),) * ax + (part,)] for part in parts]
-
-
 def _marginal_power(values, axes, sizes) -> np.ndarray:
     """The sum over the other axes of |rfftn(values)|^2 over the group's
     `axes`, zero-padded to `sizes`, by Wiener-Khinchin: the rfftn of
@@ -195,11 +188,11 @@ def _marginal_power(values, axes, sizes) -> np.ndarray:
     other axes, real because R is even.
 
     The group's Gram matrix over the other axes is accumulated one BLAS
-    product per slab of the first axis outside the group (for a group
-    between other axes, one per index of the axes before it), on views of
-    `values` reshaped to (cells before, group cells, cells after); a slab
-    whose strides allow no such view is copied, a slab at a time.  Its
-    entries are then binned by lag in the order of the cell pairs."""
+    product per index of the first axis outside the group, in axis order,
+    on views of `values` reshaped to (cells before, group cells, cells
+    after); an index whose strides allow no such view is copied, one at a
+    time.  Its entries are then binned by lag in the order of the cell
+    pairs."""
     shape = [values.shape[ax] for ax in axes]
     if tuple(axes) != tuple(range(axes[0], axes[0] + len(axes))):
         raise ValueError(f"an axis group must be a run of consecutive axes, got {axes}")
@@ -210,9 +203,9 @@ def _marginal_power(values, axes, sizes) -> np.ndarray:
     gram = np.zeros((cells, cells))
     others = [ax for ax in range(values.ndim) if ax not in axes]
     chunks = [values]
-    if others and values.size:
-        chunks = _slab_views(values, others[0],
-                             values.itemsize * values.size // values.shape[others[0]])
+    if others:
+        lead = (slice(None),) * others[0]
+        chunks = [values[lead + (slice(j, j + 1),)] for j in range(values.shape[others[0]])]
     for chunk in chunks:
         rows = math.prod(chunk.shape[:axes[0]])
         after = math.prod(chunk.shape[axes[-1] + 1:])

@@ -97,8 +97,8 @@ class LevelPass:
     ||grad_v f_k|| in L2 of (Q_k, Q_{k-1}).  The level set `level_set`,
     |{f > C_k} cap Q_{k-1}|, and the Chebyshev bound's integral `prev_sq`,
     int_{Q_{k-1}} f_{k-1}^2 (None at k = 0), read the stored slices
-    themselves: they are summed after the walk, over views of the window,
-    so that their slabs are not held beside those of f_k.
+    themselves: `level_set_measure` and `cylinder_integral` sum them after
+    the walk, over views of the window.
 
     From the last slice at or before T_k on (window index `first`, by the
     same rule, `Trajectory.slice_at`), where U_k and the local energy
@@ -137,7 +137,7 @@ class LevelPass:
             sample = None if source is None else KeyedSampler(
                 source, lambda t: source.sample(cells, t))
         regions = (level.cylinder(), level.outer_cylinder())
-        # the squares are taken in place: a slab makes no second slab-sized array
+        # the squares are taken in place, in the integral's own cell buffer
         fk_sq = [SliceIntegral(win, lambda v: np.square(v, out=v), q) for q in regions]
         grad_sq = [SliceIntegral(win, lambda v: v, q) for q in regions]
         fk, density, buf = np.empty((3,) + cells.shape)
@@ -172,13 +172,13 @@ class LevelPass:
                 buf *= vdot
                 sums += (slope, float(np.sum(buf)), work)
             self._sums.append(sums)
-        # the buffers go before the level set and f_{k-1}^2 take their slabs
+        # the buffers go before the level set and f_{k-1}^2 take theirs
         fk = density = buf = fk_fk = None
         self.fk_l2 = tuple(math.sqrt(integral.value()) for integral in fk_sq)
         self.grad_l2 = tuple(math.sqrt(integral.value()) for integral in grad_sq)
         self.level_set = level_set_measure(win, lambda f: f > c, regions[1])
         c_prev = None if k == 0 else dyadic_truncation(k - 1)
-        # f_{k-1}^2 in place: the slab is the integral's own
+        # f_{k-1}^2 in place: the cell buffer is the integral's own
         self.prev_sq = None if k == 0 else cylinder_integral(
             win, lambda f: np.square(np.maximum(np.subtract(f, c_prev, out=f), 0.0, out=f),
                                      out=f), regions[1])
@@ -260,7 +260,7 @@ def chebyshev_audit(level: LevelPass, u_prev: float | None = None) -> ChebyshevR
     continuous sup bound, so only the margin is recorded, not asserted).
 
     Both sides are reducers of the level's pass (`level_set`, `prev_sq`):
-    the same cells of the level window summed over the same slabs.
+    the same cells of the level window summed in the same order.
     """
     k = level.k
     if k < 1:

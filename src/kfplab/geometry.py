@@ -16,9 +16,10 @@ one cell layer and the rule is monotone in the threshold.  The rule is
 evaluated on the region's bounding box only: the contiguous range of time
 cells it holds and the bounding cell box of its (x, v) mask.  One reducer,
 `SliceIntegral`, evaluates it for every cylinder integral and level-set
-measure: it takes the stored slices one at a time and sums the cells a
-slab of at most `_SLAB_BYTES` at a time, so both sides of a Chebyshev
-comparison sum the same cells over the same slabs.
+measure: it takes the stored slices one at a time, sums each time cell
+in one reduction and adds the cells' sums in time order, so both sides of
+a Chebyshev comparison sum the same cells in the same order, and no sum
+depends on how memory is laid out.
 
 The v-calculus is the scheme's face difference D = np.diff/dv, its adjoint
 the face divergence, and one rule splitting each interior face value evenly
@@ -499,85 +500,57 @@ def _check_region(traj, region: Cylinder):
         raise GeometryError(f"region {region} does not intersect the grid domain")
 
 
-# bytes one slab of a streamed reduction may hold: the stored slices of a
-# cylinder integral, or the values one Gram product of a spectral marginal
-# reads.  Every N = 1 default-grid trajectory (49 x 64^2 float64, 1.6 MB)
-# fits in one slab, so its reductions are single sums
-_SLAB_BYTES = 1 << 22
-
-
-def _slabs(count: int, unit_bytes: int) -> list:
-    """Consecutive slices covering range(count), each of at most
-    max(1, `_SLAB_BYTES` // unit_bytes) units of `unit_bytes` bytes."""
-    step = max(1, _SLAB_BYTES // max(1, unit_bytes))
-    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
-
-
 class SliceIntegral:
     """The integral of func(f) over `region` by the midpoint cell rule, of
     a trajectory whose stored slices come one at a time: `add(i, values)`
     takes stored slice i, in time order, of a trajectory on `traj`'s cells
-    and times (`traj` is read for those and its slice size only), and
-    `value()` is the integral once the region's last stored slice has come.
+    and times (`traj` is read for those only), and `value()` is the
+    integral once the region's last stored slice has come.
 
     The one engine of every cylinder integral and level-set measure, fed
     the stored slices by `cylinder_integral` and, slice by slice, the
     truncations and gradient densities of a level by `degiorgi.LevelPass`.
-    The region's time cells are cut into slabs of at most `_SLAB_BYTES` of
-    stored slices; each slice added to the slab on the region's bounding
-    box closes time cell i - 1 and opens time cell i, and a slab complete
-    is halved into its midpoint values, `func` applied (it may overwrite
-    the slab), the (x, v) mask multiplied in place and the product summed.
-    Only the current slab is held, and the slab sums are added in time
-    order (`_slab_total`).
+    It holds one buffer on the region's bounding box.  Each slice added
+    closes time cell i - 1 and opens time cell i: the slice is added to the
+    buffer, which is halved into the cell's midpoint values, `func` applied
+    (it may overwrite the buffer), the (x, v) mask multiplied in place and
+    the product summed by one `sum()` (counted by `np.count_nonzero` when
+    boolean); the slice is then copied into the buffer.  A mask of
+    ones, as every N = 1 box has, would change no bit and is not applied.
+    The cells' sums are added in time order, and the width of a time cell
+    is the trajectory's first one.
     """
 
     def __init__(self, traj, func, region: Cylinder):
         _check_region(traj, region)
         cells = _time_cells(traj, region)
-        self.box, self.mask = region.space_box(traj.grid)
-        self.slabs = [(cells.start + part.start, cells.start + part.stop)
-                      for part in _slabs(cells.stop - cells.start, traj.values[0].nbytes)]
+        self.box, mask = region.space_box(traj.grid)
+        self.mask = None if mask.all() else mask
+        self.start, self.stop = cells.start, cells.stop
         self.func = func
-        self.sums = []
-        self.cells = None
+        self.cell = np.empty(mask.shape)
+        self.total = 0.0
         self.dt_cell = float(traj.times[1] - traj.times[0])
         self.cell_volume = traj.grid.cell_volume
 
     def add(self, i: int, values):
         """Take stored slice i: it closes time cell i - 1 and opens time
-        cell i of the region; the slice that closes a slab opens the next."""
-        while self.slabs and i >= self.slabs[0][0]:
-            a, b = self.slabs[0]
-            if self.cells is None:
-                self.cells = np.empty((b - a,) + self.mask.shape)
-            if i > a:
-                self.cells[i - 1 - a] += values[self.box]
-            if i < b:
-                self.cells[i - a] = values[self.box]
-                return
-            self.cells *= 0.5
-            vals = self.func(self.cells)
-            vals *= self.mask
-            # a level set's 0/1 cells are counted: np.sum would cast them
+        cell i of the region."""
+        if self.start < i <= self.stop:
+            self.cell += values[self.box]
+            self.cell *= 0.5
+            vals = self.func(self.cell)
+            if self.mask is not None:
+                vals *= self.mask
+            # a level set's 0/1 cells are counted: sum() would cast them
             # to integers through a buffer of its own
-            total = np.count_nonzero(vals) if vals.dtype == bool else np.sum(vals)
-            self.sums.append(float(total))
-            # the finished slab goes before the next one is allocated
-            self.cells = vals = None
-            self.slabs.pop(0)
+            self.total += float(np.count_nonzero(vals) if vals.dtype == bool
+                                else vals.sum())
+        if self.start <= i < self.stop:
+            self.cell[...] = values[self.box]
 
     def value(self) -> float:
-        return _slab_total(self.sums) * self.dt_cell * self.cell_volume
-
-
-def _slab_total(parts) -> float:
-    """The left-to-right sum of the per-slab sums (0.0 when there are none);
-    a single slab's sum is returned unchanged."""
-    total = None
-    for part in parts:
-        total = part if total is None else total + part
-    return 0.0 if total is None else total
+        return self.total * self.dt_cell * self.cell_volume
 
 
 def cylinder_integral(traj, func, region: Cylinder) -> float:
@@ -585,7 +558,7 @@ def cylinder_integral(traj, func, region: Cylinder) -> float:
     the cell value is the midpoint-in-time average of the two adjacent
     stored slices, and `func` acts cell by cell on the region's bounding
     box.  A `SliceIntegral` fed views of the stored slices in time order;
-    `level_set_measure` uses the same cells and slabs, so Chebyshev
+    `level_set_measure` sums the same cells in the same order, so Chebyshev
     comparisons are exact discretely."""
     integral = SliceIntegral(traj, func, region)
     for i, values in enumerate(traj.values):
@@ -596,7 +569,7 @@ def cylinder_integral(traj, func, region: Cylinder) -> float:
 def level_set_measure(traj, predicate, region: Cylinder) -> float:
     """Lebesgue measure of {(t,x,v) in region : predicate(f)} by the cell
     rule: `cylinder_integral` of the predicate's 0/1 value, so a count of
-    whole cells per slab, exact below 2^53 cells at any slab size.
+    whole cells per time cell, exact below 2^53 cells in all.
 
     `predicate` returns a boolean array; it acts cell by cell and sees only
     the region's bounding box.  Monotone in the threshold by construction;

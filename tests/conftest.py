@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from kfplab.coefficients import build_diffusion, build_source
-from kfplab.fields import PhaseField
+from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import PhaseGrid
 from kfplab.solver import WHOLE_SPACE, solve
 
@@ -90,3 +90,27 @@ def padded_fftn_check():
     """`_check_against_padded_fftn`: a spectral field against an
     independent padded-fftn reference."""
     return _check_against_padded_fftn
+
+
+@pytest.fixture(params=["c", "fortran", "strided"])
+def laid_out(request):
+    """How a trajectory's stored slices sit in memory: a function that gives
+    the trajectory with the same values in C order (as solved), in Fortran
+    order, or as every other entry of a last axis twice as long.  Every
+    reduction sums each cell or slice in a buffer of its own, so no layout
+    may change a bit of it."""
+    layout = request.param
+
+    def lay_out(traj):
+        if layout == "c":
+            return traj
+        if layout == "fortran":
+            values = np.asfortranarray(traj.values)
+        else:
+            shape = traj.values.shape
+            values = np.zeros(shape[:-1] + (2 * shape[-1],))[..., ::2]
+            values[...] = traj.values
+        assert not values[0].flags.c_contiguous
+        return Trajectory(traj.grid, traj.times, values)
+
+    return lay_out

@@ -1,12 +1,13 @@
 """Streamed reductions and the streamed oscillation ladder.
 
-Cylinder integrals, level-set measures and spectral marginals read a
-trajectory slab by slab (`geometry._SLAB_BYTES`), and the oscillation
-ladder zooms through one `ZoomSampler` and keeps only the slices it reads
-next.  The tests below pin three things: the streamed ladder is the
-materialised zoom + re-solve loop bit for bit; the reductions do not
-depend on the slab size beyond summation order; and none of the streamed
-audits builds a temporary the size of the trajectory.  Beside them, the
+Cylinder integrals and level-set measures read a trajectory one time
+cell at a time, spectral marginals one index at a time, and the
+oscillation ladder zooms through one `ZoomSampler` and keeps only the
+slices it reads next.  The tests below pin three things: the streamed
+ladder is the materialised zoom + re-solve loop bit for bit; every
+reduction is a left-to-right sum of per-cell sums, bit for bit, whatever
+the trajectory's size; and none of the streamed audits builds a temporary
+the size of the trajectory.  Beside them, the
 step plan is held to its slices: it holds each once, a refactoring step
 allocates none, and every buffer starts on a 64-byte boundary.
 """
@@ -17,11 +18,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfplab import geometry, holder, pipeline, solver
+from kfplab import holder, pipeline, solver
 from kfplab.averaging import SpectralField
 from kfplab.coefficients import build_diffusion
 from kfplab.config import parse_config
-from kfplab.degiorgi import LevelPass, chebyshev_audit, linfty_gate, truncation_energy
+from kfplab.degiorgi import LevelPass, linfty_gate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     DyadicLevel,
@@ -152,7 +153,7 @@ def test_ladder_keeps_the_slices_it_reads(dim, n, n_t, omega, kept):
     assert _ladder_keep(times[:], regions[1:], smap) == 2  # the preimage alone
 
 
-# --- slab invariance -------------------------------------------------------------
+# --- one summation order -------------------------------------------------------
 
 def _field(grid, seed):
     """Random values in [-0.2, 1.2] times a bump that vanishes at the box
@@ -166,66 +167,66 @@ def _field(grid, seed):
     return Trajectory(grid, grid.times, values)
 
 
-def _streamed(traj):
-    """Every streamed reduction of the trajectory, in one dict."""
-    regions = [make_cylinder(1.5), make_cylinder(1.0), make_cylinder(0.5),
-               DyadicLevel(2).outer_cylinder(), hat_cylinder()]
-    out = {}
-    for region in regions:
-        key = str(region)
-        out["int", key, "sq"] = cylinder_integral(traj, lambda v: v**2, region)
-        out["measure", key, "pos"] = level_set_measure(traj, lambda f: f > 0.5, region)
-    # the truncations and gradient densities of the level passes
-    for k in (0, 1, 2):
-        level = LevelPass(traj, k)
-        out["int", k, "trunc"], out["int", k, "trunc_outer"] = level.fk_l2
-        out["int", k, "grad"], out["int", k, "grad_outer"] = level.grad_l2
-        out["measure", k, "level_set"] = level.level_set
-    spec = SpectralField.from_trajectory(traj, warn_boundary=False)
-    out["l2"] = spec.l2_norm()
-    for group in ("t", "x", "v"):
-        for s in (0.0, 1.0 / 3.0, 1.0):
-            out["frac", group, s] = spec.frac_norm(group, s)
-    return out
+def _cell_by_cell(traj, func, region):
+    """The midpoint-cell integral summed one time cell at a time: each
+    cell's midpoint values on the region's bounding box, `func` and the
+    mask applied and one `np.sum` taken, the cells' sums added left to
+    right in time."""
+    times = traj.times
+    box, mask = region.space_box(traj.grid)
+    total = 0.0
+    for j in np.nonzero(region.contains_time(0.5 * (times[:-1] + times[1:])))[0]:
+        vals = func(0.5 * (traj.values[j][box] + traj.values[j + 1][box])) * mask
+        total += float(np.count_nonzero(vals) if vals.dtype == bool else np.sum(vals))
+    return total * float(times[1] - times[0]) * traj.grid.cell_volume
 
 
-@pytest.mark.parametrize("dim,n,n_t", [(1, 24, 24), (2, 9, 12)])
-def test_streamed_reductions_do_not_depend_on_the_slab(monkeypatch, dim, n, n_t):
+@pytest.mark.parametrize("dim,n,n_t", [(1, 64, 48), (1, 24, 24), (2, 9, 12)])
+def test_every_reduction_sums_one_time_cell_at_a_time(dim, n, n_t):
+    """Cylinder integrals, level-set measures, the level pass's reducers and
+    `SpectralField.l2_sq` are, bit for bit, left-to-right sums of per-cell
+    (per-slice) `np.sum`s, whatever the trajectory's size: a desk-sized
+    N = 1 trajectory, 49 stored slices of 64^2 cells, and two small ones,
+    N = 1 and N = 2."""
     grid = PhaseGrid(dim, (-1.5, 0.0), n_t, 1.5, n, 1.5, n)
-    traj = _field(grid, seed=n)
-    assert len(geometry._slabs(n_t, traj.values[0].nbytes)) == 1
-    one = _streamed(traj)
-    # one slice per cylinder slab, one index per spectral slab
-    monkeypatch.setattr(geometry, "_SLAB_BYTES", 1)
-    many = _streamed(traj)
-    assert one.keys() == many.keys()
-    for key, value in one.items():
-        if key[0] == "measure":
-            assert many[key] == value, key
-        else:
-            assert abs(many[key] - value) <= 1e-14 * abs(value), key
-    assert one["measure", "Q[1.0]", "pos"] > 0.0
-    # both sides of the Chebyshev bound are summed over the same slabs
-    for k in (1, 2, 3):
-        rep = chebyshev_audit(LevelPass(traj, k))
-        assert rep.measure > 0.0
-        assert rep.margin >= 0.0, k
+    traj = _field(grid, seed=1)
+    sq, pos = (lambda v: v**2), (lambda f: f > 0.5)
+    for region in (make_cylinder(1.5), make_cylinder(1.0), hat_cylinder(),
+                   DyadicLevel(2).outer_cylinder()):
+        assert cylinder_integral(traj, sq, region) == _cell_by_cell(traj, sq, region)
+        assert level_set_measure(traj, pos, region) == _cell_by_cell(traj, pos, region)
+    for k in (0, 1, 2, 3):
+        level = DyadicLevel(k)
+        win = traj.window(dyadic_time(k - 1), level.outer_radius)
+        fk = win.map_values(lambda v: np.maximum(v - level.truncation, 0.0))
+        gk = fk.map_values(lambda v: grad_v_sq_density(win.grid, v))
+        regions = (level.cylinder(), level.outer_cylinder())
+        got = LevelPass(traj, k)
+        assert got.fk_l2 == tuple(math.sqrt(_cell_by_cell(fk, sq, q)) for q in regions)
+        assert got.grad_l2 == tuple(math.sqrt(_cell_by_cell(gk, lambda v: v, q))
+                                    for q in regions)
+        assert got.level_set == _cell_by_cell(win, lambda f: f > level.truncation,
+                                              regions[1]) > 0.0
+        if k >= 1:
+            c_prev = DyadicLevel(k - 1).truncation
+            assert got.prev_sq == _cell_by_cell(
+                win, lambda f: np.maximum(f - c_prev, 0.0) ** 2, regions[1])
+    l2_sq = 0.0
+    for values in traj.values:
+        l2_sq += float(np.sum(values * values))
+    assert SpectralField.from_trajectory(traj, warn_boundary=False).l2_sq == l2_sq
 
 
-@pytest.mark.parametrize("slab_slices", [None, 1, 3])
-def test_level_pass_is_each_cylinder_integral_bit_for_bit(monkeypatch, slab_slices):
+def test_level_pass_is_each_cylinder_integral_bit_for_bit(laid_out):
     """`LevelPass` feeds the f_k and |grad_v f_k|^2 integrals of Q_k and
     Q_{k-1} from one walk that truncates and differences each stored slice
     once, and each value is `cylinder_integral` of the whole-array map of
-    its window bit for bit.  At one slab, a slab per slice, and slabs that
-    cut the regions' time cells apart."""
+    its window bit for bit, however the stored slices are laid out."""
     grid = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 9, 1.5, 9)
-    traj = _field(grid, seed=4)
+    traj = laid_out(_field(grid, seed=4))
     for k in (1, 2):
         level = DyadicLevel(k)
         win = traj.window(dyadic_time(k - 1), level.outer_radius)
-        if slab_slices is not None:
-            monkeypatch.setattr(geometry, "_SLAB_BYTES", slab_slices * win.values[0].nbytes)
         fk = win.map_values(lambda v: np.maximum(v - level.truncation, 0.0))
         gk = fk.map_values(lambda v: grad_v_sq_density(win.grid, v))
         regions = (level.cylinder(), level.outer_cylinder())
@@ -255,27 +256,24 @@ BOUND = 0.75
 
 
 def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
-    """The streamed audits hold slabs, not trajectories.
+    """The streamed audits hold slices, not trajectories.
 
-    On N = 2 at 13^4 cells and 97 stored slices (21.1 MiB, six cylinder
-    slabs of 18 time cells), each audit's tracemalloc rise above its entry
-    must stay below BOUND = 0.75 of the trajectory's bytes.  Measured
-    here: `truncation_energy` with its `LevelPass` at k = 0 0.52 (the
-    slabs of the four f_k reducers at once, two of them on the whole grid,
-    and the pass's three slice buffers; 0.55 when each slice's integrands
-    were built in fresh arrays, 0.45 when each reducer had a pass of its
-    own), `linfty_gate` 0.19 (one slab, f_+^2 taken in place; 0.38 with
-    a second slab for f_+^2),
-    `SpectralField.from_trajectory` 0.19 (one slab's squares for `l2_sq`;
-    its Gram products hold little more than each group's Gram matrix) and
-    `oscillation_ladder` 0.30 (its re-solve's step plan on the inner cell
-    box and kept slices).  With the whole-trajectory
-    temporaries these streams replaced, the same calls rose 4.97, 2.97,
-    6.47 and 3.31 trajectories.
+    On N = 2 at 13^4 cells and 97 stored slices (21.1 MiB), each audit's
+    tracemalloc rise above its entry must stay below BOUND = 0.75 of the
+    trajectory's bytes.  Measured here: `truncation_energy` with its
+    `LevelPass` at k = 0 0.09 (the cell buffers of the four f_k reducers,
+    two of them on the whole grid, and the pass's three slice buffers;
+    0.52 when each reducer held a slab of 18 time cells), `linfty_gate`
+    0.02 (one cell buffer, f_+^2 taken in place; 0.19 with a slab),
+    `SpectralField.from_trajectory` 0.03 (one slice's squares for `l2_sq`;
+    its Gram products hold little more than each group's Gram matrix; 0.19
+    with a slab's squares) and `oscillation_ladder` 0.30 (its re-solve's
+    step plan on the inner cell box and kept slices).  With the
+    whole-trajectory temporaries these streams replaced, the same calls
+    rose 4.97, 2.97, 6.47 and 3.31 trajectories.
     """
     grid = PhaseGrid(2, (-1.5, 0.0), 96, 1.5, 13, 1.5, 13)
     traj = _field(grid, seed=3)
-    assert len(geometry._slabs(96, traj.values[0].nbytes)) >= 6
     diffusion = build_diffusion(2, 2.0, "constant", value=1.0)
     size = traj.values.nbytes
     rises = {
@@ -294,25 +292,23 @@ BISECTION_CONFIG = ("run.seed = 2\ngrid.n_t = 96\ngrid.n_x = 24\ngrid.n_v = 24\n
                     "initial.amplitude = 0.8\n")
 
 
-def test_bisection_holds_the_unit_run_and_no_other_trajectory(monkeypatch):
+def test_bisection_holds_the_unit_run_and_no_other_trajectory():
     """`pipeline._bisection` (the unit solve, `empirical_kappa` and the
     affine check) keeps the unit run and streams the rest.
 
-    On a 24^2 desk-like run with 97 stored slices, and slabs of 8 stored
-    slices as on a trajectory of more than `geometry._SLAB_BYTES`, the
-    tracemalloc rise above the call's entry must stay below 1.6
-    trajectories.  Measured: 1.44, of which the unit run with its energy
-    ledger holds 1.08 and a step plan 0.26 (the direct run's, while the
-    unit run is held); the premise's slab and the one slice buffer of the
-    superposed run and of the affine gap are the rest.  When the run at
-    a* and the gap were whole arrays, and the direct run was solved whole,
-    the same call rose 3.14 trajectories.
+    On a 24^2 desk-like run with 97 stored slices, the tracemalloc rise
+    above the call's entry must stay below 1.6 trajectories.  Measured:
+    1.48, of which the unit run with its energy ledger holds 1.08 and a
+    step plan 0.26 (the direct run's, while the unit run is held); the
+    premise's cell buffer and the one slice buffer of the superposed run
+    and of the affine gap are the rest.  When the premise integral held
+    the whole trajectory as one slab it rose 2.33; when the run at a* and
+    the gap were whole arrays, and the direct run was solved whole, 3.14.
     """
     cfg = parse_config(BISECTION_CONFIG)
     grid = build_grid(cfg)
     diffusion, source = build_coefficient(cfg), build_source_field(cfg)
     traj = solve_initial(cfg, grid, diffusion, source)
-    monkeypatch.setattr(geometry, "_SLAB_BYTES", 8 * traj.values[0].nbytes)
     rise = _rise(pipeline._bisection, cfg, traj, diffusion, source)
     assert rise < 1.6 * traj.values.nbytes, rise / traj.values.nbytes
     kappa_emp, defect = pipeline._bisection(cfg, traj, diffusion, source)
@@ -342,9 +338,10 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     * A later step rises at most 0.4 MiB (half a slice); measured 0.05,
       against 4.8 (six slices).
     * `pipeline._barrier_audit` at k = 1 rises at most 17.5 MiB; measured
-      14.8, in `build_barrier_sources`, where F_k, the barrier's
-      increments and the slabs of the S1 and S2 norms are alive (15.7
-      when S1, S2, their squares and the increments were built in fresh
+      12.6, in `build_barrier_sources`, where F_k, the barrier's
+      increments and the cell buffers of the S1 and S2 norms are alive
+      (14.8 when those norms held slabs of stored slices; 15.7 when S1,
+      S2, their squares and the increments were built in fresh
       temporaries).  When the report kept S1, both S2 components and F_k,
       it rose 19.7.
     """

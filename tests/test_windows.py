@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kfplab import averaging, geometry, solver
+from kfplab import averaging, solver
 from kfplab.coefficients import DiffusionField, KeyedSampler, SourceField, build_diffusion, \
     build_source
 from kfplab.config import parse_config
@@ -346,18 +346,11 @@ def test_window_margin_clips_at_grid_edge():
 
 # --- the audits against their references --------------------------------------------
 
-def test_cylinder_integral_matches_reference(run, monkeypatch):
+def test_cylinder_integral_matches_reference(run):
     """Every entry to the one midpoint-cell reducer against the whole-array
     references: one region, and `SliceIntegral` fed one stored slice at a
-    time; at the default slab and at a slab of one stored slice.  Measures
-    are counts, so equal."""
+    time.  Measures are counts, so equal."""
     traj = run["traj"]
-    _reducer_matches_reference(traj)
-    monkeypatch.setattr(geometry, "_SLAB_BYTES", traj.values[0].nbytes)
-    _reducer_matches_reference(traj)
-
-
-def _reducer_matches_reference(traj):
     regions = [make_cylinder(DyadicLevel(k).outer_radius) for k in range(4)]
     regions += [make_cylinder(0.125), hat_cylinder(),
                 Cylinder(-0.9, -0.2, 0.7)]
@@ -382,19 +375,19 @@ def _reducer_matches_reference(traj):
                 float(vals.min()), float(vals.max()), int(vals.size))
 
 
-# slabs of the level pass: the default, and slabs of one and of three stored
-# slices of the level window, whose boundaries fall inside Q_{k-1}'s time cells
-SLABS = [None, 1, 3]
-
-
-def _level_pass(monkeypatch, traj, k, slab, source=None):
-    """`LevelPass` of level k at slabs of `slab` level-window slices (at
-    the default slab when None), which stay set for the references."""
-    monkeypatch.undo()
-    if slab is not None:
-        cells = GridWindow(traj.grid, DyadicLevel(k).outer_radius)
-        monkeypatch.setattr(geometry, "_SLAB_BYTES", slab * 8 * math.prod(cells.shape))
-    return LevelPass(traj, k, source)
+def _level_pass(traj, k, laid_out, source=None):
+    """`LevelPass` of level k of `traj` laid out by `laid_out`, whose
+    reducers and cutoff sums are those of the pass of `traj` as solved,
+    bit for bit."""
+    laid = laid_out(traj)
+    level = LevelPass(laid, k, source)
+    if laid is not traj:
+        solved = LevelPass(traj, k, source)
+        assert (level.fk_l2, level.grad_l2, level.level_set, level.prev_sq) \
+            == (solved.fk_l2, solved.grad_l2, solved.level_set, solved.prev_sq), k
+        slices = range(level.first, level.window.n_slices)
+        assert level.cutoff_sums(slices) == solved.cutoff_sums(slices), k
+    return level
 
 
 def _pass_reducers_match_window_maps(level, source):
@@ -423,7 +416,8 @@ def _pass_reducers_match_window_maps(level, source):
     vdot = lvl.v_dot_grad_eta_x(cells)
     slices = range(level.first, win.n_slices)
     for i, sums in level.cutoff_sums(slices).items():
-        f = fk.values[i]
+        # the pass sums each slice's integrands in C-ordered buffers
+        f = np.ascontiguousarray(fk.values[i])
         g = 0.0 if source is None else float(np.sum(
             source.sample(cells, float(win.times[i])) * f * eta_x * eta_v**2))
         expected = (float(np.sum(eta_x * eta_v**2 * f**2)),
@@ -435,14 +429,10 @@ def _pass_reducers_match_window_maps(level, source):
     assert win.times[level.first] <= lvl.t_start < win.times[level.first + 1]
 
 
-@pytest.mark.parametrize("slab", SLABS)
-def test_truncation_energy_matches_reference(run, slab, monkeypatch):
+def test_truncation_energy_matches_reference(run, laid_out):
     traj, lam, source = run["traj"], run["lam"], run["source"]
     for k in range(4):
-        level = _level_pass(monkeypatch, traj, k, slab, source)
-        # a slab boundary inside Q_{k-1}'s time cells
-        slabs = SliceIntegral(level.window, np.abs, DyadicLevel(k).outer_cylinder()).slabs
-        assert slab is None or len(slabs) > 1
+        level = _level_pass(traj, k, laid_out, source)
         _pass_reducers_match_window_maps(level, source)
         got = truncation_energy(level, lam)
         expected = _truncation_energy_reference(traj, k, lam)
@@ -452,8 +442,7 @@ def test_truncation_energy_matches_reference(run, slab, monkeypatch):
     assert truncation_energy(LevelPass(traj, 1), lam).energy > 0.0
 
 
-@pytest.mark.parametrize("slab", SLABS)
-def test_chebyshev_counts_the_truncation_level_set(slab, monkeypatch):
+def test_chebyshev_counts_the_truncation_level_set(laid_out):
     # N = 2, 18^4 cells, n_t = 18: the slice spacing 1/12 is not a binary
     # fraction, so times[1] - times[0] of the whole trajectory and of a level
     # window differ in the last bits; the audit takes {f_k > 0} in Q_{k-1}
@@ -468,7 +457,7 @@ def test_chebyshev_counts_the_truncation_level_set(slab, monkeypatch):
     for k in range(1, 5):
         level = DyadicLevel(k)
         window = traj.window(dyadic_time(k - 1), level.outer_radius)
-        rep = chebyshev_audit(_level_pass(monkeypatch, traj, k, slab))
+        rep = chebyshev_audit(_level_pass(traj, k, laid_out))
         recount = level_set_measure(window, lambda f: f > level.truncation,
                                     level.outer_cylinder())
         c_prev = DyadicLevel(k - 1).truncation
@@ -525,16 +514,15 @@ def test_barrier_sources_match_reference(run, with_source):
     assert build_barrier_sources(LevelPass(traj, 1, source), diffusion).s1_l2 > 0.0
 
 
-@pytest.mark.parametrize("slab", SLABS)
 @pytest.mark.parametrize("with_source", [True, False])
-def test_local_energy_check_matches_reference(run, with_source, slab, monkeypatch):
+def test_local_energy_check_matches_reference(run, with_source, laid_out):
     traj, lam = run["traj"], run["lam"]
     source = run["source"] if with_source else None
     scales = []
     for k in (1, 2, 3):
         c = DyadicLevel(k).truncation
         t_k = dyadic_time(k)
-        level = _level_pass(monkeypatch, traj, k, slab, source)
+        level = _level_pass(traj, k, laid_out, source)
         for s, t in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
             got = local_energy_check(level, lam, s, t)
             expected, scale = _local_energy_check_reference(traj, k, c, lam, s, t, source)

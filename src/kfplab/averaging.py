@@ -143,8 +143,7 @@ class SpectralField:
         which gives the spectra of its zero extension to that grid."""
         grid = traj.grid
         parent = getattr(grid, "parent", grid)
-        dt_slice = float(traj.times[1] - traj.times[0])
-        spacings = (dt_slice,) + (grid.dx,) * grid.dim + (grid.dv,) * grid.dim
+        spacings = (traj.dt,) + (grid.dx,) * grid.dim + (grid.dv,) * grid.dim
         groups = {
             "t": (0,),
             "x": tuple(range(1, 1 + grid.dim)),
@@ -313,10 +312,9 @@ def velocity_average(traj: Trajectory, phi, pad: int = 2):
     weights = phi_vals.reshape((1,) * (1 + grid.dim) + grid.v_shape)
     avg = np.sum(traj.values * weights, axis=v_axes) * grid.dv**grid.dim
 
-    dt_slice = float(traj.times[1] - traj.times[0])
     sf_full = SpectralField.from_trajectory(traj, pad=pad, warn_boundary=False)
     sf_avg = SpectralField.from_values(
-        avg, (dt_slice,) + (grid.dx,) * grid.dim,
+        avg, (traj.dt,) + (grid.dx,) * grid.dim,
         {"t": (0,), "x": tuple(range(1, 1 + grid.dim))},
         pad=pad, warn_boundary=False)
     f_l2 = sf_full.l2_norm()

@@ -11,7 +11,6 @@ import numpy as np
 
 from .geometry import PhaseGrid, dyadic_radius, dyadic_time
 from .holder import lemma_constants
-from .solver import StepCountError, whole_steps
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file",
            "parse_sweep_config", "config_to_text", "format_value"]
@@ -51,7 +50,12 @@ def _parse_list(raw: str):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; defaults give the desk-scale N = 1 setup."""
+    """Everything a run needs; defaults give the desk-scale N = 1 setup.
+
+    A run steps at its grid's dt = -t_min / n_t and stores every step; its
+    barrier solves and the spacing of every time cell an audit integrates
+    over are that dt too.  `validate()` holds it to the transport bound
+    dt <= dx / v_max."""
 
     # run
     seed: int = 1
@@ -89,9 +93,7 @@ class RunConfig:
     initial_v_width: float = 0.3
 
     # solver
-    dt: float | None = None
     interp: str = "linear"
-    store_every: int = 1
 
     # diagnostics
     levels: int = 4
@@ -173,13 +175,11 @@ class RunConfig:
             fail("initial.modes", "need at least one mode")
         if self.interp not in ("linear", "cubic"):
             fail("solver.interp", f"must be linear or cubic, got {self.interp!r}")
-        dt = self.dt if self.dt is not None else -self.t_min / self.n_t
-        if not dt > 0:
-            fail("solver.dt", f"must be positive, got {dt}")
+        dt = -self.t_min / self.n_t
         cfl = (2.0 * self.x_max / self.n_x) / self.v_max
         if dt > cfl * (1 + 1e-12):
-            fail("solver.dt", f"dt = {dt} violates the transport bound "
-                              f"dx/v_max = {cfl}")
+            fail("grid.n_t", f"the step -t_min/n_t = {dt} violates the transport "
+                             f"bound dx/v_max = {cfl}")
         q_min = 12 * self.dim + 6
         if not self.q_constants > q_min:
             fail("diagnostics.q", f"each q must exceed 12N+6 = {q_min}, "
@@ -221,27 +221,15 @@ class RunConfig:
             for k in ks:
                 if not dyadic_radius(k - 1) > dyadic_radius(k):
                     fail(path, f"level {k} has an empty cutoff annulus")
-        if self.store_every < 1:
-            fail("solver.store_every", f"must be >= 1, got {self.store_every}")
-        try:  # the whole-step rule `solver.solve` enforces
-            whole_steps(-self.t_min, dt, self.store_every)
-        except StepCountError as exc:
-            fail(f"solver.{exc.param}", str(exc))
         # the barrier of level k starts from the stored slice at T_{k-1} and
-        # steps at the stored spacing, under the same transport bound
-        step = dt * self.store_every
-        if self.barrier_levels and step > cfl * (1 + 1e-12):
-            fail("solver.store_every", f"the barrier's step dt * store_every = "
-                                       f"{step} violates the transport bound "
-                                       f"dx/v_max = {cfl}")
+        # steps at the run's step
         for k in self.barrier_levels:
             t_start = dyadic_time(k - 1)
-            t_slice = self.t_min + round((t_start - self.t_min) / step) * step
+            t_slice = self.t_min + round((t_start - self.t_min) / dt) * dt
             if abs(t_slice - t_start) > 1e-9:
-                fail("grid.n_t" if self.dt is None else "solver.dt",
-                     f"barrier level {k} starts at T_{k - 1} = "
-                     f"{t_start}, which is not a stored slice time "
-                     f"(t_min + multiples of dt * store_every = {step})")
+                fail("grid.n_t", f"barrier level {k} starts at T_{k - 1} = "
+                                 f"{t_start}, which is not a stored slice time "
+                                 f"(t_min + multiples of dt = {dt})")
         # the oscillation ladder needs a cell centre in Q[omega/2], both on
         # the run grid and on the unit-scale grid every zoom samples onto
         r = self.omega / 2.0
@@ -275,8 +263,7 @@ _PATHS = {
     "source.cell": "source_cell",
     "initial.kind": "initial_kind", "initial.amplitude": "initial_amplitude",
     "initial.modes": "initial_modes", "initial.v_width": "initial_v_width",
-    "solver.dt": "dt", "solver.interp": "interp",
-    "solver.store_every": "store_every",
+    "solver.interp": "interp",
     "diagnostics.levels": "levels",
     "diagnostics.barrier_levels": "barrier_levels",
     "diagnostics.k_s": "k_s", "diagnostics.c_n": "c_n",

@@ -138,8 +138,8 @@ class LevelPass:
                 source, lambda t: source.sample(cells, t))
         regions = (level.cylinder(), level.outer_cylinder())
         # the squares are taken in place, in the integral's own cell buffer
-        fk_sq = [SliceIntegral(win, lambda v: np.square(v, out=v), q) for q in regions]
-        grad_sq = [SliceIntegral(win, lambda v: v, q) for q in regions]
+        fk_sq = [SliceIntegral(win, lambda v, _: np.square(v, out=v), q) for q in regions]
+        grad_sq = [SliceIntegral(win, lambda v, _: v, q) for q in regions]
         fk, density, buf = np.empty((3,) + cells.shape)
         self._sums = []
         for i, f in enumerate(win.values):
@@ -305,12 +305,11 @@ class BarrierSource:
     @classmethod
     def from_trajectories(cls, s1: Trajectory, s2, t_start: float | None = None):
         """The increments of the steps from `t_start` (default: the first
-        stored time) to t = 0, at the spacing of the stored slices, which
-        must hold every step's midpoint."""
+        stored time) to t = 0, at the spacing of s1's stored slices
+        (`Trajectory.dt`), which must hold every step's midpoint."""
         s2 = tuple(s2) if isinstance(s2, (tuple, list)) else (s2,)
         t_start = s1.t_start if t_start is None else t_start
-        times = s1.times
-        dt = float(times[1] - times[0])
+        times, dt = s1.times, s1.dt
         src = cls(s1.grid, t_start, dt, int(round((0.0 - t_start) / dt)))
         at = lambda j: (s1.values[j], [comp.values[j] for comp in s2])
         for n in range(len(src.increments)):
@@ -469,24 +468,42 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
 
     ||f_k|| and ||grad_v f_k|| in L2(Q_{k-1}), which the ladder budgets
     read, are the pass's (`fk_l2[1]`, `grad_l2[1]`), reduced over the same
-    cells.
+    cells.  The S1 budget's ||g 1_{f > C_k}|| in L2(Q_{k-1}) is summed in
+    the same walk by one more `SliceIntegral` of the stored slices: g is
+    sampled at each time cell's midpoint and the indicator taken on the
+    cell's midpoint value of f.
     """
     k = level.k
     if k < 1:
         raise ValueError(f"barrier sources require a pass of level k >= 1, got {k}")
     dyadic = DyadicLevel(k)
-    win = level.window
+    win, source = level.window, level.source
     cells = win.grid
     times = win.times
+    c = dyadic.truncation
     q_out = dyadic.outer_cylinder()
-    sq = lambda v: np.square(v, out=v)
+    sq = lambda v, _: np.square(v, out=v)
     s1_sq = SliceIntegral(win, sq, q_out)
     s2_sq = [SliceIntegral(win, sq, q_out) for _ in range(cells.dim)]
+    g_ind_sq = None
+    if source is not None:
+        sample = KeyedSampler(source, lambda t: source.sample(cells, t))
+        box, mask = q_out.space_box(cells)
+        above = np.empty(mask.shape, dtype=bool)
+
+        def g_ind_cell(f_mid, t):
+            """g^2 1_{f > C_k} of a time cell, in its cell buffer: g at the
+            cell's midpoint time, the indicator on f's midpoint value."""
+            np.greater(f_mid, c, out=above)
+            np.square(sample(t)[box], out=f_mid)
+            f_mid *= above
+            return f_mid
+
+        g_ind_sq = SliceIntegral(win, g_ind_cell, q_out)
     eta_x, eta_v = dyadic.cutoffs(cells)
     eta_v_sq = eta_v**2
     fk_vals = np.empty((win.n_slices,) + cells.shape)
-    barrier = BarrierSource(cells, float(times[0]), float(times[1] - times[0]),
-                            win.n_slices - 1)
+    barrier = BarrierSource(cells, float(times[0]), win.dt, win.n_slices - 1)
     last = None
     for i, (fk, s1, s2) in enumerate(_barrier_slices(level, diffusion)):
         np.multiply(fk, eta_x, out=fk_vals[i])
@@ -494,18 +511,19 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
         s1_sq.add(i, s1)
         for comp, integral in zip(s2, s2_sq):
             integral.add(i, comp)
+        if g_ind_sq is not None:
+            g_ind_sq.add(i, win.values[i])
         if last is not None:
             # the step from slice i - 1 to slice i reads S1 and S2 between them
             barrier.set_step(i - 1, times[i - 1:i + 1], last, (s1, s2))
         last = (s1, s2)
     last = s1 = s2 = None
-    fk = Trajectory(cells, times.copy(), fk_vals)
+    fk = Trajectory(cells, times.copy(), fk_vals, dt=win.dt)
 
     s1_l2 = math.sqrt(s1_sq.value())
     s2_l2 = math.sqrt(sum(integral.value() for integral in s2_sq))
     fk_l2, grad_l2 = level.fk_l2[1], level.grad_l2[1]
-    g_ind = 0.0 if level.source is None else math.sqrt(
-        _gind_integral(win, level.source, dyadic.truncation, q_out))
+    g_ind = 0.0 if g_ind_sq is None else math.sqrt(g_ind_sq.value())
     lam = diffusion.lam
     s2_budget = 2.0 ** (k + 3) * lam * fk_l2
     s2_actual = 2.0 * lam * dyadic.max_slope * fk_l2
@@ -513,22 +531,6 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
                  + 2.0 ** (k + 3) * lam * grad_l2)
     return BarrierSourceReport(k, barrier, fk, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
                                s2_budget, s2_actual, s1_budget)
-
-
-def _gind_integral(traj, source, c, region):
-    grid = traj.grid
-    total = 0.0
-    times = traj.times
-    mids = 0.5 * (times[:-1] + times[1:])
-    mask = region.space_mask(grid)
-    inside = region.contains_time(mids)
-    dt_cell = float(times[1] - times[0])
-    sample = KeyedSampler(source, lambda t: source.sample(grid, t))
-    for i in np.nonzero(inside)[0]:
-        f_mid = 0.5 * (traj.values[i] + traj.values[i + 1])
-        g = sample(float(mids[i]))
-        total += float(np.sum((g**2) * (f_mid > c) * mask)) * dt_cell * grid.cell_volume
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +749,8 @@ def _premise_log10(traj: Trajectory, region, slices=None) -> float:
     return math.log10(value) if value > 0 else -math.inf
 
 
-def _positive_sq(f):
-    """f_+^2, in place."""
+def _positive_sq(f, _):
+    """f_+^2, in place, of a time cell's midpoint values."""
     return np.square(np.maximum(f, 0.0, out=f), out=f)
 
 
@@ -756,8 +758,7 @@ def _conclusion_cylinder(traj: Trajectory, r: float):
     """(Q[r], False), or (the smallest node-resolving cylinder, True) when
     Q[r] is below grid resolution."""
     grid = traj.grid
-    dt_slice = float(traj.times[1] - traj.times[0])
-    min_r = max(1.5 * grid.dx, 1.5 * grid.dv, 1.5 * dt_slice)
+    min_r = max(1.5 * grid.dx, 1.5 * grid.dv, 1.5 * traj.dt)
     if r < min_r:
         return make_cylinder(min_r), True
     return make_cylinder(r), False

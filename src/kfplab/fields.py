@@ -56,16 +56,24 @@ class Trajectory:
     `values` has shape (n_slices, *grid.shape).  Slices are written once by
     the solver and treated as immutable afterwards; the per-step ledger
     carries cheap L2/mass/extrema records for energy accounting.
+
+    `dt` is the spacing of the stored slices, the width of every time cell
+    a reader integrates over, set once by whoever makes the trajectory:
+    the step of the solve that stored it, the parent's for a window or a
+    map of one, and otherwise the first spacing of `times`, taken here.
     """
 
     grid: PhaseGrid
     times: np.ndarray
     values: np.ndarray
     ledger: list = field(default_factory=list)
+    dt: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if self.dt is None and len(self.times) > 1:
+            self.dt = float(self.times[1] - self.times[0])
         if self.values.shape != (len(self.times),) + self.grid.shape:
             raise GeometryError(
                 f"trajectory shape {self.values.shape} does not match "
@@ -123,11 +131,11 @@ class Trajectory:
                     for c, g in zip(cells.box, self.grid.box))
         values = self.values[i0:][(slice(None),) + box]
         values.flags.writeable = False
-        return Trajectory(cells, self.times[i0:], values)
+        return Trajectory(cells, self.times[i0:], values, dt=self.dt)
 
     def map_values(self, fn) -> "Trajectory":
         """A new trajectory with fn applied slice-wise to the values."""
-        return Trajectory(self.grid, self.times.copy(), fn(self.values))
+        return Trajectory(self.grid, self.times.copy(), fn(self.values), dt=self.dt)
 
     @classmethod
     def from_constant(cls, grid, times, value: float) -> "Trajectory":

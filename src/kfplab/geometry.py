@@ -501,24 +501,28 @@ def _check_region(traj, region: Cylinder):
 
 
 class SliceIntegral:
-    """The integral of func(f) over `region` by the midpoint cell rule, of
-    a trajectory whose stored slices come one at a time: `add(i, values)`
-    takes stored slice i, in time order, of a trajectory on `traj`'s cells
-    and times (`traj` is read for those only), and `value()` is the
-    integral once the region's last stored slice has come.
+    """The integral of func(f, t) over `region` by the midpoint cell rule,
+    of a trajectory whose stored slices come one at a time: `add(i,
+    values)` takes stored slice i, in time order, of a trajectory on
+    `traj`'s cells and times (`traj` is read for those and its spacing
+    only), and `value()` is the integral once the region's last stored
+    slice has come.
 
     The one engine of every cylinder integral and level-set measure, fed
     the stored slices by `cylinder_integral` and, slice by slice, the
-    truncations and gradient densities of a level by `degiorgi.LevelPass`.
+    truncations and gradient densities of a level by `degiorgi.LevelPass`
+    and the barrier terms of a level by `degiorgi.build_barrier_sources`.
     It holds one buffer on the region's bounding box.  Each slice added
     closes time cell i - 1 and opens time cell i: the slice is added to the
     buffer, which is halved into the cell's midpoint values, `func` applied
-    (it may overwrite the buffer), the (x, v) mask multiplied in place and
-    the product summed by one `sum()` (counted by `np.count_nonzero` when
-    boolean); the slice is then copied into the buffer.  A mask of
-    ones, as every N = 1 box has, would change no bit and is not applied.
-    The cells' sums are added in time order, and the width of a time cell
-    is the trajectory's first one.
+    to them and to the cell's midpoint time (it may overwrite the buffer),
+    the (x, v) mask multiplied in place and the product summed by one
+    `sum()` (counted by `np.count_nonzero` when boolean); the slice is then
+    copied into the buffer.  A mask of ones, as every N = 1 box has, would
+    change no bit and is not applied.  The cells' sums are added in time
+    order, and every time cell is `traj.dt` wide, the spacing of the run
+    that stored the slices, so an integral does not depend on which stored
+    slice its trajectory starts at.
     """
 
     def __init__(self, traj, func, region: Cylinder):
@@ -528,9 +532,10 @@ class SliceIntegral:
         self.mask = None if mask.all() else mask
         self.start, self.stop = cells.start, cells.stop
         self.func = func
+        self.times = traj.times
         self.cell = np.empty(mask.shape)
         self.total = 0.0
-        self.dt_cell = float(traj.times[1] - traj.times[0])
+        self.dt_cell = traj.dt
         self.cell_volume = traj.grid.cell_volume
 
     def add(self, i: int, values):
@@ -539,7 +544,7 @@ class SliceIntegral:
         if self.start < i <= self.stop:
             self.cell += values[self.box]
             self.cell *= 0.5
-            vals = self.func(self.cell)
+            vals = self.func(self.cell, 0.5 * float(self.times[i - 1] + self.times[i]))
             if self.mask is not None:
                 vals *= self.mask
             # a level set's 0/1 cells are counted: sum() would cast them
@@ -560,7 +565,7 @@ def cylinder_integral(traj, func, region: Cylinder) -> float:
     box.  A `SliceIntegral` fed views of the stored slices in time order;
     `level_set_measure` sums the same cells in the same order, so Chebyshev
     comparisons are exact discretely."""
-    integral = SliceIntegral(traj, func, region)
+    integral = SliceIntegral(traj, lambda values, _: func(values), region)
     for i, values in enumerate(traj.values):
         integral.add(i, values)
     return integral.value()

@@ -146,11 +146,11 @@ def _lerp(values: np.ndarray, axis: int, plan) -> np.ndarray:
     return omw * np.take(values, lo, axis=axis) + w * np.take(values, hi, axis=axis)
 
 
-def _time_nodes(smap: ScalingMap, s: np.ndarray, times: np.ndarray):
+def _time_nodes(smap: ScalingMap, s: np.ndarray, times: np.ndarray, dt: float):
     """(lo, hi, w) of the preimages of the zoom times `s` on the time axis
-    `times`, measured from its first time in its first slice spacing."""
+    `times` of spacing `dt`, measured from its first time."""
     t = smap.apply_time(s)
-    ti = (t - times[0]) / float(times[1] - times[0])
+    ti = (t - times[0]) / dt
     outside = (ti < -1e-9) | (ti > len(times) - 1 + 1e-9)
     if outside.any():
         raise GeometryError(
@@ -179,9 +179,11 @@ class ZoomSampler:
     grid and then shifted into the box, which must hold every node the
     zoom reads.  `full_times` is the parent's whole time axis when `traj`
     holds only its last slices (a re-solve that kept what the ladder
-    reads): time indices are measured on it, so they are the whole
-    trajectory's.  The preimage of every zoom-grid node must lie in the
-    parent domain; otherwise the required domain is reported.  Mapped
+    reads): time indices are measured on it in `traj`'s spacing (`dt`), so
+    they are the whole trajectory's.  The sampler's own step `dt` is the
+    zoom grid's, at which a re-solve of it steps.  The preimage of every
+    zoom-grid node must lie in the parent domain; otherwise the required
+    domain is reported.  Mapped
     coordinates that land exactly on parent nodes are snapped, so an
     identity zoom on a matching grid is bit-equal.
     """
@@ -191,9 +193,10 @@ class ZoomSampler:
         self.traj = traj
         self.grid = traj.grid.parent.unit_scale() if zoom_grid is None else zoom_grid
         self.times = self.grid.times
+        self.dt = self.grid.dt
         full_times = traj.times if full_times is None else full_times
         offset = len(full_times) - traj.n_slices
-        t_lo, t_hi, t_w = _time_nodes(smap, self.times, full_times)
+        t_lo, t_hi, t_w = _time_nodes(smap, self.times, full_times, traj.dt)
         if t_lo.min() < offset:
             s = float(self.times[np.argmax(t_lo < offset)])
             raise GeometryError(
@@ -319,7 +322,7 @@ def zoom(traj: Trajectory, smap: ScalingMap, diffusion, source,
     out = np.empty((len(sampler.times),) + sampler.grid.shape)
     for i in range(len(out)):
         out[i] = sampler.whole(i)
-    zoomed = Trajectory(sampler.grid, sampler.times.copy(), out)
+    zoomed = Trajectory(sampler.grid, sampler.times.copy(), out, dt=sampler.dt)
     return ZoomedTriple(zoomed, *_transformed(smap, diffusion, source))
 
 
@@ -419,7 +422,7 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
             break
         sampler = ZoomSampler(current, smap, unit, full_times)
         a_cur, g_cur = _transformed(smap, a_cur, g_cur)
-        keep = _ladder_keep(unit.times, (region, inner_region),
+        keep = _ladder_keep(unit, (region, inner_region),
                             smap if level + 1 < n_levels else None)
         current = solve_anchored(sampler, a_cur, g_cur, interp=interp, keep=keep)
         full_times = unit.times
@@ -439,17 +442,19 @@ def oscillation_ladder(traj: Trajectory, diffusion, source, omega: float,
     return report
 
 
-def _ladder_keep(times, regions, smap=None) -> int:
-    """How many trailing slices of a re-solve on `times` the ladder reads:
-    the nodes of each region's time set and, when `smap` zooms next, the
-    slices its time preimage interpolates between."""
+def _ladder_keep(grid, regions, smap=None) -> int:
+    """How many trailing slices of a re-solve on `grid`, which steps at
+    the grid's dt, the ladder reads: the nodes of each region's time set
+    and, when `smap` zooms next, the slices its time preimage interpolates
+    between."""
+    times = grid.times
     first = len(times) - 1
     for region in regions:
         inside = np.nonzero(region.contains_time(times))[0]
         if inside.size:
             first = min(first, int(inside[0]))
     if smap is not None:
-        first = min(first, int(_time_nodes(smap, times, times)[0].min()))
+        first = min(first, int(_time_nodes(smap, times, times, grid.dt)[0].min()))
     return len(times) - first
 
 
@@ -506,7 +511,8 @@ def theta_sequence(traj: Trajectory, theta: float, k_max: int) -> ThetaSequenceR
     for _ in range(k_max):
         nxt = prev.map_values(lambda v: (v - 1.0) / theta + 1.0)
         rise = cylinder_node_extrema(
-            Trajectory(prev.grid, prev.times, nxt.values - prev.values), region)[1]
+            Trajectory(prev.grid, prev.times, nxt.values - prev.values, dt=prev.dt),
+            region)[1]
         monotone &= bool(rise <= 1e-12)
         measures.append(level_set_measure(nxt, lambda f: f <= 0.0, region))
         prev = nxt

@@ -21,7 +21,19 @@ Hoelder fit).  When the process may use more than one CPU, the Hoelder
 stage runs in one forked process while the De Giorgi stage runs in the
 caller; otherwise the two run in that order in-process.  Both paths call
 the same two functions, so the artifacts are byte-identical, and a failure
-raises the serial path's exception.
+raises the serial path's exception.  The fork is kept for its memory: in
+alternating pairs of `perfbench/run.py` runs on a shared 2-vCPU host,
+forked against in-process, the forked run's peak RSS was lower in every
+pair (desk 43.2 vs 45.5-45.8 MB, n2 70.0-70.1 vs 76.3-76.5 MB), while its
+wall time won only while the host ran both processes at once: desk 0.539
+vs 0.650 s (forked lower in 4 of 6 pairs) in one check, 0.496 vs 0.430 s
+(0 of 6) in a later one, and n2 0.388 vs 0.583 s (5 of 6) against 0.441
+vs 0.405 s (1 of 6).  A sweep's pool workers run both stages in-process
+either way.
+
+Every run steps at its grid's dt = -t_min / n_t and stores every step, so
+the main trajectory's spacing, the barrier's step and every audit's time
+cell are that one dt.
 """
 
 from __future__ import annotations
@@ -154,8 +166,7 @@ def _initial_run(step, cfg: RunConfig, grid: PhaseGrid, diffusion, source,
     """`step`, `solver.solve` or `solver.march`, of the whole-space run
     from `build_initial(cfg, grid, amplitude)`."""
     return step(build_initial(cfg, grid, amplitude), diffusion, source, 0.0,
-                solver.WHOLE_SPACE, dt=cfg.dt, interp=cfg.interp,
-                store_every=cfg.store_every)
+                solver.WHOLE_SPACE, interp=cfg.interp)
 
 
 def solve_initial(cfg: RunConfig, grid: PhaseGrid, diffusion, source,
@@ -188,9 +199,8 @@ class RunResult:
         return all(self.verdicts.values())
 
 
-def _scheme_tolerance(grid: PhaseGrid, scale: float, dt: float | None = None) -> float:
-    dt = grid.dt if dt is None else dt
-    return (dt + grid.dx + grid.dv) * max(1e-12, scale)
+def _scheme_tolerance(grid: PhaseGrid, scale: float) -> float:
+    return (grid.dt + grid.dx + grid.dv) * max(1e-12, scale)
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -222,7 +232,7 @@ def _barrier_audit(cfg: RunConfig, level: degiorgi.LevelPass, diffusion):
     # minimum over the window is the whole grid's, whose other nodes hold 0
     comp_min = solver.comparison_check(fk, g_traj)
     f_linf = _abs_max(fk.values)
-    comparison_ok = comp_min >= -10.0 * _scheme_tolerance(grid, f_linf, cfg.dt)
+    comparison_ok = comp_min >= -10.0 * _scheme_tolerance(grid, f_linf)
     s1_l2, s2_l2 = rep.s1_l2, rep.s2_l2
     row = [k, s1_l2, s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf]
     # the spectra read the barrier alone: the source and F_k go first
@@ -300,7 +310,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     local_rows = []
     local_ok = True
     f_scale = _abs_max(traj.values)
-    tol_local = 10.0 * _scheme_tolerance(grid, f_scale**2, cfg.dt)
+    tol_local = 10.0 * _scheme_tolerance(grid, f_scale**2)
     for k in degiorgi.LOCAL_ENERGY_LEVELS:
         t_k = dyadic_time(k)
         for (s, t) in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):

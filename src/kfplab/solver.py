@@ -102,7 +102,6 @@ from .kernels import SolverError, _ImplicitDiffusion, _TransportPlan, _aligned, 
 __all__ = [
     "SolverError",
     "CFLError",
-    "StepCountError",
     "BoundaryCondition",
     "WHOLE_SPACE",
     "kinetic_ibvp",
@@ -125,28 +124,12 @@ class CFLError(ValueError):
     """Time step violates the transport bound dt <= dx / v_max."""
 
 
-class StepCountError(ValueError):
-    """A time span is no whole number of steps (`param` = "dt"), or its
-    step count is no multiple of the storage stride (`param` =
-    "store_every")."""
-
-    def __init__(self, param: str, message: str):
-        super().__init__(message)
-        self.param = param
-
-
-def whole_steps(span: float, dt: float, store_every: int = 1) -> int:
+def whole_steps(span: float, dt: float) -> int:
     """The step count of a march over `span` > 0 at step `dt`: span/dt
-    rounded, which must be exact to 1e-9 of max(1, span) and divisible by
-    `store_every` so the stored slices stay uniform."""
+    rounded, which must be exact to 1e-9 of max(1, span)."""
     n_steps = max(1, int(round(span / dt)))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise StepCountError("dt", f"span {span} is not an integer multiple "
-                                   f"of dt = {dt}")
-    if n_steps % store_every != 0:
-        raise StepCountError("store_every", f"store_every = {store_every} must "
-                                            f"divide the step count {n_steps} "
-                                            f"(stored slices stay uniform)")
+        raise ValueError(f"span {span} is not an integer multiple of dt = {dt}")
     return n_steps
 
 
@@ -365,33 +348,33 @@ def _ledger_entry(grid, t, vals, diff_residual, square):
     }
 
 
-def _march_steps(f0: PhaseField, t_end: float, dt: float | None, store_every: int):
-    """(dt, step count) of a march from f0.t to t_end."""
+def _march_steps(f0: PhaseField, t_end: float, dt: float | None):
+    """(dt, step count) of a march from f0.t to t_end: the step is `dt`,
+    or the grid's when None."""
     dt = f0.grid.dt if dt is None else float(dt)
     span = t_end - f0.t
     if span <= 0:
         raise ValueError(f"t_end = {t_end} must exceed the initial time {f0.t}")
-    return dt, whole_steps(span, dt, store_every)
+    return dt, whole_steps(span, dt)
 
 
 def march(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition,
-          dt: float | None = None, interp: str = "linear", store_every: int = 1,
-          ledger: list | None = None):
-    """Step from f0.t to t_end, yielding (t, values) at f0.t and after
-    every `store_every`-th step: the one stepping loop, which `solve`
-    collects and a caller that reduces each stored slice as it comes
-    steps itself.
+          dt: float | None = None, interp: str = "linear", ledger: list | None = None):
+    """Step from f0.t to t_end at step `dt` (default: the grid's),
+    yielding (t, values) at f0.t and after every step: the one stepping
+    loop, which `solve` collects and a caller that reduces each slice as
+    it comes steps itself.
 
-    The step count is `whole_steps(t_end - f0.t, dt, store_every)`, checked
-    at the first slice.  `values` is the step plan's buffer (at f0.t, f0's
-    values with zero outside the domain): it holds until the next step,
-    so a caller that keeps a slice copies it.  With a `ledger` list, the
+    The step count is `whole_steps(t_end - f0.t, dt)`, checked at the
+    first slice.  `values` is the step plan's buffer (at f0.t, f0's values
+    with zero outside the domain): it holds until the next step, so a
+    caller that keeps a slice copies it.  With a `ledger` list, the
     initial entry and one energy-ledger entry per step are appended to it,
     with `diff_residual` the worst diffusion-solve residual of the step
     over its tolerance (0 for the initial entry).
     """
     grid = f0.grid
-    dt, n_steps = _march_steps(f0, t_end, dt, store_every)
+    dt, n_steps = _march_steps(f0, t_end, dt)
     plan = _bc_plan(grid, diffusion, source, dt, bc, interp)
     vals = plan.restrict(f0.values)
     if ledger is not None:
@@ -403,27 +386,26 @@ def march(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
         t = f0.t + (n + 1) * dt
         if ledger is not None:
             ledger.append(_ledger_entry(grid, t, vals, residual, plan.spare))
-        if (n + 1) % store_every == 0:
-            yield t, vals
+        yield t, vals
 
 
 def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition,
-          dt: float | None = None, interp: str = "linear",
-          store_every: int = 1) -> Trajectory:
-    """March from f0.t to t_end, storing every `store_every`-th slice: the
-    slices of `march` collected, with its energy ledger.
+          dt: float | None = None, interp: str = "linear") -> Trajectory:
+    """March from f0.t to t_end at step `dt` (default: the grid's), storing
+    every step: the slices of `march` collected, with its energy ledger,
+    in a trajectory whose spacing `dt` is the step.
 
     Identical inputs give bit-identical trajectories.
     """
-    _, n_steps = _march_steps(f0, t_end, dt, store_every)
-    times = np.empty(n_steps // store_every + 1)
+    dt, n_steps = _march_steps(f0, t_end, dt)
+    times = np.empty(n_steps + 1)
     slices = _aligned(times.shape + f0.grid.shape)
     ledger = []
     for i, (t, vals) in enumerate(march(f0, diffusion, source, t_end, bc, dt, interp,
-                                        store_every, ledger)):
+                                        ledger)):
         times[i] = t
         slices[i] = vals
-    return Trajectory(f0.grid, times, slices, ledger)
+    return Trajectory(f0.grid, times, slices, ledger, dt=dt)
 
 
 def solve_anchored(data, diffusion, source, interp: str = "linear",
@@ -433,7 +415,8 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
     Starts from the first slice of the data and steps the boundary problem
     whose Dirichlet cells are the band of `_ANCHOR_RING` cells at each end
     of every x and v axis (`ring_mask`), filled with the data's slice at
-    every new time level; the re-solve keeps the data's times.  Used by the
+    every new time level; the re-solve keeps the data's times and steps at
+    the data's step (`data.dt`), which its trajectory carries.  Used by the
     zoom machinery, where the data is an interpolated field and the
     re-solve imposes the equation at the new scale with boundary values
     anchored to the parent field.
@@ -454,10 +437,11 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
     data, save that it can turn a -0.0 next to a negative value into
     +0.0, which only the sign of an exact zero could show.
 
-    `data` is a `Trajectory`, or a zoom sampler (`holder.ZoomSampler`) that
-    makes a slice whole (the first, and each stored one) and, at every
-    other step, only the pinned cells inside the box.  Only the last
-    `keep` slices (default: all) are stored.
+    `data` is a `Trajectory`, or a zoom sampler (`holder.ZoomSampler`),
+    whose step is its grid's, that makes a slice whole (the first, and
+    each stored one) and, at every other step, only the pinned cells
+    inside the box.  Only the last `keep` slices (default: all) are
+    stored; they carry the step as their spacing.
     """
     grid = data.grid
     times = data.times.copy()
@@ -470,7 +454,7 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
         whole, anchors = data.whole, data.anchors(cells.box)
     keep = len(times) if keep is None else keep
     first = len(times) - keep
-    dt = float(times[1] - times[0])
+    dt = data.dt
     plan = _StepPlan(cells, diffusion, source, dt, interp, False,
                      ~ring_mask(grid)[cells.box], _reduction_depth(grid))
     slices = _aligned((keep,) + grid.shape)
@@ -488,7 +472,7 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
             out = slices[n + 1 - first]
             out[...] = whole(n + 1)
             out[cells.box] = vals
-    return Trajectory(grid, times[first:], slices)
+    return Trajectory(grid, times[first:], slices, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +486,10 @@ def solve_barrier_ibvp(source: BarrierSource, diffusion, k: int, initial: PhaseF
 
     The solve runs on the cell box of the source (`source.grid`): a whole
     grid, or the level window of the `degiorgi.LevelPass` that
-    `build_barrier_sources` reads, which holds the ball; the step is the
-    source's, whose steps must start at the initial time, the stored
-    slice at T_{k-1} up to 1e-9 (`Trajectory.slice_at`).  The comparison
+    `build_barrier_sources` reads, which holds the ball.  The step is the
+    source's (the window's spacing `dt`, the run's step), and its steps
+    must start at the initial time, the stored slice at T_{k-1} up to 1e-9
+    (`Trajectory.slice_at`).  The comparison
     0 <= F_k <= G_k is a maximum-principle consequence when the
     difference has zero initial defect, so `initial` is the truncated
     field F_k(T_{k-1}, .) (`BarrierSourceReport.fk.field(0)`).
@@ -539,7 +524,8 @@ def energy_budget(traj: Trajectory, source, lam: float):
         1/2 ||f(t)||^2 + (1/lam) int_{t0}^t ||grad_v f||^2
             <=  1/2 ||f(t0)||^2 + int_{t0}^t ||g|| ||f||
 
-    with right-endpoint quadrature in time (matching the implicit substep).
+    with right-endpoint quadrature in time (matching the implicit substep)
+    over cells of the trajectory's spacing `traj.dt`.
     Returns (records, min_slack), with min_slack the least slack over the
     stored times after t0 (at t0 the slack is 0 by definition); slack >= 0
     up to scheme tolerance because the discrete step dissipates at least
@@ -552,6 +538,7 @@ def energy_budget(traj: Trajectory, source, lam: float):
     dissip = 0.0
     work = 0.0
     min_slack = np.inf
+    h = traj.dt
     # each slice's squares and its gradient density are formed once, in place
     buf = np.empty(grid.shape)
     for i in range(traj.n_slices):
@@ -562,7 +549,6 @@ def energy_budget(traj: Trajectory, source, lam: float):
         if i == 0:
             e0 = e_t
         else:
-            h = float(traj.times[i] - traj.times[i - 1])
             density = grad_v_sq_density(grid, vals, buf)
             dissip += h * (float(np.sum(density)) * grid.cell_volume) / lam
             if source is not None:

@@ -111,6 +111,6 @@ def laid_out(request):
             values = np.zeros(shape[:-1] + (2 * shape[-1],))[..., ::2]
             values[...] = traj.values
         assert not values[0].flags.c_contiguous
-        return Trajectory(traj.grid, traj.times, values)
+        return Trajectory(traj.grid, traj.times, values, dt=traj.dt)
 
     return lay_out

@@ -31,7 +31,7 @@ def _whole_grid_resolve(data: Trajectory, diffusion, source, interp):
     grid: the ring is a Dirichlet band refilled from the data each step."""
     grid = data.grid
     times = data.times
-    plan = solver._StepPlan(grid, diffusion, source, float(times[1] - times[0]), interp,
+    plan = solver._StepPlan(grid, diffusion, source, data.dt, interp,
                             False, ~ring_mask(grid))
     vals = data.values[0]
     out = [vals]
@@ -89,12 +89,29 @@ def test_boxed_resolve_from_a_sampler_is_the_whole_grid_loop(name, interp, keep)
     smap = ScalingMap(0.3, -0.1, (0.05,) * dim, (0.2,) * dim)
     sampler = ZoomSampler(_data(grid, seed=10 + grid.n_x), smap, grid)
     data = Trajectory(grid, sampler.times.copy(),
-                      np.stack([sampler.whole(i) for i in range(len(sampler.times))]))
+                      np.stack([sampler.whole(i) for i in range(len(sampler.times))]),
+                      dt=sampler.dt)
     a, g = diffusion.transformed(smap), source.transformed(smap, smap.eps**2)
     expected = _whole_grid_resolve(data, a, g, interp)
     got = solve_anchored(sampler, a, g, interp=interp, keep=keep)
     kept = len(data.times) if keep is None else keep
     assert np.array_equal(got.values, expected[len(expected) - kept:])
+
+
+@pytest.mark.parametrize("keep", [1, None])
+def test_resolve_carries_the_data_step(keep):
+    # n2_18's step 1/12 is no binary fraction, so the first spacing of its
+    # times, which a trajectory made from them carries, is not the grid's
+    # step; a re-solve carries the step of its data, even when it keeps
+    # one slice, which has no spacing
+    grid = GRIDS["n2_18"]
+    diffusion, source = _fields(grid.dim)
+    data = _data(grid, seed=30)
+    assert data.dt == float(grid.times[1] - grid.times[0]) != grid.dt
+    assert solve_anchored(data, diffusion, source, keep=keep).dt == data.dt
+    sampler = ZoomSampler(data, ScalingMap(0.3, 0.0, (0.0,) * 2, (0.0,) * 2), grid)
+    assert sampler.dt == grid.dt
+    assert solve_anchored(sampler, diffusion, source, keep=keep).dt == grid.dt
 
 
 @pytest.mark.parametrize("name", ["n1", "n2"])

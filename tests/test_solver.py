@@ -312,12 +312,17 @@ def test_solve_records_energy_ledger(grid, rough_a, zero_g):
     assert entry["mass"] == pytest.approx(0.2 * 9.0, rel=1e-12)
 
 
-def test_store_cadence_knob(grid, rough_a, zero_g):
+def test_trajectory_carries_the_step(grid, rough_a, zero_g):
+    # a solve stores every step, and its trajectory, windows and maps carry
+    # the step as their spacing, not a difference of two stored times
     f0 = PhaseField.constant(grid, -1.5, 0.2)
-    traj = solve(f0, rough_a, zero_g, 0.0, WHOLE_SPACE, store_every=4)
-    assert traj.n_slices == 13
+    traj = solve(f0, rough_a, zero_g, 0.0, WHOLE_SPACE, dt=grid.dt / 2)
+    assert traj.n_slices == 97 and len(traj.ledger) == 97
     assert traj.times[0] == -1.5 and traj.times[-1] == 0.0
-    assert len(traj.ledger) == 49    # the ledger still records every step
+    assert traj.dt == grid.dt / 2
+    win = traj.window(-1.0, 1.0)
+    assert win.dt == traj.dt and win.map_values(lambda v: 2.0 * v).dt == traj.dt
+    assert Trajectory(grid, [0.0, 0.5, 1.0], np.zeros((3,) + grid.shape)).dt == 0.5
 
 
 # --- dim 2 smoke ---------------------------------------------------------------

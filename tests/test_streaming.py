@@ -146,11 +146,11 @@ def test_streamed_ladder_is_the_materialised_loop_bit_for_bit(name):
     (1, 64, 48, 0.4, 7),      # desk: Q[omega/2] = (-0.2, 0] holds 7 slices
 ])
 def test_ladder_keeps_the_slices_it_reads(dim, n, n_t, omega, kept):
-    times = PhaseGrid(dim, (-1.5, 0.0), n_t, 1.5, n, 1.5, n).unit_scale().times
+    unit = PhaseGrid(dim, (-1.5, 0.0), n_t, 1.5, n, 1.5, n).unit_scale()
     regions = (make_cylinder(omega / 2.0), make_cylinder(omega**3 / 54.0))
     smap = ScalingMap(omega * omega / 27.0, 0.0, (0.0,) * dim, (0.0,) * dim)
-    assert _ladder_keep(times, regions, smap) == kept
-    assert _ladder_keep(times[:], regions[1:], smap) == 2  # the preimage alone
+    assert _ladder_keep(unit, regions, smap) == kept
+    assert _ladder_keep(unit, regions[1:], smap) == 2  # the preimage alone
 
 
 # --- one summation order -------------------------------------------------------

@@ -96,8 +96,8 @@ _RUN = {"grid.dim": 1, "grid.n_t": 24, "grid.n_x": 24, "grid.n_v": 24,
 # transport bound 2/n_x at n_t = 6, n_x = 9
 @example({**_RUN, "grid.n_t": 6, "grid.n_x": 9, "grid.n_v": 9, "grid.v_max": 1.05,
           "diagnostics.omega": 0.2})
-# the barrier steps at the stored spacing 2 dt = 0.125, over dx/v_max = 1/12
-@example({**_RUN, "solver.store_every": 2, "diagnostics.bisection": False})
+# the step -t_min/n_t = 0.09375 is over the transport bound dx/v_max = 1/12
+@example({**_RUN, "grid.n_t": 16, "diagnostics.bisection": False})
 # U_0 reads the stored slices from T_0 = -1 on, before t_min
 @example({**_RUN, "grid.t_min": -0.9, "diagnostics.barrier_levels": ""})
 @example({**_RUN, "grid.t_min": -0.99, "diagnostics.barrier_levels": ""})

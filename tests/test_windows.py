@@ -70,7 +70,8 @@ def _grad_sq_cells(grid, values):
 
 
 def _grad_sq_reference(traj):
-    return Trajectory(traj.grid, traj.times.copy(), _grad_sq_cells(traj.grid, traj.values))
+    return Trajectory(traj.grid, traj.times.copy(), _grad_sq_cells(traj.grid, traj.values),
+                      dt=traj.dt)
 
 
 def _cells_reference(traj, region):
@@ -84,16 +85,14 @@ def _cylinder_integral_reference(traj, func, region):
     vals, mask, n_cells = _cells_reference(traj, region)
     if n_cells == 0:
         return 0.0
-    dt_cell = float(traj.times[1] - traj.times[0])
-    return float(np.sum(func(vals) * mask)) * dt_cell * traj.grid.cell_volume
+    return float(np.sum(func(vals) * mask)) * traj.dt * traj.grid.cell_volume
 
 
 def _level_set_measure_reference(traj, predicate, region):
     vals, mask, n_cells = _cells_reference(traj, region)
     if n_cells == 0:
         return 0.0
-    dt_cell = float(traj.times[1] - traj.times[0])
-    return int(np.count_nonzero(predicate(vals) & mask)) * dt_cell * traj.grid.cell_volume
+    return int(np.count_nonzero(predicate(vals) & mask)) * traj.dt * traj.grid.cell_volume
 
 
 def _truncation_energy_reference(traj, k, lam):
@@ -161,8 +160,8 @@ def _build_barrier_sources_reference(traj, k, diffusion, source):
         s1_vals[i] = (g * ind * eta_x * eta_v**2
                       + fk * eta_v**2 * vdot
                       - 2.0 * eta_x * eta_v * cross)
-    s1 = Trajectory(grid, traj.times.copy(), s1_vals)
-    s2 = tuple(Trajectory(grid, traj.times.copy(), sv) for sv in s2_vals)
+    s1 = Trajectory(grid, traj.times.copy(), s1_vals, dt=traj.dt)
+    s2 = tuple(Trajectory(grid, traj.times.copy(), sv, dt=traj.dt) for sv in s2_vals)
     q_out = level.outer_cylinder()
     sq = lambda v: v**2
     fk_traj = truncate(traj, k)
@@ -170,11 +169,10 @@ def _build_barrier_sources_reference(traj, k, diffusion, source):
     if source is not None:
         mids = 0.5 * (traj.times[:-1] + traj.times[1:])
         mask = q_out.space_mask(grid)
-        dt_cell = float(traj.times[1] - traj.times[0])
         for i in np.nonzero(q_out.contains_time(mids))[0]:
             f_mid = 0.5 * (traj.values[i] + traj.values[i + 1])
             g = source.sample(grid, float(mids[i]))
-            g_ind += float(np.sum((g**2) * (f_mid > c) * mask)) * dt_cell * grid.cell_volume
+            g_ind += float(np.sum((g**2) * (f_mid > c) * mask)) * traj.dt * grid.cell_volume
     return {
         "s1": s1,
         "s2": s2,
@@ -213,9 +211,8 @@ class _BarrierSourceReference:
 
 def _barrier_reference(s1, s2, diffusion, k, initial, interp):
     """The level-k barrier solved with `_BarrierSourceReference`."""
-    dt = float(s1.times[1] - s1.times[0])
     return solve(initial, diffusion, _BarrierSourceReference(s1, s2), 0.0,
-                 kinetic_ibvp(DyadicLevel(k).outer_radius), dt=dt, interp=interp)
+                 kinetic_ibvp(DyadicLevel(k).outer_radius), dt=s1.dt, interp=interp)
 
 
 def _local_energy_check_reference(traj, k, c, lam, s, t, source=None):
@@ -359,7 +356,7 @@ def test_cylinder_integral_matches_reference(run):
         for func in funcs:
             expected = _cylinder_integral_reference(traj, func, region)
             assert _close(cylinder_integral(traj, func, region), expected), region
-            streamed = SliceIntegral(traj, func, region)
+            streamed = SliceIntegral(traj, lambda v, _, func=func: func(v), region)
             for i, values in enumerate(traj.values):
                 streamed.add(i, values)
             assert _close(streamed.value(), expected), region
@@ -373,6 +370,29 @@ def test_cylinder_integral_matches_reference(run):
             vals = traj.values[times][:, mask]
             assert cylinder_node_extrema(traj, region) == (
                 float(vals.min()), float(vals.max()), int(vals.size))
+
+
+def test_cylinder_integral_does_not_depend_on_the_window_start():
+    # t_min = -1.4, n_t = 21: the step 1/15 is no binary fraction, so the
+    # stored times of the level-0 window (from T_0 = -1) and of the window
+    # one stored slice earlier are spaced 0.06666666666666665 and
+    # 0.06666666666666676 apart at their starts; a time cell is the run's
+    # step wide in both, so the same cells of Q_1 give the same bits
+    cfg = parse_config("grid.t_min = -1.4\ngrid.n_t = 21\ngrid.n_x = 24\n"
+                       "grid.n_v = 24\ninitial.amplitude = 3\n"
+                       "diagnostics.barrier_levels = 1\n")
+    grid = build_grid(cfg)
+    traj = solve_initial(cfg, grid, build_coefficient(cfg), build_source_field(cfg))
+    t_0, r_0 = dyadic_time(0), DyadicLevel(0).radius
+    window = traj.window(t_0, r_0)
+    earlier = traj.window(float(traj.times[traj.slice_at(t_0) - 1]), r_0)
+    assert earlier.n_slices == window.n_slices + 1
+    assert window.times[1] - window.times[0] != earlier.times[1] - earlier.times[0]
+    assert window.dt == earlier.dt == traj.dt == grid.dt
+    q_1 = DyadicLevel(1).cylinder()
+    value = cylinder_integral(window, lambda f: f**2, q_1)
+    assert value > 0.0
+    assert cylinder_integral(earlier, lambda f: f**2, q_1) == value
 
 
 def _level_pass(traj, k, laid_out, source=None):
@@ -581,7 +601,7 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
         original = getattr(cls, name)
 
         def counted(self, *args, _original=original, _name=name, _t=t_arg):
-            calls[_name].append(self.time_key(args[_t]))
+            calls[_name].append((args[_t], self.time_key(args[_t])))
             return _original(self, *args)
         monkeypatch.setattr(cls, name, counted)
 
@@ -595,9 +615,15 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
         calls["sample"].clear()
         calls["diagonal"].clear()
         audit()
-        for keys in calls.values():
-            # one draw per run of equal keys, and fewer draws than slices
-            assert len(keys) == distinct(keys)
+        for drawn in calls.values():
+            # one draw per run of equal keys, and fewer draws than slices;
+            # build_barrier_sources draws the source at the stored times
+            # (S1) and, in the same walk, at the cell midpoints (the g 1{f > C_k}
+            # norm), each its own run of keys
+            at_slices = np.isin([t for t, _ in drawn], traj.times)
+            for sampler in (at_slices, ~at_slices):
+                keys = [key for (_, key), mine in zip(drawn, sampler) if mine]
+                assert len(keys) == distinct(keys)
         assert 0 < len(calls["sample"]) < traj.n_slices
     # build_barrier_sources: diagonal per slice key, source per slice and per cell mid
     assert 0 < len(calls["diagonal"]) < traj.n_slices
@@ -606,14 +632,14 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
 # --- the barrier stage on the window ---------------------------------------------------
 
 def _from_slice(traj, i0):
-    return Trajectory(traj.grid, traj.times[i0:].copy(), traj.values[i0:])
+    return Trajectory(traj.grid, traj.times[i0:].copy(), traj.values[i0:], dt=traj.dt)
 
 
 def _embed(traj, parent):
     """A window trajectory zero-extended to its parent grid."""
     values = np.zeros((traj.n_slices,) + parent.shape)
     values[(slice(None),) + traj.grid.box] = traj.values
-    return Trajectory(parent, traj.times.copy(), values)
+    return Trajectory(parent, traj.times.copy(), values, dt=traj.dt)
 
 
 def _cutoff_field(traj, k):
@@ -623,7 +649,7 @@ def _cutoff_field(traj, k):
     return Trajectory(cells, traj.times.copy(),
                       np.maximum(traj.values - level.truncation, 0.0)
                       * cells.expand_x(level.eta(cells.rho_x))
-                      * cells.expand_v(level.eta(cells.rho_v)) ** 2)
+                      * cells.expand_v(level.eta(cells.rho_v)) ** 2, dt=traj.dt)
 
 
 @pytest.mark.parametrize("interp", ["linear", "cubic"])
@@ -656,7 +682,8 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
         s2_whole = tuple(_from_slice(c, i0) for c in ref["s2"])
         # the lean solve is the one that sampled whole S1 and S2 window
         # trajectories at every step, bit for bit
-        cut = lambda t: Trajectory(cells, t.times, t.values[(slice(None),) + cells.box])
+        cut = lambda t: Trajectory(cells, t.times, t.values[(slice(None),) + cells.box],
+                                   dt=t.dt)
         assert np.array_equal(g_win.values, _barrier_reference(
             cut(s1_whole), [cut(c) for c in s2_whole], diffusion, k,
             f_win.field(0), interp).values), k

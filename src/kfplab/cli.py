@@ -1,6 +1,8 @@
 """Command line front end: run, sweep, inspect, report.
 
-Exit code 0 iff every selected audit passed, 3 when the run raised.  A run
+Exit code 0 iff every selected audit passed, 3 when the run raised.  `run`
+prints each verdict's margin (`pipeline.Audit`) beside its PASS/FAIL, and
+`report -v` the `margin.*` lines of each manifest that has them.  A run
 uses a second CPU when its affinity mask holds one: the Hoelder stage runs
 in a forked process beside the De Giorgi stage (`run_pipeline`), with the
 same artifacts and errors as in-process.  `run --timings PATH` writes the
@@ -23,7 +25,8 @@ import json
 import os
 import sys
 
-from .config import ConfigError, RunConfig, parse_config_file, parse_sweep_config
+from .config import (ConfigError, RunConfig, format_value, parse_config_file,
+                     parse_sweep_config)
 from .pipeline import run_pipeline, sweep, worker_count, write_incomplete_manifest
 from .snapshots import import_snapshot
 
@@ -49,8 +52,9 @@ def _cmd_run(args) -> int:
         return 3
     if args.timings:
         _write_timings(args.timings, result.timings)
-    for name in sorted(result.verdicts):
-        print(f"{name:20s} {'PASS' if result.verdicts[name] else 'FAIL'}")
+    for audit in sorted(result.audits, key=lambda a: a.name):
+        print(f"{audit.name:20s} {'PASS' if audit.passed else 'FAIL'}  "
+              f"margin {format_value(audit.margin)}")
     print(f"{'all':20s} {'PASS' if result.passed else 'FAIL'}")
     if args.output:
         print(f"artifacts written to {args.output}")
@@ -137,15 +141,11 @@ def _cmd_report(args) -> int:
     manifests.sort()
     all_ok = True
     for path in manifests:
-        verdicts = {}
-        status = "unknown"
         with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                key, _, value = line.strip().partition(" = ")
-                if key == "manifest.status":
-                    status = value
-                elif key.startswith("verdict."):
-                    verdicts[key[len("verdict."):]] = value == "true"
+            lines = dict(line.strip().partition(" = ")[::2] for line in fh)
+        status = lines.get("manifest.status", "unknown")
+        verdicts = {key[len("verdict."):]: value == "true"
+                    for key, value in lines.items() if key.startswith("verdict.")}
         ok = status == "complete" and verdicts.get("all", False)
         all_ok &= ok
         rel = os.path.relpath(path, root)
@@ -153,7 +153,9 @@ def _cmd_report(args) -> int:
         if args.verbose:
             for name in sorted(verdicts):
                 if name != "all":
-                    print(f"    {name:24s} {'PASS' if verdicts[name] else 'FAIL'}")
+                    margin = lines.get(f"margin.{name}")
+                    print(f"    {name:24s} {'PASS' if verdicts[name] else 'FAIL'}"
+                          + (f"  margin {margin}" if margin is not None else ""))
     return 0 if all_ok else 1
 
 

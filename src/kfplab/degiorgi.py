@@ -241,8 +241,13 @@ class ChebyshevReport:
     chained_margin: float | None
 
     @property
+    def slack(self) -> float:
+        """The margin with its roundoff tolerance; >= 0 iff the bound holds."""
+        return self.margin + 1e-12 * max(1.0, self.bound)
+
+    @property
     def passed(self) -> bool:
-        return self.margin >= -1e-12 * max(1.0, self.bound)
+        return self.slack >= 0.0
 
 
 def chebyshev_audit(level: LevelPass, u_prev: float | None = None) -> ChebyshevReport:
@@ -377,14 +382,6 @@ class BarrierSourceReport:
     s2_bound: float              # 2^{k+3} lam ||f_k||, the ladder budget
     s2_bound_actual: float       # same with the implementation's slope constant
     s1_bound: float
-
-    @property
-    def s2_within_bound(self) -> bool:
-        return self.s2_l2 <= self.s2_bound + 1e-9 * max(1.0, self.s2_bound)
-
-    @property
-    def s1_within_bound(self) -> bool:
-        return self.s1_l2 <= self.s1_bound + 1e-9 * max(1.0, self.s1_bound)
 
 
 def _barrier_slices(level: LevelPass, diffusion):
@@ -647,9 +644,10 @@ def kappa_log10(constants: IterationConstants) -> float:
 def recursion_audit(energies, constants: IterationConstants, c_fit: float | None = None):
     """Check U_k <= C 2^{6k} U_{k-2}^alpha for the computed energies.
 
-    Margins are reported in log10; an entry passes when the margin is
-    nonnegative (or vacuously, when U_k = 0).  `c_fit` overrides the
-    assembled constant C, e.g. with an empirically fitted value.
+    Margins are reported in log10; an entry passes when its `slack`, the
+    margin with a 1e-9 roundoff tolerance, is nonnegative (or vacuously,
+    when U_k = 0, with an infinite slack).  `c_fit` overrides the assembled
+    constant C, e.g. with an empirically fitted value.
     """
     u = [float(x) for x in energies]
     if len(u) < 3:
@@ -659,18 +657,15 @@ def recursion_audit(energies, constants: IterationConstants, c_fit: float | None
     rows = []
     for k in range(2, len(u)):
         if u[k] <= 0.0:
-            rows.append({"k": k, "passed": True, "vacuous": True,
-                         "log_margin": math.inf})
-            continue
-        if u[k - 2] <= 0.0:
-            rows.append({"k": k, "passed": False, "vacuous": False,
-                         "log_margin": -math.inf})
-            continue
-        log_bound = math.log10(big_c) + 6 * k * math.log10(2.0) \
-            + alpha * math.log10(u[k - 2])
-        margin = log_bound - math.log10(u[k])
-        rows.append({"k": k, "passed": margin >= -1e-9, "vacuous": False,
-                     "log_margin": margin})
+            margin = math.inf
+        elif u[k - 2] <= 0.0:
+            margin = -math.inf
+        else:
+            margin = math.log10(big_c) + 6 * k * math.log10(2.0) \
+                + alpha * math.log10(u[k - 2]) - math.log10(u[k])
+        slack = margin + 1e-9
+        rows.append({"k": k, "passed": slack >= 0.0, "vacuous": u[k] <= 0.0,
+                     "log_margin": margin, "slack": slack})
     return rows
 
 
@@ -726,12 +721,22 @@ class GateReport:
     kappa_log10: float
     premise_holds: bool
     conclusion_sup: float
-    conclusion_holds: bool
+    conclusion_slack: float      # 1/2 + roundoff - sup; -inf with no node
     resolution_limited: bool
+
+    @property
+    def conclusion_holds(self) -> bool:
+        return self.conclusion_slack >= 0.0
 
     @property
     def implication_holds(self) -> bool:
         return (not self.premise_holds) or self.conclusion_holds
+
+    @property
+    def margin(self) -> float:
+        """The conclusion's slack when the premise holds; nan when it does
+        not, and the implication holds without a check."""
+        return self.conclusion_slack if self.premise_holds else math.nan
 
 
 # the gate's conclusion bound 1/2, with its roundoff slack
@@ -785,9 +790,9 @@ def linfty_gate(traj: Trajectory, kappa_log: float, zoomed: bool = False,
     premise_log = _premise_log10(traj, premise_region)
     region, resolution_limited = _conclusion_cylinder(traj, conclusion_r)
     _, sup, count = cylinder_node_extrema(traj, region)
-    conclusion_holds = bool(count > 0 and sup <= _CONCLUSION_BOUND)
+    slack = _CONCLUSION_BOUND - sup if count > 0 else -math.inf
     return GateReport(premise_log, kappa_log, premise_log < kappa_log, sup,
-                      conclusion_holds, resolution_limited)
+                      slack, resolution_limited)
 
 
 def empirical_kappa(traj: Trajectory, unit: Trajectory, a0: float):

@@ -60,7 +60,10 @@ class Trajectory:
     `dt` is the spacing of the stored slices, the width of every time cell
     a reader integrates over, set once by whoever makes the trajectory:
     the step of the solve that stored it, the parent's for a window or a
-    map of one, and otherwise the first spacing of `times`, taken here.
+    map of one, and otherwise taken here: the first spacing of `times`, or
+    the grid's `dt` when that spacing is `dt` up to roundoff, as it is on
+    the grid's own times t0 + dt * arange, whose first spacing need not be
+    `dt` in its last bits.
     """
 
     grid: PhaseGrid
@@ -73,7 +76,8 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.dt is None and len(self.times) > 1:
-            self.dt = float(self.times[1] - self.times[0])
+            spacing, step = float(self.times[1] - self.times[0]), self.grid.parent.dt
+            self.dt = step if abs(spacing - step) <= 1e-9 * step else spacing
         if self.values.shape != (len(self.times),) + self.grid.shape:
             raise GeometryError(
                 f"trajectory shape {self.values.shape} does not match "

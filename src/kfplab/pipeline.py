@@ -1,16 +1,15 @@
 """The run pipeline: solve, then every diagnostic, then reports on disk.
 
 A run is fully determined by its configuration (seeds included); repeated
-runs write byte-identical artifacts.  The audit verdicts aggregated by
-sweeps are: energy slack, truncation-energy monotonicity, the Chebyshev
-level-set bound, the barrier comparison, Plancherel and the spectral
-interpolation inequality, oscillation contraction mu < 1, a positive
-fitted Hoelder exponent, and the empirical-vs-assembled kappa ordering
-(kappa_emp in closed form from the main run and one unit-amplitude run,
-its superposition checked against a direct run, `_bisection`).  The
-bisection keeps the unit run and streams the rest: the premise integral
-at a* reads the superposed slices one at a time, and the direct run is
-stepped by `solver.march` and compared slice by slice as it comes.
+runs write byte-identical artifacts.  Each verdict is one `Audit` record,
+built where its check is made; `SWEEP_AUDITS` names them all, in the order
+of the sweep's columns.  The kappa ordering compares the assembled
+threshold with kappa_emp, in closed form from the main run and one
+unit-amplitude run, its superposition checked against a direct run
+(`_bisection`).  The bisection keeps the unit run and streams the rest:
+the premise integral at a* reads the superposed slices one at a time, and
+the direct run is stepped by `solver.march` and compared slice by slice as
+it comes.
 
 After the main solve the audits form two independent stages that read only
 the trajectory, the coefficient, the source and the configuration: the De
@@ -55,8 +54,8 @@ from .fields import PhaseField, Trajectory
 from .geometry import DyadicLevel, PhaseGrid, dyadic_time
 from .snapshots import export_snapshot
 
-__all__ = ["RunResult", "build_grid", "build_coefficient", "build_source_field",
-           "build_initial", "solve_initial", "run_pipeline",
+__all__ = ["Audit", "RunResult", "build_grid", "build_coefficient",
+           "build_source_field", "build_initial", "solve_initial", "run_pipeline",
            "sweep", "worker_count", "write_incomplete_manifest"]
 
 MANIFEST_VERSION = 1
@@ -179,9 +178,39 @@ def solve_initial(cfg: RunConfig, grid: PhaseGrid, diffusion, source,
 # the run
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Audit:
+    """One verdict of a run: its `name`, whether it `passed`, and its
+    `margin`, the worst slack of the verdict's inequality with its
+    tolerance included.
+
+    The margin is >= 0 when the verdict held and < 0 when it failed; a
+    strict inequality that fails at equality reads 0.  For a conjunction
+    (`spectral`, `kappa_order`, `mu_contraction`, `sigma_positive`) it is
+    the smaller part's.  It is inf where every check is vacuous
+    (`recursion` when every U_k it bounds is 0, `comparison` and `spectral`
+    without barrier levels), and nan only where the verdict passes without
+    a numeric check: `kappa_order` with bisection off, `mu_contraction` on
+    a degenerate ladder, `sigma_positive` on a degenerate fit,
+    `gate_implication` when its premise fails, and `theta_monotone`, whose
+    checks are boolean."""
+
+    name: str
+    passed: bool
+    margin: float
+
+
+def _least(name: str, slacks) -> Audit:
+    """The audit of a verdict that holds when every slack is >= 0; its
+    margin is the least slack (inf for none; nan, which fails, when one is
+    nan)."""
+    worst = float(np.min(slacks, initial=math.inf))
+    return Audit(name, worst >= 0.0, worst)
+
+
 @dataclass
 class RunResult:
-    """A run's verdicts, metrics and tables, which its artifacts hold, and
+    """A run's audits, metrics and tables, which its artifacts hold, and
     its `timings`, which they do not: per stage ("main_solve", "degiorgi",
     "holder") the wall time, this process's `getrusage` maximum RSS when
     the stage ended, the minor page faults and the Strang steps the stage
@@ -189,14 +218,19 @@ class RunResult:
     forked process (`_timed`)."""
 
     config: RunConfig
-    verdicts: dict = field(default_factory=dict)
+    audits: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     @property
+    def verdicts(self) -> dict:
+        """{name: passed} of the audits."""
+        return {a.name: a.passed for a in self.audits}
+
+    @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return all(a.passed for a in self.audits)
 
 
 def _scheme_tolerance(grid: PhaseGrid, scale: float) -> float:
@@ -217,9 +251,11 @@ def _barrier_audit(cfg: RunConfig, level: degiorgi.LevelPass, diffusion):
     Everything runs on the pass's level window, the slices from T_{k-1}
     on the cell box of B(R_{k-1})^2, outside which every field of the
     stage is zero.  Returns the `barrier.csv` row, the final barrier slice
-    on the whole grid, and whether the comparison and the spectral audits
-    passed.  The source and F_k are freed once the comparison is taken,
-    before the spectra, and the barrier when the call returns.
+    on the whole grid, the level's metrics, and the slack (`_least`) of the
+    comparison and those of the spectral audits, Plancherel and the
+    interpolation inequality.  The source and F_k are freed once the
+    comparison is taken, before the spectra, and the barrier when the call
+    returns.
     """
     k = level.k
     grid = level.window.grid.parent
@@ -232,7 +268,7 @@ def _barrier_audit(cfg: RunConfig, level: degiorgi.LevelPass, diffusion):
     # minimum over the window is the whole grid's, whose other nodes hold 0
     comp_min = solver.comparison_check(fk, g_traj)
     f_linf = _abs_max(fk.values)
-    comparison_ok = comp_min >= -10.0 * _scheme_tolerance(grid, f_linf)
+    comparison = comp_min + 10.0 * _scheme_tolerance(grid, f_linf)
     s1_l2, s2_l2 = rep.s1_l2, rep.s2_l2
     row = [k, s1_l2, s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf]
     # the spectra read the barrier alone: the source and F_k go first
@@ -244,13 +280,14 @@ def _barrier_audit(cfg: RunConfig, level: degiorgi.LevelPass, diffusion):
     lhs, rhs = averaging.interpolation_audit(spec)
     est = averaging.averaging_estimate_audit(spec, s1_l2, s2_l2,
                                              cfg.lam, DyadicLevel(k).radius)
-    spectral_ok = (plancherel_defect <= 1e-12 * max(1.0, l2)
-                   and lhs <= rhs * (1.0 + 1e-12) + 1e-15)
+    spectral = [1e-12 * max(1.0, l2) - plancherel_defect,
+                rhs * (1.0 + 1e-12) + 1e-15 - lhs]
     row += [plancherel_defect, lhs, rhs, est.lhs, est.rhs_unit, est.ratio]
     final = np.zeros(grid.shape)
     final[g_traj.grid.box] = g_traj.values[-1]
-    return (row, PhaseField(grid, float(g_traj.times[-1]), final),
-            comparison_ok, spectral_ok)
+    metrics = {f"comparison_min_k{k}": comp_min, f"averaging_ratio_k{k}": est.ratio}
+    return (row, PhaseField(grid, float(g_traj.times[-1]), final), metrics,
+            comparison, spectral)
 
 
 def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
@@ -270,10 +307,10 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunResult:
     ((degiorgi_part, barrier_finals), timings["degiorgi"]) = degiorgi_out
     holder_part, timings["holder"] = holder_out
     result = RunResult(cfg, timings=timings)
-    for tables, metrics, verdicts in (degiorgi_part, holder_part):
+    for tables, metrics, audits in (degiorgi_part, holder_part):
         result.tables.update(tables)
         result.metrics.update(metrics)
-        result.verdicts.update(verdicts)
+        result.audits += audits
     if out_dir is not None:
         _write_outputs(cfg, result, traj, barrier_finals, out_dir)
     return result
@@ -286,10 +323,10 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     with its affine check (a unit solve and a streamed direct run,
     `_bisection`).
 
-    Returns ((tables, metrics, verdicts), barrier_finals).
+    Returns ((tables, metrics, audits), barrier_finals).
     """
     grid = traj.grid
-    tables, metrics, verdicts = {}, {}, {}
+    tables, metrics, audits = {}, {}, []
 
     # --- global energy inequality ------------------------------------------
     records, min_slack = solver.energy_budget(traj, source, cfg.lam)
@@ -299,7 +336,7 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     tol_energy = 1e-8 * (1.0 + e0)
     metrics["energy_min_slack"] = min_slack
     metrics["energy_tolerance"] = tol_energy
-    verdicts["energy_slack"] = min_slack >= -tol_energy
+    audits.append(_least("energy_slack", [min_slack + tol_energy]))
 
     # --- one pass per truncation level, read by every level-k audit below --
     passes = {k: degiorgi.LevelPass(traj, k, source)
@@ -308,7 +345,6 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
 
     # --- local energy inequality -------------------------------------------
     local_rows = []
-    local_ok = True
     f_scale = _abs_max(traj.values)
     tol_local = 10.0 * _scheme_tolerance(grid, f_scale**2)
     for k in degiorgi.LOCAL_ENERGY_LEVELS:
@@ -316,11 +352,10 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
         for (s, t) in ((t_k, 0.0), (t_k, 0.5 * t_k), (0.5 * t_k, 0.0)):
             res = solver.local_energy_check(passes[k], cfg.lam, s, t)
             local_rows.append([k, s, t, res])
-            local_ok &= res >= -tol_local
     tables["local_energy"] = local_rows
     metrics["local_energy_min"] = min(r[3] for r in local_rows)
     metrics["local_energy_tolerance"] = tol_local
-    verdicts["local_energy"] = bool(local_ok)
+    audits.append(_least("local_energy", [r[3] + tol_local for r in local_rows]))
 
     # --- truncation energies and the Chebyshev audit ------------------------
     ladder = [degiorgi.truncation_energy(passes[k], cfg.lam)
@@ -330,37 +365,28 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
                              r.level_set, r.fk_l2_inner, r.fk_l2_outer,
                              r.grad_l2_inner, r.grad_l2_outer] for r in ladder]
     mono_tol = 1e-9 * (1.0 + energies[0])
-    verdicts["u_monotone"] = all(b <= a + mono_tol
-                                 for a, b in zip(energies, energies[1:]))
+    audits.append(_least("u_monotone", [a + mono_tol - b
+                                        for a, b in zip(energies, energies[1:])]))
     metrics["u0"] = energies[0]
 
-    cheb_rows = []
-    cheb_ok = True
-    for k in range(1, cfg.levels + 1):
-        rep = degiorgi.chebyshev_audit(passes[k], energies[k - 1])
-        cheb_rows.append([rep.k, rep.measure, rep.integral, rep.bound, rep.margin,
-                          rep.chained_bound, rep.chained_margin])
-        cheb_ok &= rep.passed
-    tables["chebyshev"] = cheb_rows
-    verdicts["chebyshev"] = bool(cheb_ok)
+    cheb = [degiorgi.chebyshev_audit(passes[k], energies[k - 1])
+            for k in range(1, cfg.levels + 1)]
+    tables["chebyshev"] = [[r.k, r.measure, r.integral, r.bound, r.margin,
+                            r.chained_bound, r.chained_margin] for r in cheb]
+    audits.append(_least("chebyshev", [r.slack for r in cheb]))
 
     # --- barrier comparison and spectral audits ------------------------------
-    barrier_rows = []
-    barrier_finals = []
-    comparison_ok = True
-    spectral_ok = True
+    barrier_rows, barrier_finals, comparison, spectral = [], [], [], []
     for k in cfg.barrier_levels:
-        row, final, comp_ok, spec_ok = _barrier_audit(cfg, passes[k], diffusion)
+        row, final, level_metrics, comp, spec = _barrier_audit(cfg, passes[k],
+                                                               diffusion)
         barrier_rows.append(row)
         barrier_finals.append((k, final))
-        comparison_ok &= comp_ok
-        spectral_ok &= spec_ok
-        col = dict(zip(CSV_COLUMNS["barrier"], row))
-        metrics[f"comparison_min_k{k}"] = col["comparison_min"]
-        metrics[f"averaging_ratio_k{k}"] = col["averaging_ratio"]
+        metrics.update(level_metrics)
+        comparison.append(comp)
+        spectral += spec
     tables["barrier"] = barrier_rows
-    verdicts["comparison"] = bool(comparison_ok)
-    verdicts["spectral"] = bool(spectral_ok)
+    audits += [_least("comparison", comparison), _least("spectral", spectral)]
 
     # --- iteration constants, recursion, gate --------------------------------
     gamma = cfg.gamma
@@ -382,25 +408,23 @@ def _degiorgi_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     rec_rows = degiorgi.recursion_audit(energies, consts)
     tables["recursion"] = [[r["k"], r["log_margin"], r["passed"], r["vacuous"]]
                            for r in rec_rows]
-    verdicts["recursion"] = all(r["passed"] for r in rec_rows)
+    audits.append(_least("recursion", [r["slack"] for r in rec_rows]))
 
     gate = degiorgi.linfty_gate(traj, kappa_log)
     metrics["gate_premise_log10"] = gate.premise_log10
     metrics["gate_conclusion_sup"] = gate.conclusion_sup
     metrics["gate_resolution_limited"] = gate.resolution_limited
-    verdicts["gate_implication"] = gate.implication_holds
+    audits.append(Audit("gate_implication", gate.implication_holds, gate.margin))
 
+    kappa_emp = defect = math.nan
     if cfg.run_bisection:
         kappa_emp, defect = _bisection(cfg, traj, diffusion, source)
-        metrics["kappa_emp_log10"] = kappa_emp
-        metrics["kappa_affine_defect"] = defect
-        verdicts["kappa_order"] = (kappa_log <= kappa_emp
-                                   and defect <= AFFINE_TOLERANCE)
-    else:
-        metrics["kappa_emp_log10"] = math.nan
-        metrics["kappa_affine_defect"] = math.nan
-        verdicts["kappa_order"] = True
-    return (tables, metrics, verdicts), barrier_finals
+    metrics["kappa_emp_log10"] = kappa_emp
+    metrics["kappa_affine_defect"] = defect
+    audits.append(Audit("kappa_order", bool(not cfg.run_bisection or (
+        kappa_log <= kappa_emp and defect <= AFFINE_TOLERANCE)),
+        float(min(kappa_emp - kappa_log, AFFINE_TOLERANCE - defect))))
+    return (tables, metrics, audits), barrier_finals
 
 
 def _bisection(cfg: RunConfig, traj: Trajectory, diffusion, source):
@@ -441,10 +465,10 @@ def _holder_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     oscillation ladder, the isoperimetric probe, the theta sequence and the
     Hoelder fit.
 
-    Returns (tables, metrics, verdicts).
+    Returns (tables, metrics, audits).
     """
     grid = traj.grid
-    tables, metrics, verdicts = {}, {}, {}
+    tables, metrics = {}, {}
 
     # --- oscillation ladder, probe, Hoelder fit ------------------------------
     lemma = holder.lemma_constants(cfg.omega, cfg.lam, cfg.dim, cfg.theta,
@@ -463,8 +487,10 @@ def _holder_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
                         enumerate(zip(ladder.ladder, ladder.ladder_inner))]
     metrics["mu_emp"] = ladder.mu_emp
     metrics["ladder_r2"] = ladder.fit_r2
-    verdicts["mu_contraction"] = bool(ladder.degenerate
-                                      or (0.0 < ladder.mu_emp < 1.0))
+    # a degenerate ladder's mu_emp, and so its margin, is nan
+    mu = ladder.mu_emp
+    audits = [Audit("mu_contraction", bool(ladder.degenerate or 0.0 < mu < 1.0),
+                    float(min(mu, 1.0 - mu)))]
     metrics["sigma_from_mu"] = ladder.sigma_emp
 
     probe = holder.isoperimetric_probe(norm_traj, cfg.theta, cfg.omega,
@@ -476,8 +502,9 @@ def _holder_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
 
     theta_rep = holder.theta_sequence(norm_traj, cfg.theta, 3)
     tables["theta"] = [[k, m] for k, m in enumerate(theta_rep.measures)]
-    verdicts["theta_monotone"] = theta_rep.monotone and \
-        theta_rep.measures_nondecreasing
+    audits.append(Audit("theta_monotone", bool(theta_rep.monotone
+                                               and theta_rep.measures_nondecreasing),
+                        math.nan))
 
     # fit at a few generic (off-symmetry-axis) base nodes; keep the best fit
     bases = [
@@ -498,9 +525,11 @@ def _holder_stage(cfg: RunConfig, traj: Trajectory, diffusion, source):
     metrics["sigma_emp"] = fit["sigma"]
     metrics["holder_r2"] = fit["r2"] if np.isfinite(fit["r2"]) else math.nan
     metrics["holder_c"] = fit["C"]
-    verdicts["sigma_positive"] = bool(fit["degenerate"] or
-                                      (fit["sigma"] > 0 and fit["r2"] > 0.9))
-    return tables, metrics, verdicts
+    # a degenerate fit's sigma and r2, and so its margin, are nan
+    audits.append(Audit("sigma_positive", bool(fit["degenerate"] or
+                                               (fit["sigma"] > 0 and fit["r2"] > 0.9)),
+                        float(min(fit["sigma"], fit["r2"] - 0.9))))
+    return tables, metrics, audits
 
 
 def _can_overlap() -> bool:
@@ -612,8 +641,9 @@ def manifest_text(cfg: RunConfig, result: RunResult) -> str:
         out.write(f"config.{line}\n")
     for key in sorted(result.metrics):
         out.write(f"metric.{key} = {format_value(result.metrics[key])}\n")
-    for key in sorted(result.verdicts):
-        out.write(f"verdict.{key} = {format_value(result.verdicts[key])}\n")
+    audits = sorted(result.audits, key=lambda a: a.name)
+    out.writelines(f"margin.{a.name} = {format_value(a.margin)}\n" for a in audits)
+    out.writelines(f"verdict.{a.name} = {format_value(a.passed)}\n" for a in audits)
     out.write(f"verdict.all = {format_value(result.passed)}\n")
     return out.getvalue()
 
@@ -710,13 +740,9 @@ def sweep(configs, out_root=None, workers: int | None = None):
                     + [res.verdicts[name] for name in SWEEP_AUDITS]
                     + [m["mu_emp"], m["sigma_emp"], m["kappa_emp_log10"],
                        res.passed])
-    pass_rates = {}
-    complete = [r for r in rows if r[4] != "error"]
-    for j, name in enumerate(SWEEP_AUDITS, start=4):
-        if complete:
-            pass_rates[name] = sum(1 for r in complete if r[j]) / len(complete)
-        else:
-            pass_rates[name] = 0.0
+    complete = [res.verdicts for res in results if res is not None]
+    pass_rates = {name: sum(v[name] for v in complete) / len(complete)
+                  if complete else 0.0 for name in SWEEP_AUDITS}
 
     if out_root is not None:
         os.makedirs(out_root, exist_ok=True)

@@ -39,6 +39,11 @@ def report(name, passed, detail=""):
     assert passed, line
 
 
+def worst_margin(results, name):
+    """The least margin of the named verdict's audit over the runs."""
+    return min(a.margin for r in results for a in r.audits if a.name == name)
+
+
 # ---------------------------------------------------------------------------
 # shared ensembles
 # ---------------------------------------------------------------------------
@@ -142,7 +147,8 @@ def test_criterion_3_local_energy(ensemble):
     worst = min(r.metrics["local_energy_min"] for r in ensemble)
     tol = max(r.metrics["local_energy_tolerance"] for r in ensemble)
     report("3 local-energy", all(r.verdicts["local_energy"] for r in ensemble),
-           f"min residual {worst:.2e}, tol {tol:.2e}, "
+           f"min residual {worst:.2e}, tol {tol:.2e}, worst margin "
+           f"{worst_margin(ensemble, 'local_energy'):.2e}, "
            f"k in {{1,2,3}} x 3 windows x {len(ensemble)} runs")
 
 
@@ -155,7 +161,9 @@ def test_criterion_4_dyadic_machinery(ensemble):
     cheb = all(r.verdicts["chebyshev"] for r in ensemble)
     report("4 dyadic-machinery", mono and cheb,
            f"U_k monotone (k<=4) {sum(r.verdicts['u_monotone'] for r in ensemble)}"
-           f"/{len(ensemble)}, Chebyshev 100%: {cheb}")
+           f"/{len(ensemble)}, worst margin {worst_margin(ensemble, 'u_monotone'):.2e}; "
+           f"Chebyshev 100%: {cheb}, worst margin "
+           f"{worst_margin(ensemble, 'chebyshev'):.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +176,8 @@ def test_criterion_5_barrier_comparison(ensemble):
                 for r in ensemble)
     report("5 barrier-comparison", ok,
            f"worst pointwise min(G-F) {worst:.2e} over k in {{1,2}}, "
-           f"tolerance 10x scheme scale per run")
+           f"tolerance 10x scheme scale per run, worst margin "
+           f"{worst_margin(ensemble, 'comparison'):.2e}")
 
 
 # ---------------------------------------------------------------------------

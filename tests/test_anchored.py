@@ -101,14 +101,18 @@ def test_boxed_resolve_from_a_sampler_is_the_whole_grid_loop(name, interp, keep)
 @pytest.mark.parametrize("keep", [1, None])
 def test_resolve_carries_the_data_step(keep):
     # n2_18's step 1/12 is no binary fraction, so the first spacing of its
-    # times, which a trajectory made from them carries, is not the grid's
-    # step; a re-solve carries the step of its data, even when it keeps
-    # one slice, which has no spacing
+    # times is not the grid's step; a trajectory made from them carries the
+    # grid's step, and a re-solve carries the step of its data, even when
+    # that step is another and the re-solve keeps one slice, which has no
+    # spacing
     grid = GRIDS["n2_18"]
     diffusion, source = _fields(grid.dim)
     data = _data(grid, seed=30)
-    assert data.dt == float(grid.times[1] - grid.times[0]) != grid.dt
-    assert solve_anchored(data, diffusion, source, keep=keep).dt == data.dt
+    assert data.dt == grid.dt != float(grid.times[1] - grid.times[0])
+    assert solve_anchored(data, diffusion, source, keep=keep).dt == grid.dt
+    spaced = Trajectory(grid, data.times, data.values,
+                        dt=float(grid.times[1] - grid.times[0]))
+    assert solve_anchored(spaced, diffusion, source, keep=keep).dt == spaced.dt
     sampler = ZoomSampler(data, ScalingMap(0.3, 0.0, (0.0,) * 2, (0.0,) * 2), grid)
     assert sampler.dt == grid.dt
     assert solve_anchored(sampler, diffusion, source, keep=keep).dt == grid.dt

@@ -233,11 +233,36 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert (out_dir / "manifest.txt").exists()
     assert (out_dir / "truncation.csv").exists()
     assert (out_dir / "field_final.snap").exists()
+    # one margin line per verdict, sorted, just before the verdict lines,
+    # and printed beside each PASS
+    lines = (out_dir / "manifest.txt").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("margin."))
+    margins = dict(line[len("margin."):].split(" = ")
+                   for line in lines[first:first + len(SWEEP_AUDITS)])
+    assert list(margins) == sorted(SWEEP_AUDITS)
+    assert lines[first + len(SWEEP_AUDITS)].startswith("verdict.")
+    for name, margin in margins.items():
+        assert f"{name:20s} PASS  margin {margin}\n" in captured.out
 
     code = cli_main(["report", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 0
     assert "PASS" in captured.out
+    assert cli_main(["report", "-v", str(tmp_path)]) == 0
+    verbose = capsys.readouterr().out
+    for name, margin in margins.items():
+        assert f"    {name:24s} PASS  margin {margin}\n" in verbose
+
+    # a manifest without margin lines (an older run's) prints PASS/FAIL alone
+    older = tmp_path / "older"
+    older.mkdir()
+    (older / "manifest.txt").write_text(
+        "".join(line + "\n" for line in lines if not line.startswith("margin.")))
+    assert cli_main(["report", "-v", str(older)]) == 0
+    verbose = capsys.readouterr().out
+    assert "margin" not in verbose
+    for name in SWEEP_AUDITS:
+        assert f"    {name:24s} PASS\n" in verbose
 
 
 def test_cli_outputs_deterministic(tmp_path):
@@ -413,7 +438,7 @@ def test_sweep_pool_capped_at_run_count(monkeypatch):
 
     def stub_run(cfg, out_dir=None):
         return pipeline.RunResult(
-            cfg, verdicts={name: True for name in SWEEP_AUDITS},
+            cfg, audits=[pipeline.Audit(name, True, 1.0) for name in SWEEP_AUDITS],
             metrics={"mu_emp": 0.5, "sigma_emp": 0.1, "kappa_emp_log10": -3.0})
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)

@@ -275,8 +275,8 @@ def test_barrier_source_norm_bounds(rough_run):
     for k in (1, 2):
         rep = build_barrier_sources(LevelPass(traj, k, rough_run["source"]),
                                     rough_run["diffusion"])
-        assert rep.s2_within_bound
-        assert rep.s1_within_bound
+        assert rep.s2_l2 <= rep.s2_bound + 1e-9 * max(1.0, rep.s2_bound)
+        assert rep.s1_l2 <= rep.s1_bound + 1e-9 * max(1.0, rep.s1_bound)
         assert rep.s2_bound_actual <= rep.s2_bound + 1e-12
 
 

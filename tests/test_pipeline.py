@@ -221,6 +221,46 @@ def test_the_sup_term_of_u_k_does_not_increase_with_k(kind):
         assert sup[k] <= sup[k - 1] * (1.0 + 1e-12), (k, sup)
 
 
+# the desk run that exercises every level and passes every verdict, and the
+# amplitude-1e3 run on 24^2 cells, bisection off, whose u_monotone fails
+@pytest.mark.parametrize("text,exit_code", [
+    ("run.seed = 4\ncoeff.kind = cellwise_random\nsource.kind = noise\n"
+     "source.bound = 0.3\ninitial.amplitude = 30\n", 0),
+    ("grid.n_t = 24\ngrid.n_x = 24\ngrid.n_v = 24\ninitial.amplitude = 1000\n"
+     "diagnostics.bisection = false\n", 1),
+], ids=["desk_amp30", "amp1e3_24"])
+def test_every_margin_agrees_with_its_verdict(tmp_path, text, exit_code):
+    cfg = parse_config(text)
+    res = run_pipeline(cfg)
+    m = res.metrics
+    assert sorted(a.name for a in res.audits) == sorted(pipeline.SWEEP_AUDITS)
+    level_set = CSV_COLUMNS["truncation"].index("level_set")
+    assert all(r[level_set] > 0.0 for r in res.tables["truncation"])
+    # the cases the Audit docstring names, where a verdict passes unchecked
+    unchecked = {"kappa_order": not cfg.run_bisection,
+                 "mu_contraction": math.isnan(m["mu_emp"]),
+                 "sigma_positive": math.isnan(m["sigma_emp"]),
+                 "gate_implication": m["gate_premise_log10"] >= m["kappa_log10"],
+                 "theta_monotone": True}
+    for a in res.audits:
+        if math.isnan(a.margin):
+            assert a.passed and unchecked.get(a.name), a
+        else:
+            assert a.margin >= 0.0 if a.passed else a.margin <= 0.0, a
+    if exit_code:
+        failed = [a for a in res.audits if not a.passed]
+        assert [a.name for a in failed] == ["u_monotone"]
+        assert failed[0].margin == pytest.approx(-156.43, rel=1e-4)
+    else:
+        assert res.passed
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli_main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == exit_code
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    for a in res.audits:
+        assert f"margin.{a.name} = {a.margin!r}\n" in manifest
+
+
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the benchmark runs one BLAS thread and the tests the default; the
     # spectra's Gram products must give the same bits at either count

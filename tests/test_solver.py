@@ -325,6 +325,19 @@ def test_trajectory_carries_the_step(grid, rough_a, zero_g):
     assert Trajectory(grid, [0.0, 0.5, 1.0], np.zeros((3,) + grid.shape)).dt == 0.5
 
 
+@pytest.mark.parametrize("t_min, n_t", [(-1.5, 18), (-1.4, 21), (-1.0, 18), (-1.5, 48)])
+def test_trajectory_on_the_grid_times_carries_the_grid_step(t_min, n_t):
+    # the first spacing of t0 + dt * arange is not dt when dt is no binary
+    # fraction: 0.08333333333333326 against 0.08333333333333333 at (-1.5, 18)
+    grid = PhaseGrid(1, (t_min, 0.0), n_t, 1.0, 8, 1.0, 8)
+    made = [Trajectory(grid, grid.times, np.zeros((n_t + 1,) + grid.shape)),
+            Trajectory.from_constant(grid, grid.times, 0.0),
+            Trajectory.from_function(grid, grid.times, lambda t, x, v: t + 0 * x * v),
+            Trajectory.from_constant(grid, grid.times[3:], 0.0)]
+    assert [traj.dt for traj in made] == [grid.dt] * len(made)
+    assert made[0].window(-0.5, 0.5).dt == grid.dt
+
+
 # --- dim 2 smoke ---------------------------------------------------------------
 
 def test_dim2_constants_and_mass():

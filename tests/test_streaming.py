@@ -65,7 +65,7 @@ def _whole_slice_zoom(traj, smap, zoom_grid):
     """The materialised zoom: every zoom slice interpolated in time on the
     whole grid, then along each x and v axis in turn."""
     grid = traj.grid
-    dt_slice = float(traj.times[1] - traj.times[0])
+    dt_slice = traj.dt
     out = np.empty((len(zoom_grid.times),) + zoom_grid.shape)
     ys, xis = zoom_grid.coords()
     for i, s in enumerate(zoom_grid.times):

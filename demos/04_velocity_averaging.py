@@ -41,7 +41,7 @@ traj = solve(f0, rough, g, 0.0, WHOLE_SPACE)
 # spectra are taken at the whole grid's padded lengths, so they are the
 # spectra of G_1 zero-extended to the grid
 rep = build_barrier_sources(LevelPass(traj, 1, g), rough)
-barrier = solve_barrier_ibvp(rep.source, rough, 1, initial=rep.fk.field(0))
+barrier = solve_barrier_ibvp(rep.source, rough, 1, initial=rep.initial)
 
 spec = SpectralField.from_trajectory(barrier, warn_boundary=False)
 lhs, rhs = interpolation_audit(spec)

@@ -6,9 +6,10 @@ prints each verdict's margin (`pipeline.Audit`) beside its PASS/FAIL, and
 uses a second CPU when its affinity mask holds one: the Hoelder stage runs
 in a forked process beside the De Giorgi stage (`run_pipeline`), with the
 same artifacts and errors as in-process.  `run --timings PATH` writes the
-per-stage wall times, peak RSS, minor page faults, Strang steps and
-microseconds per step (`RunResult.timings`) to PATH, outside
-the run directory, whose files stay byte-identical.  The sweep runs its
+per-stage wall times, peak RSS, minor page faults, Strang steps,
+microseconds per step and MiB of the largest step plan
+(`RunResult.timings`) to PATH, outside the run directory, whose files
+stay byte-identical.  The sweep runs its
 ensemble on KFPLAB_WORKERS forked worker processes (default 1,
 in-process); runs own their output subdirectories exclusively, and
 aggregation order is fixed, so the outputs are byte-identical at any
@@ -171,8 +172,9 @@ def main(argv=None) -> int:
                        help="output directory for CSVs, manifest, snapshots")
     p_run.add_argument("--timings", default=None, metavar="PATH",
                        help="write each stage's wall time, peak RSS, minor "
-                       "page faults, Strang steps and microseconds per step as "
-                       "JSON to PATH (keep it outside the output directory)")
+                       "page faults, Strang steps, microseconds per step and "
+                       "largest step plan as JSON to PATH (keep it outside the "
+                       "output directory)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser(

@@ -354,9 +354,16 @@ class SourceField:
         """g on all (x, v) cell centers of the grid at time t."""
         return np.broadcast_to(self.evaluate(t, *grid.coords()), grid.shape).copy()
 
-    def increments_for(self, grid: PhaseGrid, dt: float) -> KeyedSampler:
+    def increments_for(self, grid: PhaseGrid, dt: float):
         """A step plan's increment sampler: dt * g on the grid at the step's
-        midpoint t, drawn again only when the time key changes."""
+        midpoint t, drawn again only when the time key changes.  A source
+        constant over the grid (the zero and constant kinds) gives the
+        scalar dt * g, g evaluated at one point as a sample's entries are,
+        which a step adds to every cell."""
+        if self.kind in ("zero", "constant"):
+            origin = (0.0,) * grid.dim
+            increment = dt * float(self.evaluate(0.0, origin, origin))
+            return lambda t: increment
         return KeyedSampler(self, lambda t: dt * self.sample(grid, t))
 
     def transformed(self, transform, scale: float) -> "SourceField":

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import KeyedSampler
-from .fields import Trajectory
+from .fields import PhaseField, Trajectory
 from .geometry import (
     DyadicLevel,
     GeometryError,
@@ -57,6 +57,7 @@ __all__ = [
     "grad_v_sq_trajectory",
     "chebyshev_audit",
     "build_barrier_sources",
+    "cutoff_fields",
     "recursion_audit",
     "kappa_log10",
     "geometric_iteration",
@@ -365,15 +366,17 @@ class BarrierSource:
 
 @dataclass
 class BarrierSourceReport:
-    """The level-k barrier source and the field F_k it acts on, both on the
-    level window from T_{k-1}, with the L2(Q_{k-1}) norms of
+    """The level-k barrier source on the level window from T_{k-1} and the
+    field F_k it acts on at T_{k-1}, with the L2(Q_{k-1}) norms of
     `build_barrier_sources` and the ladder budgets they must meet.  S1 and
     S2 are not kept: the source holds the barrier solve's increments, and
-    their norms were taken as they were assembled."""
+    their norms were taken as they were assembled.  Of F_k only the slice
+    at T_{k-1}, where the barrier starts, is kept; a reader of the others
+    forms them one at a time from the window (`cutoff_fields`)."""
 
     k: int
     source: BarrierSource        # dt (S1 + div_v S2) per barrier step, on the window
-    fk: Trajectory               # F_k = f_k eta_k(x) eta_k(v)^2 on the same window
+    initial: PhaseField          # F_k = f_k eta_k(x) eta_k(v)^2 at T_{k-1}, on its cells
     s1_l2: float
     s2_l2: float
     fk_l2: float
@@ -384,7 +387,40 @@ class BarrierSourceReport:
     s1_bound: float
 
 
-def _barrier_slices(level: LevelPass, diffusion):
+def _cutoff_field(fk, eta_x, eta_v_sq, out):
+    """F_k = f_k eta_k(x) eta_k(v)^2 of one slice's f_k, formed in `out`
+    in that order: the one formula of the field the level-k barrier starts
+    from and dominates (`build_barrier_sources`, `cutoff_fields`)."""
+    np.multiply(fk, eta_x, out=out)
+    out *= eta_v_sq
+    return out
+
+
+def cutoff_fields(level: LevelPass):
+    """F_k (`_cutoff_field`) at each stored slice of the level's window,
+    in time order, the first bit for bit the report's
+    `BarrierSourceReport.initial`: each is formed from its stored slice in
+    a buffer of the generator, overwritten at the next slice."""
+    dyadic = DyadicLevel(level.k)
+    cells = level.window.grid
+    c = dyadic.truncation
+    eta_x, eta_v = dyadic.cutoffs(cells)
+    eta_v_sq = eta_v**2
+    fk, out = np.empty((2,) + cells.shape)
+    for f in level.window.values:
+        np.maximum(np.subtract(f, c, out=fk), 0.0, out=fk)
+        yield _cutoff_field(fk, eta_x, eta_v_sq, out)
+
+
+def _source_sampler(level: LevelPass):
+    """The pass's source drawn on its window by time key (`KeyedSampler`),
+    None without a source."""
+    source, cells = level.source, level.window.grid
+    return None if source is None else KeyedSampler(
+        source, lambda t: source.sample(cells, t))
+
+
+def _barrier_slices(level: LevelPass, diffusion, sample=None):
     """(f_k, S1, S2) at each stored slice of the level's window, in time
     order, with S2 one array per v axis:
 
@@ -392,7 +428,8 @@ def _barrier_slices(level: LevelPass, diffusion):
              - 2 eta_k(x) eta_k(v) a . grad_v f_k . grad eta_k(v),
         S2 = -2 eta_k(x) eta_k(v) f_k a grad eta_k(v),
 
-    with g the pass's source.  The coefficient and the source are sampled
+    with g the pass's source, drawn by `sample` (default: a sampler of its
+    own, `_source_sampler`).  The coefficient and the source are sampled
     only when their time keys change.  S1 and S2 are new arrays per slice,
     each formed in place in the association order of its formula read left
     to right; f_k is a buffer of the generator, overwritten at the next
@@ -406,8 +443,8 @@ def _barrier_slices(level: LevelPass, diffusion):
     vdot = dyadic.v_dot_grad_eta_x(cells)
     grad_eta_v = [cells.expand_v(g) for g in dyadic.grad_eta(cells, "v")]
     coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(cells, t))
-    sample = None if source is None else KeyedSampler(
-        source, lambda t: source.sample(cells, t))
+    if sample is None:
+        sample = _source_sampler(level)
     fk, cross, buf = np.empty((3,) + cells.shape)
     ind = np.empty(cells.shape, dtype=bool)
     for i in range(win.n_slices):
@@ -450,8 +487,9 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
     factors.  Cutoff gradients are analytic; grad_v f_k is the cell
     gradient of the truncated field (`geometry.cell_grad_v`).  The report
     carries the L2(Q_{k-1}) norms of S1 and S2, the ladder bounds they must
-    satisfy, the barrier solve's source and the truncated cutoff field
-    F_k = f_k eta_k(x) eta_k(v)^2 the barrier starts from and dominates.
+    satisfy, the barrier solve's source and the slice at T_{k-1} of the
+    truncated cutoff field F_k = f_k eta_k(x) eta_k(v)^2, which the barrier
+    starts from and dominates.
 
     Everything lives on the pass's level window (`LevelPass.window`): the
     stored slices from the one at T_{k-1}, where the barrier problem
@@ -468,7 +506,10 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
     cells.  The S1 budget's ||g 1_{f > C_k}|| in L2(Q_{k-1}) is summed in
     the same walk by one more `SliceIntegral` of the stored slices: g is
     sampled at each time cell's midpoint and the indicator taken on the
-    cell's midpoint value of f.
+    cell's midpoint value of f.  S1 and that norm draw g from one sampler:
+    the time cell before each stored slice is summed before the slice's
+    S1 is formed, so the sampler sees its times in order and draws each
+    time key of the walk once.
     """
     k = level.k
     if k < 1:
@@ -483,8 +524,8 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
     s1_sq = SliceIntegral(win, sq, q_out)
     s2_sq = [SliceIntegral(win, sq, q_out) for _ in range(cells.dim)]
     g_ind_sq = None
+    sample = _source_sampler(level)
     if source is not None:
-        sample = KeyedSampler(source, lambda t: source.sample(cells, t))
         box, mask = q_out.space_box(cells)
         above = np.empty(mask.shape, dtype=bool)
 
@@ -499,23 +540,26 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
         g_ind_sq = SliceIntegral(win, g_ind_cell, q_out)
     eta_x, eta_v = dyadic.cutoffs(cells)
     eta_v_sq = eta_v**2
-    fk_vals = np.empty((win.n_slices,) + cells.shape)
+    initial = np.empty(cells.shape)
     barrier = BarrierSource(cells, float(times[0]), win.dt, win.n_slices - 1)
+    walk = _barrier_slices(level, diffusion, sample)
     last = None
-    for i, (fk, s1, s2) in enumerate(_barrier_slices(level, diffusion)):
-        np.multiply(fk, eta_x, out=fk_vals[i])
-        fk_vals[i] *= eta_v_sq
+    for i in range(win.n_slices):
+        if g_ind_sq is not None:
+            # time cell i - 1, whose midpoint precedes t_i, before S1 at t_i
+            g_ind_sq.add(i, win.values[i])
+        fk, s1, s2 = next(walk)
+        if i == 0:
+            _cutoff_field(fk, eta_x, eta_v_sq, initial)
         s1_sq.add(i, s1)
         for comp, integral in zip(s2, s2_sq):
             integral.add(i, comp)
-        if g_ind_sq is not None:
-            g_ind_sq.add(i, win.values[i])
         if last is not None:
             # the step from slice i - 1 to slice i reads S1 and S2 between them
             barrier.set_step(i - 1, times[i - 1:i + 1], last, (s1, s2))
         last = (s1, s2)
-    last = s1 = s2 = None
-    fk = Trajectory(cells, times.copy(), fk_vals, dt=win.dt)
+    walk = last = fk = s1 = s2 = None
+    initial = PhaseField(cells, float(times[0]), initial)
 
     s1_l2 = math.sqrt(s1_sq.value())
     s2_l2 = math.sqrt(sum(integral.value() for integral in s2_sq))
@@ -526,7 +570,7 @@ def build_barrier_sources(level: LevelPass, diffusion) -> BarrierSourceReport:
     s2_actual = 2.0 * lam * dyadic.max_slope * fk_l2
     s1_budget = (g_ind + 2.0 ** (k + 2) * dyadic.outer_radius * fk_l2
                  + 2.0 ** (k + 3) * lam * grad_l2)
-    return BarrierSourceReport(k, barrier, fk, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
+    return BarrierSourceReport(k, barrier, initial, s1_l2, s2_l2, fk_l2, grad_l2, g_ind,
                                s2_budget, s2_actual, s1_budget)
 
 

@@ -19,6 +19,7 @@ it the largest by a fifth, and a desk or n2 run's peak RSS rose by about
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +50,16 @@ def _padded(n: int) -> int:
     return -(-n // 8) * 8
 
 
+def _rows(sizes) -> list:
+    """Flat float buffers of the given sizes, cut from one `_aligned`
+    allocation, each padded (`_padded`) so that every one starts on the
+    boundary."""
+    padded = [_padded(size) for size in sizes]
+    block = _aligned((sum(padded),))
+    starts = itertools.accumulate(padded, initial=0)
+    return [block[a:a + size] for a, size in zip(starts, sizes)]
+
+
 # ---------------------------------------------------------------------------
 # transport: semi-Lagrangian shift along each x axis, as precomputed gathers
 # ---------------------------------------------------------------------------
@@ -64,17 +75,26 @@ class _TransportPlan:
     conservative and exact on moments up to third order, but not monotone;
     it exists for the moment oracle, not for comparison-principle runs.
 
-    Source indices and weights depend only on the grid and tau, so they
-    are built once, as arrays of indices into the flattened input of each
-    pass, and applied with `take`.  Non-periodic reads outside the box
-    point at one zero appended to the flattened input.  On a cell box the
-    feet are measured from the parent grid's rows (`grid.box`), so the
-    weights are the whole grid's bit for bit; box-local rows would round
-    the fractional feet differently.  A tap's weight depends only on the
-    (x_i, v_i) plane of its shift: it is stored expanded along the v axes
-    and broadcast along the other x axes (n^3 values per tap on an n^4
-    grid), which multiplies as fast as a full copy and equals it bit for
-    bit.  Indices and weights are written into `_aligned` arrays.
+    Feet and weights depend only on the grid and tau, so they are built
+    once.  Every row of a column moves by the same whole number of cells,
+    so a pass gathers its input once: one `take` of one index array into
+    the flattened input fetches, per column, the rows the output reads,
+    which are the output rows and one more for the linear kernel or three
+    more for the cubic one, and each tap reads that gather shifted by its
+    offset.  The values, products and sums are those of one gather per
+    tap, with an index array of (n + 1)/2n of theirs for the linear kernel
+    and (n + 3)/4n for the cubic one.  A foot that roundoff puts on a node
+    above the other feet of its column (w = 0, where |v tau| is below the
+    roundoff of the row's position) is read from the node below at w = 1:
+    the same value, up to the sign of a zero.  Non-periodic reads outside
+    the box point at one zero appended to the flattened input.  On a cell
+    box the feet are measured from the parent grid's rows (`grid.box`), so
+    the weights are the whole grid's bit for bit; box-local rows would
+    round the fractional feet differently.  A tap's weight depends only on
+    the (x_i, v_i) plane of its shift: it is stored expanded along the v
+    axes and broadcast along the other x axes (n^3 values per tap on an
+    n^4 grid), which multiplies as fast as a full copy and equals it bit
+    for bit.  Indices and weights are written into `_aligned` arrays.
 
     `inner` (one slice per axis, default every cell) is the box of cells
     whose output is read, and the call returns the output there.  Each
@@ -83,12 +103,15 @@ class _TransportPlan:
     and on the v axes, along which nothing moves, `inner`'s rows.
 
     A call writes its result into `out` and works in `scratch`, flat
-    buffers of at least one element more than the grid has cells: the
-    first holds each tap's gather, the others each pass's input (with the
-    appended zero when not periodic).  A periodic first pass reads its
-    input in place.  Every view a call uses is made when the plan is
-    built, one (input, gather, accumulator, taps) tuple per pass, so a
-    call is the taps' `take`, multiply and add calls alone.
+    buffers: the first, of `gather_size` elements, holds each pass's
+    gather, the others, of at least one element more than the grid has
+    cells, each pass's input (with the appended zero when not periodic).
+    A periodic first pass reads its input in place.  Once gathered, a
+    pass's input is free, and the taps after the first form their
+    products in its buffer (in the second buffer when the input is the
+    call's).  Every view a call uses is made when the plan is built, one
+    (input, index, gather, accumulator, products, taps) tuple per pass, so
+    a call is one `take` per pass and the taps' multiply and add calls.
     """
 
     def __init__(self, grid, tau: float, periodic: bool, cubic: bool, inner=None,
@@ -102,8 +125,10 @@ class _TransportPlan:
         self.v_rows = (slice(None),) * dim + inner[dim:]
         shape = [n] * dim + [len(range(grid.n_v)[s]) for s in inner[dim:]]
         cells = math.prod(grid.shape) + 1
-        self.scratch = list(_aligned((3, _padded(cells)))) if scratch is None else scratch
-        gather, *inputs = self.scratch
+        if scratch is None:
+            scratch = _rows([self.gather_size(grid, cubic), cells, cells])
+        self.scratch = scratch
+        gather, *inputs = scratch
         in_size = math.prod(shape)
         # the first pass's input when it is copied (not periodic)
         self.first = None if periodic else inputs[0][:in_size + 1]
@@ -115,7 +140,11 @@ class _TransportPlan:
             fi = (rows + start) - grid.v_centers[inner[dim + ax]][None, :] * tau / grid.dx
             foot = np.floor(fi)
             w = fi - foot
-            base = foot.astype(np.int64) - start
+            # the whole cells each row's foot lies from it; a column reads
+            # from its least
+            shift = foot.astype(np.int64) - start - rows
+            low = shift.min(axis=0)
+            w[shift > low] = 1.0
             if cubic:
                 offs = (-1, 0, 1, 2)
                 weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
@@ -128,43 +157,59 @@ class _TransportPlan:
             size = math.prod(shape)
             out_shape = list(shape)
             out_shape[ax] = len(rows)
-            ids = np.arange(size).reshape(shape)[(slice(None),) * ax + (inner[ax],)]
+            # gather row j of a column is its input row rows[0] + offs[0] + j + low
+            gathered = list(shape)
+            gathered[ax] = len(rows) + len(offs) - 1
+            src = rows[0, 0] + offs[0] + np.arange(gathered[ax])[:, None] + low[None, :]
+            inside = (src >= 0) & (src < n)
+            if periodic:
+                src = src % n
             # the (x_i, v_i) plane of the shift, broadcast over the other axes
             plane = [1] * 2 * dim
-            plane[ax] = len(rows)
+            plane[ax] = gathered[ax]
             plane[dim + ax] = shape[dim + ax]
+            stride = math.prod(shape[ax + 1:])
+            # the flat index of each input cell on row 0 of axis ax
+            row_0 = np.arange(size).reshape(shape)[(slice(None),) * ax + (slice(0, 1),)]
+            idx = _aligned(gathered, np.int64)
+            np.add(row_0, (src * stride).reshape(plane), out=idx)
+            if not periodic:
+                np.copyto(idx, size, where=~inside.reshape(plane))
             # the weights' stored shape: the plane, expanded along every v axis
             stored = [1] * dim + out_shape[dim:]
             stored[ax] = len(rows)
-            stride = math.prod(shape[ax + 1:])
-            taps = []
-            for o, wk in zip(offs, weights):
-                src = base + o
-                inside = (src >= 0) & (src < n)
-                if periodic:
-                    src = src % n
-                idx = _aligned(out_shape, np.int64)
-                np.add(ids, ((src - rows) * stride).reshape(plane), out=idx)
-                if not periodic:
-                    np.copyto(idx, size, where=~inside.reshape(plane))
+            plane[ax] = len(rows)
+            stored_weights = []
+            for wk in weights:
                 weight = _aligned(stored)
                 weight[...] = wk.reshape(plane)
-                taps.append((idx, weight))
+                stored_weights.append(weight)
             out_shape = tuple(out_shape)
-            self.passes.append((out_shape, taps))
-            # this pass's input (None: the call's), gather and accumulator
-            # (None: the call's `out`)
+            self.passes.append((out_shape, idx, tuple(stored_weights)))
+            # this pass's input (None: the call's), gather, accumulator
+            # (None: the call's `out`) and products, in the input's buffer
             source = None
             if ax > 0:
                 source = inputs[ax % len(inputs)][:size + (not periodic)]
-            acc = None
             out_size = math.prod(out_shape)
+            acc = None
             if ax < dim - 1:
                 acc = inputs[(ax + 1) % len(inputs)][:out_size].reshape(out_shape)
-            self.program.append((source, gather[:out_size].reshape(out_shape), acc,
-                                 taps[0], tuple(taps[1:])))
+            product = inputs[ax % len(inputs)][:out_size].reshape(out_shape)
+            gather_ax = gather[:math.prod(gathered)].reshape(gathered)
+            taps = [(gather_ax[(slice(None),) * ax + (slice(k, k + len(rows)),)], weight)
+                    for k, weight in enumerate(stored_weights)]
+            self.program.append((source, idx, gather_ax, acc, product, taps[0],
+                                 tuple(taps[1:])))
             shape = list(out_shape)
         self.out_shape = self.passes[-1][0]
+
+    @staticmethod
+    def gather_size(grid, cubic: bool) -> int:
+        """The elements a pass's gather can hold on `grid`: one more row
+        than the grid along an x axis for the linear kernel, three more for
+        the cubic one."""
+        return math.prod(grid.shape) // grid.n_x * (grid.n_x + (3 if cubic else 1))
 
     def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -174,7 +219,7 @@ class _TransportPlan:
         else:
             np.copyto(self.first_cells, values[self.v_rows])
             flat = self.first
-        for source, gather, acc, (idx, w), rest in self.program:
+        for source, idx, gather, acc, product, (tap, w), rest in self.program:
             if source is not None:
                 flat = source
             if not self.periodic:
@@ -182,11 +227,9 @@ class _TransportPlan:
             if acc is None:
                 acc = out
             flat.take(idx, None, gather, "clip")
-            np.multiply(w, gather, acc)
-            for idx, w in rest:
-                flat.take(idx, None, gather, "clip")
-                np.multiply(gather, w, gather)
-                np.add(acc, gather, acc)
+            np.multiply(w, tap, acc)
+            for tap, w in rest:
+                np.add(acc, np.multiply(tap, w, product), acc)
         return out
 
 
@@ -248,10 +291,16 @@ class _ImplicitDiffusion:
     eliminated upper coupling.  Without Dirichlet cells row i + 1 couples
     to row i as row i to row i + 1, so `lower` is `upper`, one array; at
     depth 0 the eliminated upper coupling is `upper` itself.  The factor
-    arrays are `_aligned` and allocated once, at the first factorization,
+    arrays are `_aligned` and allocated once, when the operator is built,
     and `_factor` writes each factorization into them in place, so a
-    refactor allocates nothing and the views below stay valid.  Each axis is moved
-    to the front by a transposition fixed when the operator is built.  The
+    refactor allocates nothing and the views below stay valid.  Allocated
+    before the first coefficient draw, they lie below it in the heap, so
+    the draw's temporaries, and a step plan's sample of a coefficient
+    constant in time, which it drops once factored, are freed on top of
+    the heap and not into a hole under the factors: on the N = 2 benchmark
+    run that kept the main solve's peak RSS 1.4 MB lower.  Each axis is
+    moved to the front by a transposition fixed when the operator is
+    built.  The
     factors are built and every solve runs in `scratch`, three flat
     buffers of at least the grid's cell count (four at depth k > 0): the
     v-first right-hand side, the solution and the products that are
@@ -294,7 +343,7 @@ class _ImplicitDiffusion:
         cells = math.prod(grid.shape)
         self.scratch = scratch if scratch is not None else list(
             _aligned((3 + (self.depth > 0), _padded(cells))))
-        self.axes = None  # built at the first factorization
+        self.axes = [_Axis(self, ax) for ax in range(dim)]
         self.bound = None  # the values the axes' loads and stores view
 
     @property
@@ -305,11 +354,7 @@ class _ImplicitDiffusion:
 
     def _factor(self, ax, a):
         """Factor v axis `ax` for the coefficient `a` into its buffers, in
-        place; returns the axis's factors (`factors`).  The factor arrays are
-        allocated at the first factorization, after the first coefficient
-        draw, whose temporaries would otherwise stack on them."""
-        if self.axes is None:
-            self.axes = [_Axis(self, a) for a in range(self.grid.dim)]
+        place; returns the axis's factors (`factors`)."""
         axis = self.axes[ax]
         np.copyto(axis.a_moved, a[self.columns[ax]].transpose(axis.perm))
         # the face coefficients r*har, negated: har = 2 a_i a_(i+1) / (a_i + a_(i+1)),
@@ -368,13 +413,20 @@ class _ImplicitDiffusion:
             axis.load = cols.transpose(axis.perm)
             axis.store = cols
 
-    def __call__(self, values: np.ndarray, coeffs) -> tuple:
+    def factor(self, coeffs):
+        """Factor every v axis for the coefficient arrays `coeffs`, keeping
+        no reference to them: the solves that follow without coefficients
+        use these factors."""
+        for ax, a in enumerate(coeffs):
+            self._factor(ax, a)
+
+    def __call__(self, values: np.ndarray, coeffs=None) -> tuple:
         """Solve in place: (`values`, now the solution, worst residual over
-        its tolerance)."""
-        if coeffs is not self.coeffs and (
+        its tolerance).  With `coeffs`, first refactor when they differ from
+        the last ones given; without, solve with the factors in place."""
+        if coeffs is not None and coeffs is not self.coeffs and (
                 self.coeffs is None or not all(map(np.array_equal, coeffs, self.coeffs))):
-            for ax, a in enumerate(coeffs):
-                self._factor(ax, a)
+            self.factor(coeffs)
             self.coeffs = coeffs
         if values is not self.bound:
             self._bind(values)

@@ -214,8 +214,8 @@ class RunResult:
     its `timings`, which they do not: per stage ("main_solve", "degiorgi",
     "holder") the wall time, this process's `getrusage` maximum RSS when
     the stage ended, the minor page faults and the Strang steps the stage
-    took in its process with their mean time, and whether it ran in a
-    forked process (`_timed`)."""
+    took in its process with their mean time, the size of the largest step
+    plan it built, and whether it ran in a forked process (`_timed`)."""
 
     config: RunConfig
     audits: list = field(default_factory=list)
@@ -253,26 +253,35 @@ def _barrier_audit(cfg: RunConfig, level: degiorgi.LevelPass, diffusion):
     stage is zero.  Returns the `barrier.csv` row, the final barrier slice
     on the whole grid, the level's metrics, and the slack (`_least`) of the
     comparison and those of the spectral audits, Plancherel and the
-    interpolation inequality.  The source and F_k are freed once the
-    comparison is taken, before the spectra, and the barrier when the call
-    returns.
+    interpolation inequality.  The report keeps F_k at T_{k-1}, where the
+    barrier starts, and goes before the barrier solve: the comparison and
+    max|F_k| read F_k formed one slice at a time (`degiorgi.cutoff_fields`).
+    The source goes once the comparison is taken, before the spectra, and
+    the barrier when the call returns.
     """
     k = level.k
     grid = level.window.grid.parent
     rep = degiorgi.build_barrier_sources(level, diffusion)
-    fk = rep.fk
-    # the barrier starts from the truncated field F_k at T_{k-1}
-    g_traj = solver.solve_barrier_ibvp(rep.source, diffusion, k, interp=cfg.interp,
-                                       initial=fk.field(0))
+    source, initial, s1_l2, s2_l2 = rep.source, rep.initial, rep.s1_l2, rep.s2_l2
+    row = [k, s1_l2, s2_l2, rep.s2_bound, rep.s1_bound]
+    del rep
+    g_traj = solver.solve_barrier_ibvp(source, diffusion, k, interp=cfg.interp,
+                                       initial=initial)
+    del source, initial
+    f_highs = []
+
+    def fk_slices():
+        """F_k slice by slice, taking max|F_k| of each on the way."""
+        for fk in degiorgi.cutoff_fields(level):
+            f_highs.append(_abs_max(fk))
+            yield fk
+
     # G_k starts from F_k, so G_k - F_k = 0 on the first slice and the
     # minimum over the window is the whole grid's, whose other nodes hold 0
-    comp_min = solver.comparison_check(fk, g_traj)
-    f_linf = _abs_max(fk.values)
+    comp_min = solver.comparison_check(fk_slices(), g_traj.values)
+    f_linf = float(np.max(f_highs))
     comparison = comp_min + 10.0 * _scheme_tolerance(grid, f_linf)
-    s1_l2, s2_l2 = rep.s1_l2, rep.s2_l2
-    row = [k, s1_l2, s2_l2, rep.s2_bound, rep.s1_bound, comp_min, f_linf]
-    # the spectra read the barrier alone: the source and F_k go first
-    del rep, fk
+    row += [comp_min, f_linf]
 
     spec = averaging.SpectralField.from_trajectory(g_traj, warn_boundary=False)
     l2 = spec.l2_norm()
@@ -552,10 +561,12 @@ def _timed(fn, *args, forked: bool = False):
     `getrusage` maximum RSS in MiB when it returned, the minor page faults
     this process took during the call, the Strang steps it took
     (`solver.STEP_CLOCK`) with their mean time in microseconds (None
-    without steps), and `forked`."""
+    without steps), the MiB owned by the largest step plan it built
+    (`solver._StepPlan.nbytes`, 0 without steps), and `forked`."""
     clock = solver.STEP_CLOCK
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     steps, step_s = clock.steps, clock.seconds
+    clock.plan_bytes = 0
     start = time.perf_counter()
     out = fn(*args)
     wall = time.perf_counter() - start
@@ -563,7 +574,8 @@ def _timed(fn, *args, forked: bool = False):
     steps, step_s = clock.steps - steps, clock.seconds - step_s
     return out, {"wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
                  "minflt": usage.ru_minflt - faults, "steps": steps,
-                 "step_us": 1e6 * step_s / steps if steps else None, "forked": forked}
+                 "step_us": 1e6 * step_s / steps if steps else None,
+                 "plan_mb": clock.plan_bytes / 2.0**20, "forked": forked}
 
 
 def _holder_child(conn, stage_args):

@@ -13,13 +13,16 @@ so the substep is an M-matrix solve and constants are exact fixed points.
 Work that depends only on the grid, dt and the coefficient is done once
 per solve, in a step plan (`solve` and `solve_anchored` build one; the
 public `step` builds one per call).  The transport's flat gather indices
-and interpolation weights are fixed for the solve; a tap's weights are
-stored on the (x_i, v_i) plane of its shift expanded along the v axes,
-n^3 values on an n^4 grid.  The coefficient arrays and the source
+and interpolation weights are fixed for the solve: one index array per x
+axis gathers the rows every tap of the pass reads, and a tap's weights
+are stored on the (x_i, v_i) plane of its shift expanded along the v
+axes, n^3 values on an n^4 grid.  The coefficient arrays and the source
 increment dt*g are resampled only when the field's `time_key` changes:
-never for a time-independent field, once per time cell for a
-cellwise-random one, every step for an oscillatory one or under a
-drifting zoom.  The plan takes its increments from the source's
+once per time cell for a cellwise-random field, every step for an
+oscillatory one or under a drifting zoom.  A coefficient whose time key
+is None is drawn and factored at the first step and its sample dropped;
+a source constant over the grid (kinds zero and constant) is the scalar
+dt*g.  The plan takes its increments from the source's
 `increments_for(grid, dt)`: a `SourceField` draws dt*g by time key, a
 barrier source (`degiorgi.BarrierSource`) returns the increments it
 holds.  The diffusion factors its tridiagonal systems in numpy
@@ -30,9 +33,11 @@ then applies the gathers and one factored solve per v axis, whose
 residual is checked against 1e-9 (1 + max|rhs|) and recorded in the
 ledger as `diff_residual`, the worst residual over that tolerance.  A step
 runs in buffers the plan allocates once and allocates no slice-sized
-array: on N = 2 a plan holds about 20 slices (the index gathers, four
-factor arrays per v axis, the coefficient samples and its buffers), and
-its step returns one of them, valid until the next step.
+array: on N = 2 a plan holds about 15 slices (four factor arrays per v
+axis, two step buffers and three scratch buffers, and the index
+gathers), and its step returns one of them, valid until the next step.
+`march` and `solve_anchored` drop the initial field once its slice is
+taken.
 
 The step is bound to its plan.  The plan owns every array a step touches
 and makes every view of them when it is built: one tuple of views per
@@ -96,8 +101,8 @@ from .degiorgi import LOCAL_ENERGY_LEVELS, BarrierSource, LevelPass
 from .fields import PhaseField, Trajectory
 from .geometry import PhaseGrid, _CellBox, _bounding_box, dyadic_radius, dyadic_time, \
     face_divergence, grad_v_sq_density, time_quadrature_weights
-from .kernels import SolverError, _ImplicitDiffusion, _TransportPlan, _aligned, _padded, \
-    _reduction_depth
+from .kernels import SolverError, _ImplicitDiffusion, _TransportPlan, _aligned, \
+    _reduction_depth, _rows
 
 __all__ = [
     "SolverError",
@@ -161,11 +166,14 @@ class _StepClock:
     them (`_StepPlan.step`), read before and after each stage of a run for
     its timings (`pipeline._timed`).  Like `getrusage`'s counts it is one
     per process and only grows, so a reader takes differences, and a
-    forked process counts its own steps from the parent's totals."""
+    forked process counts its own steps from the parent's totals.
+    `plan_bytes` is the largest `_StepPlan.nbytes` of a plan at its first
+    step since a reader last set it to 0."""
 
     def __init__(self):
         self.steps = 0
         self.seconds = 0.0
+        self.plan_bytes = 0
 
 
 STEP_CLOCK = _StepClock()
@@ -224,12 +232,14 @@ def _check_cfl(grid, dt: float):
 
 class _StepPlan:
     """What every Strang step of one solve reuses: the half-step transport
-    gathers, the implicit diffusion operator with its factors, and the
-    coefficient arrays, resampled only when their time key changes, and the
-    source's increment sampler (`increments_for`).  Cells
-    outside `active` are Dirichlet rows of the diffusion solve, whose
-    reduction depth is `depth` when given.  Both substeps compute only what
-    the bounding box of `active` (`inner`) needs: the cells outside it take
+    gathers, the implicit diffusion operator with its factors, the
+    coefficient arrays, resampled only when their time key changes (a
+    coefficient without a time key is drawn once, at the first step, and
+    only its factors are kept), and the source's increment sampler
+    (`increments_for`), whose increment may be a scalar.  Cells outside
+    `active` are Dirichlet rows of the diffusion solve, whose reduction
+    depth is `depth` when given.  Both substeps compute only what the
+    bounding box of `active` (`inner`) needs: the cells outside it take
     the Dirichlet data whatever is computed there.
 
     The plan owns every array a step touches and makes every view of them
@@ -241,12 +251,15 @@ class _StepPlan:
 
     A step allocates no array the size of a slice.  The transport and the
     diffusion share three scratch buffers (four at reduction depth k > 0),
-    and a step writes the first transport's output (on `inner`) into one
-    more buffer and its result into another, which it returns.  That
-    result is the plan's: it holds until the next step, which may read it
-    as its input.  The buffers are the rows of one `_aligned` block, each
-    padded to a multiple of 8 doubles so that every row starts on a
-    64-byte boundary, allocated and freed at once: a solve that frees one
+    the first of which also holds the transport's gathers and so is
+    (n + 1)/n of a slice under linear interpolation, (n + 3)/n under
+    cubic, with n the x cells per axis, and a step writes the first
+    transport's output (on `inner`) into one more buffer and its result
+    into another, which it returns.  That result is the plan's: it holds
+    until the next step, which may read it as its input.  The buffers are
+    cut from one `_aligned` block (`kernels._rows`), each padded to a
+    multiple of 8 doubles so that every one starts on a 64-byte boundary,
+    allocated and freed at once: a solve that frees one
     block of several slices leaves glibc's dynamic mmap threshold above
     it, so the slice-sized temporaries of the audits that follow reuse
     heap pages instead of faulting in fresh ones.  On the N = 2 benchmark
@@ -262,22 +275,24 @@ class _StepPlan:
         _check_cfl(grid, dt)
         self.dt = dt
         self.active = active
+        self.stepped = False
         inner = None if active is None else _bounding_box(active)
         self.inner = (slice(None),) * 2 * grid.dim if inner is None else inner
         depth = _reduction_depth(grid) if depth is None else depth
         cells = math.prod(grid.shape)
-        block = _aligned((5 + (depth > 0), _padded(cells + 1)))
-        scratch = list(block[2:])
-        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, interp == "cubic",
-                                        inner, scratch)
+        cubic = interp == "cubic"
+        block = _rows([cells, cells, _TransportPlan.gather_size(grid, cubic)]
+                      + [cells + 1] * (2 + (depth > 0)))
+        scratch = block[2:]
+        self.transport = _TransportPlan(grid, 0.5 * dt, periodic, cubic, inner, scratch)
         self.implicit = _ImplicitDiffusion(grid, dt, active, depth, inner, scratch)
         self.coefficients = KeyedSampler(diffusion, lambda t: diffusion.sample(grid, t))
         self.increment = None if source is None else source.increments_for(grid, dt)
         moved = [len(range(n)[s]) for s, n in zip(self.inner, grid.shape)]
-        self.moved = block[0, :math.prod(moved)].reshape(moved)
-        self.result = block[1, :cells].reshape(grid.shape)
+        self.moved = block[0][:math.prod(moved)].reshape(moved)
+        self.result = block[1].reshape(grid.shape)
         # a scratch slice no step holds on to: the caller's until the next step
-        self.spare = block[2, :cells].reshape(grid.shape)
+        self.spare = block[2][:cells].reshape(grid.shape)
         if active is not None:
             self.active_inner = active[self.inner]
             self.result_inner = self.result[self.inner]
@@ -302,18 +317,59 @@ class _StepPlan:
             # carry stiff div_v structure that must see the same implicit damping
             # as the field itself, or the comparison defect saturates at O(1)
             increment = self.increment(t_mid)
-            np.add(moved, increment if self.active is None else increment[self.inner],
-                   moved)
+            if self.active is not None and np.ndim(increment):
+                increment = increment[self.inner]
+            np.add(moved, increment, moved)
         if self.active is None:
-            _, residual = self.implicit(moved, self.coefficients(t_mid))
+            _, residual = self.implicit(moved, self._coefficients(t_mid))
             out = self.transport(moved, self.result)
         else:
             out = self._pinned(moved, fill)
-            _, residual = self.implicit(out, self.coefficients(t_mid))
+            _, residual = self.implicit(out, self._coefficients(t_mid))
             self._pinned(self.transport(out, moved), fill)
         STEP_CLOCK.steps += 1
         STEP_CLOCK.seconds += time.perf_counter() - start
+        if not self.stepped:
+            self.stepped = True
+            STEP_CLOCK.plan_bytes = max(STEP_CLOCK.plan_bytes, self.nbytes)
         return out, residual
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the buffers the plan owns: its block of step and
+        scratch buffers, the transport's indices and weights, the
+        diffusion's Dirichlet masks and factor arrays, and the coefficient
+        sample and source increment it holds."""
+        arrays = [self.result, *(self.implicit.dead or ())]
+        for _, idx, weights in self.transport.passes:
+            arrays += [idx, *weights]
+        for diag, lower, upper, stages, mult, inv_diag, up in self.implicit.factors:
+            arrays += [diag, lower, upper, mult, inv_diag, up]
+            arrays += [a for _, alpha, gamma in stages for a in (alpha, gamma)]
+        for sampler in (self.coefficients, self.increment):
+            if isinstance(sampler, KeyedSampler) and sampler.value is not None:
+                value = sampler.value
+                arrays += value if isinstance(value, tuple) else [value]
+        roots = {}
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            roots[id(arr)] = arr.nbytes
+        return sum(roots.values())
+
+    def _coefficients(self, t):
+        """The coefficient arrays at t for the diffusion solve, or None when
+        its factors in place are theirs.  A field whose time key is None
+        is constant in time: it is drawn and factored at the first step and
+        its sample is dropped, and the steps after it draw nothing."""
+        if self.coefficients is None:
+            return None
+        coeffs = self.coefficients(t)
+        if self.coefficients.key is None:
+            self.implicit.factor(coeffs)
+            self.coefficients = None
+            return None
+        return coeffs
 
     def _pinned(self, inner, fill):
         """The plan's whole box from values on `self.inner`, in `result`:
@@ -373,17 +429,19 @@ def march(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
     with `diff_residual` the worst diffusion-solve residual of the step
     over its tolerance (0 for the initial entry).
     """
-    grid = f0.grid
+    grid, t0 = f0.grid, f0.t
     dt, n_steps = _march_steps(f0, t_end, dt)
     plan = _bc_plan(grid, diffusion, source, dt, bc, interp)
     vals = plan.restrict(f0.values)
+    # the initial values go at the first step, when `vals` moves to the plan
+    f0 = None
     if ledger is not None:
-        ledger.append(_ledger_entry(grid, f0.t, vals, 0.0, plan.spare))
-    yield f0.t, vals
-    t = f0.t
+        ledger.append(_ledger_entry(grid, t0, vals, 0.0, plan.spare))
+    yield t0, vals
+    t = t0
     for n in range(n_steps):
         vals, residual = plan.step(vals, t)
-        t = f0.t + (n + 1) * dt
+        t = t0 + (n + 1) * dt
         if ledger is not None:
             ledger.append(_ledger_entry(grid, t, vals, residual, plan.spare))
         yield t, vals
@@ -397,15 +455,18 @@ def solve(f0: PhaseField, diffusion, source, t_end: float, bc: BoundaryCondition
 
     Identical inputs give bit-identical trajectories.
     """
+    grid = f0.grid
     dt, n_steps = _march_steps(f0, t_end, dt)
     times = np.empty(n_steps + 1)
-    slices = _aligned(times.shape + f0.grid.shape)
+    slices = _aligned(times.shape + grid.shape)
     ledger = []
-    for i, (t, vals) in enumerate(march(f0, diffusion, source, t_end, bc, dt, interp,
-                                        ledger)):
+    steps = march(f0, diffusion, source, t_end, bc, dt, interp, ledger)
+    # the march holds the initial field until its first step, and drops it
+    f0 = None
+    for i, (t, vals) in enumerate(steps):
         times[i] = t
         slices[i] = vals
-    return Trajectory(f0.grid, times, slices, ledger, dt=dt)
+    return Trajectory(grid, times, slices, ledger, dt=dt)
 
 
 def solve_anchored(data, diffusion, source, interp: str = "linear",
@@ -461,7 +522,8 @@ def solve_anchored(data, diffusion, source, interp: str = "linear",
     initial = whole(0)
     if first == 0:
         slices[0] = initial
-    vals = initial[cells.box]
+    # the initial slice goes at the first step, when `vals` moves to the plan
+    vals, initial = initial[cells.box], None
     for n, anchor in zip(range(len(times) - 1), anchors):
         # rings carry the parent data at the implicit time level, so the
         # backward-Euler solve sees exact Dirichlet anchors (a linear field
@@ -492,7 +554,7 @@ def solve_barrier_ibvp(source: BarrierSource, diffusion, k: int, initial: PhaseF
     (`Trajectory.slice_at`).  The comparison
     0 <= F_k <= G_k is a maximum-principle consequence when the
     difference has zero initial defect, so `initial` is the truncated
-    field F_k(T_{k-1}, .) (`BarrierSourceReport.fk.field(0)`).
+    field F_k(T_{k-1}, .) (`BarrierSourceReport.initial`).
     """
     t_start = dyadic_time(k - 1)
     radius = dyadic_radius(k - 1)
@@ -610,15 +672,20 @@ def local_energy_check(level: LevelPass, lam: float, s: float, t: float) -> floa
     return rhs - lhs
 
 
-def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """min(B - A) over all stored nodes; >= 0 means A <= B holds pointwise.
-    The minimum is taken slice by slice; a NaN at any node gives NaN."""
-    if traj_a.values.shape != traj_b.values.shape:
-        raise ValueError(f"trajectory shapes differ: {traj_a.values.shape} "
-                         f"vs {traj_b.values.shape}")
-    diff = np.empty(traj_a.grid.shape)
-    return float(np.min([np.subtract(b, a, out=diff).min()
-                         for a, b in zip(traj_a.values, traj_b.values)]))
+def comparison_check(slices_a, slices_b) -> float:
+    """min(B - A) over all nodes of two equally long sequences of slices of
+    one shape (a trajectory's `values`, or slices formed one at a time);
+    >= 0 means A <= B holds pointwise.  The minimum is taken slice by
+    slice; a NaN at any node gives NaN."""
+    diff, mins = None, []
+    for a, b in zip(slices_a, slices_b, strict=True):
+        if diff is None:
+            diff = np.empty(a.shape)
+        if not a.shape == b.shape == diff.shape:
+            raise ValueError(f"slice shapes differ: {a.shape} and {b.shape}, "
+                             f"the first {diff.shape}")
+        mins.append(np.subtract(b, a, out=diff).min())
+    return float(np.min(mins))
 
 
 def second_moments(field: PhaseField):

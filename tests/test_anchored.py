@@ -171,3 +171,37 @@ def test_window_transport_is_the_whole_grids_bit_for_bit(k, interp):
     inside = ball[cells.box]
     assert inside.sum() == ball.sum()
     assert np.array_equal(window[inside], whole[cells.box][inside])
+
+
+# --- convergence on an exact Kolmogorov mode --------------------------------------------
+
+# the interior max error of each re-solve, measured: n = 16, 32, 64 (and 128,
+# not run here), with the orders log2(e_n / e_2n) between them
+#   linear: 9.99e-2, 5.96e-2 (0.74), 3.28e-2 (0.86), 1.73e-2 (0.92)
+#   cubic:  9.06e-2, 5.79e-2 (0.65), 3.26e-2 (0.83), 1.73e-2 (0.92)
+_ORDER_BOUNDS = {"linear": (0.70, 0.80), "cubic": (0.60, 0.78)}
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+def test_anchored_resolve_converges_at_first_order(interp):
+    """f = cos(k(x - v s)) exp(-a k^2 s^3 / 3), with s the time since the
+    start, solves d_s f + v d_x f = a d_vv f exactly (k = 2 pi / 3, a = 1,
+    g = 0).  Re-solved from f as data and ring on n_t = n_x = n_v = n over
+    the default box, the max error on the cells the ring does not pin
+    falls at an order that rises towards one under refinement."""
+    k, a = 2.0 * np.pi / 3.0, 1.0
+    errors = []
+    for n in (16, 32, 64):
+        grid = PhaseGrid(1, (-1.5, 0.0), n, 1.5, n, 1.5, n)
+        t0 = grid.t_span[0]
+        data = Trajectory.from_function(
+            grid, grid.times, lambda t, x, v: np.cos(k * (x - v * (t - t0)))
+            * np.exp(-a * k**2 * (t - t0) ** 3 / 3.0))
+        got = solve_anchored(data, build_diffusion(1, 2.0, "constant", value=a), None,
+                             interp)
+        errors.append(float(np.max(np.abs(got.values - data.values)[:, ~ring_mask(grid)])))
+    orders = [np.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
+    assert errors[-1] < 0.035, errors
+    for order, bound in zip(orders, _ORDER_BOUNDS[interp]):
+        assert bound < order < 1.1, orders
+    assert orders[1] > orders[0], orders

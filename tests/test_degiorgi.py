@@ -135,7 +135,7 @@ def test_barrier_and_truncation_norms_agree(rough_run):
         level = LevelPass(traj, k, rough_run["source"])
         trunc = truncation_energy(level, rough_run["lam"])
         barrier = build_barrier_sources(level, rough_run["diffusion"])
-        window = traj.window(float(barrier.fk.times[0]), DyadicLevel(k).outer_radius)
+        window = traj.window(barrier.initial.t, DyadicLevel(k).outer_radius)
         fk = truncate(window, k)
         q_out = DyadicLevel(k).outer_cylinder()
         fk_l2 = math.sqrt(cylinder_integral(fk, lambda v: v**2, q_out))
@@ -256,9 +256,9 @@ def test_barrier_sources_constant_field_oracle(grid):
     slope_x = (lev.eta_slope(grid.rho_x) * np.sign(grid.x_centers))[:, None]
     s2_expect = -2.0 * eta_x * eta_v * cbar * slope_v
     s1_expect = cbar * eta_v**2 * grid.v_centers[None, :] * slope_x
-    box = rep.fk.grid.box
+    box = rep.initial.grid.box
     assert window.grid.box == box
-    assert rep.fk.t_start == rep.source.t_start == dyadic_time(k - 1)
+    assert rep.initial.t == rep.source.t_start == dyadic_time(k - 1)
     for expect in (s1_expect, s2_expect):
         outside = expect.copy()
         outside[box] = 0.0

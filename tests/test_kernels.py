@@ -4,6 +4,7 @@ cyclic-reduction/Thomas diffusion against a dense solve, keyed coefficient
 and source sampling against resampling every step, and the separable zoom
 against `scipy.ndimage.map_coordinates`."""
 
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import kfplab
 from kfplab.coefficients import DiffusionField, SourceField, build_diffusion, build_source
 from kfplab.degiorgi import BarrierSource
 from kfplab.fields import PhaseField, Trajectory
-from kfplab.geometry import PhaseGrid
+from kfplab.geometry import GridWindow, PhaseGrid, _bounding_box
 from kfplab.holder import ScalingMap, ZoomSampler, zoom
 from kfplab import solver
 from kfplab.solver import (
@@ -35,13 +36,15 @@ from kfplab.solver import (
 
 # --- transport ---------------------------------------------------------------
 
-def _shift_columns_reference(vals, d, periodic, cubic):
+def _shift_columns_reference(vals, d, periodic, cubic, start=0):
     """out[i, j] = vals[i - d[j], j] on 2-d (n, m) columns, padded reads of
-    zero when not periodic."""
+    zero when not periodic.  The feet are measured from rows start, start
+    + 1, ..., as a cell box's are from its parent grid's rows."""
     n, m = vals.shape
-    fi = np.arange(n)[:, None] - d[None, :]
-    base = np.floor(fi).astype(np.int64)
-    w = fi - base
+    fi = (np.arange(n) + start)[:, None] - d[None, :]
+    foot = np.floor(fi)
+    base = foot.astype(np.int64) - start
+    w = fi - foot
     cols = np.broadcast_to(np.arange(m)[None, :], (n, m))
     if cubic:
         offs = (-1, 0, 1, 2)
@@ -76,22 +79,63 @@ def _transport_reference(values, grid, tau, periodic, cubic):
         rest = int(np.prod(moved.shape[2:], dtype=int))
         flat = moved.reshape(moved.shape[0], moved.shape[1] * rest)
         shifted = _shift_columns_reference(flat, np.repeat(d_idx, rest),
-                                           periodic, cubic)
+                                           periodic, cubic, grid.box[0].start)
         out = np.moveaxis(shifted.reshape(moved.shape), (0, 1), (ax, v_ax))
     return out
 
 
+def _anchored_inner(grid, interp):
+    """(the cell box `solve_anchored` steps, the bounding box of its
+    unpinned cells)."""
+    cells = solver._anchored_cells(grid, interp)
+    return cells, _bounding_box(~ring_mask(grid)[cells.box])
+
+
 @pytest.mark.parametrize("cubic", [False, True])
-@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("where", ["periodic grid", "grid", "window", "anchored"])
 @pytest.mark.parametrize("dim,n_x,n_v", [(1, 24, 24), (1, 25, 23),
                                          (2, 8, 8), (2, 9, 7)])
-def test_transport_plan_equals_column_shift_gather(dim, n_x, n_v, periodic, cubic):
+def test_transport_plan_equals_column_shift_gather(dim, n_x, n_v, where, cubic):
+    """On a whole grid, a level window and an anchored box (whose output is
+    its unpinned cells' bounding box), each pass of the plan gathers its
+    input with one index array, which holds the output rows and the rows
+    after them that the other taps read."""
     grid = PhaseGrid(dim, (-1.5, 0.0), 24, 1.5, n_x, 1.5, n_v)
-    vals = np.random.default_rng(n_x + 10 * n_v).normal(size=grid.shape)
+    cells, inner = grid, (slice(None),) * 2 * dim
+    if where == "window":
+        cells = GridWindow(grid, 1.0)
+    elif where == "anchored":
+        cells, inner = _anchored_inner(grid, "cubic" if cubic else "linear")
+    periodic = where == "periodic grid"
+    vals = np.random.default_rng(n_x + 10 * n_v).normal(size=cells.shape)
+    taps = 4 if cubic else 2
     for tau in (0.5 * grid.dt, 0.37 * grid.dt, -0.5 * grid.dt):
-        plan = _TransportPlan(grid, tau, periodic, cubic)
-        expected = _transport_reference(vals, grid, tau, periodic, cubic)
+        plan = _TransportPlan(cells, tau, periodic, cubic, inner)
+        expected = _transport_reference(vals, cells, tau, periodic, cubic)[inner]
         assert np.array_equal(plan(vals), expected)
+        assert len(plan.passes) == len(plan.program) == dim
+        for ax, (out_shape, idx, weights) in enumerate(plan.passes):
+            assert idx.dtype == np.int64 and len(weights) == taps
+            rows = out_shape[ax] + taps - 1
+            assert idx.shape[ax] == rows
+            assert idx.size * out_shape[ax] == math.prod(out_shape) * rows
+
+
+def test_transport_reads_a_foot_on_a_node_from_below():
+    """Where |v tau| is below the roundoff of a row's position, some of a
+    column's feet round onto a node (w = 0) and the others fall just below
+    it.  The plan reads every foot of the column from below, the node at
+    w = 1: the same values as the column-shift gather."""
+    grid = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 11, 0.1, 11)
+    v = grid.v_centers[5]
+    assert 0.0 < abs(v) < 1e-15
+    vals = np.random.default_rng(3).normal(size=grid.shape)
+    for periodic in (True, False):
+        for cubic in (False, True):
+            for tau in (grid.dt, -grid.dt):
+                plan = _TransportPlan(grid, tau, periodic, cubic)
+                assert np.array_equal(plan(vals),
+                                      _transport_reference(vals, grid, tau, periodic, cubic))
 
 
 def _lagrange(nodes, o, w):
@@ -214,12 +258,15 @@ def test_runtime_imports_no_scipy():
 
 
 def _always_refactor(monkeypatch):
+    """Draw the coefficient at every step, as if it changed with t, and
+    factor every draw."""
     call = _ImplicitDiffusion.__call__
 
     def refactoring_call(self, values, coeffs):
         self.coeffs = None
         return call(self, values, coeffs)
 
+    monkeypatch.setattr(DiffusionField, "time_key", lambda self, t: t)
     monkeypatch.setattr(_ImplicitDiffusion, "__call__", refactoring_call)
 
 
@@ -351,16 +398,63 @@ def test_diffusion_residual_failure_raises(monkeypatch):
 
 # --- the lean step against the step it replaced -------------------------------
 # The references below are the step's kernels as they were before the step
-# plan kept each slice-sized array once: a fresh padded input and
+# plan kept each slice-sized array once: one gather per transport tap, from
+# index arrays built here from the grid and tau, a fresh padded input and
 # accumulator per transport pass, every factor array with a separate lower
 # coupling and a copy of the upper one, and fresh arrays for every solve and
-# residual.  They read the lean plan's gathers, columns and masks, so the
-# comparison is of the arithmetic alone.
+# residual.  They read the lean plan's columns and masks, and sample the
+# coefficient and the source at every step, so the comparison is of the
+# arithmetic alone.
 
-def _transport_call_reference(plan, values):
-    out = values[plan.v_rows]
-    for _, taps in plan.passes:
-        if plan.periodic:
+def _tap_gathers(grid, tau, periodic, cubic, inner):
+    """Per x-axis pass, one (flat index, weight) pair per tap: the index
+    of each output cell's foot plus the tap's offset in the pass's
+    flattened input (its appended zero when the foot leaves a non-periodic
+    box), and the tap's weight on the (x_i, v_i) plane of the shift."""
+    dim, n = grid.dim, grid.n_x
+    start = grid.box[0].start
+    shape = [n] * dim + [len(range(grid.n_v)[s]) for s in inner[dim:]]
+    passes = []
+    for ax in range(dim):
+        rows = np.arange(n)[inner[ax]][:, None]
+        fi = (rows + start) - grid.v_centers[inner[dim + ax]][None, :] * tau / grid.dx
+        foot = np.floor(fi)
+        w = fi - foot
+        base = foot.astype(np.int64) - start
+        if cubic:
+            offs = (-1, 0, 1, 2)
+            weights = (-w * (w - 1.0) * (w - 2.0) / 6.0,
+                       (w * w - 1.0) * (w - 2.0) / 2.0,
+                       -w * (w + 1.0) * (w - 2.0) / 2.0,
+                       w * (w * w - 1.0) / 6.0)
+        else:
+            offs = (0, 1)
+            weights = (1.0 - w, w)
+        size = math.prod(shape)
+        ids = np.arange(size).reshape(shape)[(slice(None),) * ax + (inner[ax],)]
+        plane = [1] * 2 * dim
+        plane[ax] = len(rows)
+        plane[dim + ax] = shape[dim + ax]
+        stride = math.prod(shape[ax + 1:])
+        taps = []
+        for o, wk in zip(offs, weights):
+            src = base + o
+            inside = (src >= 0) & (src < n)
+            if periodic:
+                src = src % n
+            idx = ids + ((src - rows) * stride).reshape(plane)
+            if not periodic:
+                idx = np.where(inside.reshape(plane), idx, size)
+            taps.append((idx, wk.reshape(plane)))
+        passes.append(taps)
+        shape = list(ids.shape)
+    return passes
+
+
+def _transport_call_reference(passes, periodic, inner, values):
+    out = values[(slice(None),) * (values.ndim // 2) + inner[values.ndim // 2:]]
+    for taps in passes:
+        if periodic:
             flat = out.ravel()
         else:
             flat = np.empty(out.size + 1)
@@ -469,16 +563,17 @@ def _pinned_reference(plan, inner, fill):
     return out
 
 
-def _step_reference(plan, values, t, fill=0.0):
+def _step_reference(plan, passes, periodic, diffusion, source, values, t, fill=0.0):
+    grid = plan.implicit.grid
     t_mid = t + 0.5 * plan.dt
-    out = _transport_call_reference(plan.transport, values)
-    if plan.increment is not None:
-        out = out + plan.increment(t_mid)[plan.inner]
+    out = _transport_call_reference(passes, periodic, plan.inner, values)
+    if source is not None:
+        out = out + (plan.dt * source.sample(grid, t_mid))[plan.inner]
     out = _pinned_reference(plan, out, fill)
     out, residual = _diffusion_reference(plan.implicit, plan.active, out,
-                                         plan.coefficients(t_mid))
-    return _pinned_reference(plan, _transport_call_reference(plan.transport, out),
-                             fill), residual
+                                         diffusion.sample(grid, t_mid))
+    return _pinned_reference(plan, _transport_call_reference(passes, periodic, plan.inner,
+                                                             out), fill), residual
 
 
 _STEP_GRIDS = {
@@ -508,6 +603,8 @@ def test_lean_step_is_bit_identical_to_reference(name, interp, problem, kind, pa
     rng = np.random.default_rng(len(name) + 7 * dim)
     dt = grid.dt
     fills = [0.0] * 4
+    periodic = problem == "periodic"
+    cells = grid
     if problem == "anchored":
         cells = solver._anchored_cells(grid, interp)
         plan = solver._StepPlan(cells, a, g, dt, interp, False,
@@ -515,14 +612,16 @@ def test_lean_step_is_bit_identical_to_reference(name, interp, problem, kind, pa
         fills = [rng.uniform(-1.0, 1.0, cells.shape) for _ in fills]
         vals = rng.uniform(-1.0, 1.0, cells.shape)
     else:
-        bc = WHOLE_SPACE if problem == "periodic" else kinetic_ibvp(1.0)
+        bc = WHOLE_SPACE if periodic else kinetic_ibvp(1.0)
         plan = solver._bc_plan(grid, a, g, dt, bc, interp)
         vals = plan.restrict(rng.uniform(-1.0, 1.0, grid.shape))
     assert plan.implicit.depth == depth
+    passes = _tap_gathers(cells, 0.5 * dt, periodic, interp == "cubic", plan.inner)
     expected = vals.copy()
     for n, fill in enumerate(fills):
         t = -1.5 + n * dt
-        expected, expected_res = _step_reference(plan, expected, t, fill)
+        expected, expected_res = _step_reference(plan, passes, periodic, a, g, expected,
+                                                 t, fill)
         vals, res = plan.step(vals, t, fill)
         assert np.array_equal(vals, expected), n
         assert res == expected_res, n

@@ -197,8 +197,8 @@ def test_a_level_pass_and_its_barrier_start_at_the_same_stored_slice():
     assert traj.times[i0] > dyadic_time(0)
     level = degiorgi.LevelPass(traj, 1, source)
     rep = degiorgi.build_barrier_sources(level, diffusion)
-    assert level.window.times[0] == rep.fk.times[0] == rep.source.t_start == traj.times[i0]
-    assert rep.fk.n_slices == traj.n_slices - i0
+    assert level.window.times[0] == rep.initial.t == rep.source.t_start == traj.times[i0]
+    assert len(rep.source.increments) == traj.n_slices - i0 - 1
     assert rep.fk_l2 > 0.0
 
 
@@ -384,9 +384,14 @@ def test_timings_count_the_strang_steps_of_each_stage(monkeypatch, overlap):
     assert timings["degiorgi"]["steps"] == 2 * n_t + barrier
     assert timings["holder"]["steps"] == cfg.ladder_levels * n_t
     for stage in timings.values():
-        assert stage["step_us"] > 0.0
+        assert stage["step_us"] > 0.0 and stage["plan_mb"] > 0.0
+    # the main solve builds one plan, on the run's grid
+    plan = solver._StepPlan(grid, build_coefficient(cfg), build_source_field(cfg), grid.dt,
+                            cfg.interp, True)
+    plan.step(np.zeros(grid.shape), grid.t_span[0])
+    assert timings["main_solve"]["plan_mb"] == plan.nbytes / 2.0**20
     _, timing = pipeline._timed(lambda: None)
-    assert timing["steps"] == 0 and timing["step_us"] is None
+    assert timing["steps"] == 0 and timing["step_us"] is None and timing["plan_mb"] == 0.0
 
 
 def _raising(exc):

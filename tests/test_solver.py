@@ -277,16 +277,24 @@ def test_local_energy_trivial_cases(grid, rough_a, zero_g):
 def test_comparison_check(grid):
     a = Trajectory.from_constant(grid, grid.times, 0.3)
     b = Trajectory.from_constant(grid, grid.times, 1.3)
-    assert comparison_check(a, a) == 0.0
-    assert comparison_check(a, b) == pytest.approx(1.0, abs=1e-15)
+    assert comparison_check(a.values, a.values) == 0.0
+    assert comparison_check(a.values, b.values) == pytest.approx(1.0, abs=1e-15)
+    # slices formed one at a time give the same minimum
+    assert comparison_check((s.copy() for s in a.values), b.values) == \
+        comparison_check(a.values, b.values)
     # a NaN in a later slice is not lost behind a finite first minimum
-    nan_b = Trajectory(grid, b.times, b.values.copy())
-    nan_b.values[-1, 0, 0] = np.nan
-    assert np.isnan(comparison_check(a, nan_b))
+    nan_b = b.values.copy()
+    nan_b[-1, 0, 0] = np.nan
+    assert np.isnan(comparison_check(a.values, nan_b))
     small = PhaseGrid(1, (-1.0, 0.0), 8, 1.0, 8, 1.0, 8)
     c = Trajectory.from_constant(small, small.times, 0.0)
+    with pytest.raises(ValueError, match="shapes differ"):
+        comparison_check(a.values, c.values)
+    # a shorter sequence is an error, not a minimum over the common slices
     with pytest.raises(ValueError):
-        comparison_check(a, c)
+        comparison_check(a.values, b.values[:-1])
+    with pytest.raises(ValueError):
+        comparison_check(iter(a.values[:-1]), b.values)
 
 
 def test_face_divergence_is_adjoint_of_face_gradient(grid):

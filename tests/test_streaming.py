@@ -12,8 +12,10 @@ step plan is held to its slices: it holds each once, a refactoring step
 allocates none, and every buffer starts on a 64-byte boundary.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from kfplab import holder, pipeline, solver
 from kfplab.averaging import SpectralField
 from kfplab.coefficients import build_diffusion
 from kfplab.config import parse_config
-from kfplab.degiorgi import LevelPass, linfty_gate, truncation_energy
+from kfplab.degiorgi import LevelPass, build_barrier_sources, linfty_gate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     DyadicLevel,
@@ -326,24 +328,34 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
 
     On the benchmark's N = 2 run (18^4 cells, a slice is 0.80 MiB):
 
-    * `_StepPlan` built and stepped once peaks at most 17.6 MiB (22
-      slices) above its entry; measured 16.2 (16.1 before its buffers were
-      64-byte aligned; 17.0 when its factor arrays were allocated before
-      the first coefficient draw, whose temporaries then stacked on
-      them): the transport's index
-      gathers 3.2, the diffusion factors 6.2, the coefficient samples 1.6,
-      three scratch buffers and the two step buffers 4.0.  When a plan
-      held full-size weights, a lower and an upper coupling and an upper
-      copy, and every step allocated its temporaries, it peaked at 23.9.
+    * `_StepPlan` built and stepped once peaks at most 16.2 MiB above its
+      entry; measured 14.7.  The plan holds 12.1 (15.2 slices): the
+      diffusion factors 6.2, its block of two step buffers, the gather
+      buffer (19/18 of a slice) and two scratch buffers 4.1, the
+      transport's two index gathers 1.7 (one per pass, of the output rows
+      and the one row after them) and its weights 0.2.  The rest is the
+      first step's draw of the checkerboard coefficient, 1.6 and its
+      temporaries, which the plan drops once factored.  The source is
+      zero: its increment is the scalar 0.0.  It peaked at 16.2 when a
+      pass gathered each tap (four index gathers, 3.4) and the plan kept
+      the coefficient sample and an all-zero increment slice; at 23.9
+      when a plan held full-size weights, a lower and an upper coupling
+      and an upper copy, and every step allocated its temporaries.
     * A later step rises at most 0.4 MiB (half a slice); measured 0.05,
       against 4.8 (six slices).
-    * `pipeline._barrier_audit` at k = 1 rises at most 17.5 MiB; measured
-      12.6, in `build_barrier_sources`, where F_k, the barrier's
-      increments and the cell buffers of the S1 and S2 norms are alive
-      (14.8 when those norms held slabs of stored slices; 15.7 when S1,
-      S2, their squares and the increments were built in fresh
-      temporaries).  When the report kept S1, both S2 components and F_k,
-      it rose 19.7.
+    * `pipeline._barrier_audit` at k = 1 rises at most 10.9 MiB; measured
+      9.9, in the barrier solve, where the source's increments (2.6, a
+      window slice is 0.22 MiB, 13 slices from T_0), F_k at T_0, the
+      barrier trajectory (2.8) and the solve's step plan are alive.  The
+      report keeps F_k at T_0 alone, and the comparison forms F_k slice by
+      slice.  It rose 12.6 when F_k lived through the solve, 14.8 when the
+      S1 and S2 norms held slabs of stored slices, 15.7 when S1, S2, their
+      squares and the increments were built in fresh temporaries, and 19.7
+      when the report kept S1, both S2 components and F_k.
+    * `build_barrier_sources` alone rises at most 8.0 MiB; measured 7.2,
+      with the increments, the walk's slice buffers and the cell buffers
+      of the S1 and S2 norms alive.  It rose 9.8 when the report kept F_k
+      at every slice of the window.
     """
     cfg = parse_config(N2_CONFIG)
     grid = build_grid(cfg)
@@ -364,18 +376,21 @@ def test_step_plan_and_barrier_audit_hold_each_slice_once():
     traj = solve_initial(cfg, grid, diffusion, source)
     rises["barrier audit"] = _rise(pipeline._barrier_audit, cfg,
                                    LevelPass(traj, 1, source), diffusion)
-    bounds = {"plan and first step": 17.6, "later step": 0.4, "barrier audit": 17.5}
+    rises["barrier sources"] = _rise(build_barrier_sources, LevelPass(traj, 1, source),
+                                     diffusion)
+    bounds = {"plan and first step": 16.2, "later step": 0.4, "barrier audit": 10.9,
+              "barrier sources": 8.0}
     for name, rise in rises.items():
         assert rise < bounds[name] * MIB, (name, rise / MIB)
 
 
 def _plan_buffers(plan):
-    """Every array a step plan owns: its block rows, the transport's indices
-    and weights, and the diffusion's factor arrays."""
+    """Every array a step plan owns: its block rows, the transport's index
+    gather and tap weights of each pass, and the diffusion's factor
+    arrays."""
     yield from (plan.moved, plan.result, plan.spare, *plan.transport.scratch)
-    for _, taps in plan.transport.passes:
-        for idx, weight in taps:
-            yield from (idx, weight)
+    for _, idx, weights in plan.transport.passes:
+        yield from (idx, *weights)
     for diag, lower, upper, stages, mult, inv_diag, up in plan.implicit.factors:
         yield from (diag, lower, upper, mult, inv_diag, up)
         for _, alpha, gamma in stages:
@@ -401,7 +416,7 @@ def test_a_refactoring_step_allocates_nothing_and_plan_buffers_are_aligned():
     plan = solver._StepPlan(grid, a, None, grid.dt, "linear", True)
     t = [-1.5 + n * grid.dt for n in range(4)]
     samples = iter([a.sample(grid, s + 0.5 * grid.dt) for s in t])
-    plan.coefficients = lambda _: next(samples)
+    plan.coefficients.draw = lambda _: next(samples)
     vals, _ = plan.step(np.random.default_rng(0).uniform(-1.0, 1.0, grid.shape), t[0])
     vals, _ = plan.step(vals, t[1])
     factors = [arr.copy() for arr in plan.implicit.factors[0][:3]]
@@ -417,9 +432,6 @@ def test_a_refactoring_step_allocates_nothing_and_plan_buffers_are_aligned():
     anchored = solver._StepPlan(cells, b, None, small.dt, "linear", False,
                                 ~solver.ring_mask(small)[cells.box],
                                 solver._reduction_depth(small))
-    # a plan allocates its factor arrays at its first step
-    ibvp.step(ibvp.restrict(np.ones(window.shape)), -1.5)
-    anchored.step(np.ones(cells.shape), -1.5)
     for p in (plan, ibvp, anchored):
         for arr in _plan_buffers(p):
             assert arr.size == 0 or arr.ctypes.data % 64 == 0, arr.shape
@@ -428,3 +440,48 @@ def test_a_refactoring_step_allocates_nothing_and_plan_buffers_are_aligned():
     anchored = solve_anchored(traj, b, None)
     for values in (traj.values, anchored.values, solve_anchored(traj, b, None, keep=2).values):
         assert values.ctypes.data % 64 == 0
+
+
+def _owned_bytes(arrays):
+    """The bytes of the distinct buffers under `arrays`."""
+    roots = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        roots[id(arr)] = arr.nbytes
+    return sum(roots.values())
+
+
+@pytest.mark.parametrize("kind,params,kept", [
+    ("checkerboard", dict(values=(0.6, 1.5), cell=0.25), False),
+    ("cellwise_random", dict(low=0.6, high=1.6, cell=0.25), True),
+])
+def test_a_plan_drops_the_sample_of_a_coefficient_constant_in_time(kind, params, kept):
+    """A checkerboard coefficient has no time key: the plan draws it at its
+    first step, factors it, and drops the sample, which is then freed, and
+    draws nothing at the steps after.  A cellwise_random one is drawn again
+    at each new time cell, and the plan keeps its last sample to compare
+    the next with.  `_StepPlan.nbytes` counts every buffer of the plan once,
+    the kept sample among them."""
+    grid = PhaseGrid(2, (-1.5, 0.0), 12, 1.5, 8, 1.5, 8)
+    a = build_diffusion(2, 2.0, kind, seed=2, **params)
+    drawn = []
+    sample = a.sample
+
+    def recorded(cells, t):
+        arrays = sample(cells, t)
+        drawn.append([weakref.ref(arr) for arr in arrays])
+        return arrays
+
+    a.sample = recorded
+    plan = solver._StepPlan(grid, a, None, grid.dt, "linear", True)
+    vals, _ = plan.step(np.random.default_rng(0).uniform(-1.0, 1.0, grid.shape), -1.5)
+    gc.collect()
+    assert len(drawn) == 1
+    assert all((ref() is not None) is kept for ref in drawn[0])
+    for n in range(1, 6):
+        vals, _ = plan.step(vals, -1.5 + n * grid.dt)
+    assert (len(drawn) > 1) is kept
+    buffers = _owned_bytes(_plan_buffers(plan))
+    held = 2 * vals.nbytes if kept else 0
+    assert plan.nbytes == buffers + held

@@ -21,7 +21,7 @@ from kfplab.coefficients import DiffusionField, KeyedSampler, SourceField, build
     build_source
 from kfplab.config import parse_config
 from kfplab.degiorgi import LOCAL_ENERGY_LEVELS, BarrierSource, LevelPass, _barrier_slices, \
-    build_barrier_sources, chebyshev_audit, truncate, truncation_energy
+    build_barrier_sources, chebyshev_audit, cutoff_fields, truncate, truncation_energy
 from kfplab.fields import PhaseField, Trajectory
 from kfplab.geometry import (
     Cylinder,
@@ -498,13 +498,13 @@ def test_barrier_sources_match_reference(run, with_source):
         level = LevelPass(traj, k, source)
         got = build_barrier_sources(level, diffusion)
         expected = _build_barrier_sources_reference(traj, k, diffusion, source)
-        cells = got.fk.grid
+        cells = got.initial.grid
         assert cells.box == GridWindow(traj.grid, DyadicLevel(k).outer_radius).box
         # the sources start at the slice at T_{k-1}, where the barrier does,
         # on the pass's own window
         i0 = traj.slice_index(dyadic_time(k - 1))
         assert cells is level.window.grid
-        assert np.array_equal(got.fk.times, traj.times[i0:])
+        assert got.initial.t == traj.times[i0]
         assert got.source.t_start == traj.times[i0]
         assert got.source.increments.shape == (traj.n_slices - i0 - 1,) + cells.shape
         slices = list(_barrier_slices(level, diffusion))
@@ -629,6 +629,32 @@ def test_diagnostics_sample_once_per_time_key(monkeypatch):
     assert 0 < len(calls["diagonal"]) < traj.n_slices
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_barrier_sources_draw_the_source_once_per_time_key(monkeypatch, k):
+    """`build_barrier_sources` draws S1's source at the stored times and
+    the g 1{f > C_k} norm's at the time cells' midpoints from one sampler,
+    so each time key of its walk is drawn once.  The noise cells are a
+    quarter wide with faces at odd eighths, which some stored times of the
+    1/16 spacing hit, so a stored slice and the midpoint before it can lie
+    in different cells."""
+    grid = PhaseGrid(1, (-1.5, 0.0), 24, 1.5, 24, 1.5, 24)
+    diffusion = build_diffusion(1, 2.0, "cellwise_random", seed=3,
+                                low=0.6, high=1.6, cell=0.25)
+    source = build_source(1, "noise", bound=0.3, seed=5, cell=0.25)
+    traj = solve(_initial(grid, 3.0), diffusion, source, 0.0, WHOLE_SPACE)
+    level = LevelPass(traj, k, source)
+    keys = []
+    original = SourceField.sample
+
+    def counted(self, cells, t):
+        keys.append(self.time_key(t))
+        return original(self, cells, t)
+
+    monkeypatch.setattr(SourceField, "sample", counted)
+    build_barrier_sources(level, diffusion)
+    assert len(keys) == len(set(keys)) > 1, keys
+
+
 # --- the barrier stage on the window ---------------------------------------------------
 
 def _from_slice(traj, i0):
@@ -658,23 +684,27 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
     grid = traj.grid
     for k in (1, 2):
         i0 = traj.slice_index(dyadic_time(k - 1))
-        rep = build_barrier_sources(LevelPass(traj, k, source), diffusion)
-        cells = rep.fk.grid
-        window = traj.window(rep.fk.t_start, DyadicLevel(k).outer_radius)
+        level = LevelPass(traj, k, source)
+        rep = build_barrier_sources(level, diffusion)
+        cells = rep.initial.grid
+        window = traj.window(rep.initial.t, DyadicLevel(k).outer_radius)
         f_win = _cutoff_field(window, k)
         f_whole = _cutoff_field(_from_slice(traj, i0), k)
         assert np.array_equal(f_win.values, f_whole.values[(slice(None),) + cells.box])
         assert np.array_equal(_embed(f_win, grid).values, f_whole.values)
         assert f_whole.values.max() > 0.0
-        # the report's F_k is the same field on the same cells and times
-        assert rep.fk.grid.box == cells.box
-        assert np.array_equal(rep.fk.times, f_whole.times)
-        assert np.array_equal(rep.fk.values, f_whole.values[(slice(None),) + cells.box])
+        # the report's F_k at T_{k-1} and the pass's F_k slice by slice are
+        # the same field on the same cells and times
+        assert rep.initial.grid.box == cells.box
+        assert rep.initial.t == f_whole.times[0]
+        assert np.array_equal(rep.initial.values, f_whole.values[0][cells.box])
+        fk = np.array([f.copy() for f in cutoff_fields(level)])
+        assert np.array_equal(fk, f_whole.values[(slice(None),) + cells.box])
 
         g_win = solver.solve_barrier_ibvp(rep.source, diffusion, k, interp=interp,
                                           initial=f_win.field(0))
         shape = (traj.n_slices - i0,) + cells.shape
-        assert rep.fk.values.shape == g_win.values.shape == shape
+        assert fk.shape == g_win.values.shape == shape
         assert rep.source.increments.shape == (shape[0] - 1,) + cells.shape
 
         ref = _build_barrier_sources_reference(traj, k, diffusion, source)
@@ -699,8 +729,8 @@ def test_barrier_solve_on_window_matches_whole_grid(run, interp):
         assert scale > 0.0
         embedded = _embed(g_win, grid)
         assert np.max(np.abs(embedded.values - g_whole.values)) <= REL * scale, k
-        assert _close(solver.comparison_check(f_win, g_win),
-                      solver.comparison_check(f_whole, g_whole), scale), k
+        assert _close(solver.comparison_check(f_win.values, g_win.values),
+                      solver.comparison_check(f_whole.values, g_whole.values), scale), k
 
 
 def test_window_spectra_match_zero_extension(run):

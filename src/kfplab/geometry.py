@@ -436,11 +436,6 @@ class DyadicLevel:
         return dyadic_truncation(self.k)
 
     @property
-    def slope_bound(self) -> float:
-        """The ladder's Lipschitz budget 2^{k+2} for |grad eta_k|."""
-        return 2.0 ** (self.k + 2)
-
-    @property
     def max_slope(self) -> float:
         """Actual peak slope of the quintic profile, (15/8) 2^{k+1}."""
         return (15.0 / 8.0) / (self.outer_radius - self.radius)

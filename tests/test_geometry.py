@@ -114,9 +114,10 @@ def test_cutoff_slope_bound_with_margin():
         lev = DyadicLevel(k)
         rho = np.linspace(0.0, 2.0, 20001)
         slopes = np.abs(lev.eta_slope(rho))
-        assert slopes.max() <= lev.slope_bound
+        budget = 2.0 ** (k + 2)          # the ladder's Lipschitz budget
+        assert slopes.max() <= budget
         # the quintic profile peaks at (15/8) 2^{k+1} = (15/16) of the budget
-        assert slopes.max() == pytest.approx(0.9375 * lev.slope_bound, rel=1e-3)
+        assert slopes.max() == pytest.approx(0.9375 * budget, rel=1e-3)
 
 
 def test_cutoff_slope_matches_finite_difference():

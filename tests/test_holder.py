@@ -243,6 +243,9 @@ def test_theta_sequence_fixed_point(grid):
     # every level is 1 again, so no level reaches 0 anywhere
     assert rep.measures == [0.0] * 4
     assert rep.monotone
+    # within the guard's 1e-12 but above 1: f_k rises above f_{k-1}
+    above = Trajectory.from_constant(grid, grid.times, 1.0 + 1e-13)
+    assert not theta_sequence(above, 0.25, 3).monotone
 
 
 def test_theta_sequence_measures_follow_the_affine_map(grid):
@@ -290,6 +293,21 @@ def _whole_grid_theta_sequence(traj, theta, k_max):
     return measures, all(r <= 1e-12 for r in rises)
 
 
+def _enumerated_theta_measures(traj, theta, k_max):
+    """m_k by enumerating the cells of the hat union: time cells centred in
+    (-3/2, 0], (x, v) centres in B(0,1)^2, midpoint values <= 1 - theta^k."""
+    mask = hat_union_unit().space_mask(traj.grid)
+    mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+    counts = [0] * (k_max + 1)
+    for i, tm in enumerate(mids):
+        if not (-1.5 < tm <= 0.0):
+            continue
+        vals = 0.5 * (traj.values[i] + traj.values[i + 1])
+        for k in range(k_max + 1):
+            counts[k] += int(np.count_nonzero((vals <= 1.0 - theta**k) & mask))
+    return [c * traj.dt * traj.grid.cell_volume for c in counts]
+
+
 @pytest.mark.parametrize("dim,t_min,n_t,n", [
     (1, -1.5, 48, 48),
     (1, -2.0, 18, 20),    # slices before -3/2, a slice spacing of 1/9
@@ -297,19 +315,32 @@ def _whole_grid_theta_sequence(traj, theta, k_max):
     (2, -1.7, 12, 13),
 ])
 def test_theta_sequence_window_matches_whole_grid(dim, t_min, n_t, n):
+    """The closed-form m_k = |{f <= 1 - theta^k}| against a cell
+    enumeration, and against the iterated ladder on the whole grid: equal
+    at theta = 1/4, a power of two; at theta = 0.45 the iterated map takes
+    f = 1 - theta to f_1 = (0.55 - 1)/0.45 + 1 = 1.1e-16 > 0 and loses
+    the cells whose midpoint value is exactly 1 - theta."""
     grid = PhaseGrid(dim, (t_min, 0.0), n_t, 1.5, n, 1.5, n)
     rng = np.random.default_rng(dim * 100 + n)
-    vals = rng.uniform(-0.6, 1.0, (len(grid.times),) + grid.shape)
-    # over 1 off the hat union, which the ladder never reads
-    vals[:, np.broadcast_to(grid.expand_x(grid.rho_x > 1.2), grid.shape)] = 3.0
-    # values whose image lands on the level f_k = 0 (theta = 1/4: 0.75 -> 0)
-    vals[vals > 0.9] = 0.75
-    traj = Trajectory(grid, grid.times, vals)
-    rep = theta_sequence(traj, 0.25, 4)
-    measures, monotone = _whole_grid_theta_sequence(traj, 0.25, 4)
-    assert rep.measures == measures
-    assert rep.monotone == monotone
-    assert 0.0 < measures[0] < measures[-1]
+    off_union = np.broadcast_to(grid.expand_x(grid.rho_x > 1.2), grid.shape)
+    for theta in (0.25, 0.45):
+        vals = rng.uniform(-0.6, 1.0, (len(grid.times),) + grid.shape)
+        # values on the levels 1 - theta^k, where f_k = 0
+        vals[vals > 0.9] = 1.0 - theta
+        vals[(vals > 0.8) & (vals <= 0.9)] = 1.0 - theta**2
+        # over 1 off the hat union, which the ladder never reads
+        vals[:, off_union] = 3.0
+        traj = Trajectory(grid, grid.times, vals)
+        rep = theta_sequence(traj, theta, 4)
+        assert rep.measures == _enumerated_theta_measures(traj, theta, 4)
+        assert rep.monotone
+        measures, monotone = _whole_grid_theta_sequence(traj, theta, 4)
+        assert monotone
+        if theta == 0.25:
+            assert rep.measures == measures
+        else:
+            assert measures[1] < rep.measures[1]
+        assert 0.0 < measures[0] < measures[-1]
 
 
 @given(theta=st.floats(0.05, 0.45), shift=st.floats(-0.5, 0.9))

@@ -269,13 +269,17 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
     0.02 (one cell buffer, f_+^2 taken in place; 0.19 with a slab),
     `SpectralField.from_trajectory` 0.03 (one slice's squares for `l2_sq`;
     its Gram products hold little more than each group's Gram matrix; 0.19
-    with a slab's squares) and `oscillation_ladder` 0.30 (its re-solve's
-    step plan on the inner cell box and kept slices).  With the
-    whole-trajectory temporaries these streams replaced, the same calls
-    rose 4.97, 2.97, 6.47 and 3.31 trajectories.
+    with a slab's squares), `oscillation_ladder` 0.30 (its re-solve's
+    step plan on the inner cell box and kept slices) and `theta_sequence`
+    on the field halved, below 1, 0.135 (one level set's cell buffer at a
+    time; 1.16 when it formed each level f_k and its difference on the
+    cells of B(0,1)^2).  With the whole-trajectory temporaries these
+    streams replaced, the first four rose 4.97, 2.97, 6.47 and 3.31
+    trajectories.
     """
     grid = PhaseGrid(2, (-1.5, 0.0), 96, 1.5, 13, 1.5, 13)
     traj = _field(grid, seed=3)
+    halved = traj.map_values(lambda v: 0.5 * v)
     diffusion = build_diffusion(2, 2.0, "constant", value=1.0)
     size = traj.values.nbytes
     rises = {
@@ -284,6 +288,7 @@ def test_streamed_audits_stay_below_a_fraction_of_the_trajectory():
         "from_trajectory": _rise(SpectralField.from_trajectory, traj,
                                  warn_boundary=False),
         "oscillation_ladder": _rise(oscillation_ladder, traj, diffusion, None, 0.25),
+        "theta_sequence": _rise(holder.theta_sequence, halved, 0.25, 3),
     }
     for name, rise in rises.items():
         assert rise < BOUND * size, (name, rise / size)
